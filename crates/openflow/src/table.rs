@@ -117,9 +117,23 @@ pub enum InsertOutcome {
 /// An OpenFlow 1.0 flow table.
 ///
 /// Entries whose nine header fields are all exact sit in a hash index
-/// keyed by [`FlowKey`]; wildcard entries are scanned linearly. With
+/// keyed by [`FlowKey`]; wildcard entries sit in one list, `wild`. With
 /// LiveSec's workload — thousands of exact steering entries plus a
-/// handful of wildcard policy entries — lookups stay O(1).
+/// handful of wildcard policy entries — both the data path and the
+/// flow-mod write path stay O(1) in the table size `n`:
+///
+/// * `lookup` / `lookup_counting` / `peek`: one hash probe plus a scan
+///   of `wild` — O(bucket + |wild|).
+/// * `insert_at` (fresh or replace), `contains_strict`, and `remove` /
+///   `modify_actions` whose matcher has exact headers (strict or not):
+///   one hash probe — O(bucket), a bucket being the entries that share
+///   one `FlowKey` (they differ in `in_port` or priority only).
+/// * The same operations with a wildcard matcher, strict: O(|wild|).
+/// * Non-strict `remove` / `modify_actions` with a wildcard matcher,
+///   and `expire`: O(n). Wildcard deletes are rare (a block lifted, a
+///   table wipe), and the expiry walk is at most 1.3 % of the busiest
+///   workload's wall time (EXPERIMENTS.md E16, where a deadline heap
+///   moved nothing end to end), so neither has an index of its own.
 #[derive(Debug, Default)]
 pub struct FlowTable {
     slots: Vec<Option<FlowEntry>>,
@@ -210,21 +224,58 @@ impl FlowTable {
         entry
     }
 
+    /// The one index list that holds every entry whose match equals
+    /// `matcher` — and, when `matcher` has exact headers, every entry
+    /// it subsumes too: `attach` files by the same `exact_key()`, and
+    /// an all-exact matcher only subsumes matches with its `FlowKey`.
+    fn bucket(&self, matcher: &Match) -> &[usize] {
+        match matcher.exact_key() {
+            Some(key) => self.exact.get(&key).map_or(&[], Vec::as_slice),
+            None => &self.wild,
+        }
+    }
+
     fn find_strict(&self, matcher: &Match, priority: u16) -> Option<usize> {
-        self.indices().find(|&i| {
+        self.bucket(matcher).iter().copied().find(|&i| {
             let e = self.slots[i].as_ref().expect("live index");
             e.priority == priority && e.matcher == *matcher
         })
     }
 
+    /// `(seq, index)` of the entries a delete or modify flow-mod
+    /// selects, oldest first. Strict: match equal to `matcher` and, if
+    /// given, this priority. Non-strict: match subsumed by `matcher`.
+    fn select(&self, matcher: &Match, strict: bool, priority: Option<u16>) -> Vec<(u64, usize)> {
+        let pick = |i: usize| {
+            let e = self.slots[i].as_ref().expect("live index");
+            let hit = if strict {
+                e.matcher == *matcher && priority.map(|p| p == e.priority).unwrap_or(true)
+            } else {
+                matcher.subsumes(&e.matcher)
+            };
+            hit.then_some((e.seq, i))
+        };
+        let mut hits: Vec<(u64, usize)> = if strict || matcher.is_exact_headers() {
+            self.bucket(matcher)
+                .iter()
+                .copied()
+                .filter_map(pick)
+                .collect()
+        } else {
+            self.indices().filter_map(pick).collect()
+        };
+        // Oldest-first, like expire(): removal notifications must not
+        // inherit the hash index's iteration order.
+        hits.sort_unstable_by_key(|&(seq, _)| seq);
+        hits
+    }
+
     fn indices(&self) -> impl Iterator<Item = usize> + '_ {
-        // Contract: every consumer either sorts by insertion `seq`
-        // before the order becomes observable (expire, remove) or
-        // reduces order-insensitively (find_strict matches at most one
-        // entry, best_candidate takes a strict max, modify_actions
-        // applies the same mutation to all hits). Keeping the exact
-        // index a HashMap keeps dataplane lookups O(1).
-        // livesec-lint: allow(unordered-iter, reason = "all consumers sort by seq or reduce order-insensitively")
+        // Contract: both consumers — expire, and select for a wildcard
+        // non-strict remove/modify_actions — sort by insertion `seq`
+        // before the order becomes observable. Keeping the exact index
+        // a HashMap keeps lookups and strict flow-mods O(1).
+        // livesec-lint: allow(unordered-iter, reason = "expire and wildcard non-strict remove/modify_actions sort by seq before the order is observable")
         self.exact
             .values()
             .flatten()
@@ -307,12 +358,12 @@ impl FlowTable {
             .filter_map(|i| {
                 let e = self.slots[i].as_ref().expect("live index");
                 if let Some(hard) = e.hard_timeout {
-                    if now >= e.created_at + hard {
+                    if now >= e.created_at.saturating_add(hard) {
                         return Some((e.seq, i, RemovalReason::HardTimeout));
                     }
                 }
                 if let Some(idle) = e.idle_timeout {
-                    if now >= e.last_used + idle {
+                    if now >= e.last_used.saturating_add(idle) {
                         return Some((e.seq, i, RemovalReason::IdleTimeout));
                     }
                 }
@@ -341,22 +392,7 @@ impl FlowTable {
         strict: bool,
         priority: Option<u16>,
     ) -> Vec<RemovedEntry> {
-        let mut victims: Vec<(u64, usize)> = self
-            .indices()
-            .filter_map(|i| {
-                let e = self.slots[i].as_ref().expect("live index");
-                let hit = if strict {
-                    e.matcher == *matcher && priority.map(|p| p == e.priority).unwrap_or(true)
-                } else {
-                    matcher.subsumes(&e.matcher)
-                };
-                hit.then_some((e.seq, i))
-            })
-            .collect();
-        // Oldest-first, like expire(): removal notifications must not
-        // inherit the hash index's iteration order.
-        victims.sort_unstable_by_key(|&(seq, _)| seq);
-        victims
+        self.select(matcher, strict, priority)
             .into_iter()
             .map(|(_, i)| RemovedEntry {
                 entry: self.detach(i),
@@ -374,22 +410,11 @@ impl FlowTable {
         strict: bool,
         actions: &[crate::action::Action],
     ) -> usize {
-        let targets: Vec<usize> = self
-            .indices()
-            .filter(|&i| {
-                let e = self.slots[i].as_ref().expect("live index");
-                if strict {
-                    e.matcher == *matcher
-                } else {
-                    matcher.subsumes(&e.matcher)
-                }
-            })
-            .collect();
-        let n = targets.len();
-        for i in targets {
+        let targets = self.select(matcher, strict, None);
+        for &(_, i) in &targets {
             self.slots[i].as_mut().expect("live index").actions = actions.to_vec();
         }
-        n
+        targets.len()
     }
 
     /// Iterates over all live entries (arbitrary order).
@@ -542,6 +567,21 @@ mod tests {
         let removed = t.expire(100);
         assert_eq!(removed.len(), 1);
         assert_eq!(removed[0].reason, RemovalReason::HardTimeout);
+    }
+
+    #[test]
+    fn max_timeout_never_expires_and_never_panics() {
+        // Regression: `created_at + u64::MAX` overflowed (a panic under
+        // `overflow-checks`), and the codec decodes any u64 off the wire.
+        let mut t = FlowTable::new();
+        t.insert_at(
+            FlowEntry::new(Match::exact(1, &key(80)), out(2), 10)
+                .with_idle_timeout(u64::MAX)
+                .with_hard_timeout(u64::MAX),
+            5,
+        );
+        assert!(t.expire(10).is_empty(), "a saturated deadline is never due");
+        assert_eq!(t.len(), 1);
     }
 
     #[test]

@@ -367,8 +367,11 @@ impl AsSwitch {
         match command {
             FlowModCommand::Add => {
                 if let Some(limit) = self.table_limit {
-                    let replaces = self.table.contains_strict(&matcher, priority);
-                    if !replaces && self.table.len() >= limit {
+                    // A full table still takes an Add that replaces an
+                    // entry; below the limit insert_at's own probe is
+                    // the only one.
+                    if self.table.len() >= limit && !self.table.contains_strict(&matcher, priority)
+                    {
                         self.table_full_rejections += 1;
                         return;
                     }
@@ -1039,6 +1042,28 @@ mod tests {
         let c = world.node::<StubController>(ctrl);
         assert_eq!(c.flow_removed.len(), 1);
         assert!(world.node::<AsSwitch>(sw).table().is_empty());
+    }
+
+    #[test]
+    fn max_timeout_off_the_wire_never_expires_and_never_panics() {
+        // Regression: the 8-byte timeout fields can carry u64::MAX (a
+        // hostile peer, or one corrupted control frame); the expiry
+        // deadline overflowed and panicked the switch on its next tick.
+        let key = FlowKey::of(&test_packet()).unwrap();
+        let (mut world, ctrl, sw, _src, dst) = run(vec![OfMessage::FlowMod {
+            command: FlowModCommand::Add,
+            matcher: Match::exact(2, &key),
+            priority: 10,
+            actions: vec![Action::Output(OutPort::Physical(3))],
+            idle_timeout: Some(u64::MAX),
+            hard_timeout: Some(u64::MAX),
+            cookie: 0,
+            notify_removed: true,
+        }]);
+        world.run_for(SimDuration::from_millis(500));
+        assert_eq!(world.node::<Sink>(dst).got.len(), 1, "entry forwards");
+        assert_eq!(world.node::<AsSwitch>(sw).table().len(), 1, "never due");
+        assert!(world.node::<StubController>(ctrl).flow_removed.is_empty());
     }
 
     #[test]

@@ -57,6 +57,11 @@ test -s BENCH_lint.json
 # exactly-one-shard coverage, quarantine isolation).
 run cargo run -q -p livesec-verify --release -- --scenario baseline
 run cargo test -q
+# The flow table and the AS switch own the flow-mod write path: the
+# table's differential model test (crates/openflow/tests/table_model.rs)
+# and the hostile-timeout regressions live in these crates' own suites,
+# which the root `cargo test` does not run.
+run cargo test -q -p livesec-openflow -p livesec-switch
 # Seeded chaos soak: the campus under scheduled partitions, crashes,
 # and frame corruption over fixed seeds — zero panics, clean
 # health-stat invariants, byte-identical same-seed histories.
