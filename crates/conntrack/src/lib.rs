@@ -26,12 +26,17 @@
 //!   first reply, and a single `ICMP` state.
 //! * **Timer-wheel expiry** — per-state idle timeouts, tracked on a
 //!   millisecond-slot wheel keyed by [`livesec_sim::SimTime`] (never
-//!   the wall clock), with stale timers skipped lazily. Expiry order
-//!   is `(slot, arming sequence)` — fully deterministic.
+//!   the wall clock). Expiry order is `(slot, arming sequence)` —
+//!   fully deterministic.
 //! * **Bounded capacity with LRU eviction** — the least recently seen
 //!   entry goes first, tracked in an ordered structure keyed by
 //!   `(last_seen, sequence)` so eviction order never depends on hash
 //!   iteration.
+//! * **Bounded indexes** — the wheel and the LRU index hold exactly
+//!   one entry per live connection: a touch moves the connection's
+//!   entry instead of leaving a stale one behind, so a packet on an
+//!   existing connection costs one lookup and two index moves whatever
+//!   the table has seen before.
 //!
 //! Everything is ordinary data with ordered collections: two runs
 //! over the same packet sequence produce byte-identical tables,
@@ -39,7 +44,7 @@
 
 use livesec_net::{FlowKey, Packet, TcpFlags};
 use livesec_sim::{SimDuration, SimTime};
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::fmt;
 use std::net::Ipv4Addr;
 
@@ -325,6 +330,11 @@ pub struct Conn {
     last_seen: SimTime,
     deadline: SimTime,
     seq: u64,
+    /// The wheel slot this connection is armed in: its entry sits at
+    /// `(armed_slot, seq)`. The deadline's own slot, or one past the
+    /// `expire` call that found the deadline inside its slot but not
+    /// yet due.
+    armed_slot: u64,
     orig_head: Vec<u8>,
     reply_head: Vec<u8>,
     orig_pkts: u64,
@@ -416,11 +426,11 @@ impl TableStats {
 #[derive(Clone)]
 pub struct ConnTable {
     conns: BTreeMap<ConnKey, Conn>,
-    /// Timer wheel: `(slot, arming seq) -> key`. Stale entries (the
-    /// connection was touched since, or removed) are skipped lazily.
+    /// Timer wheel: `(armed slot, arming seq) -> key`, one entry per
+    /// connection.
     wheel: BTreeMap<(u64, u64), ConnKey>,
-    /// LRU index: `(last_seen, arming seq) -> key`, same lazy-skip
-    /// scheme. The first fresh entry is the eviction victim.
+    /// LRU index: `(last_seen, arming seq) -> key`, one entry per
+    /// connection. The first entry is the eviction victim.
     lru: BTreeMap<(SimTime, u64), ConnKey>,
     /// Half-open (SYN_SENT/SYN_RECV) connection count per initiator.
     half_open: BTreeMap<Ipv4Addr, u32>,
@@ -538,6 +548,12 @@ impl ConnTable {
         self.half_open.get(&src).copied().unwrap_or(0)
     }
 
+    /// Sizes of the two ordered indexes: `(wheel, lru)`.
+    #[cfg(test)]
+    fn index_sizes(&self) -> (usize, usize) {
+        (self.wheel.len(), self.lru.len())
+    }
+
     /// Counter snapshot.
     pub fn stats(&self) -> TableStats {
         TableStats {
@@ -627,17 +643,19 @@ impl ConnTable {
             stash.extend_from_slice(&payload[..payload.len().min(room)]);
         }
 
-        // Touch: new arming sequence, fresh deadline and LRU position.
+        // Touch: new arming sequence, fresh deadline and LRU position;
+        // the connection's one entry in each index moves with it.
+        self.wheel.remove(&(conn.armed_slot, conn.seq));
+        self.lru.remove(&(conn.last_seen, conn.seq));
         self.seq += 1;
         conn.seq = self.seq;
         conn.last_seen = now;
         conn.state = new_state;
         conn.deadline = now + self.timeouts.for_state(new_state);
-        let (deadline, seq) = (conn.deadline, conn.seq);
+        conn.armed_slot = conn.deadline.as_nanos() / SLOT_NANOS;
         let initiator_ip = conn.initiator.0;
-        self.wheel
-            .insert((deadline.as_nanos() / SLOT_NANOS, seq), ck);
-        self.lru.insert((now, seq), ck);
+        self.wheel.insert((conn.armed_slot, conn.seq), ck);
+        self.lru.insert((now, conn.seq), ck);
 
         if new_state != old_state {
             self.state_counts[old_state.index()] -= 1;
@@ -703,21 +721,22 @@ impl ConnTable {
         if !payload.is_empty() {
             head.extend_from_slice(&payload[..payload.len().min(self.head_bytes)]);
         }
+        let deadline = now + self.timeouts.for_state(state);
         let conn = Conn {
             state,
             initiator: ep,
             first_key: *key,
             last_seen: now,
-            deadline: now + self.timeouts.for_state(state),
+            deadline,
             seq: self.seq,
+            armed_slot: deadline.as_nanos() / SLOT_NANOS,
             orig_head: head,
             // livesec-lint: allow(hot-path-alloc, reason = "capacity-0 Vec on flow creation; grows only when reply head bytes arrive")
             reply_head: Vec::new(),
             orig_pkts: 1,
             reply_pkts: 0,
         };
-        self.wheel
-            .insert((conn.deadline.as_nanos() / SLOT_NANOS, conn.seq), ck);
+        self.wheel.insert((conn.armed_slot, conn.seq), ck);
         self.lru.insert((now, conn.seq), ck);
         self.conns.insert(ck, conn);
         self.insertions += 1;
@@ -738,27 +757,24 @@ impl ConnTable {
     pub fn expire(&mut self, now: SimTime) -> Vec<Expired> {
         let now_slot = now.as_nanos() / SLOT_NANOS;
         let mut out = Vec::new();
-        while let Some((&(slot, seq), &ck)) = self.wheel.iter().next() {
+        while let Some(armed) = self.wheel.first_entry() {
+            let (slot, seq) = *armed.key();
             if slot > now_slot {
                 break;
             }
-            self.wheel.remove(&(slot, seq));
-            let Some(conn) = self.conns.get(&ck) else {
-                continue; // removed since arming
+            let ck = armed.remove();
+            let Entry::Occupied(mut entry) = self.conns.entry(ck) else {
+                continue;
             };
-            if conn.seq != seq {
-                continue; // touched since arming
-            }
-            if conn.deadline > now {
+            if entry.get().deadline > now {
                 // Slot boundary rounding: due within this slot but not
                 // yet. Re-arm one slot ahead; the deadline re-check
                 // keeps this exact.
+                entry.get_mut().armed_slot = now_slot + 1;
                 self.wheel.insert((now_slot + 1, seq), ck);
                 continue;
             }
-            let Some(conn) = self.conns.remove(&ck) else {
-                continue;
-            };
+            let conn = entry.remove();
             self.lru.remove(&(conn.last_seen, conn.seq));
             self.state_counts[conn.state.index()] -= 1;
             self.note_half_open(conn.initiator.0, Some(conn.state), None);
@@ -777,22 +793,16 @@ impl ConnTable {
 
     /// Evicts the least-recently-seen connection (capacity pressure).
     fn evict_lru(&mut self) {
-        while let Some((&(t, seq), &ck)) = self.lru.iter().next() {
-            self.lru.remove(&(t, seq));
-            let Some(conn) = self.conns.get(&ck) else {
-                continue;
-            };
-            if conn.seq != seq {
-                continue; // stale position
-            }
-            let Some(conn) = self.conns.remove(&ck) else {
-                continue;
-            };
-            self.state_counts[conn.state.index()] -= 1;
-            self.note_half_open(conn.initiator.0, Some(conn.state), None);
-            self.evictions += 1;
+        let Some((_, ck)) = self.lru.pop_first() else {
             return;
-        }
+        };
+        let Some(conn) = self.conns.remove(&ck) else {
+            return;
+        };
+        self.wheel.remove(&(conn.armed_slot, conn.seq));
+        self.state_counts[conn.state.index()] -= 1;
+        self.note_half_open(conn.initiator.0, Some(conn.state), None);
+        self.evictions += 1;
     }
 
     fn note_half_open(
@@ -1079,6 +1089,54 @@ mod tests {
         ct.observe(&keys[4], Some(SYN), &[], t(12));
         assert_eq!(ct.len(), 3);
         assert_eq!(ct.stats().evictions, 2);
+    }
+
+    #[test]
+    fn indexes_hold_one_entry_per_live_connection() {
+        // The wheel and the LRU index used to gain an entry per packet
+        // and shed them only on expiry or eviction: 100 000 packets on
+        // 16 long-lived connections left 100 000 entries in each.
+        let mut ct = ConnTable::new();
+        let keys: Vec<FlowKey> = (0..16u16)
+            .map(|i| key([10, 0, 1, i as u8], 1000 + i, [10, 0, 0, 2], 80, 6))
+            .collect();
+        let data = Some(TcpFlags::PSH | ACK);
+        for i in 0..100_000u64 {
+            let k = &keys[(i % 16) as usize];
+            let k = if i % 3 == 0 { k.reversed() } else { *k };
+            ct.observe(&k, data, b"x", t(i / 10));
+        }
+        assert_eq!(ct.len(), 16);
+        assert_eq!(ct.index_sizes(), (16, 16));
+
+        // Again with expiry interleaved, on a 50 ms timeout: half the
+        // connections pause long enough to idle out and come back, some
+        // `expire` calls find nothing due, some re-arm inside a slot,
+        // and the quiet tail empties the table.
+        let mut ct = ct.with_timeouts(ConnTimeouts {
+            syn_sent: SimDuration::from_millis(50),
+            established: SimDuration::from_millis(50),
+            ..ConnTimeouts::default()
+        });
+        for i in 0..100_000u64 {
+            let now = SimTime::from_nanos(10_000_000_000 + i * 700_000);
+            let idx = (i % 16) as usize;
+            let paused = idx >= 8 && (i / 1000) % 2 == 1;
+            if i < 90_000 && !paused {
+                ct.observe(&keys[idx], data, b"x", now);
+            }
+            if i % 7 == 0 {
+                ct.expire(now);
+            }
+            assert_eq!(ct.index_sizes(), (ct.len(), ct.len()), "step {i}");
+        }
+        assert!(ct.is_empty(), "everything idled out in the tail");
+        let stats = ct.stats();
+        assert!(
+            stats.insertions > 16 + 8 * 40,
+            "paused connections came back"
+        );
+        assert_eq!(stats.expirations, stats.insertions);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! algorithms — polling, hash, queuing, and minimum-load — and two
 //! granularities — per-flow and per-user; all are implemented here.
 
-use livesec_net::{FlowKey, MacAddr};
+use livesec_net::{FixedState, FlowKey, MacAddr};
 use livesec_services::{SeMessage, ServiceType};
 use livesec_sim::SimTime;
 use serde::{Deserialize, Serialize};
@@ -342,7 +342,7 @@ impl SeRegistry {
 pub struct LoadBalancer {
     dispatcher: Box<dyn Dispatcher>,
     grain: Grain,
-    sticky: HashMap<(MacAddr, ServiceType), MacAddr>,
+    sticky: HashMap<(MacAddr, ServiceType), MacAddr, FixedState>,
 }
 
 impl LoadBalancer {
@@ -351,7 +351,7 @@ impl LoadBalancer {
         LoadBalancer {
             dispatcher: Box::new(dispatcher),
             grain,
-            sticky: HashMap::new(),
+            sticky: HashMap::default(),
         }
     }
 

@@ -32,7 +32,7 @@
 
 use crate::monitor::FastPathStats;
 use crate::routing::SteeringProgram;
-use livesec_net::{FlowKey, MacAddr};
+use livesec_net::{FixedState, FlowKey, MacAddr};
 use livesec_openflow::Match;
 use livesec_services::ServiceType;
 use std::collections::{HashMap, HashSet};
@@ -80,8 +80,8 @@ struct Entry {
 /// O(1) in the number of cached entries (epoch bumps especially).
 #[derive(Debug, Default)]
 pub struct DecisionCache {
-    entries: HashMap<FlowKey, Entry>,
-    by_mac: HashMap<MacAddr, HashSet<FlowKey>>,
+    entries: HashMap<FlowKey, Entry, FixedState>,
+    by_mac: HashMap<MacAddr, HashSet<FlowKey, FixedState>, FixedState>,
     policy_epoch: u64,
     topo_epoch: u64,
     hits: u64,

@@ -27,8 +27,8 @@ use crate::routing::{compile_path, Hop, SteeringProgram};
 use crate::topology::TopologyMap;
 use livesec_net::packet::{arp_frame, lldp_frame};
 use livesec_net::{
-    wire, ArpOp, ArpPacket, DhcpMessage, EtherType, EthernetHeader, FlowKey, Ipv4Header,
-    Ipv4Packet, LldpFrame, MacAddr, Packet, Payload, Transport, UdpDatagram,
+    wire, ArpOp, ArpPacket, DhcpMessage, EtherType, EthernetHeader, FixedState, FlowKey,
+    Ipv4Header, Ipv4Packet, LldpFrame, MacAddr, Packet, Payload, Transport, UdpDatagram,
 };
 use livesec_openflow::{
     codec, Action, FlowModCommand, Match, OfMessage, StatsBody, StatsRequestKind,
@@ -212,7 +212,7 @@ pub struct Controller {
     // snapshot and reconciliation, so it is part of the spec
     // (DESIGN.md §6).
     active: BTreeMap<FlowKey, FlowRecord>,
-    required_certs: Option<HashSet<u64>>,
+    required_certs: Option<BTreeSet<u64>>,
     /// The flow-setup fast path's decision cache (`None` = disabled,
     /// every setup takes the cold path).
     cache: Option<DecisionCache>,
@@ -254,20 +254,20 @@ pub struct Controller {
     /// many housekeeping ticks (0 = never probe).
     echo_every_ticks: u64,
     /// Every datapath id ever registered (survives deregistration).
-    known_dpids: HashSet<u64>,
+    known_dpids: HashSet<u64, FixedState>,
     /// Every controller-side peer node ever registered, with its dpid.
     /// Never pruned: `topo.dpid_of_node` forgets deregistered switches,
     /// and a reconnecting peer must still be recognized.
-    known_nodes: HashMap<NodeId, u64>,
+    known_nodes: HashMap<NodeId, u64, FixedState>,
     /// Switches currently declared dead (for `SwitchUp` on return).
-    down_dpids: HashSet<u64>,
+    down_dpids: HashSet<u64, FixedState>,
     /// Standing attack-block drop entries per dpid (insertion order,
     /// deduplicated). Unlike flow records these never expire: a block
     /// outlives the flow it stopped and is reinstalled by audits after
     /// crashes and partitions.
     blocks: BTreeMap<u64, Vec<Match>>,
     /// Switches with a flow-table audit in flight.
-    auditing: HashSet<u64>,
+    auditing: HashSet<u64, FixedState>,
     /// Audit every online switch every this many housekeeping ticks
     /// (0 = only audit on reconnect). Reconnect audits cover faults
     /// the liveness timeout noticed; this background sweep bounds how
@@ -323,7 +323,7 @@ pub struct Controller {
     fail_open: bool,
     record_se_load: bool,
     tick_count: u64,
-    last_port_stats: HashMap<(u64, u32), (u64, u64)>,
+    last_port_stats: HashMap<(u64, u32), (u64, u64), FixedState>,
     app_traffic: BTreeMap<String, TrafficTally>,
     user_traffic: BTreeMap<MacAddr, TrafficTally>,
 
@@ -378,11 +378,11 @@ impl Controller {
             switch_liveness: BTreeMap::new(),
             switch_timeout: SimDuration::from_secs(3),
             echo_every_ticks: 10,
-            known_dpids: HashSet::new(),
-            known_nodes: HashMap::new(),
-            down_dpids: HashSet::new(),
+            known_dpids: HashSet::default(),
+            known_nodes: HashMap::default(),
+            down_dpids: HashSet::default(),
             blocks: BTreeMap::new(),
-            auditing: HashSet::new(),
+            auditing: HashSet::default(),
             audit_every_ticks: 50,
             health: HealthStats::default(),
             fastpasses: BTreeMap::new(),
@@ -405,7 +405,7 @@ impl Controller {
             fail_open: false,
             record_se_load: true,
             tick_count: 0,
-            last_port_stats: HashMap::new(),
+            last_port_stats: HashMap::default(),
             app_traffic: BTreeMap::new(),
             user_traffic: BTreeMap::new(),
             packet_ins: 0,
@@ -436,7 +436,7 @@ impl Controller {
 
     /// Requires SE control messages to carry one of these certificate
     /// tokens (default: no certification required).
-    pub fn with_required_certs(mut self, certs: HashSet<u64>) -> Self {
+    pub fn with_required_certs(mut self, certs: BTreeSet<u64>) -> Self {
         self.required_certs = Some(certs);
         self
     }
@@ -816,7 +816,7 @@ impl Controller {
     }
 
     /// Enables certification with the given initial token set.
-    pub fn set_required_certs(&mut self, certs: HashSet<u64>) {
+    pub fn set_required_certs(&mut self, certs: BTreeSet<u64>) {
         self.required_certs = Some(certs);
     }
 

@@ -389,7 +389,7 @@ impl CampusBuilder {
         self.certification = true;
         self.world
             .node_mut::<Controller>(self.controller)
-            .set_required_certs(std::collections::HashSet::new());
+            .set_required_certs(std::collections::BTreeSet::new());
         self
     }
 

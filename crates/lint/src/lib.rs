@@ -117,6 +117,8 @@ pub const HOT_SEED_ROOTS: &[(&str, &str)] = &[
     ("crates/openflow/src/table.rs", "best_candidate"),
     ("crates/openflow/src/table.rs", "peek"),
     ("crates/switch/src/as_switch.rs", "on_frame"),
+    // Every hop of every frame: link model, port slot, event-queue push.
+    ("crates/sim/src/world.rs", "transmit"),
     ("crates/conntrack/src/lib.rs", "observe"),
     ("crates/core/src/accountability.rs", "observe"),
     ("crates/core/src/accountability.rs", "check_hop"),

@@ -67,6 +67,15 @@ pub use pcap::{read_pcap, write_pcap, CapturedFrame};
 pub use tcp::{TcpFlags, TcpSegment};
 pub use udp::UdpDatagram;
 
+/// The hasher state of every `HashMap`/`HashSet` that outlives one
+/// simulation event (DESIGN.md §6): SipHash with fixed keys. `std`'s
+/// default `RandomState` keys each map instance differently, which
+/// leaves lookups correct but lets hash order decide when a table
+/// rehashes in place or grows — and the program's allocation sequence
+/// is part of its deterministic surface. Construct with
+/// `HashMap::default()`.
+pub type FixedState = std::hash::BuildHasherDefault<std::collections::hash_map::DefaultHasher>;
+
 /// Convenient glob-import surface: `use livesec_net::prelude::*;`.
 pub mod prelude {
     pub use crate::arp::{ArpOp, ArpPacket};

@@ -2,6 +2,7 @@
 
 use livesec_net::{Body, MacAddr, Packet, Transport, VlanTag};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::fmt;
 use std::net::Ipv4Addr;
 
@@ -104,44 +105,67 @@ fn set_tp_dst(t: &mut Transport, port: u16) {
     }
 }
 
-/// Applies `actions` to `pkt` with OpenFlow-1.0 sequencing.
-pub fn apply_actions(pkt: &Packet, actions: &[Action]) -> ActionOutcome {
-    // livesec-lint: allow(hot-path-alloc, reason = "OF 1.0 sequencing mutates a scratch copy; rewrites apply to it in order")
-    let mut cur = pkt.clone();
-    let mut outcome = ActionOutcome::default();
-    for action in actions {
+/// Applies `actions` to `pkt` with OpenFlow-1.0 sequencing, handing
+/// each `Output` to `emit` as the list reaches it.
+///
+/// The packet is consumed: rewrites mutate it in place, every `Output`
+/// but the last lends it as rewritten so far (`Cow::Borrowed` — the
+/// receiver copies only if it keeps the packet), and the last `Output`
+/// receives the packet itself (`Cow::Owned`). Nothing is allocated, and
+/// the one-`Output` lists LiveSec installs copy nothing.
+pub fn apply_actions_owned(
+    mut pkt: Packet,
+    actions: &[Action],
+    mut emit: impl FnMut(OutPort, Cow<'_, Packet>),
+) {
+    // Rewrites after the last Output (or with none at all) reach nobody.
+    let Some(last) = actions.iter().rposition(|a| matches!(a, Action::Output(_))) else {
+        return;
+    };
+    for action in &actions[..last] {
         match *action {
-            // livesec-lint: allow(hot-path-alloc, reason = "each Output emits the packet as rewritten so far; copies are the OF semantics")
-            Action::Output(dest) => outcome.outputs.push((dest, cur.clone())),
-            Action::SetDlSrc(mac) => cur.eth.src = mac,
-            Action::SetDlDst(mac) => cur.eth.dst = mac,
+            Action::Output(dest) => emit(dest, Cow::Borrowed(&pkt)),
+            Action::SetDlSrc(mac) => pkt.eth.src = mac,
+            Action::SetDlDst(mac) => pkt.eth.dst = mac,
             Action::SetNwSrc(ip) => {
-                if let Body::Ipv4(p) = &mut cur.body {
+                if let Body::Ipv4(p) = &mut pkt.body {
                     p.header.src = ip;
                 }
             }
             Action::SetNwDst(ip) => {
-                if let Body::Ipv4(p) = &mut cur.body {
+                if let Body::Ipv4(p) = &mut pkt.body {
                     p.header.dst = ip;
                 }
             }
             Action::SetTpSrc(port) => {
-                if let Body::Ipv4(p) = &mut cur.body {
+                if let Body::Ipv4(p) = &mut pkt.body {
                     set_tp_src(&mut p.transport, port);
                 }
             }
             Action::SetTpDst(port) => {
-                if let Body::Ipv4(p) = &mut cur.body {
+                if let Body::Ipv4(p) = &mut pkt.body {
                     set_tp_dst(&mut p.transport, port);
                 }
             }
             Action::SetVlan(vid) => {
-                let pcp = cur.eth.vlan.map(|t| t.pcp).unwrap_or(0);
-                cur.eth.vlan = Some(VlanTag { vid, pcp });
+                let pcp = pkt.eth.vlan.map(|t| t.pcp).unwrap_or(0);
+                pkt.eth.vlan = Some(VlanTag { vid, pcp });
             }
-            Action::StripVlan => cur.eth.vlan = None,
+            Action::StripVlan => pkt.eth.vlan = None,
         }
     }
+    if let Action::Output(dest) = actions[last] {
+        emit(dest, Cow::Owned(pkt));
+    }
+}
+
+/// [`apply_actions_owned`] for a caller that keeps its packet: every
+/// output is a copy, collected in action-list order.
+pub fn apply_actions(pkt: &Packet, actions: &[Action]) -> ActionOutcome {
+    let mut outcome = ActionOutcome::default();
+    apply_actions_owned(pkt.clone(), actions, |dest, out| {
+        outcome.outputs.push((dest, out.into_owned()))
+    });
     outcome
 }
 
@@ -191,6 +215,58 @@ mod tests {
         assert_eq!(out.outputs.len(), 2);
         assert_eq!(out.outputs[0].1.eth.dst, MacAddr::from_u64(2));
         assert_eq!(out.outputs[1].1.eth.dst, MacAddr::from_u64(9));
+    }
+
+    /// What the owning form hands its callback: destination, packet,
+    /// and whether the packet was lent (`false` = given by move).
+    fn owned_outputs(pkt: Packet, actions: &[Action]) -> Vec<(OutPort, Packet, bool)> {
+        let mut out = Vec::new();
+        apply_actions_owned(pkt, actions, |dest, p| {
+            let lent = matches!(p, Cow::Borrowed(_));
+            out.push((dest, p.into_owned(), lent));
+        });
+        out
+    }
+
+    #[test]
+    fn owning_form_lends_every_output_but_the_last() {
+        let nine = MacAddr::from_u64(9);
+        let actions = [
+            Action::Output(OutPort::Physical(1)),
+            Action::SetDlDst(nine),
+            Action::Output(OutPort::Physical(2)),
+            Action::SetTpDst(8080),
+            Action::Output(OutPort::Flood),
+            Action::SetTpSrc(1), // after the last Output: reaches nobody
+        ];
+        // The packets a scratch-copy interpreter emits: each Output sees
+        // the rewrites before it and none after.
+        let first = pkt();
+        let mut second = pkt();
+        second.eth.dst = nine;
+        let mut third = second.clone();
+        if let Body::Ipv4(ip) = &mut third.body {
+            set_tp_dst(&mut ip.transport, 8080);
+        }
+        assert_eq!(third.tcp().unwrap().dst_port, 8080);
+        let expected = vec![
+            (OutPort::Physical(1), first, true),
+            (OutPort::Physical(2), second, true),
+            (OutPort::Flood, third, false),
+        ];
+        assert_eq!(owned_outputs(pkt(), &actions), expected);
+        // The borrowing form is the same walk with every output copied.
+        let borrowed: Vec<(OutPort, Packet)> =
+            expected.into_iter().map(|(d, p, _)| (d, p)).collect();
+        assert_eq!(apply_actions(&pkt(), &actions).outputs, borrowed);
+    }
+
+    #[test]
+    fn owning_form_without_an_output_drops() {
+        let rewrites = [Action::SetDlDst(MacAddr::from_u64(9)), Action::StripVlan];
+        assert_eq!(owned_outputs(pkt(), &rewrites), vec![]);
+        assert_eq!(owned_outputs(pkt(), &[]), vec![]);
+        assert!(apply_actions(&pkt(), &rewrites).is_drop());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The flow table: priority lookup, timeouts, counters.
 
 use crate::flow_match::Match;
-use livesec_net::FlowKey;
+use livesec_net::{FixedState, FlowKey};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -138,7 +138,7 @@ pub enum InsertOutcome {
 pub struct FlowTable {
     slots: Vec<Option<FlowEntry>>,
     free: Vec<usize>,
-    exact: HashMap<FlowKey, Vec<usize>>,
+    exact: HashMap<FlowKey, Vec<usize>, FixedState>,
     wild: Vec<usize>,
     next_seq: u64,
     len: usize,

@@ -10,7 +10,7 @@
 use crate::aho::AhoCorasick;
 use crate::msg::{ServiceType, Verdict};
 use livesec_conntrack::{ConnEvent, ConnKey, ConnTable, ConnTimeouts, PacketState};
-use livesec_net::{FlowKey, Ipv4Net, Packet, SessionKey};
+use livesec_net::{FixedState, FlowKey, Ipv4Net, Packet, SessionKey};
 use livesec_sim::SimTime;
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
@@ -134,7 +134,7 @@ pub struct SignatureEngine {
     service: ServiceType,
     rules: Vec<IdsRule>,
     ac: AhoCorasick,
-    reported: HashSet<(SessionKey, u32)>,
+    reported: HashSet<(SessionKey, u32), FixedState>,
     /// Total findings produced (diagnostics).
     pub findings: u64,
     policy_verdict: bool,
@@ -153,7 +153,7 @@ impl SignatureEngine {
             service,
             rules,
             ac,
-            reported: HashSet::new(),
+            reported: HashSet::default(),
             findings: 0,
             policy_verdict: false,
         }
@@ -315,9 +315,9 @@ impl ContentInspectionEngine {
 /// unrecognizable payload.
 #[derive(Debug, Clone)]
 pub struct ProtoIdEngine {
-    identified: HashSet<SessionKey>,
+    identified: HashSet<SessionKey, FixedState>,
     conntrack: ConnTable,
-    conn_identified: HashSet<ConnKey>,
+    conn_identified: HashSet<ConnKey, FixedState>,
     /// Sessions identified so far (diagnostics).
     pub identifications: u64,
 }
@@ -326,9 +326,9 @@ impl ProtoIdEngine {
     /// Creates the engine.
     pub fn new() -> Self {
         ProtoIdEngine {
-            identified: HashSet::new(),
+            identified: HashSet::default(),
             conntrack: ConnTable::new(),
-            conn_identified: HashSet::new(),
+            conn_identified: HashSet::default(),
             identifications: 0,
         }
     }
@@ -616,9 +616,9 @@ pub struct FirewallEngine {
     default_action: FwAction,
     conntrack: ConnTable,
     syn_flood_threshold: u32,
-    reported: HashSet<SessionKey>,
-    established_reported: HashSet<ConnKey>,
-    flood_reported: HashSet<Ipv4Addr>,
+    reported: HashSet<SessionKey, FixedState>,
+    established_reported: HashSet<ConnKey, FixedState>,
+    flood_reported: HashSet<Ipv4Addr, FixedState>,
     /// Flows denied so far (diagnostics).
     pub denials: u64,
     /// SYN floods reported so far (diagnostics).
@@ -660,9 +660,9 @@ impl FirewallEngine {
             default_action,
             conntrack: ConnTable::new(),
             syn_flood_threshold: 16,
-            reported: HashSet::new(),
-            established_reported: HashSet::new(),
-            flood_reported: HashSet::new(),
+            reported: HashSet::default(),
+            established_reported: HashSet::default(),
+            flood_reported: HashSet::default(),
             denials: 0,
             floods_detected: 0,
         })

@@ -9,7 +9,7 @@ use livesec_net::Packet;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 
 /// What happens when an event fires.
 #[derive(Debug)]
@@ -70,25 +70,69 @@ pub struct PortCounters {
     pub drops: u64,
 }
 
+/// Port numbers below this get a dense slot per node. `PortId` is
+/// caller-chosen, so anything beyond (a stray `PortId(u32::MAX)`, the
+/// id of no node) is kept in an ordered side map instead: no id can
+/// size an allocation.
+const DENSE_PORTS: usize = 4096;
+
+/// Everything the kernel keeps per `(node, port)`.
+#[derive(Debug, Default)]
+struct PortSlot {
+    /// The outgoing direction of the link plugged into this port.
+    link: Option<LinkDir>,
+    counters: PortCounters,
+    /// Flapped down by a fault; blocks both directions of the link.
+    blocked: bool,
+}
+
+#[derive(Debug, Default)]
+struct PortSlots {
+    /// `dense[node][port]`, each node's row grown to the highest port
+    /// number it has used.
+    dense: Vec<Vec<PortSlot>>,
+    sparse: BTreeMap<(NodeId, PortId), PortSlot>,
+}
+
+impl PortSlots {
+    fn get(&self, node: NodeId, port: PortId) -> Option<&PortSlot> {
+        let i = port.0 as usize;
+        match self.dense.get(node.index()) {
+            Some(row) if i < DENSE_PORTS => row.get(i),
+            _ => self.sparse.get(&(node, port)),
+        }
+    }
+
+    fn slot(&mut self, node: NodeId, port: PortId) -> &mut PortSlot {
+        let i = port.0 as usize;
+        match self.dense.get_mut(node.index()) {
+            Some(row) if i < DENSE_PORTS => {
+                if i >= row.len() {
+                    row.resize_with(i + 1, PortSlot::default);
+                }
+                &mut row[i]
+            }
+            _ => self.sparse.entry((node, port)).or_default(),
+        }
+    }
+}
+
 /// Mutable simulation state shared by all nodes: clock, event queue,
 /// links, RNG, counters.
 pub struct Kernel {
     pub(crate) now: SimTime,
     queue: BinaryHeap<Reverse<Event>>,
     next_seq: u64,
-    links: HashMap<(NodeId, PortId), LinkDir>,
     pub(crate) rng: StdRng,
     control_latency: SimDuration,
-    ports: HashMap<(NodeId, PortId), PortCounters>,
-    pub(crate) metrics: HashMap<&'static str, u64>,
+    ports: PortSlots,
+    pub(crate) metrics: BTreeMap<&'static str, u64>,
     events_processed: u64,
     /// Nodes whose control channel is currently cut: messages to or
     /// from them vanish (counted in the `fault_control_dropped` metric).
-    partitioned: HashSet<NodeId>,
-    /// Link endpoints currently flapped down; blocks both directions.
-    blocked_links: HashSet<(NodeId, PortId)>,
+    partitioned: BTreeSet<NodeId>,
     /// Per-sender budget of control frames still to corrupt.
-    corrupt_budget: HashMap<NodeId, u32>,
+    corrupt_budget: BTreeMap<NodeId, u32>,
     /// Dedicated RNG for fault effects — never shared with `rng`, so
     /// fault runs don't perturb unrelated random draws.
     fault_rng: StdRng,
@@ -102,7 +146,7 @@ impl std::fmt::Debug for Kernel {
         f.debug_struct("Kernel")
             .field("now", &self.now)
             .field("queued_events", &self.queue.len())
-            .field("links", &self.links.len())
+            .field("nodes", &self.ports.dense.len())
             .finish_non_exhaustive()
     }
 }
@@ -115,24 +159,32 @@ impl Kernel {
         self.queue.push(Reverse(Event { at, seq, kind }));
     }
 
+    /// Whether a fault has flapped the link at `(node, port)` down. A
+    /// flap installed from either end blocks both directions.
+    fn flapped(&self, node: NodeId, port: PortId) -> bool {
+        let Some(own) = self.ports.get(node, port) else {
+            return false;
+        };
+        let peer = own
+            .link
+            .as_ref()
+            .and_then(|dir| self.ports.get(dir.to_node, dir.to_port));
+        own.blocked || peer.is_some_and(|s| s.blocked)
+    }
+
     pub(crate) fn transmit(&mut self, node: NodeId, port: PortId, pkt: Packet) {
         let bytes = pkt.wire_len();
-        if self.blocked_links.contains(&(node, port)) {
-            self.ports.entry((node, port)).or_default().drops += 1;
+        let flapped = self.flapped(node, port);
+        let PortSlot { link, counters, .. } = self.ports.slot(node, port);
+        if flapped {
+            counters.drops += 1;
             *self.metrics.entry("fault_frames_blocked").or_insert(0) += 1;
             return;
         }
-        let counters = self.ports.entry((node, port)).or_default();
-        let Some(dir) = self.links.get_mut(&(node, port)) else {
+        let Some(dir) = link else {
             counters.drops += 1;
             return;
         };
-        // A flap installed from either end blocks both directions.
-        if self.blocked_links.contains(&(dir.to_node, dir.to_port)) {
-            counters.drops += 1;
-            *self.metrics.entry("fault_frames_blocked").or_insert(0) += 1;
-            return;
-        }
         match dir.offer(self.now, bytes) {
             Offer::Deliver(at) => {
                 let (to_node, to_port) = (dir.to_node, dir.to_port);
@@ -182,7 +234,10 @@ impl Kernel {
 
     /// Counters for `(node, port)`; zeros if the port never saw traffic.
     pub fn port_counters(&self, node: NodeId, port: PortId) -> PortCounters {
-        self.ports.get(&(node, port)).copied().unwrap_or_default()
+        self.ports
+            .get(node, port)
+            .map(|s| s.counters)
+            .unwrap_or_default()
     }
 
     /// Current simulated time.
@@ -250,15 +305,13 @@ impl World {
                 now: SimTime::ZERO,
                 queue: BinaryHeap::new(),
                 next_seq: 0,
-                links: HashMap::new(),
                 rng: StdRng::seed_from_u64(seed),
                 control_latency: SimDuration::from_micros(100),
-                ports: HashMap::new(),
-                metrics: HashMap::new(),
+                ports: PortSlots::default(),
+                metrics: BTreeMap::new(),
                 events_processed: 0,
-                partitioned: HashSet::new(),
-                blocked_links: HashSet::new(),
-                corrupt_budget: HashMap::new(),
+                partitioned: BTreeSet::new(),
+                corrupt_budget: BTreeMap::new(),
                 fault_rng: StdRng::seed_from_u64(seed ^ 0xfa_417),
                 fault_log: Vec::new(),
             },
@@ -277,6 +330,7 @@ impl World {
     pub fn add_node(&mut self, node: impl Node) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(Some(Box::new(node)));
+        self.kernel.ports.dense.push(Vec::new());
         id
     }
 
@@ -313,25 +367,19 @@ impl World {
     ) {
         assert!(a.index() < self.nodes.len(), "unknown node {a}");
         assert!(b.index() < self.nodes.len(), "unknown node {b}");
-        let fwd = self.kernel.links.insert(
-            (a, port_a),
-            LinkDir {
-                to_node: b,
-                to_port: port_b,
-                spec,
-                busy_until: SimTime::ZERO,
-            },
-        );
+        let fwd = self.kernel.ports.slot(a, port_a).link.replace(LinkDir {
+            to_node: b,
+            to_port: port_b,
+            spec,
+            busy_until: SimTime::ZERO,
+        });
         assert!(fwd.is_none(), "port {a}.{port_a} already connected");
-        let rev = self.kernel.links.insert(
-            (b, port_b),
-            LinkDir {
-                to_node: a,
-                to_port: port_a,
-                spec,
-                busy_until: SimTime::ZERO,
-            },
-        );
+        let rev = self.kernel.ports.slot(b, port_b).link.replace(LinkDir {
+            to_node: a,
+            to_port: port_a,
+            spec,
+            busy_until: SimTime::ZERO,
+        });
         assert!(rev.is_none(), "port {b}.{port_b} already connected");
     }
 
@@ -341,20 +389,18 @@ impl World {
     /// attached. This is the "unplug the cable" primitive behind VM
     /// migration and failure injection.
     pub fn disconnect(&mut self, node: NodeId, port: PortId) -> bool {
-        let Some(dir) = self.kernel.links.remove(&(node, port)) else {
+        let Some(dir) = self.kernel.ports.slot(node, port).link.take() else {
             return false;
         };
-        self.kernel.links.remove(&(dir.to_node, dir.to_port));
+        self.kernel.ports.slot(dir.to_node, dir.to_port).link = None;
         true
     }
 
     /// Returns the `(node, port)` at the far end of the link attached
     /// to `(node, port)`, if any.
     pub fn peer_of(&self, node: NodeId, port: PortId) -> Option<(NodeId, PortId)> {
-        self.kernel
-            .links
-            .get(&(node, port))
-            .map(|d| (d.to_node, d.to_port))
+        let dir = self.kernel.ports.get(node, port)?.link.as_ref()?;
+        Some((dir.to_node, dir.to_port))
     }
 
     /// Schedules an initial timer for `node` at absolute time `at`.
@@ -394,7 +440,7 @@ impl World {
             match ev.kind {
                 EventKind::Frame { node, port, pkt } => {
                     let bytes = pkt.wire_len() as u64;
-                    let c = self.kernel.ports.entry((node, port)).or_default();
+                    let c = &mut self.kernel.ports.slot(node, port).counters;
                     c.rx_frames += 1;
                     c.rx_bytes += bytes;
                     self.with_node(node, |n, ctx| n.on_frame(ctx, port, pkt));
@@ -444,11 +490,11 @@ impl World {
                 self.kernel.partitioned.remove(&node);
             }
             FaultKind::LinkDown { node, port } => {
-                self.kernel.blocked_links.insert((node, port));
+                self.kernel.ports.slot(node, port).blocked = true;
                 *self.kernel.metrics.entry("fault_link_flaps").or_insert(0) += 1;
             }
             FaultKind::LinkUp { node, port } => {
-                self.kernel.blocked_links.remove(&(node, port));
+                self.kernel.ports.slot(node, port).blocked = false;
             }
             FaultKind::CrashRestart { node } => {
                 *self
@@ -739,6 +785,211 @@ mod tests {
         assert_eq!(world.peer_of(a, PortId(3)), Some((b, PortId(7))));
         assert_eq!(world.peer_of(b, PortId(7)), Some((a, PortId(3))));
         assert_eq!(world.peer_of(a, PortId(9)), None);
+    }
+
+    /// Sends one 100-byte frame out of `port` every millisecond.
+    struct Ticker {
+        port: PortId,
+    }
+
+    impl Node for Ticker {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.set_timer(SimDuration::from_millis(1), 0);
+        }
+        fn on_frame(&mut self, _ctx: &mut Ctx<'_>, _port: PortId, _pkt: Packet) {}
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
+            let pkt = PacketBuilder::udp(MacAddr::from_u64(1), MacAddr::from_u64(2))
+                .ips("10.0.0.1".parse().unwrap(), "10.0.0.2".parse().unwrap())
+                .ports(1, 2)
+                .payload_len(100)
+                .build();
+            ctx.send(self.port, pkt);
+            ctx.set_timer(SimDuration::from_millis(1), 0);
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// Tickers send on the millisecond; faults and deadlines sit on
+    /// the half millisecond between two sends.
+    fn us(n: u64) -> SimTime {
+        SimTime::from_nanos(n * 1_000)
+    }
+
+    /// Two tickers facing each other, so both directions carry a frame
+    /// a millisecond: `(world, a, b)`.
+    fn ticker_pair() -> (World, NodeId, NodeId) {
+        let mut world = World::new(1);
+        let a = world.add_node(Ticker { port: PortId(1) });
+        let b = world.add_node(Ticker { port: PortId(4) });
+        world.connect(a, PortId(1), b, PortId(4), LinkSpec::gigabit());
+        (world, a, b)
+    }
+
+    #[test]
+    fn flap_from_either_end_blocks_both_directions() {
+        for from_a in [true, false] {
+            let (mut world, a, b) = ticker_pair();
+            let (node, port) = if from_a {
+                (a, PortId(1))
+            } else {
+                (b, PortId(4))
+            };
+            let plan = FaultPlan::new(1)
+                .at(us(10_500), FaultKind::LinkDown { node, port })
+                .at(us(20_500), FaultKind::LinkUp { node, port });
+            world.install_fault_plan(&plan);
+            world.run_until(us(30_500));
+            // 30 sends a side: ten before the flap, ten into it, ten after.
+            let k = world.kernel();
+            for (tx, tx_port, rx, rx_port) in
+                [(a, PortId(1), b, PortId(4)), (b, PortId(4), a, PortId(1))]
+            {
+                let sent = k.port_counters(tx, tx_port);
+                assert_eq!(
+                    (sent.tx_frames, sent.drops),
+                    (20, 10),
+                    "flap from_a={from_a}"
+                );
+                assert_eq!(k.port_counters(rx, rx_port).rx_frames, 20);
+            }
+            assert_eq!(world.metric("fault_frames_blocked"), 20);
+            assert_eq!(world.metric("fault_link_flaps"), 1);
+        }
+    }
+
+    #[test]
+    fn flaps_from_both_ends_need_both_link_ups() {
+        let (mut world, a, b) = ticker_pair();
+        let plan = FaultPlan::new(1)
+            .at(
+                us(5_500),
+                FaultKind::LinkDown {
+                    node: a,
+                    port: PortId(1),
+                },
+            )
+            .at(
+                us(5_500),
+                FaultKind::LinkDown {
+                    node: b,
+                    port: PortId(4),
+                },
+            )
+            .at(
+                us(10_500),
+                FaultKind::LinkUp {
+                    node: a,
+                    port: PortId(1),
+                },
+            )
+            .at(
+                us(15_500),
+                FaultKind::LinkUp {
+                    node: b,
+                    port: PortId(4),
+                },
+            );
+        world.install_fault_plan(&plan);
+        world.run_until(us(20_500));
+        // Down from 5.5 to 15.5 ms: the first LinkUp leaves b's flap in place.
+        let sent = world.kernel().port_counters(a, PortId(1));
+        assert_eq!((sent.tx_frames, sent.drops), (10, 10));
+    }
+
+    #[test]
+    fn blocked_unplugged_port_counts_a_blocked_drop() {
+        // A flapped port with no cable: the flap is checked first, so
+        // the frame counts as blocked (metric) and as a drop (port).
+        let mut world = World::new(1);
+        let a = world.add_node(Ticker { port: PortId(2) });
+        let plan = FaultPlan::new(1).at(
+            SimTime::ZERO,
+            FaultKind::LinkDown {
+                node: a,
+                port: PortId(2),
+            },
+        );
+        world.install_fault_plan(&plan);
+        world.run_until(us(3_500));
+        assert_eq!(world.kernel().port_counters(a, PortId(2)).drops, 3);
+        assert_eq!(world.metric("fault_frames_blocked"), 3);
+    }
+
+    #[test]
+    fn disconnect_then_reconnect_elsewhere() {
+        let (mut world, a, b) = ticker_pair();
+        let c = world.add_node(Echo { seen: 0 });
+        world.run_until(us(2_500));
+        assert!(
+            world.disconnect(b, PortId(4)),
+            "either end unplugs the cable"
+        );
+        assert!(!world.disconnect(a, PortId(1)), "already gone");
+        assert_eq!(world.peer_of(a, PortId(1)), None);
+        assert_eq!(world.peer_of(b, PortId(4)), None);
+        world.run_until(us(4_500));
+        let unplugged = world.kernel().port_counters(a, PortId(1));
+        assert_eq!((unplugged.tx_frames, unplugged.drops), (2, 2));
+
+        // The freed port takes a new cable; its counters carry on.
+        world.connect(a, PortId(1), c, PortId(7), LinkSpec::gigabit());
+        assert_eq!(world.peer_of(c, PortId(7)), Some((a, PortId(1))));
+        world.run_until(us(6_500));
+        let replugged = world.kernel().port_counters(a, PortId(1));
+        assert_eq!((replugged.tx_frames, replugged.drops), (4, 2));
+        assert_eq!(world.kernel().port_counters(c, PortId(7)).rx_frames, 2);
+        assert_eq!(world.kernel().port_counters(b, PortId(4)).drops, 4);
+    }
+
+    #[test]
+    fn stray_port_ids_are_counted_without_sizing_an_allocation() {
+        let mut world = World::new(1);
+        let far = PortId(u32::MAX);
+        let a = world.add_node(Ticker { port: far });
+        let b = world.add_node(Ticker {
+            port: PortId(DENSE_PORTS as u32),
+        });
+        world.run_until(us(3_500));
+        assert_eq!(world.kernel().port_counters(a, far).drops, 3);
+        assert_eq!(
+            world
+                .kernel()
+                .port_counters(b, PortId(DENSE_PORTS as u32))
+                .drops,
+            3
+        );
+        // Neither port grew a dense row; each is one side-map entry.
+        let slots = &world.kernel().ports;
+        assert!(slots.dense.iter().all(Vec::is_empty));
+        assert_eq!(slots.sparse.len(), 2);
+        // Ids of no node, from a fault plan or a caller, read as zeros
+        // and flap without a panic.
+        let ghost = NodeId::from_index(99);
+        let plan = FaultPlan::new(1).at(
+            us(4_000),
+            FaultKind::LinkDown {
+                node: ghost,
+                port: far,
+            },
+        );
+        world.install_fault_plan(&plan);
+        world.run_until(us(5_000));
+        assert_eq!(
+            world.kernel().port_counters(ghost, PortId(1)),
+            PortCounters::default()
+        );
+        assert_eq!(world.peer_of(ghost, far), None);
+        // A cable on a stray port still works like any other.
+        world.connect(a, far, b, PortId(1), LinkSpec::gigabit());
+        world.run_until(us(7_500));
+        let cabled = world.kernel().port_counters(a, far);
+        assert_eq!((cabled.tx_frames, cabled.drops), (2, 5));
+        assert_eq!(world.kernel().port_counters(b, PortId(1)).rx_frames, 2);
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! The Access-Switching layer switch: a software OpenFlow switch.
 
-use livesec_net::{wire, FlowKey, MacAddr, Packet, PacketBuilder};
+use livesec_net::{wire, FixedState, FlowKey, MacAddr, Packet, PacketBuilder};
 use livesec_openflow::{
-    apply_actions, attestation_tag, lookup_key, packet_tag, Action, FlowEntry, FlowModCommand,
-    FlowRemovedReason, FlowStats, ForwardingAttestation, OfMessage, OutPort, PacketInReason,
-    PortStats, PortStatusReason, StatsBody, StatsRequestKind, SwitchChannel,
+    apply_actions_owned, attestation_tag, lookup_key, packet_tag, Action, FlowEntry,
+    FlowModCommand, FlowRemovedReason, FlowStats, ForwardingAttestation, OfMessage, OutPort,
+    PacketInReason, PortStats, PortStatusReason, StatsBody, StatsRequestKind, SwitchChannel,
 };
 use livesec_sim::{Ctx, Node, NodeId, PortId, SimDuration};
 use std::any::Any;
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 
 /// Timer token for the periodic housekeeping tick.
@@ -53,7 +54,7 @@ pub struct AsSwitch {
     controller: Option<NodeId>,
     n_ports: u32,
     tick: SimDuration,
-    down_ports: HashSet<u32>,
+    down_ports: HashSet<u32, FixedState>,
     pending_status: Vec<(PortStatusReason, u32)>,
     table_limit: Option<usize>,
     ticks: u64,
@@ -63,7 +64,11 @@ pub struct AsSwitch {
     degraded: bool,
     reconnect_backoff: u64,
     next_hello_tick: u64,
-    l2: HashMap<MacAddr, u32>,
+    l2: HashMap<MacAddr, u32, FixedState>,
+    /// The matched entry's action list, copied out for the length of
+    /// one forward: the entry borrows the table, emitting borrows the
+    /// whole switch. Reused, so a table hit allocates nothing.
+    action_buf: Vec<Action>,
     /// Forwarding-attestation sampling divisor: 0 disables attestation
     /// entirely; `n` samples packets whose stitching tag is divisible
     /// by `n` (1 = attest everything).
@@ -116,7 +121,7 @@ impl AsSwitch {
             controller: None,
             n_ports,
             tick: SimDuration::from_millis(100),
-            down_ports: HashSet::new(),
+            down_ports: HashSet::default(),
             pending_status: Vec::new(),
             table_limit: None,
             ticks: 0,
@@ -126,7 +131,8 @@ impl AsSwitch {
             degraded: false,
             reconnect_backoff: BACKOFF_START_TICKS,
             next_hello_tick: 0,
-            l2: HashMap::new(),
+            l2: HashMap::default(),
+            action_buf: Vec::new(),
             attest_every: 0,
             misforward: None,
             fast_path_frames: 0,
@@ -322,17 +328,25 @@ impl AsSwitch {
         self.send_to_controller(ctx, &msg);
     }
 
-    fn emit(&mut self, ctx: &mut Ctx<'_>, dest: OutPort, in_port: Option<u32>, pkt: Packet) {
+    /// Sends `pkt` to `dest`. A lent packet (an `Output` with more of
+    /// its action list to come) is copied only where a port keeps it.
+    fn emit(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        dest: OutPort,
+        in_port: Option<u32>,
+        pkt: Cow<'_, Packet>,
+    ) {
         match dest {
             OutPort::Physical(p) => {
                 if !self.down_ports.contains(&p) {
-                    ctx.send(PortId(p), pkt);
+                    ctx.send(PortId(p), pkt.into_owned());
                 }
             }
             OutPort::InPort => {
                 if let Some(p) = in_port {
                     if !self.down_ports.contains(&p) {
-                        ctx.send(PortId(p), pkt);
+                        ctx.send(PortId(p), pkt.into_owned());
                     }
                 }
             }
@@ -340,7 +354,7 @@ impl AsSwitch {
                 for p in 1..=self.n_ports {
                     if Some(p) != in_port && !self.down_ports.contains(&p) {
                         // livesec-lint: allow(hot-path-alloc, reason = "flood fans one frame out to every port; a copy per port is the semantics")
-                        ctx.send(PortId(p), pkt.clone());
+                        ctx.send(PortId(p), pkt.as_ref().clone());
                     }
                 }
             }
@@ -495,9 +509,11 @@ impl Node for AsSwitch {
             return;
         };
         let cookie = entry.cookie;
-        let outcome = apply_actions(&pkt, &entry.actions);
+        let mut actions = std::mem::take(&mut self.action_buf);
+        actions.clear();
+        actions.extend_from_slice(&entry.actions);
         self.fast_path_frames += 1;
-        for (dest, out_pkt) in outcome.outputs {
+        apply_actions_owned(pkt, &actions, |dest, out_pkt| {
             // A compromised switch skews physical outputs while its
             // table stays pristine; the attestation records the port
             // the packet *actually* left on (the attestation pipeline
@@ -513,7 +529,8 @@ impl Node for AsSwitch {
                 self.maybe_attest(ctx, in_port, out, cookie, &key, bytes);
             }
             self.emit(ctx, dest, Some(in_port), out_pkt);
-        }
+        });
+        self.action_buf = actions;
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
@@ -706,7 +723,7 @@ impl Node for AsSwitch {
         if let Some(key) = lookup_key(&pkt) {
             self.maybe_attest(ctx, 0, out_port, 0, &key, pkt.wire_len() as u64);
         }
-        self.emit(ctx, OutPort::Physical(out_port), None, pkt);
+        self.emit(ctx, OutPort::Physical(out_port), None, Cow::Owned(pkt));
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -735,12 +752,12 @@ impl AsSwitch {
                 if pkt.eth.dst.is_unicast() {
                     if let Some(&out) = self.l2.get(&pkt.eth.dst) {
                         if out != in_port {
-                            self.emit(ctx, OutPort::Physical(out), Some(in_port), pkt);
+                            self.emit(ctx, OutPort::Physical(out), Some(in_port), Cow::Owned(pkt));
                         }
                         return;
                     }
                 }
-                self.emit(ctx, OutPort::Flood, Some(in_port), pkt);
+                self.emit(ctx, OutPort::Flood, Some(in_port), Cow::Owned(pkt));
             }
         }
     }
@@ -775,10 +792,9 @@ impl AsSwitch {
                 data,
             } => {
                 if let Ok(pkt) = wire::parse(&data) {
-                    let outcome = apply_actions(&pkt, &actions);
-                    for (dest, out_pkt) in outcome.outputs {
-                        self.emit(ctx, dest, in_port, out_pkt);
-                    }
+                    apply_actions_owned(pkt, &actions, |dest, out_pkt| {
+                        self.emit(ctx, dest, in_port, out_pkt)
+                    });
                 }
             }
             OfMessage::StatsRequest(kind) => self.answer_stats(ctx, kind),

@@ -2,8 +2,8 @@
 
 use livesec_net::packet::arp_frame;
 use livesec_net::{
-    ArpOp, ArpPacket, Body, IcmpMessage, IcmpType, Ipv4Header, Ipv4Net, Ipv4Packet, MacAddr,
-    Packet, Payload, TcpFlags, TcpSegment, Transport, UdpDatagram,
+    ArpOp, ArpPacket, Body, FixedState, IcmpMessage, IcmpType, Ipv4Header, Ipv4Net, Ipv4Packet,
+    MacAddr, Packet, Payload, TcpFlags, TcpSegment, Transport, UdpDatagram,
 };
 use livesec_sim::{Ctx, Node, PortId, SimDuration, SimTime, ThroughputMeter};
 use rand::rngs::StdRng;
@@ -61,10 +61,10 @@ struct HostCore {
     /// Answer ARP requests for addresses outside this subnet (gateway
     /// behaviour). `None` = answer only for own IP.
     proxy_arp_outside: Option<Ipv4Net>,
-    arp_cache: HashMap<Ipv4Addr, MacAddr>,
+    arp_cache: HashMap<Ipv4Addr, MacAddr, FixedState>,
     /// Frames awaiting MAC resolution, keyed by next-hop IP.
     pending: Vec<(Ipv4Addr, Packet)>,
-    arp_retries_left: HashMap<Ipv4Addr, u8>,
+    arp_retries_left: HashMap<Ipv4Addr, u8, FixedState>,
     announce_delay: SimDuration,
     reannounce_every: SimDuration,
     depart_at: Option<SimTime>,
@@ -271,9 +271,9 @@ impl<A: App> Host<A> {
                 ip,
                 gateway: None,
                 proxy_arp_outside: None,
-                arp_cache: HashMap::new(),
+                arp_cache: HashMap::default(),
                 pending: Vec::new(),
-                arp_retries_left: HashMap::new(),
+                arp_retries_left: HashMap::default(),
                 announce_delay: SimDuration::from_millis(10),
                 reannounce_every: SimDuration::from_secs(30),
                 depart_at: None,

@@ -1,6 +1,6 @@
 //! The Legacy-Switching layer: a MAC-learning Ethernet switch.
 
-use livesec_net::Packet;
+use livesec_net::{FixedState, Packet};
 use livesec_sim::{Ctx, Node, PortId, SimDuration, SimTime};
 use std::any::Any;
 use std::collections::{BTreeMap, HashSet};
@@ -21,7 +21,7 @@ pub struct LearningSwitch {
     // MAC order (DESIGN.md §6); lookups are keyed, so the switch
     // dataplane is unaffected.
     table: BTreeMap<livesec_net::MacAddr, (u32, SimTime)>,
-    blocked: HashSet<u32>,
+    blocked: HashSet<u32, FixedState>,
     age_limit: SimDuration,
     /// Frames forwarded (unicast hits).
     pub forwarded: u64,
@@ -36,7 +36,7 @@ impl LearningSwitch {
         LearningSwitch {
             n_ports,
             table: BTreeMap::new(),
-            blocked: HashSet::new(),
+            blocked: HashSet::default(),
             age_limit: SimDuration::from_secs(300),
             forwarded: 0,
             flooded: 0,

@@ -8,6 +8,7 @@
 //! STP settles on — and mark the ports STP would put in the discarding
 //! state.
 
+use livesec_net::FixedState;
 use std::collections::HashMap;
 
 /// A legacy-layer topology: switches and the links between them.
@@ -38,13 +39,13 @@ impl Topology {
 }
 
 struct UnionFind {
-    parent: HashMap<u64, u64>,
+    parent: HashMap<u64, u64, FixedState>,
 }
 
 impl UnionFind {
     fn new() -> Self {
         UnionFind {
-            parent: HashMap::new(),
+            parent: HashMap::default(),
         }
     }
 

@@ -1,8 +1,8 @@
 //! Traffic-generating applications.
 
 use livesec_net::{
-    Body, DhcpMessage, EtherType, EthernetHeader, IcmpType, Ipv4Header, Ipv4Packet, MacAddr,
-    Packet, Payload, TcpFlags, Transport, UdpDatagram,
+    Body, DhcpMessage, EtherType, EthernetHeader, FixedState, IcmpType, Ipv4Header, Ipv4Packet,
+    MacAddr, Packet, Payload, TcpFlags, Transport, UdpDatagram,
 };
 use livesec_sim::{LatencySummary, SimDuration, SimTime};
 use livesec_switch::{App, HostIo};
@@ -399,7 +399,7 @@ pub struct Pinger {
     interval: SimDuration,
     start_delay: SimDuration,
     max_pings: Option<u32>,
-    in_flight: HashMap<u16, SimTime>,
+    in_flight: HashMap<u16, SimTime, FixedState>,
     /// Echo requests sent.
     pub sent: u32,
     /// Echo replies received.
@@ -416,7 +416,7 @@ impl Pinger {
             interval: SimDuration::from_millis(20),
             start_delay: SimDuration::from_secs(1),
             max_pings: None,
-            in_flight: HashMap::new(),
+            in_flight: HashMap::default(),
             sent: 0,
             received: 0,
             rtts: LatencySummary::new(),
