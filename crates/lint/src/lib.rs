@@ -120,6 +120,9 @@ pub const HOT_SEED_ROOTS: &[(&str, &str)] = &[
     // Every hop of every frame: link model, port slot, event-queue push.
     ("crates/sim/src/world.rs", "transmit"),
     ("crates/conntrack/src/lib.rs", "observe"),
+    // Every payload byte an inspecting element sees: the one scan
+    // kernel (`find_all`'s collecting `Vec` lives in the wrapper).
+    ("crates/services/src/aho.rs", "scan"),
     ("crates/core/src/accountability.rs", "observe"),
     ("crates/core/src/accountability.rs", "check_hop"),
     ("crates/core/src/accountability.rs", "track_chain"),

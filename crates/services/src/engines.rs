@@ -135,6 +135,9 @@ pub struct SignatureEngine {
     rules: Vec<IdsRule>,
     ac: AhoCorasick,
     reported: HashSet<(SessionKey, u32), FixedState>,
+    /// One bit per rule: judged (vetoed or already reported) in the
+    /// payload under inspection. All clear between payloads.
+    judged: Vec<u64>,
     /// Total findings produced (diagnostics).
     pub findings: u64,
     policy_verdict: bool,
@@ -151,6 +154,7 @@ impl SignatureEngine {
         );
         SignatureEngine {
             service,
+            judged: vec![0; rules.len().div_ceil(64)],
             rules,
             ac,
             reported: HashSet::default(),
@@ -172,6 +176,18 @@ impl SignatureEngine {
     }
 }
 
+/// Whether `rule` accepts the header of `flow` and has not been
+/// reported on its session, which it now is. Out of line: it runs once
+/// per rule and payload, the scan callback around it once per hit.
+#[inline(never)]
+fn first_report(
+    rule: &IdsRule,
+    flow: &FlowKey,
+    reported: &mut HashSet<(SessionKey, u32), FixedState>,
+) -> bool {
+    rule.header_matches(flow) && reported.insert((flow.session(), rule.id))
+}
+
 impl Inspector for SignatureEngine {
     fn service(&self) -> ServiceType {
         self.service
@@ -181,17 +197,29 @@ impl Inspector for SignatureEngine {
         if payload.is_empty() {
             return None;
         }
-        // First content hit whose rule also accepts the flow header.
-        let hit = self
-            .ac
-            .find_all(payload)
-            .into_iter()
-            .find(|h| self.rules[h.pattern].header_matches(flow))?;
-        let rule = &self.rules[hit.pattern];
-        let dedup_key = (flow.session(), rule.id);
-        if !self.reported.insert(dedup_key) {
-            return None; // already reported this rule on this session
-        }
+        // First content hit whose rule also accepts the flow header and
+        // has not been reported on this session; the scan stops there.
+        // A rule is judged once per payload, so a payload dense with a
+        // signature that cannot be reported costs one probe of
+        // `reported`, not one per hit.
+        let (rules, reported, judged) = (&self.rules, &mut self.reported, &mut self.judged);
+        let mut found = None;
+        // The rule of the previous hit, which `judged` covers too: a run
+        // (a hit per byte of one signature) then costs one compare a hit.
+        let mut last = usize::MAX;
+        self.ac.scan(payload, |hit| {
+            let (word, bit) = (hit.pattern / 64, 1u64 << (hit.pattern % 64));
+            if hit.pattern == last || judged[word] & bit != 0 {
+                return false;
+            }
+            last = hit.pattern;
+            judged[word] |= bit;
+            let rule = &rules[hit.pattern];
+            found = first_report(rule, flow, reported).then_some(rule);
+            found.is_some()
+        });
+        judged.fill(0);
+        let rule = found?;
         self.findings += 1;
         let verdict = if self.policy_verdict {
             Verdict::PolicyViolation {
@@ -863,6 +891,116 @@ mod tests {
         // Different rule on same session: reported.
         assert!(ids.inspect(&f, b"cmd.exe").is_some());
         assert_eq!(ids.findings, 2);
+    }
+
+    #[test]
+    fn dedup_does_not_mask_a_second_signature() {
+        // An already-reported pattern ahead of a new one must not hide
+        // the new one.
+        let mut ci = ContentInspectionEngine::engine();
+        let f = flow(80);
+        assert!(ci.inspect(&f, b"INTERNAL USE ONLY").is_some());
+        let second = ci
+            .inspect(&f, b"INTERNAL USE ONLY ... BEGIN RSA PRIVATE KEY")
+            .expect("3002 behind the already-reported 3001");
+        assert_eq!(
+            second.verdict,
+            Verdict::PolicyViolation {
+                policy: "DLP: credential material".into()
+            }
+        );
+        assert!(ci
+            .inspect(&f, b"INTERNAL USE ONLY ... BEGIN RSA PRIVATE KEY")
+            .is_none());
+
+        // Same on the reverse direction of a flow whose first report
+        // already blocked it.
+        let mut ids = IdsEngine::engine();
+        assert!(ids.inspect(&f, b"GET /etc/passwd").is_some());
+        let second = ids
+            .inspect(&f.reversed(), b"cat /etc/passwd; cmd.exe /c dir")
+            .expect("1002 behind the already-reported 1001");
+        assert!(
+            matches!(&second.verdict, Verdict::Malicious { attack, .. } if attack.contains("cmd.exe"))
+        );
+        assert_eq!(ids.findings, 2);
+    }
+
+    /// Printable filler that holds none of the shipped patterns (the
+    /// unplanted payloads below assert that).
+    fn filler(len: usize) -> Vec<u8> {
+        (0..len).map(|i| b'a' + (i * 7 % 26) as u8).collect()
+    }
+
+    #[test]
+    fn every_shipped_rule_is_found_at_every_boundary() {
+        for engine in [
+            IdsEngine::engine(),
+            VirusScanEngine::engine(),
+            ContentInspectionEngine::engine(),
+        ] {
+            let rules = engine.rules().to_vec();
+            for len in [64usize, 1_400] {
+                assert!(engine.clone().inspect(&flow(80), &filler(len)).is_none());
+                for rule in &rules {
+                    let n = rule.pattern.len();
+                    for at in [0, (len - n) / 2, len - n] {
+                        let mut payload = filler(len);
+                        payload[at..at + n].copy_from_slice(&rule.pattern);
+                        let finding = engine
+                            .clone()
+                            .inspect(&flow(80), &payload)
+                            .unwrap_or_else(|| panic!("rule {} at {at} of {len}", rule.id));
+                        // Names are unique per set, so the name is the id.
+                        let want = if engine.policy_verdict {
+                            Verdict::PolicyViolation {
+                                policy: rule.name.clone(),
+                            }
+                        } else {
+                            Verdict::Malicious {
+                                attack: rule.name.clone(),
+                                severity: rule.severity.0,
+                            }
+                        };
+                        assert_eq!(finding.verdict, want, "rule {} at {at} of {len}", rule.id);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn header_veto_lets_the_scan_continue_to_a_later_rule() {
+        let mut web_only = IdsRule::new(1, "alpha on 8080", b"alpha", Severity::new(4));
+        web_only.dst_port = Some(8080);
+        let mut udp_only = IdsRule::new(2, "beta on udp", b"beta", Severity::new(5));
+        udp_only.proto = Some(17);
+        let anywhere = IdsRule::new(3, "gamma anywhere", b"gamma", Severity::new(6));
+        let engine = SignatureEngine::new(
+            ServiceType::IntrusionDetection,
+            vec![web_only, udp_only, anywhere],
+        );
+        let attack_of = |f: &FlowKey, payload: &[u8]| match engine.clone().inspect(f, payload) {
+            Some(Finding {
+                verdict: Verdict::Malicious { attack, .. },
+                ..
+            }) => Some(attack),
+            _ => None,
+        };
+        // tcp/80: both constrained rules hit on content and are vetoed.
+        let payload = b"alpha beta gamma";
+        assert_eq!(
+            attack_of(&flow(80), payload).as_deref(),
+            Some("gamma anywhere")
+        );
+        assert_eq!(attack_of(&flow(80), b"alpha beta"), None);
+        assert_eq!(
+            attack_of(&flow(8080), payload).as_deref(),
+            Some("alpha on 8080")
+        );
+        let mut udp = flow(80);
+        udp.nw_proto = 17;
+        assert_eq!(attack_of(&udp, payload).as_deref(), Some("beta on udp"));
     }
 
     #[test]

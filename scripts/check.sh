@@ -65,13 +65,20 @@ run cargo test -q -p livesec-openflow -p livesec-switch
 # The per-frame data path (EXPERIMENTS.md E17): conntrack's one-entry-
 # per-connection indexes (bounded-state regression, differential model
 # test against the lazy-skip table it replaced), the kernel's port
-# slots, and the service elements that sit on both.
+# slots, and the service elements that sit on both — whose scan kernel
+# (EXPERIMENTS.md E18) has its own differential model test against the
+# automaton it replaced (crates/services/tests/aho_model.rs).
 run cargo test -q -p livesec-conntrack -p livesec-sim -p livesec-services
 # The end-to-end benchmark's own suite: on all six workloads a traced
 # rep must dispatch the events and record the history of an untraced
 # one, so a data-path change that adds, drops or reorders one simulated
 # event fails here. (e2e/ is a package outside the workspace.)
 run cargo test -q --offline --manifest-path e2e/Cargo.toml
+# And its deterministic surface (ROADMAP 4c): all six workloads at seed
+# 1 must score the operations and compute the simulated-clock metrics
+# BENCH_e2e.json records, exactly; wall-clock metrics are printed beside
+# the recorded ones, never asserted.
+run ./scripts/e2e_smoke.sh
 # Seeded chaos soak: the campus under scheduled partitions, crashes,
 # and frame corruption over fixed seeds — zero panics, clean
 # health-stat invariants, byte-identical same-seed histories.
