@@ -1,61 +1,56 @@
-//! Micro-benchmark of the flow-setup fast path: the cold path (policy
-//! lookup, balancer picks, forward + reverse program compilation)
-//! against the warm path (decision-cache hit plus the pick
-//! revalidation the controller performs on every hit).
+//! Micro-benchmark of the flow-setup fast path: a set-up from nothing
+//! (`engine::decide`: policy lookup, balancer picks, forward + reverse
+//! program compilation) against a set-up from a decision-cache hit
+//! (`DecisionCache::lookup` + `engine::revalidate`: the picks again,
+//! the memoized programs reused).
 //!
-//! The two routines mirror `Controller::handle_flow` exactly — the
-//! warm path still runs the stateful balancer, because the controller
-//! does too (cache transparency) — so the ratio reported here is the
-//! real per-setup saving. The acceptance bar is warm ≥ 2× cold; see
-//! EXPERIMENTS.md for recorded numbers.
+//! Both rows time the functions `Controller::handle_flow` calls, over a
+//! standalone `NetworkState` — the warm path still runs the stateful
+//! balancer, because the controller does too (cache transparency) — so
+//! the ratio reported here is the real per-setup saving. The
+//! acceptance bar is warm ≥ 2× cold; see EXPERIMENTS.md for recorded
+//! numbers.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use livesec::balance::{Grain, HashDispatch, LoadBalancer, SeRegistry};
-use livesec::cache::{CachedDecision, DecisionCache};
-use livesec::policy::{PolicyDecision, PolicyRule, PolicyTable};
-use livesec::routing::{compile_path, Hop};
+use livesec::balance::{Grain, HashDispatch, LoadBalancer};
+use livesec::cache::DecisionCache;
+use livesec::engine::{decide, revalidate};
+use livesec::policy::{PolicyRule, PolicyTable};
+use livesec::store::{NetworkState, StateStore};
 use livesec_net::{FlowKey, MacAddr};
 use livesec_services::{SeMessage, ServiceType};
 use livesec_sim::SimTime;
-use std::collections::HashMap;
-use std::rc::Rc;
 
 const N_FLOWS: u64 = 64;
 const N_SES: u64 = 4;
-const STEER_PRIORITY: u16 = 100;
 
-struct Fixture {
-    policy: PolicyTable,
-    registry: SeRegistry,
-    balancer: LoadBalancer,
-    locations: HashMap<MacAddr, (u64, u32)>,
-    keys: Vec<FlowKey>,
-}
-
-fn fixture() -> Fixture {
+/// Three switches, the campus web chain, four replicas of each chained
+/// service, and 64 web flows between located hosts.
+fn fixture() -> (NetworkState, Vec<FlowKey>) {
+    let mut store = NetworkState::new();
+    for dpid in 1..=3 {
+        store.set_uplink(dpid, 1);
+    }
     // The campus web chain: intrusion detection, then protocol
     // identification (two replicated services, as in the paper's §V).
+    let chain = [
+        ServiceType::IntrusionDetection,
+        ServiceType::ProtocolIdentification,
+    ];
     let mut policy = PolicyTable::allow_all();
     policy.push(
         PolicyRule::named("web-ids-protoid")
             .proto(6)
             .dst_port(80)
-            .chain(vec![
-                ServiceType::IntrusionDetection,
-                ServiceType::ProtocolIdentification,
-            ]),
+            .chain(chain.to_vec()),
     );
+    store.policy = policy;
+    // Sticky per-user hashing: warm-path revalidation repeats the same
+    // pick, as in a steady production workload.
+    store.balancer = LoadBalancer::new(HashDispatch::new(), Grain::User);
 
-    let mut registry = SeRegistry::new();
-    let mut locations = HashMap::new();
     for i in 0..N_SES {
-        for (j, service) in [
-            ServiceType::IntrusionDetection,
-            ServiceType::ProtocolIdentification,
-        ]
-        .into_iter()
-        .enumerate()
-        {
+        for (j, service) in chain.into_iter().enumerate() {
             let mac = MacAddr::from_u64(0xe000 + 0x100 * j as u64 + i);
             let msg = SeMessage::Online {
                 service,
@@ -66,8 +61,8 @@ fn fixture() -> Fixture {
                 bps: 0,
                 total_pkts: 0,
             };
-            registry.heartbeat(mac, &msg, SimTime::ZERO);
-            locations.insert(mac, (1 + (i + j as u64) % 3, 30 + 10 * j as u32 + i as u32));
+            store.registry.heartbeat(mac, &msg, SimTime::ZERO);
+            store.locate(mac, 1 + (i + j as u64) % 3, 30 + 10 * j as u32 + i as u32);
         }
     }
 
@@ -75,8 +70,8 @@ fn fixture() -> Fixture {
     for f in 0..N_FLOWS {
         let src = MacAddr::from_u64(0xa000 + f);
         let dst = MacAddr::from_u64(0xb000 + f % 8);
-        locations.insert(src, (1 + f % 3, 2 + (f % 8) as u32));
-        locations.insert(dst, (1 + (f / 3) % 3, 12 + (f % 8) as u32));
+        store.locate(src, 1 + f % 3, 2 + (f % 8) as u32);
+        store.locate(dst, 1 + (f / 3) % 3, 12 + (f % 8) as u32);
         keys.push(FlowKey {
             vlan: None,
             dl_src: src,
@@ -89,97 +84,13 @@ fn fixture() -> Fixture {
             tp_dst: 80,
         });
     }
-
-    Fixture {
-        policy,
-        registry,
-        // Sticky per-user hashing: warm-path revalidation repeats the
-        // same pick, as in a steady production workload.
-        balancer: LoadBalancer::new(HashDispatch::new(), Grain::User),
-        locations,
-        keys,
-    }
+    (store, keys)
 }
 
-fn hop(locations: &HashMap<MacAddr, (u64, u32)>, mac: MacAddr) -> Hop {
-    let (dpid, port) = locations[&mac];
-    Hop { mac, dpid, port }
-}
-
-/// The cold path of `Controller::handle_flow`: policy decision,
-/// balancer picks, and compilation of both steering programs.
-fn cold_setup(fx: &mut Fixture, key: &FlowKey) -> CachedDecision {
-    let (decision, rule) = fx.policy.decide(key);
-    let services = match decision {
-        PolicyDecision::Deny => {
-            return CachedDecision::Deny {
-                rule: rule.map(str::to_owned),
-            }
-        }
-        PolicyDecision::Allow => Vec::new(),
-        PolicyDecision::Chain(services) => services.clone(),
-    };
-    let mut elements = Vec::with_capacity(services.len());
-    for service in &services {
-        elements.push(
-            fx.balancer
-                .pick(&fx.registry, *service, key)
-                .expect("replicas online"),
-        );
-    }
-    let mut hops = Vec::with_capacity(elements.len() + 2);
-    hops.push(hop(&fx.locations, key.dl_src));
-    for mac in &elements {
-        hops.push(hop(&fx.locations, *mac));
-    }
-    hops.push(hop(&fx.locations, key.dl_dst));
-    let forward = compile_path(key, &hops, |_| Some(1), STEER_PRIORITY).expect("compiles");
-    let mut rev = hops.clone();
-    rev.reverse();
-    let reverse =
-        compile_path(&key.reversed(), &rev, |_| Some(1), STEER_PRIORITY).expect("compiles");
-    CachedDecision::Steer {
-        services,
-        elements,
-        forward: Rc::new(forward),
-        reverse: Rc::new(reverse),
-    }
-}
-
-/// The warm path: cache hit plus the same balancer revalidation the
-/// controller performs before trusting the memoized programs.
-fn warm_setup(fx: &mut Fixture, cache: &mut DecisionCache, key: &FlowKey) -> CachedDecision {
-    let ingress = fx.locations[&key.dl_src];
-    match cache.lookup(key, ingress) {
-        Some(CachedDecision::Steer {
-            services,
-            elements,
-            forward,
-            reverse,
-        }) => {
-            let mut picks = Vec::with_capacity(services.len());
-            for service in &services {
-                picks.push(
-                    fx.balancer
-                        .pick(&fx.registry, *service, key)
-                        .expect("replicas online"),
-                );
-            }
-            assert_eq!(picks, elements, "sticky picks must revalidate");
-            CachedDecision::Steer {
-                services,
-                elements,
-                forward,
-                reverse,
-            }
-        }
-        Some(deny @ CachedDecision::Deny { .. }) => deny,
-        None => {
-            let decision = cold_setup(fx, key);
-            cache.insert(*key, ingress, decision.clone());
-            decision
-        }
-    }
+/// Where `key`'s packet-in arrives: its source host's attachment point.
+fn ingress(store: &NetworkState, key: &FlowKey) -> (u64, u32) {
+    let hop = store.hop_of(key.dl_src).expect("source located");
+    (hop.dpid, hop.port)
 }
 
 fn bench_flow_setup(c: &mut Criterion) {
@@ -188,30 +99,35 @@ fn bench_flow_setup(c: &mut Criterion) {
     // the cold/warm ratio stable across runs.
     g.sample_size(300);
 
-    let mut fx = fixture();
-    let keys = fx.keys.clone();
+    let (mut store, keys) = fixture();
     let mut i = 0usize;
     g.bench_function("cold_compile", |b| {
         b.iter(|| {
             let key = keys[i % keys.len()];
             i += 1;
-            black_box(cold_setup(&mut fx, &key))
+            black_box(decide(&mut store, &key))
         })
     });
 
-    let mut fx = fixture();
-    let keys = fx.keys.clone();
+    // Fill the cache the way the controller does: one cold decision per
+    // key, held in replayable form.
+    let (mut store, keys) = fixture();
     let mut cache = DecisionCache::new();
     for key in &keys {
-        let decision = cold_setup(&mut fx, key);
-        cache.insert(*key, fx.locations[&key.dl_src], decision);
+        let memo = decide(&mut store, key).memo().expect("steered");
+        cache.insert(*key, ingress(&store, key), memo);
     }
     let mut i = 0usize;
     g.bench_function("warm_cache_hit", |b| {
         b.iter(|| {
             let key = keys[i % keys.len()];
             i += 1;
-            black_box(warm_setup(&mut fx, &mut cache, &key))
+            let hit = cache
+                .lookup(&key, ingress(&store, &key))
+                .expect("the cache holds every fixture flow");
+            let (decision, stands) = revalidate(&mut store, &key, hit);
+            assert!(stands, "sticky picks must revalidate");
+            black_box(decision)
         })
     });
     assert!(

@@ -92,8 +92,9 @@ pub struct PathProof {
 
 impl PathProof {
     /// Derives the proof of `program`: one hop per compiled entry,
-    /// with `cookie` on the first entry only — exactly how
-    /// `Controller::install_program` tags the flow-mods.
+    /// with `cookie` on the first entry only — exactly how the
+    /// controller's one entry derivation (`Entry::of_programs`) tags
+    /// the flow-mods.
     pub fn of_program(
         program: &SteeringProgram,
         cookie: u64,

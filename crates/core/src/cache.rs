@@ -49,8 +49,7 @@ pub enum CachedDecision {
     /// The flow is admitted — possibly through an empty chain (plain
     /// allow) — with these compiled steering programs.
     Steer {
-        /// The policy chain, before balancing (a pick may be skipped
-        /// under fail-open, so this is not the installed chain).
+        /// The policy chain.
         services: Vec<ServiceType>,
         /// The elements the balancer picked when the entry was
         /// compiled, in chain order.

@@ -17,13 +17,13 @@ use crate::accountability::{
     flow_sig, AccountabilityDetector, AccountabilityStats, Deviation, PathProof, ProofSource,
 };
 use crate::balance::{LoadBalancer, SeRegistry};
-use crate::cache::{CachedDecision, DecisionCache};
+use crate::cache::DecisionCache;
 use crate::directory::DirectoryProxy;
-use crate::engine::EngineDecision;
+use crate::engine::{self, EngineDecision};
 use crate::location::{LearnOutcome, LocationTable};
 use crate::monitor::{ConnTrackStats, EventKind, FastPathStats, HealthStats, Monitor};
 use crate::policy::{AppAction, PolicyDecision, PolicyDelta, PolicyTable};
-use crate::routing::{compile_path, Hop, SteeringProgram};
+use crate::routing::{Hop, SteeringProgram};
 use crate::topology::TopologyMap;
 use livesec_net::packet::{arp_frame, lldp_frame};
 use livesec_net::{
@@ -42,6 +42,22 @@ use std::rc::Rc;
 
 /// Timer token for the controller's housekeeping tick.
 const TICK: u64 = 1;
+/// Period of the housekeeping tick; the `*_EVERY_TICKS` schedules and
+/// [`Controller::set_stats_polling`] count in these.
+const TICK_PERIOD: SimDuration = SimDuration::from_millis(100);
+/// LLDP-probe every registered switch every this many ticks.
+const LLDP_EVERY_TICKS: u64 = 5;
+/// Echo-probe every registered switch every this many ticks (1 s).
+const ECHO_EVERY_TICKS: u64 = 10;
+/// How long a switch's secure channel may stay silent before the
+/// controller declares it dead and evicts its state.
+const SWITCH_TIMEOUT: SimDuration = SimDuration::from_secs(3);
+/// Audit every online switch's flow table every this many ticks (5 s).
+/// Reconnect audits cover faults the liveness timeout noticed; this
+/// background sweep bounds how long flow-mods eaten by a *shorter*
+/// partition — which neither side ever observes — can keep the tables
+/// diverged.
+const AUDIT_EVERY_TICKS: u64 = 50;
 
 /// Cookie tagging the forward-ingress entry of each flow.
 pub const INGRESS_COOKIE: u64 = 1;
@@ -89,37 +105,34 @@ struct TxBatch {
     has_flow_mod: bool,
 }
 
-/// The result of running the balancer over a policy chain.
-enum Picks {
-    /// One element per (available) service, in chain order.
-    Elements(Vec<MacAddr>),
-    /// A service had no online replica and fail-open is off; the flow
-    /// was denied.
-    Denied,
-}
-
 /// Book-keeping for one admitted flow.
 #[derive(Clone, Debug)]
 struct FlowRecord {
     chain: Vec<ServiceType>,
     elements: Vec<MacAddr>,
     ingress_dpid: u64,
-    ingress_actions: Vec<Action>,
     /// The installed steering programs — the desired flow-table state
     /// the reconciliation audit checks switches against.
     forward: Rc<SteeringProgram>,
     reverse: Rc<SteeringProgram>,
-    /// Drop entry installed for this flow: (dpid, matcher).
+    /// The drop entry an attack verdict installed for this flow, as
+    /// (dpid, matcher); a flow that has one is blocked.
     block: Option<(u64, Match)>,
     /// When the programs were last (re)installed; packet-ins older
     /// than [`REPAIR_GUARD`] past this trigger a reinstall.
     installed_at: SimTime,
     app: Option<String>,
-    blocked: bool,
     /// (packets, bytes) from the removed forward-ingress entry.
     fwd_done: Option<(u64, u64)>,
     /// (packets, bytes) from the removed reverse-ingress entry.
     rev_done: Option<(u64, u64)>,
+}
+
+impl FlowRecord {
+    /// The steering entries this record puts on switches.
+    fn entries(&self, idle: SimDuration) -> impl Iterator<Item = Entry<'_>> {
+        Entry::of_programs(&self.forward, &self.reverse, ProofSource::Steering, idle)
+    }
 }
 
 /// Book-keeping for one installed established-flow fast-pass: the
@@ -129,10 +142,17 @@ struct FlowRecord {
 /// the reconciliation audit stops defending its entries.
 #[derive(Clone, Debug)]
 struct FastPassRecord {
-    forward: SteeringProgram,
-    reverse: SteeringProgram,
+    forward: Rc<SteeringProgram>,
+    reverse: Rc<SteeringProgram>,
     policy_epoch: u64,
     topo_epoch: u64,
+}
+
+impl FastPassRecord {
+    /// The fast-pass entries this record puts on switches.
+    fn entries(&self, idle: SimDuration) -> impl Iterator<Item = Entry<'_>> {
+        Entry::of_programs(&self.forward, &self.reverse, ProofSource::FastPass, idle)
+    }
 }
 
 /// One entry in the controller's cache-invalidation journal. The
@@ -148,15 +168,100 @@ pub(crate) enum CacheInvalidation {
     Class(Match),
 }
 
-/// One flow entry the controller believes a switch should hold — the
-/// unit of comparison for the reconciliation audit.
-struct DesiredEntry {
+/// One flow entry that a flow record, a fast-pass record, a standing
+/// block or a denial puts on one switch — the single derivation behind
+/// install and repair ([`Entry::add`]), teardown ([`delete_strict`]) and
+/// the reconciliation audit's desired state, so what is installed and
+/// what is defended cannot disagree. Borrows its actions from the
+/// record.
+#[derive(Clone, Copy)]
+struct Entry<'a> {
+    dpid: u64,
     matcher: Match,
     priority: u16,
+    actions: &'a [Action],
     cookie: u64,
-    actions: Vec<Action>,
-    idle_timeout: Option<u64>,
     notify_removed: bool,
+    idle: Option<u64>,
+}
+
+impl<'a> Entry<'a> {
+    /// Both directions of a compiled program pair, forward first. Each
+    /// program's ingress entry carries its direction's cookie and asks
+    /// for a removal notification (the idle-out reports the bytes it
+    /// carried); mid-path entries carry neither.
+    fn of_programs(
+        forward: &'a SteeringProgram,
+        reverse: &'a SteeringProgram,
+        source: ProofSource,
+        idle: SimDuration,
+    ) -> impl Iterator<Item = Entry<'a>> {
+        let (fwd_cookie, rev_cookie) = ingress_cookies(source);
+        [(forward, fwd_cookie), (reverse, rev_cookie)]
+            .into_iter()
+            .flat_map(move |(program, cookie)| {
+                program.entries.iter().enumerate().map(move |(i, e)| Entry {
+                    dpid: e.dpid,
+                    matcher: e.matcher,
+                    priority: e.priority,
+                    actions: &e.actions,
+                    cookie: if i == 0 { cookie } else { 0 },
+                    notify_removed: i == 0,
+                    idle: Some(idle.as_nanos()),
+                })
+            })
+    }
+
+    /// A drop entry above every steering and fast-pass entry: a
+    /// standing attack block ([`BLOCK_COOKIE`], never expires) or a
+    /// policy denial ([`DENY_COOKIE`], idles out).
+    fn drop(dpid: u64, matcher: Match, cookie: u64, idle: Option<SimDuration>) -> Entry<'static> {
+        Entry {
+            dpid,
+            matcher,
+            priority: BLOCK_PRIORITY,
+            actions: &[],
+            cookie,
+            notify_removed: false,
+            idle: idle.map(SimDuration::as_nanos),
+        }
+    }
+
+    /// The flow-mod that installs (or replaces) this entry.
+    fn add(&self) -> OfMessage {
+        OfMessage::FlowMod {
+            command: FlowModCommand::Add,
+            matcher: self.matcher,
+            priority: self.priority,
+            actions: self.actions.to_vec(),
+            idle_timeout: self.idle,
+            hard_timeout: None,
+            cookie: self.cookie,
+            notify_removed: self.notify_removed,
+        }
+    }
+}
+
+/// The flow-mod that deletes exactly the `(matcher, priority)` entry.
+fn delete_strict(matcher: Match, priority: u16) -> OfMessage {
+    OfMessage::FlowMod {
+        command: FlowModCommand::DeleteStrict,
+        matcher,
+        priority,
+        actions: Vec::new(),
+        idle_timeout: None,
+        hard_timeout: None,
+        cookie: 0,
+        notify_removed: false,
+    }
+}
+
+/// The `(forward, reverse)` ingress-entry cookies of a program pair.
+const fn ingress_cookies(source: ProofSource) -> (u64, u64) {
+    match source {
+        ProofSource::Steering => (INGRESS_COOKIE, REVERSE_COOKIE),
+        ProofSource::FastPass => (FASTPASS_COOKIE, FASTPASS_REV_COOKIE),
+    }
 }
 
 /// Accumulated traffic figures for one application label or user —
@@ -196,9 +301,12 @@ pub struct NibSnapshot {
 
 /// The LiveSec controller node.
 ///
-/// Construct with [`Controller::new`], refine with the `with_*`
-/// builder methods, add to the [`livesec_sim::World`], and point every
-/// [`livesec_switch::AsSwitch`] at it.
+/// Construct with [`Controller::new`], add to the
+/// [`livesec_sim::World`], and point every [`livesec_switch::AsSwitch`]
+/// at it ([`crate::deploy::CampusBuilder`] does all three). Eleven
+/// values are settable, each through one `set_*` method that documents
+/// its default; everything else that paces the controller is a
+/// constant of this module.
 pub struct Controller {
     xid: u32,
     topo: TopologyMap,
@@ -229,7 +337,7 @@ pub struct Controller {
     /// (e.g. the balancer was replaced, so cached picks are void);
     /// lagging shard caches clear when they observe a newer value.
     cache_flush_epoch: u64,
-    /// Counts *wholesale* policy edits (`set_policy`/`policy_mut`),
+    /// Counts *wholesale* policy edits ([`Controller::set_policy`]),
     /// which stale every cached decision. Scoped deltas applied via
     /// [`Controller::apply_policy_delta`] advance `policy_epoch`
     /// without advancing this, so lagging shard caches replay the
@@ -248,11 +356,6 @@ pub struct Controller {
 
     /// Last control message seen per registered switch (liveness).
     switch_liveness: BTreeMap<u64, SimTime>,
-    /// Silence longer than this declares a switch dead.
-    switch_timeout: SimDuration,
-    /// Probe every registered switch with an echo request every this
-    /// many housekeeping ticks (0 = never probe).
-    echo_every_ticks: u64,
     /// Every datapath id ever registered (survives deregistration).
     known_dpids: HashSet<u64, FixedState>,
     /// Every controller-side peer node ever registered, with its dpid.
@@ -268,12 +371,6 @@ pub struct Controller {
     blocks: BTreeMap<u64, Vec<Match>>,
     /// Switches with a flow-table audit in flight.
     auditing: HashSet<u64, FixedState>,
-    /// Audit every online switch every this many housekeeping ticks
-    /// (0 = only audit on reconnect). Reconnect audits cover faults
-    /// the liveness timeout noticed; this background sweep bounds how
-    /// long flow-mods eaten by a *shorter* partition — which neither
-    /// side ever observes — can keep the tables diverged.
-    audit_every_ticks: u64,
     /// Fault-tolerance counters surfaced by `health_stats`.
     health: HealthStats,
 
@@ -308,20 +405,14 @@ pub struct Controller {
     /// the door — including the hello/echo traffic that would
     /// otherwise re-register it — until an operator releases it.
     quarantined: BTreeSet<u64>,
-    /// Whether a confirmed deviation quarantines the switch
-    /// automatically (default: on).
-    auto_quarantine: bool,
     /// Control messages dropped at the quarantine gate.
     quarantine_drops: u64,
 
-    tick: SimDuration,
-    lldp_every_ticks: u64,
+    /// Poll port statistics every this many ticks (0 = never).
     stats_every_ticks: u64,
     arp_timeout: SimDuration,
     se_timeout: SimDuration,
     flow_idle_timeout: SimDuration,
-    fail_open: bool,
-    record_se_load: bool,
     tick_count: u64,
     last_port_stats: HashMap<(u64, u32), (u64, u64), FixedState>,
     app_traffic: BTreeMap<String, TrafficTally>,
@@ -352,7 +443,7 @@ impl std::fmt::Debug for Controller {
 
 impl Controller {
     /// Creates a controller with the defaults described on each
-    /// `with_*` method.
+    /// `set_*` method.
     pub fn new() -> Self {
         Controller {
             xid: 1,
@@ -376,14 +467,11 @@ impl Controller {
             messages_batched: 0,
             max_batch_len: 0,
             switch_liveness: BTreeMap::new(),
-            switch_timeout: SimDuration::from_secs(3),
-            echo_every_ticks: 10,
             known_dpids: HashSet::default(),
             known_nodes: HashMap::default(),
             down_dpids: HashSet::default(),
             blocks: BTreeMap::new(),
             auditing: HashSet::default(),
-            audit_every_ticks: 50,
             health: HealthStats::default(),
             fastpasses: BTreeMap::new(),
             established_conns: BTreeMap::new(),
@@ -394,16 +482,11 @@ impl Controller {
             conntrack: ConnTrackStats::default(),
             detector: AccountabilityDetector::new(),
             quarantined: BTreeSet::new(),
-            auto_quarantine: true,
             quarantine_drops: 0,
-            tick: SimDuration::from_millis(100),
-            lldp_every_ticks: 5,
             stats_every_ticks: 0,
             arp_timeout: SimDuration::from_secs(60),
             se_timeout: SimDuration::from_millis(500),
             flow_idle_timeout: SimDuration::from_secs(2),
-            fail_open: false,
-            record_se_load: true,
             tick_count: 0,
             last_port_stats: HashMap::default(),
             app_traffic: BTreeMap::new(),
@@ -414,130 +497,6 @@ impl Controller {
             se_msgs: 0,
             rejected_se_msgs: 0,
         }
-    }
-
-    /// Sets the policy table (default: allow everything).
-    pub fn with_policy(mut self, policy: PolicyTable) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Sets the load balancer (default: minimum-load at flow grain).
-    pub fn with_balancer(mut self, balancer: LoadBalancer) -> Self {
-        self.balancer = balancer;
-        self
-    }
-
-    /// Enables the DHCP half of the directory proxy.
-    pub fn with_directory(mut self, directory: DirectoryProxy) -> Self {
-        self.directory = Some(directory);
-        self
-    }
-
-    /// Requires SE control messages to carry one of these certificate
-    /// tokens (default: no certification required).
-    pub fn with_required_certs(mut self, certs: BTreeSet<u64>) -> Self {
-        self.required_certs = Some(certs);
-        self
-    }
-
-    /// Sets the idle timeout of installed flow entries (default 2 s).
-    pub fn with_flow_idle_timeout(mut self, d: SimDuration) -> Self {
-        self.flow_idle_timeout = d;
-        self
-    }
-
-    /// Admits flows even when their policy chain has no online service
-    /// element (default: fail closed, deny such flows).
-    pub fn with_fail_open(mut self) -> Self {
-        self.fail_open = true;
-        self
-    }
-
-    /// Sets the ARP/location timeout (default 60 s) — how long a
-    /// silent host stays in the routing table.
-    pub fn with_arp_timeout(mut self, d: SimDuration) -> Self {
-        self.arp_timeout = d;
-        self
-    }
-
-    /// Sets the SE heartbeat timeout (default 500 ms).
-    pub fn with_se_timeout(mut self, d: SimDuration) -> Self {
-        self.se_timeout = d;
-        self
-    }
-
-    /// Sets the switch liveness timeout (default 3 s) — how long a
-    /// switch's secure channel may stay silent before the controller
-    /// declares it dead and evicts its state.
-    pub fn with_switch_timeout(mut self, d: SimDuration) -> Self {
-        self.switch_timeout = d;
-        self
-    }
-
-    /// Sets how often (in 100 ms housekeeping ticks) the controller
-    /// echo-probes every registered switch (default 10, i.e. every
-    /// second; 0 disables probing — liveness then rides on packet-ins
-    /// and the switches' own keepalives).
-    pub fn with_echo_every_ticks(mut self, every: u64) -> Self {
-        self.echo_every_ticks = every;
-        self
-    }
-
-    /// Enables periodic port-stats polling every `every` housekeeping
-    /// ticks (100 ms each); produces `LinkLoad` monitor events.
-    pub fn with_stats_polling(mut self, every: u64) -> Self {
-        self.stats_every_ticks = every;
-        self
-    }
-
-    /// Sets how often (in housekeeping ticks, 100 ms each) every
-    /// online switch gets a background flow-table audit; 0 audits
-    /// only on reconnect. Default: 50 (every 5 s).
-    pub fn with_audit_every_ticks(mut self, every: u64) -> Self {
-        self.audit_every_ticks = every;
-        self
-    }
-
-    /// Suppresses per-heartbeat `SeLoad` monitor events (keeps long
-    /// experiment logs small).
-    pub fn without_se_load_events(mut self) -> Self {
-        self.record_se_load = false;
-        self
-    }
-
-    /// Enables or disables the flow-setup decision cache (default:
-    /// enabled). The cache is transparent — disabling it changes
-    /// throughput, never behaviour.
-    pub fn with_decision_cache(mut self, enabled: bool) -> Self {
-        self.set_decision_cache(enabled);
-        self
-    }
-
-    /// Enables or disables established-flow fast-passes (default:
-    /// enabled). When a firewall element reports a connection
-    /// established, the controller installs a direct bidirectional
-    /// path above steering priority so the rest of the connection
-    /// skips the service-element hairpin.
-    pub fn with_fastpass(mut self, enabled: bool) -> Self {
-        self.fastpass_enabled = enabled;
-        self
-    }
-
-    /// Sets the idle timeout of fast-pass entries (default 5 s).
-    pub fn with_fastpass_idle(mut self, d: SimDuration) -> Self {
-        self.fastpass_idle = d;
-        self
-    }
-
-    /// Enables or disables automatic quarantine of switches the
-    /// accountability detector convicts (default: enabled). With it
-    /// off, deviations are still detected and recorded
-    /// ([`EventKind::PathProofViolated`]) but the switch stays in
-    /// service — observe-only mode.
-    pub fn with_auto_quarantine(mut self, enabled: bool) -> Self {
-        self.auto_quarantine = enabled;
-        self
     }
 
     /// The monitor (event database).
@@ -560,24 +519,13 @@ impl Controller {
         &self.registry
     }
 
-    /// Mutable access to the policy table (runtime reconfiguration).
-    ///
-    /// Handing out the mutable reference conservatively advances the
-    /// cache's policy epoch: any cached decision may be edited out
-    /// from under it.
-    pub fn policy_mut(&mut self) -> &mut PolicyTable {
-        self.bump_policy_epoch();
-        &mut self.policy
-    }
-
-    /// Read-only access to the policy table (no epoch bump).
+    /// The policy table.
     pub fn policy(&self) -> &PolicyTable {
         &self.policy
     }
 
-    /// Replaces the policy table in place (for builders that already
-    /// own the controller inside a world). Invalidates every cached
-    /// flow-setup decision.
+    /// Replaces the policy table (default: allow everything).
+    /// Invalidates every cached flow-setup decision.
     pub fn set_policy(&mut self, policy: PolicyTable) {
         self.bump_policy_epoch();
         self.policy = policy;
@@ -586,9 +534,8 @@ impl Controller {
     /// Applies a batch of scoped policy edits — the delta path
     /// (DESIGN.md §14).
     ///
-    /// Unlike [`Controller::set_policy`]/[`Controller::policy_mut`],
-    /// which conservatively stale every cached decision and
-    /// fast-pass, this computes the header classes the deltas
+    /// Unlike [`Controller::set_policy`], which conservatively stales
+    /// every cached decision and fast-pass, this computes the header classes the deltas
     /// actually touch and invalidates only those: decision-cache
     /// entries inside a touched cube are dropped (and journaled for
     /// lagging shard caches), fast-passes and established-connection
@@ -788,8 +735,9 @@ impl Controller {
         self.last_setup.take()
     }
 
-    /// Replaces the load balancer in place. Drops the decision cache's
-    /// contents: cached picks came from the old algorithm.
+    /// Replaces the load balancer (default: minimum-load at flow
+    /// grain). Drops the decision cache's contents: cached picks came
+    /// from the old algorithm.
     pub fn set_balancer(&mut self, balancer: LoadBalancer) {
         self.cache_flush_epoch += 1;
         if let Some(c) = self.cache.as_mut() {
@@ -798,10 +746,10 @@ impl Controller {
         self.balancer = balancer;
     }
 
-    /// Enables or disables the flow-setup decision cache in place
-    /// (default: enabled). Disabling drops all cached decisions but
-    /// keeps the counters' history via [`Controller::fast_path_stats`]
-    /// until re-enabled (a fresh cache starts counters at zero).
+    /// Enables or disables the flow-setup decision cache (default:
+    /// enabled). The cache is transparent — disabling it changes
+    /// throughput, never behaviour. Disabling drops all cached
+    /// decisions (a re-enabled cache starts its counters at zero).
     pub fn set_decision_cache(&mut self, enabled: bool) {
         match (enabled, self.cache.is_some()) {
             (true, false) => self.cache = Some(DecisionCache::new()),
@@ -815,7 +763,8 @@ impl Controller {
         self.cache.is_some()
     }
 
-    /// Enables certification with the given initial token set.
+    /// Requires SE control messages to carry one of these certificate
+    /// tokens (default: no certification required).
     pub fn set_required_certs(&mut self, certs: BTreeSet<u64>) {
         self.required_certs = Some(certs);
     }
@@ -834,41 +783,40 @@ impl Controller {
             .insert(cert);
     }
 
-    /// Sets the flow idle timeout in place.
+    /// Sets the idle timeout of installed flow entries (default 2 s).
     pub fn set_flow_idle_timeout(&mut self, d: SimDuration) {
         self.flow_idle_timeout = d;
     }
 
-    /// Sets the ARP/location timeout in place.
+    /// Sets the ARP/location timeout (default 60 s) — how long a
+    /// silent host stays in the routing table.
     pub fn set_arp_timeout(&mut self, d: SimDuration) {
         self.arp_timeout = d;
     }
 
-    /// Sets the SE heartbeat timeout in place.
+    /// Sets the SE heartbeat timeout (default 500 ms).
     pub fn set_se_timeout(&mut self, d: SimDuration) {
         self.se_timeout = d;
     }
 
-    /// Sets the switch liveness timeout in place.
-    pub fn set_switch_timeout(&mut self, d: SimDuration) {
-        self.switch_timeout = d;
-    }
-
-    /// Enables the DHCP directory proxy in place.
+    /// Enables the DHCP half of the directory proxy (default: off).
     pub fn set_directory(&mut self, directory: DirectoryProxy) {
         self.directory = Some(directory);
     }
 
-    /// Enables port-stats polling in place (every `every` ticks of
-    /// 100 ms).
+    /// Polls port statistics every `every` housekeeping ticks (100 ms
+    /// each), producing `LinkLoad` monitor events (default 0: never).
     pub fn set_stats_polling(&mut self, every: u64) {
         self.stats_every_ticks = every;
     }
 
-    /// Enables or disables established-flow fast-passes in place.
-    /// Disabling tears down every installed fast-pass (the entries
-    /// are deleted on the next flush; the flows fall back to their
-    /// steering programs).
+    /// Enables or disables established-flow fast-passes (default:
+    /// enabled): when a firewall element reports a connection
+    /// established, the controller installs a direct bidirectional
+    /// path above steering priority so the rest of the connection
+    /// skips the service-element hairpin. Disabling tears down every
+    /// installed fast-pass (the entries are deleted on the next flush;
+    /// the flows fall back to their steering programs).
     pub fn set_fastpass(&mut self, enabled: bool) {
         self.fastpass_enabled = enabled;
         if !enabled {
@@ -880,12 +828,7 @@ impl Controller {
         }
     }
 
-    /// Whether established-flow fast-passes are enabled.
-    pub fn fastpass_enabled(&self) -> bool {
-        self.fastpass_enabled
-    }
-
-    /// Sets the idle timeout of fast-pass entries in place.
+    /// Sets the idle timeout of fast-pass entries (default 5 s).
     pub fn set_fastpass_idle(&mut self, d: SimDuration) {
         self.fastpass_idle = d;
     }
@@ -946,7 +889,7 @@ impl Controller {
     pub fn active_records(&self) -> Vec<(FlowKey, Vec<ServiceType>, bool)> {
         self.active
             .iter()
-            .map(|(k, r)| (*k, r.chain.clone(), r.blocked))
+            .map(|(k, r)| (*k, r.chain.clone(), r.block.is_some()))
             .collect()
     }
 
@@ -1106,8 +1049,8 @@ impl Controller {
         self.mark_switch_down(now, dpid);
     }
 
-    /// Records a confirmed deviation and (unless observe-only)
-    /// quarantines the convicted switch.
+    /// Records a confirmed deviation and quarantines the convicted
+    /// switch.
     fn punish(&mut self, now: SimTime, dev: Deviation) {
         self.monitor.record(
             now,
@@ -1119,7 +1062,7 @@ impl Controller {
                 observed: dev.observed,
             },
         );
-        if !self.auto_quarantine || self.quarantined.contains(&dev.dpid) {
+        if self.quarantined.contains(&dev.dpid) {
             return;
         }
         self.monitor.record(
@@ -1133,8 +1076,7 @@ impl Controller {
     }
 
     /// Registers the path proofs of one flow's program pair under its
-    /// rewrite-invariant signatures (forward and reverse direction);
-    /// `cookies` are the `(forward, reverse)` ingress-entry cookies.
+    /// rewrite-invariant signatures (forward and reverse direction).
     fn register_proofs(
         &mut self,
         now: SimTime,
@@ -1142,15 +1084,15 @@ impl Controller {
         forward: &SteeringProgram,
         reverse: &SteeringProgram,
         source: ProofSource,
-        cookies: (u64, u64),
     ) {
+        let (fwd_cookie, rev_cookie) = ingress_cookies(source);
         self.detector.register(
             flow_sig(key),
-            PathProof::of_program(forward, cookies.0, source, now),
+            PathProof::of_program(forward, fwd_cookie, source, now),
         );
         self.detector.register(
             flow_sig(&key.reversed()),
-            PathProof::of_program(reverse, cookies.1, source, now),
+            PathProof::of_program(reverse, rev_cookie, source, now),
         );
     }
 
@@ -1160,6 +1102,18 @@ impl Controller {
         self.detector.retire(flow_sig(&key.reversed()), source);
     }
 
+    /// Takes `key`'s record off the books: its proofs from `source`
+    /// retire and its elements each lose an outstanding flow. What
+    /// happens to its switch entries is the caller's business.
+    fn retire_flow(&mut self, key: &FlowKey, source: Option<ProofSource>) -> Option<FlowRecord> {
+        let rec = self.active.remove(key)?;
+        self.retire_proofs(key, source);
+        for mac in &rec.elements {
+            self.registry.adjust_outstanding(*mac, -1);
+        }
+        Some(rec)
+    }
+
     /// The flow entries the controller believes `dpid` should hold, as
     /// `(matcher, priority, cookie)` — what the reconciliation audit
     /// enforces. Exposed so tests can compare against the switch's
@@ -1167,85 +1121,37 @@ impl Controller {
     pub fn desired_entries(&self, dpid: u64) -> Vec<(Match, u16, u64)> {
         let mut v: Vec<(Match, u16, u64)> = self
             .desired_for(dpid)
-            .iter()
-            .map(|d| (d.matcher, d.priority, d.cookie))
+            .map(|e| (e.matcher, e.priority, e.cookie))
             .collect();
         v.sort_by_key(|a| (a.1, a.0.to_string()));
         v
     }
 
-    /// Collects the desired flow-table state for one switch from the
-    /// active-flow records: every steering-program entry placed there
-    /// (tagged exactly as [`Controller::install_program`] tagged it)
-    /// plus any attack-block drop entries.
-    fn desired_for(&self, dpid: u64) -> Vec<DesiredEntry> {
-        let idle = Some(self.flow_idle_timeout.as_nanos());
-        let mut out = Vec::new();
-        for rec in self.active.values() {
-            for (program, cookie) in [
-                (&rec.forward, INGRESS_COOKIE),
-                (&rec.reverse, REVERSE_COOKIE),
-            ] {
-                for (i, entry) in program.entries.iter().enumerate() {
-                    if entry.dpid != dpid {
-                        continue;
-                    }
-                    let tag = (i == 0).then_some(cookie);
-                    out.push(DesiredEntry {
-                        matcher: entry.matcher,
-                        priority: entry.priority,
-                        cookie: tag.unwrap_or(0),
-                        actions: entry.actions.clone(),
-                        idle_timeout: idle,
-                        notify_removed: tag.is_some(),
-                    });
-                }
-            }
-        }
-        // Fast-pass entries are desired state too — but only while
-        // their record's epochs are current. A stale record is about
-        // to be torn down by the housekeeping tick; defending its
-        // entries here would race that teardown.
-        let fp_idle = Some(self.fastpass_idle.as_nanos());
-        for rec in self.fastpasses.values() {
-            if rec.policy_epoch != self.policy_epoch || rec.topo_epoch != self.topo_epoch {
-                continue;
-            }
-            for (program, cookie) in [
-                (&rec.forward, FASTPASS_COOKIE),
-                (&rec.reverse, FASTPASS_REV_COOKIE),
-            ] {
-                for (i, entry) in program.entries.iter().enumerate() {
-                    if entry.dpid != dpid {
-                        continue;
-                    }
-                    let tag = (i == 0).then_some(cookie);
-                    out.push(DesiredEntry {
-                        matcher: entry.matcher,
-                        priority: entry.priority,
-                        cookie: tag.unwrap_or(0),
-                        actions: entry.actions.clone(),
-                        idle_timeout: fp_idle,
-                        notify_removed: tag.is_some(),
-                    });
-                }
-            }
-        }
-        // Block entries come from the standing block registry, not the
-        // records: a blocked flow's record retires once its (shadowed)
-        // steering entries idle out, but the drop rule is security
-        // state that must survive that — and survive switch restarts.
-        for matcher in self.blocks.get(&dpid).into_iter().flatten() {
-            out.push(DesiredEntry {
-                matcher: *matcher,
-                priority: BLOCK_PRIORITY,
-                cookie: BLOCK_COOKIE,
-                actions: Vec::new(),
-                idle_timeout: None,
-                notify_removed: false,
-            });
-        }
-        out
+    /// The desired flow-table state of one switch: the entries every
+    /// active flow record and every *current* fast-pass record puts
+    /// there, then its standing blocks.
+    fn desired_for(&self, dpid: u64) -> impl Iterator<Item = Entry<'_>> {
+        let flows = self
+            .active
+            .values()
+            .flat_map(|rec| rec.entries(self.flow_idle_timeout));
+        // A fast-pass record whose epochs fell behind is about to be
+        // torn down by the housekeeping tick; defending its entries
+        // here would race that teardown.
+        let fastpasses = self
+            .fastpasses
+            .values()
+            .filter(|rec| (rec.policy_epoch, rec.topo_epoch) == self.epochs())
+            .flat_map(|rec| rec.entries(self.fastpass_idle));
+        // Blocks come from the standing registry, not the records: a
+        // blocked flow's record retires once its (shadowed) steering
+        // entries idle out, but the drop rule is security state that
+        // must survive that — and survive switch restarts.
+        let blocks = self.blocks.get(&dpid).into_iter().flatten();
+        flows
+            .chain(fastpasses)
+            .filter(move |e| e.dpid == dpid)
+            .chain(blocks.map(move |m| Entry::drop(dpid, *m, BLOCK_COOKIE, None)))
     }
 
     /// Queues `msg` for `node`; everything queued during one event
@@ -1303,6 +1209,30 @@ impl Controller {
         }
     }
 
+    /// Queues `msg` for every registered switch, in dpid order.
+    fn send_to_all(&mut self, msg: &OfMessage) {
+        let nodes: Vec<NodeId> = self.topo.switches().map(|s| s.node).collect();
+        for node in nodes {
+            self.send(node, msg);
+        }
+    }
+
+    /// Queues the flow-mod installing each of `entries`. They borrow
+    /// from a record the caller holds, never from `self`.
+    fn install<'a>(&mut self, entries: impl IntoIterator<Item = Entry<'a>>) {
+        for e in entries {
+            self.send_to_dpid(e.dpid, &e.add());
+        }
+    }
+
+    /// Queues the strict delete of each of `entries` — the inverse of
+    /// [`Controller::install`].
+    fn uninstall<'a>(&mut self, entries: impl IntoIterator<Item = Entry<'a>>) {
+        for e in entries {
+            self.send_to_dpid(e.dpid, &delete_strict(e.matcher, e.priority));
+        }
+    }
+
     fn packet_out(&mut self, dpid: u64, in_port: Option<u32>, actions: Vec<Action>, pkt: &Packet) {
         let msg = OfMessage::PacketOut {
             in_port,
@@ -1312,34 +1242,32 @@ impl Controller {
         self.send_to_dpid(dpid, &msg);
     }
 
+    /// Emits a controller-made frame out of one port of a switch.
+    fn emit(&mut self, dpid: u64, port: u32, pkt: &Packet) {
+        let out = Action::Output(livesec_openflow::OutPort::Physical(port));
+        self.packet_out(dpid, None, vec![out], pkt);
+    }
+
     fn probe_switch(&mut self, dpid: u64) {
         let Some(info) = self.topo.switch(dpid).copied() else {
             return;
         };
         // Once the uplink is known, only probe it; before that, sweep
         // every port to find it.
-        let ports: Vec<u32> = match info.uplink {
-            Some(p) => vec![p],
-            None => (1..=info.n_ports).collect(),
+        let ports = match info.uplink {
+            Some(p) => p..=p,
+            None => 1..=info.n_ports,
         };
         // Locally-administered source MAC derived from the dpid.
         let src = MacAddr::from_u64(0x0260_0000_0000 | (dpid & 0xffff_ffff));
         for p in ports {
-            let probe = lldp_frame(src, LldpFrame::new(dpid, p));
-            self.packet_out(
-                dpid,
-                None,
-                vec![Action::Output(livesec_openflow::OutPort::Physical(p))],
-                &probe,
-            );
+            self.emit(dpid, p, &lldp_frame(src, LldpFrame::new(dpid, p)));
         }
     }
 
-    fn probe_all(&mut self) {
-        let dpids: Vec<u64> = self.topo.switches().map(|s| s.dpid).collect();
-        for dpid in dpids {
-            self.probe_switch(dpid);
-        }
+    /// The registered switches' datapath ids, ascending.
+    fn dpids(&self) -> Vec<u64> {
+        self.topo.switches().map(|s| s.dpid).collect()
     }
 
     fn handle_arp(&mut self, ctx: &mut Ctx<'_>, dpid: u64, in_port: u32, arp: ArpPacket) {
@@ -1386,12 +1314,7 @@ impl Controller {
                     tpa: arp.spa,
                 };
                 self.arp_replies += 1;
-                self.packet_out(
-                    dpid,
-                    None,
-                    vec![Action::Output(livesec_openflow::OutPort::Physical(in_port))],
-                    &arp_frame(reply),
-                );
+                self.emit(dpid, in_port, &arp_frame(reply));
             }
         }
     }
@@ -1402,13 +1325,7 @@ impl Controller {
     /// first cross-switch frame toward the host would flood.
     fn announce_location(&mut self, dpid: u64, mac: MacAddr, ip: Ipv4Addr) {
         if let Some(up) = self.topo.uplink_of(dpid) {
-            let g = arp_frame(ArpPacket::gratuitous(mac, ip));
-            self.packet_out(
-                dpid,
-                None,
-                vec![Action::Output(livesec_openflow::OutPort::Physical(up))],
-                &g,
-            );
+            self.emit(dpid, up, &arp_frame(ArpPacket::gratuitous(mac, ip)));
         }
     }
 
@@ -1452,17 +1369,15 @@ impl Controller {
                         },
                     );
                 }
-                if self.record_se_load {
-                    self.monitor.record(
-                        now,
-                        EventKind::SeLoad {
-                            mac: src_mac,
-                            cpu,
-                            pps,
-                            bps,
-                        },
-                    );
-                }
+                self.monitor.record(
+                    now,
+                    EventKind::SeLoad {
+                        mac: src_mac,
+                        cpu,
+                        pps,
+                        bps,
+                    },
+                );
             }
             SeMessage::Event { flow, verdict, .. } => {
                 // The element saw the flow mid-path, where steering has
@@ -1573,67 +1488,35 @@ impl Controller {
         if !self.fastpass_enabled || self.fastpasses.contains_key(&key) {
             return;
         }
-        let Some(src_hop) = self.hop_of(key.dl_src) else {
-            return;
+        // The engine's compile stage over an empty chain, one priority
+        // up: no service hops, no MAC rewrites.
+        let direct = engine::compile(self, &key, Vec::new(), Vec::new(), FASTPASS_PRIORITY);
+        let EngineDecision::Steer {
+            forward, reverse, ..
+        } = direct
+        else {
+            return; // an end unlocated or an uplink undiscovered
         };
-        let Some(dst_hop) = self.hop_of(key.dl_dst) else {
-            return;
+        let rec = FastPassRecord {
+            forward,
+            reverse,
+            policy_epoch: self.policy_epoch,
+            topo_epoch: self.topo_epoch,
         };
-        let uplink = |d: u64| self.topo.uplink_of(d);
-        let Ok(forward) = compile_path(&key, &[src_hop, dst_hop], uplink, FASTPASS_PRIORITY) else {
-            return;
-        };
-        let Ok(reverse) = compile_path(
-            &key.reversed(),
-            &[dst_hop, src_hop],
-            uplink,
-            FASTPASS_PRIORITY,
-        ) else {
-            return;
-        };
-        self.install_fastpass_program(&forward, FASTPASS_COOKIE);
-        self.install_fastpass_program(&reverse, FASTPASS_REV_COOKIE);
-        self.register_proofs(
-            now,
-            &key,
-            &forward,
-            &reverse,
-            ProofSource::FastPass,
-            (FASTPASS_COOKIE, FASTPASS_REV_COOKIE),
-        );
-        self.fastpasses.insert(
-            key,
-            FastPassRecord {
-                forward,
-                reverse,
-                policy_epoch: self.policy_epoch,
-                topo_epoch: self.topo_epoch,
-            },
-        );
+        self.put_fastpass(now, &key, &rec);
+        self.fastpasses.insert(key, rec);
         self.conntrack.fastpass_installed += 1;
         self.monitor
             .record(now, EventKind::FastPassInstalled { flow: key });
     }
 
-    /// Queues one fast-pass program's flow-mods; the first entry is
-    /// cookie-tagged with removal notification so the idle-out of the
-    /// ingress entry reports the bytes that took the fast path.
-    fn install_fastpass_program(&mut self, program: &SteeringProgram, cookie: u64) {
-        let idle = Some(self.fastpass_idle.as_nanos());
-        for (i, entry) in program.entries.iter().enumerate() {
-            let tag = i == 0;
-            let msg = OfMessage::FlowMod {
-                command: FlowModCommand::Add,
-                matcher: entry.matcher,
-                priority: entry.priority,
-                actions: entry.actions.clone(),
-                idle_timeout: idle,
-                hard_timeout: None,
-                cookie: if tag { cookie } else { 0 },
-                notify_removed: tag,
-            };
-            self.send_to_dpid(entry.dpid, &msg);
-        }
+    /// Puts a fast-pass record's entries on the switches and registers
+    /// its proofs — the first installation and the repair alike. (The
+    /// ingress entries report their removal, so their idle-out reports
+    /// the bytes that took the fast path.)
+    fn put_fastpass(&mut self, now: SimTime, key: &FlowKey, rec: &FastPassRecord) {
+        self.install(rec.entries(self.fastpass_idle));
+        self.register_proofs(now, key, &rec.forward, &rec.reverse, ProofSource::FastPass);
     }
 
     /// Tears down a fast-pass: deletes both directions' entries and
@@ -1645,52 +1528,26 @@ impl Controller {
             return;
         };
         self.retire_proofs(key, Some(ProofSource::FastPass));
-        for program in [&rec.forward, &rec.reverse] {
-            for entry in &program.entries {
-                self.send_to_dpid(
-                    entry.dpid,
-                    &OfMessage::FlowMod {
-                        command: FlowModCommand::DeleteStrict,
-                        matcher: entry.matcher,
-                        priority: entry.priority,
-                        actions: Vec::new(),
-                        idle_timeout: None,
-                        hard_timeout: None,
-                        cookie: 0,
-                        notify_removed: false,
-                    },
-                );
-            }
-        }
+        self.uninstall(rec.entries(self.fastpass_idle));
         self.conntrack.fastpass_removed += 1;
+    }
+
+    /// Installs a standing drop at `dpid` and enters it in the block
+    /// registry, so audits reinstall it after crashes and partitions.
+    fn block(&mut self, dpid: u64, matcher: Match) {
+        self.install([Entry::drop(dpid, matcher, BLOCK_COOKIE, None)]);
+        let standing = self.blocks.entry(dpid).or_default();
+        if !standing.contains(&matcher) {
+            standing.push(matcher);
+        }
     }
 
     /// Installs a source-wide drop at a host's ingress switch — the
     /// response to a SYN flood, whose probes rotate source ports
-    /// faster than per-flow blocks could chase them. The drop joins
-    /// the standing block registry, so audits reinstall it after
-    /// crashes and partitions like any other block.
+    /// faster than per-flow blocks could chase them.
     fn block_source(&mut self, mac: MacAddr) {
-        let Some(loc) = self.locations.lookup(mac).copied() else {
-            return;
-        };
-        let matcher = Match::any().with_dl_src(mac);
-        self.send_to_dpid(
-            loc.dpid,
-            &OfMessage::FlowMod {
-                command: FlowModCommand::Add,
-                matcher,
-                priority: BLOCK_PRIORITY,
-                actions: Vec::new(), // drop
-                idle_timeout: None,
-                hard_timeout: None,
-                cookie: BLOCK_COOKIE,
-                notify_removed: false,
-            },
-        );
-        let standing = self.blocks.entry(loc.dpid).or_default();
-        if !standing.contains(&matcher) {
-            standing.push(matcher);
+        if let Some(loc) = self.locations.lookup(mac).copied() {
+            self.block(loc.dpid, Match::any().with_dl_src(mac));
         }
     }
 
@@ -1702,23 +1559,8 @@ impl Controller {
             return;
         };
         let matcher = Match::exact(loc.port, key);
-        let msg = OfMessage::FlowMod {
-            command: FlowModCommand::Add,
-            matcher,
-            priority: BLOCK_PRIORITY,
-            actions: Vec::new(), // drop
-            idle_timeout: None,
-            hard_timeout: None,
-            cookie: BLOCK_COOKIE,
-            notify_removed: false,
-        };
-        self.send_to_dpid(loc.dpid, &msg);
-        let standing = self.blocks.entry(loc.dpid).or_default();
-        if !standing.contains(&matcher) {
-            standing.push(matcher);
-        }
+        self.block(loc.dpid, matcher);
         if let Some(rec) = self.active.get_mut(key) {
-            rec.blocked = true;
             rec.block = Some((loc.dpid, matcher));
         }
         self.monitor.record(
@@ -1757,39 +1599,7 @@ impl Controller {
                 )),
             )),
         );
-        self.packet_out(
-            dpid,
-            None,
-            vec![Action::Output(livesec_openflow::OutPort::Physical(in_port))],
-            &frame,
-        );
-    }
-
-    fn hop_of(&self, mac: MacAddr) -> Option<Hop> {
-        let loc = self.locations.lookup(mac)?;
-        Some(Hop {
-            mac,
-            dpid: loc.dpid,
-            port: loc.port,
-        })
-    }
-
-    fn install_program(&mut self, program: &SteeringProgram, cookie: Option<u64>) {
-        let idle = Some(self.flow_idle_timeout.as_nanos());
-        for (i, entry) in program.entries.iter().enumerate() {
-            let tag = if i == 0 { cookie } else { None };
-            let msg = OfMessage::FlowMod {
-                command: FlowModCommand::Add,
-                matcher: entry.matcher,
-                priority: entry.priority,
-                actions: entry.actions.clone(),
-                idle_timeout: idle,
-                hard_timeout: None,
-                cookie: tag.unwrap_or(0),
-                notify_removed: tag.is_some(),
-            };
-            self.send_to_dpid(entry.dpid, &msg);
-        }
+        self.emit(dpid, in_port, &frame);
     }
 
     /// Reinstalls everything `key`'s record says should be in the
@@ -1805,54 +1615,26 @@ impl Controller {
         let reverse = Rc::clone(&rec.reverse);
         let block = rec.block;
         self.health.flow_repairs += 1;
-        self.install_program(&forward, Some(INGRESS_COOKIE));
-        self.install_program(&reverse, Some(REVERSE_COOKIE));
-        // Re-registering resets the proof's grace window, so packets
-        // already in flight under the pre-fault installation are not
-        // mistaken for deviations.
-        self.register_proofs(
-            now,
-            key,
+        self.install(Entry::of_programs(
             &forward,
             &reverse,
             ProofSource::Steering,
-            (INGRESS_COOKIE, REVERSE_COOKIE),
-        );
+            self.flow_idle_timeout,
+        ));
+        // Re-registering resets the proof's grace window, so packets
+        // already in flight under the pre-fault installation are not
+        // mistaken for deviations.
+        self.register_proofs(now, key, &forward, &reverse, ProofSource::Steering);
         if let Some((dpid, matcher)) = block {
-            self.send_to_dpid(
-                dpid,
-                &OfMessage::FlowMod {
-                    command: FlowModCommand::Add,
-                    matcher,
-                    priority: BLOCK_PRIORITY,
-                    actions: Vec::new(), // drop
-                    idle_timeout: None,
-                    hard_timeout: None,
-                    cookie: BLOCK_COOKIE,
-                    notify_removed: false,
-                },
-            );
+            self.install([Entry::drop(dpid, matcher, BLOCK_COOKIE, None)]);
         }
         // The connection's fast-pass died with the same fault: bring
         // it back alongside the steering programs (the firewall never
         // re-reports an establishment it already reported).
-        let epoch = self.policy_epoch;
-        let remembered = [*key, key.reversed()]
-            .into_iter()
-            .find(|k| self.established_conns.get(k) == Some(&epoch));
-        if let Some(k) = remembered {
+        if let Some(k) = self.remembered_established(key) {
             match self.fastpasses.get(&k).cloned() {
-                Some(fp) if fp.policy_epoch == epoch && fp.topo_epoch == self.topo_epoch => {
-                    self.install_fastpass_program(&fp.forward, FASTPASS_COOKIE);
-                    self.install_fastpass_program(&fp.reverse, FASTPASS_REV_COOKIE);
-                    self.register_proofs(
-                        now,
-                        &k,
-                        &fp.forward,
-                        &fp.reverse,
-                        ProofSource::FastPass,
-                        (FASTPASS_COOKIE, FASTPASS_REV_COOKIE),
-                    );
+                Some(fp) if (fp.policy_epoch, fp.topo_epoch) == self.epochs() => {
+                    self.put_fastpass(now, &k, &fp);
                 }
                 Some(_) => {} // stale record; the tick sweep owns it
                 None => self.install_fastpass(now, k),
@@ -1860,159 +1642,133 @@ impl Controller {
         }
     }
 
+    /// The direction of `key` under which a firewall element reported
+    /// the connection established, if the report is from the current
+    /// policy epoch (a policy change voids that memory).
+    fn remembered_established(&self, key: &FlowKey) -> Option<FlowKey> {
+        [*key, key.reversed()]
+            .into_iter()
+            .find(|k| self.established_conns.get(k) == Some(&self.policy_epoch))
+    }
+
+    /// The one flow set-up (DESIGN.md §4c): a packet-in that missed the
+    /// flow table either belongs to a session on the books — repair
+    /// and release it — or gets one [`EngineDecision`], applied in one
+    /// `match`.
     fn handle_flow(&mut self, ctx: &mut Ctx<'_>, dpid: u64, in_port: u32, pkt: &Packet) {
         let Some(key) = FlowKey::of(pkt) else { return };
-        if Some(in_port) == self.topo.uplink_of(dpid) {
-            // Mid-path packets only miss when the switch lost entries
-            // the controller believes installed (flow-mods eaten by a
-            // control-channel fault): reinstall them from the record.
-            // Flow *setup* still only ever happens at the ingress.
-            let now = ctx.now();
-            for k in [key, key.reversed()] {
-                if self
-                    .active
-                    .get(&k)
-                    .is_some_and(|r| now.saturating_since(r.installed_at) > REPAIR_GUARD)
-                {
-                    self.repair_flow(now, &k);
-                    break;
-                }
-            }
-            return;
-        }
         let now = ctx.now();
-        // Learn or refresh the sender's location from data traffic too.
-        if self.locations.lookup(key.dl_src).is_none() {
-            self.locations
-                .learn(key.dl_src, key.nw_src, dpid, in_port, now);
-            self.monitor.record(
-                now,
-                EventKind::UserJoin {
-                    mac: key.dl_src,
-                    ip: key.nw_src,
-                    at: (dpid, in_port),
-                },
-            );
-            self.announce_location(dpid, key.dl_src, key.nw_src);
-        } else {
-            self.locations.touch(key.dl_src, now);
+        let at_uplink = Some(in_port) == self.topo.uplink_of(dpid);
+        if !at_uplink {
+            // Learn or refresh the sender's location from data traffic
+            // too.
+            if self.locations.lookup(key.dl_src).is_none() {
+                self.locations
+                    .learn(key.dl_src, key.nw_src, dpid, in_port, now);
+                self.monitor.record(
+                    now,
+                    EventKind::UserJoin {
+                        mac: key.dl_src,
+                        ip: key.nw_src,
+                        at: (dpid, in_port),
+                    },
+                );
+                self.announce_location(dpid, key.dl_src, key.nw_src);
+            } else {
+                self.locations.touch(key.dl_src, now);
+            }
         }
 
-        // Past the guard a packet-in for an active flow means the
-        // switch lost the flow's entries (including the block entry
-        // for blocked flows — their packets otherwise drop at the
-        // switch): reinstall before handling the packet itself.
-        let repair_due = self
-            .active
-            .get(&key)
-            .is_some_and(|r| now.saturating_since(r.installed_at) > REPAIR_GUARD);
-        if repair_due {
-            self.repair_flow(now, &key);
-        }
-        if let Some(rec) = self.active.get(&key) {
-            if rec.blocked {
-                return;
+        // A session is on the books under the key of its first packet,
+        // and its record holds both directions' programs: a reply is a
+        // packet of that session wherever it surfaces, never a new flow
+        // under the reversed 5-tuple — deciding it as one would look
+        // the policy up with the client's ephemeral port as the service
+        // port, and its direct programs would replace the session's
+        // chained entries (same match, same priority).
+        let session = [key, key.reversed()].into_iter().find_map(|k| {
+            let installed_at = self.active.get(&k)?.installed_at;
+            Some((k, now.saturating_since(installed_at) > REPAIR_GUARD))
+        });
+        if let Some((k, repair_due)) = session {
+            // Past the guard a packet-in for an active flow means a
+            // switch lost the flow's entries — idled out under one
+            // direction's silence, or flow-mods eaten by a control-
+            // channel fault (including the block entry for blocked
+            // flows, whose packets otherwise drop at the switch):
+            // reinstall before handling the packet itself.
+            if repair_due {
+                self.repair_flow(now, &k);
             }
-            // A packet raced ahead of the flow-mods: forward it along
-            // the already-computed ingress actions.
-            let actions = rec.ingress_actions.clone();
-            self.packet_out(dpid, Some(in_port), actions, pkt);
+            // Mid-path packets are only ever repaired; a packet at an
+            // access port raced ahead of the flow-mods (or triggered
+            // the repair) and is released along its direction's
+            // already-computed ingress actions.
+            let release = self
+                .active
+                .get(&k)
+                .filter(|r| !at_uplink && r.block.is_none());
+            if let Some(rec) = release {
+                let program = if k == key { &rec.forward } else { &rec.reverse };
+                let actions = program.ingress_actions().to_vec();
+                self.packet_out(dpid, Some(in_port), actions, pkt);
+            }
             return;
         }
+        if at_uplink {
+            return; // flow set-up only ever happens at the ingress
+        }
 
-        // Fast path: replay a memoized decision when nothing it
-        // depended on has changed. The cache is transparent — every
-        // monitor event and balancer call the cold path would make is
-        // made here too; only the policy lookup and the two
-        // compile_path runs are skipped.
-        let cached = match self.cache.as_mut() {
-            Some(c) => c.lookup(&key, (dpid, in_port)),
-            None => None,
+        // One decision per set-up. A decision-cache hit is revalidated
+        // by the engine — the cache is transparent: every balancer
+        // call a cold set-up would make is made on a hit too, only the
+        // policy lookup and the two compile_path runs are skipped —
+        // and a memo the picks moved away from is replaced by the
+        // decision that took its place.
+        let ingress = (dpid, in_port);
+        let hit = self.cache.as_mut().and_then(|c| c.lookup(&key, ingress));
+        let was_hit = hit.is_some();
+        let (decision, memo_stands) = match hit {
+            Some(cached) => engine::revalidate(self, &key, cached),
+            None => (engine::decide(self, &key), false),
         };
-        if let Some(decision) = cached {
-            match decision {
-                CachedDecision::Deny { rule } => {
-                    self.deny_flow(now, dpid, in_port, &key, rule);
+        if !memo_stands {
+            if let Some(c) = self.cache.as_mut() {
+                if was_hit {
+                    c.remove(&key);
                 }
-                CachedDecision::Steer {
-                    services,
-                    elements,
-                    forward,
-                    reverse,
-                } => {
-                    // The balancer is stateful (round-robin counters,
-                    // stickiness, queue depths): run the picks exactly
-                    // as the cold path would, and reuse the compiled
-                    // programs only if they land on the same elements.
-                    match self.run_picks(now, dpid, in_port, &key, &services) {
-                        Picks::Denied => {
-                            if let Some(c) = self.cache.as_mut() {
-                                c.remove(&key);
-                            }
-                        }
-                        Picks::Elements(picks) if picks == elements => {
-                            self.finish_admit(
-                                ctx, dpid, in_port, pkt, key, services, elements, forward, reverse,
-                            );
-                        }
-                        Picks::Elements(picks) => {
-                            // The balancer moved (replicas came or
-                            // went): the cached programs are stale for
-                            // this setup; recompile for the new picks.
-                            if let Some(c) = self.cache.as_mut() {
-                                c.remove(&key);
-                            }
-                            self.admit(ctx, dpid, in_port, pkt, key, services, picks);
-                        }
-                    }
+                if let Some(memo) = decision.memo() {
+                    c.insert(key, ingress, memo);
                 }
             }
-            return;
         }
-
-        // Cold path: the pure decision engine runs the policy lookup,
-        // the balancer picks, and the path compilation against this
-        // controller's state store; the side effects (flow-mods,
-        // monitor events, books) stay here.
-        match crate::engine::decide(self, &key) {
-            EngineDecision::Deny { rule } => {
-                if let Some(c) = self.cache.as_mut() {
-                    c.insert(
-                        key,
-                        (dpid, in_port),
-                        CachedDecision::Deny { rule: rule.clone() },
-                    );
-                }
-                self.deny_flow(now, dpid, in_port, &key, rule);
-            }
+        match decision {
+            EngineDecision::Deny { rule } => self.deny_flow(now, dpid, in_port, &key, rule),
             EngineDecision::ChainUnavailable { rule } => {
                 self.deny_flow(now, dpid, in_port, &key, Some(rule));
             }
-            EngineDecision::Unroutable => {
-                // Discovery not converged or a host unknown: the
-                // sender re-ARPs and retries.
-            }
+            // Discovery not converged or a host unknown: the sender
+            // re-ARPs and retries.
+            EngineDecision::Unroutable => {}
             EngineDecision::Steer {
                 services,
                 elements,
                 forward,
                 reverse,
             } => {
-                if let Some(c) = self.cache.as_mut() {
-                    c.insert(
-                        key,
-                        (dpid, in_port),
-                        CachedDecision::Steer {
-                            services: services.clone(),
-                            elements: elements.clone(),
-                            forward: Rc::clone(&forward),
-                            reverse: Rc::clone(&reverse),
-                        },
-                    );
-                }
-                self.finish_admit(
-                    ctx, dpid, in_port, pkt, key, services, elements, forward, reverse,
-                );
+                let rec = FlowRecord {
+                    chain: services,
+                    elements,
+                    ingress_dpid: dpid,
+                    forward,
+                    reverse,
+                    block: None,
+                    installed_at: now,
+                    app: None,
+                    fwd_done: None,
+                    rev_done: None,
+                };
+                self.start_flow(now, in_port, pkt, key, rec);
             }
         }
     }
@@ -2027,186 +1783,52 @@ impl Controller {
         key: &FlowKey,
         rule: Option<String>,
     ) {
-        let msg = OfMessage::FlowMod {
-            command: FlowModCommand::Add,
-            matcher: Match::exact(in_port, key),
-            priority: BLOCK_PRIORITY,
-            actions: Vec::new(),
-            idle_timeout: Some(self.flow_idle_timeout.as_nanos()),
-            hard_timeout: None,
-            cookie: DENY_COOKIE,
-            notify_removed: false,
-        };
-        self.send_to_dpid(dpid, &msg);
+        let (matcher, idle) = (Match::exact(in_port, key), self.flow_idle_timeout);
+        self.install([Entry::drop(dpid, matcher, DENY_COOKIE, Some(idle))]);
         self.monitor
             .record(now, EventKind::FlowDenied { flow: *key, rule });
     }
 
-    /// Runs the balancer over a policy chain — the stateful half of
-    /// flow setup, shared verbatim by the cold path and the cache-hit
-    /// revalidation so both make identical pick sequences.
-    fn run_picks(
+    /// Installs an admitted flow's programs, releases the triggering
+    /// packet, and books the flow.
+    fn start_flow(
         &mut self,
         now: SimTime,
-        dpid: u64,
-        in_port: u32,
-        key: &FlowKey,
-        services: &[ServiceType],
-    ) -> Picks {
-        let mut elements = Vec::with_capacity(services.len());
-        for service in services {
-            match self.balancer.pick(&self.registry, *service, key) {
-                Some(mac) => elements.push(mac),
-                None => {
-                    if self.fail_open {
-                        // Skip the unavailable service.
-                        continue;
-                    }
-                    self.deny_flow(
-                        now,
-                        dpid,
-                        in_port,
-                        key,
-                        Some(format!("no-online-element:{service}")),
-                    );
-                    return Picks::Denied;
-                }
-            }
-        }
-        Picks::Elements(elements)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn admit(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        dpid: u64,
         in_port: u32,
         pkt: &Packet,
         key: FlowKey,
-        services: Vec<ServiceType>,
-        elements: Vec<MacAddr>,
+        rec: FlowRecord,
     ) {
-        let Some(src_hop) = self.hop_of(key.dl_src) else {
-            return;
-        };
-        let Some(dst_hop) = self.hop_of(key.dl_dst) else {
-            return; // destination unknown: the host will re-ARP
-        };
-        let mut hops = Vec::with_capacity(elements.len() + 2);
-        hops.push(src_hop);
-        for mac in &elements {
-            let Some(h) = self.hop_of(*mac) else { return };
-            hops.push(h);
-        }
-        hops.push(dst_hop);
-
-        let uplink = |d: u64| self.topo.uplink_of(d);
-        let Ok(forward) = compile_path(&key, &hops, uplink, STEER_PRIORITY) else {
-            return; // discovery not converged yet; the host retries
-        };
-        let mut rev_hops = hops.clone();
-        rev_hops.reverse();
-        let Ok(reverse) = compile_path(&key.reversed(), &rev_hops, uplink, STEER_PRIORITY) else {
-            return;
-        };
-        let forward = Rc::new(forward);
-        let reverse = Rc::new(reverse);
-
-        if let Some(c) = self.cache.as_mut() {
-            c.insert(
-                key,
-                (dpid, in_port),
-                CachedDecision::Steer {
-                    services: services.clone(),
-                    elements: elements.clone(),
-                    forward: Rc::clone(&forward),
-                    reverse: Rc::clone(&reverse),
-                },
-            );
-        }
-        self.finish_admit(
-            ctx, dpid, in_port, pkt, key, services, elements, forward, reverse,
-        );
-    }
-
-    /// Installs the compiled programs, releases the triggering packet,
-    /// and books the flow — shared by the cold path and cache hits.
-    #[allow(clippy::too_many_arguments)]
-    fn finish_admit(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        dpid: u64,
-        in_port: u32,
-        pkt: &Packet,
-        key: FlowKey,
-        services: Vec<ServiceType>,
-        elements: Vec<MacAddr>,
-        forward: Rc<SteeringProgram>,
-        reverse: Rc<SteeringProgram>,
-    ) {
-        let now = ctx.now();
-        let egress_dpid = forward.entries.last().map_or(dpid, |e| e.dpid);
-        // Under fail-open a pick may have been skipped, so the
-        // installed chain is the picked prefix of the policy chain.
-        let chain: Vec<ServiceType> = services.iter().copied().take(elements.len()).collect();
-        self.install_program(&forward, Some(INGRESS_COOKIE));
-        self.install_program(&reverse, Some(REVERSE_COOKIE));
-        self.register_proofs(
-            now,
-            &key,
-            &forward,
-            &reverse,
-            ProofSource::Steering,
-            (INGRESS_COOKIE, REVERSE_COOKIE),
-        );
+        let dpid = rec.ingress_dpid;
+        let egress_dpid = rec.forward.entries.last().map_or(dpid, |e| e.dpid);
+        self.install(rec.entries(self.flow_idle_timeout));
+        self.register_proofs(now, &key, &rec.forward, &rec.reverse, ProofSource::Steering);
         // Release the triggering packet along the new path (the
         // flow-mods were queued first on the same channel, so they are
         // applied before this packet-out).
-        let ingress_actions = forward.ingress_actions().to_vec();
-        self.packet_out(dpid, Some(in_port), ingress_actions.clone(), pkt);
+        let actions = rec.forward.ingress_actions().to_vec();
+        self.packet_out(dpid, Some(in_port), actions, pkt);
 
-        for mac in &elements {
+        for mac in &rec.elements {
             self.registry.adjust_outstanding(*mac, 1);
         }
-        self.active.insert(
-            key,
-            FlowRecord {
-                chain: chain.clone(),
-                elements: elements.clone(),
-                ingress_dpid: dpid,
-                ingress_actions,
-                forward,
-                reverse,
-                block: None,
-                installed_at: now,
-                app: None,
-                blocked: false,
-                fwd_done: None,
-                rev_done: None,
-            },
-        );
         self.flows_installed += 1;
         self.last_setup = Some((key, dpid, egress_dpid));
         self.monitor.record(
             now,
             EventKind::FlowStart {
                 flow: key,
-                chain,
-                elements,
+                chain: rec.chain.clone(),
+                elements: rec.elements.clone(),
             },
         );
+        self.active.insert(key, rec);
         // A connection the firewall already reported established gets
         // its fast-pass back on this packet-in — the element reports
         // each establishment only once, so a fast-pass lost to a
         // switch restart must be re-derived from the controller's own
-        // memory of the report (epoch-checked: a policy change voids
-        // that memory).
-        let epoch = self.policy_epoch;
-        let remembered = [key, key.reversed()]
-            .into_iter()
-            .find(|k| self.established_conns.get(k) == Some(&epoch));
-        if let Some(k) = remembered {
+        // memory of the report.
+        if let Some(k) = self.remembered_established(&key) {
             self.install_fastpass(now, k);
         }
     }
@@ -2247,19 +1869,15 @@ impl Controller {
         let (Some((fp, fb)), Some((rp, rb))) = (rec.fwd_done, rec.rev_done) else {
             return; // wait for the other direction to idle out
         };
-        let Some(rec) = self.active.remove(&key) else {
+        let Some(rec) = self.retire_flow(&key, Some(ProofSource::Steering)) else {
             return;
         };
-        self.retire_proofs(&key, Some(ProofSource::Steering));
-        for mac in &rec.elements {
-            self.registry.adjust_outstanding(*mac, -1);
-        }
         // Service-aware statistics (§IV-C): attribute the session's
         // volume (both directions) to its identified application and
         // to its user.
         let packets = fp + rp;
         let bytes = fb + rb;
-        let label = rec.app.clone().unwrap_or_else(|| "unclassified".to_owned());
+        let label = rec.app.unwrap_or_else(|| "unclassified".to_owned());
         let tally = self.app_traffic.entry(label).or_default();
         tally.flows += 1;
         tally.packets += packets;
@@ -2283,13 +1901,7 @@ impl Controller {
     /// their next packet re-balances), and the active-flow records.
     fn cleanup_se(&mut self, se_mac: MacAddr) {
         self.invalidate_mac(se_mac);
-        let dpids: Vec<u64> = self.topo.switches().map(|s| s.dpid).collect();
-        for dpid in &dpids {
-            self.send_to_dpid(
-                *dpid,
-                &OfMessage::delete_flows(Match::any().with_dl_dst(se_mac)),
-            );
-        }
+        self.send_to_all(&OfMessage::delete_flows(Match::any().with_dl_dst(se_mac)));
         let affected: Vec<FlowKey> = self
             .active
             .iter()
@@ -2299,21 +1911,30 @@ impl Controller {
         // `active` is a BTreeMap: `affected` comes out in FlowKey
         // order, so the delete order is run-stable by construction.
         for key in affected {
-            if let Some(rec) = self.active.remove(&key) {
-                self.retire_proofs(&key, None);
-                for mac in &rec.elements {
-                    self.registry.adjust_outstanding(*mac, -1);
-                }
+            if let Some(rec) = self.retire_flow(&key, None) {
                 self.send_to_dpid(
                     rec.ingress_dpid,
                     &OfMessage::delete_flows(Match::exact_any_port(&key)),
                 );
-                for dpid in &dpids {
-                    self.send_to_dpid(
-                        *dpid,
-                        &OfMessage::delete_flows(Match::exact_any_port(&key.reversed())),
-                    );
-                }
+                self.send_to_all(&OfMessage::delete_flows(Match::exact_any_port(
+                    &key.reversed(),
+                )));
+            }
+        }
+    }
+
+    /// Records the departure of hosts whose attachment point is gone
+    /// (dead switch, dead port): cached decisions through them drop,
+    /// and one that was a service element goes offline with its
+    /// steering state. `macs` arrive in MAC order (the location table
+    /// is a BTreeMap), so the event order is run-stable.
+    fn depart(&mut self, now: SimTime, macs: Vec<MacAddr>) {
+        for mac in macs {
+            self.invalidate_mac(mac);
+            self.monitor.record(now, EventKind::UserLeave { mac });
+            if self.registry.force_offline(mac) {
+                self.monitor.record(now, EventKind::SeOffline { mac });
+                self.cleanup_se(mac);
             }
         }
     }
@@ -2331,16 +1952,8 @@ impl Controller {
         // silence the drop sweep for a window.
         self.detector.note_turbulence(now);
         self.bump_topology_epoch();
-        // evict_dpid iterates a BTreeMap, so departures are recorded in
-        // MAC order — deterministic across runs.
-        for mac in self.locations.evict_dpid(dpid) {
-            self.invalidate_mac(mac);
-            self.monitor.record(now, EventKind::UserLeave { mac });
-            if self.registry.force_offline(mac) {
-                self.monitor.record(now, EventKind::SeOffline { mac });
-                self.cleanup_se(mac);
-            }
-        }
+        let evicted = self.locations.evict_dpid(dpid);
+        self.depart(now, evicted);
         // Flows that entered at the dead switch lost their ingress; no
         // FlowEnd — their counters died with the switch.
         let orphans: Vec<FlowKey> = self
@@ -2352,37 +1965,14 @@ impl Controller {
         // `active` is a BTreeMap: the delete batches below run in
         // FlowKey order, identical run to run.
         for key in orphans {
-            if let Some(rec) = self.active.remove(&key) {
-                self.retire_proofs(&key, None);
-                for mac in &rec.elements {
-                    self.registry.adjust_outstanding(*mac, -1);
-                }
+            if let Some(rec) = self.retire_flow(&key, None) {
                 // The programs span other switches; without this, their
                 // mid-path entries would linger there as stale state no
                 // audit covers (the surviving switches never reconnect,
-                // so they are never reconciled). Deletes aimed at the
-                // dead switch itself are pointless but harmless — its
+                // so they are never reconciled). The dead switch's own
                 // channel is gone.
-                for program in [&rec.forward, &rec.reverse] {
-                    for entry in &program.entries {
-                        if entry.dpid == dpid {
-                            continue;
-                        }
-                        self.send_to_dpid(
-                            entry.dpid,
-                            &OfMessage::FlowMod {
-                                command: FlowModCommand::DeleteStrict,
-                                matcher: entry.matcher,
-                                priority: entry.priority,
-                                actions: Vec::new(),
-                                idle_timeout: None,
-                                hard_timeout: None,
-                                cookie: 0,
-                                notify_removed: false,
-                            },
-                        );
-                    }
-                }
+                let idle = self.flow_idle_timeout;
+                self.uninstall(rec.entries(idle).filter(|e| e.dpid != dpid));
             }
         }
         self.topo.remove_switch(dpid);
@@ -2414,53 +2004,32 @@ impl Controller {
     /// are skipped — the controller keeps no record of them and they
     /// self-expire.
     fn reconcile(&mut self, now: SimTime, dpid: u64, reported: &[livesec_openflow::FlowStats]) {
-        let desired = self.desired_for(dpid);
-        let want: HashSet<(Match, u16)> = desired.iter().map(|d| (d.matcher, d.priority)).collect();
         let have: HashSet<(Match, u16)> = reported
             .iter()
             .filter(|s| s.cookie != DENY_COOKIE)
             .map(|s| (s.matcher, s.priority))
             .collect();
+        let mut want: HashSet<(Match, u16)> = HashSet::new();
+        let mut missing: Vec<(Match, u16, OfMessage)> = Vec::new();
+        for e in self.desired_for(dpid) {
+            want.insert((e.matcher, e.priority));
+            if !have.contains(&(e.matcher, e.priority)) {
+                missing.push((e.matcher, e.priority, e.add()));
+            }
+        }
         // Both sides come out of hash containers; sort the fix lists so
         // the flow-mod order (and any FlowRemoved notifications they
         // trigger) is identical across same-seed runs.
-        let sort_key = |m: &Match, p: u16| (p, m.to_string());
         let mut stale: Vec<(Match, u16)> =
             have.iter().filter(|k| !want.contains(k)).copied().collect();
-        stale.sort_by_key(|(m, p)| sort_key(m, *p));
-        let mut missing: Vec<&DesiredEntry> = desired
-            .iter()
-            .filter(|d| !have.contains(&(d.matcher, d.priority)))
-            .collect();
-        missing.sort_by_key(|d| sort_key(&d.matcher, d.priority));
+        stale.sort_by_key(|(m, p)| (*p, m.to_string()));
+        missing.sort_by_key(|(m, p, _)| (*p, m.to_string()));
         let (removed, reinstalled) = (stale.len() as u64, missing.len() as u64);
         for (matcher, priority) in stale {
-            self.send_to_dpid(
-                dpid,
-                &OfMessage::FlowMod {
-                    command: FlowModCommand::DeleteStrict,
-                    matcher,
-                    priority,
-                    actions: Vec::new(),
-                    idle_timeout: None,
-                    hard_timeout: None,
-                    cookie: 0,
-                    notify_removed: false,
-                },
-            );
+            self.send_to_dpid(dpid, &delete_strict(matcher, priority));
         }
-        for d in missing {
-            let msg = OfMessage::FlowMod {
-                command: FlowModCommand::Add,
-                matcher: d.matcher,
-                priority: d.priority,
-                actions: d.actions.clone(),
-                idle_timeout: d.idle_timeout,
-                hard_timeout: None,
-                cookie: d.cookie,
-                notify_removed: d.notify_removed,
-            };
-            self.send_to_dpid(dpid, &msg);
+        for (_, _, add) in &missing {
+            self.send_to_dpid(dpid, add);
         }
         self.health.flows_removed += removed;
         self.health.flows_reinstalled += reinstalled;
@@ -2493,14 +2062,7 @@ impl Controller {
         self.detector.note_turbulence(now);
         self.bump_topology_epoch();
         let evicted = self.locations.evict_port(dpid, port);
-        for mac in evicted {
-            self.invalidate_mac(mac);
-            self.monitor.record(now, EventKind::UserLeave { mac });
-            if self.registry.force_offline(mac) {
-                self.monitor.record(now, EventKind::SeOffline { mac });
-                self.cleanup_se(mac);
-            }
-        }
+        self.depart(now, evicted);
     }
 
     fn handle_stats(&mut self, now: SimTime, dpid: u64, body: StatsBody) {
@@ -2605,21 +2167,22 @@ impl crate::store::StateStore for Controller {
     }
 
     fn hop_of(&self, mac: MacAddr) -> Option<Hop> {
-        Controller::hop_of(self, mac)
+        let loc = self.locations.lookup(mac)?;
+        Some(Hop {
+            mac,
+            dpid: loc.dpid,
+            port: loc.port,
+        })
     }
 
     fn uplink_of(&self, dpid: u64) -> Option<u32> {
         self.topo.uplink_of(dpid)
     }
-
-    fn fail_open(&self) -> bool {
-        self.fail_open
-    }
 }
 
 impl Node for Controller {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.set_timer(self.tick, TICK);
+        ctx.set_timer(TICK_PERIOD, TICK);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
@@ -2629,15 +2192,14 @@ impl Node for Controller {
         self.tick_count += 1;
         let now = ctx.now();
 
-        if self.tick_count % self.lldp_every_ticks == 1 {
-            self.probe_all();
-        }
-        if self.echo_every_ticks > 0 && self.tick_count.is_multiple_of(self.echo_every_ticks) {
-            let dpids: Vec<u64> = self.topo.switches().map(|s| s.dpid).collect();
-            for dpid in dpids {
-                self.health.echo_probes_sent += 1;
-                self.send_to_dpid(dpid, &OfMessage::EchoRequest(self.tick_count));
+        if self.tick_count % LLDP_EVERY_TICKS == 1 {
+            for dpid in self.dpids() {
+                self.probe_switch(dpid);
             }
+        }
+        if self.tick_count.is_multiple_of(ECHO_EVERY_TICKS) {
+            self.health.echo_probes_sent += self.topo.switch_count() as u64;
+            self.send_to_all(&OfMessage::EchoRequest(self.tick_count));
         }
         // Liveness sweep: a registered switch silent past the timeout
         // is dead. switch_liveness is a BTreeMap, so the
@@ -2646,7 +2208,7 @@ impl Node for Controller {
         let dead: Vec<u64> = self
             .switch_liveness
             .iter()
-            .filter(|(_, last)| now.saturating_since(**last) > self.switch_timeout)
+            .filter(|(_, last)| now.saturating_since(**last) > SWITCH_TIMEOUT)
             .map(|(dpid, _)| *dpid)
             .collect();
         for dpid in dead {
@@ -2655,18 +2217,13 @@ impl Node for Controller {
         // Background reconciliation sweep: catches flow-mods silently
         // eaten by control-channel faults too short for the liveness
         // timeout to notice (no disconnect => no reconnect audit).
-        if self.audit_every_ticks > 0 && self.tick_count.is_multiple_of(self.audit_every_ticks) {
-            let mut dpids: Vec<u64> = self.topo.switches().map(|s| s.dpid).collect();
-            dpids.sort_unstable();
-            for dpid in dpids {
+        if self.tick_count.is_multiple_of(AUDIT_EVERY_TICKS) {
+            for dpid in self.dpids() {
                 self.audit_switch(dpid);
             }
         }
         if self.stats_every_ticks > 0 && self.tick_count.is_multiple_of(self.stats_every_ticks) {
-            let dpids: Vec<u64> = self.topo.switches().map(|s| s.dpid).collect();
-            for dpid in dpids {
-                self.send_to_dpid(dpid, &OfMessage::StatsRequest(StatsRequestKind::Port(None)));
-            }
+            self.send_to_all(&OfMessage::StatsRequest(StatsRequestKind::Port(None)));
         }
         for mac in self.locations.expire(now, self.arp_timeout) {
             self.invalidate_mac(mac);
@@ -2702,7 +2259,7 @@ impl Node for Controller {
         for dev in self.detector.sweep(now) {
             self.punish(now, dev);
         }
-        ctx.set_timer(self.tick, TICK);
+        ctx.set_timer(TICK_PERIOD, TICK);
         self.flush(ctx);
     }
 

@@ -414,7 +414,8 @@ mod tests {
 
     #[test]
     fn caching_disabled_propagates_to_shards() {
-        let inner = Controller::new().with_decision_cache(false);
+        let mut inner = Controller::new();
+        inner.set_decision_cache(false);
         let plane = ShardedControlPlane::new(inner, 2);
         assert!(plane.shard_stats().iter().all(|s| s.cache.is_none()));
     }

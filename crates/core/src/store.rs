@@ -35,10 +35,6 @@ pub trait StateStore {
 
     /// The uplink port of a switch, if discovered.
     fn uplink_of(&self, dpid: u64) -> Option<u32>;
-
-    /// Whether a chain with an unavailable service is admitted
-    /// (fail-open) or denied (fail-closed, the default).
-    fn fail_open(&self) -> bool;
 }
 
 /// A self-contained [`StateStore`]: policy, registry, balancer and a
@@ -58,13 +54,11 @@ pub struct NetworkState {
     pub locations: BTreeMap<MacAddr, (u64, u32)>,
     /// dpid → uplink port. Ordered for determinism.
     pub uplinks: BTreeMap<u64, u32>,
-    /// Fail-open admission (see [`StateStore::fail_open`]).
-    pub fail_open: bool,
 }
 
 impl NetworkState {
     /// An empty store: allow-all policy, minimum-load balancer, no
-    /// hosts, fail-closed.
+    /// hosts.
     pub fn new() -> Self {
         NetworkState {
             policy: PolicyTable::allow_all(),
@@ -72,7 +66,6 @@ impl NetworkState {
             balancer: LoadBalancer::min_load(),
             locations: BTreeMap::new(),
             uplinks: BTreeMap::new(),
-            fail_open: false,
         }
     }
 
@@ -111,10 +104,6 @@ impl StateStore for NetworkState {
     fn uplink_of(&self, dpid: u64) -> Option<u32> {
         self.uplinks.get(&dpid).copied()
     }
-
-    fn fail_open(&self) -> bool {
-        self.fail_open
-    }
 }
 
 #[cfg(test)]
@@ -132,6 +121,5 @@ mod tests {
         assert_eq!((hop.dpid, hop.port), (7, 3));
         assert_eq!(s.uplink_of(7), Some(40));
         assert_eq!(s.uplink_of(8), None);
-        assert!(!s.fail_open());
     }
 }

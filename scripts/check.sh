@@ -62,6 +62,11 @@ run cargo test -q
 # and the hostile-timeout regressions live in these crates' own suites,
 # which the root `cargo test` does not run.
 run cargo test -q -p livesec-openflow -p livesec-switch
+# The controller crate's own suites (unit tests — the engine stages and
+# `revalidate` against a fresh `decide`, without a `World` — plus
+# `prop_core` and `end_to_end`) and the wire/packet crate's: the root
+# `cargo test` runs neither.
+run cargo test -q -p livesec -p livesec-net
 # The per-frame data path (EXPERIMENTS.md E17): conntrack's one-entry-
 # per-connection indexes (bounded-state regression, differential model
 # test against the lazy-skip table it replaced), the kernel's port

@@ -221,3 +221,132 @@ fn virus_scanner_blocks_eicar_download() {
         host.app().replies
     );
 }
+
+/// Sends one 100-byte segment to port 80 every 200 ms from a fixed
+/// source port, and counts what comes back.
+struct SteadyUploader {
+    dst: std::net::Ipv4Addr,
+    uploads: u64,
+    replies: u64,
+}
+
+impl App for SteadyUploader {
+    fn on_start(&mut self, io: &mut HostIo<'_, '_>) {
+        io.set_timer(SimDuration::from_millis(500), 1);
+    }
+    fn on_timer(&mut self, io: &mut HostIo<'_, '_>, _t: u64) {
+        self.uploads += 1;
+        io.send_tcp(
+            self.dst,
+            45_000,
+            80,
+            self.uploads as u32,
+            0,
+            TcpFlags::PSH | TcpFlags::ACK,
+            Payload::from(vec![b'u'; 100]),
+        );
+        io.set_timer(SimDuration::from_millis(200), 1);
+    }
+    fn on_packet(&mut self, _io: &mut HostIo<'_, '_>, _pkt: &Packet) {
+        self.replies += 1;
+    }
+}
+
+/// Swallows what it receives until `from`, echoes it afterwards.
+struct LateEcho {
+    from: SimTime,
+    echoed: u64,
+}
+
+impl App for LateEcho {
+    fn on_packet(&mut self, io: &mut HostIo<'_, '_>, pkt: &Packet) {
+        let (Some(ip), Some(tcp)) = (pkt.ipv4(), pkt.tcp()) else {
+            return;
+        };
+        if io.now() < self.from {
+            return;
+        }
+        self.echoed += 1;
+        io.send_tcp(
+            ip.header.src,
+            tcp.dst_port,
+            tcp.src_port,
+            0,
+            tcp.seq,
+            TcpFlags::ACK,
+            tcp.payload.clone(),
+        );
+    }
+}
+
+#[test]
+fn late_reply_stays_in_its_sessions_chain() {
+    // The server stays silent for longer than the flow idle timeout, so
+    // the session's reverse-ingress entry idles out while the uploads
+    // keep its record alive; the first reply then reaches the
+    // controller as a packet-in under the *reversed* 5-tuple. It is a
+    // packet of the session on the books — not a new flow whose policy
+    // lookup sees the client's ephemeral port as the service port,
+    // gets a plain allow, and overwrites the chained ingress entries
+    // with direct ones (same match, same priority): a waypoint bypass.
+    let mut policy = PolicyTable::allow_all();
+    policy.push(
+        PolicyRule::named("web-ids")
+            .dst_port(80)
+            .chain(vec![ServiceType::IntrusionDetection]),
+    );
+    let mut b = CampusBuilder::new(9, 2)
+        .with_policy(policy)
+        .configure_controller(|c| c.set_flow_idle_timeout(SimDuration::from_secs(1)));
+    let ids = b.add_service_element(0, ServiceElement::new(IdsEngine::engine()));
+    let silent_until = SimTime::ZERO + SimDuration::from_secs(3);
+    let server = b.add_user(
+        1,
+        LateEcho {
+            from: silent_until,
+            echoed: 0,
+        },
+    );
+    let client = b.add_user(
+        0,
+        SteadyUploader {
+            dst: server.ip,
+            uploads: 0,
+            replies: 0,
+        },
+    );
+    let mut campus = b.finish();
+    campus.world.run_for(SimDuration::from_secs(5));
+
+    let up = campus.world.node::<Host<SteadyUploader>>(client.node).app();
+    let (uploads, replies) = (up.uploads, up.replies);
+    let echoed = campus
+        .world
+        .node::<Host<LateEcho>>(server.node)
+        .app()
+        .echoed;
+    assert!(
+        uploads >= 20 && echoed >= 8,
+        "traffic ran: {uploads} up, {echoed} echoed"
+    );
+    assert_eq!(replies, echoed, "every reply made it back");
+
+    let c = campus.controller();
+    let starts: Vec<_> = c.monitor().of_tag("flow_start").collect();
+    assert_eq!(starts.len(), 1, "one session, one set-up: {starts:?}");
+    let records = c.active_records();
+    assert_eq!(records.len(), 1, "one record: {records:?}");
+    assert_eq!(records[0].1, vec![ServiceType::IntrusionDetection]);
+
+    type Sig = ServiceElement<SignatureEngine>;
+    let inspected = campus
+        .world
+        .node::<Host<Sig>>(ids.node)
+        .app()
+        .counters()
+        .processed_packets;
+    assert!(
+        inspected >= uploads + echoed,
+        "both directions stay on the waypoint: IDS saw {inspected} of {uploads} uploads + {echoed} replies"
+    );
+}
