@@ -22,6 +22,9 @@
 //!   host departure, and SE failure invalidate exactly the affected
 //!   entries.
 //!
+//! The controller holds one cache per shard and is the only module
+//! that knows when either applies — to all of them (DESIGN.md §9).
+//!
 //! The balancer is deliberately *not* epoch-tracked: its picks depend
 //! on live load figures, so the controller re-runs the pick loop on
 //! every hit and reuses the cached programs only when the picks land

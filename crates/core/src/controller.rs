@@ -155,19 +155,6 @@ impl FastPassRecord {
     }
 }
 
-/// One entry in the controller's cache-invalidation journal. The
-/// sharded plane replays the suffix past each shard's cursor into
-/// that shard's decision cache: per-MAC drops (host moved, element
-/// failed) and header-class-scoped drops (a policy delta touched the
-/// class).
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum CacheInvalidation {
-    /// Drop every cached decision involving this MAC.
-    Mac(MacAddr),
-    /// Drop every cached decision whose flow falls inside this cube.
-    Class(Match),
-}
-
 /// One flow entry that a flow record, a fast-pass record, a standing
 /// block or a denial puts on one switch — the single derivation behind
 /// install and repair ([`Entry::add`]), teardown ([`delete_strict`]) and
@@ -321,28 +308,17 @@ pub struct Controller {
     // (DESIGN.md §6).
     active: BTreeMap<FlowKey, FlowRecord>,
     required_certs: Option<BTreeSet<u64>>,
-    /// The flow-setup fast path's decision cache (`None` = disabled,
-    /// every setup takes the cold path).
-    cache: Option<DecisionCache>,
-    /// Append-only journal of cache invalidations (per-MAC and
-    /// header-class-scoped), consumed by the sharded control plane:
-    /// each shard replays the suffix past its own cursor into its
-    /// decision cache before handling a message. Empty (and never
-    /// written) unless the plane enabled journaling.
-    invalidation_log: Vec<CacheInvalidation>,
-    /// Whether scoped invalidations journal into `invalidation_log`
-    /// (only the sharded plane consumes it).
-    journal_invalidations: bool,
-    /// Advances whenever the whole decision cache must be dropped
-    /// (e.g. the balancer was replaced, so cached picks are void);
-    /// lagging shard caches clear when they observe a newer value.
-    cache_flush_epoch: u64,
-    /// Counts *wholesale* policy edits ([`Controller::set_policy`]),
-    /// which stale every cached decision. Scoped deltas applied via
-    /// [`Controller::apply_policy_delta`] advance `policy_epoch`
-    /// without advancing this, so lagging shard caches replay the
-    /// invalidation journal instead of flushing.
-    policy_flushes: u64,
+    /// The flow-setup decision caches, one slot per controller shard
+    /// (DESIGN.md §9): a plain controller is the one-shard case, and a
+    /// dead shard or a disabled cache is an empty slot. Whatever can
+    /// stale a memoized decision is applied to every slot where it
+    /// happens — `bump_policy_epoch`, `bump_topology_epoch`,
+    /// `invalidate_mac`, `invalidate_class`, `set_balancer` — and flow
+    /// set-up reads and fills only `caches[active_shard]`.
+    caches: Vec<Option<DecisionCache>>,
+    /// The slot flow set-up consults; the sharded plane selects it
+    /// before each dispatch.
+    active_shard: usize,
     /// `(key, ingress dpid, egress dpid)` of the most recent flow
     /// admission — taken by the sharded plane to count flows whose
     /// ingress and egress land on different shards (handoffs).
@@ -456,11 +432,8 @@ impl Controller {
             directory: None,
             active: BTreeMap::new(),
             required_certs: None,
-            cache: Some(DecisionCache::new()),
-            invalidation_log: Vec::new(),
-            journal_invalidations: false,
-            policy_flushes: 0,
-            cache_flush_epoch: 0,
+            caches: vec![Some(DecisionCache::new())],
+            active_shard: 0,
             last_setup: None,
             txq: Vec::new(),
             batches_flushed: 0,
@@ -535,11 +508,11 @@ impl Controller {
     /// (DESIGN.md §14).
     ///
     /// Unlike [`Controller::set_policy`], which conservatively stales
-    /// every cached decision and fast-pass, this computes the header classes the deltas
-    /// actually touch and invalidates only those: decision-cache
-    /// entries inside a touched cube are dropped (and journaled for
-    /// lagging shard caches), fast-passes and established-connection
-    /// reports whose flow falls in a cube are torn down, and
+    /// every cached decision and fast-pass, this computes the header
+    /// classes the deltas actually touch and invalidates only those:
+    /// decision-cache entries inside a touched cube are dropped (on
+    /// every shard), fast-passes and established-connection reports
+    /// whose flow falls in a cube are torn down, and
     /// everything else is re-stamped to the new policy epoch and
     /// survives warm. Active flow records are left alone either way —
     /// their entries idle out and the next packet-in re-decides, just
@@ -588,8 +561,8 @@ impl Controller {
         }
         // Scoped epoch advance: the policy epoch moves (fast-pass
         // records and established reports are epoch-stamped) but the
-        // flush counter and the cache's internal epoch do not — only
-        // entries inside a touched cube are dropped.
+        // caches' own epochs do not — only entries inside a touched
+        // cube are dropped.
         self.policy_epoch += 1;
         let pe = self.policy_epoch;
         for &cube in &cubes {
@@ -631,84 +604,71 @@ impl Controller {
     }
 
     /// Records that the policy table may have changed *wholesale*:
-    /// advances the decision cache's policy epoch and stales every
+    /// advances every decision cache's policy epoch and stales every
     /// fast-pass (a connection admitted under the old policy may no
     /// longer be allowed to bypass its chain). Scoped edits go
     /// through [`Controller::apply_policy_delta`] instead.
     fn bump_policy_epoch(&mut self) {
         self.policy_epoch += 1;
-        self.policy_flushes += 1;
-        if let Some(c) = self.cache.as_mut() {
+        for c in self.caches.iter_mut().flatten() {
             c.note_policy_change();
         }
     }
 
-    /// Records that the topology may have changed: advances the
+    /// Records that the topology may have changed: advances every
     /// decision cache's topology epoch and stales every fast-pass
     /// (its direct path was compiled through the old topology).
     fn bump_topology_epoch(&mut self) {
         self.topo_epoch += 1;
-        if let Some(c) = self.cache.as_mut() {
+        for c in self.caches.iter_mut().flatten() {
             c.note_topology_change();
         }
     }
 
-    /// Drops every cached decision touching `mac` and, when the
-    /// sharded plane enabled journaling, appends the invalidation to
-    /// the journal so inactive shards' caches replay it later.
-    pub(crate) fn invalidate_mac(&mut self, mac: MacAddr) {
-        if self.journal_invalidations {
-            self.invalidation_log.push(CacheInvalidation::Mac(mac));
-        }
-        if let Some(c) = self.cache.as_mut() {
+    /// Drops every cached decision touching `mac`, on every shard.
+    fn invalidate_mac(&mut self, mac: MacAddr) {
+        for c in self.caches.iter_mut().flatten() {
             c.invalidate_mac(mac);
         }
     }
 
-    /// Drops every cached decision inside the header-space `cube` and,
-    /// when the sharded plane enabled journaling, appends the
-    /// invalidation so inactive shards' caches replay it later.
+    /// Drops every cached decision inside the header-space `cube`, on
+    /// every shard.
     fn invalidate_class(&mut self, cube: Match) {
-        if self.journal_invalidations {
-            self.invalidation_log.push(CacheInvalidation::Class(cube));
-        }
-        if let Some(c) = self.cache.as_mut() {
+        for c in self.caches.iter_mut().flatten() {
             c.invalidate_class(&cube);
         }
     }
 
-    /// Turns the invalidation journal on (the sharded plane) or
-    /// off (the default; nobody would ever drain it).
-    pub(crate) fn set_invalidation_journal(&mut self, on: bool) {
-        self.journal_invalidations = on;
+    /// Re-cuts the decision cache into `n` fresh per-shard slots
+    /// (empty ones if caching is disabled) — the sharded plane, once,
+    /// when it wraps the controller.
+    pub(crate) fn split_caches(&mut self, n: usize) {
+        let enabled = self.decision_cache_enabled();
+        self.caches = (0..n).map(|_| enabled.then(DecisionCache::new)).collect();
     }
 
-    /// Journal length — the cursor value an up-to-date shard holds.
-    pub(crate) fn invalidation_log_len(&self) -> usize {
-        self.invalidation_log.len()
+    /// Makes `shard` the one whose cache flow set-up consults and whose
+    /// id the monitor stamps on events.
+    pub(crate) fn select_shard(&mut self, shard: u32) {
+        self.active_shard = shard as usize;
+        self.monitor.set_shard(shard);
     }
 
-    /// The journal suffix past `cursor` (a shard's unreplayed tail).
-    /// A cursor past the end (possible transiently around a re-base)
-    /// simply has nothing left to replay.
-    pub(crate) fn invalidation_log_since(&self, cursor: usize) -> &[CacheInvalidation] {
-        self.invalidation_log.get(cursor..).unwrap_or(&[])
+    /// A dead shard's cache dies with it; no dispatch selects the
+    /// shard again.
+    pub(crate) fn drop_shard_cache(&mut self, shard: u32) {
+        if let Some(slot) = self.caches.get_mut(shard as usize) {
+            *slot = None;
+        }
     }
 
-    /// Discards the first `n` journal entries once every live shard's
-    /// cursor has passed them (the plane re-bases cursors itself).
-    pub(crate) fn drain_invalidation_log(&mut self, n: usize) {
-        self.invalidation_log.drain(..n);
-    }
-
-    /// The whole-cache flush epoch (see `cache_flush_epoch`).
-    pub(crate) fn cache_flush_epoch(&self) -> u64 {
-        self.cache_flush_epoch
-    }
-
-    /// The wholesale policy-flush counter (see `policy_flushes`).
-    pub(crate) fn policy_flush_count(&self) -> u64 {
-        self.policy_flushes
+    /// Each shard's decision-cache counters, in shard order (`None`
+    /// for an empty slot).
+    pub(crate) fn shard_cache_stats(&self) -> impl Iterator<Item = Option<FastPathStats>> + '_ {
+        self.caches
+            .iter()
+            .map(|slot| slot.as_ref().map(DecisionCache::stats))
     }
 
     /// The dpid a controller-side peer registered with, if it finished
@@ -722,13 +682,6 @@ impl Controller {
         &mut self.monitor
     }
 
-    /// Swaps the active decision cache with `slot` — how the sharded
-    /// plane gives each shard its own cache while sharing one
-    /// controller. Swapping `None` models a disabled cache.
-    pub(crate) fn swap_cache(&mut self, slot: &mut Option<DecisionCache>) {
-        std::mem::swap(&mut self.cache, slot);
-    }
-
     /// Takes the `(key, ingress dpid, egress dpid)` of the flow
     /// admitted during the current dispatch, if any.
     pub(crate) fn take_last_setup(&mut self) -> Option<(FlowKey, u64, u64)> {
@@ -736,31 +689,31 @@ impl Controller {
     }
 
     /// Replaces the load balancer (default: minimum-load at flow
-    /// grain). Drops the decision cache's contents: cached picks came
-    /// from the old algorithm.
+    /// grain). Drops every decision cache's contents: cached picks
+    /// came from the old algorithm.
     pub fn set_balancer(&mut self, balancer: LoadBalancer) {
-        self.cache_flush_epoch += 1;
-        if let Some(c) = self.cache.as_mut() {
+        for c in self.caches.iter_mut().flatten() {
             c.clear();
         }
         self.balancer = balancer;
     }
 
     /// Enables or disables the flow-setup decision cache (default:
-    /// enabled). The cache is transparent — disabling it changes
-    /// throughput, never behaviour. Disabling drops all cached
-    /// decisions (a re-enabled cache starts its counters at zero).
+    /// enabled), on every shard. The cache is transparent — disabling
+    /// it changes throughput, never behaviour. Disabling drops all
+    /// cached decisions (a re-enabled cache starts its counters at
+    /// zero).
     pub fn set_decision_cache(&mut self, enabled: bool) {
-        match (enabled, self.cache.is_some()) {
-            (true, false) => self.cache = Some(DecisionCache::new()),
-            (false, true) => self.cache = None,
-            _ => {}
+        if enabled != self.decision_cache_enabled() {
+            for slot in &mut self.caches {
+                *slot = enabled.then(DecisionCache::new);
+            }
         }
     }
 
     /// Whether the flow-setup decision cache is enabled.
     pub fn decision_cache_enabled(&self) -> bool {
-        self.cache.is_some()
+        self.caches.iter().any(Option::is_some)
     }
 
     /// Requires SE control messages to carry one of these certificate
@@ -946,13 +899,17 @@ impl Controller {
     }
 
     /// Counters of the flow-setup fast path: cache hits, misses,
-    /// invalidations, and the batching figures.
+    /// invalidations (summed over the shards' caches), and the batching
+    /// figures.
     pub fn fast_path_stats(&self) -> FastPathStats {
-        let mut s = self
-            .cache
-            .as_ref()
-            .map(DecisionCache::stats)
-            .unwrap_or_default();
+        let mut s = FastPathStats::default();
+        for c in self.shard_cache_stats().flatten() {
+            s.hits += c.hits;
+            s.misses += c.misses;
+            s.invalidations += c.invalidations;
+            s.insertions += c.insertions;
+            s.entries += c.entries;
+        }
         s.flow_setups = self.flows_installed;
         s.batches_flushed = self.batches_flushed;
         s.messages_batched = self.messages_batched;
@@ -1719,30 +1676,7 @@ impl Controller {
             return; // flow set-up only ever happens at the ingress
         }
 
-        // One decision per set-up. A decision-cache hit is revalidated
-        // by the engine — the cache is transparent: every balancer
-        // call a cold set-up would make is made on a hit too, only the
-        // policy lookup and the two compile_path runs are skipped —
-        // and a memo the picks moved away from is replaced by the
-        // decision that took its place.
-        let ingress = (dpid, in_port);
-        let hit = self.cache.as_mut().and_then(|c| c.lookup(&key, ingress));
-        let was_hit = hit.is_some();
-        let (decision, memo_stands) = match hit {
-            Some(cached) => engine::revalidate(self, &key, cached),
-            None => (engine::decide(self, &key), false),
-        };
-        if !memo_stands {
-            if let Some(c) = self.cache.as_mut() {
-                if was_hit {
-                    c.remove(&key);
-                }
-                if let Some(memo) = decision.memo() {
-                    c.insert(key, ingress, memo);
-                }
-            }
-        }
-        match decision {
+        match self.decide_flow(&key, (dpid, in_port)) {
             EngineDecision::Deny { rule } => self.deny_flow(now, dpid, in_port, &key, rule),
             EngineDecision::ChainUnavailable { rule } => {
                 self.deny_flow(now, dpid, in_port, &key, Some(rule));
@@ -1771,6 +1705,35 @@ impl Controller {
                 self.start_flow(now, in_port, pkt, key, rec);
             }
         }
+    }
+
+    /// One decision per set-up, through the active shard's cache. A
+    /// hit is revalidated by the engine — the cache is transparent:
+    /// every balancer call a cold set-up would make is made on a hit
+    /// too, only the policy lookup and the two compile_path runs are
+    /// skipped — and a memo the picks moved away from is replaced by
+    /// the decision that took its place.
+    fn decide_flow(&mut self, key: &FlowKey, ingress: (u64, u32)) -> EngineDecision {
+        let shard = self.active_shard;
+        let hit = self.caches[shard]
+            .as_mut()
+            .and_then(|c| c.lookup(key, ingress));
+        let was_hit = hit.is_some();
+        let (decision, memo_stands) = match hit {
+            Some(cached) => engine::revalidate(self, key, cached),
+            None => (engine::decide(self, key), false),
+        };
+        if !memo_stands {
+            if let Some(c) = self.caches[shard].as_mut() {
+                if was_hit {
+                    c.remove(key);
+                }
+                if let Some(memo) = decision.memo() {
+                    c.insert(*key, ingress, memo);
+                }
+            }
+        }
+        decision
     }
 
     /// Installs a drop entry for a policy-denied flow and records the
@@ -2316,6 +2279,21 @@ impl Node for Controller {
                 datapath_id,
                 n_ports,
             } => {
+                // A peer's self-reported identity is not taken on
+                // faith: a datapath id is bound to the channel that
+                // first registered it. A reply naming another id (its
+                // bytes flipped in flight would register a switch that
+                // does not exist) or a live peer's id (which would
+                // steal that switch's channel) registers nothing; the
+                // real switch re-handshakes off its next echo.
+                let bound = self.known_nodes.get(&peer).copied();
+                let holder = self.topo.switch(datapath_id).map(|s| s.node);
+                if bound.is_some_and(|b| b != datapath_id) || holder.is_some_and(|n| n != peer) {
+                    let claimed = datapath_id;
+                    self.monitor
+                        .record(ctx.now(), EventKind::HandshakeRejected { claimed, bound });
+                    return;
+                }
                 let rejoined = self.known_dpids.contains(&datapath_id);
                 let was_new = self.topo.add_switch(datapath_id, peer, n_ports);
                 self.known_dpids.insert(datapath_id);
@@ -2382,5 +2360,262 @@ impl Node for Controller {
 
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::balance::{Grain, RoundRobin};
+    use crate::policy::PolicyRule;
+    use livesec_sim::World;
+    use proptest::prelude::*;
+
+    const IDS: ServiceType = ServiceType::IntrusionDetection;
+    const N_SHARDS: usize = 4;
+    const N_HOSTS: u64 = 4;
+
+    fn host(i: u64) -> MacAddr {
+        MacAddr::from_u64(0xa0 + i % N_HOSTS)
+    }
+
+    fn key(src: u64, dst: u64, tp_dst: u16) -> FlowKey {
+        FlowKey {
+            vlan: None,
+            dl_src: host(src),
+            dl_dst: host(dst),
+            dl_type: 0x0800,
+            nw_src: Ipv4Addr::new(10, 0, 0, 1 + (src % N_HOSTS) as u8),
+            nw_dst: Ipv4Addr::new(10, 0, 0, 1 + (dst % N_HOSTS) as u8),
+            nw_proto: 6,
+            tp_src: 40_000,
+            tp_dst,
+        }
+    }
+
+    /// Allow-all, with web traffic chained through the IDS and
+    /// `denied` destination ports refused ahead of it.
+    fn policy(denied: &[u16]) -> PolicyTable {
+        let mut table = PolicyTable::allow_all();
+        for port in denied {
+            table.push(
+                PolicyRule::named(&format!("deny-{port}"))
+                    .dst_port(*port)
+                    .deny(),
+            );
+        }
+        table.push(PolicyRule::named("web-ids").dst_port(80).chain(vec![IDS]));
+        table
+    }
+
+    /// Three switches, four hosts, two IDS replicas; `shards` decision
+    /// caches (none when `cached` is off).
+    fn campus(shards: usize, cached: bool) -> Controller {
+        let mut c = Controller::new();
+        c.set_decision_cache(cached);
+        c.split_caches(shards);
+        c.set_policy(policy(&[]));
+        c.set_balancer(LoadBalancer::new(RoundRobin::new(), Grain::Flow));
+        for dpid in 1..=3 {
+            c.topo
+                .add_switch(dpid, NodeId::from_index(dpid as usize), 48);
+            c.topo.observe_lldp((0, 0), (dpid, 40));
+        }
+        for i in 0..N_HOSTS {
+            let ip = Ipv4Addr::new(10, 0, 0, 1 + i as u8);
+            c.locations
+                .learn(host(i), ip, 1 + i % 3, 10 + i as u32, SimTime::ZERO);
+        }
+        for (i, se) in [0xf1u64, 0xf2].into_iter().enumerate() {
+            let online = SeMessage::Online {
+                service: IDS,
+                cert: 0,
+                cpu: 10,
+                mem: 0,
+                pps: 0,
+                bps: 0,
+                total_pkts: 0,
+            };
+            let mac = MacAddr::from_u64(se);
+            c.registry.heartbeat(mac, &online, SimTime::ZERO);
+            c.locations.learn(
+                mac,
+                Ipv4Addr::new(10, 0, 1, se as u8),
+                1,
+                30 + i as u32,
+                SimTime::ZERO,
+            );
+        }
+        c
+    }
+
+    /// A control-channel peer that says what the test tells it to:
+    /// timer `i` sends a features reply claiming `claims[i]`.
+    struct Peer {
+        controller: NodeId,
+        claims: Vec<u64>,
+    }
+
+    impl Node for Peer {
+        fn on_frame(&mut self, _ctx: &mut Ctx<'_>, _port: PortId, _pkt: Packet) {}
+
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+            let reply = OfMessage::FeaturesReply {
+                datapath_id: self.claims[token as usize],
+                n_ports: 4,
+            };
+            ctx.send_control(self.controller, codec::encode(&reply, 1));
+        }
+
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// The phantom switch and the dpid hijack (ROADMAP 4a): a channel
+    /// bound to one datapath id cannot register another, nor take an id
+    /// a live channel holds — and is not harmed for having tried.
+    #[test]
+    fn features_reply_cannot_rename_a_channel_or_steal_a_live_id() {
+        const FLIPPED: u64 = 1 ^ (0xff << 40);
+        let mut world = World::new(1);
+        let controller = world.add_node(Controller::new());
+        let peer = |claims: &[u64]| Peer {
+            controller,
+            claims: claims.to_vec(),
+        };
+        // `a` is switch 1: registers, has its id bytes flipped in
+        // flight, then answers the re-handshake genuinely. `b` is
+        // switch 2, and then claims to be switch 1.
+        let a = world.add_node(peer(&[1, FLIPPED, 1]));
+        let b = world.add_node(peer(&[2, 1]));
+        let ms = |n| SimTime::ZERO + SimDuration::from_millis(n);
+        for (node, at, token) in [(a, 1, 0), (b, 1, 0), (a, 10, 1), (b, 20, 1)] {
+            world.schedule_timer_at(node, ms(at), token);
+        }
+        world.run_until(ms(30));
+
+        let c = world.node::<Controller>(controller);
+        assert_eq!(c.health_stats().switches_known, 2, "a phantom registered");
+        assert_eq!(c.topology().dpid_of_node(a), Some(1));
+        assert_eq!(c.topology().dpid_of_node(b), Some(2));
+        assert_eq!(c.topology().switch(1).map(|s| s.node), Some(a), "hijacked");
+        let rejected: Vec<_> = c
+            .monitor()
+            .events()
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::HandshakeRejected { claimed, bound } => Some((claimed, bound)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(rejected, [(FLIPPED, Some(1)), (1, Some(2))]);
+
+        // The genuine reply afterwards is a plain re-registration: the
+        // switch is audited like any reconnecting one.
+        let audits = c.health_stats().audits;
+        world.schedule_timer_at(a, ms(40), 2);
+        world.run_until(ms(50));
+        let c = world.node::<Controller>(controller);
+        assert_eq!(c.health_stats().audits, audits + 1);
+        assert_eq!(c.health_stats().switches_known, 2);
+        assert_eq!(c.monitor().events().len(), 4, "two joins, two rejections");
+    }
+
+    proptest! {
+        /// N-shard coherence: whatever changes, and whichever shard a
+        /// set-up lands on afterwards, a decision served through that
+        /// shard's cache equals a from-scratch [`engine::decide`] — the
+        /// same operations applied to a cacheless twin. Every change
+        /// goes through the controller's own choke point, so one that
+        /// forgot a shard would serve that shard's stale memo here.
+        #[test]
+        fn no_shard_serves_a_stale_decision(
+            ops in proptest::collection::vec((0u8..12, any::<u8>()), 1..240)
+        ) {
+            let now = SimTime::ZERO;
+            let mut warm = campus(N_SHARDS, true);
+            let mut cold = campus(1, false);
+            let mut live: Vec<u32> = (0..N_SHARDS as u32).collect();
+            let (mut denied, mut scoped) = (Vec::new(), false);
+            for (op, arg) in ops {
+                let arg64 = u64::from(arg);
+                match op {
+                    // Wholesale policy edit: toggle a denied port.
+                    6 => {
+                        let port = 80 + u16::from(arg % 2);
+                        match denied.iter().position(|p| *p == port) {
+                            Some(i) => drop(denied.remove(i)),
+                            None => denied.push(port),
+                        }
+                        scoped = false;
+                        for ctl in [&mut warm, &mut cold] {
+                            ctl.set_policy(policy(&denied));
+                        }
+                    }
+                    // Scoped delta: toggle a denial of port 82.
+                    7 => {
+                        let delta = if scoped {
+                            PolicyDelta::Remove { name: "deny-82".into() }
+                        } else {
+                            let rule = PolicyRule::named("deny-82").dst_port(82).deny();
+                            PolicyDelta::Insert { index: 0, rule }
+                        };
+                        scoped = !scoped;
+                        for ctl in [&mut warm, &mut cold] {
+                            ctl.apply_policy_delta(now, std::slice::from_ref(&delta));
+                        }
+                    }
+                    // Topology change: a switch's uplink moves.
+                    8 => {
+                        for ctl in [&mut warm, &mut cold] {
+                            ctl.topo.observe_lldp((0, 0), (1 + arg64 % 3, 40 + u32::from(arg % 4)));
+                            ctl.bump_topology_epoch();
+                        }
+                    }
+                    // A host moves (the ARP path's `Moved` arm).
+                    9 => {
+                        let (mac, ip) = (host(arg64), key(arg64, 0, 0).nw_src);
+                        let to = (1 + (arg64 / 4) % 3, 10 + u32::from(arg % 8));
+                        for ctl in [&mut warm, &mut cold] {
+                            ctl.locations.learn(mac, ip, to.0, to.1, now);
+                            ctl.invalidate_mac(mac);
+                        }
+                    }
+                    // Balancer swap: every live shard's cache empties.
+                    10 => {
+                        for ctl in [&mut warm, &mut cold] {
+                            ctl.set_balancer(LoadBalancer::new(RoundRobin::new(), Grain::Flow));
+                        }
+                        prop_assert_eq!(warm.fast_path_stats().entries, 0);
+                    }
+                    // A shard dies (never the last one).
+                    11 => {
+                        if live.len() > 1 {
+                            warm.drop_shard_cache(live.remove(arg as usize % live.len()));
+                        }
+                    }
+                    // The same flow set up on every live shard in turn.
+                    _ => {
+                        let src = arg64 % N_HOSTS;
+                        let k = key(src, src + 1, 80 + u16::from(arg >> 2) % 3);
+                        let Some(at) = warm.locations.lookup(k.dl_src) else { continue };
+                        let ingress = (at.dpid, at.port);
+                        for &shard in &live {
+                            warm.select_shard(shard);
+                            let served = warm.decide_flow(&k, ingress);
+                            let fresh = cold.decide_flow(&k, ingress);
+                            prop_assert_eq!(format!("{served:?}"), format!("{fresh:?}"));
+                        }
+                    }
+                }
+            }
+            let dead = warm.shard_cache_stats().filter(Option::is_none).count();
+            prop_assert_eq!(dead, N_SHARDS - live.len());
+        }
     }
 }

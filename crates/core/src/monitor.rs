@@ -282,6 +282,15 @@ pub enum EventKind {
         /// Header-space cubes invalidated.
         classes: u64,
     },
+    /// A features reply was refused: it claimed a datapath id other
+    /// than the one its control channel is bound to, or one registered
+    /// to another live channel. Nothing was registered.
+    HandshakeRejected {
+        /// The datapath id the reply carried.
+        claimed: u64,
+        /// The id the channel registered earlier, if it ever did.
+        bound: Option<u64>,
+    },
 }
 
 impl EventKind {
@@ -317,6 +326,7 @@ impl EventKind {
             EventKind::PathProofViolated { .. } => "path_proof_violated",
             EventKind::SwitchDeviating { .. } => "switch_deviating",
             EventKind::PolicyDeltaApplied { .. } => "policy_delta_applied",
+            EventKind::HandshakeRejected { .. } => "handshake_rejected",
         }
     }
 }

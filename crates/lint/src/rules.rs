@@ -251,17 +251,16 @@ const ORDER_SAFE_COLLECTS: &[&str] = &["BTreeMap", "BTreeSet", "BinaryHeap", "Ha
 const REDUCERS: &[&str] = &["fold", "reduce", "try_fold", "try_reduce", "scan"];
 
 /// Wall-clock type names.
-pub(crate) const WALL_CLOCK_IDENTS: &[&str] = &["Instant", "SystemTime"];
+const WALL_CLOCK_IDENTS: &[&str] = &["Instant", "SystemTime"];
 
 /// Unseeded-randomness identifiers.
 const UNSEEDED_RNG_IDENTS: &[&str] = &["thread_rng", "ThreadRng", "from_entropy", "OsRng"];
 
 /// Methods that allocate; banned in hot functions.
-pub(crate) const HOT_ALLOC_METHODS: &[&str] =
-    &["clone", "to_vec", "to_owned", "to_string", "collect"];
+const HOT_ALLOC_METHODS: &[&str] = &["clone", "to_vec", "to_owned", "to_string", "collect"];
 
 /// `Type::ctor` paths that allocate; banned in hot functions.
-pub(crate) const HOT_ALLOC_CTORS: &[(&str, &str)] = &[
+const HOT_ALLOC_CTORS: &[(&str, &str)] = &[
     ("Vec", "new"),
     ("Vec", "with_capacity"),
     ("String", "new"),
@@ -272,7 +271,7 @@ pub(crate) const HOT_ALLOC_CTORS: &[(&str, &str)] = &[
 ];
 
 /// Macros that allocate; banned in hot functions.
-pub(crate) const HOT_ALLOC_MACROS: &[&str] = &["format", "vec"];
+const HOT_ALLOC_MACROS: &[&str] = &["format", "vec"];
 
 /// Integer primitive type names, for panic-path parameter tracking.
 pub(crate) const INT_TYPES: &[&str] = &[
@@ -635,13 +634,6 @@ pub fn annotation_targets(src: &str) -> Vec<(String, u32, u32)> {
 // ---------------------------------------------------------------------
 // Unordered iteration (LS101)
 // ---------------------------------------------------------------------
-
-/// Whether a declared type is an unordered hash collection. The
-/// summary pass uses this to mark params whose iteration order is
-/// nondeterministic.
-pub(crate) fn is_unordered_ty(ty: &TypeRef) -> bool {
-    ty.mentions("HashMap") || ty.mentions("HashSet")
-}
 
 /// Collects the file's unordered bindings — names bound to
 /// `HashMap`/`HashSet` (directly or through a local type alias) via

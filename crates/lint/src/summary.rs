@@ -1,14 +1,12 @@
 //! Per-function summaries composed bottom-up over the call graph.
 //!
 //! Each function gets one [`Summary`]: its taint transfer (see
-//! [`crate::dataflow::TaintSummary`]), a handful of behavioral flags
-//! ("allocates", "reads wall clock", "iterates an unordered map",
-//! "panics"), the parameter bits it uses as an unguarded slice index,
-//! and the locks it acquires in first-acquisition order. Facts local
-//! to a body are computed first; everything transitive is then
-//! propagated callee-first over the SCC order from
-//! [`crate::callgraph::CallGraph`], with a monotone fixpoint inside
-//! each SCC so recursion terminates.
+//! [`crate::dataflow::TaintSummary`]), the parameter bits it uses as an
+//! unguarded slice index, and the locks it acquires in
+//! first-acquisition order. Facts local to a body are computed first;
+//! everything transitive is then propagated callee-first over the SCC
+//! order from [`crate::callgraph::CallGraph`], with a monotone
+//! fixpoint inside each SCC so recursion terminates.
 //!
 //! The summaries are what make the v3 rules inter-procedural without
 //! whole-program re-scans: LS301 substitutes taint summaries at call
@@ -35,14 +33,6 @@ const LOCK_CAP: usize = 16;
 pub struct Summary {
     /// Param-to-return / param-to-sink taint transfer.
     pub taint: TaintSummary,
-    /// Allocates (directly or via a callee).
-    pub allocates: bool,
-    /// Reads the wall clock (directly or via a callee).
-    pub wall_clock: bool,
-    /// Iterates or mentions an unordered hash collection.
-    pub unordered: bool,
-    /// May panic explicitly (`unwrap`/`expect`/`panic!`-family).
-    pub panics: bool,
     /// Param bits used as an unguarded slice index here or in a
     /// callee the param is forwarded to.
     pub idx_params: u64,
@@ -94,7 +84,7 @@ pub(crate) fn compute(graph: &CallGraph, files: &[&File]) -> Vec<Summary> {
     let mut out: Vec<Summary> = vec![Summary::default(); n];
     for id in 0..n {
         if let Some(f) = fns[id] {
-            own_facts(f, &mut out[id]);
+            out[id].idx_params = rules::unguarded_index_params(f);
         }
     }
 
@@ -121,8 +111,8 @@ pub(crate) fn compute(graph: &CallGraph, files: &[&File]) -> Vec<Summary> {
         }
     }
 
-    // Flags, index params, and lock sequences propagate over the same
-    // order; lock/flag joins are monotone too (sets only grow).
+    // Index params and lock sequences propagate over the same order;
+    // their joins are monotone too (sets only grow).
     for comp in &graph.sccs {
         let single = comp.len() == 1 && !graph.callees[comp[0]].contains(&comp[0]);
         loop {
@@ -141,68 +131,6 @@ pub(crate) fn compute(graph: &CallGraph, files: &[&File]) -> Vec<Summary> {
         s.taint = taints[id];
     }
     out
-}
-
-/// Facts visible in one body without looking at callees.
-fn own_facts(f: &FnItem, s: &mut Summary) {
-    s.idx_params = rules::unguarded_index_params(f);
-    let Some(body) = &f.body else { return };
-    for p in &f.params {
-        if rules::is_unordered_ty(&p.ty) {
-            s.unordered = true;
-        }
-    }
-    body.walk_exprs(&mut |e| match e {
-        Expr::Path { segs, .. } => {
-            for seg in segs {
-                if rules::WALL_CLOCK_IDENTS.contains(&seg.as_str()) {
-                    s.wall_clock = true;
-                }
-                if seg == "HashMap" || seg == "HashSet" {
-                    s.unordered = true;
-                }
-            }
-        }
-        Expr::MethodCall { name, generics, .. } => {
-            if rules::HOT_ALLOC_METHODS.contains(&name.as_str()) {
-                s.allocates = true;
-            }
-            if matches!(name.as_str(), "unwrap" | "expect") {
-                s.panics = true;
-            }
-            if generics.iter().any(|g| g == "HashMap" || g == "HashSet") {
-                s.unordered = true;
-            }
-        }
-        Expr::Call { callee, .. } => {
-            if let Expr::Path { segs, .. } = callee.unwrapped() {
-                if segs.len() >= 2 {
-                    let pair = (segs[segs.len() - 2].as_str(), segs[segs.len() - 1].as_str());
-                    if rules::HOT_ALLOC_CTORS.contains(&pair) {
-                        s.allocates = true;
-                    }
-                }
-            }
-        }
-        Expr::MacroCall { name, .. } => {
-            if rules::HOT_ALLOC_MACROS.contains(&name.as_str()) {
-                s.allocates = true;
-            }
-            if matches!(
-                name.as_str(),
-                "panic"
-                    | "unreachable"
-                    | "todo"
-                    | "unimplemented"
-                    | "assert"
-                    | "assert_eq"
-                    | "assert_ne"
-            ) {
-                s.panics = true;
-            }
-        }
-        _ => {}
-    });
 }
 
 /// The lock id a receiver acquires through, when its declared type is
@@ -233,8 +161,8 @@ fn lock_id(graph: &CallGraph, node: usize, recv: &Expr) -> Option<String> {
     }
 }
 
-/// One propagation step for `node`: inherit flags, forwarded index
-/// params, and lock sequences from resolved callees; record own lock
+/// One propagation step for `node`: inherit forwarded index params
+/// and lock sequences from resolved callees; record own lock
 /// acquisitions in source order. Returns whether anything changed.
 fn flow_through_calls(graph: &CallGraph, node: usize, f: &FnItem, out: &mut [Summary]) -> bool {
     let Some(body) = &f.body else { return false };
@@ -247,7 +175,6 @@ fn flow_through_calls(graph: &CallGraph, node: usize, f: &FnItem, out: &mut [Sum
         .collect();
 
     let mut guarded: BTreeSet<String> = BTreeSet::new();
-    let mut flags = (false, false, false, false);
     let mut idx = 0u64;
     let mut locks: Vec<(String, u32)> = Vec::new();
     body.walk_exprs(&mut |e| {
@@ -266,10 +193,6 @@ fn flow_through_calls(graph: &CallGraph, node: usize, f: &FnItem, out: &mut [Sum
             return;
         };
         let callee = &out[c];
-        flags.0 |= callee.allocates;
-        flags.1 |= callee.wall_clock;
-        flags.2 |= callee.unordered;
-        flags.3 |= callee.panics;
         let (recv, args, line) = match e {
             Expr::Call { args, line, .. } => (None, args.as_slice(), *line),
             Expr::MethodCall {
@@ -298,17 +221,6 @@ fn flow_through_calls(graph: &CallGraph, node: usize, f: &FnItem, out: &mut [Sum
 
     let s = &mut out[node];
     let mut changed = false;
-    for (flag, v) in [
-        (&mut s.allocates, flags.0),
-        (&mut s.wall_clock, flags.1),
-        (&mut s.unordered, flags.2),
-        (&mut s.panics, flags.3),
-    ] {
-        if v && !*flag {
-            *flag = true;
-            changed = true;
-        }
-    }
     if idx & !s.idx_params != 0 {
         s.idx_params |= idx;
         changed = true;
@@ -370,19 +282,6 @@ mod tests {
         );
         assert_eq!(s[node(&g, "even")].taint.ret_mask, param_bit(0));
         assert_eq!(s[node(&g, "odd")].taint.ret_mask, param_bit(0));
-    }
-
-    #[test]
-    fn flags_propagate_transitively() {
-        let (g, s) = analyze(
-            "fn boom() { panic!(\"no\"); }\n\
-             fn alloc() -> Vec<u8> { Vec::new() }\n\
-             fn top(sel: bool) { boom(); alloc(); }\n",
-        );
-        let top = node(&g, "top");
-        assert!(s[top].panics);
-        assert!(s[top].allocates);
-        assert!(!s[top].wall_clock);
     }
 
     #[test]

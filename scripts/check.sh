@@ -3,11 +3,14 @@
 #
 #   ./scripts/check.sh
 #
-# Runs the release build, the full test suite, clippy with warnings
-# denied, and the formatting check, stopping at the first failure.
+# Runs the release build, every suite in the workspace once, the
+# end-to-end benchmark's suite and smoke, the smoke benches and
+# examples, clippy with warnings denied, and the formatting check,
+# stopping at the first failure; prints its own wall time at the end.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
+gate_start=$(date +%s)
 
 run() {
     echo "==> $*"
@@ -56,24 +59,42 @@ test -s BENCH_lint.json
 # waypoint enforcement, fast-pass freshness, no silent shadowing,
 # exactly-one-shard coverage, quarantine isolation).
 run cargo run -q -p livesec-verify --release -- --scenario baseline
-run cargo test -q
-# The flow table and the AS switch own the flow-mod write path: the
-# table's differential model test (crates/openflow/tests/table_model.rs)
-# and the hostile-timeout regressions live in these crates' own suites,
-# which the root `cargo test` does not run.
-run cargo test -q -p livesec-openflow -p livesec-switch
-# The controller crate's own suites (unit tests — the engine stages and
-# `revalidate` against a fresh `decide`, without a `World` — plus
-# `prop_core` and `end_to_end`) and the wire/packet crate's: the root
-# `cargo test` runs neither.
-run cargo test -q -p livesec -p livesec-net
-# The per-frame data path (EXPERIMENTS.md E17): conntrack's one-entry-
-# per-connection indexes (bounded-state regression, differential model
-# test against the lazy-skip table it replaced), the kernel's port
-# slots, and the service elements that sit on both — whose scan kernel
-# (EXPERIMENTS.md E18) has its own differential model test against the
-# automaton it replaced (crates/services/tests/aho_model.rs).
-run cargo test -q -p livesec-conntrack -p livesec-sim -p livesec-services
+# Every suite, once: `--workspace` covers the root package's
+# integration tests and each crate's own unit, property and model
+# tests (the tier-1 `cargo test -q` runs only the former). Why each is
+# in the gate:
+# - tests/chaos, tests/reconciliation: the campus under scheduled
+#   partitions, crashes and frame corruption over fixed seeds — zero
+#   panics, clean health-stat invariants, byte-identical same-seed
+#   histories.
+# - tests/determinism, shard_ring, shard_handoff, shard_failover: the
+#   sharded control plane (DESIGN.md §9) — a 1-shard plane
+#   byte-identical to the plain controller, shards 1/2/4 identical
+#   modulo shard tags, ring properties, cross-shard handoff, mid-attack
+#   shard failover with a clean merged audit.
+# - tests/accountability (DESIGN.md §11): each dataplane fault kind is
+#   detected, localized to exactly the compromised switch, quarantined
+#   and re-steered around, at 1 and 4 shards, honest switches never
+#   blamed.
+# - tests/policy_delta: applying compiled deltas mid-traffic equals the
+#   wholesale recompile byte for byte, spares untouched warm cache
+#   classes, and passes the scoped incremental audit.
+# - livesec (core): the engine stages and `revalidate` against a fresh
+#   `decide`, N-shard cache coherence and the features-reply handshake
+#   without a campus, `prop_core`, `end_to_end`; livesec-net: the
+#   wire/packet codecs.
+# - livesec-openflow, livesec-switch: the flow-mod write path — the
+#   table's differential model test and the hostile-timeout
+#   regressions.
+# - livesec-conntrack, livesec-sim, livesec-services: the per-frame data
+#   path (EXPERIMENTS.md E17/E18) — bounded conntrack indexes, the
+#   kernel's port slots, the scan kernel's differential model test.
+# - livesec-policy, livesec-verify (DESIGN.md §14, §8): parser recovery,
+#   shadow analysis, delta-convergence proptests, incremental-
+#   verification agreement.
+# - livesec-lint: the analyzer's own rules, fixtures and the
+#   zero-unannotated-findings check over this workspace.
+run cargo test --workspace -q
 # The end-to-end benchmark's own suite: on all six workloads a traced
 # rep must dispatch the events and record the history of an untraced
 # one, so a data-path change that adds, drops or reorders one simulated
@@ -84,25 +105,11 @@ run cargo test -q --offline --manifest-path e2e/Cargo.toml
 # BENCH_e2e.json records, exactly; wall-clock metrics are printed beside
 # the recorded ones, never asserted.
 run ./scripts/e2e_smoke.sh
-# Seeded chaos soak: the campus under scheduled partitions, crashes,
-# and frame corruption over fixed seeds — zero panics, clean
-# health-stat invariants, byte-identical same-seed histories.
-run cargo test -q --test chaos --test reconciliation
-# Sharded control plane (DESIGN.md §9): the golden-trace gate — a
-# 1-shard plane byte-identical to the plain controller, shards 1/2/4
-# identical modulo shard tags — plus ring properties, cross-shard
-# handoff, and mid-attack shard failover with a clean merged audit.
-run cargo test -q --test determinism --test shard_ring --test shard_handoff --test shard_failover
 # Scale-out smoke bench: 100k packet-ins partitioned over 1/2/4/8
 # shards; must clear >=3x throughput at 4 shards and (re)write
 # BENCH_shards.json.
 run cargo bench -q -p livesec-bench --bench shard_scaling -- --smoke
 test -s BENCH_shards.json
-# Forwarding accountability (DESIGN.md §11): each dataplane fault kind
-# (rule tamper, silent misforward, packet injection) is detected,
-# localized to exactly the compromised switch, quarantined, and traffic
-# re-steered — at 1 and 4 shards, honest switches never blamed.
-run cargo test -q --test accountability
 # Post-quarantine dataplane must audit clean, quarantine isolation
 # (invariant 8) included.
 run cargo run -q -p livesec-verify --release -- --scenario tamper-quarantine
@@ -110,16 +117,6 @@ run cargo run -q -p livesec-verify --release -- --scenario tamper-quarantine
 # (re)writes BENCH_accountability.json, every forged attestation caught.
 run cargo bench -q -p livesec-bench --bench accountability -- --smoke
 test -s BENCH_accountability.json
-# Declarative policy (DESIGN.md §14): the .lsp compiler's own suites
-# (parser recovery, shadow analysis, delta-convergence proptests) plus
-# the incremental-verification agreement tests.
-run cargo test -q -p livesec-policy
-run cargo test -q -p livesec-verify
-# Delta-path equivalence gate: applying compiled deltas mid-traffic
-# must equal the wholesale recompile byte-for-byte (tables and
-# filtered histories), spare untouched warm cache classes, and pass
-# the scoped incremental audit on the returned cubes.
-run cargo test -q --test policy_delta
 # Policy end-to-end: load .lsp, run traffic, live-edit the policy,
 # apply the delta script, audit incrementally.
 run cargo run -q --release --example policy
@@ -138,4 +135,4 @@ run cargo run -q --release --example accountability
 run cargo clippy --workspace -- -D warnings
 run cargo fmt --check
 
-echo "==> all checks passed"
+echo "==> all checks passed in $(( $(date +%s) - gate_start )) s"
