@@ -45,10 +45,14 @@ const TICK: u64 = 1;
 /// Period of the housekeeping tick; the `*_EVERY_TICKS` schedules and
 /// [`Controller::set_stats_polling`] count in these.
 const TICK_PERIOD: SimDuration = SimDuration::from_millis(100);
-/// LLDP-probe every registered switch every this many ticks.
+/// Every this many ticks, LLDP-probe each registered switch that some
+/// peer has not yet heard; a converged topology sends no probes.
 const LLDP_EVERY_TICKS: u64 = 5;
-/// Echo-probe every registered switch every this many ticks (1 s).
-const ECHO_EVERY_TICKS: u64 = 10;
+/// Echo-probe every registered switch every this many ticks (500 ms).
+/// This is the controller's keepalive: once discovery is quiet it is
+/// the only traffic a switch is sure to hear, so when a partition
+/// starts the switch's controller-timeout clock is at most 5 ticks old.
+const ECHO_EVERY_TICKS: u64 = 5;
 /// How long a switch's secure channel may stay silent before the
 /// controller declares it dead and evicts its state.
 const SWITCH_TIMEOUT: SimDuration = SimDuration::from_secs(3);
@@ -1225,6 +1229,17 @@ impl Controller {
         }
     }
 
+    /// One LLDP round: probes every switch some peer has not yet heard,
+    /// or, when `full`, every switch.
+    fn probe_round(&mut self, full: bool) {
+        let n = self.topo.switch_count();
+        for dpid in self.dpids() {
+            if full || self.topo.heard_by(dpid) + 1 < n {
+                self.probe_switch(dpid);
+            }
+        }
+    }
+
     /// The registered switches' datapath ids, ascending.
     fn dpids(&self) -> Vec<u64> {
         self.topo.switches().map(|s| s.dpid).collect()
@@ -2019,6 +2034,9 @@ impl Controller {
         let now = ctx.now();
         self.monitor
             .record(now, EventKind::PortChange { dpid, port, up });
+        // The uplink may have moved: a peer's probe arriving on the new
+        // port is what re-learns it.
+        self.probe_round(true);
         if up {
             return;
         }
@@ -2159,9 +2177,7 @@ impl Node for Controller {
         let now = ctx.now();
 
         if self.tick_count % LLDP_EVERY_TICKS == 1 {
-            for dpid in self.dpids() {
-                self.probe_switch(dpid);
-            }
+            self.probe_round(false);
         }
         if self.tick_count.is_multiple_of(ECHO_EVERY_TICKS) {
             self.health.echo_probes_sent += self.topo.switch_count() as u64;

@@ -2,12 +2,13 @@
 //! full-mesh logical topology (paper §III-C.1).
 //!
 //! The controller observes switch joins over their secure channels and
-//! discovers logical links by flooding LLDP probes: a probe emitted by
-//! switch A that arrives (as a packet-in) at switch B proves the
-//! legacy fabric connects them. Because the Legacy-Switching layer
-//! gives reachability between *all* AS switches, discovery converges
-//! on a full-mesh logical topology, and any end-to-end delivery needs
-//! only abstract two-hop routing (ingress switch → egress switch).
+//! discovers logical links by flooding LLDP probes until every peer has
+//! heard each switch: a probe emitted by switch A that arrives (as a
+//! packet-in) at switch B proves the legacy fabric connects them.
+//! Because the Legacy-Switching layer gives reachability between *all*
+//! AS switches, discovery converges on a full-mesh logical topology,
+//! and any end-to-end delivery needs only abstract two-hop routing
+//! (ingress switch → egress switch).
 
 use livesec_sim::NodeId;
 use serde::{Deserialize, Serialize};
@@ -92,14 +93,27 @@ impl TopologyMap {
         if let Some(sw) = self.switches.get_mut(&to.0) {
             sw.uplink = Some(to.1);
         }
-        if let Some(sw) = self.switches.get_mut(&from.0) {
-            // The origin flooded the probe; the port it left through to
-            // reach a peer must also be its uplink. With the flood
-            // action we can't see the egress port directly, so we use
-            // the symmetric observation when the peer probes back.
-            let _ = sw;
-        }
         self.links.insert(LogicalLink { from, to })
+    }
+
+    /// How many distinct switches have heard `dpid`'s probes. Receivers
+    /// are counted, not links: before its uplink is known an origin
+    /// sweeps every port, and two ports may reach the same peer.
+    pub(crate) fn heard_by(&self, dpid: u64) -> usize {
+        let first = LogicalLink {
+            from: (dpid, 0),
+            to: (0, 0),
+        };
+        let mut receivers: Vec<u64> = self
+            .links
+            .range(first..)
+            .take_while(|l| l.from.0 == dpid)
+            .map(|l| l.to.0)
+            .filter(|&r| r != dpid)
+            .collect();
+        receivers.sort_unstable();
+        receivers.dedup();
+        receivers.len()
     }
 
     /// The switch info for a datapath id.
@@ -134,24 +148,11 @@ impl TopologyMap {
 
     /// Whether the logical topology is a full mesh over the registered
     /// switches (each ordered pair connected) — the paper's §III-C.1
-    /// property.
+    /// property, and the point where the controller stops probing.
     pub fn is_full_mesh(&self) -> bool {
-        let n = self.switches.len();
-        if n < 2 {
-            return true;
-        }
-        let mut pairs = BTreeSet::new();
-        for l in &self.links {
-            pairs.insert((l.from.0, l.to.0));
-        }
-        for &a in self.switches.keys() {
-            for &b in self.switches.keys() {
-                if a != b && !pairs.contains(&(a, b)) {
-                    return false;
-                }
-            }
-        }
-        true
+        self.switches
+            .keys()
+            .all(|&dpid| self.heard_by(dpid) + 1 >= self.switches.len())
     }
 }
 
@@ -186,6 +187,23 @@ mod tests {
         assert!(t.observe_lldp((2, 1), (1, 1)));
         assert_eq!(t.uplink_of(1), Some(1));
         assert_eq!(t.links().count(), 2);
+    }
+
+    #[test]
+    fn heard_by_counts_receivers_not_links() {
+        let mut t = TopologyMap::new();
+        for dpid in 1..=3 {
+            t.add_switch(dpid, node(dpid as usize), 4);
+        }
+        assert_eq!(t.heard_by(1), 0);
+        // Before its uplink is known switch 1 sweeps every port; two
+        // of them reach switch 2.
+        t.observe_lldp((1, 1), (2, 1));
+        t.observe_lldp((1, 2), (2, 1));
+        assert_eq!(t.heard_by(1), 1);
+        t.observe_lldp((1, 1), (3, 1));
+        assert_eq!(t.heard_by(1), 2);
+        assert_eq!(t.heard_by(2), 0, "links are directed");
     }
 
     #[test]

@@ -71,10 +71,15 @@ fn assert_recovered(s: &CampusScenario) {
 fn faulted_campus_heals_and_resteers_every_flow() {
     let chaos = ChaosConfig::default();
     let last_heal = chaos.last_heal(N_SWITCHES as usize);
-    // Settling time after the last heal: the switch's first hellos may
-    // be eaten by the scheduled frame corruption, so worst-case
-    // reconnect lands around heal + 7 s (capped backoff), then the
-    // audit and LLDP rediscovery need a beat.
+    // Settling time after the last heal, derived from the constants.
+    // The controller's keepalive reaches a switch every 5 ticks, so the
+    // switch's 30-tick controller timeout fires 26–31 ticks into the
+    // 40-tick partition. Its reconnect hellos then go out 0, 5, 15, 35
+    // and 75 ticks later (backoff 5 → 80 ticks). The +15 hello is the
+    // first after the heal; it and the +35 one are the 2 corrupted
+    // frames. The +75 hello lands by tick 31 + 75 = 106, heal + 6.6 s,
+    // so the worst case is under heal + 7 s. The audit and LLDP
+    // rediscovery then need a beat.
     let mut s = run_chaos(42, chaos, last_heal + SimDuration::from_secs(9));
     assert_recovered(&s);
 
@@ -128,6 +133,59 @@ fn faulted_campus_heals_and_resteers_every_flow() {
     assert!(
         summary.get("flow_blocked").copied().unwrap_or(0) >= 1,
         "attack never blocked: {summary:?}"
+    );
+}
+
+/// Regression: on a converged campus discovery sends nothing, so the
+/// controller's echo is the only traffic that keeps a switch's
+/// controller timeout fresh. Its cadence decides how far into the
+/// reconnect backoff a partitioned switch is at heal. The partition
+/// starts 9 ticks after a whole second, the worst phase for a 10-tick
+/// echo: the switch last heard the controller 9 ticks before the cut,
+/// degrades 5 ticks earlier than a 5-tick echo allows, and its +15
+/// hello still falls inside the partition. The 2 corrupted frames then
+/// eat the +35 and +75 hellos and the switch is back only at heal +
+/// 13.7 s. With the 5-tick echo it is back at heal + 6.2 s, inside the
+/// heal + 7 s derived above. Fault seed 42 makes both corrupted hellos
+/// undecodable; with many other seeds one flip lands on a byte the
+/// decoder ignores and the switch gets back early either way.
+#[test]
+fn converged_switch_reconnects_within_the_keepalive_bound() {
+    let mut campus = CampusBuilder::new(42, N_SWITCHES as usize).finish();
+    let victim = campus.as_switches[3];
+    let until_cut = SimDuration::from_millis(5_900);
+    let cut = SimTime::ZERO + until_cut;
+    let heal = cut + SimDuration::from_secs(4);
+    let deadline = heal + SimDuration::from_secs(7);
+    let plan = FaultPlan::new(42)
+        .at(cut, FaultKind::PartitionControl { node: victim })
+        .at(heal, FaultKind::HealControl { node: victim })
+        .at(
+            heal,
+            FaultKind::CorruptControl {
+                node: victim,
+                count: 2,
+            },
+        );
+    campus.world.install_fault_plan(&plan);
+    campus.world.run_for(until_cut);
+    assert!(campus.controller().topology().is_full_mesh());
+    campus.world.run_for(SimDuration::from_secs(4 + 7));
+    assert_eq!(campus.switch(3).degraded_entries, 1, "switch timed out");
+    let dpid = campus.switch(3).datapath_id();
+    let c = campus.controller();
+    let down = c
+        .monitor()
+        .of_tag("switch_down")
+        .any(|e| matches!(e.kind, EventKind::SwitchDown { dpid: d } if d == dpid));
+    assert!(down, "the controller timed the switch out");
+    let up = c
+        .monitor()
+        .of_tag("switch_up")
+        .find(|e| matches!(e.kind, EventKind::SwitchUp { dpid: d } if d == dpid));
+    assert!(
+        up.is_some_and(|e| e.at <= deadline),
+        "switch back by heal + 7 s: {up:?}"
     );
 }
 
