@@ -6,9 +6,7 @@
 //! dispatching algorithms (polling, hash, queuing, minimum-load) at
 //! flow and user granularity.
 
-use livesec::balance::{
-    Dispatcher, Grain, HashDispatch, LeastQueue, LoadBalancer, MinLoad, RoundRobin,
-};
+use livesec::balance::{Grain, HashDispatch, LeastQueue, LoadBalancer, MinLoad, RoundRobin};
 use livesec::deploy::CampusBuilder;
 use livesec::policy::{PolicyRule, PolicyTable};
 use livesec_services::{IdsEngine, ServiceElement, ServiceType, SignatureEngine};
@@ -55,16 +53,6 @@ impl Algo {
             Algo::Hash => LoadBalancer::new(HashDispatch::new(), grain),
             Algo::LeastQueue => LoadBalancer::new(LeastQueue::new(), grain),
             Algo::MinLoad => LoadBalancer::new(MinLoad::new(), grain),
-        }
-    }
-
-    /// The dispatcher's reported name (sanity link to `balance`).
-    pub fn dispatcher_name(self) -> &'static str {
-        match self {
-            Algo::RoundRobin => RoundRobin::new().name(),
-            Algo::Hash => HashDispatch::new().name(),
-            Algo::LeastQueue => LeastQueue::new().name(),
-            Algo::MinLoad => MinLoad::new().name(),
         }
     }
 }

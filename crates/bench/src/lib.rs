@@ -46,8 +46,3 @@ pub fn print_header(exp: &str, title: &str) {
     println!();
     println!("=== {exp}: {title} ===");
 }
-
-/// Relative error helper used by experiment self-checks.
-pub fn rel_err(measured: f64, expected: f64) -> f64 {
-    (measured - expected).abs() / expected
-}

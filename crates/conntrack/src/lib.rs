@@ -18,10 +18,9 @@
 //! * **TCP state machine** — `SYN_SENT → SYN_RECV → ESTABLISHED →
 //!   FIN_WAIT/CLOSE_WAIT → TIME_WAIT → CLOSED`, plus RST teardown.
 //!   Mid-stream pickup (a data segment with no prior entry) is
-//!   accepted by default — the simulator's applications exchange data
-//!   without full handshakes — and promotes to `ESTABLISHED` once
-//!   both directions have been seen; strict mode classifies such
-//!   segments as invalid instead.
+//!   accepted — the simulator's applications exchange data without
+//!   full handshakes — and promotes to `ESTABLISHED` once both
+//!   directions have been seen.
 //! * **UDP/ICMP pseudo-states** — `UDP_NEW → UDP_ESTABLISHED` on the
 //!   first reply, and a single `ICMP` state.
 //! * **Timer-wheel expiry** — per-state idle timeouts, tracked on a
@@ -135,20 +134,6 @@ impl ConnState {
     /// Number of distinct states (histogram width).
     pub const COUNT: usize = 10;
 
-    /// All states in histogram order.
-    pub const ALL: [ConnState; ConnState::COUNT] = [
-        ConnState::SynSent,
-        ConnState::SynRecv,
-        ConnState::Established,
-        ConnState::FinWait,
-        ConnState::CloseWait,
-        ConnState::TimeWait,
-        ConnState::Closed,
-        ConnState::UdpNew,
-        ConnState::UdpEstablished,
-        ConnState::Icmp,
-    ];
-
     /// Histogram index of this state.
     pub fn index(self) -> usize {
         match self {
@@ -165,7 +150,7 @@ impl ConnState {
         }
     }
 
-    /// Short lowercase name (histogram/JSON label).
+    /// Short lowercase name (the `Display` form).
     pub fn name(self) -> &'static str {
         match self {
             ConnState::SynSent => "syn_sent",
@@ -216,8 +201,8 @@ pub enum PacketState {
     /// Belongs to a tracked connection: any reply-direction packet, or
     /// an original-direction packet once the connection is established.
     Established,
-    /// Matches no admissible connection (strict-mode mid-stream
-    /// segment, or traffic on a closed entry).
+    /// Matches no admissible connection (a lone RST, or traffic on a
+    /// closed entry).
     Invalid,
 }
 
@@ -390,38 +375,6 @@ pub struct TableStats {
     pub states: [u64; ConnState::COUNT],
 }
 
-impl TableStats {
-    /// Renders the snapshot as a JSON object (hand-rolled: the state
-    /// histogram keys by state name, which serde derives can't).
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n");
-        s.push_str(&format!("  \"entries\": {},\n", self.entries));
-        s.push_str(&format!("  \"insertions\": {},\n", self.insertions));
-        s.push_str(&format!("  \"evictions\": {},\n", self.evictions));
-        s.push_str(&format!("  \"expirations\": {},\n", self.expirations));
-        s.push_str(&format!(
-            "  \"invalid_packets\": {},\n",
-            self.invalid_packets
-        ));
-        s.push_str(&format!(
-            "  \"established_total\": {},\n",
-            self.established_total
-        ));
-        s.push_str(&format!("  \"closed_total\": {},\n", self.closed_total));
-        s.push_str("  \"states\": {");
-        let mut first = true;
-        for st in ConnState::ALL {
-            if !first {
-                s.push_str(", ");
-            }
-            first = false;
-            s.push_str(&format!("\"{}\": {}", st.name(), self.states[st.index()]));
-        }
-        s.push_str("}\n}");
-        s
-    }
-}
-
 /// The deterministic connection-tracking table.
 #[derive(Clone)]
 pub struct ConnTable {
@@ -436,7 +389,6 @@ pub struct ConnTable {
     half_open: BTreeMap<Ipv4Addr, u32>,
     capacity: usize,
     head_bytes: usize,
-    strict: bool,
     timeouts: ConnTimeouts,
     seq: u64,
     insertions: u64,
@@ -473,7 +425,6 @@ impl ConnTable {
             half_open: BTreeMap::new(),
             capacity: 65_536,
             head_bytes: 64,
-            strict: false,
             timeouts: ConnTimeouts::default(),
             seq: 0,
             insertions: 0,
@@ -500,13 +451,6 @@ impl ConnTable {
     /// Replaces the per-state idle timeouts.
     pub fn with_timeouts(mut self, timeouts: ConnTimeouts) -> Self {
         self.timeouts = timeouts;
-        self
-    }
-
-    /// Strict mode: a TCP segment with no prior entry and no SYN is
-    /// classified invalid instead of picked up mid-stream.
-    pub fn with_strict(mut self) -> Self {
-        self.strict = true;
         self
     }
 
@@ -693,10 +637,8 @@ impl ConnTable {
     ) -> Observation {
         let state = match (key.nw_proto, flags) {
             (6, Some(fl)) => {
-                let syn_only = fl.contains(TcpFlags::SYN) && !fl.contains(TcpFlags::ACK);
-                if fl.contains(TcpFlags::RST) || (!syn_only && self.strict) {
-                    // A lone RST, or (strict mode) a mid-stream
-                    // segment: nothing to track.
+                if fl.contains(TcpFlags::RST) {
+                    // A lone RST: nothing to track.
                     self.invalid_packets += 1;
                     return Observation {
                         key: ck,
@@ -986,15 +928,6 @@ mod tests {
     }
 
     #[test]
-    fn strict_mode_rejects_mid_stream() {
-        let mut ct = ConnTable::new().with_strict();
-        let k = tcp_key();
-        let o = ct.observe(&k, Some(TcpFlags::PSH | ACK), b"data", t(0));
-        assert_eq!(o.packet_state, PacketState::Invalid);
-        assert!(ct.is_empty());
-    }
-
-    #[test]
     fn udp_pseudo_states() {
         let mut ct = ConnTable::new();
         let k = key([10, 0, 0, 1], 5353, [10, 0, 0, 2], 53, 17);
@@ -1165,8 +1098,6 @@ mod tests {
         assert_eq!(s.entries, 2);
         assert_eq!(s.states[ConnState::SynSent.index()], 1);
         assert_eq!(s.states[ConnState::UdpNew.index()], 1);
-        let json = s.to_json();
-        assert!(json.contains("\"syn_sent\": 1"), "{json}");
     }
 
     #[test]

@@ -68,7 +68,6 @@ mod reference {
         half_open: BTreeMap<Ipv4Addr, u32>,
         capacity: usize,
         head_bytes: usize,
-        strict: bool,
         timeouts: ConnTimeouts,
         seq: u64,
         insertions: u64,
@@ -90,7 +89,6 @@ mod reference {
                 half_open: BTreeMap::new(),
                 capacity: 65_536,
                 head_bytes: 64,
-                strict: false,
                 timeouts: ConnTimeouts::default(),
                 seq: 0,
                 insertions: 0,
@@ -117,13 +115,6 @@ mod reference {
         /// Replaces the per-state idle timeouts.
         pub fn with_timeouts(mut self, timeouts: ConnTimeouts) -> Self {
             self.timeouts = timeouts;
-            self
-        }
-
-        /// Strict mode: a TCP segment with no prior entry and no SYN is
-        /// classified invalid instead of picked up mid-stream.
-        pub fn with_strict(mut self) -> Self {
-            self.strict = true;
             self
         }
 
@@ -269,10 +260,8 @@ mod reference {
         ) -> Observation {
             let state = match (key.nw_proto, flags) {
                 (6, Some(fl)) => {
-                    let syn_only = fl.contains(TcpFlags::SYN) && !fl.contains(TcpFlags::ACK);
-                    if fl.contains(TcpFlags::RST) || (!syn_only && self.strict) {
-                        // A lone RST, or (strict mode) a mid-stream
-                        // segment: nothing to track.
+                    if fl.contains(TcpFlags::RST) {
+                        // A lone RST: nothing to track.
                         self.invalid_packets += 1;
                         return Observation {
                             key: ck,
@@ -532,7 +521,7 @@ fn timeouts() -> ConnTimeouts {
     }
 }
 
-fn run_sequence(capacity: usize, strict: bool, ops: Vec<(Op, u64)>) -> Result<(), TestCaseError> {
+fn run_sequence(capacity: usize, ops: Vec<(Op, u64)>) -> Result<(), TestCaseError> {
     let mut table = ConnTable::new()
         .with_capacity(capacity)
         .with_timeouts(timeouts())
@@ -541,10 +530,6 @@ fn run_sequence(capacity: usize, strict: bool, ops: Vec<(Op, u64)>) -> Result<()
         .with_capacity(capacity)
         .with_timeouts(timeouts())
         .with_head_bytes(8);
-    if strict {
-        table = table.with_strict();
-        model = model.with_strict();
-    }
     let payload = [0x5au8; 12];
     let mut now = 0u64;
     for (op, dt) in ops {
@@ -585,14 +570,13 @@ proptest! {
         sequences in proptest::collection::vec(
             (
                 2usize..7,
-                any::<bool>(),
                 proptest::collection::vec((arb_op(), arb_dt()), 0..96),
             ),
             SEQUENCES_PER_CASE,
         ),
     ) {
-        for (capacity, strict, ops) in sequences {
-            run_sequence(capacity, strict, ops)?;
+        for (capacity, ops) in sequences {
+            run_sequence(capacity, ops)?;
         }
     }
 }

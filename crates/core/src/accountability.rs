@@ -85,7 +85,7 @@ pub struct PathProof {
     /// Expected hops, ingress-first.
     pub hops: Vec<ProofHop>,
     /// When the program was (re)installed. Mismatches within
-    /// [`PROOF_GRACE`] of this are discarded as in-flight stragglers
+    /// `PROOF_GRACE` of this are discarded as in-flight stragglers
     /// of the previous program, not deviations.
     pub registered_at: SimTime,
 }
@@ -178,13 +178,6 @@ pub struct AccountabilityStats {
     /// Control messages dropped at the quarantine gate (filled at
     /// read time).
     pub quarantine_gate_drops: u64,
-}
-
-impl AccountabilityStats {
-    /// The JSON form a monitoring UI polls.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).unwrap_or_default()
-    }
 }
 
 /// Mismatches against a proof younger than this are stragglers of the
@@ -283,7 +276,7 @@ impl AccountabilityDetector {
     }
 
     /// Stamps a topology disturbance: the drop sweep stays silent for
-    /// [`TURBULENCE_WINDOW`] after the last one.
+    /// `TURBULENCE_WINDOW` after the last one.
     pub fn note_turbulence(&mut self, now: SimTime) {
         self.last_turbulence = Some(now);
     }
@@ -474,7 +467,7 @@ impl AccountabilityDetector {
     }
 
     /// Deadline sweep: a sampled packet whose chain stalled past
-    /// [`CHAIN_DEADLINE`] was dropped mid-path. The first proof hop it
+    /// `CHAIN_DEADLINE` was dropped mid-path. The first proof hop it
     /// never reached names the suspect — blamed only if the network
     /// was calm and the suspect's attestation channel demonstrably
     /// alive after the packet went missing.
@@ -534,11 +527,6 @@ impl AccountabilityDetector {
         let mut s = self.stats;
         s.proofs_active = self.proofs.values().map(|v| v.len() as u64).sum();
         s
-    }
-
-    /// The standing proofs of `sig`, if any (test observability).
-    pub fn proofs_of(&self, sig: &FlowSig) -> Option<&[PathProof]> {
-        self.proofs.get(sig).map(Vec::as_slice)
     }
 
     /// Sampled packets still mid-path.

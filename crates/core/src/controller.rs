@@ -336,14 +336,11 @@ pub struct Controller {
 
     /// Last control message seen per registered switch (liveness).
     switch_liveness: BTreeMap<u64, SimTime>,
-    /// Every datapath id ever registered (survives deregistration).
-    known_dpids: HashSet<u64>,
     /// Every controller-side peer node ever registered, with its dpid.
     /// Never pruned: `topo.dpid_of_node` forgets deregistered switches,
-    /// and a reconnecting peer must still be recognized.
+    /// and a reconnecting peer must still be recognized. Its values are
+    /// every datapath id ever registered.
     known_nodes: HashMap<NodeId, u64>,
-    /// Switches currently declared dead (for `SwitchUp` on return).
-    down_dpids: HashSet<u64>,
     /// Standing attack-block drop entries per dpid (insertion order,
     /// deduplicated). Unlike flow records these never expire: a block
     /// outlives the flow it stopped and is reinstalled by audits after
@@ -414,7 +411,7 @@ impl std::fmt::Debug for Controller {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Controller")
             .field("active_flows", &self.active.len())
-            .field("known_dpids", &self.known_dpids.len())
+            .field("known_nodes", &self.known_nodes.len())
             .field("packet_ins", &self.packet_ins)
             .field("flows_installed", &self.flows_installed)
             .finish_non_exhaustive()
@@ -444,9 +441,7 @@ impl Controller {
             messages_batched: 0,
             max_batch_len: 0,
             switch_liveness: BTreeMap::new(),
-            known_dpids: HashSet::default(),
             known_nodes: HashMap::default(),
-            down_dpids: HashSet::default(),
             blocks: BTreeMap::new(),
             auditing: HashSet::default(),
             health: HealthStats::default(),
@@ -803,19 +798,9 @@ impl Controller {
         self.active.len()
     }
 
-    /// The elements assigned to an active flow (for tests).
-    pub fn elements_of(&self, key: &FlowKey) -> Option<&[MacAddr]> {
-        self.active.get(key).map(|r| r.elements.as_slice())
-    }
-
     /// The service chain assigned to an active flow.
     pub fn chain_of(&self, key: &FlowKey) -> Option<&[ServiceType]> {
         self.active.get(key).map(|r| r.chain.as_slice())
-    }
-
-    /// The application label identified for an active flow, if any.
-    pub fn app_of(&self, key: &FlowKey) -> Option<&str> {
-        self.active.get(key).and_then(|r| r.app.as_deref())
     }
 
     /// The current `(policy_epoch, topology_epoch)` pair. Fast-pass
@@ -924,25 +909,15 @@ impl Controller {
         s
     }
 
-    /// The fast-path counters as pretty JSON — polled next to
-    /// [`Controller::nib_json`] and the monitor event feed.
-    pub fn fast_path_json(&self) -> String {
-        self.fast_path_stats().to_json()
-    }
-
     /// Control-plane health counters: liveness probes, switch
     /// down/up transitions, degraded-mode reports, and the
     /// reconciliation audit figures.
     pub fn health_stats(&self) -> HealthStats {
         let mut h = self.health;
         h.switches_online = self.topo.switch_count() as u64;
-        h.switches_known = self.known_dpids.len() as u64;
+        let known: BTreeSet<u64> = self.known_nodes.values().copied().collect();
+        h.switches_known = known.len() as u64;
         h
-    }
-
-    /// The health counters as pretty JSON.
-    pub fn health_json(&self) -> String {
-        self.health_stats().to_json()
     }
 
     /// Connection-tracking counters: establishments and closures
@@ -954,11 +929,6 @@ impl Controller {
         s
     }
 
-    /// The connection-tracking counters as pretty JSON.
-    pub fn conntrack_json(&self) -> String {
-        self.conntrack_stats().to_json()
-    }
-
     /// Accountability counters: attestations replayed, deviations
     /// confirmed, and quarantines performed (DESIGN.md §11).
     pub fn accountability_stats(&self) -> AccountabilityStats {
@@ -966,11 +936,6 @@ impl Controller {
         s.quarantined_now = self.quarantined.len() as u64;
         s.quarantine_gate_drops = self.quarantine_drops;
         s
-    }
-
-    /// The accountability counters as pretty JSON.
-    pub fn accountability_json(&self) -> String {
-        self.accountability_stats().to_json()
     }
 
     /// The accountability detector (test observability).
@@ -1000,7 +965,7 @@ impl Controller {
     /// cleaned up, topology epoch bumped so no cached decision routes
     /// through it — and every further control message from it is
     /// dropped at the door so it cannot re-register until released.
-    pub fn quarantine_switch(&mut self, now: SimTime, dpid: u64) {
+    fn quarantine_switch(&mut self, now: SimTime, dpid: u64) {
         if self.quarantined.contains(&dpid) || self.topo.switch(dpid).is_none() {
             return;
         }
@@ -1927,7 +1892,6 @@ impl Controller {
     /// through it is ever replayed across the outage.
     fn mark_switch_down(&mut self, now: SimTime, dpid: u64) {
         self.health.switch_downs += 1;
-        self.down_dpids.insert(dpid);
         self.monitor.record(now, EventKind::SwitchDown { dpid });
         // A deregistration truncates attestation chains legitimately:
         // silence the drop sweep for a window.
@@ -2313,9 +2277,10 @@ impl Node for Controller {
                         .record(ctx.now(), EventKind::HandshakeRejected { claimed, bound });
                     return;
                 }
-                let rejoined = self.known_dpids.contains(&datapath_id);
+                // A known dpid missing from the topology was marked
+                // down: `mark_switch_down` is the only deregistration.
+                let rejoined = self.known_nodes.values().any(|&d| d == datapath_id);
                 let was_new = self.topo.add_switch(datapath_id, peer, n_ports);
-                self.known_dpids.insert(datapath_id);
                 self.known_nodes.insert(peer, datapath_id);
                 self.switch_liveness.insert(datapath_id, ctx.now());
                 if was_new {
@@ -2326,7 +2291,7 @@ impl Node for Controller {
                     }
                 }
                 if rejoined {
-                    if self.down_dpids.remove(&datapath_id) {
+                    if was_new {
                         self.health.switch_ups += 1;
                         self.monitor
                             .record(ctx.now(), EventKind::SwitchUp { dpid: datapath_id });

@@ -127,12 +127,6 @@ impl Campus {
             .try_node::<crate::plane::ShardedControlPlane>(self.controller)
     }
 
-    /// Mutable access to the sharded control plane, if any.
-    pub fn shard_plane_mut(&mut self) -> Option<&mut crate::plane::ShardedControlPlane> {
-        self.world
-            .try_node_mut::<crate::plane::ShardedControlPlane>(self.controller)
-    }
-
     /// Borrows an AS switch.
     pub fn switch(&self, idx: usize) -> &AsSwitch {
         assert!(idx < self.as_switches.len(), "no AS switch {idx}");

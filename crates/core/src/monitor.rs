@@ -193,7 +193,7 @@ pub enum EventKind {
     },
     /// A reconnecting switch reported in after operating without a
     /// controller (it re-offered a hello, so by its own account it was
-    /// running in its configured fail mode).
+    /// running fail-secure).
     DegradedMode {
         /// The switch.
         dpid: u64,
@@ -603,7 +603,7 @@ impl Monitor {
 }
 
 /// Counters of the flow-setup fast path (decision cache + batched
-/// flow-mod emission) — surfaced as JSON next to the event feed so the
+/// flow-mod emission) — kept beside the event feed so the
 /// optimisation's effect is observable without changing the event log
 /// itself (the golden-trace determinism tests require the event
 /// history to be byte-identical with the cache on and off).
@@ -629,13 +629,6 @@ pub struct FastPathStats {
     pub messages_batched: u64,
     /// Largest number of messages in one batch.
     pub max_batch_len: u64,
-}
-
-impl FastPathStats {
-    /// The JSON form a monitoring UI polls.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).unwrap_or_default()
-    }
 }
 
 /// Control-plane health counters — the observable surface of the
@@ -672,13 +665,6 @@ pub struct HealthStats {
     pub switches_known: u64,
 }
 
-impl HealthStats {
-    /// The JSON form a monitoring UI polls.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).unwrap_or_default()
-    }
-}
-
 /// Counters of the connection-tracking / stateful-enforcement layer —
 /// established reports, SYN floods, and the established-flow fast-pass
 /// (direct entries bypassing the SE hairpin). Returned by
@@ -702,13 +688,6 @@ pub struct ConnTrackStats {
     /// Bytes that traversed fast-pass entries instead of the SE
     /// hairpin (from FlowRemoved counters as the entries retire).
     pub fastpass_bytes: u64,
-}
-
-impl ConnTrackStats {
-    /// The JSON form a monitoring UI polls.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).unwrap_or_default()
-    }
 }
 
 /// One user row of a [`UiFrame`].

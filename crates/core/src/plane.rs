@@ -115,11 +115,6 @@ impl ShardedControlPlane {
         &self.ring
     }
 
-    /// Total shards, dead ones included.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Shards still alive.
     pub fn live_shard_count(&self) -> usize {
         self.shards.iter().filter(|s| s.alive).count()
@@ -282,7 +277,6 @@ mod tests {
     #[test]
     fn plane_starts_with_all_shards_alive() {
         let plane = ShardedControlPlane::new(Controller::new(), 4);
-        assert_eq!(plane.shard_count(), 4);
         assert_eq!(plane.live_shard_count(), 4);
         assert_eq!(plane.handoffs(), 0);
         let stats = plane.shard_stats();

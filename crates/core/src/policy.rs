@@ -237,16 +237,6 @@ impl PolicyTable {
         }
     }
 
-    /// A table whose default decision steers every flow through
-    /// `services` — the paper's full-mesh security posture.
-    pub fn steer_all(services: Vec<ServiceType>) -> Self {
-        PolicyTable {
-            rules: Vec::new(),
-            default_decision: PolicyDecision::Chain(services),
-            app_actions: Vec::new(),
-        }
-    }
-
     /// Appends a rule (evaluated after all earlier rules).
     pub fn push(&mut self, rule: PolicyRule) -> &mut Self {
         self.rules.push(rule);
@@ -423,7 +413,8 @@ mod tests {
             PolicyTable::deny_all().decide(&key(80)).0,
             &PolicyDecision::Deny
         );
-        let steer = PolicyTable::steer_all(vec![ServiceType::IntrusionDetection]);
+        let mut steer = PolicyTable::allow_all();
+        steer.set_default(PolicyDecision::Chain(vec![ServiceType::IntrusionDetection]));
         assert_eq!(
             steer.decide(&key(80)).0,
             &PolicyDecision::Chain(vec![ServiceType::IntrusionDetection])

@@ -52,9 +52,12 @@ impl TopologyMap {
     }
 
     /// Registers a switch after its features reply. Returns `true` if
-    /// it was new. Re-registering a known switch (a reconnect after a
-    /// crash or partition) keeps its discovered uplink: the physical
-    /// cabling did not change just because the session did.
+    /// it was new. Re-registering a switch that is still registered (a
+    /// reconnect the controller never noticed: a crash or partition
+    /// shorter than the liveness timeout) keeps its discovered uplink,
+    /// since the cabling did not change just because the session did.
+    /// A switch declared dead was dropped by [`Self::remove_switch`],
+    /// uplink included, and relearns it from LLDP.
     pub fn add_switch(&mut self, dpid: u64, node: NodeId, n_ports: u32) -> bool {
         self.by_node.insert(node, dpid);
         let uplink = self.switches.get(&dpid).and_then(|s| s.uplink);
@@ -231,6 +234,10 @@ mod tests {
         assert_eq!(t.uplink_of(1), Some(3));
         assert!(!t.add_switch(1, node(10), 4), "reconnect, not new");
         assert_eq!(t.uplink_of(1), Some(3), "uplink survives the session");
+        // Declared dead and back: the uplink went with the switch.
+        assert!(t.remove_switch(1));
+        assert!(t.add_switch(1, node(10), 4), "rejoin is new");
+        assert_eq!(t.uplink_of(1), None, "relearned from LLDP");
     }
 
     #[test]

@@ -107,16 +107,6 @@ impl TcpSegment {
     pub fn wire_len(&self) -> usize {
         Self::HEADER_LEN + self.payload.len()
     }
-
-    /// Returns `true` for a connection-opening SYN (without ACK).
-    pub fn is_syn(&self) -> bool {
-        self.flags.contains(TcpFlags::SYN) && !self.flags.contains(TcpFlags::ACK)
-    }
-
-    /// Returns `true` for a FIN or RST segment (connection teardown).
-    pub fn is_teardown(&self) -> bool {
-        self.flags.contains(TcpFlags::FIN) || self.flags.contains(TcpFlags::RST)
-    }
 }
 
 #[cfg(test)]
@@ -145,32 +135,6 @@ mod tests {
             format!("{:?}", TcpFlags::SYN | TcpFlags::ACK),
             "TcpFlags(SYN|ACK)"
         );
-    }
-
-    #[test]
-    fn syn_and_teardown_classification() {
-        let syn = TcpSegment {
-            src_port: 1,
-            dst_port: 2,
-            seq: 0,
-            ack: 0,
-            flags: TcpFlags::SYN,
-            payload: Payload::Empty,
-        };
-        assert!(syn.is_syn());
-        assert!(!syn.is_teardown());
-
-        let synack = TcpSegment {
-            flags: TcpFlags::SYN | TcpFlags::ACK,
-            ..syn.clone()
-        };
-        assert!(!synack.is_syn());
-
-        let fin = TcpSegment {
-            flags: TcpFlags::FIN | TcpFlags::ACK,
-            ..syn
-        };
-        assert!(fin.is_teardown());
     }
 
     #[test]

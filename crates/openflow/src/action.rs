@@ -82,13 +82,6 @@ pub struct ActionOutcome {
     pub outputs: Vec<(OutPort, Packet)>,
 }
 
-impl ActionOutcome {
-    /// Returns `true` if the action list emitted nothing (drop).
-    pub fn is_drop(&self) -> bool {
-        self.outputs.is_empty()
-    }
-}
-
 fn set_tp_src(t: &mut Transport, port: u16) {
     match t {
         Transport::Tcp(seg) => seg.src_port = port,
@@ -184,7 +177,7 @@ mod tests {
     #[test]
     fn empty_action_list_drops() {
         let out = apply_actions(&pkt(), &[]);
-        assert!(out.is_drop());
+        assert!(out.outputs.is_empty());
     }
 
     #[test]
@@ -266,7 +259,7 @@ mod tests {
         let rewrites = [Action::SetDlDst(MacAddr::from_u64(9)), Action::StripVlan];
         assert_eq!(owned_outputs(pkt(), &rewrites), vec![]);
         assert_eq!(owned_outputs(pkt(), &[]), vec![]);
-        assert!(apply_actions(&pkt(), &rewrites).is_drop());
+        assert!(apply_actions(&pkt(), &rewrites).outputs.is_empty());
     }
 
     #[test]

@@ -6,38 +6,8 @@
 //! interesting messages (flow-mods, packet-outs, stats requests) are
 //! surfaced to the caller.
 
-use crate::codec::{decode, decode_all, encode, CodecError};
+use crate::codec::{decode_all, encode, CodecError};
 use crate::message::OfMessage;
-use std::fmt;
-
-/// Error surfaced by [`SwitchChannel::receive`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ChannelError {
-    /// The peer sent bytes the codec rejects.
-    Codec(CodecError),
-}
-
-impl fmt::Display for ChannelError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ChannelError::Codec(e) => write!(f, "secure channel codec error: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for ChannelError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            ChannelError::Codec(e) => Some(e),
-        }
-    }
-}
-
-impl From<CodecError> for ChannelError {
-    fn from(e: CodecError) -> Self {
-        ChannelError::Codec(e)
-    }
-}
 
 /// The switch side of an OpenFlow secure channel.
 #[derive(Debug, Clone)]
@@ -45,7 +15,6 @@ pub struct SwitchChannel {
     datapath_id: u64,
     n_ports: u32,
     next_xid: u32,
-    peer_hello_seen: bool,
     /// Echo replies received from the peer (keepalive liveness).
     pub echo_replies_seen: u64,
 }
@@ -57,7 +26,6 @@ impl SwitchChannel {
             datapath_id,
             n_ports,
             next_xid: 1,
-            peer_hello_seen: false,
             echo_replies_seen: 0,
         }
     }
@@ -67,23 +35,17 @@ impl SwitchChannel {
         self.datapath_id
     }
 
-    /// Whether the peer's hello has arrived.
-    pub fn is_established(&self) -> bool {
-        self.peer_hello_seen
-    }
-
     /// The initial hello to transmit when the channel connects.
     pub fn hello(&mut self) -> Vec<u8> {
         self.send(&OfMessage::Hello)
     }
 
     /// Resets the session as a crash-restart would: transaction ids
-    /// restart from 1, the peer's hello is forgotten, and the keepalive
-    /// counter zeroes. The switch identity (datapath id, port count)
-    /// survives — it is hardware, not session state.
+    /// restart from 1 and the keepalive counter zeroes. The switch
+    /// identity (datapath id, port count) survives — it is hardware,
+    /// not session state.
     pub fn reset(&mut self) {
         self.next_xid = 1;
-        self.peer_hello_seen = false;
         self.echo_replies_seen = 0;
     }
 
@@ -94,41 +56,26 @@ impl SwitchChannel {
         encode(msg, xid)
     }
 
-    /// Processes inbound bytes.
-    ///
-    /// Returns any auto-replies (already encoded, ready to transmit)
-    /// and, if the message needs switch-specific handling, the decoded
-    /// message for the caller.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ChannelError::Codec`] if the bytes don't decode.
-    pub fn receive(
-        &mut self,
-        bytes: &[u8],
-    ) -> Result<(Vec<Vec<u8>>, Option<OfMessage>), ChannelError> {
-        let (msg, xid) = decode(bytes)?;
-        let mut replies = Vec::new();
-        let up = self.process(msg, xid, &mut replies);
-        Ok((replies, up))
-    }
-
-    /// Processes inbound bytes that may carry a whole batch of
+    /// Processes inbound bytes, which may carry a whole batch of
     /// concatenated messages (the controller's per-switch flow-mod
-    /// batches). Auto-replies are generated per message in arrival
-    /// order — in particular the reply to a batch-terminating
-    /// [`OfMessage::BarrierRequest`] is only encoded after every
-    /// preceding message in the batch was processed, which is what
-    /// makes the barrier an ordering guarantee.
+    /// batches).
+    ///
+    /// Returns the auto-replies (already encoded, ready to transmit)
+    /// and the messages that need switch-specific handling. Replies are
+    /// generated per message in arrival order — in particular the reply
+    /// to a batch-terminating [`OfMessage::BarrierRequest`] is only
+    /// encoded after every preceding message in the batch was
+    /// processed, which is what makes the barrier an ordering
+    /// guarantee.
     ///
     /// # Errors
     ///
-    /// Returns [`ChannelError::Codec`] if any frame doesn't decode; no
-    /// message of a malformed batch is surfaced.
+    /// Returns [`CodecError`] if any frame doesn't decode; no message
+    /// of a malformed batch is surfaced.
     pub fn receive_all(
         &mut self,
         bytes: &[u8],
-    ) -> Result<(Vec<Vec<u8>>, Vec<OfMessage>), ChannelError> {
+    ) -> Result<(Vec<Vec<u8>>, Vec<OfMessage>), CodecError> {
         let msgs = decode_all(bytes)?;
         let mut replies = Vec::new();
         let mut up = Vec::new();
@@ -149,10 +96,7 @@ impl SwitchChannel {
         replies: &mut Vec<Vec<u8>>,
     ) -> Option<OfMessage> {
         match msg {
-            OfMessage::Hello => {
-                self.peer_hello_seen = true;
-                None
-            }
+            OfMessage::Hello => None,
             OfMessage::EchoRequest(v) => {
                 replies.push(encode(&OfMessage::EchoReply(v), xid));
                 None
@@ -186,25 +130,24 @@ impl SwitchChannel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::decode;
     use crate::flow_match::Match;
 
     #[test]
-    fn handshake_establishes() {
+    fn hello_is_absorbed() {
         let mut ch = SwitchChannel::new(42, 4);
-        assert!(!ch.is_established());
         let hello = encode(&OfMessage::Hello, 1);
-        let (replies, up) = ch.receive(&hello).unwrap();
+        let (replies, up) = ch.receive_all(&hello).unwrap();
         assert!(replies.is_empty());
-        assert!(up.is_none());
-        assert!(ch.is_established());
+        assert!(up.is_empty());
     }
 
     #[test]
     fn echo_answered_with_same_xid_and_payload() {
         let mut ch = SwitchChannel::new(42, 4);
         let req = encode(&OfMessage::EchoRequest(777), 55);
-        let (replies, up) = ch.receive(&req).unwrap();
-        assert!(up.is_none());
+        let (replies, up) = ch.receive_all(&req).unwrap();
+        assert!(up.is_empty());
         assert_eq!(replies.len(), 1);
         let (msg, xid) = decode(&replies[0]).unwrap();
         assert_eq!(msg, OfMessage::EchoReply(777));
@@ -215,7 +158,7 @@ mod tests {
     fn features_reports_identity() {
         let mut ch = SwitchChannel::new(0xabc, 24);
         let req = encode(&OfMessage::FeaturesRequest, 9);
-        let (replies, _) = ch.receive(&req).unwrap();
+        let (replies, _) = ch.receive_all(&req).unwrap();
         let (msg, _) = decode(&replies[0]).unwrap();
         assert_eq!(
             msg,
@@ -230,8 +173,8 @@ mod tests {
     fn barrier_acknowledged() {
         let mut ch = SwitchChannel::new(1, 1);
         let req = encode(&OfMessage::BarrierRequest, 3);
-        let (replies, up) = ch.receive(&req).unwrap();
-        assert!(up.is_none());
+        let (replies, up) = ch.receive_all(&req).unwrap();
+        assert!(up.is_empty());
         let (msg, xid) = decode(&replies[0]).unwrap();
         assert_eq!(msg, OfMessage::BarrierReply);
         assert_eq!(xid, 3);
@@ -242,15 +185,15 @@ mod tests {
         let mut ch = SwitchChannel::new(1, 1);
         let fm = OfMessage::add_flow(Match::any(), vec![], 1);
         let bytes = encode(&fm, 2);
-        let (replies, up) = ch.receive(&bytes).unwrap();
+        let (replies, up) = ch.receive_all(&bytes).unwrap();
         assert!(replies.is_empty());
-        assert_eq!(up, Some(fm));
+        assert_eq!(up, vec![fm]);
     }
 
     #[test]
     fn garbage_rejected() {
         let mut ch = SwitchChannel::new(1, 1);
-        assert!(ch.receive(&[1, 2, 3]).is_err());
+        assert!(ch.receive_all(&[1, 2, 3]).is_err());
     }
 
     #[test]
@@ -280,12 +223,11 @@ mod tests {
     }
 
     #[test]
-    fn batched_hello_establishes_and_answers_features() {
+    fn batched_hello_answers_features() {
         let mut ch = SwitchChannel::new(0xd, 8);
         let mut payload = encode(&OfMessage::Hello, 1);
         payload.extend_from_slice(&encode(&OfMessage::FeaturesRequest, 2));
         let (replies, up) = ch.receive_all(&payload).unwrap();
-        assert!(ch.is_established());
         assert!(up.is_empty());
         assert_eq!(replies.len(), 1);
         let (msg, _) = decode(&replies[0]).unwrap();
@@ -301,12 +243,12 @@ mod tests {
     #[test]
     fn reset_forgets_session_but_keeps_identity() {
         let mut ch = SwitchChannel::new(0xabc, 24);
-        let hello = encode(&OfMessage::Hello, 1);
-        ch.receive(&hello).unwrap();
+        ch.receive_all(&encode(&OfMessage::EchoReply(1), 1))
+            .unwrap();
         let _ = ch.send(&OfMessage::Hello);
-        assert!(ch.is_established());
+        assert_eq!(ch.echo_replies_seen, 1);
         ch.reset();
-        assert!(!ch.is_established(), "peer hello forgotten");
+        assert_eq!(ch.echo_replies_seen, 0, "keepalive count forgotten");
         assert_eq!(ch.datapath_id(), 0xabc, "identity survives");
         let a = ch.send(&OfMessage::Hello);
         let (_, xid) = decode(&a).unwrap();

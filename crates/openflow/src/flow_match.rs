@@ -141,12 +141,6 @@ impl Match {
         self
     }
 
-    /// Sets the source transport port constraint.
-    pub fn with_tp_src(mut self, p: u16) -> Self {
-        self.tp_src = Some(p);
-        self
-    }
-
     /// Whether a packet that arrived on `in_port` with header fields
     /// `key` satisfies this match.
     pub fn matches(&self, in_port: u32, key: &FlowKey) -> bool {

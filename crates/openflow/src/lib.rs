@@ -64,7 +64,7 @@ pub mod message;
 pub mod table;
 
 pub use action::{apply_actions, apply_actions_owned, Action, ActionOutcome, OutPort};
-pub use channel::{ChannelError, SwitchChannel};
+pub use channel::SwitchChannel;
 pub use codec::{decode, encode, CodecError};
 pub use flow_match::{lookup_key, Match, VlanMatch};
 pub use header_space::{HeaderClass, MatchSet};
@@ -78,7 +78,7 @@ pub use table::{FlowEntry, FlowTable, InsertOutcome, RemovedEntry};
 /// Convenient glob-import surface: `use livesec_openflow::prelude::*;`.
 pub mod prelude {
     pub use crate::action::{apply_actions, apply_actions_owned, Action, ActionOutcome, OutPort};
-    pub use crate::channel::{ChannelError, SwitchChannel};
+    pub use crate::channel::SwitchChannel;
     pub use crate::codec::{decode, encode, CodecError};
     pub use crate::flow_match::{lookup_key, Match, VlanMatch};
     pub use crate::header_space::{HeaderClass, MatchSet};

@@ -283,27 +283,6 @@ pub enum OfMessage {
 }
 
 impl OfMessage {
-    /// Short message-type name (for logs and traces).
-    pub fn type_name(&self) -> &'static str {
-        match self {
-            OfMessage::Hello => "hello",
-            OfMessage::EchoRequest(_) => "echo_request",
-            OfMessage::EchoReply(_) => "echo_reply",
-            OfMessage::FeaturesRequest => "features_request",
-            OfMessage::FeaturesReply { .. } => "features_reply",
-            OfMessage::PacketIn { .. } => "packet_in",
-            OfMessage::PacketOut { .. } => "packet_out",
-            OfMessage::FlowMod { .. } => "flow_mod",
-            OfMessage::FlowRemoved { .. } => "flow_removed",
-            OfMessage::PortStatus { .. } => "port_status",
-            OfMessage::StatsRequest(_) => "stats_request",
-            OfMessage::StatsReply(_) => "stats_reply",
-            OfMessage::BarrierRequest => "barrier_request",
-            OfMessage::BarrierReply => "barrier_reply",
-            OfMessage::Attestation(_) => "attestation",
-        }
-    }
-
     /// Convenience constructor for an add flow-mod with no timeouts.
     pub fn add_flow(matcher: Match, actions: Vec<Action>, priority: u16) -> Self {
         OfMessage::FlowMod {
@@ -336,16 +315,6 @@ impl OfMessage {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn type_names_cover_all() {
-        assert_eq!(OfMessage::Hello.type_name(), "hello");
-        assert_eq!(OfMessage::BarrierReply.type_name(), "barrier_reply");
-        assert_eq!(
-            OfMessage::add_flow(Match::any(), vec![], 1).type_name(),
-            "flow_mod"
-        );
-    }
 
     #[test]
     fn attestation_tag_is_stable_and_field_sensitive() {

@@ -58,27 +58,9 @@ impl FlowEntry {
         }
     }
 
-    /// Sets the idle timeout.
-    pub fn with_idle_timeout(mut self, nanos: Nanos) -> Self {
-        self.idle_timeout = Some(nanos);
-        self
-    }
-
-    /// Sets the hard timeout.
-    pub fn with_hard_timeout(mut self, nanos: Nanos) -> Self {
-        self.hard_timeout = Some(nanos);
-        self
-    }
-
     /// Sets the cookie.
     pub fn with_cookie(mut self, cookie: u64) -> Self {
         self.cookie = cookie;
-        self
-    }
-
-    /// Requests a flow-removed notification on eviction.
-    pub fn with_removed_notification(mut self) -> Self {
-        self.notify_removed = true;
         self
     }
 }
@@ -123,7 +105,7 @@ pub enum InsertOutcome {
 ///
 /// * `lookup` / `lookup_counting` / `peek`: one hash probe plus a scan
 ///   of `wild` — O(bucket + |wild|).
-/// * `insert_at` (fresh or replace), `contains_strict`, and `remove` /
+/// * `insert_at` (fresh or replace) and `remove` /
 ///   `modify_actions` whose matcher has exact headers (strict or not):
 ///   one hash probe — O(bucket), a bucket being the entries that share
 ///   one `FlowKey` (they differ in `in_port` or priority only).
@@ -333,12 +315,6 @@ impl FlowTable {
         Some(self.slots[idx].as_ref().expect("live index"))
     }
 
-    /// Whether an entry with exactly this match and priority exists
-    /// (the entry an `ADD` would replace).
-    pub fn contains_strict(&self, matcher: &Match, priority: u16) -> bool {
-        self.find_strict(matcher, priority).is_some()
-    }
-
     /// Non-mutating lookup: no counter updates.
     pub fn peek(&self, in_port: u32, key: &FlowKey) -> Option<&FlowEntry> {
         let idx = self.best_candidate(in_port, key)?;
@@ -540,10 +516,9 @@ mod tests {
     #[test]
     fn idle_timeout_expires_only_when_unused() {
         let mut t = FlowTable::new();
-        t.insert_at(
-            FlowEntry::new(Match::exact(1, &key(80)), out(2), 10).with_idle_timeout(100),
-            0,
-        );
+        let mut e = FlowEntry::new(Match::exact(1, &key(80)), out(2), 10);
+        e.idle_timeout = Some(100);
+        t.insert_at(e, 0);
         // Used at t=50: stays alive at t=120.
         t.lookup(1, &key(80), 50);
         assert!(t.expire(120).is_empty());
@@ -557,10 +532,9 @@ mod tests {
     #[test]
     fn hard_timeout_expires_despite_use() {
         let mut t = FlowTable::new();
-        t.insert_at(
-            FlowEntry::new(Match::exact(1, &key(80)), out(2), 10).with_hard_timeout(100),
-            0,
-        );
+        let mut e = FlowEntry::new(Match::exact(1, &key(80)), out(2), 10);
+        e.hard_timeout = Some(100);
+        t.insert_at(e, 0);
         t.lookup(1, &key(80), 90);
         let removed = t.expire(100);
         assert_eq!(removed.len(), 1);
@@ -572,12 +546,10 @@ mod tests {
         // Regression: `created_at + u64::MAX` overflowed (a panic under
         // `overflow-checks`), and the codec decodes any u64 off the wire.
         let mut t = FlowTable::new();
-        t.insert_at(
-            FlowEntry::new(Match::exact(1, &key(80)), out(2), 10)
-                .with_idle_timeout(u64::MAX)
-                .with_hard_timeout(u64::MAX),
-            5,
-        );
+        let mut e = FlowEntry::new(Match::exact(1, &key(80)), out(2), 10);
+        e.idle_timeout = Some(u64::MAX);
+        e.hard_timeout = Some(u64::MAX);
+        t.insert_at(e, 5);
         assert!(t.expire(10).is_empty(), "a saturated deadline is never due");
         assert_eq!(t.len(), 1);
     }

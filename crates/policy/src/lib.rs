@@ -36,7 +36,7 @@
 //!   difference-of-cubes header-space algebra: a rule fully eaten by
 //!   earlier rules is an error when they disagree with it, a warning
 //!   when they merely repeat it.
-//! - [`compile`] lowers to the controller's [`PolicyTable`].
+//! - [`compile()`] lowers to the controller's [`PolicyTable`].
 //! - [`diff`] turns `(old_table, new_table)` into a minimal edit
 //!   script of [`PolicyDelta`]s that
 //!   `Controller::apply_policy_delta` applies with class-scoped

@@ -53,7 +53,6 @@ pub struct ServiceElement<I: Inspector> {
     per_packet_overhead: SimDuration,
     max_backlog: SimDuration,
     report_interval: SimDuration,
-    inline_blocking: bool,
     busy_until: SimTime,
     queue: VecDeque<Packet>,
     window_packets: u64,
@@ -84,7 +83,6 @@ impl<I: Inspector> ServiceElement<I> {
             per_packet_overhead: SimDuration::from_micros(5),
             max_backlog: SimDuration::from_millis(20),
             report_interval: SimDuration::from_millis(100),
-            inline_blocking: false,
             busy_until: SimTime::ZERO,
             queue: VecDeque::new(),
             window_packets: 0,
@@ -131,14 +129,6 @@ impl<I: Inspector> ServiceElement<I> {
         self
     }
 
-    /// Drops packets that produced a finding instead of re-emitting
-    /// them (inline-blocking mode; the paper's default is off-path
-    /// reporting with controller-side enforcement).
-    pub fn with_inline_blocking(mut self) -> Self {
-        self.inline_blocking = true;
-        self
-    }
-
     /// The element's counters.
     pub fn counters(&self) -> SeCounters {
         self.counters
@@ -147,11 +137,6 @@ impl<I: Inspector> ServiceElement<I> {
     /// The wrapped engine.
     pub fn inspector(&self) -> &I {
         &self.inspector
-    }
-
-    /// Current queue depth in packets.
-    pub fn queue_depth(&self) -> usize {
-        self.queue.len()
     }
 
     fn send_control(&mut self, io: &mut HostIo<'_, '_>, msg: &SeMessage) {
@@ -251,7 +236,9 @@ impl<I: Inspector> App for ServiceElement<I> {
                 self.window_packets += 1;
                 self.window_bits += (pkt.wire_len() * 8) as u64;
 
-                let mut blocked = false;
+                // Off-path reporting (paper §IV-A): a finding goes to
+                // the controller, which enforces at the ingress; the
+                // packet itself is re-emitted either way.
                 if let Some(key) = FlowKey::of(&pkt) {
                     if let Some(finding) = self.inspector.inspect_packet(&key, &pkt, io.now()) {
                         let msg = SeMessage::Event {
@@ -261,12 +248,9 @@ impl<I: Inspector> App for ServiceElement<I> {
                         };
                         self.counters.events_sent += 1;
                         self.send_control(io, &msg);
-                        blocked = self.inline_blocking;
                     }
                 }
-                if !blocked {
-                    io.send_raw(pkt);
-                }
+                io.send_raw(pkt);
             }
             _ => {}
         }
@@ -399,19 +383,6 @@ mod tests {
                 .events_sent,
             1
         );
-    }
-
-    #[test]
-    fn inline_blocking_drops_offending_packet() {
-        let se = ServiceElement::new(IdsEngine::engine()).with_inline_blocking();
-        let attack = steered_packet(b"/etc/passwd");
-        let clean = steered_packet(b"harmless");
-        let (mut world, harness, _) =
-            world_with_se(se, vec![attack, clean.clone()], SimDuration::from_millis(1));
-        world.run_for(SimDuration::from_millis(50));
-        let h = world.node::<Harness>(harness);
-        assert_eq!(h.returned.len(), 1, "only the clean packet returns");
-        assert_eq!(h.returned[0], clean);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use crate::aho::AhoCorasick;
 use crate::msg::{ServiceType, Verdict};
-use livesec_conntrack::{ConnEvent, ConnKey, ConnTable, ConnTimeouts, PacketState};
+use livesec_conntrack::{ConnEvent, ConnKey, ConnTable, PacketState};
 use livesec_net::{FlowKey, HashSet, Ipv4Net, Packet, SessionKey};
 use livesec_sim::SimTime;
 use serde::{Deserialize, Serialize};
@@ -545,17 +545,6 @@ impl FwRule {
         }
     }
 
-    /// An allow rule matching anything.
-    pub fn allow(name: &str) -> Self {
-        Self::any(name, FwAction::Allow)
-    }
-
-    /// An allow rule that also admits the connection to the
-    /// established-flow fast-pass.
-    pub fn allow_established(name: &str) -> Self {
-        Self::any(name, FwAction::AllowEstablished)
-    }
-
     /// A deny rule matching anything (useful as a default-deny tail).
     pub fn deny_all(name: &str) -> Self {
         Self::any(name, FwAction::Deny)
@@ -695,12 +684,6 @@ impl FirewallEngine {
     /// a SYN flood is reported (default 16).
     pub fn with_syn_flood_threshold(mut self, threshold: u32) -> Self {
         self.syn_flood_threshold = threshold;
-        self
-    }
-
-    /// Replaces the connection-table idle timeouts.
-    pub fn with_conn_timeouts(mut self, timeouts: ConnTimeouts) -> Self {
-        self.conntrack = ConnTable::new().with_timeouts(timeouts);
         self
     }
 
@@ -1091,7 +1074,9 @@ mod tests {
         // the default-deny tail only catches what nothing allowed.
         let fw = FirewallEngine::new(
             vec![
-                FwRule::allow("allow-web").proto(6).dst_port(80),
+                FwRule::any("allow-web", FwAction::Allow)
+                    .proto(6)
+                    .dst_port(80),
                 FwRule::deny_all("default-deny"),
             ],
             FwAction::Allow,
@@ -1109,7 +1094,9 @@ mod tests {
         // under first-match-wins the allow could never fire.
         let shadowed = vec![
             FwRule::deny_all("default-deny"),
-            FwRule::allow("allow-web").proto(6).dst_port(80),
+            FwRule::any("allow-web", FwAction::Allow)
+                .proto(6)
+                .dst_port(80),
         ];
         let err = FirewallEngine::try_new(shadowed, FwAction::Allow).unwrap_err();
         assert!(err.contains("allow-web"), "{err}");
@@ -1118,7 +1105,7 @@ mod tests {
         // Broader prefix before narrower: also shadowed.
         let prefix_shadow = vec![
             FwRule::deny_all("deny-lab").src("10.0.0.0/16".parse().unwrap()),
-            FwRule::allow("allow-host").src("10.0.0.0/24".parse().unwrap()),
+            FwRule::any("allow-host", FwAction::Allow).src("10.0.0.0/24".parse().unwrap()),
         ];
         assert!(FirewallEngine::try_new(prefix_shadow, FwAction::Allow).is_err());
 
@@ -1126,7 +1113,7 @@ mod tests {
         // the later rule reachable.
         let ok = vec![
             FwRule::deny_all("deny-new").state(StateMatch::New),
-            FwRule::allow("allow-established").state(StateMatch::Established),
+            FwRule::any("allow-established", FwAction::Allow).state(StateMatch::Established),
         ];
         assert!(FirewallEngine::try_new(ok, FwAction::Allow).is_ok());
     }
@@ -1178,7 +1165,9 @@ mod tests {
         // Default-deny inbound, allow outbound web: the reply direction
         // must pass without an explicit rule for it.
         let mut fw = FirewallEngine::new(
-            vec![FwRule::allow("allow-out-web").proto(6).dst_port(80)],
+            vec![FwRule::any("allow-out-web", FwAction::Allow)
+                .proto(6)
+                .dst_port(80)],
             FwAction::Deny,
         );
         let f = flow(80);
@@ -1204,7 +1193,7 @@ mod tests {
     #[test]
     fn firewall_reports_established_once_for_allow_established() {
         let mut fw = FirewallEngine::new(
-            vec![FwRule::allow_established("fastpass-web")
+            vec![FwRule::any("fastpass-web", FwAction::AllowEstablished)
                 .proto(6)
                 .dst_port(80)],
             FwAction::Deny,
@@ -1231,7 +1220,7 @@ mod tests {
     #[test]
     fn firewall_closes_admitted_connection_on_teardown_and_expiry() {
         let mut fw = FirewallEngine::new(
-            vec![FwRule::allow_established("fastpass-web")
+            vec![FwRule::any("fastpass-web", FwAction::AllowEstablished)
                 .proto(6)
                 .dst_port(80)],
             FwAction::Allow,

@@ -147,11 +147,6 @@ impl FaultPlan {
         self.events.is_empty()
     }
 
-    /// The time of the last scheduled fault, if any.
-    pub fn last_at(&self) -> Option<SimTime> {
-        self.events.iter().map(|e| e.at).max()
-    }
-
     /// Checks the plan for internal consistency.
     ///
     /// Today that means: every [`FaultKind::HealControl`] must have a
@@ -198,7 +193,6 @@ mod tests {
             );
         assert_eq!(plan.len(), 2);
         assert!(!plan.is_empty());
-        assert_eq!(plan.last_at(), Some(SimTime::from_nanos(9)));
         assert_eq!(
             plan.events[0].kind,
             FaultKind::PartitionControl { node: NodeId(1) }
@@ -209,7 +203,6 @@ mod tests {
     fn empty_plan_reports_empty() {
         let plan = FaultPlan::new(0);
         assert!(plan.is_empty());
-        assert_eq!(plan.last_at(), None);
     }
 
     #[test]

@@ -61,12 +61,6 @@ impl LinkSpec {
         }
     }
 
-    /// Sets the rate, keeping other parameters.
-    pub fn with_rate_bps(mut self, rate_bps: u64) -> Self {
-        self.rate_bps = rate_bps;
-        self
-    }
-
     /// Sets the propagation delay, keeping other parameters.
     pub fn with_delay(mut self, delay: SimDuration) -> Self {
         self.delay = delay;

@@ -1,6 +1,6 @@
-//! Measurement helpers: latency summaries and throughput meters.
+//! Measurement helpers: latency summaries and bit-rate formatting.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 use serde::{Deserialize, Serialize};
 
 /// An online summary of duration samples (latencies, RTTs).
@@ -75,55 +75,6 @@ impl LatencySummary {
     }
 }
 
-/// Measures achieved throughput from byte deliveries over a window.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ThroughputMeter {
-    bytes: u64,
-    first: Option<SimTime>,
-    last: Option<SimTime>,
-}
-
-impl ThroughputMeter {
-    /// Creates an idle meter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records `bytes` delivered at time `at`.
-    pub fn record(&mut self, at: SimTime, bytes: u64) {
-        self.bytes += bytes;
-        if self.first.is_none() {
-            self.first = Some(at);
-        }
-        self.last = Some(at);
-    }
-
-    /// Total bytes recorded.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Average goodput in bits per second over an explicit window.
-    ///
-    /// Use this (with the experiment's configured duration) rather than
-    /// first-to-last sample spacing when the source may idle.
-    pub fn bits_per_sec_over(&self, window: SimDuration) -> f64 {
-        if window == SimDuration::ZERO {
-            return 0.0;
-        }
-        (self.bytes * 8) as f64 / window.as_secs_f64()
-    }
-
-    /// Average goodput in bits per second between the first and last
-    /// recorded delivery, or 0.0 with fewer than two samples.
-    pub fn bits_per_sec(&self) -> f64 {
-        match (self.first, self.last) {
-            (Some(a), Some(b)) if b > a => (self.bytes * 8) as f64 / b.since(a).as_secs_f64(),
-            _ => 0.0,
-        }
-    }
-}
-
 /// Formats a bit rate human-readably (e.g. `827.3 Mbps`).
 pub fn format_bps(bps: f64) -> String {
     if bps >= 1e9 {
@@ -170,26 +121,6 @@ mod tests {
         let mut s = LatencySummary::new();
         s.record(SimDuration::from_millis(1));
         let _ = s.percentile(101.0);
-    }
-
-    #[test]
-    fn throughput_over_window() {
-        let mut m = ThroughputMeter::new();
-        m.record(SimTime::from_nanos(0), 500_000);
-        m.record(SimTime::from_nanos(1_000_000_000), 500_000);
-        // 1 MB over 1 second = 8 Mbps.
-        assert_eq!(m.bits_per_sec_over(SimDuration::from_secs(1)), 8_000_000.0);
-        assert_eq!(m.bytes(), 1_000_000);
-    }
-
-    #[test]
-    fn throughput_first_to_last() {
-        let mut m = ThroughputMeter::new();
-        assert_eq!(m.bits_per_sec(), 0.0);
-        m.record(SimTime::from_nanos(0), 1000);
-        assert_eq!(m.bits_per_sec(), 0.0); // single instant
-        m.record(SimTime::from_nanos(1_000_000), 1000);
-        assert!((m.bits_per_sec() - 16_000_000.0).abs() < 1.0);
     }
 
     #[test]

@@ -121,11 +121,6 @@ impl Ctx<'_> {
         self.kernel.now
     }
 
-    /// The id of the node being called.
-    pub fn node_id(&self) -> NodeId {
-        self.node
-    }
-
     /// Transmits `pkt` out of local port `port`.
     ///
     /// If no link is attached to the port, or the link's queue is full,

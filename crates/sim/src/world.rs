@@ -539,13 +539,6 @@ impl World {
         self.run_until(deadline)
     }
 
-    /// Runs until the event queue drains completely, leaving the clock
-    /// at the last event (careful: periodic timers make this never
-    /// return).
-    pub fn run_to_quiescence(&mut self) -> RunStats {
-        self.run_core(SimTime::from_nanos(u64::MAX))
-    }
-
     fn with_node<R>(&mut self, id: NodeId, f: impl FnOnce(&mut dyn Node, &mut Ctx<'_>) -> R) -> R {
         let mut node = self.nodes[id.index()]
             .take()

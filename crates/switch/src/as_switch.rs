@@ -1,6 +1,6 @@
 //! The Access-Switching layer switch: a software OpenFlow switch.
 
-use livesec_net::{wire, FlowKey, HashMap, HashSet, MacAddr, Packet, PacketBuilder};
+use livesec_net::{wire, FlowKey, HashSet, MacAddr, Packet, PacketBuilder};
 use livesec_openflow::{
     apply_actions_owned, attestation_tag, lookup_key, packet_tag, Action, FlowEntry,
     FlowModCommand, FlowRemovedReason, FlowStats, ForwardingAttestation, OfMessage, OutPort,
@@ -12,30 +12,24 @@ use std::borrow::Cow;
 
 /// Timer token for the periodic housekeeping tick.
 const TICK: u64 = 1;
+/// The housekeeping period (flow expiry, port-status flush, liveness).
+const TICK_PERIOD: SimDuration = SimDuration::from_millis(100);
 /// Housekeeping ticks between keepalive echoes on the secure channel.
 const ECHO_EVERY_TICKS: u64 = 10;
 /// Housekeeping ticks of controller silence before the switch declares
-/// its controller unreachable and enters its fail mode (3 s at the
-/// default 100 ms tick — three missed keepalive rounds).
-const DEFAULT_CTRL_TIMEOUT_TICKS: u64 = 30;
+/// its controller unreachable and degrades fail-secure (3 s — three
+/// missed keepalive rounds).
+const CTRL_TIMEOUT_TICKS: u64 = 30;
 /// First reconnect-hello retry interval while degraded, in ticks.
 const BACKOFF_START_TICKS: u64 = 5;
-/// Reconnect backoff cap, in ticks (8 s at the default tick).
+/// Reconnect backoff cap, in ticks (8 s).
 const BACKOFF_CAP_TICKS: u64 = 80;
 
-/// What an [`AsSwitch`] does with table misses while its controller is
-/// unreachable.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum FailMode {
-    /// Fail-secure (the OpenFlow "fail secure mode"): installed flows
-    /// keep forwarding, table misses are dropped. Nothing traverses the
-    /// network that the controller has not explicitly admitted.
-    #[default]
-    Secure,
-    /// Fail-standalone: the switch degrades to a plain MAC-learning
-    /// bridge for table misses, trading policy enforcement for
-    /// connectivity (OvS's "standalone" fail mode).
-    Standalone,
+/// The port a compromised switch sends `port`'s traffic to instead:
+/// rotated by `skew` within `1..=n_ports`. The wire carries any port
+/// below 0xff00, 0 included, so the rotation must not subtract first.
+fn skewed_port(port: u32, skew: u32, n_ports: u32) -> u32 {
+    (port + skew - 1) % n_ports + 1
 }
 
 /// A software OpenFlow switch of the Access-Switching layer.
@@ -43,6 +37,11 @@ pub enum FailMode {
 /// Models Open vSwitch as deployed in the paper (and, behind slower
 /// links, the Pantou OF Wi-Fi APs): a flow table driven entirely by the
 /// controller over a secure channel, with packet-ins for table misses.
+///
+/// While its controller is unreachable the switch fails secure (the
+/// OpenFlow "fail secure mode"): installed flows keep forwarding and
+/// table misses are dropped, so nothing traverses the network that the
+/// controller has not explicitly admitted.
 ///
 /// Port conventions follow the deployment builder in `livesec`:
 /// port 1 is the uplink into the Legacy-Switching layer, ports 2.. are
@@ -52,18 +51,13 @@ pub struct AsSwitch {
     table: livesec_openflow::FlowTable,
     controller: Option<NodeId>,
     n_ports: u32,
-    tick: SimDuration,
     down_ports: HashSet<u32>,
     pending_status: Vec<(PortStatusReason, u32)>,
-    table_limit: Option<usize>,
     ticks: u64,
-    fail_mode: FailMode,
-    ctrl_timeout_ticks: u64,
     last_ctrl_tick: u64,
     degraded: bool,
     reconnect_backoff: u64,
     next_hello_tick: u64,
-    l2: HashMap<MacAddr, u32>,
     /// The matched entry's action list, copied out for the length of
     /// one forward: the entry borrows the table, emitting borrows the
     /// whole switch. Reused, so a table hit allocates nothing.
@@ -79,16 +73,12 @@ pub struct AsSwitch {
     pub fast_path_frames: u64,
     /// Packet-ins sent.
     pub packet_ins: u64,
-    /// Flow-mod adds rejected because the table was full.
-    pub table_full_rejections: u64,
     /// Times the switch declared its controller unreachable.
     pub degraded_entries: u64,
     /// Reconnect hellos sent while degraded (capped exponential backoff).
     pub reconnect_hellos: u64,
     /// Table misses dropped in fail-secure degraded mode.
     pub fail_secure_drops: u64,
-    /// Frames bridged by the L2 fallback in fail-standalone mode.
-    pub standalone_frames: u64,
     /// Crash-restart cycles survived (fault injection).
     pub crash_restarts: u64,
     /// Forwarding attestations sampled into the controller.
@@ -119,28 +109,21 @@ impl AsSwitch {
             table: livesec_openflow::FlowTable::new(),
             controller: None,
             n_ports,
-            tick: SimDuration::from_millis(100),
             down_ports: HashSet::default(),
             pending_status: Vec::new(),
-            table_limit: None,
             ticks: 0,
-            fail_mode: FailMode::Secure,
-            ctrl_timeout_ticks: DEFAULT_CTRL_TIMEOUT_TICKS,
             last_ctrl_tick: 0,
             degraded: false,
             reconnect_backoff: BACKOFF_START_TICKS,
             next_hello_tick: 0,
-            l2: HashMap::default(),
             action_buf: Vec::new(),
             attest_every: 0,
             misforward: None,
             fast_path_frames: 0,
             packet_ins: 0,
-            table_full_rejections: 0,
             degraded_entries: 0,
             reconnect_hellos: 0,
             fail_secure_drops: 0,
-            standalone_frames: 0,
             crash_restarts: 0,
             attestations_sent: 0,
             rules_tampered: 0,
@@ -163,67 +146,14 @@ impl AsSwitch {
         self.attest_every = every;
     }
 
-    /// The attestation sampling divisor (0 = attestation off).
-    pub fn attest_every(&self) -> u64 {
-        self.attest_every
-    }
-
-    /// Whether the switch is currently in silent-misforward mode.
-    pub fn is_misforwarding(&self) -> bool {
-        self.misforward.is_some()
-    }
-
-    /// Caps the flow table at `limit` entries: further adds are
-    /// rejected (and counted), as a hardware TCAM or a configured OvS
-    /// limit would. Replacements of existing entries still succeed.
-    pub fn with_table_limit(mut self, limit: usize) -> Self {
-        self.table_limit = Some(limit);
-        self
-    }
-
     /// Points the secure channel at the controller node.
     pub fn with_controller(mut self, controller: NodeId) -> Self {
         self.controller = Some(controller);
         self
     }
 
-    /// Sets the housekeeping tick (flow expiry, port-status flush).
-    pub fn with_tick(mut self, tick: SimDuration) -> Self {
-        self.tick = tick;
-        self
-    }
-
-    /// Sets what happens to table misses while the controller is
-    /// unreachable (default: [`FailMode::Secure`]).
-    pub fn with_fail_mode(mut self, mode: FailMode) -> Self {
-        self.fail_mode = mode;
-        self
-    }
-
-    /// Runtime setter for the fail mode.
-    pub fn set_fail_mode(&mut self, mode: FailMode) {
-        self.fail_mode = mode;
-    }
-
-    /// Sets the controller-silence threshold, in housekeeping ticks,
-    /// after which the switch enters its fail mode.
-    pub fn with_ctrl_timeout_ticks(mut self, ticks: u64) -> Self {
-        self.ctrl_timeout_ticks = ticks;
-        self
-    }
-
-    /// Runtime setter for the controller-silence threshold.
-    pub fn set_ctrl_timeout_ticks(&mut self, ticks: u64) {
-        self.ctrl_timeout_ticks = ticks;
-    }
-
-    /// The configured fail mode.
-    pub fn fail_mode(&self) -> FailMode {
-        self.fail_mode
-    }
-
     /// Whether the switch currently considers its controller
-    /// unreachable and is operating in its fail mode.
+    /// unreachable and is dropping table misses.
     pub fn is_degraded(&self) -> bool {
         self.degraded
     }
@@ -379,16 +309,6 @@ impl AsSwitch {
         let now = ctx.now().as_nanos();
         match command {
             FlowModCommand::Add => {
-                if let Some(limit) = self.table_limit {
-                    // A full table still takes an Add that replaces an
-                    // entry; below the limit insert_at's own probe is
-                    // the only one.
-                    if self.table.len() >= limit && !self.table.contains_strict(&matcher, priority)
-                    {
-                        self.table_full_rejections += 1;
-                        return;
-                    }
-                }
                 let mut entry = FlowEntry::new(matcher, actions, priority).with_cookie(cookie);
                 entry.idle_timeout = idle_timeout;
                 entry.hard_timeout = hard_timeout;
@@ -478,7 +398,7 @@ impl Node for AsSwitch {
             let hello = self.channel.hello();
             ctx.send_control(c, hello);
         }
-        ctx.set_timer(self.tick, TICK);
+        ctx.set_timer(TICK_PERIOD, TICK);
     }
 
     fn on_frame(&mut self, ctx: &mut Ctx<'_>, port: PortId, pkt: Packet) {
@@ -486,22 +406,18 @@ impl Node for AsSwitch {
         if self.down_ports.contains(&in_port) {
             return;
         }
-        let Some(key) = lookup_key(&pkt) else {
-            // LLDP and unknown EtherTypes always go to the controller.
-            if self.degraded {
-                self.degraded_miss(ctx, in_port, pkt);
-            } else {
-                self.packet_in(ctx, in_port, PacketInReason::NoMatch, &pkt);
-            }
-            return;
-        };
+        // LLDP and unknown EtherTypes always miss. Installed flows keep
+        // forwarding while the controller is gone; misses are dropped.
         let now = ctx.now().as_nanos();
         let bytes = pkt.wire_len() as u64;
-        let Some(entry) = self.table.lookup_counting(in_port, &key, now, bytes) else {
-            // Installed flows keep forwarding in either fail mode; only
-            // misses behave differently while the controller is gone.
+        let hit = lookup_key(&pkt).and_then(|key| {
+            self.table
+                .lookup_counting(in_port, &key, now, bytes)
+                .map(|entry| (key, entry))
+        });
+        let Some((key, entry)) = hit else {
             if self.degraded {
-                self.degraded_miss(ctx, in_port, pkt);
+                self.fail_secure_drops += 1;
             } else {
                 self.packet_in(ctx, in_port, PacketInReason::NoMatch, &pkt);
             }
@@ -520,7 +436,7 @@ impl Node for AsSwitch {
             let dest = match (dest, self.misforward) {
                 (OutPort::Physical(p), Some(skew)) => {
                     self.misforwarded_frames += 1;
-                    OutPort::Physical((p - 1 + skew) % self.n_ports + 1)
+                    OutPort::Physical(skewed_port(p, skew, self.n_ports))
                 }
                 (d, _) => d,
             };
@@ -538,14 +454,13 @@ impl Node for AsSwitch {
         }
         self.ticks += 1;
         // Liveness: too long without a word from the controller means
-        // the secure channel is gone; enter the configured fail mode.
+        // the secure channel is gone; fail secure.
         if self.controller.is_some()
             && !self.degraded
-            && self.ticks.saturating_sub(self.last_ctrl_tick) > self.ctrl_timeout_ticks
+            && self.ticks.saturating_sub(self.last_ctrl_tick) > CTRL_TIMEOUT_TICKS
         {
             self.degraded = true;
             self.degraded_entries += 1;
-            self.l2.clear();
             self.reconnect_backoff = BACKOFF_START_TICKS;
             self.next_hello_tick = self.ticks; // first retry right away
         }
@@ -595,7 +510,7 @@ impl Node for AsSwitch {
                 self.send_to_controller(ctx, &msg);
             }
         }
-        ctx.set_timer(self.tick, TICK);
+        ctx.set_timer(TICK_PERIOD, TICK);
     }
 
     fn on_control(&mut self, ctx: &mut Ctx<'_>, peer: NodeId, bytes: &[u8]) {
@@ -605,7 +520,6 @@ impl Node for AsSwitch {
         self.last_ctrl_tick = self.ticks;
         if self.degraded {
             self.degraded = false;
-            self.l2.clear();
             self.reconnect_backoff = BACKOFF_START_TICKS;
         }
         // The controller may batch several messages into one payload
@@ -634,7 +548,6 @@ impl Node for AsSwitch {
         self.pending_status.clear();
         self.misforward = None; // the compromise is volatile
         self.degraded = false;
-        self.l2.clear();
         self.reconnect_backoff = BACKOFF_START_TICKS;
         self.last_ctrl_tick = self.ticks; // boot grace period
         if let Some(c) = self.controller {
@@ -680,7 +593,7 @@ impl Node for AsSwitch {
             .iter()
             .map(|a| match *a {
                 Action::Output(OutPort::Physical(p)) => {
-                    Action::Output(OutPort::Physical((p - 1 + skew) % self.n_ports + 1))
+                    Action::Output(OutPort::Physical(skewed_port(p, skew, self.n_ports)))
                 }
                 other => other,
             })
@@ -735,32 +648,6 @@ impl Node for AsSwitch {
 }
 
 impl AsSwitch {
-    /// Handles a table miss while the controller is unreachable.
-    fn degraded_miss(&mut self, ctx: &mut Ctx<'_>, in_port: u32, pkt: Packet) {
-        match self.fail_mode {
-            FailMode::Secure => {
-                self.fail_secure_drops += 1;
-            }
-            FailMode::Standalone => {
-                // Plain learning bridge, like the Legacy-Switching
-                // layer: learn the source, unicast if known, else flood.
-                self.standalone_frames += 1;
-                if pkt.eth.src.is_unicast() {
-                    self.l2.insert(pkt.eth.src, in_port);
-                }
-                if pkt.eth.dst.is_unicast() {
-                    if let Some(&out) = self.l2.get(&pkt.eth.dst) {
-                        if out != in_port {
-                            self.emit(ctx, OutPort::Physical(out), Some(in_port), Cow::Owned(pkt));
-                        }
-                        return;
-                    }
-                }
-                self.emit(ctx, OutPort::Flood, Some(in_port), Cow::Owned(pkt));
-            }
-        }
-    }
-
     /// Applies one controller message that the secure channel surfaced
     /// (everything the channel doesn't answer by itself).
     fn handle_controller_message(&mut self, ctx: &mut Ctx<'_>, msg: OfMessage) {
@@ -1114,49 +1001,6 @@ mod tests {
         assert_eq!(world.node::<Sink>(dst).got.len(), 1);
     }
 
-    #[test]
-    fn table_limit_rejects_overflow_but_allows_replacement() {
-        let keys: Vec<FlowKey> = (0..3u16)
-            .map(|i| {
-                let mut k = FlowKey::of(&test_packet()).unwrap();
-                k.tp_src = 1000 + i;
-                k
-            })
-            .collect();
-        let mut outbox: Vec<OfMessage> = keys
-            .iter()
-            .map(|k| {
-                OfMessage::add_flow(
-                    Match::exact(2, k),
-                    vec![Action::Output(OutPort::Physical(3))],
-                    10,
-                )
-            })
-            .collect();
-        // A replacement of the first entry must still be allowed.
-        outbox.push(OfMessage::add_flow(
-            Match::exact(2, &keys[0]),
-            vec![Action::Output(OutPort::Physical(4))],
-            10,
-        ));
-        let mut world = World::new(1);
-        let ctrl = world.add_node(StubController::new());
-        let sw = world.add_node(
-            AsSwitch::new(7, 4)
-                .with_controller(ctrl)
-                .with_table_limit(2),
-        );
-        world.node_mut::<StubController>(ctrl).switch = Some(sw);
-        world.node_mut::<StubController>(ctrl).outbox = outbox;
-        world.run_for(SimDuration::from_millis(10));
-        let s = world.node::<AsSwitch>(sw);
-        assert_eq!(s.table().len(), 2, "third add rejected");
-        assert_eq!(s.table_full_rejections, 1);
-        // The replacement landed: entry 0 now outputs to port 4.
-        let e = s.table().peek(2, &keys[0]).unwrap();
-        assert_eq!(e.actions, vec![Action::Output(OutPort::Physical(4))]);
-    }
-
     /// Sends one packet after a configurable delay (to reach the
     /// switch once it has already entered degraded mode).
     struct DelayedShot {
@@ -1184,19 +1028,12 @@ mod tests {
 
     /// Wires a switch with a mute peer node as its "controller" (every
     /// control send is simply never answered), one delayed sender on
-    /// port 2 and one sink on port 3.
-    fn run_degraded(
-        mode: FailMode,
-        send_at: SimDuration,
-    ) -> (World, NodeId, NodeId, NodeId, NodeId) {
+    /// port 2 and one sink on port 3. The switch degrades at tick 31
+    /// (3.1 s): more than 30 ticks without a word from the controller.
+    fn run_degraded(send_at: SimDuration) -> (World, NodeId, NodeId, NodeId, NodeId) {
         let mut world = World::new(1);
         let ctrl = world.add_node(StubController::new());
-        let sw = world.add_node(
-            AsSwitch::new(7, 4)
-                .with_controller(ctrl)
-                .with_fail_mode(mode)
-                .with_ctrl_timeout_ticks(2),
-        );
+        let sw = world.add_node(AsSwitch::new(7, 4).with_controller(ctrl));
         let src = world.add_node(DelayedShot {
             pkt: Some(test_packet()),
             delay: send_at,
@@ -1209,11 +1046,10 @@ mod tests {
 
     #[test]
     fn silent_controller_enters_degraded_mode() {
-        let (mut world, _ctrl, sw, _src, _dst) =
-            run_degraded(FailMode::Secure, SimDuration::from_secs(9));
-        world.run_for(SimDuration::from_millis(250));
+        let (mut world, _ctrl, sw, _src, _dst) = run_degraded(SimDuration::from_secs(9));
+        world.run_for(SimDuration::from_millis(3050));
         assert!(!world.node::<AsSwitch>(sw).is_degraded(), "within timeout");
-        world.run_for(SimDuration::from_millis(300));
+        world.run_for(SimDuration::from_millis(200));
         let s = world.node::<AsSwitch>(sw);
         assert!(s.is_degraded(), "timeout exceeded");
         assert_eq!(s.degraded_entries, 1);
@@ -1222,8 +1058,7 @@ mod tests {
     #[test]
     fn fail_secure_drops_misses_but_keeps_installed_flows() {
         let key = FlowKey::of(&test_packet()).unwrap();
-        let (mut world, ctrl, sw, _src, dst) =
-            run_degraded(FailMode::Secure, SimDuration::from_secs(1));
+        let (mut world, ctrl, sw, _src, dst) = run_degraded(SimDuration::from_secs(4));
         // Pre-install a flow for a *different* session; it must keep
         // forwarding even in degraded mode.
         let mut other = key;
@@ -1234,7 +1069,7 @@ mod tests {
             vec![Action::Output(OutPort::Physical(3))],
             10,
         )];
-        world.run_for(SimDuration::from_secs(2));
+        world.run_for(SimDuration::from_secs(5));
         let s = world.node::<AsSwitch>(sw);
         assert!(s.is_degraded());
         assert_eq!(s.fail_secure_drops, 1, "the miss was dropped");
@@ -1246,32 +1081,15 @@ mod tests {
     }
 
     #[test]
-    fn fail_standalone_falls_back_to_l2_learning() {
-        let (mut world, ctrl, sw, _src, dst) =
-            run_degraded(FailMode::Standalone, SimDuration::from_secs(1));
-        world.run_for(SimDuration::from_secs(2));
-        let s = world.node::<AsSwitch>(sw);
-        assert!(s.is_degraded());
-        assert_eq!(s.standalone_frames, 1);
-        assert_eq!(
-            world.node::<Sink>(dst).got.len(),
-            1,
-            "unknown destination flooded to the sink"
-        );
-        assert!(world.node::<StubController>(ctrl).packet_ins.is_empty());
-    }
-
-    #[test]
     fn reconnect_hellos_back_off_exponentially() {
-        let (mut world, _ctrl, sw, _src, _dst) =
-            run_degraded(FailMode::Secure, SimDuration::from_secs(60));
-        // Degraded at tick 3; hellos at ticks 3, 8, 18, 38, 78, then
-        // every 80 (the cap). 40 s = 400 ticks -> 5 + 4 = 9 hellos.
+        let (mut world, _ctrl, sw, _src, _dst) = run_degraded(SimDuration::from_secs(60));
+        // Degraded at tick 31; hellos at ticks 31, 36, 46, 66, 106,
+        // then every 80 (the cap). 40 s = 400 ticks -> 5 + 3 = 8 hellos.
         world.run_for(SimDuration::from_secs(40));
         let s = world.node::<AsSwitch>(sw);
         assert!(s.is_degraded());
         assert_eq!(
-            s.reconnect_hellos, 9,
+            s.reconnect_hellos, 8,
             "capped exponential backoff, not per-tick spam"
         );
     }
@@ -1279,25 +1097,23 @@ mod tests {
     #[test]
     fn control_arrival_exits_degraded_mode() {
         let key = FlowKey::of(&test_packet()).unwrap();
-        let (mut world, ctrl, sw, _src, dst) =
-            run_degraded(FailMode::Secure, SimDuration::from_secs(2));
-        // The controller "comes back" after 1.5 s with a flow-mod for
+        let (mut world, ctrl, sw, _src, dst) = run_degraded(SimDuration::from_secs(5));
+        // The controller "comes back" after 4.5 s with a flow-mod for
         // the delayed packet.
         {
             let c = world.node_mut::<StubController>(ctrl);
             c.switch = Some(sw);
-            c.late_at = Some(SimDuration::from_millis(1500));
+            c.late_at = Some(SimDuration::from_millis(4500));
             c.late_outbox = vec![OfMessage::add_flow(
                 Match::exact(2, &key),
                 vec![Action::Output(OutPort::Physical(3))],
                 10,
             )];
         }
-        world.run_for(SimDuration::from_secs(1));
+        world.run_for(SimDuration::from_secs(4));
         assert!(world.node::<AsSwitch>(sw).is_degraded());
         // Shortly after the late flow-mod lands the switch is healthy
-        // again (with this test's 2-tick timeout it will re-degrade
-        // once the controller goes silent again, so check promptly).
+        // again.
         world.run_for(SimDuration::from_millis(600));
         assert!(
             !world.node::<AsSwitch>(sw).is_degraded(),
@@ -1384,7 +1200,6 @@ mod tests {
         ));
         world.run_for(SimDuration::from_millis(10));
         let s = world.node::<AsSwitch>(sw);
-        assert!(s.is_misforwarding());
         assert_eq!(s.misforwarded_frames, 1);
         // The packet did NOT reach its intended sink...
         assert!(world.node::<Sink>(dst).got.is_empty());
@@ -1428,6 +1243,45 @@ mod tests {
         assert!(world.node::<Sink>(dst).got.is_empty(), "misdirected");
         // Silent: no FlowRemoved despite notify_removed on the victim.
         assert!(world.node::<StubController>(ctrl).flow_removed.is_empty());
+    }
+
+    #[test]
+    fn port_zero_off_the_wire_survives_misforward_and_tamper() {
+        // Regression: the codec decodes any physical port below 0xff00,
+        // 0 included, and both compromise paths rotated the port with
+        // `p - 1 + skew`, which underflowed on port 0 and panicked the
+        // switch under overflow checks.
+        let key = FlowKey::of(&test_packet()).unwrap();
+        let mut fm = OfMessage::add_flow(
+            Match::exact(2, &key),
+            vec![Action::Output(OutPort::Physical(0))],
+            10,
+        );
+        if let OfMessage::FlowMod { cookie, .. } = &mut fm {
+            *cookie = 77;
+        }
+        let (mut world, _ctrl, sw, _src, _dst) = run(vec![fm]);
+        // The frame leaves at 1 ms, between the two compromises.
+        world.install_fault_plan(
+            &livesec_sim::FaultPlan::new(5)
+                .at(
+                    livesec_sim::SimTime::from_nanos(500_000),
+                    livesec_sim::FaultKind::SilentMisforward { node: sw },
+                )
+                .at(
+                    livesec_sim::SimTime::from_nanos(5_000_000),
+                    livesec_sim::FaultKind::RuleTamper { node: sw },
+                ),
+        );
+        world.run_for(SimDuration::from_millis(10));
+        let s = world.node::<AsSwitch>(sw);
+        assert_eq!(s.misforwarded_frames, 1);
+        assert_eq!(s.rules_tampered, 1);
+        let e = s.table().peek(2, &key).expect("entry still present");
+        match e.actions[..] {
+            [Action::Output(OutPort::Physical(p))] => assert!((1..=4).contains(&p)),
+            ref other => panic!("tampered actions {other:?}"),
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@ use livesec_net::{
     ArpOp, ArpPacket, Body, HashMap, IcmpMessage, IcmpType, Ipv4Header, Ipv4Net, Ipv4Packet,
     MacAddr, Packet, Payload, TcpFlags, TcpSegment, Transport, UdpDatagram,
 };
-use livesec_sim::{Ctx, Node, PortId, SimDuration, SimTime, ThroughputMeter};
+use livesec_sim::{Ctx, Node, PortId, SimDuration, SimTime};
 use rand::rngs::StdRng;
 use std::any::Any;
 use std::net::Ipv4Addr;
@@ -67,8 +67,8 @@ struct HostCore {
     announce_delay: SimDuration,
     reannounce_every: SimDuration,
     depart_at: Option<SimTime>,
-    rx: ThroughputMeter,
-    tx: ThroughputMeter,
+    rx_bytes: u64,
+    tx_bytes: u64,
 }
 
 impl HostCore {
@@ -203,16 +203,16 @@ impl HostIo<'_, '_> {
 
     /// Total bytes received by this host so far.
     pub fn rx_bytes(&self) -> u64 {
-        self.core.rx.bytes()
+        self.core.rx_bytes
     }
 
     /// Total bytes transmitted by this host so far.
     pub fn tx_bytes(&self) -> u64 {
-        self.core.tx.bytes()
+        self.core.tx_bytes
     }
 
     fn transmit(&mut self, pkt: Packet) {
-        self.core.tx.record(self.ctx.now(), pkt.wire_len() as u64);
+        self.core.tx_bytes += pkt.wire_len() as u64;
         self.ctx.send(PortId(1), pkt);
     }
 
@@ -276,8 +276,8 @@ impl<A: App> Host<A> {
                 announce_delay: SimDuration::from_millis(10),
                 reannounce_every: SimDuration::from_secs(30),
                 depart_at: None,
-                rx: ThroughputMeter::new(),
-                tx: ThroughputMeter::new(),
+                rx_bytes: 0,
+                tx_bytes: 0,
             },
             app,
         }
@@ -337,17 +337,12 @@ impl<A: App> Host<A> {
 
     /// Bytes received so far.
     pub fn rx_bytes(&self) -> u64 {
-        self.core.rx.bytes()
+        self.core.rx_bytes
     }
 
     /// Bytes transmitted so far.
     pub fn tx_bytes(&self) -> u64 {
-        self.core.tx.bytes()
-    }
-
-    /// Received-traffic meter.
-    pub fn rx_meter(&self) -> &ThroughputMeter {
-        &self.core.rx
+        self.core.tx_bytes
     }
 
     fn handle_arp(&mut self, ctx: &mut Ctx<'_>, arp: &ArpPacket) {
@@ -426,7 +421,7 @@ impl<A: App> Node for Host<A> {
         if pkt.eth.dst != self.core.mac && !pkt.eth.dst.is_multicast() {
             return; // not ours (flooded unicast for someone else)
         }
-        self.core.rx.record(ctx.now(), pkt.wire_len() as u64);
+        self.core.rx_bytes += pkt.wire_len() as u64;
         match &pkt.body {
             Body::Arp(arp) => {
                 let arp = *arp;

@@ -26,14 +26,14 @@ pub mod host;
 pub mod learning;
 pub mod stp;
 
-pub use as_switch::{AsSwitch, FailMode};
+pub use as_switch::AsSwitch;
 pub use host::{App, Host, HostIo};
 pub use learning::LearningSwitch;
 pub use stp::{compute_spanning_tree, Topology};
 
 /// Convenient glob-import surface: `use livesec_switch::prelude::*;`.
 pub mod prelude {
-    pub use crate::as_switch::{AsSwitch, FailMode};
+    pub use crate::as_switch::AsSwitch;
     pub use crate::host::{App, Host, HostIo};
     pub use crate::learning::LearningSwitch;
     pub use crate::stp::{compute_spanning_tree, Topology};

@@ -4,7 +4,7 @@
 //! equivalence classes an invariant cares about (using the
 //! difference-of-cubes algebra from `livesec_openflow::header_space`),
 //! extract one concrete witness packet per class, and replay it
-//! through the snapshot's flow tables with [`crate::trace`]. A
+//! through the snapshot's flow tables with [`crate::trace()`]. A
 //! violation always carries that witness, so every finding is a
 //! reproducible packet, not a symbolic claim.
 

@@ -185,14 +185,16 @@ impl App for HttpClient {
     }
 }
 
+/// [`HttpServer`]'s aggregate response pacing rate.
+const HTTP_PACE_BPS: u64 = 900_000_000;
+
 /// The HTTP server side: answers `GET /size/<n>` with an `n`-byte
-/// response streamed in MSS-sized segments, paced at a configurable
-/// rate (a stand-in for TCP's steady state: bursting whole objects
-/// would just tail-drop at the first queue). Works as the gateway
-/// app, standing in for "the Internet".
+/// response streamed in MSS-sized segments, paced at 900 Mbps (a
+/// stand-in for TCP's steady state: bursting whole objects would just
+/// tail-drop at the first queue). Works as the gateway app, standing
+/// in for "the Internet".
 #[derive(Debug)]
 pub struct HttpServer {
-    pace_bps: u64,
     queue: std::collections::VecDeque<(Ipv4Addr, u16, u32, Payload)>,
     draining: bool,
     /// Requests served.
@@ -211,23 +213,11 @@ impl HttpServer {
     /// Creates the server, pacing responses at 900 Mbps.
     pub fn new() -> Self {
         HttpServer {
-            pace_bps: 900_000_000,
             queue: std::collections::VecDeque::new(),
             draining: false,
             requests: 0,
             bytes_sent: 0,
         }
-    }
-
-    /// Sets the aggregate response pacing rate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bps` is zero.
-    pub fn with_pace_bps(mut self, bps: u64) -> Self {
-        assert!(bps > 0, "pace must be positive");
-        self.pace_bps = bps;
-        self
     }
 
     fn parse_size(payload: &[u8]) -> Option<u32> {
@@ -248,7 +238,7 @@ impl HttpServer {
         // Pace the next segment.
         let frame_bits = (len + 58) * 8;
         io.set_timer(
-            SimDuration::from_nanos(frame_bits * 1_000_000_000 / self.pace_bps),
+            SimDuration::from_nanos(frame_bits * 1_000_000_000 / HTTP_PACE_BPS),
             1,
         );
     }
@@ -297,17 +287,16 @@ impl App for HttpServer {
 
 // ---------------------------------------------------------------- UDP
 
-/// A constant-bit-rate UDP source (iperf-style).
+/// [`UdpBlaster`]'s payload bytes per datagram.
+const UDP_PAYLOAD_LEN: u32 = 1400;
+
+/// A constant-bit-rate UDP source (iperf-style): 1400-byte datagrams
+/// to port 5001, sent until the run ends.
 #[derive(Debug)]
 pub struct UdpBlaster {
     dst: Ipv4Addr,
-    dst_port: u16,
     rate_bps: u64,
-    payload_len: u32,
     start_delay: SimDuration,
-    duration: Option<SimDuration>,
-    started_at: Option<SimTime>,
-    seq: u16,
     /// Datagrams sent.
     pub sent: u64,
     /// Bytes of payload sent.
@@ -325,22 +314,11 @@ impl UdpBlaster {
         assert!(rate_bps > 0, "rate must be positive");
         UdpBlaster {
             dst,
-            dst_port: 5001,
             rate_bps,
-            payload_len: 1400,
             start_delay: SimDuration::from_secs(1),
-            duration: None,
-            started_at: None,
-            seq: 0,
             sent: 0,
             bytes_sent: 0,
         }
-    }
-
-    /// Sets the payload size per datagram.
-    pub fn with_payload_len(mut self, len: u32) -> Self {
-        self.payload_len = len;
-        self
     }
 
     /// Sets the start delay.
@@ -349,15 +327,9 @@ impl UdpBlaster {
         self
     }
 
-    /// Stops after `d` of sending.
-    pub fn with_duration(mut self, d: SimDuration) -> Self {
-        self.duration = Some(d);
-        self
-    }
-
     fn interval(&self) -> SimDuration {
         // Time to emit one datagram's worth of bits at the target rate.
-        let frame_bits = (self.payload_len as u64 + 8 + 20 + 14 + 4) * 8;
+        let frame_bits = (u64::from(UDP_PAYLOAD_LEN) + 8 + 20 + 14 + 4) * 8;
         SimDuration::from_nanos(frame_bits * 1_000_000_000 / self.rate_bps)
     }
 }
@@ -368,22 +340,9 @@ impl App for UdpBlaster {
     }
 
     fn on_timer(&mut self, io: &mut HostIo<'_, '_>, _token: u64) {
-        let now = io.now();
-        let started = *self.started_at.get_or_insert(now);
-        if let Some(d) = self.duration {
-            if now.since(started) >= d {
-                return;
-            }
-        }
-        self.seq = self.seq.wrapping_add(1);
-        io.send_udp(
-            self.dst,
-            5002,
-            self.dst_port,
-            Payload::Synthetic(self.payload_len),
-        );
+        io.send_udp(self.dst, 5002, 5001, Payload::Synthetic(UDP_PAYLOAD_LEN));
         self.sent += 1;
-        self.bytes_sent += u64::from(self.payload_len);
+        self.bytes_sent += u64::from(UDP_PAYLOAD_LEN);
         io.set_timer(self.interval(), 1);
     }
 }
@@ -588,84 +547,6 @@ impl App for TcpEchoServer {
     }
 }
 
-// ---------------------------------------------------------- bittorrent
-
-/// A BitTorrent downloader: protocol handshake, then a continuous
-/// piece stream at the configured rate (Fig. 8's heavy downloader).
-#[derive(Debug)]
-pub struct BitTorrentPeer {
-    peer: Ipv4Addr,
-    rate_bps: u64,
-    start_delay: SimDuration,
-    handshake_sent: bool,
-    /// Piece messages sent.
-    pub pieces: u64,
-    /// Bytes sent.
-    pub bytes_sent: u64,
-}
-
-impl BitTorrentPeer {
-    /// Creates a peer exchanging with `peer` at `rate_bps` after a 1 s
-    /// delay.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rate_bps` is zero.
-    pub fn new(peer: Ipv4Addr, rate_bps: u64) -> Self {
-        assert!(rate_bps > 0, "rate must be positive");
-        BitTorrentPeer {
-            peer,
-            rate_bps,
-            start_delay: SimDuration::from_secs(1),
-            handshake_sent: false,
-            pieces: 0,
-            bytes_sent: 0,
-        }
-    }
-
-    /// Sets the start delay.
-    pub fn with_start_delay(mut self, d: SimDuration) -> Self {
-        self.start_delay = d;
-        self
-    }
-
-    fn interval(&self) -> SimDuration {
-        let frame_bits = (1400u64 + 20 + 20 + 14 + 4) * 8;
-        SimDuration::from_nanos(frame_bits * 1_000_000_000 / self.rate_bps)
-    }
-}
-
-impl App for BitTorrentPeer {
-    fn on_start(&mut self, io: &mut HostIo<'_, '_>) {
-        io.set_timer(self.start_delay, 1);
-    }
-
-    fn on_timer(&mut self, io: &mut HostIo<'_, '_>, _token: u64) {
-        let payload: Payload = if self.handshake_sent {
-            self.pieces += 1;
-            Payload::Synthetic(1400)
-        } else {
-            self.handshake_sent = true;
-            let mut hs = vec![0x13u8];
-            hs.extend_from_slice(b"BitTorrent protocol");
-            hs.extend_from_slice(&[0u8; 8]); // reserved
-            hs.resize(68, 0xab); // info-hash + peer-id filler
-            Payload::from(hs)
-        };
-        self.bytes_sent += payload.len() as u64;
-        io.send_tcp(
-            self.peer,
-            40_688,
-            6881,
-            self.pieces as u32,
-            0,
-            TcpFlags::PSH | TcpFlags::ACK,
-            payload,
-        );
-        io.set_timer(self.interval(), 1);
-    }
-}
-
 // ---------------------------------------------------------------- attack
 
 /// A compromised web client: browses normally, then embeds attack
@@ -753,9 +634,7 @@ impl App for AttackClient {
 pub struct SynFlood {
     victim: Ipv4Addr,
     victim_port: u16,
-    start_delay: SimDuration,
     interval: SimDuration,
-    max_syns: Option<u32>,
     src_port: u16,
     /// SYN probes sent.
     pub syns: u32,
@@ -770,19 +649,11 @@ impl SynFlood {
         SynFlood {
             victim,
             victim_port,
-            start_delay: SimDuration::from_secs(1),
             interval: SimDuration::from_millis(5),
-            max_syns: None,
             src_port: 50_000,
             syns: 0,
             replies: 0,
         }
-    }
-
-    /// Sets the start delay.
-    pub fn with_start_delay(mut self, d: SimDuration) -> Self {
-        self.start_delay = d;
-        self
     }
 
     /// Sets the probe interval.
@@ -790,25 +661,14 @@ impl SynFlood {
         self.interval = d;
         self
     }
-
-    /// Stops after `n` probes.
-    pub fn with_max_syns(mut self, n: u32) -> Self {
-        self.max_syns = Some(n);
-        self
-    }
 }
 
 impl App for SynFlood {
     fn on_start(&mut self, io: &mut HostIo<'_, '_>) {
-        io.set_timer(self.start_delay, 1);
+        io.set_timer(SimDuration::from_secs(1), 1);
     }
 
     fn on_timer(&mut self, io: &mut HostIo<'_, '_>, _token: u64) {
-        if let Some(max) = self.max_syns {
-            if self.syns >= max {
-                return;
-            }
-        }
         self.syns += 1;
         // A fresh source port per probe: every SYN is a new flow to
         // the controller and a new half-open entry to the firewall.
@@ -836,7 +696,6 @@ impl App for SynFlood {
 /// DORA exchange at start and records the granted lease.
 #[derive(Debug)]
 pub struct DhcpClient {
-    start_delay: SimDuration,
     xid: u32,
     /// The lease obtained, once the exchange completes.
     pub lease: Option<Ipv4Addr>,
@@ -848,7 +707,6 @@ impl DhcpClient {
     /// Creates a client that solicits after 500 ms.
     pub fn new(xid: u32) -> Self {
         DhcpClient {
-            start_delay: SimDuration::from_millis(500),
             xid,
             lease: None,
             replies: 0,
@@ -874,7 +732,7 @@ impl DhcpClient {
 
 impl App for DhcpClient {
     fn on_start(&mut self, io: &mut HostIo<'_, '_>) {
-        io.set_timer(self.start_delay, 1);
+        io.set_timer(SimDuration::from_millis(500), 1);
     }
 
     fn on_timer(&mut self, io: &mut HostIo<'_, '_>, _token: u64) {
@@ -958,10 +816,10 @@ mod tests {
     #[test]
     fn udp_blaster_hits_target_rate() {
         let blaster = UdpBlaster::new("10.0.0.2".parse().unwrap(), 50_000_000)
-            .with_start_delay(SimDuration::from_millis(10))
-            .with_duration(SimDuration::from_millis(500));
+            .with_start_delay(SimDuration::from_millis(10));
         let (mut world, _ha, hb) = two_hosts(blaster, crate::scenario::IdleApp);
-        world.run_for(SimDuration::from_secs(1));
+        // 500 ms of sending.
+        world.run_for(SimDuration::from_millis(510));
         let sink = world.node::<Host<crate::scenario::IdleApp>>(hb);
         let achieved = (sink.rx_bytes() * 8) as f64 / 0.5;
         assert!(
@@ -996,17 +854,6 @@ mod tests {
         assert!(s.app().keystrokes >= 15, "{}", s.app().keystrokes);
         assert!(s.app().echoes >= 15);
         assert!(world.node::<Host<TcpEchoServer>>(hb).app().echoed >= 16);
-    }
-
-    #[test]
-    fn bittorrent_handshake_first() {
-        let bt = BitTorrentPeer::new("10.0.0.2".parse().unwrap(), 10_000_000)
-            .with_start_delay(SimDuration::from_millis(10));
-        let (mut world, ha, hb) = two_hosts(bt, crate::scenario::IdleApp);
-        world.run_for(SimDuration::from_millis(200));
-        let p = world.node::<Host<BitTorrentPeer>>(ha);
-        assert!(p.app().pieces > 50);
-        assert!(world.node::<Host<crate::scenario::IdleApp>>(hb).rx_bytes() > 50_000);
     }
 
     #[test]

@@ -17,8 +17,9 @@
 //!   latency workload).
 //! * [`SshSession`] + [`TcpEchoServer`] — interactive keystroke
 //!   traffic (the SSH user of Fig. 7).
-//! * [`BitTorrentPeer`] — handshake plus bulk piece exchange (the
-//!   downloader of Fig. 8).
+//! * [`scenario::WebThenTorrent`] — a browsing user who turns to a
+//!   BitTorrent handshake plus bulk piece exchange (the downloader of
+//!   Fig. 8).
 //! * [`AttackClient`] — web requests with embedded attack signatures
 //!   (the malicious access of Fig. 8).
 //! * [`SynFlood`] — half-open SYN probes from rotating source ports
@@ -32,16 +33,16 @@ pub mod apps;
 pub mod scenario;
 
 pub use apps::{
-    AttackClient, BitTorrentPeer, DhcpClient, HttpClient, HttpServer, Pinger, SshSession, SynFlood,
-    TcpEchoServer, UdpBlaster,
+    AttackClient, DhcpClient, HttpClient, HttpServer, Pinger, SshSession, SynFlood, TcpEchoServer,
+    UdpBlaster,
 };
 pub use scenario::{CampusScenario, ChaosConfig, IdleApp, ScenarioConfig};
 
 /// Convenient glob-import surface: `use livesec_workloads::prelude::*;`.
 pub mod prelude {
     pub use crate::apps::{
-        AttackClient, BitTorrentPeer, DhcpClient, HttpClient, HttpServer, Pinger, SshSession,
-        SynFlood, TcpEchoServer, UdpBlaster,
+        AttackClient, DhcpClient, HttpClient, HttpServer, Pinger, SshSession, SynFlood,
+        TcpEchoServer, UdpBlaster,
     };
     pub use crate::scenario::{CampusScenario, ChaosConfig, IdleApp, ScenarioConfig};
 }

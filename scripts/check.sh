@@ -5,8 +5,9 @@
 #
 # Runs the release build, every suite in the workspace once, the
 # end-to-end benchmark's suite and smoke, the smoke benches and
-# examples, clippy with warnings denied, and the formatting check,
-# stopping at the first failure; prints its own wall time at the end.
+# examples, clippy and rustdoc with warnings denied, and the formatting
+# check, stopping at the first failure; prints its own wall time at the
+# end.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -132,6 +133,13 @@ run cargo run -q --release --example accountability
 # rules (DESIGN.md §6), and the production crates' unwrap/expect
 # warnings only exempt #[cfg(test)] code.
 run cargo clippy --workspace --all-targets -- -D warnings
+# Public docs must build clean: a deleted or private item a doc still
+# links to, or an ambiguous link, fails here. The vendored stubs are
+# not ours to document.
+echo "==> RUSTDOCFLAGS=-D warnings cargo doc --workspace --no-deps"
+RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps \
+    --exclude bytes --exclude criterion --exclude proptest --exclude rand \
+    --exclude serde --exclude serde_derive --exclude serde_json
 run cargo fmt --check
 
 echo "==> all checks passed in $(( $(date +%s) - gate_start )) s"

@@ -218,7 +218,7 @@ fn attested_faulted_history_is_deterministic_byte_for_byte() {
     let run = || {
         let s = run_faulted(42, 0, 7, |node| FaultKind::RuleTamper { node });
         let c = s.campus.controller();
-        (c.monitor().to_json(), c.accountability_json())
+        (c.monitor().to_json(), c.accountability_stats())
     };
     let ((h1, a1), (h2, a2)) = (run(), run());
     assert_eq!(h1, h2, "same seed => same monitor history");

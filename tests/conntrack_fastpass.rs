@@ -104,7 +104,7 @@ fn conntrack_history_is_deterministic_byte_for_byte() {
         campus.world.run_for(SimDuration::from_secs(5));
         let c = campus.controller();
         assert!(c.conntrack_stats().fastpass_installed >= 1);
-        (c.monitor().to_json(), c.conntrack_json())
+        (c.monitor().to_json(), c.conntrack_stats())
     };
     let (a, b) = (run(), run());
     assert_eq!(a.0, b.0, "same seed => same event history");
