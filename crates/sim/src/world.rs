@@ -32,26 +32,79 @@ enum EventKind {
     Fault { kind: FaultKind },
 }
 
-struct Event {
+/// An event's place in the firing order: time, then push order (ties
+/// fire FIFO). `seq` is unique, so the payload's `slot` never decides.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+struct Key {
     at: SimTime,
     seq: u64,
-    kind: EventKind,
+    slot: u32,
 }
 
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
+/// Payload slots per slab chunk: ~11 KiB, one chunk for a workload whose
+/// queue stays near a hundred events.
+const CHUNK: usize = 128;
+
+/// One payload slot: a pending event, or a link of the free list.
+enum Slot {
+    Vacant(Option<u32>),
+    Full(EventKind),
 }
-impl Eq for Event {}
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
+
+/// The pending events: a min-heap of 24-byte [`Key`]s over a slab of
+/// payloads in [`CHUNK`]-slot chunks that never move. Vacated slots are
+/// reused first, so a chunk is added only past every earlier peak.
+#[derive(Default)]
+struct Queue {
+    keys: BinaryHeap<Reverse<Key>>,
+    chunks: Vec<Vec<Slot>>,
+    /// Head of the vacant-slot list.
+    free: Option<u32>,
+    next_seq: u64,
 }
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
+
+impl Queue {
+    fn slot_mut(&mut self, slot: u32) -> &mut Slot {
+        let i = slot as usize;
+        &mut self.chunks[i / CHUNK][i % CHUNK]
+    }
+
+    fn push(&mut self, at: SimTime, kind: EventKind) {
+        let slot = match self.free {
+            Some(slot) => {
+                let Slot::Vacant(next) = std::mem::replace(self.slot_mut(slot), Slot::Full(kind))
+                else {
+                    unreachable!("the free list holds only vacant slots");
+                };
+                self.free = next;
+                slot
+            }
+            None => {
+                if self.chunks.last().is_none_or(|c| c.len() == CHUNK) {
+                    // livesec-lint: allow(hot-path-alloc, reason = "a chunk is allocated only when live events exceed every earlier peak; vacated slots are reused first")
+                    self.chunks.push(Vec::with_capacity(CHUNK));
+                }
+                let n = self.chunks.len() - 1;
+                self.chunks[n].push(Slot::Full(kind));
+                (n * CHUNK + self.chunks[n].len() - 1) as u32
+            }
+        };
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.keys.push(Reverse(Key { at, seq, slot }));
+    }
+
+    fn peek_at(&self) -> Option<SimTime> {
+        self.keys.peek().map(|Reverse(key)| key.at)
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, EventKind)> {
+        let Reverse(Key { at, slot, .. }) = self.keys.pop()?;
+        let next = self.free.replace(slot);
+        match std::mem::replace(self.slot_mut(slot), Slot::Vacant(next)) {
+            Slot::Full(kind) => Some((at, kind)),
+            Slot::Vacant(_) => unreachable!("a queued key names a vacant slot"),
+        }
     }
 }
 
@@ -121,8 +174,7 @@ impl PortSlots {
 /// links, RNG, counters.
 pub struct Kernel {
     pub(crate) now: SimTime,
-    queue: BinaryHeap<Reverse<Event>>,
-    next_seq: u64,
+    queue: Queue,
     pub(crate) rng: StdRng,
     control_latency: SimDuration,
     ports: PortSlots,
@@ -145,7 +197,7 @@ impl std::fmt::Debug for Kernel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Kernel")
             .field("now", &self.now)
-            .field("queued_events", &self.queue.len())
+            .field("queued_events", &self.queue.keys.len())
             .field("nodes", &self.ports.dense.len())
             .finish_non_exhaustive()
     }
@@ -154,9 +206,7 @@ impl std::fmt::Debug for Kernel {
 impl Kernel {
     fn push(&mut self, at: SimTime, kind: EventKind) {
         debug_assert!(at >= self.now, "cannot schedule into the past");
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.queue.push(Reverse(Event { at, seq, kind }));
+        self.queue.push(at, kind);
     }
 
     /// Whether a fault has flapped the link at `(node, port)` down. A
@@ -303,8 +353,7 @@ impl World {
         World {
             kernel: Kernel {
                 now: SimTime::ZERO,
-                queue: BinaryHeap::new(),
-                next_seq: 0,
+                queue: Queue::default(),
                 rng: StdRng::seed_from_u64(seed),
                 control_latency: SimDuration::from_micros(100),
                 ports: PortSlots::default(),
@@ -404,7 +453,13 @@ impl World {
     }
 
     /// Schedules an initial timer for `node` at absolute time `at`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is before the current simulated time.
     pub fn schedule_timer_at(&mut self, node: NodeId, at: SimTime, token: u64) {
+        let now = self.kernel.now;
+        assert!(at >= now, "timer at {at} is before the clock ({now})");
         self.kernel.push(at, EventKind::Timer { node, token });
     }
 
@@ -430,14 +485,11 @@ impl World {
                 self.with_node(id, |node, ctx| node.on_start(ctx));
             }
         }
-        while let Some(Reverse(ev)) = self.kernel.queue.peek() {
-            if ev.at > deadline {
-                break;
-            }
-            let Reverse(ev) = self.kernel.queue.pop().expect("peeked");
-            self.kernel.now = ev.at;
+        while self.kernel.queue.peek_at().is_some_and(|at| at <= deadline) {
+            let (at, kind) = self.kernel.queue.pop().expect("peeked");
+            self.kernel.now = at;
             self.kernel.events_processed += 1;
-            match ev.kind {
+            match kind {
                 EventKind::Frame { node, port, pkt } => {
                     let bytes = pkt.wire_len() as u64;
                     let c = &mut self.kernel.ports.slot(node, port).counters;
@@ -462,16 +514,23 @@ impl World {
 
     /// Installs a [`FaultPlan`]: every scheduled fault becomes an
     /// ordinary event in the queue, and the plan's seed (re)seeds the
-    /// dedicated corruption RNG. Faults scheduled in the past are
-    /// rejected with a panic in debug builds, like any other event.
+    /// dedicated corruption RNG.
     ///
     /// # Panics
     ///
     /// Panics if [`FaultPlan::validate`] rejects the plan (e.g. a
-    /// `HealControl` with no matching partition).
+    /// `HealControl` with no matching partition), or if a fault is
+    /// scheduled before the current simulated time.
     pub fn install_fault_plan(&mut self, plan: &FaultPlan) {
         if let Err(e) = plan.validate() {
             panic!("invalid fault plan: {e}");
+        }
+        let now = self.kernel.now;
+        if let Some(ev) = plan.events.iter().find(|ev| ev.at < now) {
+            panic!(
+                "invalid fault plan: {:?} at {} is before the clock ({now})",
+                ev.kind, ev.at
+            );
         }
         self.kernel.fault_rng = StdRng::seed_from_u64(plan.seed);
         for ev in &plan.events {
@@ -657,6 +716,7 @@ impl World {
 mod tests {
     use super::*;
     use livesec_net::prelude::*;
+    use proptest::prelude::*;
     use std::any::Any;
 
     /// Counts frames and echoes them back.
@@ -1217,5 +1277,142 @@ mod tests {
         let plan =
             FaultPlan::new(1).at(SimTime::from_nanos(10), FaultKind::HealControl { node: n });
         world.install_fault_plan(&plan);
+    }
+
+    // The two absolute-time entry points refuse a time the clock has
+    // passed in every build: `Kernel::push` only debug-asserts it, and
+    // a release build would pop the event and set the clock back.
+
+    #[test]
+    #[should_panic(
+        expected = "invalid fault plan: CrashRestart { node: NodeId(0) } at t=0.001000s is before the clock (t=0.010000s)"
+    )]
+    fn a_fault_plan_cannot_turn_the_clock_back() {
+        let mut world = World::new(1);
+        let n = world.add_node(FaultProbe { hooks: vec![] });
+        world.run_for(SimDuration::from_millis(10));
+        world.install_fault_plan(
+            &FaultPlan::new(1).at(us(1_000), FaultKind::CrashRestart { node: n }),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "timer at t=0.001000s is before the clock (t=0.010000s)")]
+    fn a_timer_cannot_turn_the_clock_back() {
+        let mut world = World::new(1);
+        let n = world.add_node(TimerOrder { fired: vec![] });
+        world.run_for(SimDuration::from_millis(10));
+        world.schedule_timer_at(n, us(1_000), 7);
+    }
+
+    /// What the model test does to a queue.
+    #[derive(Clone, Debug)]
+    enum QueueOp {
+        /// Push one event `dt` ns after the last popped time.
+        Push(u64),
+        /// Push this many events over the next 5 ns, most of them tied.
+        Burst(u64),
+        Pop,
+        /// Pop until empty.
+        Drain,
+    }
+
+    fn arb_queue_op() -> impl Strategy<Value = QueueOp> {
+        prop_oneof![
+            (0u64..4).prop_map(QueueOp::Push),
+            (0u64..4).prop_map(QueueOp::Push),
+            (0u64..4).prop_map(QueueOp::Push),
+            (1u64..300).prop_map(QueueOp::Burst),
+            Just(QueueOp::Pop),
+            Just(QueueOp::Pop),
+            Just(QueueOp::Drain),
+        ]
+    }
+
+    fn timer(token: u64) -> EventKind {
+        EventKind::Timer {
+            node: NodeId(0),
+            token,
+        }
+    }
+
+    /// Drives a [`Queue`] and a `BinaryHeap` of `(at, payload id)` in
+    /// lock-step. Ids are handed out in push order, so the reference
+    /// breaks ties FIFO, as the kernel must.
+    fn run_queue_sequence(ops: Vec<QueueOp>) -> Result<(), TestCaseError> {
+        let mut queue = Queue::default();
+        let mut model: BinaryHeap<Reverse<(SimTime, u64)>> = BinaryHeap::new();
+        let (mut now, mut next_id, mut peak) = (SimTime::ZERO, 0, 0);
+        for op in ops {
+            let (dts, pops) = match op {
+                QueueOp::Push(dt) => (vec![dt], 0),
+                QueueOp::Burst(n) => ((0..n).map(|i| i * 7 % 5).collect(), 0),
+                QueueOp::Pop => (vec![], 1),
+                QueueOp::Drain => (vec![], model.len()),
+            };
+            for dt in dts {
+                let at = now + SimDuration::from_nanos(dt);
+                queue.push(at, timer(next_id));
+                model.push(Reverse((at, next_id)));
+                next_id += 1;
+            }
+            for _ in 0..pops {
+                let want = model.pop().map(|Reverse(e)| e);
+                prop_assert_eq!(queue.peek_at(), want.map(|(at, _)| at), "{op:?}");
+                let got = queue.pop().map(|(at, kind)| {
+                    let EventKind::Timer { token, .. } = kind else {
+                        unreachable!("only timers are pushed");
+                    };
+                    (at, token)
+                });
+                prop_assert_eq!(got, want, "{op:?}");
+                now = want.map_or(now, |(at, _)| at);
+            }
+            peak = peak.max(model.len());
+            prop_assert_eq!(queue.keys.len(), model.len(), "len after {op:?}");
+            // Vacated slots are reused before a chunk is added.
+            prop_assert_eq!(
+                queue.chunks.len(),
+                peak.div_ceil(CHUNK),
+                "chunks after {op:?}"
+            );
+        }
+        Ok(())
+    }
+
+    proptest! {
+        /// 64 default cases x 32 = 2 048 sequences.
+        #[test]
+        fn queue_agrees_with_a_binary_heap(
+            sequences in proptest::collection::vec(
+                proptest::collection::vec(arb_queue_op(), 0..48),
+                32,
+            ),
+        ) {
+            for ops in sequences {
+                run_queue_sequence(ops)?;
+            }
+        }
+    }
+
+    #[test]
+    fn a_drained_burst_leaves_room_for_the_next() {
+        const B: u64 = 1_000;
+        let mut queue = Queue::default();
+        for round in 0..2 {
+            for id in 0..B {
+                queue.push(SimTime::from_nanos(id % 3), timer(id));
+            }
+            assert_eq!(queue.chunks.len(), 8, "round {round}: ceil(1000 / 128)");
+            while queue.pop().is_some() {}
+        }
+        assert!(queue.chunks.iter().all(|c| c.capacity() == CHUNK));
+        // The memory bound DESIGN.md §4 states: a key per queued event,
+        // a payload slot no larger than the payload itself.
+        assert_eq!(std::mem::size_of::<Key>(), 24);
+        assert_eq!(
+            std::mem::size_of::<Slot>(),
+            std::mem::size_of::<EventKind>()
+        );
     }
 }

@@ -13,6 +13,13 @@
 # (`sim_speed`, `setup_s`, `allocs_per_sim_s`, `peak_heap_mib`) are
 # printed beside the recorded ones and never asserted; judging those is
 # the ten-pair procedure of e2e/README.md, not a one-second run's job.
+#
+# Then runs each workload again at `--trace 1` and compares every metric
+# whose unit is `count` exactly, `host.*` excepted: events, frames,
+# timers and control messages dispatched, packet-ins, flow-mods, cache,
+# monitor and SE counts. A change that adds, drops or reorders one
+# simulated event — an event queue that breaks a tie the other way —
+# moves at least one of them.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -28,6 +35,23 @@ field() {
     sed -nE "s/.*\"$2\": (\{\"value\": )?([^,}]+).*/\2/p" <<<"$1"
 }
 
+# counts RUN: a `--trace 1` run's count metrics but `host.*`, as
+# `"name": value` pairs in print order, joined by `, `.
+counts() {
+    grep -oE '"[a-z0-9_.]+": \{"value": [^,]+, "unit": "count"\}' <<<"$1" |
+        grep -v '^"host\.' |
+        sed -E 's/\{"value": ([^,]+), .*/\1/' |
+        paste -sd '|' | sed 's/|/, /g'
+}
+
+# e2e W TRACE: the last stdout line of one run. A run that fails its own
+# output checks exits non-zero and still prints its line; `correct` is
+# what reports it.
+e2e() {
+    cargo run --release --offline --quiet --manifest-path e2e/Cargo.toml -- \
+        --workload "$1" --seed 1 --seconds 1 --trace "$2" | tail -n 1 || true
+}
+
 cargo build --release --offline --quiet --manifest-path e2e/Cargo.toml
 
 record=false
@@ -35,6 +59,7 @@ record=false
 out=$(mktemp)
 trap 'rm -f "$out"' EXIT
 status=0
+count_lines=
 {
     echo '{'
     echo '  "command": "e2e --workload W --seed 1 --seconds 1 --trace 0",'
@@ -43,10 +68,8 @@ status=0
 } >"$out"
 for i in "${!WORKLOADS[@]}"; do
     w=${WORKLOADS[$i]}
-    # A run that fails its own output checks exits non-zero and still
-    # prints its line; `correct` below is what reports it.
-    run=$(cargo run --release --offline --quiet --manifest-path e2e/Cargo.toml -- \
-        --workload "$w" --seed 1 --seconds 1 --trace 0 | tail -n 1) || true
+    run=$(e2e "$w" 0)
+    got_counts=$(counts "$(e2e "$w" 1)")
     line="    \"$w\": {"
     for key in "${ASSERTED[@]}" "${RECORDED[@]}"; do
         line+="\"$key\": $(field "$run" "$key"), "
@@ -54,8 +77,9 @@ for i in "${!WORKLOADS[@]}"; do
     sep=,
     [ "$i" -eq $((${#WORKLOADS[@]} - 1)) ] && sep=
     echo "${line%, }}$sep" >>"$out"
+    count_lines+="    \"$w\": {$got_counts}$sep"$'\n'
     $record && continue
-    base=$(grep "\"$w\":" "$BASELINE") || {
+    base=$(sed -n '/"workloads": {/,/^  }/p' "$BASELINE" | grep "\"$w\":") || {
         echo "e2e smoke: $w is not in $BASELINE" >&2
         exit 1
     }
@@ -67,13 +91,27 @@ for i in "${!WORKLOADS[@]}"; do
             status=1
         fi
     done
+    want_counts=$(sed -n '/"trace_counts": {/,/^  }/p' "$BASELINE" |
+        sed -nE "s/^    \"$w\": \{(.*)\},?$/\1/p")
+    if [ "$want_counts" != "$got_counts" ]; then
+        echo "e2e smoke: $w --trace 1 counts moved ($BASELINE <, this tree >):" >&2
+        diff <(sed 's/, /\n/g' <<<"$want_counts") <(sed 's/, /\n/g' <<<"$got_counts") >&2 || true
+        status=1
+    fi
     printf '    %-13s' "$w"
     for key in "${RECORDED[@]}"; do
         printf ' %s %.4g -> %.4g;' "$key" "$(field "$base" "$key")" "$(field "$run" "$key")"
     done
     echo
 done
-printf '  }\n}\n' >>"$out"
+{
+    echo '  },'
+    echo '  "trace_command": "e2e --workload W --seed 1 --seconds 1 --trace 1",'
+    echo '  "trace_asserted": "every metric of unit count but host.*",'
+    echo '  "trace_counts": {'
+    printf '%s' "$count_lines"
+    printf '  }\n}\n'
+} >>"$out"
 if $record; then
     cp "$out" "$BASELINE"
     echo "e2e smoke: recorded $BASELINE"
