@@ -111,31 +111,12 @@ pub enum Item {
         /// 1-based line.
         line: u32,
     },
-    /// An enum definition; variant payload types appear as fields
-    /// named after their variant.
-    Enum {
-        /// Enum name.
-        name: String,
-        /// Variant payload types, one entry per payload type.
-        fields: Vec<FieldDef>,
-        /// 1-based line.
-        line: u32,
-    },
     /// A trait definition with its (possibly bodiless) items.
     Trait {
         /// Trait name.
         name: String,
         /// Associated items.
         items: Vec<Item>,
-        /// 1-based line.
-        line: u32,
-    },
-    /// A `type Name = ...;` alias.
-    TypeAlias {
-        /// Alias name.
-        name: String,
-        /// Aliased type.
-        ty: TypeRef,
         /// 1-based line.
         line: u32,
     },
@@ -150,22 +131,21 @@ pub enum Item {
         /// 1-based line.
         line: u32,
     },
-    /// Anything rule-irrelevant (`use`, `extern crate`, item macros).
+    /// Anything rule-irrelevant (`use`, `extern crate`, `enum`, `type`
+    /// aliases, item macros).
     Other {
         /// 1-based line.
         line: u32,
     },
 }
 
-/// A struct field or enum-variant payload type.
+/// A struct field.
 #[derive(Debug)]
 pub struct FieldDef {
-    /// Field name (empty for tuple fields / variant payloads).
+    /// Field name (empty for tuple fields).
     pub name: String,
     /// Field type.
     pub ty: TypeRef,
-    /// 1-based line.
-    pub line: u32,
 }
 
 /// A function item.
@@ -177,8 +157,6 @@ pub struct FnItem {
     pub line: u32,
     /// Parameters (including a `self` receiver, named `"self"`).
     pub params: Vec<Param>,
-    /// Return type, when written.
-    pub ret: Option<TypeRef>,
     /// Body; `None` for trait-method declarations.
     pub body: Option<Block>,
     /// Whether the fn itself is `#[cfg(test)]`- or `#[test]`-gated.
@@ -494,11 +472,9 @@ pub enum Expr {
     MacroCall {
         /// Macro name (last path segment).
         name: String,
-        /// Arguments that parsed as expressions.
+        /// Arguments that parsed as expressions; the rest (patterns in
+        /// `matches!`, format specs, ...) are dropped.
         args: Vec<Expr>,
-        /// Identifiers from argument tokens that did not parse as
-        /// expressions (patterns in `matches!`, format specs, ...).
-        raw_idents: Vec<String>,
         /// 1-based line.
         line: u32,
     },

@@ -434,13 +434,13 @@ fn unwrapped_head(ty: &TypeRef) -> String {
     head
 }
 
-/// Records `(struct, field) -> type` for every struct/enum field with
-/// a name, walking nested modules. First declaration (in sorted path
+/// Records `(struct, field) -> type` for every named struct field,
+/// walking nested modules. First declaration (in sorted path
 /// order) wins on duplicates.
 fn collect_fields(items: &[Item], out: &mut BTreeMap<(String, String), TypeRef>) {
     for item in items {
         match item {
-            Item::Struct { name, fields, .. } | Item::Enum { name, fields, .. } => {
+            Item::Struct { name, fields, .. } => {
                 for fd in fields {
                     if !fd.name.is_empty() {
                         out.entry((name.clone(), fd.name.clone()))

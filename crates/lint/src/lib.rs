@@ -159,7 +159,7 @@ impl std::fmt::Display for FileFinding {
 }
 
 /// The full result of analysing a file set: findings plus the
-/// workspace-level facts the gate archives in `BENCH_lint.json`.
+/// workspace-level facts `--json` prints as `LINT.json`'s last line.
 #[derive(Clone, Debug)]
 pub struct WorkspaceReport {
     /// All findings, sorted by path then line.

@@ -243,7 +243,10 @@ impl<'a> Parser<'a> {
             return self.parse_struct();
         }
         if self.at_kw("enum") {
-            return self.parse_enum();
+            // Variant payloads are never field-access targets.
+            self.skip_to_body();
+            self.skip_balanced("{", "}");
+            return Item::Other { line };
         }
         if self.at_kw("trait") {
             return self.parse_trait();
@@ -254,13 +257,10 @@ impl<'a> Parser<'a> {
         if self.at_kw("mod") {
             return self.parse_mod(cfg_test);
         }
-        if self.at_kw("type") {
-            return self.parse_type_alias();
-        }
         if self.at_kw("const") || self.at_kw("static") {
             return self.parse_const();
         }
-        if self.at_kw("use") || self.at_kw("extern") {
+        if self.at_kw("use") || self.at_kw("extern") || self.at_kw("type") {
             self.skip_to_semi();
             return Item::Other { line };
         }
@@ -299,11 +299,9 @@ impl<'a> Parser<'a> {
             self.skip_angles();
         }
         let params = self.parse_params();
-        let ret = if self.eat2("-", ">") {
-            Some(self.parse_type(|p| p.at("{") || p.at(";") || p.at_kw("where")))
-        } else {
-            None
-        };
+        if self.eat2("-", ">") {
+            self.parse_type(|p| p.at("{") || p.at(";") || p.at_kw("where"));
+        }
         if self.at_kw("where") {
             self.skip_where();
         }
@@ -318,7 +316,6 @@ impl<'a> Parser<'a> {
             name,
             line,
             params,
-            ret,
             body,
             cfg_test,
         }
@@ -390,12 +387,10 @@ impl<'a> Parser<'a> {
                 if self.eat("pub") && self.at("(") {
                     self.skip_balanced("(", ")");
                 }
-                let fline = self.line();
                 let ty = self.parse_type(|p| p.at(",") || p.at(")"));
                 fields.push(FieldDef {
                     name: String::new(),
                     ty,
-                    line: fline,
                 });
                 if !self.eat(",") && self.pos == before {
                     self.bump_recover("struct");
@@ -413,7 +408,6 @@ impl<'a> Parser<'a> {
                 if self.eat("pub") && self.at("(") {
                     self.skip_balanced("(", ")");
                 }
-                let fline = self.line();
                 let fname = self.ident_or("");
                 let ty = if self.at_single_colon() {
                     self.bump();
@@ -421,11 +415,7 @@ impl<'a> Parser<'a> {
                 } else {
                     TypeRef::default()
                 };
-                fields.push(FieldDef {
-                    name: fname,
-                    ty,
-                    line: fline,
-                });
+                fields.push(FieldDef { name: fname, ty });
                 if !self.eat(",") && !self.at("}") && self.pos == before {
                     self.bump_recover("struct");
                 }
@@ -435,87 +425,11 @@ impl<'a> Parser<'a> {
         Item::Struct { name, fields, line }
     }
 
-    fn parse_enum(&mut self) -> Item {
-        let line = self.line();
-        self.eat("enum");
-        let name = self.ident_or("_enum");
-        if self.at("<") {
-            self.skip_angles();
-        }
-        if self.at_kw("where") {
-            self.skip_where();
-        }
-        let mut fields = Vec::new();
-        if self.eat("{") {
-            while self.pos < self.toks.len() && !self.at("}") {
-                let before = self.pos;
-                self.skip_attrs();
-                let vline = self.line();
-                let vname = self.ident_or("");
-                if self.eat("(") {
-                    while self.pos < self.toks.len() && !self.at(")") {
-                        let b2 = self.pos;
-                        let ty = self.parse_type(|p| p.at(",") || p.at(")"));
-                        fields.push(FieldDef {
-                            name: vname.clone(),
-                            ty,
-                            line: vline,
-                        });
-                        if !self.eat(",") && self.pos == b2 {
-                            self.bump_recover("enum");
-                        }
-                    }
-                    self.eat(")");
-                } else if self.eat("{") {
-                    while self.pos < self.toks.len() && !self.at("}") {
-                        let b2 = self.pos;
-                        self.skip_attrs();
-                        self.ident_or("");
-                        if self.at_single_colon() {
-                            self.bump();
-                            let ty = self.parse_type(|p| p.at(",") || p.at("}"));
-                            fields.push(FieldDef {
-                                name: vname.clone(),
-                                ty,
-                                line: vline,
-                            });
-                        }
-                        if !self.eat(",") && !self.at("}") && self.pos == b2 {
-                            self.bump_recover("enum");
-                        }
-                    }
-                    self.eat("}");
-                }
-                if self.eat("=") {
-                    // Explicit discriminant.
-                    self.parse_expr(0, false);
-                }
-                if !self.eat(",") && !self.at("}") && self.pos == before {
-                    self.bump_recover("enum");
-                }
-            }
-            self.eat("}");
-        } else {
-            self.eat(";");
-        }
-        Item::Enum { name, fields, line }
-    }
-
     fn parse_trait(&mut self) -> Item {
         let line = self.line();
         self.eat("trait");
         let name = self.ident_or("_trait");
-        if self.at("<") {
-            self.skip_angles();
-        }
-        // Supertrait bounds and where clause: skip to the body brace.
-        while self.pos < self.toks.len() && !self.at("{") && !self.at(";") {
-            if self.at("<") {
-                self.skip_angles();
-            } else {
-                self.bump();
-            }
-        }
+        self.skip_to_body();
         let items = if self.eat("{") {
             self.items_until_close()
         } else {
@@ -569,22 +483,6 @@ impl<'a> Parser<'a> {
             items,
             line,
         }
-    }
-
-    fn parse_type_alias(&mut self) -> Item {
-        let line = self.line();
-        self.eat("type");
-        let name = self.ident_or("_type");
-        if self.at("<") {
-            self.skip_angles();
-        }
-        let ty = if self.eat("=") {
-            self.parse_type(|p| p.at(";"))
-        } else {
-            TypeRef::default()
-        };
-        self.eat(";");
-        Item::TypeAlias { name, ty, line }
     }
 
     fn parse_const(&mut self) -> Item {
@@ -680,6 +578,18 @@ impl<'a> Parser<'a> {
         idents
     }
 
+    /// Skips an item header's generics, bounds and where clause, up to
+    /// its body brace or `;`.
+    fn skip_to_body(&mut self) {
+        while self.pos < self.toks.len() && !self.at("{") && !self.at(";") {
+            if self.at("<") {
+                self.skip_angles();
+            } else {
+                self.bump();
+            }
+        }
+    }
+
     fn skip_where(&mut self) {
         self.eat("where");
         while self.pos < self.toks.len() && !self.at("{") && !self.at(";") {
@@ -702,6 +612,7 @@ impl<'a> Parser<'a> {
                 }
                 "{" => self.skip_balanced("{", "}"),
                 "(" => self.skip_balanced("(", ")"),
+                "[" => self.skip_balanced("[", "]"),
                 _ => {
                     self.bump();
                 }
@@ -1411,11 +1322,9 @@ impl<'a> Parser<'a> {
                 _ => ("(", ")"),
             };
             let body = self.macro_body(open, close);
-            let (args, raw_idents) = macro_args(body);
             return Expr::MacroCall {
                 name,
-                args,
-                raw_idents,
+                args: macro_args(body),
                 line,
             };
         }
@@ -1648,12 +1557,10 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Splits a macro body on top-level `,`/`;` and parses each segment
-/// as an expression where possible; segments that don't parse cleanly
-/// contribute their identifiers to `raw_idents` instead.
-fn macro_args(body: &[Token]) -> (Vec<Expr>, Vec<String>) {
+/// Splits a macro body on top-level `,`/`;` and keeps each segment
+/// that parses cleanly as an expression.
+fn macro_args(body: &[Token]) -> Vec<Expr> {
     let mut args = Vec::new();
-    let mut raw = Vec::new();
     let mut depth = 0i32;
     let mut seg_start = 0usize;
     let mut k = 0usize;
@@ -1670,12 +1577,6 @@ fn macro_args(body: &[Token]) -> (Vec<Expr>, Vec<String>) {
                 let e = p.parse_expr(0, false);
                 if p.pos == seg.len() && p.recoveries.is_empty() {
                     args.push(e);
-                } else {
-                    for t in seg {
-                        if t.kind == TokenKind::Ident {
-                            raw.push(t.text.clone());
-                        }
-                    }
                 }
             }
             seg_start = k + 1;
@@ -1688,7 +1589,7 @@ fn macro_args(body: &[Token]) -> (Vec<Expr>, Vec<String>) {
         }
         k += 1;
     }
-    (args, raw)
+    args
 }
 
 #[cfg(test)]
@@ -1732,7 +1633,6 @@ mod tests {
         let func = only_fn(&f);
         assert_eq!(func.name, "add");
         assert_eq!(func.params.len(), 2);
-        assert_eq!(func.ret.as_ref().map(|t| t.text.as_str()), Some("u32"));
         let body = func.body.as_ref().expect("body");
         assert_eq!(body.stmts.len(), 1);
     }
@@ -1802,8 +1702,8 @@ mod tests {
     fn parses_struct_enum_impl_alias() {
         let f = parse_clean(
             "pub struct S { pub m: HashMap<u64, u32>, n: usize }\n\
-             enum E { A(u32), B { x: u64 } }\n\
-             type Cache = HashMap<u64, Vec<u8>>;\n\
+             enum E<T: Fn() -> u8> where T: Copy { A(T), B { x: u64 } }\n\
+             type Cache = [HashMap<u64, Vec<u8>>; 2];\n\
              impl S { fn len(&self) -> usize { self.n } }",
         );
         let mut names = Vec::new();
@@ -1813,19 +1713,12 @@ mod tests {
                     names.push(name.clone());
                     assert!(fields.iter().any(|fd| fd.ty.mentions("HashMap")));
                 }
-                Item::Enum { name, fields, .. } => {
-                    names.push(name.clone());
-                    assert_eq!(fields.len(), 2);
-                }
-                Item::TypeAlias { name, ty, .. } => {
-                    names.push(name.clone());
-                    assert!(ty.mentions("HashMap"));
-                }
                 Item::Impl { type_name, .. } => names.push(format!("impl {type_name}")),
+                Item::Other { .. } => names.push("other".to_string()),
                 _ => {}
             }
         }
-        assert_eq!(names, ["S", "E", "Cache", "impl S"]);
+        assert_eq!(names, ["S", "other", "other", "impl S"]);
     }
 
     #[test]

@@ -4,10 +4,11 @@
 #   ./scripts/check.sh
 #
 # Runs the release build, every suite in the workspace once, the
-# end-to-end benchmark's suite and smoke, the smoke benches and
+# end-to-end benchmark's suite and smoke, every bench body once, the
 # examples, clippy and rustdoc with warnings denied, and the formatting
 # check, stopping at the first failure; prints its own wall time at the
-# end.
+# end. The only tracked file it rewrites is LINT.json, which is
+# deterministic.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -25,10 +26,10 @@ run cargo build --release
 # taint across calls (LS301) and transitive hot-path allocation
 # (LS401); zero unannotated findings allowed. Clocks, entropy, hash
 # containers and unwraps are clippy's (clippy.toml, run below). The
-# JSON finding stream is archived for diffing across PRs and the
-# full-workspace pass must stay under its 5 s wall-time budget; that
-# the output is byte-identical across runs is asserted by
-# crates/lint/tests/workspace.rs in the test step.
+# JSON finding stream, ending in the graph summary line, is archived
+# for diffing across PRs and the full-workspace pass must stay under
+# its 5 s wall-time budget; that the output is byte-identical across
+# runs is asserted by crates/lint/tests/workspace.rs in the test step.
 echo "==> cargo run -q -p livesec-lint --release -- --json"
 # Warm the per-package build first: `cargo run -p` resolves features
 # per package and can recompile even after a workspace build, and the
@@ -43,12 +44,6 @@ if [ "$lint_elapsed_ms" -ge 5000 ]; then
     exit 1
 fi
 test -s LINT.json
-# The last LINT.json line is the graph summary
-# ({"findings":..,"files":..,"fns":..,"edges":..,"hot_fns":..});
-# prepend the measured wall time and archive as the lint bench.
-lint_summary=$(tail -n 1 LINT.json)
-printf '{"wall_ms":%s,%s\n' "$lint_elapsed_ms" "${lint_summary#\{}" > BENCH_lint.json
-test -s BENCH_lint.json
 # Header-space invariant verifier (DESIGN.md §8): snapshot the
 # emitted flow tables of the baseline scenario and prove the eight
 # dataplane invariants (blocked-unreachable, no loops, no blackholes,
@@ -66,15 +61,21 @@ run cargo run -q -p livesec-verify --release -- --scenario baseline
 # - tests/determinism, shard_ring, shard_handoff, shard_failover: the
 #   sharded control plane (DESIGN.md §9) — a 1-shard plane
 #   byte-identical to the plain controller, shards 1/2/4 identical
-#   modulo shard tags, ring properties, cross-shard handoff, mid-attack
-#   shard failover with a clean merged audit.
+#   modulo shard tags, ring properties and the 4-shard scale-out floor
+#   (no shard owns more than 333 of 1 000 switches), cross-shard
+#   handoff, mid-attack shard failover with a clean merged audit.
 # - tests/accountability (DESIGN.md §11): each dataplane fault kind is
 #   detected, localized to exactly the compromised switch, quarantined
 #   and re-steered around, at 1 and 4 shards, honest switches never
-#   blamed.
+#   blamed. livesec-bench's tests/accountability: the bench fixtures'
+#   honest replay verifies every chain and leaves none pending, and
+#   every forged attestation is caught.
 # - tests/policy_delta: applying compiled deltas mid-traffic equals the
 #   wholesale recompile byte for byte, spares untouched warm cache
-#   classes, and passes the scoped incremental audit.
+#   classes, and passes the scoped incremental audit. livesec-bench's
+#   tests/policy: a one-rule edit is one converging delta, and the
+#   1 000-switch snapshot audits clean, in full and under each
+#   single-rule delta, which scopes the audit to exactly 1/1600 of it.
 # - livesec (core): the engine stages and `revalidate` against a fresh
 #   `decide`, N-shard cache coherence and the features-reply handshake
 #   without a campus, `prop_core`, `end_to_end`; livesec-net: the
@@ -101,26 +102,15 @@ run cargo test -q --offline --manifest-path e2e/Cargo.toml
 # BENCH_e2e.json records, exactly; wall-clock metrics are printed beside
 # the recorded ones, never asserted.
 run ./scripts/e2e_smoke.sh
-# Scale-out smoke bench: 100k packet-ins partitioned over 1/2/4/8
-# shards; must clear >=3x throughput at 4 shards and (re)write
-# BENCH_shards.json.
-run cargo bench -q -p livesec-bench --bench shard_scaling -- --smoke
-test -s BENCH_shards.json
+# Every bench body, one untimed iteration each (the criterion stub's
+# test mode), so a bench that no longer builds or panics fails here.
+run cargo test -q --workspace --bench '*'
 # Post-quarantine dataplane must audit clean, quarantine isolation
 # (invariant 8) included.
 run cargo run -q -p livesec-verify --release -- --scenario tamper-quarantine
-# Accountability hot paths: attestation tagging + detector replay;
-# (re)writes BENCH_accountability.json, every forged attestation caught.
-run cargo bench -q -p livesec-bench --bench accountability -- --smoke
-test -s BENCH_accountability.json
 # Policy end-to-end: load .lsp, run traffic, live-edit the policy,
 # apply the delta script, audit incrementally.
 run cargo run -q --release --example policy
-# Delta-compile + incremental-audit smoke bench: the single-rule delta
-# on a 1000-switch campus must clear the >=10x work-ratio floor and
-# (re)write BENCH_policy.json.
-run cargo bench -q -p livesec-bench --bench policy -- --smoke
-test -s BENCH_policy.json
 # Stateful-enforcement end-to-end: SYN flood detected by conntrack,
 # source-wide drop installed at the ingress, flood stops counting —
 # while a legitimate fast-passed transfer completes alongside.

@@ -112,3 +112,19 @@ fn ownership_is_roughly_balanced() {
         }
     }
 }
+
+/// The scale-out floor: packet-ins are routed by ingress switch, so on a
+/// 1000-switch campus 4 shards split the set-up work at least 3× only
+/// if no shard owns more than 333 switches. (The largest owns 266.)
+#[test]
+fn four_shards_split_a_thousand_switches_at_least_three_ways() {
+    let ring = HashRing::new(4);
+    let mut owned = [0u32; 4];
+    for dpid in 1..=1_000 {
+        owned[ring.shard_of_dpid(dpid) as usize] += 1;
+    }
+    assert!(
+        owned.iter().all(|&n| n <= 333),
+        "dpids per shard: {owned:?}"
+    );
+}
