@@ -82,7 +82,6 @@ fn deviation_stats(per_element: &[u64]) -> (f64, f64) {
         .iter()
         .map(|&x| (x as f64 - mean).abs() / mean)
         .fold(0.0, f64::max);
-    // livesec-lint: allow(float-accum, reason = "per_element is a Vec, so the summation order is fixed; report-only statistic")
     let var = per_element
         .iter()
         .map(|&x| (x as f64 - mean).powi(2))

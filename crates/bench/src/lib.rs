@@ -21,8 +21,9 @@
 //!
 //! Each module exposes a `run` function returning a plain result
 //! struct; the `src/bin/exp_*.rs` binaries print the paper-style
-//! tables, and `benches/experiments.rs` wraps reduced versions in
-//! Criterion for regression tracking.
+//! tables, and each module's unit tests run a reduced version. The
+//! simulator's wall-clock cost is the end-to-end benchmark's
+//! `sim_speed` (EXPERIMENTS.md E25).
 
 pub mod ablation;
 pub mod access;

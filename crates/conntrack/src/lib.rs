@@ -2,6 +2,7 @@
 #![deny(missing_debug_implementations)]
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
+#![warn(clippy::indexing_slicing)]
 
 //! Deterministic connection tracking for the LiveSec service elements
 //! and controller.
@@ -39,7 +40,8 @@
 //!
 //! Everything is ordinary data with ordered collections: two runs
 //! over the same packet sequence produce byte-identical tables,
-//! which `livesec-lint` and the golden-trace suite enforce.
+//! which the golden-trace suite and the end-to-end smoke's exact
+//! counts enforce.
 
 use livesec_net::{FlowKey, Packet, TcpFlags};
 use livesec_sim::{SimDuration, SimTime};
@@ -584,7 +586,7 @@ impl ConnTable {
         };
         if stash.len() < head_bytes && !payload.is_empty() {
             let room = head_bytes - stash.len();
-            stash.extend_from_slice(&payload[..payload.len().min(room)]);
+            stash.extend_from_slice(payload.get(..room).unwrap_or(payload));
         }
 
         // Touch: new arming sequence, fresh deadline and LRU position;
@@ -602,9 +604,7 @@ impl ConnTable {
         self.lru.insert((now, conn.seq), ck);
 
         if new_state != old_state {
-            self.state_counts[old_state.index()] -= 1;
-            self.state_counts[new_state.index()] += 1;
-            self.note_half_open(initiator_ip, Some(old_state), Some(new_state));
+            self.note_transition(initiator_ip, Some(old_state), Some(new_state));
         }
         match event {
             Some(ConnEvent::Established) => self.established_total += 1,
@@ -658,10 +658,10 @@ impl ConnTable {
             self.evict_lru();
         }
         self.seq += 1;
-        // livesec-lint: allow(hot-path-alloc, reason = "runs once per new flow, not per packet; Vec::new is capacity-0")
+        // Once per new flow, not per packet; `Vec::new` is capacity 0.
         let mut head = Vec::new();
         if !payload.is_empty() {
-            head.extend_from_slice(&payload[..payload.len().min(self.head_bytes)]);
+            head.extend_from_slice(payload.get(..self.head_bytes).unwrap_or(payload));
         }
         let deadline = now + self.timeouts.for_state(state);
         let conn = Conn {
@@ -673,7 +673,6 @@ impl ConnTable {
             seq: self.seq,
             armed_slot: deadline.as_nanos() / SLOT_NANOS,
             orig_head: head,
-            // livesec-lint: allow(hot-path-alloc, reason = "capacity-0 Vec on flow creation; grows only when reply head bytes arrive")
             reply_head: Vec::new(),
             orig_pkts: 1,
             reply_pkts: 0,
@@ -682,8 +681,7 @@ impl ConnTable {
         self.lru.insert((now, conn.seq), ck);
         self.conns.insert(ck, conn);
         self.insertions += 1;
-        self.state_counts[state.index()] += 1;
-        self.note_half_open(ep.0, None, Some(state));
+        self.note_transition(ep.0, None, Some(state));
 
         Observation {
             key: ck,
@@ -718,8 +716,7 @@ impl ConnTable {
             }
             let conn = entry.remove();
             self.lru.remove(&(conn.last_seen, conn.seq));
-            self.state_counts[conn.state.index()] -= 1;
-            self.note_half_open(conn.initiator.0, Some(conn.state), None);
+            self.note_transition(conn.initiator.0, Some(conn.state), None);
             self.expirations += 1;
             if conn.state.is_established() {
                 self.closed_total += 1;
@@ -742,17 +739,25 @@ impl ConnTable {
             return;
         };
         self.wheel.remove(&(conn.armed_slot, conn.seq));
-        self.state_counts[conn.state.index()] -= 1;
-        self.note_half_open(conn.initiator.0, Some(conn.state), None);
+        self.note_transition(conn.initiator.0, Some(conn.state), None);
         self.evictions += 1;
     }
 
-    fn note_half_open(
+    /// Moves one connection of `initiator` from state `old` to `new`
+    /// (`None`: not tracked) in the state histogram and the half-open
+    /// counts.
+    fn note_transition(
         &mut self,
         initiator: Ipv4Addr,
         old: Option<ConnState>,
         new: Option<ConnState>,
     ) {
+        if let Some(n) = old.and_then(|s| self.state_counts.get_mut(s.index())) {
+            *n -= 1;
+        }
+        if let Some(n) = new.and_then(|s| self.state_counts.get_mut(s.index())) {
+            *n += 1;
+        }
         let was = old.map(|s| s.is_half_open()).unwrap_or(false);
         let is = new.map(|s| s.is_half_open()).unwrap_or(false);
         if was == is {

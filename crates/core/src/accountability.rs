@@ -416,11 +416,11 @@ impl AccountabilityDetector {
         let Some(proofs) = self.proofs.get(&sig) else {
             return;
         };
-        if proofs.len() != 1 {
+        let [proof] = proofs.as_slice() else {
             self.chains.remove(&(sig, att.pkt_tag));
             return;
-        }
-        let n_hops = proofs[0].hops.len();
+        };
+        let n_hops = proof.hops.len();
         let chain = match self.chains.entry((sig, att.pkt_tag)) {
             Entry::Occupied(e) => e.into_mut(),
             Entry::Vacant(e) => {
@@ -430,7 +430,9 @@ impl AccountabilityDetector {
                 // no attestation — so its mid-path attestations must not
                 // open a chain the ingress can never join: it would stall
                 // and frame the honest ingress switch as a dropper.
-                let first = &proofs[0].hops[0];
+                let Some(first) = proof.hops.first() else {
+                    return;
+                };
                 if att.dpid != first.dpid
                     || att.in_port != first.in_port
                     || att.out_port != first.out_port
@@ -442,7 +444,6 @@ impl AccountabilityDetector {
                     flow: att.flow,
                     first_seen: now,
                     last_seen: now,
-                    // livesec-lint: allow(hot-path-alloc, reason = "one allocation at chain open, amortized over every packet of the chain; not per-packet")
                     attested: Vec::with_capacity(n_hops),
                 })
             }
@@ -454,7 +455,7 @@ impl AccountabilityDetector {
         }
         // Complete chains retire immediately — only stragglers stay
         // behind for the deadline sweep to inspect.
-        let complete = proofs[0].hops.iter().all(|h| {
+        let complete = proof.hops.iter().all(|h| {
             chain
                 .attested
                 .iter()
@@ -482,10 +483,13 @@ impl AccountabilityDetector {
             let Some(proofs) = self.proofs.get(&key.0) else {
                 continue; // flow retired while the packet was in flight
             };
-            if proofs.len() != 1 || proofs[0].registered_at > chain.first_seen {
+            let [proof] = proofs.as_slice() else {
+                continue; // the path moved under the chain
+            };
+            if proof.registered_at > chain.first_seen {
                 continue; // the path moved under the chain
             }
-            let missing = proofs[0].hops.iter().find(|h| {
+            let missing = proof.hops.iter().find(|h| {
                 !chain.attested.iter().any(|a| {
                     a.3 == h.dpid && a.0 == h.in_port && a.1 == h.out_port && a.2 == h.cookie
                 })

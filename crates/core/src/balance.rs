@@ -394,7 +394,7 @@ impl LoadBalancer {
             }
         }
         let idx = self.dispatcher.pick(flow, user, &candidates);
-        let mac = candidates[idx].mac;
+        let mac = candidates.get(idx)?.mac;
         if self.grain == Grain::User {
             self.sticky.insert((user, service), mac);
         }

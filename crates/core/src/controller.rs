@@ -1698,8 +1698,10 @@ impl Controller {
     /// the decision that took its place.
     fn decide_flow(&mut self, key: &FlowKey, ingress: (u64, u32)) -> EngineDecision {
         let shard = self.active_shard;
-        let hit = self.caches[shard]
-            .as_mut()
+        let hit = self
+            .caches
+            .get_mut(shard)
+            .and_then(Option::as_mut)
             .and_then(|c| c.lookup(key, ingress));
         let was_hit = hit.is_some();
         let (decision, memo_stands) = match hit {
@@ -1707,7 +1709,7 @@ impl Controller {
             None => (engine::decide(self, key), false),
         };
         if !memo_stands {
-            if let Some(c) = self.caches[shard].as_mut() {
+            if let Some(c) = self.caches.get_mut(shard).and_then(Option::as_mut) {
                 if was_hit {
                     c.remove(key);
                 }

@@ -129,8 +129,10 @@ impl Campus {
 
     /// Borrows an AS switch.
     pub fn switch(&self, idx: usize) -> &AsSwitch {
-        assert!(idx < self.as_switches.len(), "no AS switch {idx}");
-        self.world.node::<AsSwitch>(self.as_switches[idx])
+        let Some(&node) = self.as_switches.get(idx) else {
+            panic!("no AS switch {idx}");
+        };
+        self.world.node::<AsSwitch>(node)
     }
 
     /// Migrates a host to another AS switch mid-run without changing
@@ -146,26 +148,22 @@ impl Campus {
     ///
     /// Panics if `to_switch` is out of range or out of access ports.
     pub fn migrate_user(&mut self, user: UserHandle, to_switch: usize) -> UserHandle {
-        assert!(
-            to_switch < self.as_switches.len(),
-            "unknown switch {to_switch}"
-        );
+        let (Some(&from), Some(&to), Some(next_port)) = (
+            self.as_switches.get(user.switch),
+            self.as_switches.get(to_switch),
+            self.as_next_port.get_mut(to_switch),
+        ) else {
+            panic!("unknown switch {to_switch}");
+        };
         // Unplug at the old switch and signal the port down.
         self.world.disconnect(user.node, PortId(1));
-        self.world
-            .node_mut::<AsSwitch>(self.as_switches[user.switch])
-            .fail_port(user.port);
+        self.world.node_mut::<AsSwitch>(from).fail_port(user.port);
         // Plug into the new switch.
-        let port = self.as_next_port[to_switch];
+        let port = *next_port;
         assert!(port < AS_PORTS, "switch {to_switch} out of access ports");
-        self.as_next_port[to_switch] += 1;
-        self.world.connect(
-            user.node,
-            PortId(1),
-            self.as_switches[to_switch],
-            PortId(port),
-            self.user_link,
-        );
+        *next_port += 1;
+        self.world
+            .connect(user.node, PortId(1), to, PortId(port), self.user_link);
         // Gratuitous ARP on link-up, as a real machine would.
         let announce_at = self.world.kernel().now() + livesec_sim::SimDuration::from_millis(1);
         self.world
@@ -256,6 +254,10 @@ impl CampusBuilder {
     /// # Panics
     ///
     /// Panics if `n_edge < 2` (no redundancy to speak of).
+    #[allow(
+        clippy::indexing_slicing,
+        reason = "legacy holds the core and the n_edge edges built above; i, j < n_edge and the spanning tree names only their ids"
+    )]
     pub fn with_redundant_legacy(seed: u64, n_ovs: usize, n_edge: usize) -> Self {
         assert!(n_edge >= 2, "redundancy needs at least two edges");
         let mut b = Self::with_legacy_tiers(seed, n_ovs, n_edge);
@@ -311,17 +313,16 @@ impl CampusBuilder {
 
         let mut legacy = Vec::new();
         let mut legacy_next_port = Vec::new();
-        // Core switch: index 0.
+        // Core switch: index 0; its ports 1..=n_edge face the edges.
         let core_ports = (n_ovs + n_edge + 16) as u32;
-        legacy.push(world.add_node(LearningSwitch::new(core_ports)));
-        legacy_next_port.push(1);
-        for _ in 0..n_edge {
+        let core = world.add_node(LearningSwitch::new(core_ports));
+        legacy.push(core);
+        legacy_next_port.push(1 + n_edge as u32);
+        for i in 0..n_edge {
             let edge = world.add_node(LearningSwitch::new(core_ports));
-            let core_port = legacy_next_port[0];
-            legacy_next_port[0] += 1;
             world.connect(
-                legacy[0],
-                PortId(core_port),
+                core,
+                PortId(1 + i as u32),
                 edge,
                 PortId(1),
                 LinkSpec::ten_gigabit(),
@@ -442,6 +443,10 @@ impl CampusBuilder {
         self
     }
 
+    #[allow(
+        clippy::indexing_slicing,
+        reason = "legacy_idx is the core (0) or an edge picked modulo the edge count"
+    )]
     fn add_as_switch(&mut self, kind: SwitchKind) -> usize {
         let dpid = (self.as_switches.len() + 1) as u64;
         let node = self.world.add_node(
@@ -496,12 +501,20 @@ impl CampusBuilder {
         ip
     }
 
-    fn access_port(&mut self, switch: usize) -> u32 {
-        assert!(switch < self.as_next_port.len(), "no AS switch {switch}");
-        let p = self.as_next_port[switch];
+    /// Takes the next access port of AS switch `switch`: the switch's
+    /// node, its kind and the port.
+    fn access_port(&mut self, switch: usize) -> (NodeId, SwitchKind, u32) {
+        let (Some(&node), Some(&kind), Some(next)) = (
+            self.as_switches.get(switch),
+            self.as_kind.get(switch),
+            self.as_next_port.get_mut(switch),
+        ) else {
+            panic!("no AS switch {switch}");
+        };
+        let p = *next;
         assert!(p < AS_PORTS, "switch {switch} is out of access ports");
-        self.as_next_port[switch] += 1;
-        p
+        *next += 1;
+        (node, kind, p)
     }
 
     /// Adds a user host running `app` on the given AS switch. Wired
@@ -523,18 +536,12 @@ impl CampusBuilder {
         let ip = self.alloc_ip();
         let host = configure(Host::new(mac, ip, app).with_gateway(self.subnet, self.gateway_ip));
         let node = self.world.add_node(host);
-        let port = self.access_port(switch);
-        let link = match self.as_kind[switch] {
+        let (sw, kind, port) = self.access_port(switch);
+        let link = match kind {
             SwitchKind::Ovs => self.user_link,
             SwitchKind::WifiAp => LinkSpec::pantou_wifi(),
         };
-        self.world.connect(
-            node,
-            PortId(1),
-            self.as_switches[switch],
-            PortId(port),
-            link,
-        );
+        self.world.connect(node, PortId(1), sw, PortId(port), link);
         let handle = UserHandle {
             node,
             mac,
@@ -566,14 +573,9 @@ impl CampusBuilder {
         };
         let se = if cert != 0 { se.with_cert(cert) } else { se };
         let node = self.world.add_node(Host::new(mac, ip, se));
-        let port = self.access_port(switch);
-        self.world.connect(
-            node,
-            PortId(1),
-            self.as_switches[switch],
-            PortId(port),
-            self.se_link,
-        );
+        let (sw, _, port) = self.access_port(switch);
+        self.world
+            .connect(node, PortId(1), sw, PortId(port), self.se_link);
         let handle = SeHandle {
             node,
             mac,
@@ -617,14 +619,9 @@ impl CampusBuilder {
         let ip = self.gateway_ip;
         let host = configure(Host::new(mac, ip, app).with_proxy_arp_outside(self.subnet));
         let node = self.world.add_node(host);
-        let port = self.access_port(switch);
-        self.world.connect(
-            node,
-            PortId(1),
-            self.as_switches[switch],
-            PortId(port),
-            self.gateway_link,
-        );
+        let (sw, _, port) = self.access_port(switch);
+        self.world
+            .connect(node, PortId(1), sw, PortId(port), self.gateway_link);
         let handle = UserHandle {
             node,
             mac,

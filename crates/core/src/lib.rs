@@ -2,6 +2,7 @@
 #![deny(missing_debug_implementations)]
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
+#![warn(clippy::indexing_slicing)]
 
 //! **LiveSec**: scalable and flexible security management for
 //! production networks — the controller at the heart of the

@@ -208,18 +208,21 @@ impl Node for ShardedControlPlane {
         Node::on_control(&mut self.inner, ctx, peer, bytes);
         // Book the dispatch, then hand the controller back to
         // housekeeping.
-        let s = &mut self.shards[shard as usize];
-        debug_assert!(s.alive, "routed a message to a dead shard");
-        s.messages += 1;
-        s.packet_ins += self.inner.packet_ins - packet_ins_before;
-        if let Some((_key, ingress, egress)) = self.inner.take_last_setup() {
-            // Cross-shard handoff: the flow's egress switch belongs to
-            // another shard. The shared NIB makes the handoff itself
-            // free — the ingress owner installs the whole end-to-end
-            // program — but the count is the scale-out cost model.
-            if self.ring.shard_of_dpid(ingress) != self.ring.shard_of_dpid(egress) {
-                s.handoffs_out += 1;
-            }
+        // Cross-shard handoff: the flow's egress switch belongs to
+        // another shard. The shared NIB makes the handoff itself free —
+        // the ingress owner installs the whole end-to-end program — but
+        // the count is the scale-out cost model.
+        let handoff = self
+            .inner
+            .take_last_setup()
+            .is_some_and(|(_key, ingress, egress)| {
+                self.ring.shard_of_dpid(ingress) != self.ring.shard_of_dpid(egress)
+            });
+        if let Some(s) = self.shards.get_mut(shard as usize) {
+            debug_assert!(s.alive, "routed a message to a dead shard");
+            s.messages += 1;
+            s.packet_ins += self.inner.packet_ins - packet_ins_before;
+            s.handoffs_out += u64::from(handoff);
         }
         let idle = self.lowest_live();
         self.inner.select_shard(idle);

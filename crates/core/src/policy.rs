@@ -252,7 +252,11 @@ impl PolicyTable {
             .app_actions
             .binary_search_by(|(a, _)| a.as_str().cmp(app))
         {
-            Ok(at) => self.app_actions[at].1 = action,
+            Ok(at) => {
+                if let Some(slot) = self.app_actions.get_mut(at) {
+                    slot.1 = action;
+                }
+            }
             Err(at) => self.app_actions.insert(at, (app.to_owned(), action)),
         }
         self
@@ -309,9 +313,9 @@ impl PolicyTable {
     /// Replaces the same-named rule in place, preserving its
     /// evaluation position; returns whether a slot was found.
     pub fn replace_named(&mut self, rule: PolicyRule) -> bool {
-        match self.position_of(&rule.name) {
-            Some(at) => {
-                self.rules[at] = rule;
+        match self.rules.iter_mut().find(|r| r.name == rule.name) {
+            Some(slot) => {
+                *slot = rule;
                 true
             }
             None => false,

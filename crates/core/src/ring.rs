@@ -129,11 +129,11 @@ impl HashRing {
     fn owner_of(&self, hash: u64) -> u32 {
         debug_assert!(!self.points.is_empty(), "ring has no points");
         // First point at or clockwise past the key's hash, wrapping.
-        match self.points.binary_search(&(hash, 0)) {
-            Ok(i) => self.points[i].1,
-            Err(i) if i < self.points.len() => self.points[i].1,
-            Err(_) => self.points[0].1,
-        }
+        let (Ok(i) | Err(i)) = self.points.binary_search(&(hash, 0));
+        self.points
+            .get(i)
+            .or(self.points.first())
+            .map_or(0, |&(_, shard)| shard)
     }
 
     /// The shard owning a switch (by datapath id).

@@ -137,10 +137,7 @@ pub fn compile_path(
     }
     let last = hops.len() - 1;
     let mut program = SteeringProgram::default();
-    for i in 0..last {
-        let cur = &hops[i];
-        let next = &hops[i + 1];
-
+    for (i, (cur, next)) in hops.iter().zip(hops.iter().skip(1)).enumerate() {
         // The frame as it enters hop i's switch. The source emits the
         // original headers; a service element re-emits exactly the
         // frame it received (dl_dst = its own MAC, dl_src = whatever
@@ -148,8 +145,8 @@ pub fn compile_path(
         let mut entering = *key;
         if i > 0 {
             entering.dl_dst = cur.mac;
-            if i > 1 {
-                entering.dl_src = hops[i - 1].mac;
+            if let Some(before) = hops.get(i - 1).filter(|_| i > 1) {
+                entering.dl_src = before.mac;
             }
         }
 

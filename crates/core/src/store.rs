@@ -39,9 +39,9 @@ pub trait StateStore {
 
 /// A self-contained [`StateStore`]: policy, registry, balancer and a
 /// static location/topology map, with no controller or simulation
-/// around them. This is what the `shard_scaling` bench and the engine
-/// unit tests drive — a synthetic 100k-host campus fits in one of
-/// these with no per-host simulation cost.
+/// around them. This is what the engine unit tests drive — a
+/// synthetic 100k-host campus fits in one of these with no per-host
+/// simulation cost.
 #[derive(Debug)]
 pub struct NetworkState {
     /// The policy table consulted by `decide_policy`.

@@ -5,6 +5,9 @@
 //! core. We model the four-message DORA exchange with just enough
 //! fields for the proxy to hand out deterministic leases.
 
+#![warn(clippy::indexing_slicing)]
+
+use crate::cursor::Cursor;
 use crate::mac::MacAddr;
 use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
@@ -102,10 +105,8 @@ impl DhcpMessage {
     /// Decodes a message previously produced by [`DhcpMessage::encode`].
     /// Returns `None` for malformed input.
     pub fn decode(bytes: &[u8]) -> Option<Self> {
-        if bytes.len() < 15 {
-            return None;
-        }
-        let kind = match bytes[0] {
+        let mut r = Cursor::new(bytes);
+        let kind = match r.u8().ok()? {
             1 => DhcpMsgType::Discover,
             2 => DhcpMsgType::Offer,
             3 => DhcpMsgType::Request,
@@ -113,9 +114,9 @@ impl DhcpMessage {
             6 => DhcpMsgType::Nak,
             _ => return None,
         };
-        let xid = u32::from_be_bytes(bytes[1..5].try_into().ok()?);
-        let chaddr = MacAddr::new(bytes[5..11].try_into().ok()?);
-        let yiaddr = Ipv4Addr::new(bytes[11], bytes[12], bytes[13], bytes[14]);
+        let xid = r.u32().ok()?;
+        let chaddr = r.mac().ok()?;
+        let yiaddr = r.ipv4().ok()?;
         Some(DhcpMessage {
             kind,
             xid,

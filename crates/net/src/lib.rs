@@ -38,6 +38,7 @@
 //! ```
 
 pub mod arp;
+pub mod cursor;
 pub mod dhcp;
 pub mod ethernet;
 pub mod flow;
@@ -53,6 +54,7 @@ pub mod udp;
 pub mod wire;
 
 pub use arp::{ArpOp, ArpPacket};
+pub use cursor::{Cursor, Truncated};
 pub use dhcp::{DhcpMessage, DhcpMsgType};
 pub use ethernet::{EtherType, EthernetHeader, VlanTag};
 pub use flow::{FlowKey, SessionKey};

@@ -6,6 +6,9 @@
 //! pcap byte stream (LINKTYPE_ETHERNET) and read back — or opened in
 //! Wireshark.
 
+#![warn(clippy::indexing_slicing)]
+
+use crate::cursor::{Cursor, Truncated};
 use crate::packet::Packet;
 use crate::wire;
 use std::fmt;
@@ -45,6 +48,12 @@ impl fmt::Display for PcapError {
             PcapError::BadLinkType(l) => write!(f, "unsupported link type {l}"),
             PcapError::BadFrame(e) => write!(f, "unreadable frame: {e}"),
         }
+    }
+}
+
+impl From<Truncated> for PcapError {
+    fn from(_: Truncated) -> Self {
+        PcapError::Truncated
     }
 }
 
@@ -89,35 +98,27 @@ pub fn write_pcap(frames: &[CapturedFrame]) -> Vec<u8> {
 ///
 /// Returns [`PcapError`] for malformed captures or frames.
 pub fn read_pcap(bytes: &[u8]) -> Result<Vec<CapturedFrame>, PcapError> {
-    fn take<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8], PcapError> {
-        if buf.len() < n {
-            return Err(PcapError::Truncated);
-        }
-        let (head, tail) = buf.split_at(n);
-        *buf = tail;
-        Ok(head)
-    }
-    fn u32le(buf: &mut &[u8]) -> Result<u32, PcapError> {
-        Ok(u32::from_le_bytes(take(buf, 4)?.try_into().expect("len")))
+    fn u32le(r: &mut Cursor<'_>) -> Result<u32, Truncated> {
+        Ok(u32::from_le_bytes(r.array()?))
     }
 
-    let mut buf = bytes;
-    let magic = u32le(&mut buf)?;
+    let mut r = Cursor::new(bytes);
+    let magic = u32le(&mut r)?;
     if magic != MAGIC {
         return Err(PcapError::BadMagic(magic));
     }
-    take(&mut buf, 2 + 2 + 4 + 4 + 4)?; // version, thiszone, sigfigs, snaplen
-    let linktype = u32le(&mut buf)?;
+    r.take(2 + 2 + 4 + 4 + 4)?; // version, thiszone, sigfigs, snaplen
+    let linktype = u32le(&mut r)?;
     if linktype != LINKTYPE {
         return Err(PcapError::BadLinkType(linktype));
     }
     let mut frames = Vec::new();
-    while !buf.is_empty() {
-        let secs = u32le(&mut buf)?;
-        let micros = u32le(&mut buf)?;
-        let incl = u32le(&mut buf)? as usize;
-        let _orig = u32le(&mut buf)?;
-        let data = take(&mut buf, incl)?;
+    while r.remaining() > 0 {
+        let secs = u32le(&mut r)?;
+        let micros = u32le(&mut r)?;
+        let incl = u32le(&mut r)? as usize;
+        let _orig = u32le(&mut r)?;
+        let data = r.take(incl)?;
         let packet = wire::parse(data).map_err(PcapError::BadFrame)?;
         frames.push(CapturedFrame {
             at_nanos: u64::from(secs).saturating_mul(1_000_000_000)

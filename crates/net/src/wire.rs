@@ -14,12 +14,14 @@
 //! as [`Payload::Data`] of the same length, so round-trips preserve
 //! flow keys and lengths but not the synthetic marker.
 
+#![warn(clippy::indexing_slicing)]
+
 use crate::arp::{ArpOp, ArpPacket};
+use crate::cursor::{Cursor, Truncated};
 use crate::ethernet::{EtherType, EthernetHeader, VlanTag};
 use crate::icmp::{IcmpMessage, IcmpType};
 use crate::ipv4::{Ipv4Header, Ipv4Packet, Transport};
 use crate::lldp::LldpFrame;
-use crate::mac::MacAddr;
 use crate::packet::{Body, Packet, Payload};
 use crate::tcp::{TcpFlags, TcpSegment};
 use crate::udp::UdpDatagram;
@@ -59,14 +61,20 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+impl From<Truncated> for ParseError {
+    fn from(_: Truncated) -> Self {
+        ParseError::Truncated
+    }
+}
+
 /// Computes the Internet checksum (RFC 1071) of `data`.
 pub fn internet_checksum(data: &[u8]) -> u16 {
     let mut sum: u32 = 0;
-    let mut chunks = data.chunks_exact(2);
-    for c in &mut chunks {
-        sum += u32::from(u16::from_be_bytes([c[0], c[1]]));
+    let (pairs, odd) = data.as_chunks::<2>();
+    for &pair in pairs {
+        sum += u32::from(u16::from_be_bytes(pair));
     }
-    if let [last] = chunks.remainder() {
+    if let [last] = odd {
         sum += u32::from(u16::from_be_bytes([*last, 0]));
     }
     while sum > 0xffff {
@@ -84,6 +92,18 @@ fn checksum_with_pseudo(src: Ipv4Addr, dst: Ipv4Addr, proto: u8, segment: &[u8])
     buf.extend_from_slice(&(segment.len() as u16).to_be_bytes());
     buf.extend_from_slice(segment);
     internet_checksum(&buf)
+}
+
+/// Sums `out[from..]` and stores the checksum big-endian `slot` bytes
+/// into it, where the serializer left two zero bytes for it.
+fn fill_checksum(out: &mut [u8], from: usize, slot: usize, sum: impl FnOnce(&[u8]) -> u16) {
+    let Some(region) = out.get_mut(from..) else {
+        return;
+    };
+    let csum = sum(region).to_be_bytes();
+    if let Some(dst) = region.get_mut(slot..slot + 2) {
+        dst.copy_from_slice(&csum);
+    }
 }
 
 fn put_payload(out: &mut Vec<u8>, payload: &Payload) {
@@ -138,8 +158,7 @@ fn serialize_ipv4(out: &mut Vec<u8>, ip: &Ipv4Packet) {
     out.extend_from_slice(&[0, 0]); // checksum placeholder
     out.extend_from_slice(&ip.header.src.octets());
     out.extend_from_slice(&ip.header.dst.octets());
-    let csum = internet_checksum(&out[start..start + Ipv4Header::WIRE_LEN]);
-    out[start + 10..start + 12].copy_from_slice(&csum.to_be_bytes());
+    fill_checksum(out, start, 10, internet_checksum);
 
     let tstart = out.len();
     match &ip.transport {
@@ -154,8 +173,9 @@ fn serialize_ipv4(out: &mut Vec<u8>, ip: &Ipv4Packet) {
             out.extend_from_slice(&[0, 0]); // checksum placeholder
             out.extend_from_slice(&[0, 0]); // urgent pointer
             put_payload(out, &tcp.payload);
-            let csum = checksum_with_pseudo(ip.header.src, ip.header.dst, 6, &out[tstart..]);
-            out[tstart + 16..tstart + 18].copy_from_slice(&csum.to_be_bytes());
+            fill_checksum(out, tstart, 16, |seg| {
+                checksum_with_pseudo(ip.header.src, ip.header.dst, 6, seg)
+            });
         }
         Transport::Udp(udp) => {
             out.extend_from_slice(&udp.src_port.to_be_bytes());
@@ -163,8 +183,9 @@ fn serialize_ipv4(out: &mut Vec<u8>, ip: &Ipv4Packet) {
             out.extend_from_slice(&(udp.wire_len() as u16).to_be_bytes());
             out.extend_from_slice(&[0, 0]); // checksum placeholder
             put_payload(out, &udp.payload);
-            let csum = checksum_with_pseudo(ip.header.src, ip.header.dst, 17, &out[tstart..]);
-            out[tstart + 6..tstart + 8].copy_from_slice(&csum.to_be_bytes());
+            fill_checksum(out, tstart, 6, |seg| {
+                checksum_with_pseudo(ip.header.src, ip.header.dst, 17, seg)
+            });
         }
         Transport::Icmp(icmp) => {
             out.push(icmp.kind.as_u8());
@@ -173,8 +194,7 @@ fn serialize_ipv4(out: &mut Vec<u8>, ip: &Ipv4Packet) {
             out.extend_from_slice(&icmp.ident.to_be_bytes());
             out.extend_from_slice(&icmp.seq.to_be_bytes());
             out.resize(out.len() + icmp.data_len as usize, 0);
-            let csum = internet_checksum(&out[tstart..]);
-            out[tstart + 2..tstart + 4].copy_from_slice(&csum.to_be_bytes());
+            fill_checksum(out, tstart, 2, internet_checksum);
         }
         Transport::Other { payload, .. } => put_payload(out, payload),
     }
@@ -196,58 +216,6 @@ fn serialize_lldp(out: &mut Vec<u8>, lldp: &LldpFrame) {
     out.extend_from_slice(&[0, 0]);
 }
 
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ParseError> {
-        if self.pos + n > self.buf.len() {
-            return Err(ParseError::Truncated);
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, ParseError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, ParseError> {
-        let s = self.take(2)?;
-        Ok(u16::from_be_bytes([s[0], s[1]]))
-    }
-
-    fn u32(&mut self) -> Result<u32, ParseError> {
-        let s = self.take(4)?;
-        Ok(u32::from_be_bytes([s[0], s[1], s[2], s[3]]))
-    }
-
-    fn mac(&mut self) -> Result<MacAddr, ParseError> {
-        let s = self.take(6)?;
-        Ok(MacAddr::new(s.try_into().expect("length checked")))
-    }
-
-    fn ipv4(&mut self) -> Result<Ipv4Addr, ParseError> {
-        let s = self.take(4)?;
-        Ok(Ipv4Addr::new(s[0], s[1], s[2], s[3]))
-    }
-
-    fn rest(&mut self) -> &'a [u8] {
-        // `pos <= len` is a Reader invariant, but checked slicing
-        // keeps a wire-driven cursor from ever panicking.
-        let s = self.buf.get(self.pos..).unwrap_or(&[]);
-        self.pos = self.buf.len();
-        s
-    }
-}
-
 /// Parses an on-wire frame back into a [`Packet`].
 ///
 /// # Errors
@@ -255,7 +223,7 @@ impl<'a> Reader<'a> {
 /// Returns [`ParseError`] for truncated buffers, malformed headers or
 /// checksum failures.
 pub fn parse(bytes: &[u8]) -> Result<Packet, ParseError> {
-    let mut r = Reader::new(bytes);
+    let mut r = Cursor::new(bytes);
     let dst = r.mac()?;
     let src = r.mac()?;
     let mut ethertype = EtherType::from(r.u16()?);
@@ -275,7 +243,7 @@ pub fn parse(bytes: &[u8]) -> Result<Packet, ParseError> {
     Ok(Packet::new(eth, body))
 }
 
-fn parse_arp(r: &mut Reader<'_>) -> Result<ArpPacket, ParseError> {
+fn parse_arp(r: &mut Cursor<'_>) -> Result<ArpPacket, ParseError> {
     let htype = r.u16()?;
     let ptype = r.u16()?;
     let hlen = r.u8()?;
@@ -293,41 +261,29 @@ fn parse_arp(r: &mut Reader<'_>) -> Result<ArpPacket, ParseError> {
     })
 }
 
-fn parse_ipv4(r: &mut Reader<'_>) -> Result<Ipv4Packet, ParseError> {
-    let header_start = r.pos;
-    let ver_ihl = r.u8()?;
+fn parse_ipv4(r: &mut Cursor<'_>) -> Result<Ipv4Packet, ParseError> {
+    // Trailing bytes past `total_len` (Ethernet padding) are ignored.
+    let packet = r.rest();
+    let mut h = Cursor::new(packet);
+    let ver_ihl = h.u8()?;
     if ver_ihl >> 4 != 4 || ver_ihl & 0x0f < 5 {
         return Err(ParseError::BadIpHeader);
     }
-    let ihl = (ver_ihl & 0x0f) as usize * 4;
-    let dscp = r.u8()? >> 2;
-    let total_len = r.u16()? as usize;
-    let ident = r.u16()?;
-    let _flags_frag = r.u16()?;
-    let ttl = r.u8()?;
-    let proto = r.u8()?;
-    let _checksum = r.u16()?;
-    let src = r.ipv4()?;
-    let dst = r.ipv4()?;
-    if ihl > Ipv4Header::WIRE_LEN {
-        r.take(ihl - Ipv4Header::WIRE_LEN)?; // skip options
-    }
-    let header = r
-        .buf
-        .get(header_start..header_start + ihl)
-        .ok_or(ParseError::Truncated)?;
+    let ihl = usize::from(ver_ihl & 0x0f) * 4;
+    let dscp = h.u8()? >> 2;
+    let total_len = usize::from(h.u16()?);
+    let ident = h.u16()?;
+    let _flags_frag = h.u16()?;
+    let ttl = h.u8()?;
+    let proto = h.u8()?;
+    let _checksum = h.u16()?;
+    let src = h.ipv4()?;
+    let dst = h.ipv4()?;
+    let header = packet.get(..ihl).ok_or(ParseError::Truncated)?;
     if internet_checksum(header) != 0 {
         return Err(ParseError::BadChecksum { layer: "ipv4" });
     }
-    if total_len < ihl || header_start + total_len > r.buf.len() {
-        return Err(ParseError::Truncated);
-    }
-    let seg_len = total_len - ihl;
-    let seg = r
-        .buf
-        .get(r.pos..r.pos + seg_len)
-        .ok_or(ParseError::Truncated)?;
-    r.take(seg_len)?;
+    let seg = packet.get(ihl..total_len).ok_or(ParseError::Truncated)?;
 
     let transport = match proto {
         6 => {
@@ -337,21 +293,20 @@ fn parse_ipv4(r: &mut Reader<'_>) -> Result<Ipv4Packet, ParseError> {
             if checksum_with_pseudo(src, dst, 6, seg) != 0 {
                 return Err(ParseError::BadChecksum { layer: "tcp" });
             }
-            let mut t = Reader::new(seg);
+            let mut t = Cursor::new(seg);
             let src_port = t.u16()?;
             let dst_port = t.u16()?;
             let seq = t.u32()?;
             let ack = t.u32()?;
-            // livesec-lint: allow(wire-taint, reason = "u8 >> 4 is at most 15, so *4 is at most 60; cannot overflow usize")
-            let offset = (t.u8()? >> 4) as usize * 4;
+            let offset = usize::from(t.u8()? >> 4) * 4;
             let flags = TcpFlags::from_bits(t.u8()?);
             let _window = t.u16()?;
             let _csum = t.u16()?;
             let _urg = t.u16()?;
-            if offset > seg.len() || offset < TcpSegment::HEADER_LEN {
+            if offset < TcpSegment::HEADER_LEN {
                 return Err(ParseError::Truncated);
             }
-            let payload = Bytes::copy_from_slice(&seg[offset..]);
+            let payload = Bytes::copy_from_slice(seg.get(offset..).ok_or(ParseError::Truncated)?);
             Transport::Tcp(TcpSegment {
                 src_port,
                 dst_port,
@@ -372,15 +327,15 @@ fn parse_ipv4(r: &mut Reader<'_>) -> Result<Ipv4Packet, ParseError> {
             if checksum_with_pseudo(src, dst, 17, seg) != 0 {
                 return Err(ParseError::BadChecksum { layer: "udp" });
             }
-            let mut u = Reader::new(seg);
+            let mut u = Cursor::new(seg);
             let src_port = u.u16()?;
             let dst_port = u.u16()?;
-            let len = u.u16()? as usize;
+            let len = usize::from(u.u16()?);
             let _csum = u.u16()?;
-            if len < UdpDatagram::HEADER_LEN || len > seg.len() {
-                return Err(ParseError::Truncated);
-            }
-            let payload = Bytes::copy_from_slice(&seg[8..len]);
+            let payload = seg
+                .get(UdpDatagram::HEADER_LEN..len)
+                .ok_or(ParseError::Truncated)?;
+            let payload = Bytes::copy_from_slice(payload);
             Transport::Udp(UdpDatagram::new(
                 src_port,
                 dst_port,
@@ -398,7 +353,7 @@ fn parse_ipv4(r: &mut Reader<'_>) -> Result<Ipv4Packet, ParseError> {
             if internet_checksum(seg) != 0 {
                 return Err(ParseError::BadChecksum { layer: "icmp" });
             }
-            let mut i = Reader::new(seg);
+            let mut i = Cursor::new(seg);
             let kind = IcmpType::from(i.u8()?);
             let _code = i.u8()?;
             let _csum = i.u16()?;
@@ -428,7 +383,7 @@ fn parse_ipv4(r: &mut Reader<'_>) -> Result<Ipv4Packet, ParseError> {
     })
 }
 
-fn parse_lldp(r: &mut Reader<'_>) -> Result<LldpFrame, ParseError> {
+fn parse_lldp(r: &mut Cursor<'_>) -> Result<LldpFrame, ParseError> {
     let mut chassis_id = None;
     let mut port_id = None;
     loop {
@@ -438,24 +393,18 @@ fn parse_lldp(r: &mut Reader<'_>) -> Result<LldpFrame, ParseError> {
         if tlv_type == 0 {
             break;
         }
-        let value = r.take(tlv_len)?;
-        match tlv_type {
-            1 => {
-                if value.len() != 9 {
-                    return Err(ParseError::BadLldp);
-                }
-                chassis_id = Some(u64::from_be_bytes(
-                    value[1..9].try_into().expect("length checked"),
-                ));
+        let mut value = Cursor::new(r.take(tlv_len)?);
+        match (tlv_type, tlv_len) {
+            // Subtype byte, then the id.
+            (1, 9) => {
+                value.u8()?;
+                chassis_id = Some(value.u64()?);
             }
-            2 => {
-                if value.len() != 5 {
-                    return Err(ParseError::BadLldp);
-                }
-                port_id = Some(u32::from_be_bytes(
-                    value[1..5].try_into().expect("length checked"),
-                ));
+            (2, 5) => {
+                value.u8()?;
+                port_id = Some(value.u32()?);
             }
+            (1 | 2, _) => return Err(ParseError::BadLldp),
             _ => {} // TTL and anything else: skip
         }
     }
@@ -469,6 +418,7 @@ fn parse_lldp(r: &mut Reader<'_>) -> Result<LldpFrame, ParseError> {
 mod tests {
     use super::*;
     use crate::flow::FlowKey;
+    use crate::mac::MacAddr;
     use crate::packet::{arp_frame, icmp_frame, lldp_frame, PacketBuilder};
 
     fn mac(v: u64) -> MacAddr {

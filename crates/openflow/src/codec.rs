@@ -4,13 +4,15 @@
 //! version (1), type (1), total length (4), transaction id (4). Bodies
 //! are big-endian; variable-length fields carry 4-byte length prefixes.
 
+#![warn(clippy::indexing_slicing)]
+
 use crate::action::{Action, OutPort};
 use crate::flow_match::{Match, VlanMatch};
 use crate::message::{
     FlowModCommand, FlowRemovedReason, FlowStats, ForwardingAttestation, OfMessage, PacketInReason,
     PortStats, PortStatusReason, StatsBody, StatsRequestKind,
 };
-use livesec_net::{FlowKey, Ipv4Net, MacAddr};
+use livesec_net::{Cursor, FlowKey, Ipv4Net, MacAddr, Truncated};
 use std::fmt;
 use std::net::Ipv4Addr;
 
@@ -43,6 +45,12 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
+impl From<Truncated> for CodecError {
+    fn from(_: Truncated) -> Self {
+        CodecError::Truncated
+    }
+}
+
 // Message type codes (OpenFlow 1.0 numbering where one exists).
 const T_HELLO: u8 = 0;
 const T_ECHO_REQ: u8 = 2;
@@ -72,7 +80,6 @@ struct Writer {
 
 impl Writer {
     fn new() -> Self {
-        // livesec-lint: allow(hot-path-alloc, reason = "encode buffer: one allocation per emitted control message, not per forwarded frame")
         Writer { buf: Vec::new() }
     }
     fn u8(&mut self, v: u8) {
@@ -123,80 +130,25 @@ impl Writer {
     }
 }
 
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+fn get_bool(r: &mut Cursor<'_>) -> Result<bool, CodecError> {
+    Ok(r.u8()? != 0)
 }
 
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-    /// Bytes left in the frame. Every wire-read length is clamped
-    /// against this before it can size an allocation or a slice.
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
-        // Overflow-proof form: `pos + n` could wrap for a wire-claimed
-        // `n` near usize::MAX; `remaining` cannot.
-        if n > self.remaining() {
-            return Err(CodecError::Truncated);
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8, CodecError> {
-        Ok(self.take(1)?[0])
-    }
-    fn u16(&mut self) -> Result<u16, CodecError> {
-        let s = self.take(2)?;
-        Ok(u16::from_be_bytes([s[0], s[1]]))
-    }
-    fn u32(&mut self) -> Result<u32, CodecError> {
-        let s = self.take(4)?;
-        Ok(u32::from_be_bytes(s.try_into().expect("len checked")))
-    }
-    fn u64(&mut self) -> Result<u64, CodecError> {
-        let s = self.take(8)?;
-        Ok(u64::from_be_bytes(s.try_into().expect("len checked")))
-    }
-    fn bool(&mut self) -> Result<bool, CodecError> {
-        Ok(self.u8()? != 0)
-    }
-    fn opt_u64(&mut self) -> Result<Option<u64>, CodecError> {
-        Ok(if self.u8()? == 0 {
-            None
-        } else {
-            Some(self.u64()?)
-        })
-    }
-    fn opt_u32(&mut self) -> Result<Option<u32>, CodecError> {
-        Ok(if self.u8()? == 0 {
-            None
-        } else {
-            Some(self.u32()?)
-        })
-    }
-    fn bytes(&mut self) -> Result<Vec<u8>, CodecError> {
-        let n = self.u32()? as usize;
-        if n > self.remaining() {
-            return Err(CodecError::Truncated);
-        }
-        Ok(self.take(n)?.to_vec())
-    }
-    fn string(&mut self) -> Result<String, CodecError> {
-        String::from_utf8(self.bytes()?).map_err(|_| CodecError::BadField("string"))
-    }
-    fn mac(&mut self) -> Result<MacAddr, CodecError> {
-        let s = self.take(6)?;
-        Ok(MacAddr::new(s.try_into().expect("len checked")))
-    }
-    fn ip(&mut self) -> Result<Ipv4Addr, CodecError> {
-        let s = self.take(4)?;
-        Ok(Ipv4Addr::new(s[0], s[1], s[2], s[3]))
-    }
+fn get_opt_u64(r: &mut Cursor<'_>) -> Result<Option<u64>, CodecError> {
+    Ok(if r.u8()? == 0 { None } else { Some(r.u64()?) })
+}
+
+fn get_opt_u32(r: &mut Cursor<'_>) -> Result<Option<u32>, CodecError> {
+    Ok(if r.u8()? == 0 { None } else { Some(r.u32()?) })
+}
+
+fn get_bytes(r: &mut Cursor<'_>) -> Result<Vec<u8>, CodecError> {
+    let n = r.u32()? as usize;
+    Ok(r.take(n)?.to_vec())
+}
+
+fn get_string(r: &mut Cursor<'_>) -> Result<String, CodecError> {
+    String::from_utf8(get_bytes(r)?).map_err(|_| CodecError::BadField("string"))
 }
 
 fn put_match(w: &mut Writer, m: &Match) {
@@ -257,7 +209,7 @@ fn put_match(w: &mut Writer, m: &Match) {
     }
 }
 
-fn get_match(r: &mut Reader<'_>) -> Result<Match, CodecError> {
+fn get_match(r: &mut Cursor<'_>) -> Result<Match, CodecError> {
     let bits = r.u16()?;
     let has = |i: u16| bits & (1 << i) != 0;
     let mut m = Match::any();
@@ -282,7 +234,7 @@ fn get_match(r: &mut Reader<'_>) -> Result<Match, CodecError> {
         m.dl_type = Some(r.u16()?);
     }
     if has(5) {
-        let ip = r.ip()?;
+        let ip = r.ipv4()?;
         let len = r.u8()?;
         if len > 32 {
             return Err(CodecError::BadField("nw_src prefix"));
@@ -290,7 +242,7 @@ fn get_match(r: &mut Reader<'_>) -> Result<Match, CodecError> {
         m.nw_src = Some(Ipv4Net::new(ip, len));
     }
     if has(6) {
-        let ip = r.ip()?;
+        let ip = r.ipv4()?;
         let len = r.u8()?;
         if len > 32 {
             return Err(CodecError::BadField("nw_dst prefix"));
@@ -323,8 +275,8 @@ fn put_flow_key(w: &mut Writer, k: &FlowKey) {
     w.u16(k.tp_dst);
 }
 
-fn get_flow_key(r: &mut Reader<'_>) -> Result<FlowKey, CodecError> {
-    let vlan = match r.opt_u32()? {
+fn get_flow_key(r: &mut Cursor<'_>) -> Result<FlowKey, CodecError> {
+    let vlan = match get_opt_u32(r)? {
         None => None,
         Some(v) => Some(u16::try_from(v).map_err(|_| CodecError::BadField("vlan"))?),
     };
@@ -333,8 +285,8 @@ fn get_flow_key(r: &mut Reader<'_>) -> Result<FlowKey, CodecError> {
         dl_src: r.mac()?,
         dl_dst: r.mac()?,
         dl_type: r.u16()?,
-        nw_src: r.ip()?,
-        nw_dst: r.ip()?,
+        nw_src: r.ipv4()?,
+        nw_dst: r.ipv4()?,
         nw_proto: r.u8()?,
         tp_src: r.u16()?,
         tp_dst: r.u16()?,
@@ -350,7 +302,7 @@ fn put_out_port(w: &mut Writer, p: OutPort) {
     });
 }
 
-fn get_out_port(r: &mut Reader<'_>) -> Result<OutPort, CodecError> {
+fn get_out_port(r: &mut Cursor<'_>) -> Result<OutPort, CodecError> {
     Ok(match r.u32()? {
         P_IN_PORT => OutPort::InPort,
         P_FLOOD => OutPort::Flood,
@@ -401,7 +353,7 @@ fn put_actions(w: &mut Writer, actions: &[Action]) {
     }
 }
 
-fn get_actions(r: &mut Reader<'_>) -> Result<Vec<Action>, CodecError> {
+fn get_actions(r: &mut Cursor<'_>) -> Result<Vec<Action>, CodecError> {
     let n = r.u32()? as usize;
     // Every action consumes at least its 1-byte tag, so a count past
     // the remaining frame bytes is a lie — reject it before it can
@@ -415,8 +367,8 @@ fn get_actions(r: &mut Reader<'_>) -> Result<Vec<Action>, CodecError> {
             0 => Action::Output(get_out_port(r)?),
             1 => Action::SetDlSrc(r.mac()?),
             2 => Action::SetDlDst(r.mac()?),
-            3 => Action::SetNwSrc(r.ip()?),
-            4 => Action::SetNwDst(r.ip()?),
+            3 => Action::SetNwSrc(r.ipv4()?),
+            4 => Action::SetNwDst(r.ipv4()?),
             5 => Action::SetTpSrc(r.u16()?),
             6 => Action::SetTpDst(r.u16()?),
             7 => Action::SetVlan(r.u16()?),
@@ -580,8 +532,10 @@ pub fn encode(msg: &OfMessage, xid: u32) -> Vec<u8> {
             w.u64(a.tag);
         }
     }
-    let len = w.buf.len() as u32;
-    w.buf[2..6].copy_from_slice(&len.to_be_bytes());
+    let len = (w.buf.len() as u32).to_be_bytes();
+    for (slot, b) in w.buf.iter_mut().skip(2).zip(len) {
+        *slot = b;
+    }
     w.buf
 }
 
@@ -612,7 +566,7 @@ fn msg_type(msg: &OfMessage) -> u8 {
 /// Returns [`CodecError`] for truncated buffers, unknown versions or
 /// types, and invalid field values.
 pub fn decode(bytes: &[u8]) -> Result<(OfMessage, u32), CodecError> {
-    let mut r = Reader::new(bytes);
+    let r = &mut Cursor::new(bytes);
     let version = r.u8()?;
     if version != VERSION {
         return Err(CodecError::BadVersion(version));
@@ -639,12 +593,12 @@ pub fn decode(bytes: &[u8]) -> Result<(OfMessage, u32), CodecError> {
                 1 => PacketInReason::Action,
                 _ => return Err(CodecError::BadField("packet_in reason")),
             },
-            data: r.bytes()?,
+            data: get_bytes(r)?,
         },
         T_PACKET_OUT => OfMessage::PacketOut {
-            in_port: r.opt_u32()?,
-            actions: get_actions(&mut r)?,
-            data: r.bytes()?,
+            in_port: get_opt_u32(r)?,
+            actions: get_actions(r)?,
+            data: get_bytes(r)?,
         },
         T_FLOW_MOD => OfMessage::FlowMod {
             command: match r.u8()? {
@@ -655,16 +609,16 @@ pub fn decode(bytes: &[u8]) -> Result<(OfMessage, u32), CodecError> {
                 4 => FlowModCommand::DeleteStrict,
                 _ => return Err(CodecError::BadField("flow_mod command")),
             },
-            matcher: get_match(&mut r)?,
+            matcher: get_match(r)?,
             priority: r.u16()?,
-            actions: get_actions(&mut r)?,
-            idle_timeout: r.opt_u64()?,
-            hard_timeout: r.opt_u64()?,
+            actions: get_actions(r)?,
+            idle_timeout: get_opt_u64(r)?,
+            hard_timeout: get_opt_u64(r)?,
             cookie: r.u64()?,
-            notify_removed: r.bool()?,
+            notify_removed: get_bool(r)?,
         },
         T_FLOW_REMOVED => OfMessage::FlowRemoved {
-            matcher: get_match(&mut r)?,
+            matcher: get_match(r)?,
             cookie: r.u64()?,
             priority: r.u16()?,
             reason: match r.u8()? {
@@ -686,8 +640,8 @@ pub fn decode(bytes: &[u8]) -> Result<(OfMessage, u32), CodecError> {
             port_no: r.u32()?,
         },
         T_STATS_REQ => OfMessage::StatsRequest(match r.u8()? {
-            0 => StatsRequestKind::Flow(get_match(&mut r)?),
-            1 => StatsRequestKind::Port(r.opt_u32()?),
+            0 => StatsRequestKind::Flow(get_match(r)?),
+            1 => StatsRequestKind::Port(get_opt_u32(r)?),
             2 => StatsRequestKind::Description,
             _ => return Err(CodecError::BadField("stats kind")),
         }),
@@ -702,7 +656,7 @@ pub fn decode(bytes: &[u8]) -> Result<(OfMessage, u32), CodecError> {
                 let mut v = Vec::with_capacity(n);
                 for _ in 0..n {
                     v.push(FlowStats {
-                        matcher: get_match(&mut r)?,
+                        matcher: get_match(r)?,
                         priority: r.u16()?,
                         cookie: r.u64()?,
                         packet_count: r.u64()?,
@@ -732,9 +686,9 @@ pub fn decode(bytes: &[u8]) -> Result<(OfMessage, u32), CodecError> {
                 StatsBody::Port(v)
             }
             2 => StatsBody::Description {
-                manufacturer: r.string()?,
-                hardware: r.string()?,
-                software: r.string()?,
+                manufacturer: get_string(r)?,
+                hardware: get_string(r)?,
+                software: get_string(r)?,
             },
             _ => return Err(CodecError::BadField("stats body")),
         }),
@@ -745,7 +699,7 @@ pub fn decode(bytes: &[u8]) -> Result<(OfMessage, u32), CodecError> {
             in_port: r.u32()?,
             out_port: r.u32()?,
             cookie: r.u64()?,
-            flow: get_flow_key(&mut r)?,
+            flow: get_flow_key(r)?,
             pkt_tag: r.u64()?,
             tag: r.u64()?,
         }),
@@ -767,17 +721,16 @@ pub fn decode(bytes: &[u8]) -> Result<(OfMessage, u32), CodecError> {
 /// keeps the barrier-delimited transaction semantics honest).
 pub fn decode_all(bytes: &[u8]) -> Result<Vec<(OfMessage, u32)>, CodecError> {
     let mut out = Vec::new();
-    let mut rest = bytes;
-    while !rest.is_empty() {
-        if rest.len() < 10 {
+    let mut rest = Cursor::new(bytes);
+    while rest.remaining() > 0 {
+        // Version and type, then the frame's total length.
+        let mut header = rest.clone();
+        header.array::<2>()?;
+        let len = header.u32()? as usize;
+        if len < 10 {
             return Err(CodecError::Truncated);
         }
-        let len = u32::from_be_bytes([rest[2], rest[3], rest[4], rest[5]]) as usize;
-        if len < 10 || len > rest.len() {
-            return Err(CodecError::Truncated);
-        }
-        out.push(decode(&rest[..len])?);
-        rest = &rest[len..];
+        out.push(decode(rest.take(len)?)?);
     }
     Ok(out)
 }
@@ -1085,8 +1038,8 @@ mod tests {
     #[test]
     fn huge_payload_length_is_rejected_before_allocation() {
         // Empty PacketOut: flag 1B + count 4B, then the data byte
-        // length at 15..19. u32::MAX would have overflowed the old
-        // `pos + n` bounds check in `Reader::take`.
+        // length at 15..19. u32::MAX would overflow a `pos + n`
+        // bounds check; `Cursor::take` checks `n > remaining`.
         let msg = OfMessage::PacketOut {
             in_port: None,
             actions: vec![],

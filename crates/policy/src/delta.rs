@@ -95,6 +95,10 @@ pub fn diff(old: &PolicyTable, new: &PolicyTable) -> Vec<PolicyDelta> {
 /// The set of names on a longest common subsequence of the two name
 /// sequences (classic O(n·m) DP; names are unique per table, so the
 /// set form loses nothing).
+#[allow(
+    clippy::indexing_slicing,
+    reason = "i < n and j < m bound every index, and dp has (n + 1) * (m + 1) cells"
+)]
 fn lcs<'a>(old: &[&'a str], new: &[&'a str]) -> BTreeSet<&'a str> {
     let (n, m) = (old.len(), new.len());
     // dp[i][j] = LCS length of old[i..] vs new[j..], flattened.

@@ -1,6 +1,6 @@
-//! A recursive-descent parser for `.lsp` policy text, in the style
-//! of `crates/lint`'s Rust parser: total (never panics), with
-//! recovery nodes — a malformed declaration is reported and skipped
+//! A recursive-descent parser for `.lsp` policy text: total (never
+//! panics, which `tests/decoder_fuzz.rs` checks on mutated sources),
+//! with recovery nodes — a malformed declaration is reported and skipped
 //! to the next declaration keyword, so one typo yields one stable
 //! diagnostic, not a cascade.
 

@@ -7,10 +7,11 @@
 //! the identifier and — if a certification token is required —
 //! validates it before trusting the content.
 
-use livesec_net::{FlowKey, MacAddr};
+#![warn(clippy::indexing_slicing)]
+
+use livesec_net::{Cursor, FlowKey, MacAddr};
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::net::Ipv4Addr;
 
 /// The magic identifier prefixing every control message.
 pub const MAGIC: [u8; 4] = *b"LSEC";
@@ -197,37 +198,39 @@ impl SeMessage {
     /// or structure is wrong (the controller silently ignores such
     /// packets, treating them as ordinary traffic).
     pub fn decode(bytes: &[u8]) -> Option<SeMessage> {
-        let mut r = Cursor { buf: bytes, pos: 0 };
-        if r.take(4)? != MAGIC {
+        let mut r = Cursor::new(bytes);
+        if r.array().ok()? != MAGIC {
             return None;
         }
-        if r.u8()? != 1 {
+        if r.u8().ok()? != 1 {
             return None;
         }
-        match r.u8()? {
+        match r.u8().ok()? {
             0 => Some(SeMessage::Online {
-                service: ServiceType::from_code(r.u8()?)?,
-                cert: r.u64()?,
-                cpu: r.u8()?,
-                mem: r.u8()?,
-                pps: r.u64()?,
-                bps: r.u64()?,
-                total_pkts: r.u64()?,
+                service: ServiceType::from_code(r.u8().ok()?)?,
+                cert: r.u64().ok()?,
+                cpu: r.u8().ok()?,
+                mem: r.u8().ok()?,
+                pps: r.u64().ok()?,
+                bps: r.u64().ok()?,
+                total_pkts: r.u64().ok()?,
             }),
             1 => {
-                let cert = r.u64()?;
+                let cert = r.u64().ok()?;
                 let flow = decode_flow(&mut r)?;
-                let verdict = match r.u8()? {
+                let verdict = match r.u8().ok()? {
                     0 => {
-                        let severity = r.u8()?;
+                        let severity = r.u8().ok()?;
                         Verdict::Malicious {
                             severity,
-                            attack: r.string()?,
+                            attack: get_string(&mut r)?,
                         }
                     }
-                    1 => Verdict::Application { app: r.string()? },
+                    1 => Verdict::Application {
+                        app: get_string(&mut r)?,
+                    },
                     2 => Verdict::PolicyViolation {
-                        policy: r.string()?,
+                        policy: get_string(&mut r)?,
                     },
                     3 => Verdict::ConnEstablished,
                     4 => Verdict::ConnClosed,
@@ -245,7 +248,7 @@ impl SeMessage {
 
     /// Returns `true` if a UDP payload starts with the control magic.
     pub fn is_control_payload(bytes: &[u8]) -> bool {
-        bytes.len() >= 4 && bytes[..4] == MAGIC
+        bytes.starts_with(&MAGIC)
     }
 }
 
@@ -267,58 +270,27 @@ fn encode_flow(out: &mut Vec<u8>, f: &FlowKey) {
     out.extend_from_slice(&f.tp_dst.to_be_bytes());
 }
 
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        if self.pos + n > self.buf.len() {
-            return None;
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Some(s)
-    }
-    fn u8(&mut self) -> Option<u8> {
-        Some(self.take(1)?[0])
-    }
-    fn u16(&mut self) -> Option<u16> {
-        Some(u16::from_be_bytes(self.take(2)?.try_into().ok()?))
-    }
-    fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_be_bytes(self.take(8)?.try_into().ok()?))
-    }
-    fn string(&mut self) -> Option<String> {
-        let n = self.u16()? as usize;
-        String::from_utf8(self.take(n)?.to_vec()).ok()
-    }
-    fn mac(&mut self) -> Option<MacAddr> {
-        Some(MacAddr::new(self.take(6)?.try_into().ok()?))
-    }
-    fn ip(&mut self) -> Option<Ipv4Addr> {
-        let s = self.take(4)?;
-        Some(Ipv4Addr::new(s[0], s[1], s[2], s[3]))
-    }
+fn get_string(r: &mut Cursor<'_>) -> Option<String> {
+    let n = usize::from(r.u16().ok()?);
+    String::from_utf8(r.take(n).ok()?.to_vec()).ok()
 }
 
 fn decode_flow(r: &mut Cursor<'_>) -> Option<FlowKey> {
-    let vlan_raw = r.u16()?;
+    let vlan_raw = r.u16().ok()?;
     Some(FlowKey {
         vlan: if vlan_raw == 0 {
             None
         } else {
             Some(vlan_raw - 1)
         },
-        dl_src: r.mac()?,
-        dl_dst: r.mac()?,
-        dl_type: r.u16()?,
-        nw_src: r.ip()?,
-        nw_dst: r.ip()?,
-        nw_proto: r.u8()?,
-        tp_src: r.u16()?,
-        tp_dst: r.u16()?,
+        dl_src: r.mac().ok()?,
+        dl_dst: r.mac().ok()?,
+        dl_type: r.u16().ok()?,
+        nw_src: r.ipv4().ok()?,
+        nw_dst: r.ipv4().ok()?,
+        nw_proto: r.u8().ok()?,
+        tp_src: r.u16().ok()?,
+        tp_dst: r.u16().ok()?,
     })
 }
 

@@ -81,7 +81,8 @@ impl Queue {
             }
             None => {
                 if self.chunks.last().is_none_or(|c| c.len() == CHUNK) {
-                    // livesec-lint: allow(hot-path-alloc, reason = "a chunk is allocated only when live events exceed every earlier peak; vacated slots are reused first")
+                    // Only when live events exceed every earlier peak:
+                    // vacated slots are reused first.
                     self.chunks.push(Vec::with_capacity(CHUNK));
                 }
                 let n = self.chunks.len() - 1;

@@ -282,7 +282,6 @@ impl AsSwitch {
             OutPort::Flood => {
                 for p in 1..=self.n_ports {
                     if Some(p) != in_port && !self.down_ports.contains(&p) {
-                        // livesec-lint: allow(hot-path-alloc, reason = "flood fans one frame out to every port; a copy per port is the semantics")
                         ctx.send(PortId(p), pkt.as_ref().clone());
                     }
                 }
@@ -581,10 +580,12 @@ impl Node for AsSwitch {
         } else {
             tagged
         };
-        if pool.is_empty() {
+        let Some(victim) = salt
+            .checked_rem(pool.len() as u64)
+            .and_then(|i| pool.get(i as usize))
+        else {
             return; // nothing to tamper with
-        }
-        let victim = pool[(salt % pool.len() as u64) as usize];
+        };
         let matcher = victim.matcher;
         let priority = victim.priority;
         let skew = 1 + (salt >> 32) as u32 % (self.n_ports - 1).max(1);

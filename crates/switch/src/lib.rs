@@ -2,6 +2,7 @@
 #![deny(missing_debug_implementations)]
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
+#![warn(clippy::indexing_slicing)]
 
 //! Dataplane elements for the LiveSec reproduction.
 //!

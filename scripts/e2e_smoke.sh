@@ -15,11 +15,14 @@
 # the ten-pair procedure of e2e/README.md, not a one-second run's job.
 #
 # Then runs each workload again at `--trace 1` and compares every metric
-# whose unit is `count` exactly, `host.*` excepted: events, frames,
-# timers and control messages dispatched, packet-ins, flow-mods, cache,
-# monitor and SE counts. A change that adds, drops or reorders one
-# simulated event — an event queue that breaks a tie the other way —
-# moves at least one of them.
+# whose unit is `count` exactly, plus `host.alloc_bytes`: events,
+# frames, timers and control messages dispatched, packet-ins,
+# flow-mods, cache, monitor and SE counts, and the heap allocations
+# the run made and the bytes they requested. A change that adds, drops
+# or reorders one simulated event — an event queue that breaks a tie
+# the other way — moves at least one of them, and so does one new
+# allocation per frame on the data path (DESIGN.md §13): `campus_fig7`
+# makes ~1.27 M `AsSwitch::on_frame` calls in its traced second.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -35,11 +38,11 @@ field() {
     sed -nE "s/.*\"$2\": (\{\"value\": )?([^,}]+).*/\2/p" <<<"$1"
 }
 
-# counts RUN: a `--trace 1` run's count metrics but `host.*`, as
-# `"name": value` pairs in print order, joined by `, `.
+# counts RUN: a `--trace 1` run's count metrics and its allocated bytes,
+# as `"name": value` pairs in print order, joined by `, `.
 counts() {
-    grep -oE '"[a-z0-9_.]+": \{"value": [^,]+, "unit": "count"\}' <<<"$1" |
-        grep -v '^"host\.' |
+    grep -oE '"[a-z0-9_.]+": \{"value": [^,]+, "unit": "[^"]+"\}' <<<"$1" |
+        grep -E '"unit": "count"\}$|^"host\.alloc_bytes"' |
         sed -E 's/\{"value": ([^,]+), .*/\1/' |
         paste -sd '|' | sed 's/|/, /g'
 }
@@ -107,7 +110,7 @@ done
 {
     echo '  },'
     echo '  "trace_command": "e2e --workload W --seed 1 --seconds 1 --trace 1",'
-    echo '  "trace_asserted": "every metric of unit count but host.*",'
+    echo '  "trace_asserted": "every metric of unit count, and host.alloc_bytes",'
     echo '  "trace_counts": {'
     printf '%s' "$count_lines"
     printf '  }\n}\n'
