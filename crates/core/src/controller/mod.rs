@@ -1,0 +1,806 @@
+//! The LiveSec controller (the paper's NOX-based controller,
+//! §III–§IV).
+//!
+//! One logically central node terminates every AS switch's secure
+//! channel and implements, on packet-in events:
+//!
+//! * LLDP topology discovery ([`crate::topology`]),
+//! * ARP location discovery and the directory proxy
+//!   ([`crate::location`], [`crate::directory`]),
+//! * interactive policy enforcement ([`crate::policy`],
+//!   [`crate::routing`]),
+//! * service-element management and load balancing
+//!   ([`crate::balance`]),
+//! * monitoring and replay ([`crate::monitor`]).
+//!
+//! Each input has one handler: a `&mut self` method that takes the
+//! simulated time and writes only controller state, the per-dispatch
+//! outbox and the [`Monitor`]. `impl Node for Controller` is the only
+//! code that touches the simulator: it reads the clock, answers echo
+//! requests, re-arms the tick and flushes. The handlers, by module:
+//!
+//! * `session` — the message dispatch, handshake, liveness and tick,
+//!   audit and reconcile, port status, LLDP probing, quarantine;
+//! * `hosts` — the packet-in demux, ARP, DHCP, location learning, SE
+//!   messages, departures;
+//! * `flows` — set-up, repair, flow-removed accounting, fast-passes,
+//!   verdicts, blocks, path proofs, policy deltas;
+//! * `outbox` — flow entries and per-switch batches.
+
+mod flows;
+mod hosts;
+mod outbox;
+mod session;
+
+use crate::accountability::{
+    flow_sig, AccountabilityDetector, AccountabilityStats, Deviation, PathProof, ProofSource,
+};
+use crate::balance::{LoadBalancer, SeRegistry};
+use crate::cache::DecisionCache;
+use crate::directory::DirectoryProxy;
+use crate::engine::{self, EngineDecision};
+use crate::location::{LearnOutcome, LocationTable};
+use crate::monitor::{ConnTrackStats, EventKind, FastPathStats, HealthStats, Monitor};
+use crate::policy::{AppAction, PolicyDecision, PolicyDelta, PolicyRule, PolicyTable};
+use crate::routing::{Hop, SteeringProgram};
+use crate::topology::TopologyMap;
+use livesec_net::packet::{arp_frame, lldp_frame};
+use livesec_net::{wire, ArpOp, ArpPacket, DhcpMessage, FlowKey, HashMap, HashSet, LldpFrame};
+use livesec_net::{MacAddr, Packet, PacketBuilder};
+use livesec_openflow::{codec, Action, FlowModCommand, FlowStats, Match, OfMessage};
+use livesec_openflow::{PortStatusReason, StatsBody, StatsRequestKind};
+use livesec_services::{SeMessage, ServiceType, Verdict, SE_CONTROL_PORT};
+use livesec_sim::{Ctx, Node, NodeId, PortId, SimDuration, SimTime};
+use outbox::{delete_strict, ingress_cookies, Entry, TxBatch};
+use std::any::Any;
+use std::collections::{BTreeMap, BTreeSet};
+use std::net::Ipv4Addr;
+use std::rc::Rc;
+
+/// Timer token for the controller's housekeeping tick.
+const TICK: u64 = 1;
+/// Period of the housekeeping tick; the `*_EVERY_TICKS` schedules and
+/// [`Controller::set_stats_polling`] count in these.
+const TICK_PERIOD: SimDuration = SimDuration::from_millis(100);
+
+/// Cookie tagging the forward-ingress entry of each flow.
+pub const INGRESS_COOKIE: u64 = 1;
+/// Cookie tagging the reverse-ingress entry (carries the response
+/// volume; both removals together finalize the session's statistics).
+pub const REVERSE_COOKIE: u64 = 2;
+/// Cookie tagging drop entries installed for detected attacks; part of
+/// the desired state the reconciliation audit restores.
+pub const BLOCK_COOKIE: u64 = 3;
+/// Cookie tagging drop entries for policy-denied flows. The controller
+/// keeps no record of denials (they self-expire via their idle
+/// timeout), so the audit must recognize and skip them.
+pub const DENY_COOKIE: u64 = 4;
+/// Cookie tagging the forward ingress entry of an established-flow
+/// fast-pass (direct path that bypasses the service-element hairpin).
+pub const FASTPASS_COOKIE: u64 = 5;
+/// Cookie tagging the reverse ingress entry of a fast-pass.
+pub const FASTPASS_REV_COOKIE: u64 = 6;
+
+/// Priority of steering/forwarding entries.
+pub const STEER_PRIORITY: u16 = 100;
+/// Priority of fast-pass entries: wins over steering (the established
+/// flow skips its chain) but loses to drop entries (a block always
+/// stops the flow, fast-passed or not).
+pub const FASTPASS_PRIORITY: u16 = 150;
+/// Priority of drop entries (wins over steering).
+pub const BLOCK_PRIORITY: u16 = 200;
+
+/// Book-keeping for one admitted flow.
+#[derive(Clone, Debug)]
+struct FlowRecord {
+    chain: Vec<ServiceType>,
+    elements: Vec<MacAddr>,
+    ingress_dpid: u64,
+    /// The installed steering programs — the desired flow-table state
+    /// the reconciliation audit checks switches against.
+    forward: Rc<SteeringProgram>,
+    reverse: Rc<SteeringProgram>,
+    /// The drop entry an attack verdict installed for this flow, as
+    /// (dpid, matcher); a flow that has one is blocked.
+    block: Option<(u64, Match)>,
+    /// When the programs were last (re)installed; packet-ins older
+    /// than `flows::REPAIR_GUARD` past this trigger a reinstall.
+    installed_at: SimTime,
+    app: Option<String>,
+    /// (packets, bytes) from the removed forward-ingress entry.
+    fwd_done: Option<(u64, u64)>,
+    /// (packets, bytes) from the removed reverse-ingress entry.
+    rev_done: Option<(u64, u64)>,
+}
+
+impl FlowRecord {
+    /// The steering entries this record puts on switches.
+    fn entries(&self, idle: SimDuration) -> impl Iterator<Item = Entry<'_>> {
+        Entry::of_programs(&self.forward, &self.reverse, ProofSource::Steering, idle)
+    }
+}
+
+/// Book-keeping for one installed established-flow fast-pass: the
+/// compiled direct-path programs plus the policy/topology epochs they
+/// were compiled under. A record whose epochs fall behind the
+/// controller's is *stale* — the housekeeping tick tears it down and
+/// the reconciliation audit stops defending its entries.
+#[derive(Clone, Debug)]
+struct FastPassRecord {
+    forward: Rc<SteeringProgram>,
+    reverse: Rc<SteeringProgram>,
+    policy_epoch: u64,
+    topo_epoch: u64,
+}
+
+impl FastPassRecord {
+    /// The fast-pass entries this record puts on switches.
+    fn entries(&self, idle: SimDuration) -> impl Iterator<Item = Entry<'_>> {
+        Entry::of_programs(&self.forward, &self.reverse, ProofSource::FastPass, idle)
+    }
+}
+
+/// Accumulated traffic figures for one application label or user —
+/// the paper's §IV-C "service-aware statistics".
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+pub struct TrafficTally {
+    /// Completed flows attributed.
+    pub flows: u64,
+    /// Packets those flows carried (ingress-entry counters).
+    pub packets: u64,
+    /// Bytes those flows carried.
+    pub bytes: u64,
+}
+
+/// A tally table's rows, sorted by bytes descending, ties by key.
+fn by_bytes<K: Clone + Ord>(tallies: &BTreeMap<K, TrafficTally>) -> Vec<(K, TrafficTally)> {
+    let mut v: Vec<(K, TrafficTally)> = tallies.iter().map(|(k, t)| (k.clone(), *t)).collect();
+    v.sort_by(|a, b| b.1.bytes.cmp(&a.1.bytes).then(a.0.cmp(&b.0)));
+    v
+}
+
+/// A point-in-time export of the controller's network information
+/// base — the Onix-style NIB of the paper's §II, and the data feed a
+/// topology UI renders.
+#[derive(Clone, Debug, serde::Serialize)]
+pub struct NibSnapshot {
+    /// When the snapshot was taken.
+    pub at: SimTime,
+    /// Registered switches: (dpid, port count, uplink port).
+    pub switches: Vec<(u64, u32, Option<u32>)>,
+    /// Discovered logical links: (from dpid+port, to dpid+port).
+    pub links: Vec<((u64, u32), (u64, u32))>,
+    /// Located hosts: (mac, ip, dpid, port).
+    pub hosts: Vec<(MacAddr, Ipv4Addr, u64, u32)>,
+    /// Known service elements.
+    pub elements: Vec<crate::balance::SeView>,
+    /// Active flows with their chains and identified apps.
+    pub active_flows: Vec<(FlowKey, Vec<ServiceType>, Option<String>)>,
+    /// Per-application traffic totals (completed flows).
+    pub app_traffic: Vec<(String, TrafficTally)>,
+    /// Per-user traffic totals (completed flows).
+    pub user_traffic: Vec<(MacAddr, TrafficTally)>,
+}
+
+/// The LiveSec controller node.
+///
+/// Construct with [`Controller::new`], add to the
+/// [`livesec_sim::World`], and point every [`livesec_switch::AsSwitch`]
+/// at it ([`crate::deploy::CampusBuilder`] does all three). Eleven
+/// values are settable, each through one `set_*` method that documents
+/// its default; everything else that paces the controller is a
+/// constant of its modules. The [`crate::controller`] module docs
+/// name the module that handles each input.
+pub struct Controller {
+    xid: u32,
+    topo: TopologyMap,
+    locations: LocationTable,
+    registry: SeRegistry,
+    policy: PolicyTable,
+    balancer: LoadBalancer,
+    monitor: Monitor,
+    directory: Option<DirectoryProxy>,
+    // Ordered: iteration order reaches flow-mod batches, the NIB
+    // snapshot and reconciliation, so it is part of the spec
+    // (DESIGN.md §6).
+    active: BTreeMap<FlowKey, FlowRecord>,
+    required_certs: Option<BTreeSet<u64>>,
+    /// The flow-setup decision caches, one slot per controller shard
+    /// (DESIGN.md §9): a plain controller is the one-shard case, and a
+    /// dead shard or a disabled cache is an empty slot. Whatever can
+    /// stale a memoized decision is applied to every slot where it
+    /// happens — `bump_policy_epoch`, `bump_topology_epoch`,
+    /// `invalidate_mac`, `invalidate_class`, `set_balancer` — and flow
+    /// set-up reads and fills only `caches[active_shard]`.
+    caches: Vec<Option<DecisionCache>>,
+    /// The slot flow set-up consults; the sharded plane selects it
+    /// before each dispatch.
+    active_shard: usize,
+    /// `(key, ingress dpid, egress dpid)` of the most recent flow
+    /// admission — taken by the sharded plane to count flows whose
+    /// ingress and egress land on different shards (handoffs).
+    last_setup: Option<(FlowKey, u64, u64)>,
+    /// Per-switch control messages queued during the current event
+    /// dispatch, and the batching counters of `fast_path_stats`.
+    txq: Vec<TxBatch>,
+    batching: FastPathStats,
+
+    /// Last control message seen per registered switch (liveness).
+    switch_liveness: BTreeMap<u64, SimTime>,
+    /// Every controller-side peer node ever registered, with its dpid.
+    /// Never pruned: `topo.dpid_of_node` forgets deregistered switches,
+    /// and a reconnecting peer must still be recognized. Its values are
+    /// every datapath id ever registered.
+    known_nodes: HashMap<NodeId, u64>,
+    /// Standing attack-block drop entries per dpid (insertion order,
+    /// deduplicated). Unlike flow records these never expire: a block
+    /// outlives the flow it stopped and is reinstalled by audits after
+    /// crashes and partitions.
+    blocks: BTreeMap<u64, Vec<Match>>,
+    /// Switches with a flow-table audit in flight.
+    auditing: HashSet<u64>,
+    /// Fault-tolerance counters surfaced by `health_stats`.
+    health: HealthStats,
+
+    /// Installed established-flow fast-passes, keyed by the flow's
+    /// original direction. Ordered: iteration order reaches flow-mod
+    /// batches and the reconciliation audit (DESIGN.md §6).
+    fastpasses: BTreeMap<FlowKey, FastPassRecord>,
+    /// Flows a firewall element has reported established, with the
+    /// policy epoch of the report. Survives the fast-pass itself so a
+    /// flow whose entries were wiped by a switch restart gets its
+    /// fast-pass reinstalled on the next packet-in (the element only
+    /// reports each connection's establishment once).
+    established_conns: BTreeMap<FlowKey, u64>,
+    /// Whether established-flow fast-passes are installed at all.
+    fastpass_enabled: bool,
+    /// Idle timeout of fast-pass entries.
+    fastpass_idle: SimDuration,
+    /// Advances whenever the policy table may have changed; fast-pass
+    /// records compiled under an older epoch are stale.
+    policy_epoch: u64,
+    /// Advances whenever the topology may have changed (mirrors the
+    /// decision cache's topology epoch).
+    topo_epoch: u64,
+    /// Connection-tracking counters surfaced by `conntrack_stats`.
+    conntrack: ConnTrackStats,
+
+    /// Replays forwarding attestations against controller-issued path
+    /// proofs and names deviating switches (DESIGN.md §11).
+    detector: AccountabilityDetector,
+    /// Switches quarantined for a confirmed forwarding deviation.
+    /// Every control message from a quarantined switch is dropped at
+    /// the door — including the hello/echo traffic that would
+    /// otherwise re-register it — until an operator releases it.
+    quarantined: BTreeSet<u64>,
+    /// Control messages dropped at the quarantine gate.
+    quarantine_drops: u64,
+
+    /// Poll port statistics every this many ticks (0 = never).
+    stats_every_ticks: u64,
+    arp_timeout: SimDuration,
+    se_timeout: SimDuration,
+    flow_idle_timeout: SimDuration,
+    tick_count: u64,
+    last_port_stats: HashMap<(u64, u32), (u64, u64)>,
+    app_traffic: BTreeMap<String, TrafficTally>,
+    user_traffic: BTreeMap<MacAddr, TrafficTally>,
+
+    /// Packet-ins processed.
+    pub packet_ins: u64,
+    /// Flows admitted and installed.
+    pub flows_installed: u64,
+    /// ARP requests answered by the directory proxy.
+    pub arp_replies: u64,
+    /// Service-element control messages accepted.
+    pub se_msgs: u64,
+    /// Service-element control messages rejected (bad certificate).
+    pub rejected_se_msgs: u64,
+}
+
+impl std::fmt::Debug for Controller {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Controller")
+            .field("active_flows", &self.active.len())
+            .field("known_nodes", &self.known_nodes.len())
+            .field("packet_ins", &self.packet_ins)
+            .field("flows_installed", &self.flows_installed)
+            .finish_non_exhaustive()
+    }
+}
+
+impl Controller {
+    /// Creates a controller with the defaults described on each
+    /// `set_*` method.
+    pub fn new() -> Self {
+        Controller {
+            xid: 1,
+            topo: TopologyMap::new(),
+            locations: LocationTable::new(),
+            registry: SeRegistry::new(),
+            policy: PolicyTable::allow_all(),
+            balancer: LoadBalancer::min_load(),
+            monitor: Monitor::new(),
+            directory: None,
+            active: BTreeMap::new(),
+            required_certs: None,
+            caches: vec![Some(DecisionCache::new())],
+            active_shard: 0,
+            last_setup: None,
+            txq: Vec::new(),
+            batching: FastPathStats::default(),
+            switch_liveness: BTreeMap::new(),
+            known_nodes: HashMap::default(),
+            blocks: BTreeMap::new(),
+            auditing: HashSet::default(),
+            health: HealthStats::default(),
+            fastpasses: BTreeMap::new(),
+            established_conns: BTreeMap::new(),
+            fastpass_enabled: true,
+            fastpass_idle: SimDuration::from_secs(5),
+            policy_epoch: 0,
+            topo_epoch: 0,
+            conntrack: ConnTrackStats::default(),
+            detector: AccountabilityDetector::new(),
+            quarantined: BTreeSet::new(),
+            quarantine_drops: 0,
+            stats_every_ticks: 0,
+            arp_timeout: SimDuration::from_secs(60),
+            se_timeout: SimDuration::from_millis(500),
+            flow_idle_timeout: SimDuration::from_secs(2),
+            tick_count: 0,
+            last_port_stats: HashMap::default(),
+            app_traffic: BTreeMap::new(),
+            user_traffic: BTreeMap::new(),
+            packet_ins: 0,
+            flows_installed: 0,
+            arp_replies: 0,
+            se_msgs: 0,
+            rejected_se_msgs: 0,
+        }
+    }
+
+    /// The monitor (event database).
+    pub fn monitor(&self) -> &Monitor {
+        &self.monitor
+    }
+
+    /// The host routing table.
+    pub fn locations(&self) -> &LocationTable {
+        &self.locations
+    }
+
+    /// The topology map.
+    pub fn topology(&self) -> &TopologyMap {
+        &self.topo
+    }
+
+    /// The service-element registry.
+    pub fn registry(&self) -> &SeRegistry {
+        &self.registry
+    }
+
+    /// The policy table.
+    pub fn policy(&self) -> &PolicyTable {
+        &self.policy
+    }
+
+    /// Replaces the policy table (default: allow everything).
+    /// Invalidates every cached flow-setup decision.
+    pub fn set_policy(&mut self, policy: PolicyTable) {
+        self.bump_policy_epoch();
+        self.policy = policy;
+    }
+
+    /// Records that the policy table may have changed *wholesale*:
+    /// advances every decision cache's policy epoch and stales every
+    /// fast-pass (a connection admitted under the old policy may no
+    /// longer be allowed to bypass its chain). Scoped edits go
+    /// through [`Controller::apply_policy_delta`] instead.
+    fn bump_policy_epoch(&mut self) {
+        self.policy_epoch += 1;
+        for c in self.caches.iter_mut().flatten() {
+            c.note_policy_change();
+        }
+    }
+
+    /// Records that the topology may have changed: advances every
+    /// decision cache's topology epoch and stales every fast-pass
+    /// (its direct path was compiled through the old topology).
+    fn bump_topology_epoch(&mut self) {
+        self.topo_epoch += 1;
+        for c in self.caches.iter_mut().flatten() {
+            c.note_topology_change();
+        }
+    }
+
+    /// Drops every cached decision touching `mac`, on every shard.
+    fn invalidate_mac(&mut self, mac: MacAddr) {
+        for c in self.caches.iter_mut().flatten() {
+            c.invalidate_mac(mac);
+        }
+    }
+
+    /// Drops every cached decision inside the header-space `cube`, on
+    /// every shard.
+    fn invalidate_class(&mut self, cube: Match) {
+        for c in self.caches.iter_mut().flatten() {
+            c.invalidate_class(&cube);
+        }
+    }
+
+    /// Re-cuts the decision cache into `n` fresh per-shard slots
+    /// (empty ones if caching is disabled) — the sharded plane, once,
+    /// when it wraps the controller.
+    pub(crate) fn split_caches(&mut self, n: usize) {
+        let enabled = self.decision_cache_enabled();
+        self.caches = (0..n).map(|_| enabled.then(DecisionCache::new)).collect();
+    }
+
+    /// Makes `shard` the one whose cache flow set-up consults and whose
+    /// id the monitor stamps on events.
+    pub(crate) fn select_shard(&mut self, shard: u32) {
+        self.active_shard = shard as usize;
+        self.monitor.set_shard(shard);
+    }
+
+    /// A dead shard's cache dies with it; no dispatch selects the
+    /// shard again.
+    pub(crate) fn drop_shard_cache(&mut self, shard: u32) {
+        if let Some(slot) = self.caches.get_mut(shard as usize) {
+            *slot = None;
+        }
+    }
+
+    /// Each shard's decision-cache counters, in shard order (`None`
+    /// for an empty slot).
+    pub(crate) fn shard_cache_stats(&self) -> impl Iterator<Item = Option<FastPathStats>> + '_ {
+        self.caches
+            .iter()
+            .map(|slot| slot.as_ref().map(DecisionCache::stats))
+    }
+
+    /// The dpid a controller-side peer registered with, if it finished
+    /// the features handshake at some point (never pruned).
+    pub(crate) fn dpid_of_peer(&self, peer: NodeId) -> Option<u64> {
+        self.known_nodes.get(&peer).copied()
+    }
+
+    /// Mutable access to the monitor (the plane stamps shard ids).
+    pub(crate) fn monitor_mut(&mut self) -> &mut Monitor {
+        &mut self.monitor
+    }
+
+    /// Takes the `(key, ingress dpid, egress dpid)` of the flow
+    /// admitted during the current dispatch, if any.
+    pub(crate) fn take_last_setup(&mut self) -> Option<(FlowKey, u64, u64)> {
+        self.last_setup.take()
+    }
+
+    /// Replaces the load balancer (default: minimum-load at flow
+    /// grain). Drops every decision cache's contents: cached picks
+    /// came from the old algorithm.
+    pub fn set_balancer(&mut self, balancer: LoadBalancer) {
+        for c in self.caches.iter_mut().flatten() {
+            c.clear();
+        }
+        self.balancer = balancer;
+    }
+
+    /// Enables or disables the flow-setup decision cache (default:
+    /// enabled), on every shard. The cache is transparent — disabling
+    /// it changes throughput, never behaviour. Disabling drops all
+    /// cached decisions (a re-enabled cache starts its counters at
+    /// zero).
+    pub fn set_decision_cache(&mut self, enabled: bool) {
+        if enabled != self.decision_cache_enabled() {
+            for slot in &mut self.caches {
+                *slot = enabled.then(DecisionCache::new);
+            }
+        }
+    }
+
+    /// Whether the flow-setup decision cache is enabled.
+    pub fn decision_cache_enabled(&self) -> bool {
+        self.caches.iter().any(Option::is_some)
+    }
+
+    /// Requires SE control messages to carry one of these certificate
+    /// tokens (default: no certification required).
+    pub fn set_required_certs(&mut self, certs: BTreeSet<u64>) {
+        self.required_certs = Some(certs);
+    }
+
+    /// Authorizes one more certificate token.
+    ///
+    /// # Panics
+    ///
+    /// Panics if certification was never enabled (that would silently
+    /// authorize nothing).
+    #[allow(
+        clippy::expect_used,
+        reason = "documented API-misuse panic: silently authorizing nothing would be worse"
+    )]
+    pub fn authorize_cert(&mut self, cert: u64) {
+        self.required_certs
+            .as_mut()
+            .expect("enable certification before authorizing tokens")
+            .insert(cert);
+    }
+
+    /// Sets the idle timeout of installed flow entries (default 2 s).
+    pub fn set_flow_idle_timeout(&mut self, d: SimDuration) {
+        self.flow_idle_timeout = d;
+    }
+
+    /// Sets the ARP/location timeout (default 60 s) — how long a
+    /// silent host stays in the routing table.
+    pub fn set_arp_timeout(&mut self, d: SimDuration) {
+        self.arp_timeout = d;
+    }
+
+    /// Sets the SE heartbeat timeout (default 500 ms).
+    pub fn set_se_timeout(&mut self, d: SimDuration) {
+        self.se_timeout = d;
+    }
+
+    /// Enables the DHCP half of the directory proxy (default: off).
+    pub fn set_directory(&mut self, directory: DirectoryProxy) {
+        self.directory = Some(directory);
+    }
+
+    /// Polls port statistics every `every` housekeeping ticks (100 ms
+    /// each), producing `LinkLoad` monitor events (default 0: never).
+    pub fn set_stats_polling(&mut self, every: u64) {
+        self.stats_every_ticks = every;
+    }
+
+    /// Enables or disables established-flow fast-passes (default:
+    /// enabled): when a firewall element reports a connection
+    /// established, the controller installs a direct bidirectional
+    /// path above steering priority so the rest of the connection
+    /// skips the service-element hairpin. Disabling tears down every
+    /// installed fast-pass (the entries are deleted on the next flush;
+    /// the flows fall back to their steering programs).
+    pub fn set_fastpass(&mut self, enabled: bool) {
+        self.fastpass_enabled = enabled;
+        if !enabled {
+            self.invalidate_fastpasses(|_| true);
+        }
+    }
+
+    /// Sets the idle timeout of fast-pass entries (default 5 s).
+    pub fn set_fastpass_idle(&mut self, d: SimDuration) {
+        self.fastpass_idle = d;
+    }
+
+    /// The directory proxy, if enabled (for lease inspection).
+    pub fn directory(&self) -> Option<&DirectoryProxy> {
+        self.directory.as_ref()
+    }
+
+    /// Number of currently-tracked active flows.
+    pub fn active_flow_count(&self) -> usize {
+        self.active.len()
+    }
+
+    /// The service chain assigned to an active flow.
+    pub fn chain_of(&self, key: &FlowKey) -> Option<&[ServiceType]> {
+        self.active.get(key).map(|r| r.chain.as_slice())
+    }
+
+    /// The current `(policy_epoch, topology_epoch)` pair. Fast-pass
+    /// entries compiled under older epochs are stale and must be gone
+    /// (or on their way out) — the verifier's invariant 5.
+    pub fn epochs(&self) -> (u64, u64) {
+        (self.policy_epoch, self.topo_epoch)
+    }
+
+    /// The standing block registry as `(dpid, matcher)` pairs, sorted
+    /// by dpid with per-switch insertion order preserved — the drop
+    /// state the verifier proves unreachable-from-every-ingress.
+    pub fn standing_blocks(&self) -> Vec<(u64, Match)> {
+        self.blocks
+            .iter()
+            .flat_map(|(d, ms)| ms.iter().map(|m| (*d, *m)))
+            .collect()
+    }
+
+    /// Every installed fast-pass: the flow key plus the policy and
+    /// topology epochs its direct path was compiled under.
+    pub fn fastpass_records(&self) -> Vec<(FlowKey, u64, u64)> {
+        self.fastpasses
+            .iter()
+            .map(|(k, r)| (*k, r.policy_epoch, r.topo_epoch))
+            .collect()
+    }
+
+    /// Every active flow record: key, service chain, and whether an
+    /// attack verdict blocked it.
+    pub fn active_records(&self) -> Vec<(FlowKey, Vec<ServiceType>, bool)> {
+        self.active
+            .iter()
+            .map(|(k, r)| (*k, r.chain.clone(), r.block.is_some()))
+            .collect()
+    }
+
+    /// Per-application traffic totals over completed flows (§IV-C
+    /// service-aware statistics), sorted by bytes descending.
+    pub fn app_traffic(&self) -> Vec<(String, TrafficTally)> {
+        by_bytes(&self.app_traffic)
+    }
+
+    /// Per-user traffic totals over completed flows, sorted by bytes
+    /// descending.
+    pub fn user_traffic(&self) -> Vec<(MacAddr, TrafficTally)> {
+        by_bytes(&self.user_traffic)
+    }
+
+    /// Exports the network information base at time `now`.
+    pub fn nib_snapshot(&self, now: SimTime) -> NibSnapshot {
+        NibSnapshot {
+            at: now,
+            switches: self
+                .topo
+                .switches()
+                .map(|s| (s.dpid, s.n_ports, s.uplink))
+                .collect(),
+            links: self.topo.links().map(|l| (l.from, l.to)).collect(),
+            hosts: self
+                .locations
+                .iter()
+                .map(|(mac, loc)| (*mac, loc.ip, loc.dpid, loc.port))
+                .collect(),
+            elements: self.registry.all(),
+            active_flows: self
+                .active
+                .iter()
+                .map(|(k, r)| (*k, r.chain.clone(), r.app.clone()))
+                .collect(),
+            app_traffic: self.app_traffic(),
+            user_traffic: self.user_traffic(),
+        }
+    }
+
+    /// The NIB as pretty JSON — the feed a topology UI polls.
+    pub fn nib_json(&self, now: SimTime) -> String {
+        serde_json::to_string_pretty(&self.nib_snapshot(now)).unwrap_or_default()
+    }
+
+    /// Counters of the flow-setup fast path: cache hits, misses,
+    /// invalidations (summed over the shards' caches), and the batching
+    /// figures.
+    pub fn fast_path_stats(&self) -> FastPathStats {
+        let mut s = self.batching;
+        for c in self.shard_cache_stats().flatten() {
+            s.hits += c.hits;
+            s.misses += c.misses;
+            s.invalidations += c.invalidations;
+            s.insertions += c.insertions;
+            s.entries += c.entries;
+        }
+        s.flow_setups = self.flows_installed;
+        s
+    }
+
+    /// Control-plane health counters: liveness probes, switch
+    /// down/up transitions, degraded-mode reports, and the
+    /// reconciliation audit figures.
+    pub fn health_stats(&self) -> HealthStats {
+        let mut h = self.health;
+        h.switches_online = self.topo.switch_count() as u64;
+        let known: BTreeSet<u64> = self.known_nodes.values().copied().collect();
+        h.switches_known = known.len() as u64;
+        h
+    }
+
+    /// Connection-tracking counters: establishments and closures
+    /// reported by firewall elements, SYN floods detected, and the
+    /// fast-pass installation/teardown/byte figures.
+    pub fn conntrack_stats(&self) -> ConnTrackStats {
+        let mut s = self.conntrack;
+        s.fastpass_active = self.fastpasses.len() as u64;
+        s
+    }
+
+    /// Accountability counters: attestations replayed, deviations
+    /// confirmed, and quarantines performed (DESIGN.md §11).
+    pub fn accountability_stats(&self) -> AccountabilityStats {
+        let mut s = self.detector.stats();
+        s.quarantined_now = self.quarantined.len() as u64;
+        s.quarantine_gate_drops = self.quarantine_drops;
+        s
+    }
+
+    /// Switches currently quarantined for forwarding deviations,
+    /// ascending.
+    pub fn quarantined(&self) -> Vec<u64> {
+        self.quarantined.iter().copied().collect()
+    }
+
+    /// Lifts a switch's quarantine — the operator decided the switch
+    /// is trustworthy again (reimaged, firmware replaced). The switch
+    /// re-registers through its ordinary reconnect handshake and gets
+    /// a full reconciliation audit on the way in. Returns whether the
+    /// switch was quarantined.
+    pub fn release_quarantine(&mut self, dpid: u64) -> bool {
+        self.quarantined.remove(&dpid)
+    }
+}
+
+impl Default for Controller {
+    fn default() -> Self {
+        Controller::new()
+    }
+}
+
+/// The controller *is* a state store: the decision engine reads
+/// policy, balancer, locations and topology straight out of the live
+/// NIB. A standalone [`crate::store::NetworkState`] offers the same
+/// view without a controller (benches, unit tests).
+impl crate::store::StateStore for Controller {
+    fn decide_policy(&self, key: &FlowKey) -> (PolicyDecision, Option<String>) {
+        let (decision, rule) = self.policy.decide(key);
+        (decision.clone(), rule.map(str::to_owned))
+    }
+
+    fn pick_element(&mut self, service: ServiceType, key: &FlowKey) -> Option<MacAddr> {
+        self.balancer.pick(&self.registry, service, key)
+    }
+
+    fn hop_of(&self, mac: MacAddr) -> Option<Hop> {
+        let loc = self.locations.lookup(mac)?;
+        Some(Hop {
+            mac,
+            dpid: loc.dpid,
+            port: loc.port,
+        })
+    }
+
+    fn uplink_of(&self, dpid: u64) -> Option<u32> {
+        self.topo.uplink_of(dpid)
+    }
+}
+
+/// The shell between the simulator and the handlers: the only code
+/// here that names [`Ctx`], besides `Controller::flush`.
+impl Node for Controller {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        ctx.set_timer(TICK_PERIOD, TICK);
+    }
+
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+        if token != TICK {
+            return;
+        }
+        self.tick(ctx.now());
+        ctx.set_timer(TICK_PERIOD, TICK);
+        self.flush(ctx);
+    }
+
+    fn on_frame(&mut self, _ctx: &mut Ctx<'_>, _port: PortId, _pkt: Packet) {
+        // The controller is out-of-band: it has no data-plane ports.
+    }
+
+    fn on_control(&mut self, ctx: &mut Ctx<'_>, peer: NodeId, bytes: &[u8]) {
+        let Ok((msg, xid)) = codec::decode(bytes) else {
+            return;
+        };
+        if let Some(v) = self.on_message(ctx.now(), peer, msg) {
+            ctx.send_control(peer, codec::encode(&OfMessage::EchoReply(v), xid));
+        }
+        // Transmit everything this event queued, one batch per switch.
+        self.flush(ctx);
+    }
+
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+#[cfg(test)]
+mod tests;

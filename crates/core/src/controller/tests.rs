@@ -1,0 +1,361 @@
+//! The controller's handlers, driven without a simulator: each test
+//! calls handlers with the simulated time and reads the controller's
+//! books, its monitor and its outbox.
+
+use super::outbox::tests::drain;
+use super::*;
+use crate::balance::{Grain, RoundRobin};
+use proptest::prelude::*;
+
+const IDS: ServiceType = ServiceType::IntrusionDetection;
+const N_SHARDS: usize = 4;
+const N_HOSTS: u64 = 4;
+
+fn host(i: u64) -> MacAddr {
+    MacAddr::from_u64(0xa0 + i % N_HOSTS)
+}
+
+fn key(src: u64, dst: u64, tp_dst: u16) -> FlowKey {
+    FlowKey {
+        vlan: None,
+        dl_src: host(src),
+        dl_dst: host(dst),
+        dl_type: 0x0800,
+        nw_src: Ipv4Addr::new(10, 0, 0, 1 + (src % N_HOSTS) as u8),
+        nw_dst: Ipv4Addr::new(10, 0, 0, 1 + (dst % N_HOSTS) as u8),
+        nw_proto: 6,
+        tp_src: 40_000,
+        tp_dst,
+    }
+}
+
+/// Allow-all, with web traffic chained through the IDS and
+/// `denied` destination ports refused ahead of it.
+fn policy(denied: &[u16]) -> PolicyTable {
+    let mut table = PolicyTable::allow_all();
+    for port in denied {
+        table.push(
+            PolicyRule::named(&format!("deny-{port}"))
+                .dst_port(*port)
+                .deny(),
+        );
+    }
+    table.push(PolicyRule::named("web-ids").dst_port(80).chain(vec![IDS]));
+    table
+}
+
+/// Three switches, four hosts (host `i` at switch `1 + i % 3`,
+/// port `10 + i`), two IDS replicas; `shards` decision caches
+/// (none when `cached` is off).
+fn campus(shards: usize, cached: bool) -> Controller {
+    let mut c = Controller::new();
+    c.set_decision_cache(cached);
+    c.split_caches(shards);
+    c.set_policy(policy(&[]));
+    c.set_balancer(LoadBalancer::new(RoundRobin::new(), Grain::Flow));
+    for dpid in 1..=3 {
+        c.topo
+            .add_switch(dpid, NodeId::from_index(dpid as usize), 48);
+        c.topo.observe_lldp((0, 0), (dpid, 40));
+    }
+    for i in 0..N_HOSTS {
+        let ip = Ipv4Addr::new(10, 0, 0, 1 + i as u8);
+        c.locations
+            .learn(host(i), ip, 1 + i % 3, 10 + i as u32, SimTime::ZERO);
+    }
+    for (i, se) in [0xf1u64, 0xf2].into_iter().enumerate() {
+        let online = SeMessage::Online {
+            service: IDS,
+            cert: 0,
+            cpu: 10,
+            mem: 0,
+            pps: 0,
+            bps: 0,
+            total_pkts: 0,
+        };
+        let mac = MacAddr::from_u64(se);
+        c.registry.heartbeat(mac, &online, SimTime::ZERO);
+        c.locations.learn(
+            mac,
+            Ipv4Addr::new(10, 0, 1, se as u8),
+            1,
+            30 + i as u32,
+            SimTime::ZERO,
+        );
+    }
+    c
+}
+
+proptest! {
+    /// N-shard coherence: whatever changes, and whichever shard a
+    /// set-up lands on afterwards, a decision served through that
+    /// shard's cache equals a from-scratch [`crate::engine::decide`]
+    /// — the same operations applied to a cacheless twin. Every
+    /// change goes through the controller's own choke point, so one
+    /// that forgot a shard would serve that shard's stale memo here.
+    #[test]
+    fn no_shard_serves_a_stale_decision(
+        ops in proptest::collection::vec((0u8..12, any::<u8>()), 1..240)
+    ) {
+        let now = SimTime::ZERO;
+        let mut warm = campus(N_SHARDS, true);
+        let mut cold = campus(1, false);
+        let mut live: Vec<u32> = (0..N_SHARDS as u32).collect();
+        let (mut denied, mut scoped) = (Vec::new(), false);
+        for (op, arg) in ops {
+            let arg64 = u64::from(arg);
+            match op {
+                // Wholesale policy edit: toggle a denied port.
+                6 => {
+                    let port = 80 + u16::from(arg % 2);
+                    match denied.iter().position(|p| *p == port) {
+                        Some(i) => drop(denied.remove(i)),
+                        None => denied.push(port),
+                    }
+                    scoped = false;
+                    for ctl in [&mut warm, &mut cold] {
+                        ctl.set_policy(policy(&denied));
+                    }
+                }
+                // Scoped delta: toggle a denial of port 82.
+                7 => {
+                    let delta = if scoped {
+                        PolicyDelta::Remove { name: "deny-82".into() }
+                    } else {
+                        let rule = PolicyRule::named("deny-82").dst_port(82).deny();
+                        PolicyDelta::Insert { index: 0, rule }
+                    };
+                    scoped = !scoped;
+                    for ctl in [&mut warm, &mut cold] {
+                        ctl.apply_policy_delta(now, std::slice::from_ref(&delta));
+                    }
+                }
+                // Topology change: a switch's uplink moves.
+                8 => {
+                    for ctl in [&mut warm, &mut cold] {
+                        ctl.topo.observe_lldp((0, 0), (1 + arg64 % 3, 40 + u32::from(arg % 4)));
+                        ctl.bump_topology_epoch();
+                    }
+                }
+                // A host moves (the ARP path's `Moved` arm).
+                9 => {
+                    let (mac, ip) = (host(arg64), key(arg64, 0, 0).nw_src);
+                    let to = (1 + (arg64 / 4) % 3, 10 + u32::from(arg % 8));
+                    for ctl in [&mut warm, &mut cold] {
+                        ctl.locations.learn(mac, ip, to.0, to.1, now);
+                        ctl.invalidate_mac(mac);
+                    }
+                }
+                // Balancer swap: every live shard's cache empties.
+                10 => {
+                    for ctl in [&mut warm, &mut cold] {
+                        ctl.set_balancer(LoadBalancer::new(RoundRobin::new(), Grain::Flow));
+                    }
+                    prop_assert_eq!(warm.fast_path_stats().entries, 0);
+                }
+                // A shard dies (never the last one).
+                11 => {
+                    if live.len() > 1 {
+                        warm.drop_shard_cache(live.remove(arg as usize % live.len()));
+                    }
+                }
+                // The same flow set up on every live shard in turn.
+                _ => {
+                    let src = arg64 % N_HOSTS;
+                    let k = key(src, src + 1, 80 + u16::from(arg >> 2) % 3);
+                    let Some(at) = warm.locations.lookup(k.dl_src) else { continue };
+                    let ingress = (at.dpid, at.port);
+                    for &shard in &live {
+                        warm.select_shard(shard);
+                        let served = warm.decide_flow(&k, ingress);
+                        let fresh = cold.decide_flow(&k, ingress);
+                        prop_assert_eq!(format!("{served:?}"), format!("{fresh:?}"));
+                    }
+                }
+            }
+        }
+        let dead = warm.shard_cache_stats().filter(Option::is_none).count();
+        prop_assert_eq!(dead, N_SHARDS - live.len());
+    }
+}
+
+fn ms(n: u64) -> SimTime {
+    SimTime::ZERO + SimDuration::from_millis(n)
+}
+
+/// The first packet of `k`, as its sender emits it.
+fn packet(k: &FlowKey) -> Packet {
+    PacketBuilder::tcp(k.dl_src, k.dl_dst)
+        .ips(k.nw_src, k.nw_dst)
+        .ports(k.tp_src, k.tp_dst)
+        .build()
+}
+
+/// The `(matcher, priority, cookie)` of every flow-mod `Add` in `out`.
+fn adds(out: &[(NodeId, OfMessage)]) -> Vec<(Match, u16, u64)> {
+    out.iter()
+        .filter_map(|(_, m)| match m {
+            OfMessage::FlowMod {
+                command: FlowModCommand::Add,
+                matcher,
+                priority,
+                cookie,
+                ..
+            } => Some((*matcher, *priority, *cookie)),
+            _ => None,
+        })
+        .collect()
+}
+
+/// A session ends when *both* of its ingress entries have reported:
+/// the first removal books its direction and nothing else, the
+/// second ends the flow once with both directions summed and
+/// attributes it to its app and its user. Kills a finalize on the
+/// first removal.
+#[test]
+fn a_session_ends_once_both_ingress_entries_have_reported() {
+    let mut c = campus(1, true);
+    let k = key(0, 1, 80);
+    c.handle_flow(ms(0), 1, 10, &packet(&k));
+    assert_eq!(c.active_flow_count(), 1);
+    let ends = |c: &Controller| -> Vec<(FlowKey, u64, u64)> {
+        c.monitor()
+            .events()
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::FlowEnd {
+                    flow,
+                    packets,
+                    bytes,
+                } => Some((flow, packets, bytes)),
+                _ => None,
+            })
+            .collect()
+    };
+
+    c.handle_flow_removed(ms(2000), Match::exact(10, &k), INGRESS_COOKIE, 3, 300);
+    assert!(ends(&c).is_empty());
+    assert!(c.app_traffic().is_empty() && c.user_traffic().is_empty());
+    assert_eq!(c.active_flow_count(), 1);
+
+    let reply = Match::exact(11, &k.reversed());
+    c.handle_flow_removed(ms(2100), reply, REVERSE_COOKIE, 2, 120);
+    assert_eq!(ends(&c), [(k, 5, 420)]);
+    let tally = TrafficTally {
+        flows: 1,
+        packets: 5,
+        bytes: 420,
+    };
+    assert_eq!(c.app_traffic(), [("unclassified".to_owned(), tally)]);
+    assert_eq!(c.user_traffic(), [(k.dl_src, tally)]);
+    assert_eq!(c.active_flow_count(), 0);
+}
+
+/// The repair guard: a packet-in for a booked session within
+/// [`REPAIR_GUARD`] of its installation raced the flow-mods and is
+/// only released; past the guard the switch lost the entries, so
+/// both programs and the block go back on. Kills dropping the
+/// guard.
+#[test]
+fn a_booked_session_is_repaired_only_past_the_guard() {
+    let mut c = campus(1, true);
+    let (k, ids) = (key(0, 1, 80), MacAddr::from_u64(0xf1));
+    let pkt = packet(&k);
+    c.handle_flow(ms(0), 1, 10, &pkt);
+    let programs = adds(&drain(&mut c));
+    assert!(!programs.is_empty());
+
+    c.handle_flow(ms(10), 1, 10, &pkt);
+    let out = drain(&mut c);
+    assert!(
+        matches!(out.as_slice(), [(_, OfMessage::PacketOut { .. })]),
+        "{out:?}"
+    );
+    assert_eq!(c.health_stats().flow_repairs, 0);
+
+    let violation = Verdict::PolicyViolation {
+        policy: "dlp".into(),
+    };
+    c.dispatch_verdict(ms(10), ids, k, violation);
+    let block = adds(&drain(&mut c));
+    assert_eq!(
+        block,
+        [(Match::exact(10, &k), BLOCK_PRIORITY, BLOCK_COOKIE)]
+    );
+
+    // A blocked flow's packet is repaired, never released.
+    c.handle_flow(ms(61), 1, 10, &pkt);
+    let out = drain(&mut c);
+    assert_eq!(c.health_stats().flow_repairs, 1);
+    let by_key = |v: &mut Vec<(Match, u16, u64)>| v.sort_by_key(|e| (e.1, e.2, e.0.to_string()));
+    let (mut reinstalled, mut want) = (adds(&out), [programs, block].concat());
+    by_key(&mut reinstalled);
+    by_key(&mut want);
+    assert_eq!(reinstalled, want);
+    assert_eq!(out.len(), want.len(), "{out:?}");
+}
+
+/// A `syn-flood` verdict drops everything from the source at its
+/// ingress as well as the reported flow: a flood rotates source
+/// ports, so the per-flow drop alone stops one probe. Kills
+/// skipping `block_source`.
+#[test]
+fn a_syn_flood_verdict_blocks_the_whole_source() {
+    let mut c = campus(1, true);
+    let (k, ids) = (key(0, 1, 80), MacAddr::from_u64(0xf1));
+    let flood = Verdict::Malicious {
+        attack: "syn-flood".into(),
+        severity: 9,
+    };
+    c.dispatch_verdict(ms(0), ids, k, flood);
+
+    let drops = [Match::any().with_dl_src(k.dl_src), Match::exact(10, &k)];
+    assert_eq!(c.standing_blocks(), drops.map(|m| (1, m)));
+    let queued = drops.map(|m| (m, BLOCK_PRIORITY, BLOCK_COOKIE));
+    assert_eq!(adds(&drain(&mut c)), queued);
+    assert_eq!(c.conntrack_stats().syn_floods, 1);
+}
+
+/// The phantom switch and the dpid hijack (ROADMAP 4a): a channel
+/// bound to one datapath id cannot register another, nor take an id
+/// a live channel holds — and is not harmed for having tried.
+#[test]
+fn features_reply_cannot_rename_a_channel_or_steal_a_live_id() {
+    const FLIPPED: u64 = 1 ^ (0xff << 40);
+    let mut c = Controller::new();
+    let ms = |n| SimTime::ZERO + SimDuration::from_millis(n);
+    let reply = |datapath_id| OfMessage::FeaturesReply {
+        datapath_id,
+        n_ports: 4,
+    };
+    // `a` is switch 1: registers, has its id bytes flipped in
+    // flight, then answers the re-handshake genuinely. `b` is
+    // switch 2, and then claims to be switch 1.
+    let (a, b) = (NodeId::from_index(1), NodeId::from_index(2));
+    for (peer, at, claim) in [(a, 1, 1), (b, 1, 2), (a, 10, FLIPPED), (b, 20, 1)] {
+        assert_eq!(c.on_message(ms(at), peer, reply(claim)), None);
+    }
+
+    assert_eq!(c.health_stats().switches_known, 2, "a phantom registered");
+    assert_eq!(c.topology().dpid_of_node(a), Some(1));
+    assert_eq!(c.topology().dpid_of_node(b), Some(2));
+    assert_eq!(c.topology().switch(1).map(|s| s.node), Some(a), "hijacked");
+    let rejected: Vec<_> = c
+        .monitor()
+        .events()
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::HandshakeRejected { claimed, bound } => Some((claimed, bound)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(rejected, [(FLIPPED, Some(1)), (1, Some(2))]);
+
+    // The genuine reply afterwards is a plain re-registration: the
+    // switch is audited like any reconnecting one.
+    let audits = c.health_stats().audits;
+    c.on_message(ms(40), a, reply(1));
+    assert_eq!(c.health_stats().audits, audits + 1);
+    assert_eq!(c.health_stats().switches_known, 2);
+    assert_eq!(c.monitor().events().len(), 4, "two joins, two rejections");
+}

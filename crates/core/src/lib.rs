@@ -34,6 +34,10 @@
 //!    historical replay; [`monitor::Monitor`] is the data layer the
 //!    paper's Flash WebUI rendered.
 //!
+//! The controller ([`controller`]) is a thin simulator shell over
+//! handlers split by concern, each run without a `World`; its module
+//! docs name the module that handles each input.
+//!
 //! The supporting machinery: [`topology`] (LLDP-driven discovery of
 //! the full-mesh logical topology), [`location`] (ARP-driven host
 //! location discovery), [`directory`] (the centralized ARP/DHCP proxy

@@ -418,9 +418,9 @@ impl Monitor {
     }
 
     /// Sets the shard id stamped onto subsequently recorded events.
-    /// The sharded control plane calls this as it activates a shard;
-    /// an unsharded controller leaves it at 0.
-    pub fn set_shard(&mut self, shard: u32) {
+    /// The controller calls this as the sharded control plane selects
+    /// a shard; an unsharded controller leaves it at 0.
+    pub(crate) fn set_shard(&mut self, shard: u32) {
         self.shard = shard;
     }
 

@@ -1,9 +1,7 @@
 //! The `.lsp` abstract syntax tree.
 //!
 //! Positions live on each declaration (`line`), enough for the
-//! checker's diagnostics; structural equality deliberately includes
-//! them, so round-trip identity is asserted on the canonical
-//! pretty-printed text instead (see `pretty`).
+//! checker's diagnostics; structural equality includes them.
 
 use livesec_net::{Ipv4Net, MacAddr};
 use livesec_services::ServiceType;
@@ -156,16 +154,6 @@ pub fn proto_of_keyword(word: &str) -> Option<u8> {
     }
 }
 
-/// The DSL keyword for an IP protocol number (numeric fallback).
-pub fn proto_keyword(proto: u8) -> Option<&'static str> {
-    match proto {
-        1 => Some("icmp"),
-        6 => Some("tcp"),
-        17 => Some("udp"),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,10 +173,10 @@ mod tests {
     }
 
     #[test]
-    fn proto_keywords_round_trip() {
-        for p in [1u8, 6, 17] {
-            assert_eq!(proto_of_keyword(proto_keyword(p).unwrap()), Some(p));
+    fn proto_keywords_name_their_protocol_numbers() {
+        for (word, p) in [("icmp", 1u8), ("tcp", 6), ("udp", 17)] {
+            assert_eq!(proto_of_keyword(word), Some(p));
         }
-        assert_eq!(proto_keyword(47), None);
+        assert_eq!(proto_of_keyword("gre"), None);
     }
 }

@@ -43,8 +43,6 @@
 //!   `Controller::apply_policy_delta` applies with class-scoped
 //!   cache invalidation — a one-rule edit no longer flushes every
 //!   warm decision on campus.
-//! - [`pretty::pretty`] is the canonical formatter; its output is a
-//!   parse/print fixpoint, which the round-trip proptests pin down.
 
 pub mod ast;
 pub mod builder;
@@ -54,7 +52,6 @@ pub mod delta;
 pub mod diag;
 pub mod lexer;
 pub mod parser;
-pub mod pretty;
 
 pub use builder::PolicyText;
 pub use compile::{compile, CompiledPolicy, RateLimit};

@@ -1,20 +1,14 @@
 //! Property tests for the `.lsp` toolchain: the parser is total (no
-//! input panics it), canonical text is a parse/print fixpoint, and
-//! the delta compiler's edit scripts converge on the from-scratch
-//! compile.
+//! input panics it), and the delta compiler's edit scripts converge on
+//! the from-scratch compile.
 
 use livesec_net::{Ipv4Net, MacAddr};
-use livesec_policy::ast::{Decl, DeclKind, Endpoint, Member, Program, RuleDecl, Verdict};
+use livesec_policy::ast::Member;
 use livesec_policy::parser::parse;
-use livesec_policy::pretty::pretty;
 use livesec_policy::{compile, compile_delta, lexer};
 use livesec_services::ServiceType;
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
-
-fn arb_ident(prefix: &'static str) -> impl Strategy<Value = String> {
-    (0u32..6).prop_map(move |i| format!("{prefix}{i}"))
-}
 
 fn arb_net() -> impl Strategy<Value = Ipv4Net> {
     ((0u32..16), 8u8..=32)
@@ -40,79 +34,6 @@ fn arb_service() -> impl Strategy<Value = ServiceType> {
         Just(ServiceType::VirusScan),
         Just(ServiceType::ContentInspection),
     ]
-}
-
-fn arb_endpoint() -> impl Strategy<Value = Endpoint> {
-    prop_oneof![
-        arb_ident("g").prop_map(Endpoint::Name),
-        arb_net().prop_map(Endpoint::Net),
-        arb_mac().prop_map(Endpoint::Mac),
-    ]
-}
-
-fn arb_verdict() -> impl Strategy<Value = Verdict> {
-    prop_oneof![
-        Just(Verdict::Allow),
-        Just(Verdict::Deny),
-        arb_ident("c").prop_map(Verdict::Via),
-        any::<u64>().prop_map(|bps| Verdict::Limit { bps }),
-    ]
-}
-
-fn arb_decl_kind() -> impl Strategy<Value = DeclKind> {
-    prop_oneof![
-        (
-            arb_ident("g"),
-            proptest::collection::vec(arb_member(), 0..4)
-        )
-            .prop_map(|(name, members)| DeclKind::Group { name, members }),
-        (
-            arb_ident("c"),
-            proptest::collection::vec(arb_service(), 0..4)
-        )
-            .prop_map(|(name, services)| DeclKind::Chain { name, services }),
-        (arb_ident("t"), arb_net()).prop_map(|(name, net)| DeclKind::Tenant { name, net }),
-        (
-            arb_ident("r"),
-            proptest::option::of(arb_endpoint()),
-            proptest::option::of(arb_endpoint()),
-            proptest::option::of(prop_oneof![Just(1u8), Just(6), Just(17), Just(47)]),
-            proptest::option::of(any::<u16>()),
-            proptest::option::of(arb_ident("t")),
-            arb_verdict(),
-        )
-            .prop_map(|(name, from, to, proto, port, tenant, verdict)| {
-                DeclKind::Rule(RuleDecl {
-                    name,
-                    from,
-                    to,
-                    proto,
-                    port,
-                    tenant,
-                    verdict,
-                })
-            }),
-        prop_oneof![
-            Just(Verdict::Allow),
-            Just(Verdict::Deny),
-            arb_ident("c").prop_map(Verdict::Via)
-        ]
-        .prop_map(|verdict| DeclKind::Default { verdict }),
-        (arb_ident("app"), any::<bool>()).prop_map(|(app, block)| DeclKind::OnApp { app, block }),
-    ]
-}
-
-fn arb_program() -> impl Strategy<Value = Program> {
-    proptest::collection::vec(arb_decl_kind(), 0..8).prop_map(|kinds| Program {
-        decls: kinds
-            .into_iter()
-            .enumerate()
-            .map(|(i, kind)| Decl {
-                line: i as u32 + 1,
-                kind,
-            })
-            .collect(),
-    })
 }
 
 /// A compilable program: unique rule names, each rule pinned to its
@@ -179,17 +100,6 @@ fn arb_compilable_src() -> impl Strategy<Value = String> {
 }
 
 proptest! {
-    /// Canonical text is a fixpoint: printing an arbitrary AST and
-    /// parsing it back yields a program that prints identically, with
-    /// no diagnostics.
-    #[test]
-    fn pretty_parse_round_trip(prog in arb_program()) {
-        let printed = pretty(&prog);
-        let (reparsed, diags) = parse(&printed);
-        prop_assert!(diags.is_empty(), "diags on canonical text: {diags:?}\n{printed}");
-        prop_assert_eq!(pretty(&reparsed), printed);
-    }
-
     /// The lexer and parser are total: arbitrary byte soup (lossily
     /// decoded) produces diagnostics, never a panic.
     #[test]

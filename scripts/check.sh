@@ -19,16 +19,14 @@ run() {
 }
 
 run cargo build --release
-# Header-space invariant verifier (DESIGN.md §8): snapshot the
-# emitted flow tables of the baseline scenario and prove the eight
-# dataplane invariants (blocked-unreachable, no loops, no blackholes,
-# waypoint enforcement, fast-pass freshness, no silent shadowing,
-# exactly-one-shard coverage, quarantine isolation).
-run cargo run -q -p livesec-verify --release -- --scenario baseline
 # Every suite, once: `--workspace` covers the root package's
 # integration tests and each crate's own unit, property and model
 # tests (the tier-1 `cargo test -q` runs only the former). Why each is
 # in the gate:
+# - tests/verify_audit (DESIGN.md §8): the header-space verifier proves
+#   the dataplane invariants on the baseline and service-chain
+#   campuses' emitted flow tables, and refutes a broken snapshot of
+#   each invariant with a witness packet.
 # - tests/decoder_fuzz (DESIGN.md §13): every wire decoder over seeded
 #   mutations of valid encodings — a typed error or Ok, no panic, and
 #   allocation within a bound linear in the input length.
