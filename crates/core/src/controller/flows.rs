@@ -40,10 +40,10 @@ impl Controller {
             // Touched classes come from the table state *before* the
             // delta applies: a removed rule's old cube is exactly
             // what stops mattering.
-            let old = |name: &str| self.policy.get(name).map(PolicyRule::matcher);
+            let old = |name: &str| self.policy.get(name).map(|r| r.matcher);
             let applied = match delta {
                 PolicyDelta::Insert { rule, .. } => {
-                    cubes.push(rule.matcher());
+                    cubes.push(rule.matcher);
                     Some(&mut adds)
                 }
                 PolicyDelta::Remove { name } => {
@@ -51,8 +51,8 @@ impl Controller {
                     Some(&mut removes)
                 }
                 PolicyDelta::Replace { rule } => {
-                    cubes.extend(old(&rule.name).filter(|c| *c != rule.matcher()));
-                    cubes.push(rule.matcher());
+                    cubes.extend(old(&rule.name).filter(|c| *c != rule.matcher));
+                    cubes.push(rule.matcher);
                     Some(&mut replaces)
                 }
                 PolicyDelta::SetDefault { .. } => {

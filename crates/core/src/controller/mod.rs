@@ -41,7 +41,7 @@ use crate::directory::DirectoryProxy;
 use crate::engine::{self, EngineDecision};
 use crate::location::{LearnOutcome, LocationTable};
 use crate::monitor::{ConnTrackStats, EventKind, FastPathStats, HealthStats, Monitor};
-use crate::policy::{AppAction, PolicyDecision, PolicyDelta, PolicyRule, PolicyTable};
+use crate::policy::{AppAction, PolicyDecision, PolicyDelta, PolicyTable};
 use crate::routing::{Hop, SteeringProgram};
 use crate::topology::TopologyMap;
 use livesec_net::packet::{arp_frame, lldp_frame};

@@ -5,6 +5,7 @@
 use super::outbox::tests::drain;
 use super::*;
 use crate::balance::{Grain, RoundRobin};
+use crate::policy::PolicyRule;
 use proptest::prelude::*;
 
 const IDS: ServiceType = ServiceType::IntrusionDetection;

@@ -449,11 +449,9 @@ impl CampusBuilder {
     )]
     fn add_as_switch(&mut self, kind: SwitchKind) -> usize {
         let dpid = (self.as_switches.len() + 1) as u64;
-        let node = self.world.add_node(
-            AsSwitch::new(dpid, AS_PORTS)
-                .with_controller(self.controller)
-                .with_attest_every(self.attest_every),
-        );
+        let mut switch = AsSwitch::new(dpid, AS_PORTS).with_controller(self.controller);
+        switch.set_attest_every(self.attest_every);
+        let node = self.world.add_node(switch);
         // Attach to a legacy switch: edges round-robin when present.
         let legacy_idx = if self.legacy.len() > 1 {
             let idx = 1 + (self.next_edge % (self.legacy.len() - 1));

@@ -35,22 +35,16 @@ pub enum AppAction {
     Block,
 }
 
-/// One policy rule: selectors (all optional, ANDed) plus a decision.
+/// One policy rule: a header selector plus a decision.
 #[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
 pub struct PolicyRule {
     /// Administrator-facing rule name (shows up in monitor events).
     pub name: String,
-    /// Source IP prefix selector.
-    pub src: Option<Ipv4Net>,
-    /// Destination IP prefix selector.
-    pub dst: Option<Ipv4Net>,
-    /// Source MAC selector (a specific user).
-    pub src_mac: Option<MacAddr>,
-    /// IP protocol selector.
-    pub proto: Option<u8>,
-    /// Destination transport port selector.
-    pub dst_port: Option<u16>,
-    /// The decision when all selectors match.
+    /// The flows the rule governs: the header-space cube that scoped
+    /// cache invalidation and incremental verification key on. The
+    /// ingress port stays wildcarded; a policy decides per flow.
+    pub matcher: Match,
+    /// The decision when the selector matches.
     pub decision: PolicyDecision,
 }
 
@@ -60,42 +54,38 @@ impl PolicyRule {
     pub fn named(name: &str) -> Self {
         PolicyRule {
             name: name.to_owned(),
-            src: None,
-            dst: None,
-            src_mac: None,
-            proto: None,
-            dst_port: None,
+            matcher: Match::any(),
             decision: PolicyDecision::Allow,
         }
     }
 
     /// Restricts to flows from this source prefix.
     pub fn src(mut self, net: Ipv4Net) -> Self {
-        self.src = Some(net);
+        self.matcher = self.matcher.with_nw_src(net);
         self
     }
 
     /// Restricts to flows to this destination prefix.
     pub fn dst(mut self, net: Ipv4Net) -> Self {
-        self.dst = Some(net);
+        self.matcher = self.matcher.with_nw_dst(net);
         self
     }
 
     /// Restricts to flows from this user (source MAC).
     pub fn src_mac(mut self, mac: MacAddr) -> Self {
-        self.src_mac = Some(mac);
+        self.matcher = self.matcher.with_dl_src(mac);
         self
     }
 
     /// Restricts to this IP protocol.
     pub fn proto(mut self, proto: u8) -> Self {
-        self.proto = Some(proto);
+        self.matcher = self.matcher.with_nw_proto(proto);
         self
     }
 
     /// Restricts to this destination port.
     pub fn dst_port(mut self, port: u16) -> Self {
-        self.dst_port = Some(port);
+        self.matcher = self.matcher.with_tp_dst(port);
         self
     }
 
@@ -115,42 +105,6 @@ impl PolicyRule {
     pub fn allow(mut self) -> Self {
         self.decision = PolicyDecision::Allow;
         self
-    }
-
-    /// Whether this rule's selectors all match `key`.
-    pub fn matches(&self, key: &FlowKey) -> bool {
-        self.src.map(|n| n.contains(key.nw_src)).unwrap_or(true)
-            && self.dst.map(|n| n.contains(key.nw_dst)).unwrap_or(true)
-            && self.src_mac.map(|m| m == key.dl_src).unwrap_or(true)
-            && self.proto.map(|p| p == key.nw_proto).unwrap_or(true)
-            && self.dst_port.map(|p| p == key.tp_dst).unwrap_or(true)
-    }
-
-    /// The header-space cube this rule's selectors carve out, as an
-    /// OpenFlow matcher (in_port wildcarded).
-    ///
-    /// For every port `p` and key `k`,
-    /// `rule.matches(&k) == rule.matcher().matches(p, &k)` — the cube
-    /// is exactly the set of flows the rule governs, which is what
-    /// scoped cache invalidation and incremental verification key on.
-    pub fn matcher(&self) -> Match {
-        let mut m = Match::any();
-        if let Some(net) = self.src {
-            m = m.with_nw_src(net);
-        }
-        if let Some(net) = self.dst {
-            m = m.with_nw_dst(net);
-        }
-        if let Some(mac) = self.src_mac {
-            m = m.with_dl_src(mac);
-        }
-        if let Some(proto) = self.proto {
-            m = m.with_nw_proto(proto);
-        }
-        if let Some(port) = self.dst_port {
-            m = m.with_tp_dst(port);
-        }
-        m
     }
 }
 
@@ -266,7 +220,8 @@ impl PolicyTable {
     /// (`None` for the default decision).
     pub fn decide(&self, key: &FlowKey) -> (&PolicyDecision, Option<&str>) {
         for rule in &self.rules {
-            if rule.matches(key) {
+            // The ingress port is wildcarded in every rule.
+            if rule.matcher.matches(0, key) {
                 return (&rule.decision, Some(&rule.name));
             }
         }
@@ -445,17 +400,15 @@ mod tests {
             .proto(6)
             .dst_port(80)
             .chain(vec![ServiceType::IntrusionDetection]);
-        assert!(rule.matches(&key(80)));
-        assert!(!rule.matches(&key(443)), "wrong port");
+        let accepts = |k: &FlowKey| rule.matcher.matches(0, k);
+        assert!(accepts(&key(80)));
+        assert!(!accepts(&key(443)), "wrong port");
         let mut external = key(80);
         external.nw_src = "192.168.1.1".parse().unwrap();
-        assert!(!rule.matches(&external), "wrong subnet");
+        assert!(!accepts(&external), "wrong subnet");
         let mut udp = key(80);
         udp.nw_proto = 17;
-        assert!(
-            !udp.nw_src.is_unspecified() && !rule.matches(&udp),
-            "wrong proto"
-        );
+        assert!(!accepts(&udp), "wrong proto");
     }
 
     #[test]
@@ -478,41 +431,6 @@ mod tests {
         t.on_app("bittorrent", AppAction::Block);
         assert_eq!(t.app_action("bittorrent"), Some(AppAction::Block));
         assert_eq!(t.app_action("http"), None);
-    }
-
-    #[test]
-    fn matcher_agrees_with_matches() {
-        let rules = [
-            PolicyRule::named("any"),
-            PolicyRule::named("net").src("10.0.0.0/24".parse().unwrap()),
-            PolicyRule::named("dst").dst("8.8.8.0/24".parse().unwrap()),
-            PolicyRule::named("mac").src_mac(MacAddr::from_u64(1)),
-            PolicyRule::named("proto").proto(17),
-            PolicyRule::named("port").dst_port(443),
-            PolicyRule::named("all")
-                .src("10.0.0.0/8".parse().unwrap())
-                .dst("8.8.8.8/32".parse().unwrap())
-                .src_mac(MacAddr::from_u64(1))
-                .proto(6)
-                .dst_port(80),
-        ];
-        let keys = [key(80), key(443), key(23)];
-        let mut other = key(80);
-        other.dl_src = MacAddr::from_u64(9);
-        other.nw_src = "192.168.1.1".parse().unwrap();
-        other.nw_proto = 17;
-        for rule in &rules {
-            for k in keys.iter().chain([&other]) {
-                for port in [0u32, 1, 7] {
-                    assert_eq!(
-                        rule.matches(k),
-                        rule.matcher().matches(port, k),
-                        "rule {} disagrees with its cube on {k:?}",
-                        rule.name
-                    );
-                }
-            }
-        }
     }
 
     #[test]

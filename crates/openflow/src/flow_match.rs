@@ -34,6 +34,9 @@ impl VlanMatch {
 /// An OpenFlow 1.0 match: the physical ingress port plus the paper's
 /// 9-tuple, each field either exact (`Some`) or wildcarded (`None`).
 /// IP addresses support CIDR prefixes.
+///
+/// It is the one header selector in the system: flow entries, policy
+/// rules, firewall rules and IDS rule headers all select with it.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default, Serialize, Deserialize)]
 pub struct Match {
     /// Ingress port constraint.

@@ -4,8 +4,8 @@
 //! A single [`Match`] is a *cube*: each field is either pinned (to a
 //! point or a CIDR prefix) or free. Cubes are closed under
 //! intersection ([`Match::intersect`]) but not under subtraction, so
-//! set-valued reasoning uses [`HeaderClass`] — one cube minus a list
-//! of exclusion cubes — and [`MatchSet`], a union of such terms.
+//! set-valued reasoning uses [`HeaderClass`]: one cube minus a list
+//! of exclusion cubes.
 //!
 //! The representation is *lazy*: subtraction just records exclusions.
 //! Emptiness and membership questions are answered by
@@ -119,7 +119,16 @@ impl HeaderClass {
         let ip_live: Vec<&Match> = self
             .except
             .iter()
-            .filter(|e| non_ip_fields_accept(e, in_port, &key))
+            // An exclusion stays live when it accepts the packet with
+            // its two IP constraints lifted.
+            .filter(|e| {
+                Match {
+                    nw_src: None,
+                    nw_dst: None,
+                    ..**e
+                }
+                .matches(in_port, &key)
+            })
             .collect();
         for src in prefix_candidates(base_src, ip_live.iter().filter_map(|e| e.nw_src)) {
             key.nw_src = src;
@@ -151,69 +160,6 @@ impl fmt::Display for HeaderClass {
         }
         Ok(())
     }
-}
-
-/// A union of [`HeaderClass`] terms — the closure of [`Match`] under
-/// union, intersection, and subtraction.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct MatchSet {
-    /// The terms; the set is their union.
-    pub terms: Vec<HeaderClass>,
-}
-
-impl MatchSet {
-    /// The empty set.
-    pub fn empty() -> Self {
-        MatchSet::default()
-    }
-
-    /// The set of packets matched by `m`.
-    pub fn of(m: Match) -> Self {
-        MatchSet {
-            terms: vec![HeaderClass::of(m)],
-        }
-    }
-
-    /// Adds all packets matched by `m` to the set.
-    pub fn add(&mut self, m: Match) {
-        self.terms.push(HeaderClass::of(m));
-    }
-
-    /// Removes all packets matched by `m` from the set.
-    pub fn subtract(&mut self, m: &Match) {
-        for t in &mut self.terms {
-            t.subtract(m);
-        }
-    }
-
-    /// Whether a concrete packet lies in the set.
-    pub fn contains(&self, in_port: u32, key: &FlowKey) -> bool {
-        self.terms.iter().any(|t| t.contains(in_port, key))
-    }
-
-    /// A concrete packet inside the set, or `None` when it is empty.
-    pub fn witness(&self) -> Option<(u32, FlowKey)> {
-        self.terms.iter().find_map(HeaderClass::witness)
-    }
-
-    /// Whether the set contains no packet.
-    pub fn is_empty(&self) -> bool {
-        self.witness().is_none()
-    }
-}
-
-/// Whether `e` accepts the already-pinned non-IP fields of a packet —
-/// i.e. whether `e` can still match once only the IP fields remain
-/// free.
-fn non_ip_fields_accept(e: &Match, in_port: u32, key: &FlowKey) -> bool {
-    e.in_port.is_none_or(|p| p == in_port)
-        && e.dl_src.is_none_or(|m| m == key.dl_src)
-        && e.dl_dst.is_none_or(|m| m == key.dl_dst)
-        && e.dl_vlan.is_none_or(|v| v.accepts(key.vlan))
-        && e.dl_type.is_none_or(|t| t == key.dl_type)
-        && e.nw_proto.is_none_or(|p| p == key.nw_proto)
-        && e.tp_src.is_none_or(|p| p == key.tp_src)
-        && e.tp_dst.is_none_or(|p| p == key.tp_dst)
 }
 
 fn fresh_u32(preferred: u32, pinned: impl Iterator<Item = u32> + Clone) -> u32 {
@@ -303,7 +249,7 @@ mod tests {
 
     #[test]
     fn universe_has_witness() {
-        let (p, k) = MatchSet::of(Match::any()).witness().expect("non-empty");
+        let (p, k) = HeaderClass::of(Match::any()).witness().expect("non-empty");
         assert!(Match::any().matches(p, &k));
     }
 
@@ -366,42 +312,5 @@ mod tests {
         assert!(c2.contains(p, &k));
         assert!(u32::from(k.nw_src) < 1 << 31);
         assert!(u32::from(k.nw_dst) >= 1 << 31);
-    }
-
-    #[test]
-    fn matchset_union_covers_both_terms() {
-        let a = Match::any().with_tp_dst(80);
-        let b = Match::any().with_tp_dst(443);
-        let mut s = MatchSet::of(a);
-        s.add(b);
-        assert!(s.contains(
-            9,
-            &FlowKey {
-                tp_dst: 443,
-                ..key()
-            }
-        ));
-        assert!(s.contains(
-            9,
-            &FlowKey {
-                tp_dst: 80,
-                ..key()
-            }
-        ));
-        s.subtract(&Match::any().with_tp_dst(80));
-        assert!(!s.contains(
-            9,
-            &FlowKey {
-                tp_dst: 80,
-                ..key()
-            }
-        ));
-        assert!(s.contains(
-            9,
-            &FlowKey {
-                tp_dst: 443,
-                ..key()
-            }
-        ));
     }
 }

@@ -67,7 +67,7 @@ pub use action::{apply_actions, apply_actions_owned, Action, ActionOutcome, OutP
 pub use channel::SwitchChannel;
 pub use codec::{decode, encode, CodecError};
 pub use flow_match::{lookup_key, Match, VlanMatch};
-pub use header_space::{HeaderClass, MatchSet};
+pub use header_space::HeaderClass;
 pub use message::{
     attestation_tag, packet_tag, FlowModCommand, FlowRemovedReason, FlowStats,
     ForwardingAttestation, OfMessage, PacketInReason, PortStats, PortStatusReason, StatsBody,
@@ -81,7 +81,7 @@ pub mod prelude {
     pub use crate::channel::SwitchChannel;
     pub use crate::codec::{decode, encode, CodecError};
     pub use crate::flow_match::{lookup_key, Match, VlanMatch};
-    pub use crate::header_space::{HeaderClass, MatchSet};
+    pub use crate::header_space::HeaderClass;
     pub use crate::message::{
         attestation_tag, packet_tag, FlowModCommand, FlowRemovedReason, FlowStats,
         ForwardingAttestation, OfMessage, PacketInReason, PortStats, PortStatusReason, StatsBody,

@@ -1,5 +1,5 @@
 //! The semantic checker: name resolution, scope containment, and
-//! shadow/conflict analysis over the `MatchSet` header-space algebra.
+//! shadow/conflict analysis over the `HeaderClass` header-space algebra.
 
 use crate::ast::{Decl, DeclKind, Endpoint, Member, Program, Verdict};
 use crate::diag::Diag;
@@ -216,15 +216,14 @@ fn dup(decl: &Decl, kind: &str, name: &str) -> Diag {
 pub fn shadow_diags(lowered: &[(PolicyRule, u32)]) -> Vec<Diag> {
     let mut diags = Vec::new();
     for (i, (rule, line)) in lowered.iter().enumerate() {
-        let cube = rule.matcher();
+        let cube = rule.matcher;
         let mut region = HeaderClass::of(cube);
         let mut conflicting: Option<&str> = None;
         for (earlier, _) in lowered.iter().take(i) {
-            let ecube = earlier.matcher();
-            if !ecube.overlaps(&cube) {
+            if !earlier.matcher.overlaps(&cube) {
                 continue;
             }
-            region.subtract(&ecube);
+            region.subtract(&earlier.matcher);
             if earlier.decision != rule.decision && conflicting.is_none() {
                 conflicting = Some(&earlier.name);
             }

@@ -12,6 +12,7 @@ use crate::diag::{has_errors, Diag};
 use crate::parser::parse;
 use livesec::policy::{AppAction, PolicyDecision, PolicyRule, PolicyTable};
 use livesec_net::{Ipv4Net, MacAddr};
+use livesec_openflow::Match;
 use livesec_services::ServiceType;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -146,14 +147,18 @@ fn lower(program: &Program) -> (PolicyTable, Vec<RateLimit>, Vec<(PolicyRule, u3
                         i += 1;
                         let rule = PolicyRule {
                             name: name.clone(),
-                            // The tenant prefix stands in when the
-                            // member pins no prefix of its own (the
-                            // checker proved containment otherwise).
-                            src: src.or(tenant_net),
-                            dst: *dst,
-                            src_mac: *src_mac,
-                            proto: r.proto,
-                            dst_port: r.port,
+                            matcher: Match {
+                                // The tenant prefix stands in when the
+                                // member pins no prefix of its own (the
+                                // checker proved containment otherwise).
+                                nw_src: src.or(tenant_net),
+                                nw_dst: *dst,
+                                dl_src: *src_mac,
+                                nw_proto: r.proto,
+                                tp_dst: r.port,
+                                ..Match::any()
+                            }
+                            .normalized(),
                             decision: decision.clone(),
                         };
                         if let Verdict::Limit { bps } = r.verdict {
@@ -247,11 +252,14 @@ mod tests {
         assert_eq!(names, vec!["lock#0", "lock#1", "lock#2", "lock#3"]);
         // The MAC member carries no src prefix; the net member does.
         let r0 = c.table.get("lock#0").unwrap();
-        assert_eq!(r0.src, Some("10.1.0.0/24".parse().unwrap()));
-        assert_eq!(r0.src_mac, None);
+        assert_eq!(r0.matcher.nw_src, Some("10.1.0.0/24".parse().unwrap()));
+        assert_eq!(r0.matcher.dl_src, None);
         let r2 = c.table.get("lock#2").unwrap();
-        assert_eq!(r2.src, None);
-        assert_eq!(r2.src_mac, Some("0a:0b:0c:0d:0e:01".parse().unwrap()));
+        assert_eq!(r2.matcher.nw_src, None);
+        assert_eq!(
+            r2.matcher.dl_src,
+            Some("0a:0b:0c:0d:0e:01".parse().unwrap())
+        );
     }
 
     #[test]
@@ -263,9 +271,12 @@ mod tests {
         )
         .expect("compiles");
         let scoped = c.table.get("scoped").unwrap();
-        assert_eq!(scoped.src, Some("10.2.0.0/16".parse().unwrap()));
+        assert_eq!(scoped.matcher.nw_src, Some("10.2.0.0/16".parse().unwrap()));
         let narrowed = c.table.get("narrowed").unwrap();
-        assert_eq!(narrowed.src, Some("10.2.7.0/24".parse().unwrap()));
+        assert_eq!(
+            narrowed.matcher.nw_src,
+            Some("10.2.7.0/24".parse().unwrap())
+        );
     }
 
     #[test]

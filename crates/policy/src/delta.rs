@@ -172,7 +172,9 @@ mod tests {
         new.replace_named(PolicyRule::named("b").proto(17).deny());
         let deltas = diff(&old, &new);
         assert_eq!(deltas.len(), 1);
-        assert!(matches!(&deltas[0], PolicyDelta::Replace { rule } if rule.proto == Some(17)));
+        assert!(
+            matches!(&deltas[0], PolicyDelta::Replace { rule } if rule.matcher.nw_proto == Some(17))
+        );
         assert_eq!(apply_all(old, &deltas), new);
     }
 

@@ -12,8 +12,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use livesec_net::{FlowKey, MacAddr};
 use livesec_services::{
-    AhoCorasick, ContentInspectionEngine, IdsEngine, IdsRule, Inspector, ProtoIdEngine,
-    SignatureEngine,
+    AhoCorasick, ContentInspectionEngine, IdsEngine, IdsRule, ProtoIdEngine, SignatureEngine,
 };
 
 const SIZES: [usize; 3] = [64, 1_400, 16 * 1024];

@@ -1,7 +1,7 @@
 //! Inspection engines: the security functions service elements run.
 //!
-//! Each engine implements [`Inspector`]: given a flow key and a packet
-//! payload, it may produce a [`Finding`]. The engines substitute for
+//! Each engine implements [`Inspector`]: given a flow key and a packet,
+//! it may produce a [`Finding`]. The engines substitute for
 //! the paper's ported open-source tools — [`IdsEngine`] for Snort,
 //! [`ProtoIdEngine`] for Linux L7-filter — with the same interface
 //! contract: scan the first packets of a flow, raise an event report
@@ -11,6 +11,7 @@ use crate::aho::AhoCorasick;
 use crate::msg::{ServiceType, Verdict};
 use livesec_conntrack::{ConnEvent, ConnKey, ConnTable, PacketState};
 use livesec_net::{FlowKey, HashSet, Ipv4Net, Packet, SessionKey};
+use livesec_openflow::Match;
 use livesec_sim::SimTime;
 use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
@@ -40,23 +41,10 @@ pub trait Inspector: 'static {
     /// The service type this engine provides (for online messages).
     fn service(&self) -> ServiceType;
 
-    /// Inspects one packet of a flow. Returns a finding the SE should
-    /// report, or `None`. Engines are responsible for deduplicating
-    /// per-flow reports.
-    fn inspect(&mut self, flow: &FlowKey, payload: &[u8]) -> Option<Finding>;
-
-    /// Inspects one full packet with the simulation clock available.
-    /// Stateful engines (connection tracking) override this; the
-    /// default extracts the transport payload and delegates to
-    /// [`Inspector::inspect`].
-    fn inspect_packet(&mut self, flow: &FlowKey, pkt: &Packet, _now: SimTime) -> Option<Finding> {
-        let payload = pkt
-            .ipv4()
-            .and_then(|ip| ip.transport.payload())
-            .map(|p| p.content())
-            .unwrap_or(&[]);
-        self.inspect(flow, payload)
-    }
+    /// Inspects one packet of a flow at simulated time `now`. Returns a
+    /// finding the SE should report, or `None`. Engines are responsible
+    /// for deduplicating per-flow reports.
+    fn inspect_packet(&mut self, flow: &FlowKey, pkt: &Packet, now: SimTime) -> Option<Finding>;
 
     /// Periodic housekeeping, driven off the SE's report timer.
     /// Stateful engines use it to expire idle connection state and
@@ -74,8 +62,8 @@ pub trait Inspector: 'static {
     }
 }
 
-/// One IDS rule: a byte pattern plus metadata and optional header
-/// constraints (the subset of a Snort rule header the engines honor).
+/// One IDS rule: a byte pattern plus metadata and a header selector
+/// (the subset of a Snort rule header the engines honor).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct IdsRule {
     /// Stable rule identifier.
@@ -86,16 +74,8 @@ pub struct IdsRule {
     pub pattern: Vec<u8>,
     /// Severity reported with the finding.
     pub severity: Severity,
-    /// IP protocol constraint (`None` = any).
-    pub proto: Option<u8>,
-    /// Source prefix constraint.
-    pub src: Option<Ipv4Net>,
-    /// Destination prefix constraint.
-    pub dst: Option<Ipv4Net>,
-    /// Source port constraint.
-    pub src_port: Option<u16>,
-    /// Destination port constraint.
-    pub dst_port: Option<u16>,
+    /// The flows the rule applies to (ingress port wildcarded).
+    pub header: Match,
 }
 
 impl IdsRule {
@@ -106,22 +86,17 @@ impl IdsRule {
             name: name.to_owned(),
             pattern: pattern.to_vec(),
             severity,
-            proto: None,
-            src: None,
-            dst: None,
-            src_port: None,
-            dst_port: None,
+            header: Match::any(),
         }
     }
+}
 
-    /// Whether the rule's header constraints accept `flow`.
-    pub fn header_matches(&self, flow: &FlowKey) -> bool {
-        self.proto.map(|p| p == flow.nw_proto).unwrap_or(true)
-            && self.src.map(|n| n.contains(flow.nw_src)).unwrap_or(true)
-            && self.dst.map(|n| n.contains(flow.nw_dst)).unwrap_or(true)
-            && self.src_port.map(|p| p == flow.tp_src).unwrap_or(true)
-            && self.dst_port.map(|p| p == flow.tp_dst).unwrap_or(true)
-    }
+/// The transport payload of `pkt`; empty when it carries none.
+fn payload(pkt: &Packet) -> &[u8] {
+    pkt.ipv4()
+        .and_then(|ip| ip.transport.payload())
+        .map(|p| p.content())
+        .unwrap_or(&[])
 }
 
 /// A generic multi-signature scanning engine over payload bytes.
@@ -173,22 +148,10 @@ impl SignatureEngine {
     pub fn rules(&self) -> &[IdsRule] {
         &self.rules
     }
-}
 
-/// Whether `rule` accepts the header of `flow` and has not been
-/// reported on its session, which it now is. Out of line: it runs once
-/// per rule and payload, the scan callback around it once per hit.
-#[inline(never)]
-fn first_report(rule: &IdsRule, flow: &FlowKey, reported: &mut HashSet<(SessionKey, u32)>) -> bool {
-    rule.header_matches(flow) && reported.insert((flow.session(), rule.id))
-}
-
-impl Inspector for SignatureEngine {
-    fn service(&self) -> ServiceType {
-        self.service
-    }
-
-    fn inspect(&mut self, flow: &FlowKey, payload: &[u8]) -> Option<Finding> {
+    /// Scans one payload of `flow` (the packet path's body, and what
+    /// the payload-shape benches time directly).
+    pub fn inspect(&mut self, flow: &FlowKey, payload: &[u8]) -> Option<Finding> {
         if payload.is_empty() {
             return None;
         }
@@ -230,6 +193,24 @@ impl Inspector for SignatureEngine {
             flow: *flow,
             verdict,
         })
+    }
+}
+
+/// Whether `rule` accepts the header of `flow` and has not been
+/// reported on its session, which it now is. Out of line: it runs once
+/// per rule and payload, the scan callback around it once per hit.
+#[inline(never)]
+fn first_report(rule: &IdsRule, flow: &FlowKey, reported: &mut HashSet<(SessionKey, u32)>) -> bool {
+    rule.header.matches(0, flow) && reported.insert((flow.session(), rule.id))
+}
+
+impl Inspector for SignatureEngine {
+    fn service(&self) -> ServiceType {
+        self.service
+    }
+
+    fn inspect_packet(&mut self, flow: &FlowKey, pkt: &Packet, _now: SimTime) -> Option<Finding> {
+        self.inspect(flow, payload(pkt))
     }
 }
 
@@ -331,17 +312,16 @@ impl ContentInspectionEngine {
 /// The L7-filter-substitute protocol identification engine.
 ///
 /// Classifies flows by payload prefix patterns (and a port fallback),
-/// reporting each connection's application once. The packet path keeps
-/// a connection-tracking table and classifies from the reassembled
-/// first bytes of *both* directions, so server-banner protocols (SMTP,
+/// reporting each connection's application once. It keeps a
+/// connection-tracking table and classifies from the reassembled first
+/// bytes of *both* directions, so server-banner protocols (SMTP,
 /// SSH) identify even when the client speaks first with an
 /// unrecognizable payload.
 #[derive(Debug, Clone)]
 pub struct ProtoIdEngine {
-    identified: HashSet<SessionKey>,
     conntrack: ConnTable,
     conn_identified: HashSet<ConnKey>,
-    /// Sessions identified so far (diagnostics).
+    /// Connections identified so far (diagnostics).
     pub identifications: u64,
 }
 
@@ -349,7 +329,6 @@ impl ProtoIdEngine {
     /// Creates the engine.
     pub fn new() -> Self {
         ProtoIdEngine {
-            identified: HashSet::default(),
             conntrack: ConnTable::new(),
             conn_identified: HashSet::default(),
             identifications: 0,
@@ -400,30 +379,9 @@ impl Inspector for ProtoIdEngine {
         ServiceType::ProtocolIdentification
     }
 
-    fn inspect(&mut self, flow: &FlowKey, payload: &[u8]) -> Option<Finding> {
-        let session = flow.session();
-        if self.identified.contains(&session) {
-            return None;
-        }
-        let app = Self::classify(payload, flow.tp_src, flow.tp_dst)?;
-        self.identified.insert(session);
-        self.identifications += 1;
-        Some(Finding {
-            flow: *flow,
-            verdict: Verdict::Application {
-                app: app.to_owned(),
-            },
-        })
-    }
-
     fn inspect_packet(&mut self, flow: &FlowKey, pkt: &Packet, now: SimTime) -> Option<Finding> {
-        let payload = pkt
-            .ipv4()
-            .and_then(|ip| ip.transport.payload())
-            .map(|p| p.content())
-            .unwrap_or(&[]);
         let flags = pkt.tcp().map(|t| t.flags);
-        let obs = self.conntrack.observe(flow, flags, payload, now);
+        let obs = self.conntrack.observe(flow, flags, payload(pkt), now);
         if self.conn_identified.contains(&obs.key) {
             return None;
         }
@@ -505,7 +463,8 @@ impl StateMatch {
     }
 }
 
-/// One firewall rule over flow-key fields; `None` = any.
+/// One firewall rule: a header selector, an optional connection-state
+/// qualifier, and an action.
 ///
 /// Rules are evaluated **first-match-wins**: the first rule whose every
 /// constraint accepts the packet decides the action, and later rules
@@ -516,14 +475,8 @@ impl StateMatch {
 pub struct FwRule {
     /// Rule name, reported on deny.
     pub name: String,
-    /// Source prefix constraint.
-    pub src: Option<Ipv4Net>,
-    /// Destination prefix constraint.
-    pub dst: Option<Ipv4Net>,
-    /// IP protocol constraint.
-    pub proto: Option<u8>,
-    /// Destination port constraint.
-    pub dst_port: Option<u16>,
+    /// The flows the rule applies to (ingress port wildcarded).
+    pub matcher: Match,
     /// Connection-state qualifier (stateful matching).
     pub state: Option<StateMatch>,
     /// What to do on match.
@@ -536,10 +489,7 @@ impl FwRule {
     pub fn any(name: &str, action: FwAction) -> Self {
         FwRule {
             name: name.to_owned(),
-            src: None,
-            dst: None,
-            proto: None,
-            dst_port: None,
+            matcher: Match::any(),
             state: None,
             action,
         }
@@ -552,25 +502,25 @@ impl FwRule {
 
     /// Constrains the source prefix.
     pub fn src(mut self, net: Ipv4Net) -> Self {
-        self.src = Some(net);
+        self.matcher = self.matcher.with_nw_src(net);
         self
     }
 
     /// Constrains the destination prefix.
     pub fn dst(mut self, net: Ipv4Net) -> Self {
-        self.dst = Some(net);
+        self.matcher = self.matcher.with_nw_dst(net);
         self
     }
 
     /// Constrains the IP protocol.
     pub fn proto(mut self, proto: u8) -> Self {
-        self.proto = Some(proto);
+        self.matcher = self.matcher.with_nw_proto(proto);
         self
     }
 
     /// Constrains the destination port.
     pub fn dst_port(mut self, port: u16) -> Self {
-        self.dst_port = Some(port);
+        self.matcher = self.matcher.with_tp_dst(port);
         self
     }
 
@@ -578,38 +528,6 @@ impl FwRule {
     pub fn state(mut self, state: StateMatch) -> Self {
         self.state = Some(state);
         self
-    }
-
-    fn matches(&self, flow: &FlowKey, ps: PacketState) -> bool {
-        self.src.map(|n| n.contains(flow.nw_src)).unwrap_or(true)
-            && self.dst.map(|n| n.contains(flow.nw_dst)).unwrap_or(true)
-            && self.proto.map(|p| p == flow.nw_proto).unwrap_or(true)
-            && self.dst_port.map(|p| p == flow.tp_dst).unwrap_or(true)
-            && self.state.map(|s| s.admits(ps)).unwrap_or(true)
-    }
-
-    /// Whether every packet this rule's successor `other` could match
-    /// is already matched by `self` (i.e. `other` is shadowed).
-    fn covers(&self, other: &FwRule) -> bool {
-        fn net_covers(a: Option<Ipv4Net>, b: Option<Ipv4Net>) -> bool {
-            match (a, b) {
-                (None, _) => true,
-                (Some(_), None) => false,
-                (Some(a), Some(b)) => a.contains_net(&b),
-            }
-        }
-        fn eq_covers<T: PartialEq>(a: &Option<T>, b: &Option<T>) -> bool {
-            match (a, b) {
-                (None, _) => true,
-                (Some(_), None) => false,
-                (Some(a), Some(b)) => a == b,
-            }
-        }
-        net_covers(self.src, other.src)
-            && net_covers(self.dst, other.dst)
-            && eq_covers(&self.proto, &other.proto)
-            && eq_covers(&self.dst_port, &other.dst_port)
-            && eq_covers(&self.state, &other.state)
     }
 }
 
@@ -659,7 +577,8 @@ impl FirewallEngine {
     pub fn try_new(rules: Vec<FwRule>, default_action: FwAction) -> Result<Self, String> {
         for (i, earlier) in rules.iter().enumerate() {
             for later in &rules[i + 1..] {
-                if earlier.covers(later) {
+                let state_covers = earlier.state.is_none() || earlier.state == later.state;
+                if earlier.matcher.covers(&later.matcher) && state_covers {
                     return Err(format!(
                         "rule \"{}\" is shadowed by earlier rule \"{}\" and can never match",
                         later.name, earlier.name
@@ -692,20 +611,13 @@ impl FirewallEngine {
         &self.conntrack
     }
 
-    /// Evaluates a flow header against the rule chain as a
-    /// connection-opening packet (the stateless view; first match
-    /// wins). Returns the action and the matched rule's name.
-    pub fn evaluate(&self, flow: &FlowKey) -> (FwAction, Option<&str>) {
-        self.evaluate_stateful(flow, PacketState::New)
-    }
-
     /// Evaluates a flow header with its conntrack classification.
     /// First match wins; if no rule claims an `Established` packet it
     /// is admitted regardless of the default action (reverse-flow
     /// admission).
     pub fn evaluate_stateful(&self, flow: &FlowKey, ps: PacketState) -> (FwAction, Option<&str>) {
         for rule in &self.rules {
-            if rule.matches(flow, ps) {
+            if rule.matcher.matches(0, flow) && rule.state.is_none_or(|s| s.admits(ps)) {
                 return (rule.action, Some(&rule.name));
             }
         }
@@ -715,18 +627,6 @@ impl FirewallEngine {
             (self.default_action, None)
         }
     }
-
-    fn deny_finding(&mut self, flow: &FlowKey, name: Option<&str>) -> Option<Finding> {
-        let policy = name.unwrap_or("default-deny").to_owned();
-        if !self.reported.insert(flow.session()) {
-            return None;
-        }
-        self.denials += 1;
-        Some(Finding {
-            flow: *flow,
-            verdict: Verdict::PolicyViolation { policy },
-        })
-    }
 }
 
 impl Inspector for FirewallEngine {
@@ -734,24 +634,9 @@ impl Inspector for FirewallEngine {
         ServiceType::Firewall
     }
 
-    fn inspect(&mut self, flow: &FlowKey, _payload: &[u8]) -> Option<Finding> {
-        // Stateless path (no packet context): header evaluation only.
-        let (action, name) = self.evaluate(flow);
-        if !action.is_deny() {
-            return None;
-        }
-        let name = name.map(str::to_owned);
-        self.deny_finding(flow, name.as_deref())
-    }
-
     fn inspect_packet(&mut self, flow: &FlowKey, pkt: &Packet, now: SimTime) -> Option<Finding> {
-        let payload = pkt
-            .ipv4()
-            .and_then(|ip| ip.transport.payload())
-            .map(|p| p.content())
-            .unwrap_or(&[]);
         let flags = pkt.tcp().map(|t| t.flags);
-        let obs = self.conntrack.observe(flow, flags, payload, now);
+        let obs = self.conntrack.observe(flow, flags, payload(pkt), now);
 
         // SYN-flood detection: too many half-open connections held by
         // one source. Reported once per source.
@@ -805,8 +690,15 @@ impl Inspector for FirewallEngine {
         if !action.is_deny() {
             return None;
         }
-        let name = name.map(str::to_owned);
-        self.deny_finding(flow, name.as_deref())
+        let policy = name.unwrap_or("default-deny").to_owned();
+        if !self.reported.insert(flow.session()) {
+            return None;
+        }
+        self.denials += 1;
+        Some(Finding {
+            flow: *flow,
+            verdict: Verdict::PolicyViolation { policy },
+        })
     }
 
     fn poll(&mut self, now: SimTime) -> Vec<Finding> {
@@ -950,9 +842,9 @@ mod tests {
     #[test]
     fn header_veto_lets_the_scan_continue_to_a_later_rule() {
         let mut web_only = IdsRule::new(1, "alpha on 8080", b"alpha", Severity::new(4));
-        web_only.dst_port = Some(8080);
+        web_only.header = Match::any().with_tp_dst(8080);
         let mut udp_only = IdsRule::new(2, "beta on udp", b"beta", Severity::new(5));
-        udp_only.proto = Some(17);
+        udp_only.header = Match::any().with_nw_proto(17);
         let anywhere = IdsRule::new(3, "gamma anywhere", b"gamma", Severity::new(6));
         let engine = SignatureEngine::new(
             ServiceType::IntrusionDetection,
@@ -1031,23 +923,6 @@ mod tests {
     }
 
     #[test]
-    fn protoid_reports_once_per_session() {
-        let mut engine = ProtoIdEngine::new();
-        let f = flow(80);
-        let first = engine.inspect(&f, b"GET / HTTP/1.1");
-        assert!(matches!(
-            first,
-            Some(Finding {
-                verdict: Verdict::Application { .. },
-                ..
-            })
-        ));
-        assert!(engine.inspect(&f, b"GET /2 HTTP/1.1").is_none());
-        assert!(engine.inspect(&f.reversed(), b"HTTP/1.1 200").is_none());
-        assert_eq!(engine.identifications, 1);
-    }
-
-    #[test]
     fn virus_scan_finds_eicar() {
         let mut av = VirusScanEngine::engine();
         let hit = av
@@ -1081,11 +956,9 @@ mod tests {
             ],
             FwAction::Allow,
         );
-        assert_eq!(fw.evaluate(&flow(80)), (FwAction::Allow, Some("allow-web")));
-        assert_eq!(
-            fw.evaluate(&flow(23)),
-            (FwAction::Deny, Some("default-deny"))
-        );
+        let evaluate = |f: &FlowKey| fw.evaluate_stateful(f, PacketState::New);
+        assert_eq!(evaluate(&flow(80)), (FwAction::Allow, Some("allow-web")));
+        assert_eq!(evaluate(&flow(23)), (FwAction::Deny, Some("default-deny")));
     }
 
     #[test]
@@ -1119,6 +992,20 @@ mod tests {
     }
 
     #[test]
+    fn a_slash_zero_prefix_shadows_a_later_wildcard_rule() {
+        // `0.0.0.0/0` accepts every source, so this deny covers the
+        // allow exactly as a wildcard source would.
+        let shadowed = vec![
+            FwRule::deny_all("deny-everyone").src("0.0.0.0/0".parse().unwrap()),
+            FwRule::any("allow-web", FwAction::Allow)
+                .proto(6)
+                .dst_port(80),
+        ];
+        let err = FirewallEngine::try_new(shadowed, FwAction::Allow).unwrap_err();
+        assert!(err.contains("allow-web"), "{err}");
+    }
+
+    #[test]
     #[should_panic(expected = "shadowed")]
     fn firewall_new_panics_on_shadowed_chain() {
         FirewallEngine::new(
@@ -1133,17 +1020,20 @@ mod tests {
             vec![FwRule::deny_all("block-lab-subnet").src("10.0.0.0/24".parse().unwrap())],
             FwAction::Allow,
         );
-        assert_eq!(fw.evaluate(&flow(80)).0, FwAction::Deny);
+        let evaluate = |f: &FlowKey| fw.evaluate_stateful(f, PacketState::New).0;
+        assert_eq!(evaluate(&flow(80)), FwAction::Deny);
         let mut external = flow(80);
         external.nw_src = "192.168.0.1".parse().unwrap();
-        assert_eq!(fw.evaluate(&external).0, FwAction::Allow);
+        assert_eq!(evaluate(&external), FwAction::Allow);
     }
 
     #[test]
     fn firewall_reports_deny_once() {
         let mut fw = FirewallEngine::new(vec![FwRule::deny_all("deny")], FwAction::Allow);
-        assert!(fw.inspect(&flow(80), b"").is_some());
-        assert!(fw.inspect(&flow(80), b"").is_none());
+        let f = flow(80);
+        let syn = tcp_packet(&f, TcpFlags::SYN, &[]);
+        assert!(fw.inspect_packet(&f, &syn, t(0)).is_some());
+        assert!(fw.inspect_packet(&f, &syn, t(1)).is_none());
         assert_eq!(fw.denials, 1);
     }
 
@@ -1311,7 +1201,7 @@ mod tests {
     }
 
     #[test]
-    fn protoid_packet_path_reports_once_per_connection() {
+    fn protoid_reports_once_per_session() {
         let mut engine = ProtoIdEngine::new();
         let f = flow(80);
         let req = tcp_packet(&f, TcpFlags::PSH | TcpFlags::ACK, b"GET / HTTP/1.1");

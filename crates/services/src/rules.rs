@@ -3,7 +3,8 @@
 //! The paper builds its intrusion-detection elements by porting Snort;
 //! this module provides the operational half of that fidelity: rule
 //! sets are written in (a subset of) Snort's rule syntax and compiled
-//! into [`IdsRule`]s for the [`SignatureEngine`].
+//! into [`IdsRule`]s for the [`SignatureEngine`]. A rule's header
+//! becomes its [`Match`] selector.
 //!
 //! Supported grammar, one rule per line:
 //!
@@ -23,6 +24,7 @@
 use crate::engines::{IdsRule, Severity, SignatureEngine};
 use crate::msg::ServiceType;
 use livesec_net::Ipv4Net;
+use livesec_openflow::Match;
 use std::fmt;
 
 /// Error from [`parse_rules`], with the offending line number.
@@ -173,11 +175,15 @@ fn parse_line(text: &str, line: usize, default_sid: u32) -> Result<IdsRule, Rule
     }
 
     let mut rule = IdsRule::new(default_sid, "unnamed rule", b"?", Severity::new(5));
-    rule.proto = parse_proto(proto, line)?;
-    rule.src = parse_addr(src, line)?;
-    rule.dst = parse_addr(dst, line)?;
-    rule.src_port = parse_port(src_port, line)?;
-    rule.dst_port = parse_port(dst_port, line)?;
+    rule.header = Match {
+        nw_proto: parse_proto(proto, line)?,
+        nw_src: parse_addr(src, line)?,
+        nw_dst: parse_addr(dst, line)?,
+        tp_src: parse_port(src_port, line)?,
+        tp_dst: parse_port(dst_port, line)?,
+        ..Match::any()
+    }
+    .normalized();
 
     let mut content = None;
     for (key, value) in split_options(&text[open + 1..close], line)? {
@@ -212,7 +218,7 @@ fn parse_line(text: &str, line: usize, default_sid: u32) -> Result<IdsRule, Rule
 /// let rules = livesec_services::parse_rules(
 ///     r#"alert tcp any any -> any 80 (msg:"demo"; content:"attack"; sid:1;)"#,
 /// )?;
-/// assert_eq!(rules[0].dst_port, Some(80));
+/// assert_eq!(rules[0].header.tp_dst, Some(80));
 /// # Ok(())
 /// # }
 /// ```
@@ -250,7 +256,6 @@ impl SignatureEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engines::Inspector;
     use livesec_net::{FlowKey, MacAddr};
 
     fn flow(proto: u8, dst_port: u16) -> FlowKey {
@@ -281,15 +286,15 @@ alert udp any any -> any 53 (msg:"DNS tunnel marker"; content:"xfiltr8"; sid:100
         assert_eq!(rules[0].id, 1001);
         assert_eq!(rules[0].name, "WEB passwd grab");
         assert_eq!(rules[0].pattern, b"/etc/passwd");
-        assert_eq!(rules[0].proto, Some(6));
-        assert_eq!(rules[0].dst_port, Some(80));
+        assert_eq!(rules[0].header.nw_proto, Some(6));
+        assert_eq!(rules[0].header.tp_dst, Some(80));
         assert_eq!(rules[0].severity, Severity(8));
 
         assert_eq!(rules[1].pattern, vec![0x90, 0x90, 0x90, 0x90]);
-        assert_eq!(rules[1].src, Some("10.0.0.0/24".parse().unwrap()));
-        assert_eq!(rules[1].dst_port, None);
+        assert_eq!(rules[1].header.nw_src, Some("10.0.0.0/24".parse().unwrap()));
+        assert_eq!(rules[1].header.tp_dst, None);
 
-        assert_eq!(rules[2].proto, Some(17));
+        assert_eq!(rules[2].header.nw_proto, Some(17));
         assert_eq!(rules[2].severity, Severity(5), "default priority");
     }
 

@@ -136,12 +136,6 @@ impl AsSwitch {
     /// every table-hit forward whose packet tag divides `every` is
     /// attested to the controller. 0 (the default) disables
     /// attestation — existing deployments are byte-identical.
-    pub fn with_attest_every(mut self, every: u64) -> Self {
-        self.attest_every = every;
-        self
-    }
-
-    /// Runtime setter for the attestation sampling divisor.
     pub fn set_attest_every(&mut self, every: u64) {
         self.attest_every = every;
     }

@@ -17,16 +17,6 @@ use livesec_sim::{FaultKind, FaultPlan, SimDuration};
 use livesec_verify::{audit_settled, Snapshot, Violation};
 use livesec_workloads::scenario::{CampusScenario, ChaosConfig, ScenarioConfig};
 
-const INVARIANTS: [&str; 7] = [
-    "blocked-reachable",
-    "forwarding-loop",
-    "blackhole",
-    "chain-skipped",
-    "stale-fastpass",
-    "shadowed-rule",
-    "quarantine-leak",
-];
-
 fn usage() -> ! {
     eprintln!(
         "usage: livesec-verify --scenario \
@@ -68,9 +58,6 @@ fn main() {
     };
 
     if violations.is_empty() {
-        for inv in INVARIANTS {
-            println!("  proved: {inv}");
-        }
         println!("ok: all invariants hold");
     } else {
         for v in &violations {

@@ -817,10 +817,10 @@ mod tests {
     fn udp_blaster_hits_target_rate() {
         let blaster = UdpBlaster::new("10.0.0.2".parse().unwrap(), 50_000_000)
             .with_start_delay(SimDuration::from_millis(10));
-        let (mut world, _ha, hb) = two_hosts(blaster, crate::scenario::IdleApp);
+        let (mut world, _ha, hb) = two_hosts(blaster, livesec::deploy::NullApp);
         // 500 ms of sending.
         world.run_for(SimDuration::from_millis(510));
-        let sink = world.node::<Host<crate::scenario::IdleApp>>(hb);
+        let sink = world.node::<Host<livesec::deploy::NullApp>>(hb);
         let achieved = (sink.rx_bytes() * 8) as f64 / 0.5;
         assert!(
             (achieved - 50_000_000.0).abs() / 50_000_000.0 < 0.1,
@@ -834,7 +834,7 @@ mod tests {
             .with_start_delay(SimDuration::from_millis(10))
             .with_interval(SimDuration::from_millis(5))
             .with_max_pings(20);
-        let (mut world, ha, _) = two_hosts(pinger, crate::scenario::IdleApp);
+        let (mut world, ha, _) = two_hosts(pinger, livesec::deploy::NullApp);
         world.run_for(SimDuration::from_secs(1));
         let p = world.node::<Host<Pinger>>(ha);
         assert_eq!(p.app().sent, 20);

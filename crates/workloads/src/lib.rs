@@ -36,7 +36,7 @@ pub use apps::{
     AttackClient, DhcpClient, HttpClient, HttpServer, Pinger, SshSession, SynFlood, TcpEchoServer,
     UdpBlaster,
 };
-pub use scenario::{CampusScenario, ChaosConfig, IdleApp, ScenarioConfig};
+pub use scenario::{CampusScenario, ChaosConfig, ScenarioConfig};
 
 /// Convenient glob-import surface: `use livesec_workloads::prelude::*;`.
 pub mod prelude {
@@ -44,5 +44,5 @@ pub mod prelude {
         AttackClient, DhcpClient, HttpClient, HttpServer, Pinger, SshSession, SynFlood,
         TcpEchoServer, UdpBlaster,
     };
-    pub use crate::scenario::{CampusScenario, ChaosConfig, IdleApp, ScenarioConfig};
+    pub use crate::scenario::{CampusScenario, ChaosConfig, ScenarioConfig};
 }

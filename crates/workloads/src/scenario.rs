@@ -15,15 +15,6 @@ use livesec_sim::{FaultKind, FaultPlan, SimDuration};
 use livesec_switch::{App, HostIo};
 use std::net::Ipv4Addr;
 
-/// An application that does nothing at all (pure traffic sink).
-///
-/// Unlike [`livesec::deploy::NullApp`] this lives here so workloads
-/// tests can reference it without the core crate's builder.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct IdleApp;
-
-impl App for IdleApp {}
-
 /// A user who browses the web until `switch_at`, then starts a
 /// BitTorrent download (Figure 8's behavioural change).
 #[derive(Debug)]

@@ -17,7 +17,7 @@ fn main() {
     let rev1 = compile(REV1).expect("campus.lsp compiles");
     println!("campus.lsp: {} rules", rev1.table.len());
     for rule in rev1.table.iter() {
-        println!("  {rule:?}");
+        println!("  {}: {} -> {:?}", rule.name, rule.matcher, rule.decision);
     }
     for limit in &rev1.rate_limits {
         println!("  advisory: cap `{}` at {} bps", limit.rule, limit.bps);

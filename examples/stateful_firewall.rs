@@ -26,7 +26,7 @@ fn main() {
     let server = b.add_gateway_with_app(0, HttpServer::new());
     // A silent victim: the flood's probes are never answered, so each
     // one leaves a half-open entry in the firewall's conntrack.
-    let victim = b.add_user(0, IdleApp);
+    let victim = b.add_user(0, NullApp);
     let fw = b.add_service_element(
         1,
         ServiceElement::new(

@@ -8,7 +8,7 @@
 
 use livesec_suite::prelude::*;
 use livesec_verify::{audit_delta, audit_settled, RuleDelta, Snapshot};
-use livesec_workloads::{CampusScenario, ChaosConfig, IdleApp, ScenarioConfig};
+use livesec_workloads::{CampusScenario, ChaosConfig, ScenarioConfig};
 
 /// AS switches in the default campus: 3 OvS + the Wi-Fi AP.
 const N_SWITCHES: u64 = 4;
@@ -320,7 +320,7 @@ fn idle_network_expiry_runs_from_the_periodic_timer() {
     let mut b = CampusBuilder::new(5, 1)
         .with_policy(PolicyTable::allow_all())
         .configure_controller(|c| c.set_arp_timeout(SimDuration::from_secs(2)));
-    let user = b.add_user(0, IdleApp);
+    let user = b.add_user(0, NullApp);
     let mut campus = b.finish();
     campus.world.run_for(SimDuration::from_secs(6));
 
