@@ -157,10 +157,10 @@ impl Controller {
                 .active
                 .get(&k)
                 .filter(|r| !at_uplink && r.block.is_none());
-            if let Some(rec) = release {
+            if let (Some(rec), Some(node)) = (release, self.node_of(dpid)) {
                 let program = if k == key { &rec.forward } else { &rec.reverse };
-                let actions = program.ingress_actions().to_vec();
-                self.packet_out(dpid, Some(in_port), actions, pkt);
+                self.tx
+                    .packet_out(node, Some(in_port), program.ingress_actions(), pkt);
             }
             return;
         }
@@ -188,8 +188,7 @@ impl Controller {
                 // Release the triggering packet along the new path (the
                 // flow-mods were queued first on the same channel, so
                 // they are applied before this packet-out).
-                let actions = forward.ingress_actions().to_vec();
-                self.packet_out(dpid, Some(in_port), actions, pkt);
+                self.packet_out(dpid, Some(in_port), forward.ingress_actions(), pkt);
                 for mac in &elements {
                     self.registry.adjust_outstanding(*mac, 1);
                 }

@@ -47,11 +47,12 @@ use crate::topology::TopologyMap;
 use livesec_net::packet::{arp_frame, lldp_frame};
 use livesec_net::{wire, ArpOp, ArpPacket, DhcpMessage, FlowKey, HashMap, HashSet, LldpFrame};
 use livesec_net::{MacAddr, Packet, PacketBuilder};
-use livesec_openflow::{codec, Action, FlowModCommand, FlowStats, Match, OfMessage};
+use livesec_openflow::codec::{self, FlowModRef};
+use livesec_openflow::{Action, FlowModCommand, FlowStats, Match, OfMessage};
 use livesec_openflow::{PortStatusReason, StatsBody, StatsRequestKind};
 use livesec_services::{SeMessage, ServiceType, Verdict, SE_CONTROL_PORT};
 use livesec_sim::{Ctx, Node, NodeId, PortId, SimDuration, SimTime};
-use outbox::{delete_strict, ingress_cookies, Entry, TxBatch};
+use outbox::{delete_strict, ingress_cookies, Entry, Outbox};
 use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
@@ -192,7 +193,6 @@ pub struct NibSnapshot {
 /// constant of its modules. The [`crate::controller`] module docs
 /// name the module that handles each input.
 pub struct Controller {
-    xid: u32,
     topo: TopologyMap,
     locations: LocationTable,
     registry: SeRegistry,
@@ -220,10 +220,9 @@ pub struct Controller {
     /// admission — taken by the sharded plane to count flows whose
     /// ingress and egress land on different shards (handoffs).
     last_setup: Option<(FlowKey, u64, u64)>,
-    /// Per-switch control messages queued during the current event
-    /// dispatch, and the batching counters of `fast_path_stats`.
-    txq: Vec<TxBatch>,
-    batching: FastPathStats,
+    /// Control messages queued during the current event dispatch,
+    /// and the batching counters of `fast_path_stats`.
+    tx: Outbox,
 
     /// Last control message seen per registered switch (liveness).
     switch_liveness: BTreeMap<u64, SimTime>,
@@ -314,7 +313,6 @@ impl Controller {
     /// `set_*` method.
     pub fn new() -> Self {
         Controller {
-            xid: 1,
             topo: TopologyMap::new(),
             locations: LocationTable::new(),
             registry: SeRegistry::new(),
@@ -327,8 +325,7 @@ impl Controller {
             caches: vec![Some(DecisionCache::new())],
             active_shard: 0,
             last_setup: None,
-            txq: Vec::new(),
-            batching: FastPathStats::default(),
+            tx: Outbox::new(),
             switch_liveness: BTreeMap::new(),
             known_nodes: HashMap::default(),
             blocks: BTreeMap::new(),
@@ -671,7 +668,7 @@ impl Controller {
     /// invalidations (summed over the shards' caches), and the batching
     /// figures.
     pub fn fast_path_stats(&self) -> FastPathStats {
-        let mut s = self.batching;
+        let mut s = self.tx.stats;
         for c in self.shard_cache_stats().flatten() {
             s.hits += c.hits;
             s.misses += c.misses;

@@ -4,12 +4,33 @@
 
 use super::*;
 
-/// Control messages queued for one switch during the current event
-/// dispatch; flushed as a single concatenated payload.
+/// Every control message of the current event dispatch, for every
+/// switch, and the batching counters of `fast_path_stats`.
+///
+/// Each frame is written once, in place, into one arena in send
+/// order; `runs` records which switch's batch each stretch of the
+/// arena belongs to. [`Outbox::flush`] copies each batch into one
+/// payload of exactly its size and clears the arena but keeps its
+/// capacity, so between dispatches the controller holds one buffer,
+/// not one per switch.
 #[derive(Debug)]
-pub(super) struct TxBatch {
+pub(super) struct Outbox {
+    xid: u32,
+    /// The switches written to this dispatch, in first-use order.
+    batches: Vec<TxBatch>,
+    arena: Vec<u8>,
+    /// `(batch, start, end)`: arena bytes `start..end` belong to the
+    /// batch at that index. Back-to-back frames for one batch share a
+    /// run.
+    runs: Vec<(usize, usize, usize)>,
+    pub(super) stats: FastPathStats,
+}
+
+/// What one switch's payload holds so far.
+#[derive(Debug)]
+struct TxBatch {
     node: NodeId,
-    buf: Vec<u8>,
+    len: usize,
     msgs: u64,
     has_flow_mod: bool,
 }
@@ -73,12 +94,12 @@ impl<'a> Entry<'a> {
     }
 
     /// The flow-mod that installs (or replaces) this entry.
-    pub(super) fn add(&self) -> OfMessage {
-        OfMessage::FlowMod {
+    pub(super) fn add(&self) -> FlowModRef<'_> {
+        FlowModRef {
             command: FlowModCommand::Add,
-            matcher: self.matcher,
+            matcher: &self.matcher,
             priority: self.priority,
-            actions: self.actions.to_vec(),
+            actions: self.actions,
             idle_timeout: self.idle,
             hard_timeout: None,
             cookie: self.cookie,
@@ -88,12 +109,12 @@ impl<'a> Entry<'a> {
 }
 
 /// The flow-mod that deletes exactly the `(matcher, priority)` entry.
-pub(super) fn delete_strict(matcher: Match, priority: u16) -> OfMessage {
-    OfMessage::FlowMod {
+pub(super) fn delete_strict(matcher: &Match, priority: u16) -> FlowModRef<'_> {
+    FlowModRef {
         command: FlowModCommand::DeleteStrict,
         matcher,
         priority,
-        actions: Vec::new(),
+        actions: &[],
         idle_timeout: None,
         hard_timeout: None,
         cookie: 0,
@@ -109,67 +130,159 @@ pub(super) const fn ingress_cookies(source: ProofSource) -> (u64, u64) {
     }
 }
 
-impl Controller {
-    /// Queues `msg` for `node`; everything queued during one event
-    /// dispatch goes out as a single per-switch payload (see
-    /// [`Controller::flush`]).
-    pub(super) fn send(&mut self, node: NodeId, msg: &OfMessage) {
-        let xid = self.xid;
-        self.xid = self.xid.wrapping_add(1);
-        let bytes = codec::encode(msg, xid);
-        let is_flow_mod = matches!(msg, OfMessage::FlowMod { .. });
-        self.batching.messages_batched += 1;
-        match self.txq.iter_mut().find(|b| b.node == node) {
-            Some(b) => {
-                b.buf.extend_from_slice(&bytes);
-                b.msgs += 1;
-                b.has_flow_mod |= is_flow_mod;
-            }
-            None => self.txq.push(TxBatch {
-                node,
-                buf: bytes,
-                msgs: 1,
-                has_flow_mod: is_flow_mod,
-            }),
+impl Outbox {
+    pub(super) fn new() -> Self {
+        Outbox {
+            xid: 1,
+            batches: Vec::new(),
+            arena: Vec::new(),
+            runs: Vec::new(),
+            stats: FastPathStats::default(),
         }
     }
 
-    /// Transmits everything queued by [`Controller::send`]: one
-    /// control payload per switch, in first-use order. A batch that
-    /// carries flow-mods is terminated with a barrier request, so the
-    /// switch acknowledges only after every entry of the batch is
-    /// applied — per-switch ordering is by in-order processing of the
-    /// concatenated frames, and the barrier delimits the transaction.
-    pub(crate) fn flush(&mut self, ctx: &mut Ctx<'_>) {
-        if self.txq.is_empty() {
-            return;
+    /// Queues `msg` for `node`; everything queued during one event
+    /// dispatch goes out as a single per-switch payload (see
+    /// [`Outbox::flush`]).
+    pub(super) fn send(&mut self, node: NodeId, msg: &OfMessage) {
+        let is_flow_mod = matches!(msg, OfMessage::FlowMod { .. });
+        self.queue(node, is_flow_mod, |xid, buf| {
+            codec::encode_into(msg, xid, buf);
+        });
+    }
+
+    /// Queues the flow-mod `fm` for `node`.
+    pub(super) fn flow_mod(&mut self, node: NodeId, fm: &FlowModRef<'_>) {
+        self.queue(node, true, |xid, buf| fm.encode_into(xid, buf));
+    }
+
+    /// Queues a packet-out that releases `pkt` from `node` with
+    /// `actions`; the packet is serialized straight into the payload.
+    pub(super) fn packet_out(
+        &mut self,
+        node: NodeId,
+        in_port: Option<u32>,
+        actions: &[Action],
+        pkt: &Packet,
+    ) {
+        self.queue(node, false, |xid, buf| {
+            codec::encode_packet_out_into(in_port, actions, pkt, xid, buf);
+        });
+    }
+
+    /// Writes one frame with the next transaction id at the end of the
+    /// arena and books it to `node`'s batch.
+    fn queue(&mut self, node: NodeId, is_flow_mod: bool, write: impl FnOnce(u32, &mut Vec<u8>)) {
+        let xid = self.next_xid();
+        self.stats.messages_batched += 1;
+        let batch = self
+            .batches
+            .iter()
+            .position(|b| b.node == node)
+            .unwrap_or_else(|| {
+                self.batches.push(TxBatch {
+                    node,
+                    len: 0,
+                    msgs: 0,
+                    has_flow_mod: false,
+                });
+                self.batches.len() - 1
+            });
+        self.append(batch, is_flow_mod, |buf| write(xid, buf));
+    }
+
+    fn next_xid(&mut self) -> u32 {
+        let xid = self.xid;
+        self.xid = xid.wrapping_add(1);
+        xid
+    }
+
+    /// Books the frame `write` puts at the end of the arena to the
+    /// batch at index `batch`.
+    fn append(&mut self, batch: usize, is_flow_mod: bool, write: impl FnOnce(&mut Vec<u8>)) {
+        let start = self.arena.len();
+        write(&mut self.arena);
+        let end = self.arena.len();
+        if let Some(b) = self.batches.get_mut(batch) {
+            b.len += end - start;
+            b.msgs += 1;
+            b.has_flow_mod |= is_flow_mod;
         }
-        for mut batch in std::mem::take(&mut self.txq) {
-            if batch.has_flow_mod {
-                let xid = self.xid;
-                self.xid = self.xid.wrapping_add(1);
-                batch
-                    .buf
-                    .extend_from_slice(&codec::encode(&OfMessage::BarrierRequest, xid));
-                batch.msgs += 1;
+        match self.runs.last_mut() {
+            Some((b, _, run_end)) if *b == batch && *run_end == start => *run_end = end,
+            _ => self.runs.push((batch, start, end)),
+        }
+    }
+
+    /// Transmits everything queued by [`Outbox::send`] and its
+    /// siblings: one control payload per switch, in first-use order. A
+    /// batch that carries flow-mods is terminated with a barrier
+    /// request, so the switch acknowledges only after every entry of
+    /// the batch is applied — per-switch ordering is by in-order
+    /// processing of the concatenated frames, and the barrier
+    /// delimits the transaction.
+    pub(super) fn flush(&mut self, ctx: &mut Ctx<'_>) {
+        self.seal();
+        self.assemble(|node, payload| ctx.send_control(node, payload));
+    }
+
+    /// Ends each batch that carries a flow-mod with a barrier request,
+    /// in first-use order.
+    fn seal(&mut self) {
+        for batch in 0..self.batches.len() {
+            if self.batches.get(batch).is_some_and(|b| b.has_flow_mod) {
+                let xid = self.next_xid();
+                self.append(batch, false, |buf| {
+                    codec::encode_into(&OfMessage::BarrierRequest, xid, buf);
+                });
             }
-            self.batching.batches_flushed += 1;
-            self.batching.max_batch_len = self.batching.max_batch_len.max(batch.msgs);
-            ctx.send_control(batch.node, batch.buf);
         }
+    }
+
+    /// Hands each batch's frames, copied into one payload of exactly
+    /// their size, to `send`, in first-use order, and empties the
+    /// outbox.
+    fn assemble(&mut self, mut send: impl FnMut(NodeId, Vec<u8>)) {
+        // Starts are distinct, so the order is total.
+        self.runs.sort_unstable();
+        let mut runs = self.runs.iter().peekable();
+        for (i, batch) in self.batches.iter().enumerate() {
+            let mut payload = Vec::with_capacity(batch.len);
+            while let Some(&(_, start, end)) = runs.next_if(|r| r.0 == i) {
+                payload.extend_from_slice(self.arena.get(start..end).unwrap_or_default());
+            }
+            self.stats.batches_flushed += 1;
+            self.stats.max_batch_len = self.stats.max_batch_len.max(batch.msgs);
+            send(batch.node, payload);
+        }
+        self.batches.clear();
+        self.runs.clear();
+        self.arena.clear();
+    }
+}
+
+impl Controller {
+    /// Transmits everything this dispatch queued (see
+    /// [`Outbox::flush`]).
+    pub(crate) fn flush(&mut self, ctx: &mut Ctx<'_>) {
+        self.tx.flush(ctx);
+    }
+
+    /// The node of switch `dpid`, if it is registered.
+    pub(super) fn node_of(&self, dpid: u64) -> Option<NodeId> {
+        self.topo.switch(dpid).map(|s| s.node)
     }
 
     pub(super) fn send_to_dpid(&mut self, dpid: u64, msg: &OfMessage) {
-        if let Some(node) = self.topo.switch(dpid).map(|s| s.node) {
-            self.send(node, msg);
+        if let Some(node) = self.node_of(dpid) {
+            self.tx.send(node, msg);
         }
     }
 
     /// Queues `msg` for every registered switch, in dpid order.
     pub(super) fn send_to_all(&mut self, msg: &OfMessage) {
-        let nodes: Vec<NodeId> = self.topo.switches().map(|s| s.node).collect();
-        for node in nodes {
-            self.send(node, msg);
+        for s in self.topo.switches() {
+            self.tx.send(s.node, msg);
         }
     }
 
@@ -177,7 +290,9 @@ impl Controller {
     /// from a record the caller holds, never from `self`.
     pub(super) fn install<'a>(&mut self, entries: impl IntoIterator<Item = Entry<'a>>) {
         for e in entries {
-            self.send_to_dpid(e.dpid, &e.add());
+            if let Some(node) = self.node_of(e.dpid) {
+                self.tx.flow_mod(node, &e.add());
+            }
         }
     }
 
@@ -185,29 +300,30 @@ impl Controller {
     /// [`Controller::install`].
     pub(super) fn uninstall<'a>(&mut self, entries: impl IntoIterator<Item = Entry<'a>>) {
         for e in entries {
-            self.send_to_dpid(e.dpid, &delete_strict(e.matcher, e.priority));
+            if let Some(node) = self.node_of(e.dpid) {
+                self.tx
+                    .flow_mod(node, &delete_strict(&e.matcher, e.priority));
+            }
         }
     }
 
+    /// Queues a packet-out of `pkt` from switch `dpid`.
     pub(super) fn packet_out(
         &mut self,
         dpid: u64,
         in_port: Option<u32>,
-        actions: Vec<Action>,
+        actions: &[Action],
         pkt: &Packet,
     ) {
-        let msg = OfMessage::PacketOut {
-            in_port,
-            actions,
-            data: wire::serialize(pkt),
-        };
-        self.send_to_dpid(dpid, &msg);
+        if let Some(node) = self.node_of(dpid) {
+            self.tx.packet_out(node, in_port, actions, pkt);
+        }
     }
 
     /// Emits a controller-made frame out of one port of a switch.
     pub(super) fn emit(&mut self, dpid: u64, port: u32, pkt: &Packet) {
         let out = Action::Output(livesec_openflow::OutPort::Physical(port));
-        self.packet_out(dpid, None, vec![out], pkt);
+        self.packet_out(dpid, None, &[out], pkt);
     }
 }
 
@@ -218,12 +334,68 @@ pub(super) mod tests {
     /// Takes everything the handlers queued since the last flush, as
     /// `(switch node, message)` in send order per switch.
     pub(in crate::controller) fn drain(c: &mut Controller) -> Vec<(NodeId, OfMessage)> {
-        std::mem::take(&mut c.txq)
-            .into_iter()
-            .flat_map(|b| {
-                let msgs = codec::decode_all(&b.buf).expect("the controller's own encoding");
-                msgs.into_iter().map(move |(m, _)| (b.node, m))
-            })
-            .collect()
+        let mut out = Vec::new();
+        c.tx.assemble(|node, payload| {
+            let msgs = codec::decode_all(&payload).expect("the controller's own encoding");
+            out.extend(msgs.into_iter().map(|(m, _)| (node, m)));
+        });
+        out
+    }
+
+    #[test]
+    fn interleaved_frames_leave_as_one_exact_payload_per_switch() {
+        let (a, b) = (NodeId::from_index(4), NodeId::from_index(9));
+        let m = Match::any().with_dl_dst(MacAddr::from_u64(7));
+        let out = [Action::Output(livesec_openflow::OutPort::Physical(2))];
+        let pkt = arp_frame(ArpPacket::request(
+            MacAddr::from_u64(1),
+            Ipv4Addr::new(10, 0, 0, 1),
+            Ipv4Addr::new(10, 0, 0, 2),
+        ));
+        let mut tx = Outbox::new();
+        tx.send(a, &OfMessage::EchoRequest(1)); // xid 1
+        tx.flow_mod(b, &delete_strict(&m, 5)); // xid 2
+        tx.flow_mod(a, &delete_strict(&m, 6)); // xid 3
+        tx.packet_out(a, Some(3), &out, &pkt); // xid 4, same run as 3
+        tx.send(b, &OfMessage::EchoRequest(2)); // xid 5
+        tx.seal(); // barriers: a gets xid 6, b xid 7
+        let mut payloads = Vec::new();
+        tx.assemble(|node, payload| payloads.push((node, payload)));
+
+        let fm = |priority| delete_strict(&m, priority).to_message();
+        let packet_out = OfMessage::PacketOut {
+            in_port: Some(3),
+            actions: out.to_vec(),
+            data: wire::serialize(&pkt),
+        };
+        let want = [
+            (
+                a,
+                vec![
+                    (OfMessage::EchoRequest(1), 1),
+                    (fm(6), 3),
+                    (packet_out, 4),
+                    (OfMessage::BarrierRequest, 6),
+                ],
+            ),
+            (
+                b,
+                vec![
+                    (fm(5), 2),
+                    (OfMessage::EchoRequest(2), 5),
+                    (OfMessage::BarrierRequest, 7),
+                ],
+            ),
+        ];
+        assert_eq!(payloads.len(), want.len());
+        for ((node, payload), (want_node, want_msgs)) in payloads.iter().zip(want) {
+            assert_eq!(*node, want_node);
+            assert_eq!(payload.capacity(), payload.len(), "exact size");
+            assert_eq!(codec::decode_all(payload).unwrap(), want_msgs);
+        }
+        assert!(tx.arena.is_empty() && tx.runs.is_empty() && tx.batches.is_empty());
+        assert_eq!(tx.stats.batches_flushed, 2);
+        assert_eq!(tx.stats.max_batch_len, 4);
+        assert_eq!(tx.stats.messages_batched, 5);
     }
 }

@@ -55,15 +55,15 @@ impl Controller {
                     self.health.degraded_reports += 1;
                     self.monitor.record(now, EventKind::DegradedMode { dpid });
                 }
-                self.send(peer, &OfMessage::Hello);
-                self.send(peer, &OfMessage::FeaturesRequest);
+                self.tx.send(peer, &OfMessage::Hello);
+                self.tx.send(peer, &OfMessage::FeaturesRequest);
             }
             OfMessage::EchoRequest(v) => {
                 // A keepalive from a switch we deregistered (it never
                 // noticed the outage): kick a re-handshake so it
                 // re-registers and gets audited.
                 if dpid.is_none() && self.known_nodes.contains_key(&peer) {
-                    self.send(peer, &OfMessage::FeaturesRequest);
+                    self.tx.send(peer, &OfMessage::FeaturesRequest);
                 }
                 return Some(v);
             }
@@ -402,7 +402,7 @@ impl Controller {
         for e in self.desired_for(dpid) {
             want.insert((e.matcher, e.priority));
             if !have.contains(&(e.matcher, e.priority)) {
-                missing.push((e.matcher, e.priority, e.add()));
+                missing.push((e.matcher, e.priority, e.add().to_message()));
             }
         }
         // Both sides come out of hash containers; sort the fix lists so
@@ -413,11 +413,13 @@ impl Controller {
         stale.sort_by_key(|(m, p)| (*p, m.to_string()));
         missing.sort_by_key(|(m, p, _)| (*p, m.to_string()));
         let (removed, reinstalled) = (stale.len() as u64, missing.len() as u64);
-        for (matcher, priority) in stale {
-            self.send_to_dpid(dpid, &delete_strict(matcher, priority));
-        }
-        for (_, _, add) in &missing {
-            self.send_to_dpid(dpid, add);
+        if let Some(node) = self.node_of(dpid) {
+            for (matcher, priority) in &stale {
+                self.tx.flow_mod(node, &delete_strict(matcher, *priority));
+            }
+            for (_, _, add) in &missing {
+                self.tx.send(node, add);
+            }
         }
         self.health.flows_removed += removed;
         self.health.flows_reinstalled += reinstalled;

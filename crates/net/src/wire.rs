@@ -69,29 +69,40 @@ impl From<Truncated> for ParseError {
 
 /// Computes the Internet checksum (RFC 1071) of `data`.
 pub fn internet_checksum(data: &[u8]) -> u16 {
-    let mut sum: u32 = 0;
+    fold(word_sum(data))
+}
+
+/// The sum of `data` as big-endian 16-bit words, an odd last byte
+/// padded with zero.
+fn word_sum(data: &[u8]) -> u64 {
     let (pairs, odd) = data.as_chunks::<2>();
-    for &pair in pairs {
-        sum += u32::from(u16::from_be_bytes(pair));
-    }
+    let mut sum: u64 = pairs
+        .iter()
+        .map(|&pair| u64::from(u16::from_be_bytes(pair)))
+        .sum();
     if let [last] = odd {
-        sum += u32::from(u16::from_be_bytes([*last, 0]));
+        sum += u64::from(u16::from_be_bytes([*last, 0]));
     }
+    sum
+}
+
+/// The one's complement of the end-around-carry fold of `sum`.
+fn fold(mut sum: u64) -> u16 {
     while sum > 0xffff {
         sum = (sum & 0xffff) + (sum >> 16);
     }
     !(sum as u16)
 }
 
+/// The transport checksum of `segment` under the IPv4 pseudo-header.
+/// The pseudo-header is an even 12 bytes, so its words sum apart from
+/// the segment's and nothing is copied.
 fn checksum_with_pseudo(src: Ipv4Addr, dst: Ipv4Addr, proto: u8, segment: &[u8]) -> u16 {
-    let mut buf = Vec::with_capacity(12 + segment.len());
-    buf.extend_from_slice(&src.octets());
-    buf.extend_from_slice(&dst.octets());
-    buf.push(0);
-    buf.push(proto);
-    buf.extend_from_slice(&(segment.len() as u16).to_be_bytes());
-    buf.extend_from_slice(segment);
-    internet_checksum(&buf)
+    let [s0, s1, s2, s3] = src.octets();
+    let [d0, d1, d2, d3] = dst.octets();
+    let [l0, l1] = (segment.len() as u16).to_be_bytes();
+    let pseudo = [s0, s1, s2, s3, d0, d1, d2, d3, 0, proto, l0, l1];
+    fold(word_sum(&pseudo) + word_sum(segment))
 }
 
 /// Sums `out[from..]` and stores the checksum big-endian `slot` bytes
@@ -117,6 +128,13 @@ fn put_payload(out: &mut Vec<u8>, payload: &Payload) {
 /// Serializes a packet to its on-wire byte form (without FCS/padding).
 pub fn serialize(pkt: &Packet) -> Vec<u8> {
     let mut out = Vec::with_capacity(pkt.wire_len());
+    serialize_into(pkt, &mut out);
+    out
+}
+
+/// Appends the on-wire byte form of `pkt` to `out`, leaving what `out`
+/// already holds as it was: the bytes [`serialize`] returns.
+pub fn serialize_into(pkt: &Packet, out: &mut Vec<u8>) {
     out.extend_from_slice(&pkt.eth.dst.octets());
     out.extend_from_slice(&pkt.eth.src.octets());
     if let Some(tag) = pkt.eth.vlan {
@@ -125,12 +143,11 @@ pub fn serialize(pkt: &Packet) -> Vec<u8> {
     }
     out.extend_from_slice(&pkt.eth.ethertype.as_u16().to_be_bytes());
     match &pkt.body {
-        Body::Arp(arp) => serialize_arp(&mut out, arp),
-        Body::Ipv4(ip) => serialize_ipv4(&mut out, ip),
-        Body::Lldp(lldp) => serialize_lldp(&mut out, lldp),
-        Body::Raw(payload) => put_payload(&mut out, payload),
+        Body::Arp(arp) => serialize_arp(out, arp),
+        Body::Ipv4(ip) => serialize_ipv4(out, ip),
+        Body::Lldp(lldp) => serialize_lldp(out, lldp),
+        Body::Raw(payload) => put_payload(out, payload),
     }
-    out
 }
 
 fn serialize_arp(out: &mut Vec<u8>, arp: &ArpPacket) {
@@ -537,5 +554,27 @@ mod tests {
         let mut with = data.to_vec();
         with.extend_from_slice(&c.to_be_bytes());
         assert_eq!(internet_checksum(&with), 0);
+    }
+
+    #[test]
+    fn pseudo_header_checksum_is_the_checksum_of_the_concatenation() {
+        let (src, dst) = (
+            "10.0.0.1".parse().unwrap(),
+            "192.168.7.254".parse().unwrap(),
+        );
+        for len in [0, 1, 2, 7, 20, 1401] {
+            let segment: Vec<u8> = (0..len).map(|i| (i * 37 % 251) as u8 ^ 0xa5).collect();
+            let mut whole = Vec::new();
+            whole.extend_from_slice(&Ipv4Addr::octets(&src));
+            whole.extend_from_slice(&Ipv4Addr::octets(&dst));
+            whole.extend_from_slice(&[0, 17]);
+            whole.extend_from_slice(&(len as u16).to_be_bytes());
+            whole.extend_from_slice(&segment);
+            assert_eq!(
+                checksum_with_pseudo(src, dst, 17, &segment),
+                internet_checksum(&whole),
+                "{len}-byte segment"
+            );
+        }
     }
 }

@@ -60,70 +60,55 @@ impl SwitchChannel {
     /// concatenated messages (the controller's per-switch flow-mod
     /// batches).
     ///
-    /// Returns the auto-replies (already encoded, ready to transmit)
-    /// and the messages that need switch-specific handling. Replies are
-    /// generated per message in arrival order — in particular the reply
-    /// to a batch-terminating [`OfMessage::BarrierRequest`] is only
-    /// encoded after every preceding message in the batch was
-    /// processed, which is what makes the barrier an ordering
-    /// guarantee.
+    /// A batch is all-or-nothing: every frame is decoded before any is
+    /// acted on. Then the protocol chores are answered through `reply`,
+    /// one encoded frame each, in arrival order, and the messages that
+    /// need switch-specific handling are returned, in arrival order.
+    /// The caller transmits the replies as they come and handles the
+    /// returned messages after, so the reply to a batch-terminating
+    /// [`OfMessage::BarrierRequest`] leaves before the batch's entries
+    /// are applied — the simulated switch applies them synchronously
+    /// in the same dispatch, so the barrier still holds.
     ///
     /// # Errors
     ///
     /// Returns [`CodecError`] if any frame doesn't decode; no message
-    /// of a malformed batch is surfaced.
+    /// of a malformed batch is answered or surfaced.
     pub fn receive_all(
         &mut self,
         bytes: &[u8],
-    ) -> Result<(Vec<Vec<u8>>, Vec<OfMessage>), CodecError> {
+        reply: &mut dyn FnMut(Vec<u8>),
+    ) -> Result<impl Iterator<Item = OfMessage> + use<>, CodecError> {
         let msgs = decode_all(bytes)?;
-        let mut replies = Vec::new();
-        let mut up = Vec::new();
-        for (msg, xid) in msgs {
-            if let Some(m) = self.process(msg, xid, &mut replies) {
-                up.push(m);
-            }
+        for (msg, xid) in &msgs {
+            let answer = match msg {
+                OfMessage::EchoRequest(v) => OfMessage::EchoReply(*v),
+                OfMessage::FeaturesRequest => OfMessage::FeaturesReply {
+                    datapath_id: self.datapath_id,
+                    n_ports: self.n_ports,
+                },
+                OfMessage::BarrierRequest => OfMessage::BarrierReply,
+                OfMessage::EchoReply(_) => {
+                    self.echo_replies_seen += 1;
+                    continue;
+                }
+                _ => continue,
+            };
+            reply(encode(&answer, *xid));
         }
-        Ok((replies, up))
+        Ok(msgs.into_iter().filter_map(|(msg, _)| surfaced(msg)))
     }
+}
 
-    /// Handles one decoded message: answers protocol chores in place,
-    /// returns messages that need switch-specific handling.
-    fn process(
-        &mut self,
-        msg: OfMessage,
-        xid: u32,
-        replies: &mut Vec<Vec<u8>>,
-    ) -> Option<OfMessage> {
-        match msg {
-            OfMessage::Hello => None,
-            OfMessage::EchoRequest(v) => {
-                replies.push(encode(&OfMessage::EchoReply(v), xid));
-                None
-            }
-            OfMessage::EchoReply(_) => {
-                self.echo_replies_seen += 1;
-                None
-            }
-            OfMessage::FeaturesRequest => {
-                replies.push(encode(
-                    &OfMessage::FeaturesReply {
-                        datapath_id: self.datapath_id,
-                        n_ports: self.n_ports,
-                    },
-                    xid,
-                ));
-                None
-            }
-            // The simulated switch processes messages synchronously in
-            // arrival order, so by the time a barrier is seen all prior
-            // messages have been applied.
-            OfMessage::BarrierRequest => {
-                replies.push(encode(&OfMessage::BarrierReply, xid));
-                None
-            }
-            other => Some(other),
-        }
+/// `msg` unless the channel handles it by itself.
+fn surfaced(msg: OfMessage) -> Option<OfMessage> {
+    match msg {
+        OfMessage::Hello
+        | OfMessage::EchoRequest(_)
+        | OfMessage::EchoReply(_)
+        | OfMessage::FeaturesRequest
+        | OfMessage::BarrierRequest => None,
+        other => Some(other),
     }
 }
 
@@ -133,11 +118,21 @@ mod tests {
     use crate::codec::decode;
     use crate::flow_match::Match;
 
+    /// The replies `bytes` draws and the messages it surfaces.
+    fn receive(
+        ch: &mut SwitchChannel,
+        bytes: &[u8],
+    ) -> Result<(Vec<Vec<u8>>, Vec<OfMessage>), CodecError> {
+        let mut replies = Vec::new();
+        let up = ch.receive_all(bytes, &mut |r| replies.push(r))?.collect();
+        Ok((replies, up))
+    }
+
     #[test]
     fn hello_is_absorbed() {
         let mut ch = SwitchChannel::new(42, 4);
         let hello = encode(&OfMessage::Hello, 1);
-        let (replies, up) = ch.receive_all(&hello).unwrap();
+        let (replies, up) = receive(&mut ch, &hello).unwrap();
         assert!(replies.is_empty());
         assert!(up.is_empty());
     }
@@ -146,7 +141,7 @@ mod tests {
     fn echo_answered_with_same_xid_and_payload() {
         let mut ch = SwitchChannel::new(42, 4);
         let req = encode(&OfMessage::EchoRequest(777), 55);
-        let (replies, up) = ch.receive_all(&req).unwrap();
+        let (replies, up) = receive(&mut ch, &req).unwrap();
         assert!(up.is_empty());
         assert_eq!(replies.len(), 1);
         let (msg, xid) = decode(&replies[0]).unwrap();
@@ -158,7 +153,7 @@ mod tests {
     fn features_reports_identity() {
         let mut ch = SwitchChannel::new(0xabc, 24);
         let req = encode(&OfMessage::FeaturesRequest, 9);
-        let (replies, _) = ch.receive_all(&req).unwrap();
+        let (replies, _) = receive(&mut ch, &req).unwrap();
         let (msg, _) = decode(&replies[0]).unwrap();
         assert_eq!(
             msg,
@@ -173,7 +168,7 @@ mod tests {
     fn barrier_acknowledged() {
         let mut ch = SwitchChannel::new(1, 1);
         let req = encode(&OfMessage::BarrierRequest, 3);
-        let (replies, up) = ch.receive_all(&req).unwrap();
+        let (replies, up) = receive(&mut ch, &req).unwrap();
         assert!(up.is_empty());
         let (msg, xid) = decode(&replies[0]).unwrap();
         assert_eq!(msg, OfMessage::BarrierReply);
@@ -185,7 +180,7 @@ mod tests {
         let mut ch = SwitchChannel::new(1, 1);
         let fm = OfMessage::add_flow(Match::any(), vec![], 1);
         let bytes = encode(&fm, 2);
-        let (replies, up) = ch.receive_all(&bytes).unwrap();
+        let (replies, up) = receive(&mut ch, &bytes).unwrap();
         assert!(replies.is_empty());
         assert_eq!(up, vec![fm]);
     }
@@ -193,7 +188,7 @@ mod tests {
     #[test]
     fn garbage_rejected() {
         let mut ch = SwitchChannel::new(1, 1);
-        assert!(ch.receive_all(&[1, 2, 3]).is_err());
+        assert!(receive(&mut ch, &[1, 2, 3]).is_err());
     }
 
     #[test]
@@ -214,7 +209,7 @@ mod tests {
         let mut payload = encode(&fm1, 7);
         payload.extend_from_slice(&encode(&fm2, 8));
         payload.extend_from_slice(&encode(&OfMessage::BarrierRequest, 9));
-        let (replies, up) = ch.receive_all(&payload).unwrap();
+        let (replies, up) = receive(&mut ch, &payload).unwrap();
         assert_eq!(up, vec![fm1, fm2]);
         assert_eq!(replies.len(), 1, "only the barrier is acknowledged");
         let (msg, xid) = decode(&replies[0]).unwrap();
@@ -227,7 +222,7 @@ mod tests {
         let mut ch = SwitchChannel::new(0xd, 8);
         let mut payload = encode(&OfMessage::Hello, 1);
         payload.extend_from_slice(&encode(&OfMessage::FeaturesRequest, 2));
-        let (replies, up) = ch.receive_all(&payload).unwrap();
+        let (replies, up) = receive(&mut ch, &payload).unwrap();
         assert!(up.is_empty());
         assert_eq!(replies.len(), 1);
         let (msg, _) = decode(&replies[0]).unwrap();
@@ -243,8 +238,7 @@ mod tests {
     #[test]
     fn reset_forgets_session_but_keeps_identity() {
         let mut ch = SwitchChannel::new(0xabc, 24);
-        ch.receive_all(&encode(&OfMessage::EchoReply(1), 1))
-            .unwrap();
+        receive(&mut ch, &encode(&OfMessage::EchoReply(1), 1)).unwrap();
         let _ = ch.send(&OfMessage::Hello);
         assert_eq!(ch.echo_replies_seen, 1);
         ch.reset();
@@ -260,6 +254,6 @@ mod tests {
         let mut ch = SwitchChannel::new(1, 1);
         let mut payload = encode(&OfMessage::add_flow(Match::any(), vec![], 1), 7);
         payload.extend_from_slice(&[1, 2, 3]);
-        assert!(ch.receive_all(&payload).is_err());
+        assert!(receive(&mut ch, &payload).is_err());
     }
 }

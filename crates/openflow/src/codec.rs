@@ -3,6 +3,14 @@
 //! Every message is framed by an OpenFlow-style 10-byte header:
 //! version (1), type (1), total length (4), transaction id (4). Bodies
 //! are big-endian; variable-length fields carry 4-byte length prefixes.
+//!
+//! One writer produces every frame. [`encode_into`] appends a frame to
+//! a caller's buffer (the controller's per-switch payloads);
+//! [`encode`] runs the same writer over a byte counter first, so its
+//! buffer is allocated once at the frame's exact size. The two set-up
+//! messages also encode from borrowed parts — [`FlowModRef`] and
+//! [`encode_packet_out_into`] — to the same bytes as their owned
+//! [`OfMessage`].
 
 #![warn(clippy::indexing_slicing)]
 
@@ -12,7 +20,7 @@ use crate::message::{
     FlowModCommand, FlowRemovedReason, FlowStats, ForwardingAttestation, OfMessage, PacketInReason,
     PortStats, PortStatusReason, StatsBody, StatsRequestKind,
 };
-use livesec_net::{Cursor, FlowKey, Ipv4Net, MacAddr, Truncated};
+use livesec_net::{wire, Cursor, FlowKey, Ipv4Net, MacAddr, Packet, Truncated};
 use std::fmt;
 use std::net::Ipv4Addr;
 
@@ -74,25 +82,25 @@ const P_IN_PORT: u32 = 0xfff8;
 const P_FLOOD: u32 = 0xfffb;
 const P_CONTROLLER: u32 = 0xfffd;
 
-struct Writer {
-    buf: Vec<u8>,
-}
+/// Length of the frame header: version, type, total length, xid.
+const HEADER_LEN: usize = 10;
 
-impl Writer {
-    fn new() -> Self {
-        Writer { buf: Vec::new() }
-    }
+/// Where the one writer puts a frame's bytes: a buffer it appends to,
+/// or a count of the bytes it would append ([`Len`]), so [`encode`]
+/// can size its buffer exactly before it writes.
+trait Sink {
+    fn put(&mut self, bytes: &[u8]);
     fn u8(&mut self, v: u8) {
-        self.buf.push(v);
+        self.put(&[v]);
     }
     fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
+        self.put(&v.to_be_bytes());
     }
     fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
+        self.put(&v.to_be_bytes());
     }
     fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
+        self.put(&v.to_be_bytes());
     }
     fn bool(&mut self, v: bool) {
         self.u8(v as u8);
@@ -117,16 +125,31 @@ impl Writer {
     }
     fn bytes(&mut self, v: &[u8]) {
         self.u32(v.len() as u32);
-        self.buf.extend_from_slice(v);
+        self.put(v);
     }
     fn string(&mut self, v: &str) {
         self.bytes(v.as_bytes());
     }
     fn mac(&mut self, v: MacAddr) {
-        self.buf.extend_from_slice(&v.octets());
+        self.put(&v.octets());
     }
     fn ip(&mut self, v: Ipv4Addr) {
-        self.buf.extend_from_slice(&v.octets());
+        self.put(&v.octets());
+    }
+}
+
+impl Sink for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+}
+
+/// A sink that only counts.
+struct Len(usize);
+
+impl Sink for Len {
+    fn put(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len();
     }
 }
 
@@ -151,7 +174,7 @@ fn get_string(r: &mut Cursor<'_>) -> Result<String, CodecError> {
     String::from_utf8(get_bytes(r)?).map_err(|_| CodecError::BadField("string"))
 }
 
-fn put_match(w: &mut Writer, m: &Match) {
+fn put_match(w: &mut impl Sink, m: &Match) {
     let mut bits: u16 = 0;
     let fields = [
         m.in_port.is_some(),
@@ -263,7 +286,7 @@ fn get_match(r: &mut Cursor<'_>) -> Result<Match, CodecError> {
     Ok(m.normalized())
 }
 
-fn put_flow_key(w: &mut Writer, k: &FlowKey) {
+fn put_flow_key(w: &mut impl Sink, k: &FlowKey) {
     w.opt_u32(k.vlan.map(u32::from));
     w.mac(k.dl_src);
     w.mac(k.dl_dst);
@@ -293,7 +316,7 @@ fn get_flow_key(r: &mut Cursor<'_>) -> Result<FlowKey, CodecError> {
     })
 }
 
-fn put_out_port(w: &mut Writer, p: OutPort) {
+fn put_out_port(w: &mut impl Sink, p: OutPort) {
     w.u32(match p {
         OutPort::Physical(n) => n,
         OutPort::InPort => P_IN_PORT,
@@ -312,7 +335,7 @@ fn get_out_port(r: &mut Cursor<'_>) -> Result<OutPort, CodecError> {
     })
 }
 
-fn put_actions(w: &mut Writer, actions: &[Action]) {
+fn put_actions(w: &mut impl Sink, actions: &[Action]) {
     w.u32(actions.len() as u32);
     for a in actions {
         match *a {
@@ -379,16 +402,142 @@ fn get_actions(r: &mut Cursor<'_>) -> Result<Vec<Action>, CodecError> {
     Ok(out)
 }
 
-/// Encodes `msg` with transaction id `xid`.
+/// A flow-mod whose match and actions stay with their owner: it
+/// encodes to exactly the bytes of the [`OfMessage::FlowMod`] with the
+/// same fields, without first copying the actions into one.
+#[derive(Debug, Clone, Copy)]
+pub struct FlowModRef<'a> {
+    /// What the switch does with the entry.
+    pub command: FlowModCommand,
+    /// The entry's match.
+    pub matcher: &'a Match,
+    /// The entry's priority.
+    pub priority: u16,
+    /// The entry's actions.
+    pub actions: &'a [Action],
+    /// Idle timeout in nanoseconds.
+    pub idle_timeout: Option<u64>,
+    /// Hard timeout in nanoseconds.
+    pub hard_timeout: Option<u64>,
+    /// Opaque controller cookie.
+    pub cookie: u64,
+    /// Whether the switch reports the entry's removal.
+    pub notify_removed: bool,
+}
+
+impl FlowModRef<'_> {
+    /// Appends this flow-mod's frame, with transaction id `xid`, to
+    /// `buf`.
+    pub fn encode_into(&self, xid: u32, buf: &mut Vec<u8>) {
+        let start = begin_frame(buf, T_FLOW_MOD, xid);
+        put_flow_mod(buf, self);
+        end_frame(buf, start);
+    }
+
+    /// The owned message, for a caller that must let go of the owner
+    /// before the flow-mod is sent.
+    pub fn to_message(&self) -> OfMessage {
+        OfMessage::FlowMod {
+            command: self.command,
+            matcher: *self.matcher,
+            priority: self.priority,
+            actions: self.actions.to_vec(),
+            idle_timeout: self.idle_timeout,
+            hard_timeout: self.hard_timeout,
+            cookie: self.cookie,
+            notify_removed: self.notify_removed,
+        }
+    }
+}
+
+/// Appends the frame of `msg`, with transaction id `xid`, to `buf`.
+/// The frame's length field counts from the frame's own first byte, so
+/// whatever `buf` already holds is left as it was.
+pub fn encode_into(msg: &OfMessage, xid: u32, buf: &mut Vec<u8>) {
+    let start = begin_frame(buf, msg_type(msg), xid);
+    put_body(buf, msg);
+    end_frame(buf, start);
+}
+
+/// Encodes `msg` with transaction id `xid` into a buffer of exactly
+/// the frame's size: one allocation.
 pub fn encode(msg: &OfMessage, xid: u32) -> Vec<u8> {
-    let mut w = Writer::new();
-    // Header placeholder; length patched at the end.
-    w.u8(VERSION);
-    let (ty, body_at) = (msg_type(msg), 10usize);
-    w.u8(ty);
-    w.u32(0);
-    w.u32(xid);
-    debug_assert_eq!(w.buf.len(), body_at);
+    let mut len = Len(HEADER_LEN);
+    put_body(&mut len, msg);
+    let mut buf = Vec::with_capacity(len.0);
+    encode_into(msg, xid, &mut buf);
+    debug_assert_eq!(buf.len(), len.0);
+    buf
+}
+
+/// Appends the frame of a packet-out that releases `pkt` with
+/// `actions`, serializing the packet in place: the bytes equal
+/// [`encode`] of the [`OfMessage::PacketOut`] whose `data` is
+/// [`wire::serialize`]`(pkt)`.
+pub fn encode_packet_out_into(
+    in_port: Option<u32>,
+    actions: &[Action],
+    pkt: &Packet,
+    xid: u32,
+    buf: &mut Vec<u8>,
+) {
+    let start = begin_frame(buf, T_PACKET_OUT, xid);
+    put_packet_out_head(buf, in_port, actions);
+    let data_len_at = buf.len();
+    buf.u32(0);
+    wire::serialize_into(pkt, buf);
+    let data_len = buf.len() - data_len_at - 4;
+    patch_u32(buf, data_len_at, data_len);
+    end_frame(buf, start);
+}
+
+/// Appends a frame header whose length is patched by [`end_frame`];
+/// returns where the frame starts.
+fn begin_frame(buf: &mut Vec<u8>, ty: u8, xid: u32) -> usize {
+    let start = buf.len();
+    buf.u8(VERSION);
+    buf.u8(ty);
+    buf.u32(0);
+    buf.u32(xid);
+    start
+}
+
+/// Patches the length of the frame that starts at `start` and runs to
+/// the end of `buf`.
+fn end_frame(buf: &mut [u8], start: usize) {
+    patch_u32(buf, start + 2, buf.len() - start);
+}
+
+fn patch_u32(buf: &mut [u8], at: usize, v: usize) {
+    if let Some(slot) = buf.get_mut(at..at + 4) {
+        slot.copy_from_slice(&(v as u32).to_be_bytes());
+    }
+}
+
+fn put_flow_mod(w: &mut impl Sink, m: &FlowModRef<'_>) {
+    w.u8(match m.command {
+        FlowModCommand::Add => 0,
+        FlowModCommand::Modify => 1,
+        FlowModCommand::ModifyStrict => 2,
+        FlowModCommand::Delete => 3,
+        FlowModCommand::DeleteStrict => 4,
+    });
+    put_match(w, m.matcher);
+    w.u16(m.priority);
+    put_actions(w, m.actions);
+    w.opt_u64(m.idle_timeout);
+    w.opt_u64(m.hard_timeout);
+    w.u64(m.cookie);
+    w.bool(m.notify_removed);
+}
+
+fn put_packet_out_head(w: &mut impl Sink, in_port: Option<u32>, actions: &[Action]) {
+    w.opt_u32(in_port);
+    put_actions(w, actions);
+}
+
+/// Writes everything of `msg` after the frame header.
+fn put_body(w: &mut impl Sink, msg: &OfMessage) {
     match msg {
         OfMessage::Hello
         | OfMessage::FeaturesRequest
@@ -419,8 +568,7 @@ pub fn encode(msg: &OfMessage, xid: u32) -> Vec<u8> {
             actions,
             data,
         } => {
-            w.opt_u32(*in_port);
-            put_actions(&mut w, actions);
+            put_packet_out_head(w, *in_port, actions);
             w.bytes(data);
         }
         OfMessage::FlowMod {
@@ -432,22 +580,19 @@ pub fn encode(msg: &OfMessage, xid: u32) -> Vec<u8> {
             hard_timeout,
             cookie,
             notify_removed,
-        } => {
-            w.u8(match command {
-                FlowModCommand::Add => 0,
-                FlowModCommand::Modify => 1,
-                FlowModCommand::ModifyStrict => 2,
-                FlowModCommand::Delete => 3,
-                FlowModCommand::DeleteStrict => 4,
-            });
-            put_match(&mut w, matcher);
-            w.u16(*priority);
-            put_actions(&mut w, actions);
-            w.opt_u64(*idle_timeout);
-            w.opt_u64(*hard_timeout);
-            w.u64(*cookie);
-            w.bool(*notify_removed);
-        }
+        } => put_flow_mod(
+            w,
+            &FlowModRef {
+                command: *command,
+                matcher,
+                priority: *priority,
+                actions,
+                idle_timeout: *idle_timeout,
+                hard_timeout: *hard_timeout,
+                cookie: *cookie,
+                notify_removed: *notify_removed,
+            },
+        ),
         OfMessage::FlowRemoved {
             matcher,
             cookie,
@@ -456,7 +601,7 @@ pub fn encode(msg: &OfMessage, xid: u32) -> Vec<u8> {
             packet_count,
             byte_count,
         } => {
-            put_match(&mut w, matcher);
+            put_match(w, matcher);
             w.u64(*cookie);
             w.u16(*priority);
             w.u8(match reason {
@@ -478,7 +623,7 @@ pub fn encode(msg: &OfMessage, xid: u32) -> Vec<u8> {
         OfMessage::StatsRequest(kind) => match kind {
             StatsRequestKind::Flow(m) => {
                 w.u8(0);
-                put_match(&mut w, m);
+                put_match(w, m);
             }
             StatsRequestKind::Port(p) => {
                 w.u8(1);
@@ -491,7 +636,7 @@ pub fn encode(msg: &OfMessage, xid: u32) -> Vec<u8> {
                 w.u8(0);
                 w.u32(stats.len() as u32);
                 for s in stats {
-                    put_match(&mut w, &s.matcher);
+                    put_match(w, &s.matcher);
                     w.u16(s.priority);
                     w.u64(s.cookie);
                     w.u64(s.packet_count);
@@ -527,16 +672,11 @@ pub fn encode(msg: &OfMessage, xid: u32) -> Vec<u8> {
             w.u32(a.in_port);
             w.u32(a.out_port);
             w.u64(a.cookie);
-            put_flow_key(&mut w, &a.flow);
+            put_flow_key(w, &a.flow);
             w.u64(a.pkt_tag);
             w.u64(a.tag);
         }
     }
-    let len = (w.buf.len() as u32).to_be_bytes();
-    for (slot, b) in w.buf.iter_mut().skip(2).zip(len) {
-        *slot = b;
-    }
-    w.buf
 }
 
 fn msg_type(msg: &OfMessage) -> u8 {

@@ -1,11 +1,18 @@
 //! Property tests: match semantics, flow-table lookup vs a naive
-//! model, and message-codec round-trips.
+//! model, message-codec round-trips, and the in-place encoders' wire
+//! identity with `codec::encode`.
 
-use livesec_net::{FlowKey, Ipv4Net, MacAddr};
-use livesec_openflow::{
-    codec, Action, FlowEntry, FlowModCommand, FlowTable, HeaderClass, Match, OfMessage, OutPort,
-    PacketInReason, VlanMatch,
+use livesec_net::packet::{arp_frame, icmp_frame, lldp_frame};
+use livesec_net::{
+    wire, ArpPacket, FlowKey, IcmpMessage, Ipv4Net, LldpFrame, MacAddr, Packet, PacketBuilder,
 };
+use livesec_openflow::codec::FlowModRef;
+use livesec_openflow::{
+    codec, Action, FlowEntry, FlowModCommand, FlowRemovedReason, FlowStats, FlowTable,
+    ForwardingAttestation, HeaderClass, Match, OfMessage, OutPort, PacketInReason, PortStats,
+    PortStatusReason, StatsBody, StatsRequestKind, VlanMatch,
+};
+use proptest::collection::vec;
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
 
@@ -80,7 +87,269 @@ fn arb_action() -> impl Strategy<Value = Action> {
     ]
 }
 
+fn arb_command() -> impl Strategy<Value = FlowModCommand> {
+    prop_oneof![
+        Just(FlowModCommand::Add),
+        Just(FlowModCommand::Modify),
+        Just(FlowModCommand::ModifyStrict),
+        Just(FlowModCommand::Delete),
+        Just(FlowModCommand::DeleteStrict),
+    ]
+}
+
+fn arb_string() -> impl Strategy<Value = String> {
+    vec(32u8..127, 0..12).prop_map(|b| b.into_iter().map(char::from).collect())
+}
+
+prop_compose! {
+    fn arb_flow_mod()(
+        command in arb_command(),
+        matcher in arb_match(),
+        priority in any::<u16>(),
+        actions in vec(arb_action(), 0..6),
+        idle_timeout in proptest::option::of(any::<u64>()),
+        hard_timeout in proptest::option::of(any::<u64>()),
+        cookie in any::<u64>(),
+        notify_removed in any::<bool>(),
+    ) -> OfMessage {
+        OfMessage::FlowMod {
+            command, matcher, priority, actions, idle_timeout, hard_timeout, cookie, notify_removed,
+        }
+    }
+}
+
+prop_compose! {
+    fn arb_flow_stats()(
+        matcher in arb_match(),
+        priority in any::<u16>(),
+        cookie in any::<u64>(),
+        packet_count in any::<u64>(),
+        byte_count in any::<u64>(),
+        duration in any::<u64>(),
+    ) -> FlowStats {
+        FlowStats { matcher, priority, cookie, packet_count, byte_count, duration }
+    }
+}
+
+prop_compose! {
+    fn arb_port_stats()(
+        port_no in any::<u32>(),
+        rx_packets in any::<u64>(),
+        tx_packets in any::<u64>(),
+        rx_bytes in any::<u64>(),
+        tx_bytes in any::<u64>(),
+        drops in any::<u64>(),
+    ) -> PortStats {
+        PortStats { port_no, rx_packets, tx_packets, rx_bytes, tx_bytes, drops }
+    }
+}
+
+prop_compose! {
+    fn arb_attestation()(
+        dpid in any::<u64>(),
+        in_port in any::<u32>(),
+        out_port in any::<u32>(),
+        cookie in any::<u64>(),
+        flow in arb_key(),
+        pkt_tag in any::<u64>(),
+        tag in any::<u64>(),
+    ) -> OfMessage {
+        OfMessage::Attestation(ForwardingAttestation {
+            dpid, in_port, out_port, cookie, flow, pkt_tag, tag,
+        })
+    }
+}
+
+/// A message of any kind the codec frames, every sub-kind included.
+fn arb_message() -> impl Strategy<Value = OfMessage> {
+    let bytes = || vec(any::<u8>(), 0..64);
+    prop_oneof![
+        Just(OfMessage::Hello),
+        any::<u64>().prop_map(OfMessage::EchoRequest),
+        any::<u64>().prop_map(OfMessage::EchoReply),
+        Just(OfMessage::FeaturesRequest),
+        (any::<u64>(), any::<u32>()).prop_map(|(datapath_id, n_ports)| {
+            OfMessage::FeaturesReply {
+                datapath_id,
+                n_ports,
+            }
+        }),
+        (any::<u32>(), any::<bool>(), bytes()).prop_map(|(in_port, action, data)| {
+            let reason = if action {
+                PacketInReason::Action
+            } else {
+                PacketInReason::NoMatch
+            };
+            OfMessage::PacketIn {
+                in_port,
+                reason,
+                data,
+            }
+        }),
+        (
+            arb_match(),
+            any::<u64>(),
+            any::<u16>(),
+            0u8..3,
+            any::<u64>(),
+            any::<u64>()
+        )
+            .prop_map(|(matcher, cookie, priority, r, packet_count, byte_count)| {
+                OfMessage::FlowRemoved {
+                    matcher,
+                    cookie,
+                    priority,
+                    reason: [
+                        FlowRemovedReason::IdleTimeout,
+                        FlowRemovedReason::HardTimeout,
+                        FlowRemovedReason::Delete,
+                    ][usize::from(r)],
+                    packet_count,
+                    byte_count,
+                }
+            }),
+        (0u8..3, any::<u32>()).prop_map(|(r, port_no)| OfMessage::PortStatus {
+            reason: [
+                PortStatusReason::Add,
+                PortStatusReason::Delete,
+                PortStatusReason::Modify
+            ][usize::from(r)],
+            port_no,
+        }),
+        (
+            proptest::option::of(any::<u32>()),
+            vec(arb_action(), 0..6),
+            bytes()
+        )
+            .prop_map(|(in_port, actions, data)| OfMessage::PacketOut {
+                in_port,
+                actions,
+                data
+            }),
+        arb_flow_mod(),
+        prop_oneof![
+            arb_match().prop_map(StatsRequestKind::Flow),
+            proptest::option::of(any::<u32>()).prop_map(StatsRequestKind::Port),
+            Just(StatsRequestKind::Description),
+        ]
+        .prop_map(OfMessage::StatsRequest),
+        prop_oneof![
+            vec(arb_flow_stats(), 0..4).prop_map(StatsBody::Flow),
+            vec(arb_port_stats(), 0..4).prop_map(StatsBody::Port),
+            (arb_string(), arb_string(), arb_string()).prop_map(
+                |(manufacturer, hardware, software)| StatsBody::Description {
+                    manufacturer,
+                    hardware,
+                    software,
+                }
+            ),
+        ]
+        .prop_map(OfMessage::StatsReply),
+        Just(OfMessage::BarrierRequest),
+        Just(OfMessage::BarrierReply),
+        arb_attestation(),
+    ]
+}
+
+/// A frame of every body kind `wire::serialize` writes: TCP and UDP
+/// (tagged or not, payloads up to a full segment), ICMP, ARP and LLDP.
+fn arb_packet() -> impl Strategy<Value = Packet> {
+    let macs = || (arb_mac(), arb_mac());
+    prop_oneof![
+        (
+            macs(),
+            arb_ip(),
+            arb_ip(),
+            any::<u16>(),
+            vec(any::<u8>(), 0..1400),
+            any::<bool>()
+        )
+            .prop_map(|((s, d), si, di, port, payload, tagged)| {
+                let b = PacketBuilder::tcp(s, d).ips(si, di).ports(port, 80);
+                let b = if tagged { b.vlan(port % 4094 + 1) } else { b };
+                b.payload_bytes(payload).build()
+            }),
+        (macs(), arb_ip(), arb_ip(), 0u32..1500).prop_map(|((s, d), si, di, len)| {
+            PacketBuilder::udp(s, d)
+                .ips(si, di)
+                .ports(53, 5353)
+                .payload_len(len)
+                .build()
+        }),
+        (macs(), arb_ip(), arb_ip(), 0u16..64).prop_map(|((s, d), si, di, len)| {
+            icmp_frame(s, d, si, di, IcmpMessage::echo_request(7, 1, len))
+        }),
+        (arb_mac(), arb_ip(), arb_ip())
+            .prop_map(|(m, si, di)| arp_frame(ArpPacket::request(m, si, di))),
+        (arb_mac(), any::<u64>(), any::<u32>())
+            .prop_map(|(m, chassis, port)| lldp_frame(m, LldpFrame::new(chassis, port))),
+    ]
+}
+
 proptest! {
+    /// `encode_into` appends exactly the frame `encode` returns, after
+    /// whatever the buffer already holds and without touching it;
+    /// `encode`'s buffer is exactly the frame; and `decode_all` of the
+    /// appended frames returns the messages in order.
+    #[test]
+    fn encode_into_appends_the_frame_encode_returns(
+        prefix in vec(any::<u8>(), 0..32),
+        msgs in vec(arb_message(), 1..12),
+        xid in any::<u32>(),
+    ) {
+        let mut buf = prefix.clone();
+        for (i, m) in msgs.iter().enumerate() {
+            let at = buf.len();
+            codec::encode_into(m, xid ^ i as u32, &mut buf);
+            let frame = codec::encode(m, xid ^ i as u32);
+            prop_assert_eq!(frame.capacity(), frame.len(), "{:?}", m);
+            prop_assert_eq!(&buf[at..], &frame[..], "{:?}", m);
+            prop_assert_eq!(&buf[..prefix.len()], &prefix[..]);
+        }
+        let back = codec::decode_all(&buf[prefix.len()..]).unwrap();
+        let want: Vec<(OfMessage, u32)> =
+            msgs.into_iter().enumerate().map(|(i, m)| (m, xid ^ i as u32)).collect();
+        prop_assert_eq!(back, want);
+    }
+
+    /// The borrowed set-up encoders write the bytes of their owned
+    /// message: a `FlowModRef` those of its `OfMessage::FlowMod`, and
+    /// `encode_packet_out_into` those of the `PacketOut` carrying
+    /// `wire::serialize(pkt)`.
+    #[test]
+    fn borrowed_encoders_write_the_bytes_of_their_owned_message(
+        prefix in vec(any::<u8>(), 0..32),
+        flow_mod in arb_flow_mod(),
+        in_port in proptest::option::of(any::<u32>()),
+        pkt in arb_packet(),
+        xid in any::<u32>(),
+    ) {
+        let OfMessage::FlowMod {
+            command, matcher, priority, ref actions, idle_timeout, hard_timeout, cookie,
+            notify_removed,
+        } = flow_mod else {
+            unreachable!("arb_flow_mod makes flow-mods")
+        };
+        let fm = FlowModRef {
+            command, matcher: &matcher, priority, actions, idle_timeout, hard_timeout, cookie,
+            notify_removed,
+        };
+        let mut buf = prefix.clone();
+        fm.encode_into(xid, &mut buf);
+        prop_assert_eq!(&buf[prefix.len()..], &codec::encode(&flow_mod, xid)[..]);
+        prop_assert_eq!(fm.to_message(), flow_mod.clone());
+
+        let owned = OfMessage::PacketOut {
+            in_port,
+            actions: actions.clone(),
+            data: wire::serialize(&pkt),
+        };
+        let mut buf = prefix.clone();
+        codec::encode_packet_out_into(in_port, actions, &pkt, xid, &mut buf);
+        prop_assert_eq!(&buf[..prefix.len()], &prefix[..]);
+        prop_assert_eq!(&buf[prefix.len()..], &codec::encode(&owned, xid)[..]);
+    }
+
     /// If `a` subsumes `b`, everything `b` matches, `a` matches.
     #[test]
     fn subsumption_is_sound(a in arb_match(), b in arb_match(), key in arb_key(), in_port in 1u32..4) {

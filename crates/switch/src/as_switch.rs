@@ -516,16 +516,16 @@ impl Node for AsSwitch {
             self.reconnect_backoff = BACKOFF_START_TICKS;
         }
         // The controller may batch several messages into one payload
-        // (flow-mod batches end with a barrier); frames are processed
-        // strictly in order, so all entries of a batch are applied
-        // before its barrier is acknowledged.
-        let (replies, up) = match self.channel.receive_all(bytes) {
-            Ok(r) => r,
-            Err(_) => return, // malformed control traffic is dropped
+        // (flow-mod batches end with a barrier). The channel decodes
+        // the whole batch before it answers any of it, and every entry
+        // is applied in this dispatch, before the barrier reply can
+        // arrive.
+        let Ok(up) = self
+            .channel
+            .receive_all(bytes, &mut |reply| ctx.send_control(peer, reply))
+        else {
+            return; // malformed control traffic is dropped
         };
-        for r in replies {
-            ctx.send_control(peer, r);
-        }
         for msg in up {
             self.handle_controller_message(ctx, msg);
         }
@@ -696,6 +696,8 @@ mod tests {
     struct StubController {
         switch: Option<NodeId>,
         outbox: Vec<OfMessage>,
+        /// Payloads pushed verbatim on start, after `outbox`.
+        payloads: Vec<Vec<u8>>,
         /// Messages pushed only after `late_at` elapses (a controller
         /// that "comes back" mid-run).
         late_outbox: Vec<OfMessage>,
@@ -704,6 +706,7 @@ mod tests {
         flow_removed: Vec<OfMessage>,
         port_status: Vec<OfMessage>,
         attestations: Vec<ForwardingAttestation>,
+        barrier_replies: usize,
     }
 
     impl StubController {
@@ -711,12 +714,14 @@ mod tests {
             StubController {
                 switch: None,
                 outbox: Vec::new(),
+                payloads: Vec::new(),
                 late_outbox: Vec::new(),
                 late_at: None,
                 packet_ins: Vec::new(),
                 flow_removed: Vec::new(),
                 port_status: Vec::new(),
                 attestations: Vec::new(),
+                barrier_replies: 0,
             }
         }
     }
@@ -726,6 +731,9 @@ mod tests {
             if let Some(sw) = self.switch {
                 for (i, msg) in self.outbox.iter().enumerate() {
                     ctx.send_control(sw, codec::encode(msg, i as u32));
+                }
+                for payload in &self.payloads {
+                    ctx.send_control(sw, payload.clone());
                 }
             }
             if let Some(at) = self.late_at {
@@ -749,6 +757,7 @@ mod tests {
                     OfMessage::FlowRemoved { .. } => self.flow_removed.push(msg),
                     OfMessage::PortStatus { .. } => self.port_status.push(msg),
                     OfMessage::Attestation(a) => self.attestations.push(a),
+                    OfMessage::BarrierReply => self.barrier_replies += 1,
                     _ => {}
                 }
             }
@@ -860,6 +869,30 @@ mod tests {
             .peek(2, &key)
             .expect("entry present");
         assert_eq!(e.packet_count, 1);
+    }
+
+    #[test]
+    fn a_batch_with_one_corrupt_frame_is_dropped_whole() {
+        let key = FlowKey::of(&test_packet()).unwrap();
+        let flow_mod = |priority: u16| {
+            let out = vec![Action::Output(OutPort::Physical(3))];
+            let msg = OfMessage::add_flow(Match::exact(2, &key), out, priority);
+            codec::encode(&msg, u32::from(priority))
+        };
+        let mut corrupt = codec::encode(&OfMessage::add_flow(Match::any(), vec![], 5), 2);
+        corrupt[0] = 99; // a version no peer speaks; the length still frames it
+        let barrier = codec::encode(&OfMessage::BarrierRequest, 4);
+        // The same batch without the corrupt frame is the control: both
+        // entries land and the barrier is acknowledged.
+        for (middle, entries, barrier_replies) in [(corrupt, 0, 0), (vec![], 2, 1)] {
+            let (mut world, ctrl, sw, _src, _dst) = run(vec![]);
+            world.node_mut::<StubController>(ctrl).payloads =
+                vec![[flow_mod(10), middle, flow_mod(20), barrier.clone()].concat()];
+            world.run_for(SimDuration::from_millis(10));
+            assert_eq!(world.node::<AsSwitch>(sw).table().len(), entries);
+            let c = world.node::<StubController>(ctrl);
+            assert_eq!(c.barrier_replies, barrier_replies);
+        }
     }
 
     #[test]

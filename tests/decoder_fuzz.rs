@@ -12,8 +12,9 @@
 //! against the bytes left blows its allocation bound here; one that
 //! indexes by it panics here.
 //!
-//! Allocations are counted per thread by the counting allocator below,
-//! so the harness's parallel tests do not see each other's.
+//! Allocations are counted per thread by the counting allocator in
+//! `support/counting_alloc.rs`, so the harness's parallel tests do not
+//! see each other's.
 
 use livesec_net::packet::{arp_frame, icmp_frame, lldp_frame};
 use livesec_net::pcap::{read_pcap, write_pcap, CapturedFrame};
@@ -28,94 +29,11 @@ use livesec_openflow::message::{
 };
 use livesec_openflow::{Action, Match, OfMessage, OutPort};
 use livesec_services::msg::{SeMessage, ServiceType, Verdict};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-use std::io::Write;
 use std::net::Ipv4Addr;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-// ---- the counting allocator ----
-
-thread_local! {
-    /// Bytes this thread requested since the harness last armed it.
-    static BYTES: Cell<usize> = const { Cell::new(0) };
-    /// Set while a decoder call is measured: the decoder's name.
-    static ARMED: Cell<Option<&'static str>> = const { Cell::new(None) };
-}
-
-/// No input in this suite justifies one request this large. Past it
-/// the allocator refuses rather than let a lying length reserve
-/// gigabytes: it names the decoder and returns null, and the process
-/// aborts on the allocation failure.
-const CEILING: usize = 64 << 20;
-
-struct Counting;
-
-fn note(size: usize) -> bool {
-    let armed = ARMED.with(Cell::get);
-    if armed.is_none() {
-        return true;
-    }
-    BYTES.with(|b| b.set(b.get().saturating_add(size)));
-    if size <= CEILING {
-        return true;
-    }
-    ARMED.with(|a| a.set(None));
-    let _ = writeln!(
-        std::io::stderr(),
-        "decoder fuzz: {} requested {size} bytes in one allocation, over the {CEILING}-byte ceiling",
-        armed.unwrap_or("?"),
-    );
-    false
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract, or returns null, which the
-// contract allows; the bookkeeping touches only the thread-locals
-// above, which are const-initialised and never allocate.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if !note(layout.size()) {
-            return std::ptr::null_mut();
-        }
-        // SAFETY: the caller's `layout` is passed through as given.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if !note(layout.size()) {
-            return std::ptr::null_mut();
-        }
-        // SAFETY: the caller's `layout` is passed through as given.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` and `layout` come from a matching `System` alloc.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if !note(new_size) {
-            return std::ptr::null_mut();
-        }
-        // SAFETY: `ptr`/`layout` come from a matching `System` alloc and
-        // `new_size` is the caller's, passed through as given.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: Counting = Counting;
-
-/// Bytes `f` requests from the allocator on this thread.
-fn allocated_by(name: &'static str, f: impl FnOnce()) -> usize {
-    BYTES.with(|b| b.set(0));
-    ARMED.with(|a| a.set(Some(name)));
-    f();
-    ARMED.with(|a| a.set(None));
-    BYTES.with(Cell::get)
-}
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
 
 // ---- mutations ----
 
@@ -209,9 +127,10 @@ fn fuzz(
     let inputs = mutations(seeds);
     for input in &inputs {
         let mut panicked = false;
-        let bytes = allocated_by(name, || {
+        let bytes = counting_alloc::measure(name, || {
             panicked = catch_unwind(AssertUnwindSafe(|| decode(input))).is_err();
-        });
+        })
+        .bytes;
         if panicked {
             return Err(format!("{name} panicked on {input:02x?}"));
         }
