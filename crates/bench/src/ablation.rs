@@ -14,10 +14,12 @@
 use livesec::balance::{Grain, LoadBalancer, MinLoad};
 use livesec::deploy::CampusBuilder;
 use livesec::policy::{PolicyRule, PolicyTable};
-use livesec_services::{IdsEngine, ProtoIdEngine, ServiceElement, ServiceType, SignatureEngine};
-use livesec_sim::{SimDuration, SimTime};
-use livesec_switch::Host;
-use livesec_workloads::{HttpClient, HttpServer, Pinger};
+use livesec_services::{IdsEngine, ProtoIdEngine, ServiceElement, ServiceType};
+use livesec_sim::SimDuration;
+use livesec_workloads::{HttpClient, HttpServer};
+
+use crate::balance_exp::{deviation_stats, processed_packets};
+use crate::latency::ping;
 
 /// Result of the chain-length sweep at one length.
 #[derive(Clone, Copy, Debug)]
@@ -59,21 +61,9 @@ pub fn chain_length_latency(seed: u64) -> Vec<ChainLatency> {
                 3,
                 ServiceElement::new(livesec_services::VirusScanEngine::engine()),
             );
-            let user = b.add_user(
-                1,
-                Pinger::new("8.8.8.8".parse().expect("valid"))
-                    .with_start_delay(SimDuration::from_millis(900))
-                    .with_max_pings(50),
-            );
-            let mut campus = b.finish();
-            campus.world.run_for(SimDuration::from_secs(4));
-            let rtt = campus
-                .world
-                .node::<Host<Pinger>>(user.node)
-                .app()
-                .rtts
-                .mean()
-                .expect("pings answered");
+            let rtt = ping(b, 50, SimDuration::from_secs(4), |app| {
+                app.rtts.mean().expect("pings answered")
+            });
             ChainLatency { chain_len, rtt }
         })
         .collect()
@@ -130,26 +120,7 @@ pub fn report_interval_balance(seed: u64) -> Vec<ReportIntervalBalance> {
             }
             let mut campus = b.finish();
             campus.world.run_for(SimDuration::from_secs(4));
-            type IdsSe = ServiceElement<SignatureEngine>;
-            let per: Vec<u64> = elements
-                .iter()
-                .map(|h| {
-                    campus
-                        .world
-                        .node::<Host<IdsSe>>(h.node)
-                        .app()
-                        .counters()
-                        .processed_packets
-                })
-                .collect();
-            let mean = per.iter().sum::<u64>() as f64 / per.len() as f64;
-            let max_deviation = if mean == 0.0 {
-                0.0
-            } else {
-                per.iter()
-                    .map(|&x| (x as f64 - mean).abs() / mean)
-                    .fold(0.0, f64::max)
-            };
+            let (max_deviation, _) = deviation_stats(&processed_packets(&campus, &elements));
             ReportIntervalBalance {
                 interval,
                 max_deviation,
@@ -177,24 +148,18 @@ pub fn control_latency_setup(seed: u64) -> Vec<ControlLatencySetup> {
             let control_latency = SimDuration::from_micros(us);
             let mut b = CampusBuilder::new(seed, 2).with_control_latency(control_latency);
             b.add_gateway(0);
-            let user = b.add_user(
-                1,
-                Pinger::new("8.8.8.8".parse().expect("valid"))
-                    .with_start_delay(SimDuration::from_millis(900))
-                    .with_max_pings(40),
-            );
-            let mut campus = b.finish();
-            campus.world.run_for(SimDuration::from_secs(4));
-            let host = campus.world.node::<Host<Pinger>>(user.node);
-            let samples = host.app().rtts.samples();
-            let first = samples.first().copied().unwrap_or_default();
-            let steady = if samples.len() > 1 {
-                let total: u64 = samples[1..].iter().map(|d| d.as_nanos()).sum();
-                SimDuration::from_nanos(total / (samples.len() - 1) as u64)
-            } else {
-                first
-            };
-            let _ = SimTime::ZERO;
+            let (first, steady) = ping(b, 40, SimDuration::from_secs(4), |app| {
+                let samples = app.rtts.samples();
+                let first = samples.first().copied().unwrap_or_default();
+                let steady = match samples.len() {
+                    0 | 1 => first,
+                    n => {
+                        let total: u64 = samples[1..].iter().map(|d| d.as_nanos()).sum();
+                        SimDuration::from_nanos(total / (n - 1) as u64)
+                    }
+                };
+                (first, steady)
+            });
             ControlLatencySetup {
                 control_latency,
                 first_rtt: first,

@@ -7,7 +7,7 @@
 //! flow and user granularity.
 
 use livesec::balance::{Grain, HashDispatch, LeastQueue, LoadBalancer, MinLoad, RoundRobin};
-use livesec::deploy::CampusBuilder;
+use livesec::deploy::{Campus, CampusBuilder, SeHandle};
 use livesec::policy::{PolicyRule, PolicyTable};
 use livesec_services::{IdsEngine, ServiceElement, ServiceType, SignatureEngine};
 use livesec_sim::SimDuration;
@@ -72,7 +72,9 @@ pub struct BalanceResult {
     pub cv: f64,
 }
 
-fn deviation_stats(per_element: &[u64]) -> (f64, f64) {
+/// Max relative deviation from the mean and coefficient of variation
+/// of per-element loads; both 0 when no element did any work.
+pub(crate) fn deviation_stats(per_element: &[u64]) -> (f64, f64) {
     let n = per_element.len() as f64;
     let mean = per_element.iter().sum::<u64>() as f64 / n;
     if mean == 0.0 {
@@ -88,6 +90,21 @@ fn deviation_stats(per_element: &[u64]) -> (f64, f64) {
         .sum::<f64>()
         / n;
     (max_dev, var.sqrt() / mean)
+}
+
+/// Packets each IDS element processed so far.
+pub(crate) fn processed_packets(campus: &Campus, elements: &[SeHandle]) -> Vec<u64> {
+    elements
+        .iter()
+        .map(|h| {
+            campus
+                .world
+                .node::<Host<ServiceElement<SignatureEngine>>>(h.node)
+                .app()
+                .counters()
+                .processed_packets
+        })
+        .collect()
 }
 
 /// Runs E4 for one algorithm/granularity combination.
@@ -152,18 +169,7 @@ pub fn run(
         .world
         .run_for(SimDuration::from_millis(1000) + duration);
 
-    type IdsSe = ServiceElement<SignatureEngine>;
-    let per_element: Vec<u64> = elements
-        .iter()
-        .map(|h| {
-            campus
-                .world
-                .node::<Host<IdsSe>>(h.node)
-                .app()
-                .counters()
-                .processed_packets
-        })
-        .collect();
+    let per_element = processed_packets(&campus, &elements);
     let (max_deviation, cv) = deviation_stats(&per_element);
     BalanceResult {
         algo,

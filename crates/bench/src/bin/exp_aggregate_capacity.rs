@@ -4,7 +4,7 @@
 //! The full configuration (10 OvS hosting elements) takes a while in
 //! debug builds; run with `--release`.
 
-use livesec_bench::aggregate;
+use livesec_bench::goodput::Scrub;
 use livesec_bench::{print_header, print_rate_row};
 use livesec_services::ServiceType;
 use livesec_sim::SimDuration;
@@ -16,15 +16,15 @@ fn main() {
     );
     let window = SimDuration::from_millis(400);
     // 10 switches x 2 IDS elements at 421 Mbps each.
-    let ids = aggregate::run(ServiceType::IntrusionDetection, 10, 2, 5, window);
+    let ids = Scrub::deployment(ServiceType::IntrusionDetection, 10, 2);
     print_rate_row(
-        &format!("intrusion detection ({} elements)", ids.n_elements),
-        ids.goodput_bps,
+        &format!("intrusion detection ({} elements)", ids.elements()),
+        ids.goodput(5, window),
     );
     // 10 switches x 2 proto-id elements at 100 Mbps each.
-    let pid = aggregate::run(ServiceType::ProtocolIdentification, 10, 2, 5, window);
+    let pid = Scrub::deployment(ServiceType::ProtocolIdentification, 10, 2);
     print_rate_row(
-        &format!("protocol identification ({} elements)", pid.n_elements),
-        pid.goodput_bps,
+        &format!("protocol identification ({} elements)", pid.elements()),
+        pid.goodput(5, window),
     );
 }

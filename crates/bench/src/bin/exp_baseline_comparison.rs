@@ -2,7 +2,7 @@
 //! elements under growing demand (the paper's Figure 1 vs Figure 2
 //! motivation, quantified).
 
-use livesec_bench::baseline::{self, Design};
+use livesec_bench::goodput::Scrub;
 use livesec_bench::print_header;
 use livesec_sim::{format_bps, SimDuration};
 
@@ -17,14 +17,14 @@ fn main() {
     );
     let window = SimDuration::from_millis(500);
     for pairs in [1usize, 2, 4, 8] {
-        let trad = baseline::run(Design::TraditionalGatewayMiddlebox, pairs, 5, window);
-        let live = baseline::run(Design::LiveSecDistributed, pairs, 5, window);
+        let trad = Scrub::baseline(false, pairs).goodput(5, window);
+        let live = Scrub::baseline(true, pairs).goodput(5, window);
         println!(
             "{:>8} {:>18} {:>18} {:>7.1}x",
             pairs,
-            format_bps(trad.goodput_bps),
-            format_bps(live.goodput_bps),
-            live.goodput_bps / trad.goodput_bps
+            format_bps(trad),
+            format_bps(live),
+            live / trad
         );
     }
 }

@@ -1,8 +1,8 @@
 //! E2 — regenerates the §V-B.1 service-element scaling curve
 //! (1 VM = 421 Mbps, 2 VMs = 827 Mbps, capped by the host NIC).
 
+use livesec_bench::goodput::Scrub;
 use livesec_bench::print_header;
-use livesec_bench::scaling;
 use livesec_sim::{format_bps, SimDuration};
 
 fn main() {
@@ -21,12 +21,12 @@ fn main() {
         _ => "NIC-capped".to_owned(),
     };
     for n in [1usize, 2, 3, 4, 6, 8] {
-        let r = scaling::run(n, 3, window);
+        let bps = Scrub::one_host(n).goodput(3, window);
         println!(
             "{:>6} {:>14} {:>12} {:>14}",
             n,
-            format_bps(r.goodput_bps),
-            format_bps(r.goodput_bps / n as f64),
+            format_bps(bps),
+            format_bps(bps / n as f64),
             paper(n)
         );
     }

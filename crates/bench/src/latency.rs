@@ -71,8 +71,30 @@ fn baseline_rtt(seed: u64, pings: u32) -> SimDuration {
         .expect("baseline pings answered")
 }
 
-/// Measures LiveSec: user → AS layer → legacy → (IDS SE) → gateway.
-fn livesec_rtt(seed: u64, pings: u32, steer: bool) -> (SimDuration, SimDuration, f64) {
+/// Adds the ping probe — a [`Pinger`] to 8.8.8.8 on switch 1 sending
+/// `pings` echoes from 900 ms on — as the campus's last node, runs the
+/// campus for `run`, and reads the probe with `read`.
+pub(crate) fn ping<R>(
+    mut b: CampusBuilder,
+    pings: u32,
+    run: SimDuration,
+    read: impl FnOnce(&Pinger) -> R,
+) -> R {
+    let user = b.add_user(
+        1,
+        Pinger::new("8.8.8.8".parse().expect("valid"))
+            .with_start_delay(SimDuration::from_millis(900))
+            .with_max_pings(pings),
+    );
+    let mut campus = b.finish();
+    campus.world.run_for(run);
+    read(campus.world.node::<Host<Pinger>>(user.node).app())
+}
+
+/// Compares the baseline with LiveSec: user → AS layer → legacy →
+/// (IDS SE when `steer`) → gateway.
+fn compare(seed: u64, pings: u32, steer: bool) -> LatencyResult {
+    let baseline = baseline_rtt(seed, pings);
     let mut policy = PolicyTable::allow_all();
     if steer {
         policy.push(
@@ -84,30 +106,15 @@ fn livesec_rtt(seed: u64, pings: u32, steer: bool) -> (SimDuration, SimDuration,
     let mut b = CampusBuilder::new(seed, 2)
         .with_policy(policy)
         .with_gateway_link(wan_link());
-    let gw = b.add_gateway(0);
+    b.add_gateway(0);
     if steer {
         b.add_service_element(0, ServiceElement::new(IdsEngine::engine()));
     }
-    let user = b.add_user(
-        1,
-        Pinger::new("8.8.8.8".parse().expect("valid"))
-            .with_start_delay(SimDuration::from_millis(900))
-            .with_max_pings(pings),
-    );
-    let _ = gw;
-    let mut campus = b.finish();
-    campus.world.run_for(SimDuration::from_secs(6));
-    let host = campus.world.node::<Host<Pinger>>(user.node);
-    let app = host.app();
-    let mean = app.rtts.mean().expect("livesec pings answered");
-    let first = app.rtts.samples().first().copied().unwrap_or(mean);
-    (mean, first, app.loss_rate())
-}
-
-/// Runs E5.
-pub fn run(seed: u64, pings: u32) -> LatencyResult {
-    let baseline = baseline_rtt(seed, pings);
-    let (livesec, first, loss) = livesec_rtt(seed, pings, true);
+    let (livesec, first, loss) = ping(b, pings, SimDuration::from_secs(6), |app| {
+        let mean = app.rtts.mean().expect("livesec pings answered");
+        let first = app.rtts.samples().first().copied().unwrap_or(mean);
+        (mean, first, app.loss_rate())
+    });
     LatencyResult {
         baseline_rtt: baseline,
         livesec_rtt: livesec,
@@ -116,21 +123,17 @@ pub fn run(seed: u64, pings: u32) -> LatencyResult {
             / baseline.as_nanos() as f64,
         livesec_loss: loss,
     }
+}
+
+/// Runs E5.
+pub fn run(seed: u64, pings: u32) -> LatencyResult {
+    compare(seed, pings, true)
 }
 
 /// Runs the no-steering variant (pure AS-layer overhead, no SE
 /// detour) — used by the ablation experiment.
 pub fn run_unsteered(seed: u64, pings: u32) -> LatencyResult {
-    let baseline = baseline_rtt(seed, pings);
-    let (livesec, first, loss) = livesec_rtt(seed, pings, false);
-    LatencyResult {
-        baseline_rtt: baseline,
-        livesec_rtt: livesec,
-        livesec_first_rtt: first,
-        overhead: (livesec.as_nanos() as f64 - baseline.as_nanos() as f64)
-            / baseline.as_nanos() as f64,
-        livesec_loss: loss,
-    }
+    compare(seed, pings, false)
 }
 
 #[cfg(test)]

@@ -5,34 +5,33 @@
 //! Experiment harness for the LiveSec reproduction.
 //!
 //! One module per experiment of the paper's evaluation (§V), as
-//! indexed in `DESIGN.md`:
+//! indexed in `DESIGN.md`; the three scrubbed-goodput experiments
+//! share one campus:
 //!
 //! | id | module | paper artifact |
 //! |----|--------|----------------|
 //! | E1 | [`access`] | §V-B.1 access throughput (OvS vs Pantou) |
-//! | E2 | [`scaling`] | §V-B.1 SE scaling (421 → 827 Mbps → NIC cap) |
-//! | E3 | [`aggregate`] | §V-B.1 aggregate capacity (8 Gbps IDS / 2 Gbps proto-id) |
+//! | E2 | [`Scrub::one_host`](goodput::Scrub::one_host) | §V-B.1 SE scaling (421 → 827 Mbps → NIC cap) |
+//! | E3 | [`Scrub::deployment`](goodput::Scrub::deployment) | §V-B.1 aggregate capacity (8 Gbps IDS / 2 Gbps proto-id) |
 //! | E4 | [`balance_exp`] | §V-B.2 load-balance deviation (≤5% for min-load) |
 //! | E5 | [`latency`] | §V-B.3 latency overhead (≈ +10%) |
 //! | E6/E7 | [`viz`] | Figures 7–8 WebUI frames and event replay |
 //! | E8 | [`policy_demo`] | Figure 3 interactive policy enforcement |
 //! | E10 | [`ablation`] | design-choice ablations (ours) |
-//! | E11 | [`baseline`] | traditional gateway middlebox vs LiveSec (Fig. 1 vs Fig. 2) |
+//! | E11 | [`Scrub::baseline`](goodput::Scrub::baseline) | traditional gateway middlebox vs LiveSec (Fig. 1 vs Fig. 2) |
 //!
-//! Each module exposes a `run` function returning a plain result
-//! struct; the `src/bin/exp_*.rs` binaries print the paper-style
+//! Each module returns plain results; the `src/bin/exp_*.rs`
+//! binaries print the paper-style
 //! tables, and each module's unit tests run a reduced version. The
 //! simulator's wall-clock cost is the end-to-end benchmark's
 //! `sim_speed` (EXPERIMENTS.md E25).
 
 pub mod ablation;
 pub mod access;
-pub mod aggregate;
 pub mod balance_exp;
-pub mod baseline;
+pub mod goodput;
 pub mod latency;
 pub mod policy_demo;
-pub mod scaling;
 pub mod viz;
 
 use livesec_sim::format_bps;

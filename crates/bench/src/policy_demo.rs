@@ -8,7 +8,7 @@
 use livesec::deploy::CampusBuilder;
 use livesec::monitor::EventKind;
 use livesec::policy::{PolicyRule, PolicyTable};
-use livesec_services::{IdsEngine, ServiceElement, ServiceType, SignatureEngine};
+use livesec_services::{IdsEngine, ServiceElement, ServiceType};
 use livesec_sim::{SimDuration, SimTime};
 use livesec_switch::Host;
 use livesec_workloads::{AttackClient, TcpEchoServer};
@@ -103,7 +103,6 @@ pub fn run(seed: u64) -> PolicyDemoResult {
                 .len()
         })
         .sum();
-    let _ = ServiceElement::<SignatureEngine>::new(IdsEngine::engine()); // keep type alive for docs
     result
 }
 

@@ -32,7 +32,6 @@ use crate::routing::SteeringProgram;
 use livesec_net::FlowKey;
 use livesec_openflow::{attestation_tag, Action, ForwardingAttestation, OutPort};
 use livesec_sim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
@@ -147,7 +146,7 @@ pub struct Deviation {
 
 /// Counters of the accountability layer, polled like
 /// [`crate::monitor::HealthStats`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AccountabilityStats {
     /// Attestations received and replayed against proofs.
     pub attestations_seen: u64,

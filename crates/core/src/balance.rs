@@ -200,7 +200,7 @@ impl Dispatcher for MinLoad {
 }
 
 /// Load-balancing granularity (paper §IV-B).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Grain {
     /// Each flow is dispatched independently.
     Flow,

@@ -7,12 +7,11 @@
 //! allocator backs a DHCP server behind the same packet-in path.
 
 use livesec_net::{DhcpMessage, DhcpMsgType, Ipv4Net, MacAddr};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 /// A deterministic DHCP lease allocator over an address pool.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DirectoryProxy {
     pool: Ipv4Net,
     /// First host index handed out (skips network/gateway addresses).

@@ -9,12 +9,11 @@
 
 use livesec_net::MacAddr;
 use livesec_sim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 /// Where a host is attached.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Location {
     /// The AS switch's datapath id.
     pub dpid: u64,
@@ -81,7 +80,7 @@ impl LocationTable {
                 let before = (loc.dpid, loc.port);
                 let moved = before != (dpid, port);
                 if loc.ip != ip {
-                    self.by_ip.remove(&loc.ip);
+                    unindex(&mut self.by_ip, loc.ip, mac);
                     self.by_ip.insert(ip, mac);
                 }
                 loc.dpid = dpid;
@@ -119,49 +118,33 @@ impl LocationTable {
     /// Evicts hosts silent for longer than `timeout` (the paper's ARP
     /// timeout); returns the departed MACs.
     pub fn expire(&mut self, now: SimTime, timeout: SimDuration) -> Vec<MacAddr> {
-        let dead: Vec<MacAddr> = self
-            .by_mac
-            .iter()
-            .filter(|(_, loc)| now.saturating_since(loc.last_seen) > timeout)
-            .map(|(mac, _)| *mac)
-            .collect();
-        for mac in &dead {
-            if let Some(loc) = self.by_mac.remove(mac) {
-                self.by_ip.remove(&loc.ip);
-            }
-        }
-        dead
+        self.remove_where(|loc| now.saturating_since(loc.last_seen) > timeout)
     }
 
     /// Removes every host attached to `(dpid, port)` (port failure);
     /// returns them.
     pub fn evict_port(&mut self, dpid: u64, port: u32) -> Vec<MacAddr> {
-        let dead: Vec<MacAddr> = self
-            .by_mac
-            .iter()
-            .filter(|(_, loc)| loc.dpid == dpid && loc.port == port)
-            .map(|(mac, _)| *mac)
-            .collect();
-        for mac in &dead {
-            if let Some(loc) = self.by_mac.remove(mac) {
-                self.by_ip.remove(&loc.ip);
-            }
-        }
-        dead
+        self.remove_where(|loc| loc.dpid == dpid && loc.port == port)
     }
 
     /// Removes every host attached to any port of `dpid` (dead-switch
     /// handling); returns them.
     pub fn evict_dpid(&mut self, dpid: u64) -> Vec<MacAddr> {
+        self.remove_where(|loc| loc.dpid == dpid)
+    }
+
+    /// Removes every host whose location satisfies `gone`; returns them
+    /// in MAC order.
+    fn remove_where(&mut self, gone: impl Fn(&Location) -> bool) -> Vec<MacAddr> {
         let dead: Vec<MacAddr> = self
             .by_mac
             .iter()
-            .filter(|(_, loc)| loc.dpid == dpid)
+            .filter(|(_, loc)| gone(loc))
             .map(|(mac, _)| *mac)
             .collect();
-        for mac in &dead {
-            if let Some(loc) = self.by_mac.remove(mac) {
-                self.by_ip.remove(&loc.ip);
+        for &mac in &dead {
+            if let Some(loc) = self.by_mac.remove(&mac) {
+                unindex(&mut self.by_ip, loc.ip, mac);
             }
         }
         dead
@@ -180,6 +163,14 @@ impl LocationTable {
     /// All `(mac, location)` pairs in MAC order.
     pub fn iter(&self) -> impl Iterator<Item = (&MacAddr, &Location)> {
         self.by_mac.iter()
+    }
+}
+
+/// Drops `ip`'s index entry while it still names `mac`: once another
+/// host has taken the address over, the entry is that host's.
+fn unindex(by_ip: &mut BTreeMap<Ipv4Addr, MacAddr>, ip: Ipv4Addr, mac: MacAddr) {
+    if by_ip.get(&ip) == Some(&mac) {
+        by_ip.remove(&ip);
     }
 }
 
@@ -221,6 +212,28 @@ mod tests {
         // DHCP renumbering: same MAC, new IP.
         lt.learn(mac(1), ip(9), 1, 2, t(1));
         assert!(lt.lookup_ip(ip(1)).is_none());
+        assert_eq!(lt.lookup_ip(ip(9)).unwrap().0, mac(1));
+    }
+
+    #[test]
+    fn departure_keeps_a_taken_over_ip() {
+        let mut lt = LocationTable::new();
+        lt.learn(mac(1), ip(7), 1, 2, t(0));
+        lt.learn(mac(2), ip(7), 1, 3, t(900));
+        assert_eq!(
+            lt.expire(t(1000), SimDuration::from_millis(500)),
+            vec![mac(1)]
+        );
+        assert_eq!(lt.lookup_ip(ip(7)).unwrap().0, mac(2));
+    }
+
+    #[test]
+    fn renumbering_keeps_a_taken_over_ip() {
+        let mut lt = LocationTable::new();
+        lt.learn(mac(1), ip(7), 1, 2, t(0));
+        lt.learn(mac(2), ip(7), 1, 3, t(1));
+        lt.learn(mac(1), ip(9), 1, 2, t(2));
+        assert_eq!(lt.lookup_ip(ip(7)).unwrap().0, mac(2));
         assert_eq!(lt.lookup_ip(ip(9)).unwrap().0, mac(1));
     }
 

@@ -402,12 +402,11 @@ impl fmt::Display for NetworkEvent {
 /// // Or fold it into a display frame.
 /// assert_eq!(m.frame(SimTime::from_nanos(10)).switches.len(), 2);
 /// ```
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Monitor {
     events: Vec<NetworkEvent>,
     /// The shard id stamped onto events recorded from now on. Routing
     /// state of the sharded control plane, not part of the feed.
-    #[serde(skip)]
     shard: u32,
 }
 
@@ -607,7 +606,7 @@ impl Monitor {
 /// optimisation's effect is observable without changing the event log
 /// itself (the golden-trace determinism tests require the event
 /// history to be byte-identical with the cache on and off).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FastPathStats {
     /// Cache lookups that replayed a memoized decision.
     pub hits: u64,
@@ -634,7 +633,7 @@ pub struct FastPathStats {
 /// Control-plane health counters — the observable surface of the
 /// fault-tolerance layer (liveness probing, dead-switch handling, and
 /// flow-table reconciliation). Returned by `Controller::health_stats`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct HealthStats {
     /// Echo requests the controller sent to probe switch liveness.
     pub echo_probes_sent: u64,
@@ -669,7 +668,7 @@ pub struct HealthStats {
 /// established reports, SYN floods, and the established-flow fast-pass
 /// (direct entries bypassing the SE hairpin). Returned by
 /// `Controller::conntrack_stats`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ConnTrackStats {
     /// `ConnEstablished` reports accepted from service elements.
     pub established: u64,
@@ -691,7 +690,7 @@ pub struct ConnTrackStats {
 }
 
 /// One user row of a [`UiFrame`].
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct UiUser {
     /// The user's MAC.
     pub mac: MacAddr,
@@ -704,7 +703,7 @@ pub struct UiUser {
 }
 
 /// The network state a WebUI would render at one instant.
-#[derive(Clone, PartialEq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug, Default)]
 pub struct UiFrame {
     /// The instant this frame reflects.
     pub at: SimTime,

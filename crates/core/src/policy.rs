@@ -8,10 +8,9 @@
 use livesec_net::{FlowKey, Ipv4Net, MacAddr};
 use livesec_openflow::Match;
 use livesec_services::ServiceType;
-use serde::{Deserialize, Serialize};
 
 /// What the policy table decides for a flow.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub enum PolicyDecision {
     /// Forward directly (two-hop routing, no services).
     Allow,
@@ -27,7 +26,7 @@ pub enum PolicyDecision {
 /// This backs the paper's "aggregate flow control" (§IV-C): e.g. block
 /// or keep monitoring BitTorrent once the protocol-identification SE
 /// labels a flow.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum AppAction {
     /// Leave the flow alone.
     Allow,
@@ -36,7 +35,7 @@ pub enum AppAction {
 }
 
 /// One policy rule: a header selector plus a decision.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct PolicyRule {
     /// Administrator-facing rule name (shows up in monitor events).
     pub name: String,
@@ -114,7 +113,7 @@ impl PolicyRule {
 /// Rule identity is the rule *name*: removes and replaces address the
 /// first rule with the given name, so tables driven through deltas
 /// should keep names unique (the DSL checker enforces this).
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub enum PolicyDelta {
     /// Insert `rule` so that it evaluates at position `index` in the
     /// resulting table (clamped to the table length).
@@ -163,7 +162,7 @@ pub enum PolicyDelta {
 ///     .chain(vec![ServiceType::IntrusionDetection]));
 /// assert_eq!(table.len(), 2);
 /// ```
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct PolicyTable {
     rules: Vec<PolicyRule>,
     default_decision: PolicyDecision,

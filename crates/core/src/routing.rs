@@ -13,11 +13,10 @@
 
 use livesec_net::{FlowKey, MacAddr};
 use livesec_openflow::{Action, Match, OutPort};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One hop of a flow's path: a periphery attachment point.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Hop {
     /// The hop's MAC address (host, SE, or gateway).
     pub mac: MacAddr,
@@ -28,7 +27,7 @@ pub struct Hop {
 }
 
 /// A flow entry destined for one switch.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct SwitchEntry {
     /// The switch to install on.
     pub dpid: u64,
@@ -41,7 +40,7 @@ pub struct SwitchEntry {
 }
 
 /// The compiled entry set for one direction of one flow.
-#[derive(Clone, PartialEq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug, Default)]
 pub struct SteeringProgram {
     /// Entries to install, ingress-first.
     pub entries: Vec<SwitchEntry>,

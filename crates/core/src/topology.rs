@@ -11,11 +11,10 @@
 //! (ingress switch → egress switch).
 
 use livesec_sim::NodeId;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A directed logical link: probe origin → probe receiver.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct LogicalLink {
     /// Origin switch and port.
     pub from: (u64, u32),

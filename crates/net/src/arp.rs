@@ -7,11 +7,10 @@
 //! through the legacy core.
 
 use crate::mac::MacAddr;
-use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
 
 /// The ARP operation field.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum ArpOp {
     /// Who-has request (1).
     Request,
@@ -39,7 +38,7 @@ impl ArpOp {
 }
 
 /// An ARP packet for IPv4 over Ethernet.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct ArpPacket {
     /// Request or reply.
     pub op: ArpOp,

@@ -9,11 +9,10 @@
 
 use crate::cursor::Cursor;
 use crate::mac::MacAddr;
-use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
 
 /// The DHCP message type option (option 53).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum DhcpMsgType {
     /// Client broadcast looking for servers.
     Discover,
@@ -28,7 +27,7 @@ pub enum DhcpMsgType {
 }
 
 /// A DHCP message, carried in UDP 68→67 / 67→68.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct DhcpMessage {
     /// Message type.
     pub kind: DhcpMsgType,

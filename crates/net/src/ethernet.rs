@@ -1,14 +1,13 @@
 //! Ethernet framing: header, EtherType and 802.1Q VLAN tags.
 
 use crate::mac::MacAddr;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The EtherType of an Ethernet frame.
 ///
 /// Only the values LiveSec actually switches on get named variants;
 /// everything else round-trips through [`EtherType::Other`].
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum EtherType {
     /// IPv4 (`0x0800`).
     Ipv4,
@@ -67,7 +66,7 @@ impl fmt::Display for EtherType {
 }
 
 /// An 802.1Q VLAN tag (VID + priority).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct VlanTag {
     /// VLAN identifier, 0..=4095.
     pub vid: u16,
@@ -101,7 +100,7 @@ impl VlanTag {
 }
 
 /// An Ethernet II header, optionally VLAN-tagged.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct EthernetHeader {
     /// Destination MAC address.
     pub dst: MacAddr,

@@ -107,7 +107,7 @@ impl fmt::Display for FlowKey {
 ///
 /// `Ord` for the same reason as [`FlowKey`]: session-keyed state must
 /// be iterable in a run-stable order.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct SessionKey {
     /// VLAN id shared by both directions.
     pub vlan: Option<u16>,

@@ -3,10 +3,8 @@
 //! The paper's latency evaluation (§V-B.3) pings from a user to an
 //! Internet server; these types carry that workload.
 
-use serde::{Deserialize, Serialize};
-
 /// The ICMP message type.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum IcmpType {
     /// Echo reply (0).
     EchoReply,
@@ -42,7 +40,7 @@ impl From<u8> for IcmpType {
 }
 
 /// An ICMP message (echo-style header plus opaque data length).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct IcmpMessage {
     /// Message type.
     pub kind: IcmpType,

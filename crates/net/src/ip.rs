@@ -4,7 +4,6 @@
 //! this module adds the prefix type needed for work-zone policies and
 //! the controller's directory proxy.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::net::Ipv4Addr;
 use std::str::FromStr;
@@ -17,7 +16,7 @@ use std::str::FromStr;
 /// assert!(net.contains("10.1.200.3".parse().unwrap()));
 /// assert!(!net.contains("10.2.0.1".parse().unwrap()));
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Ipv4Net {
     addr: Ipv4Addr,
     prefix_len: u8,

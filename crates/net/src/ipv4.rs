@@ -4,12 +4,11 @@ use crate::icmp::IcmpMessage;
 use crate::packet::Payload;
 use crate::tcp::TcpSegment;
 use crate::udp::UdpDatagram;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::net::Ipv4Addr;
 
 /// An IP protocol number.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum IpProto {
     /// ICMP (1).
     Icmp,
@@ -62,7 +61,7 @@ impl fmt::Display for IpProto {
 }
 
 /// An IPv4 header (no options).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct Ipv4Header {
     /// Source address.
     pub src: Ipv4Addr,
@@ -94,7 +93,7 @@ impl Ipv4Header {
 }
 
 /// The transport payload of an IPv4 packet.
-#[derive(Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub enum Transport {
     /// A TCP segment.
     Tcp(TcpSegment),
@@ -153,7 +152,7 @@ impl Transport {
 }
 
 /// A full IPv4 packet: header plus transport.
-#[derive(Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct Ipv4Packet {
     /// The IPv4 header.
     pub header: Ipv4Header,

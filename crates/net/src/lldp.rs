@@ -6,10 +6,8 @@
 //! link A.i ↔ B.j (paper §III-C.1). Only the two TLVs needed for that
 //! are modeled: chassis id (the datapath id) and port id.
 
-use serde::{Deserialize, Serialize};
-
 /// A minimal LLDP frame: chassis id + port id.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct LldpFrame {
     /// The emitting switch's datapath id (chassis-id TLV).
     pub chassis_id: u64,

@@ -9,7 +9,6 @@ use crate::mac::MacAddr;
 use crate::tcp::{TcpFlags, TcpSegment};
 use crate::udp::UdpDatagram;
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
 
 /// An application payload.
@@ -20,7 +19,7 @@ use std::net::Ipv4Addr;
 /// cheap: [`Payload::Synthetic`] carries only a length, and
 /// [`Payload::Data`] shares its bytes via [`Bytes`] so cloning a packet
 /// through a ten-switch path never copies the content.
-#[derive(Clone, PartialEq, Eq, Hash, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug, Default)]
 pub enum Payload {
     /// No payload.
     #[default]
@@ -28,22 +27,7 @@ pub enum Payload {
     /// `n` bytes of filler; serialized as zeros, never scanned.
     Synthetic(u32),
     /// Real content (shared, cheap to clone).
-    Data(#[serde(with = "serde_bytes_compat")] Bytes),
-}
-
-/// Serde adapter for `bytes::Bytes` (serialized as a byte sequence).
-mod serde_bytes_compat {
-    use bytes::Bytes;
-    use serde::{DeError, Deserialize, Serialize, Value};
-
-    pub fn to_value(b: &Bytes) -> Value {
-        b[..].to_value()
-    }
-
-    pub fn from_value(v: &Value) -> Result<Bytes, DeError> {
-        let bytes = Vec::<u8>::from_value(v)?;
-        Ok(Bytes::from(bytes))
-    }
+    Data(Bytes),
 }
 
 impl Payload {
@@ -90,7 +74,7 @@ impl From<Bytes> for Payload {
 }
 
 /// The body of an Ethernet frame.
-#[derive(Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub enum Body {
     /// An ARP packet.
     Arp(ArpPacket),
@@ -128,7 +112,7 @@ impl Body {
 ///
 /// This is the unit the simulator moves across links and the unit
 /// switches match on.
-#[derive(Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct Packet {
     /// The Ethernet header.
     pub eth: EthernetHeader,

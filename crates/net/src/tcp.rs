@@ -1,7 +1,6 @@
 //! TCP segments.
 
 use crate::packet::Payload;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{BitAnd, BitOr};
 
@@ -9,7 +8,7 @@ use std::ops::{BitAnd, BitOr};
 ///
 /// Implemented as a newtype over `u8` rather than an enum because flag
 /// combinations (`SYN|ACK`, `FIN|ACK`, …) are the common case.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct TcpFlags(u8);
 
 impl TcpFlags {
@@ -83,7 +82,7 @@ impl fmt::Debug for TcpFlags {
 }
 
 /// A TCP segment (header without options, plus payload).
-#[derive(Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct TcpSegment {
     /// Source port.
     pub src_port: u16,

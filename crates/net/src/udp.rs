@@ -1,7 +1,6 @@
 //! UDP datagrams.
 
 use crate::packet::Payload;
-use serde::{Deserialize, Serialize};
 
 /// A UDP datagram.
 ///
@@ -9,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// service-element control channel: SE daemons wrap their messages in
 /// magic-tagged UDP datagrams that the controller intercepts (paper
 /// §III-D.1).
-#[derive(Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct UdpDatagram {
     /// Source port.
     pub src_port: u16,

@@ -1,13 +1,12 @@
 //! OpenFlow actions and their application to packets.
 
 use livesec_net::{Body, MacAddr, Packet, Transport, VlanTag};
-use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::fmt;
 use std::net::Ipv4Addr;
 
 /// Where an [`Action::Output`] sends the packet.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum OutPort {
     /// A physical port number.
     Physical(u32),
@@ -33,7 +32,7 @@ impl fmt::Display for OutPort {
 /// An OpenFlow 1.0 action.
 ///
 /// An empty action list means *drop*, as in OpenFlow.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Action {
     /// Forward the packet.
     Output(OutPort),

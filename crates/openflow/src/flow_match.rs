@@ -1,14 +1,13 @@
 //! The OpenFlow 1.0 match structure.
 
 use livesec_net::{ArpPacket, Body, EtherType, FlowKey, Ipv4Net, MacAddr, Packet};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// How a match constrains the VLAN tag.
 ///
 /// OpenFlow 1.0 treats "untagged" as a matchable value
 /// (`OFP_VLAN_NONE`), distinct from wildcarding the field.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum VlanMatch {
     /// Match only untagged frames.
     Untagged,
@@ -37,7 +36,7 @@ impl VlanMatch {
 ///
 /// It is the one header selector in the system: flow entries, policy
 /// rules, firewall rules and IDS rule headers all select with it.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub struct Match {
     /// Ingress port constraint.
     pub in_port: Option<u32>,

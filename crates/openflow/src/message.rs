@@ -4,7 +4,6 @@ use crate::action::Action;
 use crate::flow_match::Match;
 use crate::table::Nanos;
 use livesec_net::FlowKey;
-use serde::{Deserialize, Serialize};
 
 /// The deterministic per-hop forwarding tag: a keyless MAC-shaped mix
 /// of `(dpid, in_port, out_port, cookie)`.
@@ -59,7 +58,7 @@ pub fn packet_tag(flow: &FlowKey, wire_len: u64) -> u64 {
 /// Sampled into the controller at a configurable rate and replayed by
 /// the accountability detector against the controller-issued path
 /// proof for the flow.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct ForwardingAttestation {
     /// The attesting switch's datapath id.
     pub dpid: u64,
@@ -81,7 +80,7 @@ pub struct ForwardingAttestation {
 }
 
 /// Why a packet-in was sent to the controller.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum PacketInReason {
     /// No flow entry matched.
     NoMatch,
@@ -90,7 +89,7 @@ pub enum PacketInReason {
 }
 
 /// The flow-mod command field.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum FlowModCommand {
     /// Insert (replacing an identical match+priority entry).
     Add,
@@ -105,7 +104,7 @@ pub enum FlowModCommand {
 }
 
 /// Why an entry was evicted (flow-removed message).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum FlowRemovedReason {
     /// Idle timeout.
     IdleTimeout,
@@ -116,7 +115,7 @@ pub enum FlowRemovedReason {
 }
 
 /// Why a port-status message was sent.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum PortStatusReason {
     /// Port came up.
     Add,
@@ -127,7 +126,7 @@ pub enum PortStatusReason {
 }
 
 /// What a stats-request asks for.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub enum StatsRequestKind {
     /// Per-flow stats for entries subsumed by the match.
     Flow(Match),
@@ -138,7 +137,7 @@ pub enum StatsRequestKind {
 }
 
 /// Per-flow statistics.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct FlowStats {
     /// The entry's match.
     pub matcher: Match,
@@ -155,7 +154,7 @@ pub struct FlowStats {
 }
 
 /// Per-port statistics.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct PortStats {
     /// Port number.
     pub port_no: u32,
@@ -172,7 +171,7 @@ pub struct PortStats {
 }
 
 /// The body of a stats-reply.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub enum StatsBody {
     /// Per-flow stats.
     Flow(Vec<FlowStats>),
@@ -193,7 +192,7 @@ pub enum StatsBody {
 ///
 /// The message set mirrors OpenFlow 1.0's symmetric / controller→switch
 /// / switch→controller split; see the crate docs for the deviations.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub enum OfMessage {
     /// Version negotiation greeting (symmetric).
     Hello,

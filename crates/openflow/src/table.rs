@@ -1,8 +1,8 @@
 //! The flow table: priority lookup, timeouts, counters.
 
 use crate::flow_match::Match;
+use crate::message::FlowRemovedReason;
 use livesec_net::{FlowKey, HashMap};
-use serde::{Deserialize, Serialize};
 
 /// Absolute simulated time in nanoseconds.
 ///
@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 pub type Nanos = u64;
 
 /// One flow-table entry.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FlowEntry {
     /// The match.
     pub matcher: Match,
@@ -35,7 +35,6 @@ pub struct FlowEntry {
     pub created_at: Nanos,
     /// Last match time.
     pub last_used: Nanos,
-    #[serde(skip)]
     seq: u64,
 }
 
@@ -65,24 +64,13 @@ impl FlowEntry {
     }
 }
 
-/// Why an entry left the table.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
-pub enum RemovalReason {
-    /// Idle timeout expired.
-    IdleTimeout,
-    /// Hard timeout expired.
-    HardTimeout,
-    /// Deleted by a flow-mod.
-    Delete,
-}
-
 /// An evicted entry plus the reason.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RemovedEntry {
     /// The entry as it was at eviction (final counters).
     pub entry: FlowEntry,
     /// Why it was evicted.
-    pub reason: RemovalReason,
+    pub reason: FlowRemovedReason,
 }
 
 /// Result of [`FlowTable::insert`].
@@ -327,18 +315,18 @@ impl FlowTable {
     /// the order of the resulting flow-removed notifications does not
     /// depend on the hash index's iteration order.
     pub fn expire(&mut self, now: Nanos) -> Vec<RemovedEntry> {
-        let mut expired: Vec<(u64, usize, RemovalReason)> = self
+        let mut expired: Vec<(u64, usize, FlowRemovedReason)> = self
             .indices()
             .filter_map(|i| {
                 let e = self.slots[i].as_ref().expect("live index");
                 if let Some(hard) = e.hard_timeout {
                     if now >= e.created_at.saturating_add(hard) {
-                        return Some((e.seq, i, RemovalReason::HardTimeout));
+                        return Some((e.seq, i, FlowRemovedReason::HardTimeout));
                     }
                 }
                 if let Some(idle) = e.idle_timeout {
                     if now >= e.last_used.saturating_add(idle) {
-                        return Some((e.seq, i, RemovalReason::IdleTimeout));
+                        return Some((e.seq, i, FlowRemovedReason::IdleTimeout));
                     }
                 }
                 None
@@ -370,7 +358,7 @@ impl FlowTable {
             .into_iter()
             .map(|(_, i)| RemovedEntry {
                 entry: self.detach(i),
-                reason: RemovalReason::Delete,
+                reason: FlowRemovedReason::Delete,
             })
             .collect()
     }
@@ -525,7 +513,7 @@ mod tests {
         // Unused since 50: evicted at 150.
         let removed = t.expire(150);
         assert_eq!(removed.len(), 1);
-        assert_eq!(removed[0].reason, RemovalReason::IdleTimeout);
+        assert_eq!(removed[0].reason, FlowRemovedReason::IdleTimeout);
         assert!(t.is_empty());
     }
 
@@ -538,7 +526,7 @@ mod tests {
         t.lookup(1, &key(80), 90);
         let removed = t.expire(100);
         assert_eq!(removed.len(), 1);
-        assert_eq!(removed[0].reason, RemovalReason::HardTimeout);
+        assert_eq!(removed[0].reason, FlowRemovedReason::HardTimeout);
     }
 
     #[test]

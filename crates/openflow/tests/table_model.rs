@@ -9,8 +9,10 @@
 //! shows up here as a disagreement.
 
 use livesec_net::{FlowKey, Ipv4Net, MacAddr};
-use livesec_openflow::table::{Nanos, RemovalReason};
-use livesec_openflow::{Action, FlowEntry, FlowTable, InsertOutcome, Match, OutPort, RemovedEntry};
+use livesec_openflow::table::Nanos;
+use livesec_openflow::{
+    Action, FlowEntry, FlowRemovedReason, FlowTable, InsertOutcome, Match, OutPort, RemovedEntry,
+};
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
 
@@ -40,8 +42,8 @@ impl Model {
     /// Removes the entries `reason_for` names, oldest first.
     fn evict(
         &mut self,
-        reason_for: impl Fn(&FlowEntry) -> Option<RemovalReason>,
-    ) -> Vec<(View, RemovalReason)> {
+        reason_for: impl Fn(&FlowEntry) -> Option<FlowRemovedReason>,
+    ) -> Vec<(View, FlowRemovedReason)> {
         let out = (self.0.iter())
             .filter_map(|e| reason_for(e).map(|r| (view(e), r)))
             .collect();
@@ -113,7 +115,7 @@ fn view(e: &FlowEntry) -> View {
     )
 }
 
-fn views(removed: Vec<RemovedEntry>) -> Vec<(View, RemovalReason)> {
+fn views(removed: Vec<RemovedEntry>) -> Vec<(View, FlowRemovedReason)> {
     removed.iter().map(|r| (view(&r.entry), r.reason)).collect()
 }
 
@@ -208,7 +210,7 @@ fn run_sequence(ops: Vec<(Op, Nanos)>) -> Result<(), TestCaseError> {
             }
             Op::Remove(m, strict, prio) => {
                 let expected = model.evict(|e| {
-                    Model::selects(&m, strict, prio, e).then_some(RemovalReason::Delete)
+                    Model::selects(&m, strict, prio, e).then_some(FlowRemovedReason::Delete)
                 });
                 prop_assert_eq!(views(table.remove(&m, strict, prio)), expected, "{op:?}");
             }
@@ -242,9 +244,9 @@ fn run_sequence(ops: Vec<(Op, Nanos)>) -> Result<(), TestCaseError> {
                         t.is_some_and(|t| now >= from.saturating_add(t))
                     };
                     if due(e.created_at, e.hard_timeout) {
-                        Some(RemovalReason::HardTimeout)
+                        Some(FlowRemovedReason::HardTimeout)
                     } else if due(e.last_used, e.idle_timeout) {
-                        Some(RemovalReason::IdleTimeout)
+                        Some(FlowRemovedReason::IdleTimeout)
                     } else {
                         None
                     }

@@ -14,13 +14,12 @@ use livesec::policy::{AppAction, PolicyDecision, PolicyRule, PolicyTable};
 use livesec_net::{Ipv4Net, MacAddr};
 use livesec_openflow::Match;
 use livesec_services::ServiceType;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// An advisory rate cap attached to a compiled rule. The dataplane
 /// has no meter abstraction yet, so limits compile to `Allow` plus
 /// this record; operators (and the monitor) see the intent.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct RateLimit {
     /// The lowered rule name the cap applies to.
     pub rule: String,

@@ -1,11 +1,10 @@
 //! Diagnostics: stable, position-carrying messages from the lexer,
 //! parser, checker and compiler.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// How bad a diagnostic is.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub enum Severity {
     /// Suspicious but compilable (e.g. a redundant shadowed rule).
     Warning,
@@ -19,7 +18,7 @@ pub enum Severity {
 /// the declaration for whole-declaration findings), and are stable:
 /// the same source text always yields the same diagnostics in the
 /// same order.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Diag {
     /// 1-based source line.
     pub line: u32,

@@ -1,7 +1,7 @@
 //! The service-element application: capacity model, bypass forwarding,
 //! and the controller control channel.
 
-use crate::engines::Inspector;
+use crate::engines::{Finding, Inspector};
 use crate::msg::{SeMessage, SE_CONTROL_MAC, SE_CONTROL_PORT};
 use livesec_net::{
     Body, EtherType, EthernetHeader, FlowKey, Ipv4Header, Ipv4Packet, Packet, Payload, Transport,
@@ -151,6 +151,17 @@ impl<I: Inspector> ServiceElement<I> {
         io.send_raw(pkt);
     }
 
+    /// Reports a finding to the controller as an event.
+    fn report(&mut self, io: &mut HostIo<'_, '_>, finding: Finding) {
+        let msg = SeMessage::Event {
+            cert: self.cert,
+            flow: finding.flow,
+            verdict: finding.verdict,
+        };
+        self.counters.events_sent += 1;
+        self.send_control(io, &msg);
+    }
+
     fn send_online(&mut self, io: &mut HostIo<'_, '_>) {
         let window_secs = self.report_interval.as_secs_f64();
         let cpu = if window_secs > 0.0 {
@@ -216,13 +227,7 @@ impl<I: Inspector> App for ServiceElement<I> {
                 // no longer traverse this element).
                 let now = io.now();
                 for finding in self.inspector.poll(now) {
-                    let msg = SeMessage::Event {
-                        cert: self.cert,
-                        flow: finding.flow,
-                        verdict: finding.verdict,
-                    };
-                    self.counters.events_sent += 1;
-                    self.send_control(io, &msg);
+                    self.report(io, finding);
                 }
                 self.send_online(io);
                 io.set_timer(self.report_interval, REPORT_TOKEN);
@@ -241,13 +246,7 @@ impl<I: Inspector> App for ServiceElement<I> {
                 // packet itself is re-emitted either way.
                 if let Some(key) = FlowKey::of(&pkt) {
                     if let Some(finding) = self.inspector.inspect_packet(&key, &pkt, io.now()) {
-                        let msg = SeMessage::Event {
-                            cert: self.cert,
-                            flow: finding.flow,
-                            verdict: finding.verdict,
-                        };
-                        self.counters.events_sent += 1;
-                        self.send_control(io, &msg);
+                        self.report(io, finding);
                     }
                 }
                 io.send_raw(pkt);

@@ -13,11 +13,10 @@ use livesec_conntrack::{ConnEvent, ConnKey, ConnTable, PacketState};
 use livesec_net::{FlowKey, HashSet, Ipv4Net, Packet, SessionKey};
 use livesec_openflow::Match;
 use livesec_sim::SimTime;
-use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
 
 /// Severity of a finding, 1 (informational) to 10 (critical).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct Severity(pub u8);
 
 impl Severity {
@@ -421,7 +420,7 @@ impl Inspector for ProtoIdEngine {
 }
 
 /// Firewall action for a matched rule.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum FwAction {
     /// Let the flow pass.
     Allow,
@@ -440,7 +439,7 @@ impl FwAction {
 }
 
 /// Connection-state qualifier a stateful rule can match on.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum StateMatch {
     /// Packets opening a connection (original direction, not yet
     /// established).

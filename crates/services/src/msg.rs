@@ -75,7 +75,7 @@ impl fmt::Display for ServiceType {
 }
 
 /// The result a service element reports about a flow.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub enum Verdict {
     /// Malicious traffic detected; the controller should block the flow
     /// at its ingress switch.
@@ -105,7 +105,7 @@ pub enum Verdict {
 }
 
 /// A message from a service element to the controller.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub enum SeMessage {
     /// Periodic heartbeat: existence, service type, and load.
     Online {

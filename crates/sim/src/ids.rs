@@ -1,11 +1,10 @@
 //! Identifiers for simulation entities.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifies a node (switch, host, service element, controller) in a
 /// [`crate::World`].
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct NodeId(pub(crate) u32);
 
 impl NodeId {
@@ -30,7 +29,7 @@ impl fmt::Display for NodeId {
 
 /// A port number local to a node. Port numbering is the node's own
 /// business; switches conventionally start at 1, matching OpenFlow.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct PortId(pub u32);
 
 impl PortId {

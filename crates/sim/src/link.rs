@@ -2,7 +2,6 @@
 
 use crate::ids::{NodeId, PortId};
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Static parameters of one link.
 ///
@@ -11,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// delay would exceed the configured buffer is tail-dropped. This
 /// reproduces FIFO/tail-drop behaviour without per-frame buffer
 /// bookkeeping.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct LinkSpec {
     /// Transmission rate in bits per second.
     pub rate_bps: u64,

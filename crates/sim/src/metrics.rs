@@ -1,13 +1,12 @@
 //! Measurement helpers: latency summaries and bit-rate formatting.
 
 use crate::time::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// An online summary of duration samples (latencies, RTTs).
 ///
 /// Stores all samples so exact percentiles can be computed; the
 /// experiment scales here (thousands of pings) make that cheap.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct LatencySummary {
     samples: Vec<SimDuration>,
     sorted: bool,

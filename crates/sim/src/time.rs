@@ -5,9 +5,7 @@ use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
 /// A duration of simulated time, in nanoseconds.
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Debug, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Debug)]
 pub struct SimDuration(u64);
 
 impl SimDuration {

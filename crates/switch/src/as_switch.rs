@@ -3,8 +3,8 @@
 use livesec_net::{wire, FlowKey, HashSet, MacAddr, Packet, PacketBuilder};
 use livesec_openflow::{
     apply_actions_owned, attestation_tag, lookup_key, packet_tag, Action, FlowEntry,
-    FlowModCommand, FlowRemovedReason, FlowStats, ForwardingAttestation, OfMessage, OutPort,
-    PacketInReason, PortStats, PortStatusReason, StatsBody, StatsRequestKind, SwitchChannel,
+    FlowModCommand, FlowStats, ForwardingAttestation, OfMessage, OutPort, PacketInReason,
+    PortStats, PortStatusReason, RemovedEntry, StatsBody, StatsRequestKind, SwitchChannel,
 };
 use livesec_sim::{Ctx, Node, NodeId, PortId, SimDuration};
 use std::any::Any;
@@ -319,19 +319,25 @@ impl AsSwitch {
                 let removed = self
                     .table
                     .remove(&matcher, strict, strict.then_some(priority));
-                for r in removed {
-                    if r.entry.notify_removed {
-                        let msg = OfMessage::FlowRemoved {
-                            matcher: r.entry.matcher,
-                            cookie: r.entry.cookie,
-                            priority: r.entry.priority,
-                            reason: FlowRemovedReason::Delete,
-                            packet_count: r.entry.packet_count,
-                            byte_count: r.entry.byte_count,
-                        };
-                        self.send_to_controller(ctx, &msg);
-                    }
-                }
+                self.report_removed(ctx, removed);
+            }
+        }
+    }
+
+    /// Tells the controller about each removed entry that asked to be
+    /// reported.
+    fn report_removed(&mut self, ctx: &mut Ctx<'_>, removed: Vec<RemovedEntry>) {
+        for r in removed {
+            if r.entry.notify_removed {
+                let msg = OfMessage::FlowRemoved {
+                    matcher: r.entry.matcher,
+                    cookie: r.entry.cookie,
+                    priority: r.entry.priority,
+                    reason: r.reason,
+                    packet_count: r.entry.packet_count,
+                    byte_count: r.entry.byte_count,
+                };
+                self.send_to_controller(ctx, &msg);
             }
         }
     }
@@ -481,28 +487,7 @@ impl Node for AsSwitch {
         }
         // Expire flows.
         let removed = self.table.expire(ctx.now().as_nanos());
-        for r in removed {
-            if r.entry.notify_removed {
-                let reason = match r.reason {
-                    livesec_openflow::table::RemovalReason::IdleTimeout => {
-                        FlowRemovedReason::IdleTimeout
-                    }
-                    livesec_openflow::table::RemovalReason::HardTimeout => {
-                        FlowRemovedReason::HardTimeout
-                    }
-                    livesec_openflow::table::RemovalReason::Delete => FlowRemovedReason::Delete,
-                };
-                let msg = OfMessage::FlowRemoved {
-                    matcher: r.entry.matcher,
-                    cookie: r.entry.cookie,
-                    priority: r.entry.priority,
-                    reason,
-                    packet_count: r.entry.packet_count,
-                    byte_count: r.entry.byte_count,
-                };
-                self.send_to_controller(ctx, &msg);
-            }
-        }
+        self.report_removed(ctx, removed);
         ctx.set_timer(TICK_PERIOD, TICK);
     }
 
