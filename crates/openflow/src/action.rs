@@ -1,6 +1,6 @@
 //! OpenFlow actions and their application to packets.
 
-use livesec_net::{Body, MacAddr, Packet, Transport, VlanTag};
+use livesec_net::{Body, EtherType, FlowKey, MacAddr, Packet, Transport, VlanTag};
 use std::borrow::Cow;
 use std::fmt;
 use std::net::Ipv4Addr;
@@ -81,19 +81,81 @@ pub struct ActionOutcome {
     pub outputs: Vec<(OutPort, Packet)>,
 }
 
-fn set_tp_src(t: &mut Transport, port: u16) {
-    match t {
-        Transport::Tcp(seg) => seg.src_port = port,
-        Transport::Udp(d) => d.src_port = port,
-        _ => {}
+/// Headers an action list rewrites: a frame, or the [`FlowKey`] the
+/// switch looks that frame up under. One [`walk`] sequences both.
+trait Rewrite: Clone {
+    fn rewrite(&mut self, action: Action);
+}
+
+impl Rewrite for Packet {
+    fn rewrite(&mut self, action: Action) {
+        match action {
+            Action::SetDlSrc(mac) => self.eth.src = mac,
+            Action::SetDlDst(mac) => self.eth.dst = mac,
+            Action::SetVlan(vid) => {
+                let pcp = self.eth.vlan.map(|t| t.pcp).unwrap_or(0);
+                self.eth.vlan = Some(VlanTag { vid, pcp });
+            }
+            Action::StripVlan => self.eth.vlan = None,
+            Action::Output(_) => {}
+            // The rest rewrite an IPv4 body only, and ports only in TCP
+            // or UDP.
+            nw_or_tp => {
+                let Body::Ipv4(p) = &mut self.body else {
+                    return;
+                };
+                let ports = match &mut p.transport {
+                    Transport::Tcp(seg) => Some((&mut seg.src_port, &mut seg.dst_port)),
+                    Transport::Udp(d) => Some((&mut d.src_port, &mut d.dst_port)),
+                    _ => None,
+                };
+                match (nw_or_tp, ports) {
+                    (Action::SetNwSrc(ip), _) => p.header.src = ip,
+                    (Action::SetNwDst(ip), _) => p.header.dst = ip,
+                    (Action::SetTpSrc(port), Some((src, _))) => *src = port,
+                    (Action::SetTpDst(port), Some((_, dst))) => *dst = port,
+                    _ => {}
+                }
+            }
+        }
     }
 }
 
-fn set_tp_dst(t: &mut Transport, port: u16) {
-    match t {
-        Transport::Tcp(seg) => seg.dst_port = port,
-        Transport::Udp(d) => d.dst_port = port,
-        _ => {}
+/// A rewrite as the frame's lookup key sees it: with the frame's
+/// guards, so `nw_*` change on an IPv4 key only and `tp_*` on a TCP or
+/// UDP one only.
+impl Rewrite for FlowKey {
+    fn rewrite(&mut self, action: Action) {
+        let ipv4 = self.dl_type == EtherType::Ipv4.as_u16();
+        let ports = ipv4 && matches!(self.nw_proto, 6 | 17); // TCP, UDP
+        match action {
+            Action::SetDlSrc(mac) => self.dl_src = mac,
+            Action::SetDlDst(mac) => self.dl_dst = mac,
+            Action::SetNwSrc(ip) if ipv4 => self.nw_src = ip,
+            Action::SetNwDst(ip) if ipv4 => self.nw_dst = ip,
+            Action::SetTpSrc(port) if ports => self.tp_src = port,
+            Action::SetTpDst(port) if ports => self.tp_dst = port,
+            Action::SetVlan(vid) => self.vlan = Some(vid),
+            Action::StripVlan => self.vlan = None,
+            _ => {}
+        }
+    }
+}
+
+/// The one action walk; [`apply_actions_owned`] states its sequencing.
+fn walk<H: Rewrite>(mut headers: H, actions: &[Action], mut emit: impl FnMut(OutPort, Cow<'_, H>)) {
+    // Rewrites after the last Output (or with none at all) reach nobody.
+    let Some(last) = actions.iter().rposition(|a| matches!(a, Action::Output(_))) else {
+        return;
+    };
+    for action in &actions[..last] {
+        match *action {
+            Action::Output(dest) => emit(dest, Cow::Borrowed(&headers)),
+            rewrite => headers.rewrite(rewrite),
+        }
+    }
+    if let Action::Output(dest) = actions[last] {
+        emit(dest, Cow::Owned(headers));
     }
 }
 
@@ -106,49 +168,21 @@ fn set_tp_dst(t: &mut Transport, port: u16) {
 /// receives the packet itself (`Cow::Owned`). Nothing is allocated, and
 /// the one-`Output` lists LiveSec installs copy nothing.
 pub fn apply_actions_owned(
-    mut pkt: Packet,
+    pkt: Packet,
     actions: &[Action],
-    mut emit: impl FnMut(OutPort, Cow<'_, Packet>),
+    emit: impl FnMut(OutPort, Cow<'_, Packet>),
 ) {
-    // Rewrites after the last Output (or with none at all) reach nobody.
-    let Some(last) = actions.iter().rposition(|a| matches!(a, Action::Output(_))) else {
-        return;
-    };
-    for action in &actions[..last] {
-        match *action {
-            Action::Output(dest) => emit(dest, Cow::Borrowed(&pkt)),
-            Action::SetDlSrc(mac) => pkt.eth.src = mac,
-            Action::SetDlDst(mac) => pkt.eth.dst = mac,
-            Action::SetNwSrc(ip) => {
-                if let Body::Ipv4(p) = &mut pkt.body {
-                    p.header.src = ip;
-                }
-            }
-            Action::SetNwDst(ip) => {
-                if let Body::Ipv4(p) = &mut pkt.body {
-                    p.header.dst = ip;
-                }
-            }
-            Action::SetTpSrc(port) => {
-                if let Body::Ipv4(p) = &mut pkt.body {
-                    set_tp_src(&mut p.transport, port);
-                }
-            }
-            Action::SetTpDst(port) => {
-                if let Body::Ipv4(p) = &mut pkt.body {
-                    set_tp_dst(&mut p.transport, port);
-                }
-            }
-            Action::SetVlan(vid) => {
-                let pcp = pkt.eth.vlan.map(|t| t.pcp).unwrap_or(0);
-                pkt.eth.vlan = Some(VlanTag { vid, pcp });
-            }
-            Action::StripVlan => pkt.eth.vlan = None,
-        }
-    }
-    if let Action::Output(dest) = actions[last] {
-        emit(dest, Cow::Owned(pkt));
-    }
+    walk(pkt, actions, emit);
+}
+
+/// [`apply_actions_owned`] on a lookup key: at each `Output`, `emit`
+/// receives the [`lookup_key`](crate::lookup_key) of the frame emitted.
+pub fn apply_actions_to_key(
+    key: FlowKey,
+    actions: &[Action],
+    mut emit: impl FnMut(OutPort, FlowKey),
+) {
+    walk(key, actions, |dest, key| emit(dest, *key));
 }
 
 /// [`apply_actions_owned`] for a caller that keeps its packet: every
@@ -238,7 +272,9 @@ mod tests {
         second.eth.dst = nine;
         let mut third = second.clone();
         if let Body::Ipv4(ip) = &mut third.body {
-            set_tp_dst(&mut ip.transport, 8080);
+            if let Transport::Tcp(seg) = &mut ip.transport {
+                seg.dst_port = 8080;
+            }
         }
         assert_eq!(third.tcp().unwrap().dst_port, 8080);
         let expected = vec![

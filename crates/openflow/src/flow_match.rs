@@ -376,10 +376,20 @@ impl fmt::Display for Match {
     }
 }
 
+/// The EtherTypes [`lookup_key`] keys: IPv4 and ARP.
+pub const LOOKUP_TYPES: [u16; 2] = [EtherType::Ipv4.as_u16(), EtherType::Arp.as_u16()];
+
+/// Whether a switch looks frames of this EtherType up in its table; it
+/// punts the others to the controller.
+pub fn is_lookup_type(dl_type: u16) -> bool {
+    LOOKUP_TYPES.contains(&dl_type)
+}
+
 /// Builds the table-lookup key for a packet, per OpenFlow 1.0: IPv4
 /// packets use their real header fields; ARP packets map the opcode to
 /// `nw_proto` and the protocol addresses to `nw_src`/`nw_dst`. LLDP and
-/// unknown EtherTypes yield `None` (always sent to the controller).
+/// unknown EtherTypes yield `None` (always sent to the controller), so
+/// every key has a `dl_type` that [`is_lookup_type`] accepts.
 pub fn lookup_key(pkt: &Packet) -> Option<FlowKey> {
     match &pkt.body {
         Body::Ipv4(_) => FlowKey::of(pkt),
@@ -511,6 +521,7 @@ mod tests {
         ));
         let k = lookup_key(&arp).unwrap();
         assert_eq!(k.dl_type, 0x0806);
+        assert!(is_lookup_type(k.dl_type) && is_lookup_type(0x0800));
         assert_eq!(k.nw_proto, 1); // ARP request opcode
         assert_eq!(k.nw_src, "10.0.0.1".parse::<std::net::Ipv4Addr>().unwrap());
 
@@ -519,6 +530,7 @@ mod tests {
             livesec_net::LldpFrame::new(1, 2),
         );
         assert_eq!(lookup_key(&lldp), None);
+        assert!(!is_lookup_type(lldp.eth.ethertype.as_u16()));
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //!   steer flows through off-path service elements.
 //! * [`FlowTable`] — a priority-ordered flow table with idle/hard
 //!   timeouts and per-entry counters, with a hash fast-path for
-//!   fully-exact entries.
+//!   fully-exact entries. [`winner`], [`apply_actions_to_key`] and
+//!   [`is_lookup_type`] state the same semantics over a lookup key.
 //! * [`OfMessage`] — the controller/switch message set (hello, echo,
 //!   features, packet-in/out, flow-mod, flow-removed, port-status,
 //!   stats, barrier) with a compact binary wire codec in [`codec`].
@@ -63,29 +64,33 @@ pub mod header_space;
 pub mod message;
 pub mod table;
 
-pub use action::{apply_actions, apply_actions_owned, Action, ActionOutcome, OutPort};
+pub use action::{
+    apply_actions, apply_actions_owned, apply_actions_to_key, Action, ActionOutcome, OutPort,
+};
 pub use channel::SwitchChannel;
 pub use codec::{decode, encode, CodecError};
-pub use flow_match::{lookup_key, Match, VlanMatch};
+pub use flow_match::{is_lookup_type, lookup_key, Match, VlanMatch, LOOKUP_TYPES};
 pub use header_space::HeaderClass;
 pub use message::{
     attestation_tag, packet_tag, FlowModCommand, FlowRemovedReason, FlowStats,
     ForwardingAttestation, OfMessage, PacketInReason, PortStats, PortStatusReason, StatsBody,
     StatsRequestKind,
 };
-pub use table::{FlowEntry, FlowTable, InsertOutcome, RemovedEntry};
+pub use table::{outranks, winner, FlowEntry, FlowTable, InsertOutcome, RemovedEntry};
 
 /// Convenient glob-import surface: `use livesec_openflow::prelude::*;`.
 pub mod prelude {
-    pub use crate::action::{apply_actions, apply_actions_owned, Action, ActionOutcome, OutPort};
+    pub use crate::action::{
+        apply_actions, apply_actions_owned, apply_actions_to_key, Action, ActionOutcome, OutPort,
+    };
     pub use crate::channel::SwitchChannel;
     pub use crate::codec::{decode, encode, CodecError};
-    pub use crate::flow_match::{lookup_key, Match, VlanMatch};
+    pub use crate::flow_match::{is_lookup_type, lookup_key, Match, VlanMatch, LOOKUP_TYPES};
     pub use crate::header_space::HeaderClass;
     pub use crate::message::{
         attestation_tag, packet_tag, FlowModCommand, FlowRemovedReason, FlowStats,
         ForwardingAttestation, OfMessage, PacketInReason, PortStats, PortStatusReason, StatsBody,
         StatsRequestKind,
     };
-    pub use crate::table::{FlowEntry, FlowTable, InsertOutcome, RemovedEntry};
+    pub use crate::table::{outranks, winner, FlowEntry, FlowTable, InsertOutcome, RemovedEntry};
 }

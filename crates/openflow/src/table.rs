@@ -64,6 +64,41 @@ impl FlowEntry {
     }
 }
 
+/// The winning-entry rule: whether an entry ranked `(priority, install
+/// order)` beats a matching one ranked `other`. Higher priority wins; on
+/// a tie, the earlier install.
+pub fn outranks(rank: (u16, u64), other: (u16, u64)) -> bool {
+    rank.0 > other.0 || (rank.0 == other.0 && rank.1 < other.1)
+}
+
+/// The entry a lookup of `key` on `in_port` hits among `entries` in
+/// install order: what [`FlowTable::peek`] returns on a table of them.
+pub fn winner<'a>(
+    entries: impl IntoIterator<Item = &'a FlowEntry>,
+    in_port: u32,
+    key: &FlowKey,
+) -> Option<&'a FlowEntry> {
+    let ranked = (0..).zip(entries).map(|(order, e)| (e, order, e));
+    top(ranked, in_port, key)
+}
+
+/// The id of the matching candidate `(id, install order, entry)` that
+/// [`outranks`] every other.
+fn top<'a, T>(
+    candidates: impl IntoIterator<Item = (T, u64, &'a FlowEntry)>,
+    in_port: u32,
+    key: &FlowKey,
+) -> Option<T> {
+    let mut best: Option<(T, (u16, u64))> = None;
+    for (id, order, e) in candidates {
+        let rank = (e.priority, order);
+        if e.matcher.matches(in_port, key) && best.as_ref().is_none_or(|b| outranks(rank, b.1)) {
+            best = Some((id, rank));
+        }
+    }
+    best.map(|(id, _)| id)
+}
+
 /// An evicted entry plus the reason.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RemovedEntry {
@@ -252,36 +287,17 @@ impl FlowTable {
     }
 
     fn best_candidate(&self, in_port: u32, key: &FlowKey) -> Option<usize> {
-        let mut best: Option<(u16, u64, usize)> = None; // (priority, Reverse-ish seq, idx)
-        let consider = |best: &mut Option<(u16, u64, usize)>, i: usize, e: &FlowEntry| {
-            let cand = (e.priority, u64::MAX - e.seq, i);
-            if best
-                .map(|(p, s, _)| (cand.0, cand.1) > (p, s))
-                .unwrap_or(true)
-            {
-                *best = Some(cand);
-            }
-        };
-        if let Some(bucket) = self.exact.get(key) {
-            for &i in bucket {
-                let e = self.slots[i].as_ref().expect("live index");
-                if e.matcher.matches(in_port, key) {
-                    consider(&mut best, i, e);
-                }
-            }
-        }
-        for &i in &self.wild {
+        let exact = self.exact.get(key).map_or(&[][..], Vec::as_slice);
+        let candidates = exact.iter().chain(&self.wild).map(|&i| {
             let e = self.slots[i].as_ref().expect("live index");
-            if e.matcher.matches(in_port, key) {
-                consider(&mut best, i, e);
-            }
-        }
-        best.map(|(_, _, i)| i)
+            (i, e.seq, e)
+        });
+        top(candidates, in_port, key)
     }
 
-    /// Looks up the highest-priority entry matching a packet of
-    /// `bytes` bytes arriving on `in_port` with headers `key`,
-    /// updating the entry's counters and idle clock.
+    /// Looks up the entry that wins for a packet arriving on `in_port`
+    /// with headers `key` (see [`outranks`]), updating its packet
+    /// counter and idle clock.
     pub fn lookup(&mut self, in_port: u32, key: &FlowKey, now: Nanos) -> Option<&FlowEntry> {
         self.lookup_counting(in_port, key, now, 0)
     }
@@ -386,7 +402,7 @@ impl FlowTable {
 
     /// All live entries in install order (oldest first) — the order
     /// that decides equal-priority ties in [`FlowTable::lookup`], and
-    /// therefore the order a dataplane verifier must reason in.
+    /// the order [`winner`] takes them in.
     pub fn entries_in_install_order(&self) -> Vec<&FlowEntry> {
         let mut v: Vec<&FlowEntry> = self.iter().collect();
         v.sort_by_key(|e| e.seq);

@@ -1,16 +1,19 @@
 //! Property tests: match semantics, flow-table lookup vs a naive
-//! model, message-codec round-trips, and the in-place encoders' wire
-//! identity with `codec::encode`.
+//! model, the key walk against the frame walk, message-codec
+//! round-trips, and the in-place encoders' wire identity with
+//! `codec::encode`.
 
 use livesec_net::packet::{arp_frame, icmp_frame, lldp_frame};
 use livesec_net::{
     wire, ArpPacket, FlowKey, IcmpMessage, Ipv4Net, LldpFrame, MacAddr, Packet, PacketBuilder,
+    VlanTag,
 };
 use livesec_openflow::codec::FlowModRef;
 use livesec_openflow::{
-    codec, Action, FlowEntry, FlowModCommand, FlowRemovedReason, FlowStats, FlowTable,
-    ForwardingAttestation, HeaderClass, Match, OfMessage, OutPort, PacketInReason, PortStats,
-    PortStatusReason, StatsBody, StatsRequestKind, VlanMatch,
+    apply_actions_owned, apply_actions_to_key, codec, lookup_key, Action, FlowEntry,
+    FlowModCommand, FlowRemovedReason, FlowStats, FlowTable, ForwardingAttestation, HeaderClass,
+    Match, OfMessage, OutPort, PacketInReason, PortStats, PortStatusReason, StatsBody,
+    StatsRequestKind, VlanMatch,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -286,7 +289,52 @@ fn arb_packet() -> impl Strategy<Value = Packet> {
     ]
 }
 
+/// A frame the switch looks up — TCP, UDP, ICMP or ARP, tagged or not
+/// — as it arrives: serialized and parsed back, so its body is what
+/// `wire` decodes (no `Transport::Other` carrying TCP's or UDP's
+/// protocol number).
+fn arb_lookup_frame() -> impl Strategy<Value = Packet> {
+    let macs = || (arb_mac(), arb_mac());
+    let ips = || (arb_ip(), arb_ip());
+    let ports = || (0u16..4, 0u16..4);
+    let frame = prop_oneof![
+        (macs(), ips(), ports()).prop_map(|((s, d), (si, di), (sp, dp))| {
+            PacketBuilder::tcp(s, d).ips(si, di).ports(sp, dp).build()
+        }),
+        (macs(), ips(), ports()).prop_map(|((s, d), (si, di), (sp, dp))| {
+            PacketBuilder::udp(s, d).ips(si, di).ports(sp, dp).build()
+        }),
+        (macs(), ips()).prop_map(|((s, d), (si, di))| {
+            icmp_frame(s, d, si, di, IcmpMessage::echo_request(7, 1, 8))
+        }),
+        (arb_mac(), ips()).prop_map(|(m, (si, di))| arp_frame(ArpPacket::request(m, si, di))),
+    ];
+    (frame, proptest::option::of(1u16..4094)).prop_map(|(mut pkt, vid)| {
+        pkt.eth.vlan = vid.map(VlanTag::new);
+        wire::parse(&wire::serialize(&pkt)).expect("wire parses what it writes")
+    })
+}
+
 proptest! {
+    /// The key walk is the frame walk seen through `lookup_key`: at
+    /// every output, in list order, `apply_actions_to_key` emits the
+    /// lookup key of the frame `apply_actions_owned` emits there.
+    /// Each case walks 32 pairs, so that a guard missing for one
+    /// frame kind and one action is hit in every run.
+    #[test]
+    fn key_walk_agrees_with_the_frame_walk(
+        walks in vec((arb_lookup_frame(), vec(arb_action(), 0..=5)), 32),
+    ) {
+        for (pkt, actions) in walks {
+            let key = lookup_key(&pkt).expect("IPv4 and ARP frames are looked up");
+            let mut frames = Vec::new();
+            apply_actions_owned(pkt, &actions, |dest, out| frames.push((dest, lookup_key(&out))));
+            let mut keys = Vec::new();
+            apply_actions_to_key(key, &actions, |dest, out| keys.push((dest, Some(out))));
+            prop_assert_eq!(frames, keys, "{actions:?}");
+        }
+    }
+
     /// `encode_into` appends exactly the frame `encode` returns, after
     /// whatever the buffer already holds and without touching it;
     /// `encode`'s buffer is exactly the frame; and `decode_all` of the

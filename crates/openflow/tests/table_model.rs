@@ -6,12 +6,15 @@
 //! every step the return values, `len()` and the full table contents
 //! must agree. The real table takes strict operations through its hash
 //! index, so any entry filed in — or looked for in — the wrong bucket
-//! shows up here as a disagreement.
+//! shows up here as a disagreement. After every step a probe packet
+//! also checks the table's hash-indexed lookup against `winner`, the
+//! winning-entry rule a verifier applies to the table's contents.
 
 use livesec_net::{FlowKey, Ipv4Net, MacAddr};
 use livesec_openflow::table::Nanos;
 use livesec_openflow::{
-    Action, FlowEntry, FlowRemovedReason, FlowTable, InsertOutcome, Match, OutPort, RemovedEntry,
+    winner, Action, FlowEntry, FlowRemovedReason, FlowTable, InsertOutcome, Match, OutPort,
+    RemovedEntry,
 };
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
@@ -191,11 +194,11 @@ fn out(port: u32) -> Vec<Action> {
     vec![Action::Output(OutPort::Physical(port))]
 }
 
-fn run_sequence(ops: Vec<(Op, Nanos)>) -> Result<(), TestCaseError> {
+fn run_sequence(ops: Vec<(Op, Nanos, (u32, FlowKey))>) -> Result<(), TestCaseError> {
     let mut table = FlowTable::new();
     let mut model = Model::default();
     let mut now: Nanos = 0;
-    for (step, (op, dt)) in ops.into_iter().enumerate() {
+    for (step, (op, dt, (in_port, probe))) in ops.into_iter().enumerate() {
         now += dt;
         match op.clone() {
             Op::Insert(m, prio, port, idle, hard) => {
@@ -262,6 +265,11 @@ fn run_sequence(ops: Vec<(Op, Nanos)>) -> Result<(), TestCaseError> {
             .collect();
         let reference: Vec<View> = model.0.iter().map(view).collect();
         prop_assert_eq!(real, reference, "contents after {op:?}");
+        prop_assert_eq!(
+            winner(table.entries_in_install_order(), in_port, &probe),
+            table.peek(in_port, &probe),
+            "winner after {op:?}"
+        );
     }
     Ok(())
 }
@@ -270,7 +278,7 @@ proptest! {
     #[test]
     fn flow_table_agrees_with_naive_model(
         sequences in proptest::collection::vec(
-            proptest::collection::vec((arb_op(), 0u64..25), 0..48),
+            proptest::collection::vec((arb_op(), 0u64..25, (1u32..3, arb_key())), 0..48),
             SEQUENCES_PER_CASE,
         ),
     ) {

@@ -12,7 +12,7 @@ use crate::snapshot::Snapshot;
 use crate::trace::{trace, TraceEnd};
 use livesec::controller::FASTPASS_PRIORITY;
 use livesec_net::{FlowKey, Ipv4Net, MacAddr};
-use livesec_openflow::{HeaderClass, Match};
+use livesec_openflow::{outranks, FlowEntry, HeaderClass, Match, LOOKUP_TYPES};
 use livesec_services::ServiceType;
 use std::fmt;
 
@@ -339,12 +339,7 @@ fn check_quarantine(snap: &Snapshot, out: &mut Vec<Violation>) {
             .filter(|h| h.dpid == dpid)
             .map(|h| h.mac)
             .collect();
-        let owners: Vec<u32> = snap
-            .shards
-            .iter()
-            .filter(|s| s.alive && s.owned.contains(&dpid))
-            .map(|s| s.id)
-            .collect();
+        let owners = live_owners(snap, dpid);
         if entries > 0 || !hosts.is_empty() || !owners.is_empty() {
             out.push(Violation::QuarantineLeak {
                 dpid,
@@ -354,6 +349,14 @@ fn check_quarantine(snap: &Snapshot, out: &mut Vec<Violation>) {
             });
         }
     }
+}
+
+/// The live shards that claim `dpid`.
+fn live_owners(snap: &Snapshot, dpid: u64) -> Vec<u32> {
+    let live = snap.shards.iter().filter(|s| s.alive);
+    live.filter(|s| s.owned.contains(&dpid))
+        .map(|s| s.id)
+        .collect()
 }
 
 /// Invariant 7 (merged per-shard snapshots only): the consistent-hash
@@ -368,12 +371,7 @@ fn check_shard_coverage(snap: &Snapshot, out: &mut Vec<Violation>) {
         if snap.quarantined.contains(&sw.dpid) {
             continue; // deliberately unowned; invariant 8 owns it
         }
-        let owners: Vec<u32> = snap
-            .shards
-            .iter()
-            .filter(|s| s.alive && s.owned.contains(&sw.dpid))
-            .map(|s| s.id)
-            .collect();
+        let owners = live_owners(snap, sw.dpid);
         if owners.len() != 1 {
             out.push(Violation::ShardCoverage {
                 dpid: sw.dpid,
@@ -467,15 +465,13 @@ fn check_stale_fastpass(snap: &Snapshot, scoped: &[(usize, usize)], out: &mut Ve
     }
 }
 
-/// The region of header space where `entries[idx]` actually wins the
-/// table lookup: its own matcher minus every matcher that beats it
-/// (higher priority, or equal priority installed earlier).
-fn winner_region(entries: &[livesec_openflow::FlowEntry], idx: usize) -> HeaderClass {
-    let mut region = HeaderClass::of(entries[idx].matcher);
+/// The region of `within` where `entries[idx]` actually wins the table
+/// lookup: `within` minus every matcher that [`outranks`] it.
+fn winner_region(entries: &[FlowEntry], idx: usize, within: Match) -> HeaderClass {
+    let mut region = HeaderClass::of(within);
+    let rank = |i: usize| (entries[i].priority, i as u64);
     for (i, other) in entries.iter().enumerate() {
-        let beats = other.priority > entries[idx].priority
-            || (other.priority == entries[idx].priority && i < idx);
-        if beats {
+        if outranks(rank(i), rank(idx)) {
             region.subtract(&other.matcher);
         }
     }
@@ -496,11 +492,15 @@ fn check_loops(snap: &Snapshot, scoped: &[(usize, usize)], out: &mut Vec<Violati
         if e.actions.is_empty() {
             continue; // a drop cannot start a loop
         }
-        let Some((in_port, key)) = winner_region(&sw.entries, idx).witness() else {
-            continue; // fully shadowed: never wins a lookup
-        };
-        let t = trace(snap, sw.dpid, in_port, key);
-        if matches!(t.end, TraceEnd::Loop { .. }) {
+        // One witness per EtherType the switch looks up; it punts the rest.
+        let looping = LOOKUP_TYPES.into_iter().find_map(|dl_type| {
+            let within = e.matcher.intersect(&Match::any().with_dl_type(dl_type))?;
+            // None when fully shadowed: the entry never wins a lookup.
+            let (in_port, key) = winner_region(&sw.entries, idx, within).witness()?;
+            let t = trace(snap, sw.dpid, in_port, key);
+            matches!(t.end, TraceEnd::Loop { .. }).then_some((in_port, key, t))
+        });
+        if let Some((in_port, key, t)) = looping {
             out.push(Violation::ForwardingLoop {
                 dpid: sw.dpid,
                 witness: Witness {

@@ -15,22 +15,29 @@
 //! symbolically carve the header space into equivalence classes
 //! (wildcard-aware, on `livesec_openflow`'s match algebra), extract a
 //! concrete witness packet per class, and replay each witness through
-//! the tables to prove or refute eight invariants:
+//! the tables — with the switch's own lookup and action code — to prove
+//! or refute eight invariants:
 //!
 //! 1. **Blocked unreachable** — traffic covered by a standing block
-//!    is not delivered to any endpoint from any ingress.
+//!    is not delivered (or fanned out) to any endpoint from any
+//!    ingress.
 //! 2. **No forwarding loops** — no packet revisits a
-//!    `(switch, port, headers)` state.
-//! 3. **No blackholes** — every admitted flow's packets reach its
-//!    destination.
+//!    `(switch, port, headers)` state: one witness per entry's winner
+//!    region and looked-up EtherType.
+//! 3. **No blackholes** — both directions of every admitted flow reach
+//!    their destination. A table miss or explicit punt is the reactive
+//!    packet-in path, not a blackhole; a wrong host, a dead port, loss
+//!    in the fabric or a fan-out is.
 //! 4. **Waypoint enforcement** — a flow whose policy names a service
 //!    chain traverses an element of each required type, in order,
-//!    before egress.
+//!    before egress, unless a current-epoch fast-pass sanctions the
+//!    bypass.
 //! 5. **Fast-pass freshness** — established-flow fast-pass entries
 //!    are backed by records compiled under the current policy and
 //!    topology epochs.
 //! 6. **No silent shadowing** — equal-priority overlapping entries
-//!    with different actions are reported with the masked rule.
+//!    with different actions are reported with the masked rule
+//!    (equal-action overlaps are benign).
 //! 7. **Shard coverage** (sharded planes) — every registered switch
 //!    is owned by exactly one live shard.
 //! 8. **Quarantine isolation** — a switch the accountability layer
@@ -51,7 +58,7 @@ pub mod trace;
 pub use delta::{audit_delta, EcIndex, RuleDelta};
 pub use invariants::{audit, audit_scoped, AuditScope, Violation, Witness};
 pub use snapshot::{FlowView, HostInfo, Snapshot, SwitchState};
-pub use trace::{best_entry, trace, Trace, TraceEnd, TraceStep};
+pub use trace::{trace, Trace, TraceEnd, TraceStep};
 
 use livesec::deploy::Campus;
 use livesec_sim::SimDuration;

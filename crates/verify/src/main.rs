@@ -43,15 +43,14 @@ fn main() {
                     .and_then(|s| s.parse().ok())
                     .unwrap_or_else(|| usage());
             }
-            "--help" | "-h" => usage(),
             _ => usage(),
         }
         i += 1;
     }
 
     let violations = match scenario.as_str() {
-        "baseline" => run_baseline(seed),
-        "service-chain" => run_service_chain(seed),
+        "baseline" => run_steady(seed, 3, "baseline"),
+        "service-chain" => run_steady(seed, 6, "service-chain"),
         "chaos-heal" => run_chaos_heal(seed),
         "tamper-quarantine" => run_tamper_quarantine(seed),
         _ => usage(),
@@ -86,28 +85,18 @@ fn report_snapshot(scn: &CampusScenario, label: &str) {
     );
 }
 
-/// Fault-free campus, audited mid-traffic: the steady-state proof.
-fn run_baseline(seed: u64) -> Vec<Violation> {
+/// A fault-free campus audited mid-traffic after `secs` simulated
+/// seconds. At 3 s this is the steady-state proof; by 6 s the torrent
+/// switch and the attack verdict have landed, so chained flows, blocks
+/// and fast-passes are all present.
+fn run_steady(seed: u64, secs: u64, label: &str) -> Vec<Violation> {
     let cfg = ScenarioConfig {
         seed,
         ..ScenarioConfig::default()
     };
     let mut scn = CampusScenario::build(cfg);
-    scn.campus.world.run_for(SimDuration::from_secs(3));
-    report_snapshot(&scn, "baseline");
-    settle(&mut scn)
-}
-
-/// Longer run with the torrent switch and the attack verdict landed:
-/// chained flows, blocks, and fast-passes all present.
-fn run_service_chain(seed: u64) -> Vec<Violation> {
-    let cfg = ScenarioConfig {
-        seed,
-        ..ScenarioConfig::default()
-    };
-    let mut scn = CampusScenario::build(cfg);
-    scn.campus.world.run_for(SimDuration::from_secs(6));
-    report_snapshot(&scn, "service-chain");
+    scn.campus.world.run_for(SimDuration::from_secs(secs));
+    report_snapshot(&scn, label);
     settle(&mut scn)
 }
 

@@ -2,19 +2,20 @@
 //!
 //! The verifier reasons per equivalence class of headers but *traces*
 //! one concrete representative: inject a witness packet at an ingress
-//! port and replay exactly what the flow tables would do to it —
-//! highest-priority match wins (install order breaks ties, mirroring
-//! `FlowTable::lookup`), actions apply in sequence, an output on the
+//! port and replay exactly what the flow tables would do to it. What a
+//! switch does is `livesec_openflow`'s own code: it looks up only the
+//! EtherTypes [`is_lookup_type`] accepts, [`winner`] picks the entry,
+//! and [`apply_actions_to_key`] walks its actions. An output on the
 //! uplink crosses the legacy fabric to wherever the current
 //! destination MAC is attached, and an output to a service element's
 //! port re-enters the same switch on that port (the element reflects
 //! admitted traffic back). The trace ends when the packet is
-//! delivered, dropped, lost, or provably looping.
+//! delivered, dropped, lost, fanned out, or provably looping.
 
 use crate::snapshot::Snapshot;
 use livesec::controller::{BLOCK_PRIORITY, DENY_COOKIE};
 use livesec_net::{FlowKey, MacAddr};
-use livesec_openflow::{Action, FlowEntry, OutPort};
+use livesec_openflow::{apply_actions_to_key, is_lookup_type, winner, OutPort};
 use livesec_services::ServiceType;
 use std::collections::BTreeSet;
 use std::fmt;
@@ -45,8 +46,9 @@ pub enum TraceEnd {
         /// The dropping entry's priority.
         priority: u16,
     },
-    /// No entry matched — the switch would packet-in to the
-    /// controller (reactive setup, not forwarding).
+    /// No entry matched, or the switch does not look up this
+    /// EtherType — it would packet-in to the controller (reactive
+    /// setup, not forwarding).
     Miss {
         /// Switch with no matching entry.
         dpid: u64,
@@ -56,7 +58,8 @@ pub enum TraceEnd {
         /// Switch that punted.
         dpid: u64,
     },
-    /// An entry flooded the packet (reaches every attached endpoint).
+    /// An entry flooded the packet or output it more than once: it
+    /// reaches more than one port.
     Flooded {
         /// Switch that flooded.
         dpid: u64,
@@ -86,10 +89,8 @@ impl TraceEnd {
     /// Whether this end is an administrative drop (block or deny
     /// entry) rather than a forwarding defect.
     pub fn is_admin_drop(&self) -> bool {
-        matches!(
-            self,
-            TraceEnd::Dropped { priority, .. } if *priority == BLOCK_PRIORITY
-        ) || matches!(self, TraceEnd::Dropped { cookie, .. } if *cookie == DENY_COOKIE)
+        matches!(self, TraceEnd::Dropped { cookie, priority, .. }
+            if *priority == BLOCK_PRIORITY || *cookie == DENY_COOKIE)
     }
 }
 
@@ -109,7 +110,7 @@ impl fmt::Display for TraceEnd {
             ),
             TraceEnd::Miss { dpid } => write!(f, "table miss at dpid {dpid}"),
             TraceEnd::ToController { dpid } => write!(f, "sent to controller at dpid {dpid}"),
-            TraceEnd::Flooded { dpid } => write!(f, "flooded at dpid {dpid}"),
+            TraceEnd::Flooded { dpid } => write!(f, "reaches more than one port at dpid {dpid}"),
             TraceEnd::FabricLost { mac } => {
                 write!(f, "lost in legacy fabric (dst {mac} unlocated)")
             }
@@ -163,66 +164,20 @@ impl fmt::Display for Trace {
     }
 }
 
-/// The winning entry for a packet at one switch, mirroring
-/// `FlowTable::lookup`: highest priority, earliest installation on a
-/// tie. `entries` must be in install order.
-pub fn best_entry<'a>(
-    entries: &'a [FlowEntry],
-    in_port: u32,
-    key: &FlowKey,
-) -> Option<&'a FlowEntry> {
-    let mut best: Option<&FlowEntry> = None;
-    for e in entries {
-        if !e.matcher.matches(in_port, key) {
-            continue;
-        }
-        match best {
-            Some(b) if b.priority >= e.priority => {}
-            _ => best = Some(e),
-        }
-    }
-    best
-}
-
-fn apply_to_key(key: &mut FlowKey, action: &Action) {
-    match *action {
-        Action::SetDlSrc(m) => key.dl_src = m,
-        Action::SetDlDst(m) => key.dl_dst = m,
-        Action::SetNwSrc(ip) => key.nw_src = ip,
-        Action::SetNwDst(ip) => key.nw_dst = ip,
-        Action::SetTpSrc(p) => key.tp_src = p,
-        Action::SetTpDst(p) => key.tp_dst = p,
-        Action::SetVlan(v) => key.vlan = Some(v),
-        Action::StripVlan => key.vlan = None,
-        Action::Output(_) => {}
-    }
-}
-
 /// Traces a concrete packet injected at `(dpid, in_port)` through the
 /// snapshot's flow tables until it is delivered, dropped, or lost.
 pub fn trace(snap: &Snapshot, dpid: u64, in_port: u32, key: FlowKey) -> Trace {
     let mut steps = Vec::new();
     let mut traversed = Vec::new();
-    let mut visited: BTreeSet<(u64, u32, FlowKey)> = BTreeSet::new();
+    let mut visited = BTreeSet::new();
 
     let mut cur_dpid = dpid;
     let mut cur_port = in_port;
     let mut cur_key = key;
 
-    loop {
-        if steps.len() >= HOP_LIMIT {
-            return Trace {
-                steps,
-                end: TraceEnd::Loop { dpid: cur_dpid },
-                traversed,
-            };
-        }
-        if !visited.insert((cur_dpid, cur_port, cur_key)) {
-            return Trace {
-                steps,
-                end: TraceEnd::Loop { dpid: cur_dpid },
-                traversed,
-            };
+    let end = loop {
+        if steps.len() >= HOP_LIMIT || !visited.insert((cur_dpid, cur_port, cur_key)) {
+            break TraceEnd::Loop { dpid: cur_dpid };
         }
         steps.push(TraceStep {
             dpid: cur_dpid,
@@ -231,90 +186,56 @@ pub fn trace(snap: &Snapshot, dpid: u64, in_port: u32, key: FlowKey) -> Trace {
         });
 
         let Some(sw) = snap.switch(cur_dpid) else {
-            return Trace {
-                steps,
-                end: TraceEnd::FabricLost {
-                    mac: cur_key.dl_dst,
-                },
-                traversed,
+            break TraceEnd::FabricLost {
+                mac: cur_key.dl_dst,
             };
         };
-        let Some(entry) = best_entry(&sw.entries, cur_port, &cur_key) else {
-            return Trace {
-                steps,
-                end: TraceEnd::Miss { dpid: cur_dpid },
-                traversed,
-            };
+        let hit = winner(&sw.entries, cur_port, &cur_key);
+        let Some(entry) = hit.filter(|_| is_lookup_type(cur_key.dl_type)) else {
+            break TraceEnd::Miss { dpid: cur_dpid };
         };
 
-        // Apply the action list; follow the first output.
-        let mut out: Option<OutPort> = None;
-        let mut out_key = cur_key;
-        let mut scratch = cur_key;
-        for a in &entry.actions {
-            if let Action::Output(dest) = a {
-                if out.is_none() {
-                    out = Some(*dest);
-                    out_key = scratch;
-                }
-            } else {
-                apply_to_key(&mut scratch, a);
-            }
-        }
-        let Some(dest) = out else {
-            return Trace {
-                steps,
-                end: TraceEnd::Dropped {
+        // The switch emits a copy at every output; the trace follows
+        // a single one.
+        let mut copies = 0;
+        let mut out = None;
+        apply_actions_to_key(cur_key, &entry.actions, |dest, key| {
+            copies += 1;
+            out = Some((dest, key));
+        });
+        let (dest, out_key) = match out {
+            None => {
+                break TraceEnd::Dropped {
                     dpid: cur_dpid,
                     cookie: entry.cookie,
                     priority: entry.priority,
-                },
-                traversed,
-            };
+                }
+            }
+            Some(_) if copies > 1 => break TraceEnd::Flooded { dpid: cur_dpid },
+            Some(out) => out,
         };
 
         let port = match dest {
             OutPort::Physical(p) => p,
             OutPort::InPort => cur_port,
-            OutPort::Controller => {
-                return Trace {
-                    steps,
-                    end: TraceEnd::ToController { dpid: cur_dpid },
-                    traversed,
-                }
-            }
-            OutPort::Flood => {
-                return Trace {
-                    steps,
-                    end: TraceEnd::Flooded { dpid: cur_dpid },
-                    traversed,
-                }
-            }
+            OutPort::Controller => break TraceEnd::ToController { dpid: cur_dpid },
+            OutPort::Flood => break TraceEnd::Flooded { dpid: cur_dpid },
         };
 
         if Some(port) == sw.uplink {
             // Into the legacy fabric: plain L2 delivers toward the
             // switch where the (possibly rewritten) destination MAC
             // attaches; the frame re-enters it on its uplink.
-            let Some(host) = snap.host_of(out_key.dl_dst) else {
-                return Trace {
-                    steps,
-                    end: TraceEnd::FabricLost {
-                        mac: out_key.dl_dst,
-                    },
-                    traversed,
+            let next = snap.host_of(out_key.dl_dst).and_then(|host| {
+                let up = snap.switch(host.dpid)?.uplink?;
+                Some((host.dpid, up))
+            });
+            let Some((next_dpid, next_up)) = next else {
+                break TraceEnd::FabricLost {
+                    mac: out_key.dl_dst,
                 };
             };
-            let Some(next_up) = snap.switch(host.dpid).and_then(|s| s.uplink) else {
-                return Trace {
-                    steps,
-                    end: TraceEnd::FabricLost {
-                        mac: out_key.dl_dst,
-                    },
-                    traversed,
-                };
-            };
-            cur_dpid = host.dpid;
+            cur_dpid = next_dpid;
             cur_port = next_up;
             cur_key = out_key;
             continue;
@@ -326,31 +247,27 @@ pub fn trace(snap: &Snapshot, dpid: u64, in_port: u32, key: FlowKey) -> Trace {
             .iter()
             .find(|h| h.dpid == cur_dpid && h.port == port);
         let Some(host) = attached else {
-            return Trace {
-                steps,
-                end: TraceEnd::DeadEnd {
-                    dpid: cur_dpid,
-                    port,
-                },
-                traversed,
+            break TraceEnd::DeadEnd {
+                dpid: cur_dpid,
+                port,
             };
         };
-        if let Some(service) = snap.element_type(host.mac) {
-            // The element inspects and reflects the frame unchanged;
-            // it re-enters the same switch on the element's port.
-            traversed.push((host.mac, service));
-            cur_port = port;
-            cur_key = out_key;
-            continue;
-        }
-        return Trace {
-            steps,
-            end: TraceEnd::Delivered {
+        let Some(service) = snap.element_type(host.mac) else {
+            break TraceEnd::Delivered {
                 dpid: cur_dpid,
                 port,
                 mac: host.mac,
-            },
-            traversed,
+            };
         };
+        // The element inspects and reflects the frame unchanged; it
+        // re-enters the same switch on the element's port.
+        traversed.push((host.mac, service));
+        cur_port = port;
+        cur_key = out_key;
+    };
+    Trace {
+        steps,
+        end,
+        traversed,
     }
 }

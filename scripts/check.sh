@@ -26,7 +26,10 @@ run cargo build --release
 # - tests/verify_audit (DESIGN.md §8): the header-space verifier proves
 #   the dataplane invariants on the baseline and service-chain
 #   campuses' emitted flow tables, and refutes a broken snapshot of
-#   each invariant with a witness packet.
+#   each invariant with a witness packet — including a block leaked by
+#   an entry's second output, an ICMP path a transport rewrite the
+#   switch does not apply would divert, and a loop only of EtherTypes
+#   the switch punts (no loop).
 # - tests/decoder_fuzz (DESIGN.md §13): every wire decoder over seeded
 #   mutations of valid encodings — a typed error or Ok, no panic, and
 #   allocation within a bound linear in the input length.
@@ -57,8 +60,11 @@ run cargo build --release
 #   without a campus, `prop_core`, `end_to_end`; livesec-net: the
 #   wire/packet codecs.
 # - livesec-openflow, livesec-switch: the flow-mod write path — the
-#   table's differential model test and the hostile-timeout
-#   regressions.
+#   table's differential model test (whose every step also checks
+#   `winner` over the table's install order against its hash lookup)
+#   and the hostile-timeout regressions — and the key walk: at every
+#   output, `apply_actions_to_key` emits the lookup key of the frame
+#   `apply_actions_owned` emits.
 # - livesec-conntrack, livesec-sim, livesec-services: the per-frame data
 #   path (EXPERIMENTS.md E17/E18) — bounded conntrack indexes, the
 #   kernel's port slots, the scan kernel's differential model test.

@@ -14,7 +14,7 @@ use livesec_openflow::{Action, FlowEntry, Match, OutPort};
 use livesec_services::ServiceType;
 use livesec_sim::SimDuration;
 use livesec_verify::{
-    audit, audit_settled, FlowView, HostInfo, Snapshot, SwitchState, TraceEnd, Violation,
+    audit, audit_settled, trace, FlowView, HostInfo, Snapshot, SwitchState, TraceEnd, Violation,
 };
 use livesec_workloads::{CampusScenario, ScenarioConfig};
 use std::net::Ipv4Addr;
@@ -145,6 +145,115 @@ fn audit_refutes_blocked_reachable() {
             assert_eq!(witness.key.nw_dst, ip(2));
         }
         v => panic!("expected BlockedReachable, got {v:#?}"),
+    }
+}
+
+/// Invariant 1 when an entry outputs twice: the switch emits a copy at
+/// each output, so the copy to B leaks even though the first output
+/// goes nowhere.
+#[test]
+fn audit_refutes_a_block_leaked_by_a_second_output() {
+    let fan_out = FlowEntry::new(
+        Match::any().with_dl_src(mac(1)),
+        vec![
+            Action::Output(OutPort::Physical(9)), // nothing attached
+            Action::Output(OutPort::Physical(2)), // B
+        ],
+        100,
+    );
+    let mut snap = tiny_snapshot(vec![fan_out]);
+    snap.blocks = vec![(1, Match::any().with_dl_src(mac(1)))];
+
+    let t = trace(&snap, 1, 1, key(1, 2));
+    assert_eq!(t.end, TraceEnd::Flooded { dpid: 1 });
+    let vs = audit(&snap);
+    assert_eq!(vs.len(), 1, "expected exactly one violation: {vs:#?}");
+    match &vs[0] {
+        Violation::BlockedReachable { delivered_to, .. } => assert_eq!(*delivered_to, mac(2)),
+        v => panic!("expected BlockedReachable, got {v:#?}"),
+    }
+}
+
+/// A rewrite the switch does not apply does not steer the trace: a
+/// `SetTpDst` on an ICMP frame leaves it alone, so after the intrusion
+/// detector reflects it the frame takes the port-agnostic entry to B,
+/// not the entry for the rewritten port, which leads nowhere.
+#[test]
+fn trace_ignores_a_transport_rewrite_on_icmp() {
+    let to_ids = FlowEntry::new(
+        Match::any().with_in_port(1),
+        vec![Action::SetTpDst(99), Action::Output(OutPort::Physical(3))],
+        100,
+    );
+    let rewritten = FlowEntry::new(Match::any().with_in_port(3).with_tp_dst(99), out(7), 200);
+    let back = FlowEntry::new(Match::any().with_in_port(3), out(2), 100);
+    let mut snap = tiny_snapshot(vec![to_ids, rewritten, back]);
+    snap.hosts.push(HostInfo {
+        mac: mac(9),
+        ip: ip(9),
+        dpid: 1,
+        port: 3,
+    });
+    snap.elements = vec![(mac(9), ServiceType::IntrusionDetection)];
+    let ping = FlowKey {
+        nw_proto: 1,
+        tp_src: 0,
+        tp_dst: 0,
+        ..key(1, 2)
+    };
+    snap.flows = vec![FlowView {
+        key: ping,
+        chain: vec![ServiceType::IntrusionDetection],
+        blocked: false,
+    }];
+
+    let t = trace(&snap, 1, 1, ping);
+    assert_eq!(
+        t.end,
+        TraceEnd::Delivered {
+            dpid: 1,
+            port: 2,
+            mac: mac(2)
+        }
+    );
+    assert_eq!(t.traversed_types(), [ServiceType::IntrusionDetection]);
+    assert!(t.steps.iter().all(|s| s.key == ping), "{t}");
+    let vs = audit(&snap);
+    assert!(vs.is_empty(), "the ping reaches B: {vs:#?}");
+}
+
+/// Invariant 2 only for frames the switch looks up: an entry that
+/// would bounce frames off a service element forever wins only
+/// EtherTypes other than IPv4 and ARP, which the switch punts to the
+/// controller instead. Once it also wins ARP, the loop is real.
+#[test]
+fn a_loop_of_frames_the_switch_punts_is_no_loop() {
+    let bounce = FlowEntry::new(Match::any(), out(3), 1);
+    let ipv4 = FlowEntry::new(Match::any().with_dl_type(0x0800), out(2), 10);
+    let arp = FlowEntry::new(Match::any().with_dl_type(0x0806), out(2), 10);
+    let mut snap = tiny_snapshot(vec![bounce, ipv4, arp]);
+    snap.hosts.push(HostInfo {
+        mac: mac(9),
+        ip: ip(9),
+        dpid: 1,
+        port: 3,
+    });
+    snap.elements = vec![(mac(9), ServiceType::IntrusionDetection)];
+
+    let ipv6 = FlowKey {
+        dl_type: 0x86dd,
+        ..key(1, 2)
+    };
+    assert_eq!(trace(&snap, 1, 1, ipv6).end, TraceEnd::Miss { dpid: 1 });
+    let vs = audit(&snap);
+    assert!(vs.is_empty(), "no looked-up frame loops: {vs:#?}");
+
+    snap.switches[0].entries.pop(); // ARP now falls to `bounce`
+    let vs = audit(&snap);
+    assert_eq!(vs.len(), 1, "expected exactly one violation: {vs:#?}");
+    match &vs[0] {
+        Violation::ForwardingLoop { witness, .. } => assert_eq!(witness.key.dl_type, 0x0806),
+        v => panic!("expected ForwardingLoop, got {v:#?}"),
     }
 }
 
