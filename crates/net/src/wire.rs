@@ -132,6 +132,12 @@ pub fn serialize(pkt: &Packet) -> Vec<u8> {
     out
 }
 
+/// The number of bytes [`serialize`] writes for `pkt`: its frame
+/// without FCS or padding.
+pub fn serialized_len(pkt: &Packet) -> usize {
+    pkt.eth.wire_len() + pkt.body.wire_len()
+}
+
 /// Appends the on-wire byte form of `pkt` to `out`, leaving what `out`
 /// already holds as it was: the bytes [`serialize`] returns.
 pub fn serialize_into(pkt: &Packet, out: &mut Vec<u8>) {
@@ -507,6 +513,34 @@ mod tests {
             IcmpMessage::echo_request(42, 7, 56),
         );
         assert_eq!(parse(&serialize(&pkt)).unwrap(), pkt);
+    }
+
+    #[test]
+    fn serialized_len_is_what_serialize_writes() {
+        let ip = |s: &str| s.parse().unwrap();
+        let pkts = [
+            PacketBuilder::tcp(mac(1), mac(2))
+                .ips(ip("10.0.0.1"), ip("10.0.0.2"))
+                .payload_bytes(vec![7; 1400])
+                .build(),
+            PacketBuilder::udp(mac(3), mac(4))
+                .ips(ip("10.1.0.1"), ip("10.1.0.2"))
+                .vlan(100)
+                .payload_len(3)
+                .build(),
+            arp_frame(ArpPacket::request(mac(9), ip("10.0.0.9"), ip("10.0.0.1"))),
+            lldp_frame(mac(77), LldpFrame::new(0xabcdef, 12)),
+            icmp_frame(
+                mac(1),
+                mac(2),
+                ip("10.0.0.1"),
+                ip("8.8.8.8"),
+                IcmpMessage::echo_request(42, 7, 56),
+            ),
+        ];
+        for pkt in &pkts {
+            assert_eq!(serialized_len(pkt), serialize(pkt).len(), "{pkt:?}");
+        }
     }
 
     #[test]

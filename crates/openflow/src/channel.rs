@@ -4,10 +4,15 @@
 //! identically: answering hello, echo, features and barrier requests,
 //! and allocating transaction ids for outbound messages. The
 //! interesting messages (flow-mods, packet-outs, stats requests) are
-//! surfaced to the caller.
+//! surfaced to the caller, read in place from the received bytes.
 
-use crate::codec::{decode_all, encode, CodecError};
-use crate::message::OfMessage;
+use crate::action::Action;
+use crate::codec::{
+    encode, encode_packet_in, read_frame, Check, CodecError, Frame, Frames, T_BARRIER_REQ,
+    T_ECHO_REP, T_ECHO_REQ, T_FEATURES_REQ, T_HELLO,
+};
+use crate::message::{OfMessage, PacketInReason};
+use livesec_net::Packet;
 
 /// The switch side of an OpenFlow secure channel.
 #[derive(Debug, Clone)]
@@ -49,40 +54,63 @@ impl SwitchChannel {
         self.echo_replies_seen = 0;
     }
 
+    fn next_xid(&mut self) -> u32 {
+        let xid = self.next_xid;
+        self.next_xid = xid.wrapping_add(1);
+        xid
+    }
+
     /// Encodes an outbound message with a fresh transaction id.
     pub fn send(&mut self, msg: &OfMessage) -> Vec<u8> {
-        let xid = self.next_xid;
-        self.next_xid = self.next_xid.wrapping_add(1);
+        let xid = self.next_xid();
         encode(msg, xid)
+    }
+
+    /// Encodes the packet-in that carries `pkt`, with a fresh
+    /// transaction id: the packet is serialized straight into its
+    /// frame, one allocation of the frame's size.
+    pub fn packet_in(&mut self, in_port: u32, reason: PacketInReason, pkt: &Packet) -> Vec<u8> {
+        let xid = self.next_xid();
+        encode_packet_in(in_port, reason, pkt, xid)
     }
 
     /// Processes inbound bytes, which may carry a whole batch of
     /// concatenated messages (the controller's per-switch flow-mod
     /// batches).
     ///
-    /// A batch is all-or-nothing: every frame is decoded before any is
-    /// acted on. Then the protocol chores are answered through `reply`,
-    /// one encoded frame each, in arrival order, and the messages that
-    /// need switch-specific handling are returned, in arrival order.
-    /// The caller transmits the replies as they come and handles the
-    /// returned messages after, so the reply to a batch-terminating
+    /// A batch is all-or-nothing, and is walked check-then-apply with
+    /// nothing staged in between. First every frame is read and
+    /// checked, its actions read into nothing. Then the protocol chores
+    /// are answered through `reply`, one encoded frame each, in arrival
+    /// order. What is left needs switch-specific handling: the returned
+    /// [`Batch`] reads it one frame at a time, in arrival order. The
+    /// caller transmits the replies as they come and applies the batch
+    /// after, so the reply to a batch-terminating
     /// [`OfMessage::BarrierRequest`] leaves before the batch's entries
-    /// are applied — the simulated switch applies them synchronously
-    /// in the same dispatch, so the barrier still holds.
+    /// are applied — the simulated switch applies them synchronously in
+    /// the same dispatch, so the barrier still holds.
     ///
     /// # Errors
     ///
     /// Returns [`CodecError`] if any frame doesn't decode; no message
     /// of a malformed batch is answered or surfaced.
-    pub fn receive_all(
+    pub fn receive_all<'a>(
         &mut self,
-        bytes: &[u8],
+        bytes: &'a [u8],
         reply: &mut dyn FnMut(Vec<u8>),
-    ) -> Result<impl Iterator<Item = OfMessage> + use<>, CodecError> {
-        let msgs = decode_all(bytes)?;
-        for (msg, xid) in &msgs {
+    ) -> Result<Batch<'a>, CodecError> {
+        for frame in Frames::new(bytes) {
+            read_frame(frame?.1, &mut Check)?;
+        }
+        for (ty, frame) in Frames::new(bytes).flatten() {
+            if !is_chore(ty) {
+                continue;
+            }
+            let Ok((Frame::Other(msg), xid)) = read_frame(frame, &mut Check) else {
+                continue;
+            };
             let answer = match msg {
-                OfMessage::EchoRequest(v) => OfMessage::EchoReply(*v),
+                OfMessage::EchoRequest(v) => OfMessage::EchoReply(v),
                 OfMessage::FeaturesRequest => OfMessage::FeaturesReply {
                     datapath_id: self.datapath_id,
                     n_ports: self.n_ports,
@@ -94,21 +122,40 @@ impl SwitchChannel {
                 }
                 _ => continue,
             };
-            reply(encode(&answer, *xid));
+            reply(encode(&answer, xid));
         }
-        Ok(msgs.into_iter().filter_map(|(msg, _)| surfaced(msg)))
+        Ok(Batch(Frames::new(bytes)))
     }
 }
 
-/// `msg` unless the channel handles it by itself.
-fn surfaced(msg: OfMessage) -> Option<OfMessage> {
-    match msg {
-        OfMessage::Hello
-        | OfMessage::EchoRequest(_)
-        | OfMessage::EchoReply(_)
-        | OfMessage::FeaturesRequest
-        | OfMessage::BarrierRequest => None,
-        other => Some(other),
+/// Whether the channel answers or absorbs frames of type `ty` itself.
+fn is_chore(ty: u8) -> bool {
+    matches!(
+        ty,
+        T_HELLO | T_ECHO_REQ | T_ECHO_REP | T_FEATURES_REQ | T_BARRIER_REQ
+    )
+}
+
+/// The frames of a checked batch that the channel leaves to the switch,
+/// from [`SwitchChannel::receive_all`].
+#[derive(Debug)]
+pub struct Batch<'a>(Frames<'a>);
+
+impl<'a> Batch<'a> {
+    /// The next frame, in arrival order, with its actions read into
+    /// `actions` (cleared first); `None` once the batch is done.
+    pub fn next_frame(&mut self, actions: &mut Vec<Action>) -> Option<Frame<'a>> {
+        for (ty, frame) in self.0.by_ref().flatten() {
+            if is_chore(ty) {
+                continue;
+            }
+            actions.clear();
+            // The batch was checked whole, so the read cannot fail.
+            if let Ok((frame, _)) = read_frame(frame, actions) {
+                return Some(frame);
+            }
+        }
+        None
     }
 }
 
@@ -124,7 +171,11 @@ mod tests {
         bytes: &[u8],
     ) -> Result<(Vec<Vec<u8>>, Vec<OfMessage>), CodecError> {
         let mut replies = Vec::new();
-        let up = ch.receive_all(bytes, &mut |r| replies.push(r))?.collect();
+        let mut batch = ch.receive_all(bytes, &mut |r| replies.push(r))?;
+        let (mut up, mut actions) = (Vec::new(), Vec::new());
+        while let Some(frame) = batch.next_frame(&mut actions) {
+            up.push(frame.into_message(actions.clone()));
+        }
         Ok((replies, up))
     }
 

@@ -10,7 +10,14 @@
 //! buffer is allocated once at the frame's exact size. The two set-up
 //! messages also encode from borrowed parts — [`FlowModRef`] and
 //! [`encode_packet_out_into`] — to the same bytes as their owned
-//! [`OfMessage`].
+//! [`OfMessage`], and [`encode_packet_in`] serializes the switch's
+//! packet straight into its frame.
+//!
+//! One reader takes every frame apart, generic over where a frame's
+//! actions go: a `Vec<Action>` ([`decode`], and the switch's reused
+//! action buffer), or nowhere, when a batch is only being checked. It
+//! returns a [`Frame`], which borrows a packet-out's packet from the
+//! frame instead of copying it.
 
 #![warn(clippy::indexing_slicing)]
 
@@ -60,10 +67,10 @@ impl From<Truncated> for CodecError {
 }
 
 // Message type codes (OpenFlow 1.0 numbering where one exists).
-const T_HELLO: u8 = 0;
-const T_ECHO_REQ: u8 = 2;
-const T_ECHO_REP: u8 = 3;
-const T_FEATURES_REQ: u8 = 5;
+pub(crate) const T_HELLO: u8 = 0;
+pub(crate) const T_ECHO_REQ: u8 = 2;
+pub(crate) const T_ECHO_REP: u8 = 3;
+pub(crate) const T_FEATURES_REQ: u8 = 5;
 const T_FEATURES_REP: u8 = 6;
 const T_PACKET_IN: u8 = 10;
 const T_FLOW_REMOVED: u8 = 11;
@@ -72,7 +79,7 @@ const T_PACKET_OUT: u8 = 13;
 const T_FLOW_MOD: u8 = 14;
 const T_STATS_REQ: u8 = 16;
 const T_STATS_REP: u8 = 17;
-const T_BARRIER_REQ: u8 = 18;
+pub(crate) const T_BARRIER_REQ: u8 = 18;
 const T_BARRIER_REP: u8 = 19;
 // Vendor extension (no OpenFlow 1.0 counterpart).
 const T_ATTESTATION: u8 = 30;
@@ -165,13 +172,13 @@ fn get_opt_u32(r: &mut Cursor<'_>) -> Result<Option<u32>, CodecError> {
     Ok(if r.u8()? == 0 { None } else { Some(r.u32()?) })
 }
 
-fn get_bytes(r: &mut Cursor<'_>) -> Result<Vec<u8>, CodecError> {
+fn get_bytes<'a>(r: &mut Cursor<'a>) -> Result<&'a [u8], CodecError> {
     let n = r.u32()? as usize;
-    Ok(r.take(n)?.to_vec())
+    Ok(r.take(n)?)
 }
 
 fn get_string(r: &mut Cursor<'_>) -> Result<String, CodecError> {
-    String::from_utf8(get_bytes(r)?).map_err(|_| CodecError::BadField("string"))
+    String::from_utf8(get_bytes(r)?.to_vec()).map_err(|_| CodecError::BadField("string"))
 }
 
 fn put_match(w: &mut impl Sink, m: &Match) {
@@ -376,7 +383,31 @@ fn put_actions(w: &mut impl Sink, actions: &[Action]) {
     }
 }
 
-fn get_actions(r: &mut Cursor<'_>) -> Result<Vec<Action>, CodecError> {
+/// Where the one reader puts a frame's actions: a list it appends to,
+/// or nowhere ([`Check`]), when a batch is only being checked.
+pub(crate) trait ActionSink {
+    /// Makes room for `n` more actions.
+    fn reserve(&mut self, _n: usize) {}
+    fn push(&mut self, a: Action);
+}
+
+impl ActionSink for Vec<Action> {
+    fn reserve(&mut self, n: usize) {
+        self.reserve_exact(n);
+    }
+    fn push(&mut self, a: Action) {
+        Vec::push(self, a);
+    }
+}
+
+/// A sink that keeps nothing: reading into it only checks.
+pub(crate) struct Check;
+
+impl ActionSink for Check {
+    fn push(&mut self, _: Action) {}
+}
+
+fn get_actions(r: &mut Cursor<'_>, out: &mut impl ActionSink) -> Result<(), CodecError> {
     let n = r.u32()? as usize;
     // Every action consumes at least its 1-byte tag, so a count past
     // the remaining frame bytes is a lie — reject it before it can
@@ -384,7 +415,7 @@ fn get_actions(r: &mut Cursor<'_>) -> Result<Vec<Action>, CodecError> {
     if n > r.remaining() {
         return Err(CodecError::BadField("action count"));
     }
-    let mut out = Vec::with_capacity(n);
+    out.reserve(n);
     for _ in 0..n {
         out.push(match r.u8()? {
             0 => Action::Output(get_out_port(r)?),
@@ -399,7 +430,7 @@ fn get_actions(r: &mut Cursor<'_>) -> Result<Vec<Action>, CodecError> {
             _ => return Err(CodecError::BadField("action tag")),
         });
     }
-    Ok(out)
+    Ok(())
 }
 
 /// A flow-mod whose match and actions stay with their owner: it
@@ -483,12 +514,34 @@ pub fn encode_packet_out_into(
 ) {
     let start = begin_frame(buf, T_PACKET_OUT, xid);
     put_packet_out_head(buf, in_port, actions);
+    put_serialized(buf, pkt);
+    end_frame(buf, start);
+}
+
+/// Encodes the packet-in that carries `pkt` to the controller,
+/// serializing the packet in place into a buffer of exactly the
+/// frame's size: one allocation, and the bytes equal [`encode`] of the
+/// [`OfMessage::PacketIn`] whose `data` is [`wire::serialize`]`(pkt)`.
+pub fn encode_packet_in(in_port: u32, reason: PacketInReason, pkt: &Packet, xid: u32) -> Vec<u8> {
+    let mut len = Len(HEADER_LEN);
+    put_packet_in_head(&mut len, in_port, reason);
+    len.u32(0);
+    let mut buf = Vec::with_capacity(len.0 + wire::serialized_len(pkt));
+    let start = begin_frame(&mut buf, T_PACKET_IN, xid);
+    put_packet_in_head(&mut buf, in_port, reason);
+    put_serialized(&mut buf, pkt);
+    end_frame(&mut buf, start);
+    debug_assert_eq!(buf.len(), buf.capacity());
+    buf
+}
+
+/// Appends `pkt`'s wire bytes with their length prefix.
+fn put_serialized(buf: &mut Vec<u8>, pkt: &Packet) {
     let data_len_at = buf.len();
     buf.u32(0);
     wire::serialize_into(pkt, buf);
     let data_len = buf.len() - data_len_at - 4;
     patch_u32(buf, data_len_at, data_len);
-    end_frame(buf, start);
 }
 
 /// Appends a frame header whose length is patched by [`end_frame`];
@@ -531,6 +584,14 @@ fn put_flow_mod(w: &mut impl Sink, m: &FlowModRef<'_>) {
     w.bool(m.notify_removed);
 }
 
+fn put_packet_in_head(w: &mut impl Sink, in_port: u32, reason: PacketInReason) {
+    w.u32(in_port);
+    w.u8(match reason {
+        PacketInReason::NoMatch => 0,
+        PacketInReason::Action => 1,
+    });
+}
+
 fn put_packet_out_head(w: &mut impl Sink, in_port: Option<u32>, actions: &[Action]) {
     w.opt_u32(in_port);
     put_actions(w, actions);
@@ -556,11 +617,7 @@ fn put_body(w: &mut impl Sink, msg: &OfMessage) {
             reason,
             data,
         } => {
-            w.u32(*in_port);
-            w.u8(match reason {
-                PacketInReason::NoMatch => 0,
-                PacketInReason::Action => 1,
-            });
+            put_packet_in_head(w, *in_port, *reason);
             w.bytes(data);
         }
         OfMessage::PacketOut {
@@ -699,6 +756,72 @@ fn msg_type(msg: &OfMessage) -> u8 {
     }
 }
 
+/// A frame read in place: its message without the action list, which
+/// the reader put in its sink, and with the packet a packet-out carries
+/// borrowed from the frame.
+/// [`Frame::into_message`] puts the two back together.
+#[derive(Debug)]
+pub enum Frame<'a> {
+    /// [`OfMessage::FlowMod`] without its actions.
+    FlowMod {
+        /// What the switch does with the entry.
+        command: FlowModCommand,
+        /// The entry's match.
+        matcher: Match,
+        /// The entry's priority.
+        priority: u16,
+        /// Idle timeout in nanoseconds.
+        idle_timeout: Option<u64>,
+        /// Hard timeout in nanoseconds.
+        hard_timeout: Option<u64>,
+        /// Opaque controller cookie.
+        cookie: u64,
+        /// Whether the switch reports the entry's removal.
+        notify_removed: bool,
+    },
+    /// [`OfMessage::PacketOut`] without its actions.
+    PacketOut {
+        /// The port the packet is released as if it arrived on.
+        in_port: Option<u32>,
+        /// The serialized packet.
+        data: &'a [u8],
+    },
+    /// Any other message: none carries actions.
+    Other(OfMessage),
+}
+
+impl Frame<'_> {
+    /// The owned message, given the actions the reader put in its sink.
+    pub fn into_message(self, actions: Vec<Action>) -> OfMessage {
+        match self {
+            Frame::FlowMod {
+                command,
+                matcher,
+                priority,
+                idle_timeout,
+                hard_timeout,
+                cookie,
+                notify_removed,
+            } => OfMessage::FlowMod {
+                command,
+                matcher,
+                priority,
+                actions,
+                idle_timeout,
+                hard_timeout,
+                cookie,
+                notify_removed,
+            },
+            Frame::PacketOut { in_port, data } => OfMessage::PacketOut {
+                in_port,
+                actions,
+                data: data.to_vec(),
+            },
+            Frame::Other(msg) => msg,
+        }
+    }
+}
+
 /// Decodes one message, returning it with its transaction id.
 ///
 /// # Errors
@@ -706,6 +829,17 @@ fn msg_type(msg: &OfMessage) -> u8 {
 /// Returns [`CodecError`] for truncated buffers, unknown versions or
 /// types, and invalid field values.
 pub fn decode(bytes: &[u8]) -> Result<(OfMessage, u32), CodecError> {
+    let mut actions = Vec::new();
+    let (frame, xid) = read_frame(bytes, &mut actions)?;
+    Ok((frame.into_message(actions), xid))
+}
+
+/// The one reader: the message in `bytes`, which must hold exactly one
+/// frame, with its actions put in `actions` and its transaction id.
+pub(crate) fn read_frame<'a>(
+    bytes: &'a [u8],
+    actions: &mut impl ActionSink,
+) -> Result<(Frame<'a>, u32), CodecError> {
     let r = &mut Cursor::new(bytes);
     let version = r.u8()?;
     if version != VERSION {
@@ -717,7 +851,45 @@ pub fn decode(bytes: &[u8]) -> Result<(OfMessage, u32), CodecError> {
         return Err(CodecError::Truncated);
     }
     let xid = r.u32()?;
-    let msg = match ty {
+    let frame = match ty {
+        T_PACKET_OUT => {
+            let in_port = get_opt_u32(r)?;
+            get_actions(r, actions)?;
+            Frame::PacketOut {
+                in_port,
+                data: get_bytes(r)?,
+            }
+        }
+        T_FLOW_MOD => {
+            let command = match r.u8()? {
+                0 => FlowModCommand::Add,
+                1 => FlowModCommand::Modify,
+                2 => FlowModCommand::ModifyStrict,
+                3 => FlowModCommand::Delete,
+                4 => FlowModCommand::DeleteStrict,
+                _ => return Err(CodecError::BadField("flow_mod command")),
+            };
+            let matcher = get_match(r)?;
+            let priority = r.u16()?;
+            get_actions(r, actions)?;
+            Frame::FlowMod {
+                command,
+                matcher,
+                priority,
+                idle_timeout: get_opt_u64(r)?,
+                hard_timeout: get_opt_u64(r)?,
+                cookie: r.u64()?,
+                notify_removed: get_bool(r)?,
+            }
+        }
+        ty => Frame::Other(get_message(ty, r)?),
+    };
+    Ok((frame, xid))
+}
+
+/// The body of a message of type `ty` that carries no actions.
+fn get_message(ty: u8, r: &mut Cursor<'_>) -> Result<OfMessage, CodecError> {
+    Ok(match ty {
         T_HELLO => OfMessage::Hello,
         T_ECHO_REQ => OfMessage::EchoRequest(r.u64()?),
         T_ECHO_REP => OfMessage::EchoReply(r.u64()?),
@@ -733,29 +905,7 @@ pub fn decode(bytes: &[u8]) -> Result<(OfMessage, u32), CodecError> {
                 1 => PacketInReason::Action,
                 _ => return Err(CodecError::BadField("packet_in reason")),
             },
-            data: get_bytes(r)?,
-        },
-        T_PACKET_OUT => OfMessage::PacketOut {
-            in_port: get_opt_u32(r)?,
-            actions: get_actions(r)?,
-            data: get_bytes(r)?,
-        },
-        T_FLOW_MOD => OfMessage::FlowMod {
-            command: match r.u8()? {
-                0 => FlowModCommand::Add,
-                1 => FlowModCommand::Modify,
-                2 => FlowModCommand::ModifyStrict,
-                3 => FlowModCommand::Delete,
-                4 => FlowModCommand::DeleteStrict,
-                _ => return Err(CodecError::BadField("flow_mod command")),
-            },
-            matcher: get_match(r)?,
-            priority: r.u16()?,
-            actions: get_actions(r)?,
-            idle_timeout: get_opt_u64(r)?,
-            hard_timeout: get_opt_u64(r)?,
-            cookie: r.u64()?,
-            notify_removed: get_bool(r)?,
+            data: get_bytes(r)?.to_vec(),
         },
         T_FLOW_REMOVED => OfMessage::FlowRemoved {
             matcher: get_match(r)?,
@@ -844,8 +994,7 @@ pub fn decode(bytes: &[u8]) -> Result<(OfMessage, u32), CodecError> {
             tag: r.u64()?,
         }),
         other => return Err(CodecError::BadType(other)),
-    };
-    Ok((msg, xid))
+    })
 }
 
 /// Decodes a payload carrying one or more concatenated messages, in
@@ -860,19 +1009,45 @@ pub fn decode(bytes: &[u8]) -> Result<(OfMessage, u32), CodecError> {
 /// before the bad one are discarded (a batch is all-or-nothing, which
 /// keeps the barrier-delimited transaction semantics honest).
 pub fn decode_all(bytes: &[u8]) -> Result<Vec<(OfMessage, u32)>, CodecError> {
-    let mut out = Vec::new();
-    let mut rest = Cursor::new(bytes);
-    while rest.remaining() > 0 {
+    Frames::new(bytes).map(|f| decode(f?.1)).collect()
+}
+
+/// The frames of a payload of concatenated frames, in order: each
+/// frame's type code and its whole bytes, unread. A header that cannot
+/// frame its bytes ends the walk with an error.
+#[derive(Debug)]
+pub(crate) struct Frames<'a>(Cursor<'a>);
+
+impl<'a> Frames<'a> {
+    pub(crate) fn new(bytes: &'a [u8]) -> Self {
+        Frames(Cursor::new(bytes))
+    }
+
+    fn split(&mut self) -> Result<(u8, &'a [u8]), CodecError> {
         // Version and type, then the frame's total length.
-        let mut header = rest.clone();
-        header.array::<2>()?;
+        let mut header = self.0.clone();
+        let [_, ty] = header.array::<2>()?;
         let len = header.u32()? as usize;
-        if len < 10 {
+        if len < HEADER_LEN {
             return Err(CodecError::Truncated);
         }
-        out.push(decode(rest.take(len)?)?);
+        Ok((ty, self.0.take(len)?))
     }
-    Ok(out)
+}
+
+impl<'a> Iterator for Frames<'a> {
+    type Item = Result<(u8, &'a [u8]), CodecError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.0.remaining() == 0 {
+            return None;
+        }
+        let frame = self.split();
+        if frame.is_err() {
+            self.0 = Cursor::new(&[]);
+        }
+        Some(frame)
+    }
 }
 
 #[cfg(test)]

@@ -67,8 +67,8 @@ pub mod table;
 pub use action::{
     apply_actions, apply_actions_owned, apply_actions_to_key, Action, ActionOutcome, OutPort,
 };
-pub use channel::SwitchChannel;
-pub use codec::{decode, encode, CodecError};
+pub use channel::{Batch, SwitchChannel};
+pub use codec::{decode, encode, CodecError, Frame};
 pub use flow_match::{is_lookup_type, lookup_key, Match, VlanMatch, LOOKUP_TYPES};
 pub use header_space::HeaderClass;
 pub use message::{

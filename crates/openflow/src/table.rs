@@ -3,6 +3,7 @@
 use crate::flow_match::Match;
 use crate::message::FlowRemovedReason;
 use livesec_net::{FlowKey, HashMap};
+use std::collections::hash_map::Entry;
 
 /// Absolute simulated time in nanoseconds.
 ///
@@ -120,18 +121,24 @@ pub enum InsertOutcome {
 
 /// An OpenFlow 1.0 flow table.
 ///
-/// Entries whose nine header fields are all exact sit in a hash index
-/// keyed by [`FlowKey`]; wildcard entries sit in one list, `wild`. With
+/// Entries live in a slot vector. Those whose nine header fields are
+/// all exact are indexed by [`FlowKey`]: `exact` maps a key to the first
+/// slot of its chain, and each slot links to the next slot with the
+/// same key, in install order, so no key owns a heap bucket. Wildcard
+/// entries sit in one list, `wild`, also in install order. With
 /// LiveSec's workload — thousands of exact steering entries plus a
 /// handful of wildcard policy entries — both the data path and the
 /// flow-mod write path stay O(1) in the table size `n`:
 ///
-/// * `lookup` / `lookup_counting` / `peek`: one hash probe plus a scan
-///   of `wild` — O(bucket + |wild|).
+/// * `lookup` / `lookup_counting` / `peek`: one hash probe, a walk of
+///   the key's chain and a scan of `wild` — O(chain + |wild|).
 /// * `insert_at` (fresh or replace) and `remove` /
 ///   `modify_actions` whose matcher has exact headers (strict or not):
-///   one hash probe — O(bucket), a bucket being the entries that share
-///   one `FlowKey` (they differ in `in_port` or priority only).
+///   one hash probe and a chain walk — O(chain), a chain being the
+///   entries that share one `FlowKey` (they differ in `in_port` or
+///   priority only). On a table that has held as many entries before,
+///   inserting and replacing allocate nothing, and removing allocates
+///   only the list it returns.
 /// * The same operations with a wildcard matcher, strict: O(|wild|).
 /// * Non-strict `remove` / `modify_actions` with a wildcard matcher,
 ///   and `expire`: O(n). Wildcard deletes are rare (a block lifted, a
@@ -140,12 +147,20 @@ pub enum InsertOutcome {
 ///   moved nothing end to end), so neither has an index of its own.
 #[derive(Debug, Default)]
 pub struct FlowTable {
-    slots: Vec<Option<FlowEntry>>,
+    slots: Vec<Slot>,
     free: Vec<usize>,
-    exact: HashMap<FlowKey, Vec<usize>>,
+    exact: HashMap<FlowKey, usize>,
     wild: Vec<usize>,
     next_seq: u64,
     len: usize,
+}
+
+/// A table slot: its entry, if live, and the next slot of the same
+/// exact key's chain.
+#[derive(Debug, Default)]
+struct Slot {
+    entry: Option<FlowEntry>,
+    next: Option<usize>,
 }
 
 impl FlowTable {
@@ -188,7 +203,7 @@ impl FlowTable {
         let idx = match self.free.pop() {
             Some(i) => i,
             None => {
-                self.slots.push(None);
+                self.slots.push(Slot::default());
                 self.slots.len() - 1
             }
         };
@@ -202,23 +217,50 @@ impl FlowTable {
         self.insert_at(entry, 0)
     }
 
+    /// Files `entry`, the newest install, in slot `idx`: at the end of
+    /// its key's chain, or of `wild`.
     fn attach(&mut self, idx: usize, entry: FlowEntry) {
         match entry.matcher.exact_key() {
-            Some(key) => self.exact.entry(key).or_default().push(idx),
+            Some(key) => match self.exact.entry(key) {
+                Entry::Vacant(head) => {
+                    head.insert(idx);
+                }
+                Entry::Occupied(head) => {
+                    let mut last = *head.get();
+                    while let Some(next) = self.slots[last].next {
+                        last = next;
+                    }
+                    self.slots[last].next = Some(idx);
+                }
+            },
             None => self.wild.push(idx),
         }
-        self.slots[idx] = Some(entry);
+        self.slots[idx] = Slot {
+            entry: Some(entry),
+            next: None,
+        };
         self.len += 1;
     }
 
     fn detach(&mut self, idx: usize) -> FlowEntry {
-        let entry = self.slots[idx].take().expect("detach of empty slot");
+        let Slot { entry, next } = std::mem::take(&mut self.slots[idx]);
+        let entry = entry.expect("detach of empty slot");
         match entry.matcher.exact_key() {
             Some(key) => {
-                let bucket = self.exact.get_mut(&key).expect("indexed");
-                bucket.retain(|&i| i != idx);
-                if bucket.is_empty() {
-                    self.exact.remove(&key);
+                let head = self.exact.get_mut(&key).expect("indexed");
+                if *head == idx {
+                    match next {
+                        Some(next) => *head = next,
+                        None => {
+                            self.exact.remove(&key);
+                        }
+                    }
+                } else {
+                    let mut prev = *head;
+                    while self.slots[prev].next != Some(idx) {
+                        prev = self.slots[prev].next.expect("chained");
+                    }
+                    self.slots[prev].next = next;
                 }
             }
             None => self.wild.retain(|&i| i != idx),
@@ -228,70 +270,102 @@ impl FlowTable {
         entry
     }
 
-    /// The one index list that holds every entry whose match equals
-    /// `matcher` — and, when `matcher` has exact headers, every entry
-    /// it subsumes too: `attach` files by the same `exact_key()`, and
-    /// an all-exact matcher only subsumes matches with its `FlowKey`.
-    fn bucket(&self, matcher: &Match) -> &[usize] {
-        match matcher.exact_key() {
-            Some(key) => self.exact.get(&key).map_or(&[], Vec::as_slice),
-            None => &self.wild,
+    fn entry(&self, idx: usize) -> &FlowEntry {
+        self.slots[idx].entry.as_ref().expect("live index")
+    }
+
+    /// The slots of `key`'s chain, oldest first.
+    fn chain(&self, key: Option<&FlowKey>) -> impl Iterator<Item = usize> + '_ {
+        let head = key.and_then(|k| self.exact.get(k).copied());
+        std::iter::successors(head, |&i| self.slots[i].next)
+    }
+
+    /// The entry whose match equals `matcher` at `priority`. It can
+    /// only sit in one index list: `attach` files by `exact_key()`.
+    fn find_strict(&self, matcher: &Match, priority: u16) -> Option<usize> {
+        let key = matcher.exact_key();
+        let wild = if key.is_some() {
+            &[][..]
+        } else {
+            &self.wild[..]
+        };
+        self.chain(key.as_ref())
+            .chain(wild.iter().copied())
+            .find(|&i| {
+                let e = self.entry(i);
+                e.priority == priority && e.matcher == *matcher
+            })
+    }
+
+    /// Calls `f` on each entry a delete or modify flow-mod selects,
+    /// oldest first. Strict: match equal to `matcher` and, if given,
+    /// this priority. Non-strict: match subsumed by `matcher`.
+    fn for_selected(
+        &mut self,
+        matcher: &Match,
+        strict: bool,
+        priority: Option<u16>,
+        mut f: impl FnMut(&mut Self, usize),
+    ) {
+        let pick = |e: &FlowEntry| {
+            if strict {
+                e.matcher == *matcher && priority.is_none_or(|p| p == e.priority)
+            } else {
+                matcher.subsumes(&e.matcher)
+            }
+        };
+        if let Some(key) = matcher.exact_key() {
+            // An all-exact matcher only equals or subsumes matches with
+            // its own `FlowKey`, so its chain holds every candidate. The
+            // chain is in install order; read the next link before `f`
+            // can detach the slot.
+            let mut cur = self.chain(Some(&key)).next();
+            while let Some(i) = cur {
+                cur = self.slots[i].next;
+                if pick(self.entry(i)) {
+                    f(self, i);
+                }
+            }
+            return;
+        }
+        let mut hits: Vec<(u64, usize)> = if strict {
+            self.wild
+                .iter()
+                .map(|&i| (self.entry(i), i))
+                .filter(|(e, _)| pick(e))
+                .map(|(e, i)| (e.seq, i))
+                .collect()
+        } else {
+            self.live()
+                .filter(|&(_, e)| pick(e))
+                .map(|(i, e)| (e.seq, i))
+                .collect()
+        };
+        // Oldest-first, like expire(): removal notifications must not
+        // depend on where the slots happen to sit.
+        hits.sort_unstable_by_key(|&(seq, _)| seq);
+        for (_, i) in hits {
+            f(self, i);
         }
     }
 
-    fn find_strict(&self, matcher: &Match, priority: u16) -> Option<usize> {
-        self.bucket(matcher).iter().copied().find(|&i| {
-            let e = self.slots[i].as_ref().expect("live index");
-            e.priority == priority && e.matcher == *matcher
-        })
-    }
-
-    /// `(seq, index)` of the entries a delete or modify flow-mod
-    /// selects, oldest first. Strict: match equal to `matcher` and, if
-    /// given, this priority. Non-strict: match subsumed by `matcher`.
-    fn select(&self, matcher: &Match, strict: bool, priority: Option<u16>) -> Vec<(u64, usize)> {
-        let pick = |i: usize| {
-            let e = self.slots[i].as_ref().expect("live index");
-            let hit = if strict {
-                e.matcher == *matcher && priority.map(|p| p == e.priority).unwrap_or(true)
-            } else {
-                matcher.subsumes(&e.matcher)
-            };
-            hit.then_some((e.seq, i))
-        };
-        let mut hits: Vec<(u64, usize)> = if strict || matcher.is_exact_headers() {
-            self.bucket(matcher)
-                .iter()
-                .copied()
-                .filter_map(pick)
-                .collect()
-        } else {
-            self.indices().filter_map(pick).collect()
-        };
-        // Oldest-first, like expire(): removal notifications must not
-        // inherit the hash index's iteration order.
-        hits.sort_unstable_by_key(|&(seq, _)| seq);
-        hits
-    }
-
-    fn indices(&self) -> impl Iterator<Item = usize> + '_ {
-        // Contract: both consumers — expire, and select for a wildcard
-        // non-strict remove/modify_actions — sort by insertion `seq`
-        // before the order becomes observable. Keeping the exact index
-        // a HashMap keeps lookups and strict flow-mods O(1).
-        self.exact
-            .values()
-            .flatten()
-            .copied()
-            .chain(self.wild.iter().copied())
+    /// Every live slot and its entry, in slot order. Both consumers —
+    /// expire, and a wildcard non-strict remove/modify_actions — sort
+    /// by insertion `seq` before the order becomes observable.
+    fn live(&self) -> impl Iterator<Item = (usize, &FlowEntry)> {
+        (0..)
+            .zip(&self.slots)
+            .filter_map(|(i, s)| Some((i, s.entry.as_ref()?)))
     }
 
     fn best_candidate(&self, in_port: u32, key: &FlowKey) -> Option<usize> {
-        let exact = self.exact.get(key).map_or(&[][..], Vec::as_slice);
-        let candidates = exact.iter().chain(&self.wild).map(|&i| {
-            let e = self.slots[i].as_ref().expect("live index");
-            (i, e.seq, e)
-        });
+        let candidates = self
+            .chain(Some(key))
+            .chain(self.wild.iter().copied())
+            .map(|i| {
+                let e = self.entry(i);
+                (i, e.seq, e)
+            });
         top(candidates, in_port, key)
     }
 
@@ -312,29 +386,28 @@ impl FlowTable {
         bytes: u64,
     ) -> Option<&FlowEntry> {
         let idx = self.best_candidate(in_port, key)?;
-        let e = self.slots[idx].as_mut().expect("live index");
+        let e = self.slots[idx].entry.as_mut().expect("live index");
         e.packet_count += 1;
         e.byte_count += bytes;
         e.last_used = now;
-        Some(self.slots[idx].as_ref().expect("live index"))
+        Some(e)
     }
 
     /// Non-mutating lookup: no counter updates.
     pub fn peek(&self, in_port: u32, key: &FlowKey) -> Option<&FlowEntry> {
         let idx = self.best_candidate(in_port, key)?;
-        Some(self.slots[idx].as_ref().expect("live index"))
+        Some(self.entry(idx))
     }
 
     /// Evicts entries whose idle or hard timeout has expired at `now`.
     ///
     /// Entries are evicted oldest-first (by insertion sequence), so
     /// the order of the resulting flow-removed notifications does not
-    /// depend on the hash index's iteration order.
+    /// depend on where the slots happen to sit.
     pub fn expire(&mut self, now: Nanos) -> Vec<RemovedEntry> {
         let mut expired: Vec<(u64, usize, FlowRemovedReason)> = self
-            .indices()
-            .filter_map(|i| {
-                let e = self.slots[i].as_ref().expect("live index");
+            .live()
+            .filter_map(|(i, e)| {
                 if let Some(hard) = e.hard_timeout {
                     if now >= e.created_at.saturating_add(hard) {
                         return Some((e.seq, i, FlowRemovedReason::HardTimeout));
@@ -370,13 +443,18 @@ impl FlowTable {
         strict: bool,
         priority: Option<u16>,
     ) -> Vec<RemovedEntry> {
-        self.select(matcher, strict, priority)
-            .into_iter()
-            .map(|(_, i)| RemovedEntry {
-                entry: self.detach(i),
+        let mut removed = Vec::new();
+        self.for_selected(matcher, strict, priority, |t, i| {
+            // Mostly one entry: room for exactly one, then doubling.
+            if removed.is_empty() {
+                removed.reserve_exact(1);
+            }
+            removed.push(RemovedEntry {
+                entry: t.detach(i),
                 reason: FlowRemovedReason::Delete,
-            })
-            .collect()
+            });
+        });
+        removed
     }
 
     /// Replaces the action list of matching entries (OpenFlow modify:
@@ -388,16 +466,17 @@ impl FlowTable {
         strict: bool,
         actions: &[crate::action::Action],
     ) -> usize {
-        let targets = self.select(matcher, strict, None);
-        for &(_, i) in &targets {
-            self.slots[i].as_mut().expect("live index").actions = actions.to_vec();
-        }
-        targets.len()
+        let mut changed = 0;
+        self.for_selected(matcher, strict, None, |t, i| {
+            t.slots[i].entry.as_mut().expect("live index").actions = actions.to_vec();
+            changed += 1;
+        });
+        changed
     }
 
     /// Iterates over all live entries (arbitrary order).
     pub fn iter(&self) -> impl Iterator<Item = &FlowEntry> {
-        self.slots.iter().filter_map(|s| s.as_ref())
+        self.slots.iter().filter_map(|s| s.entry.as_ref())
     }
 
     /// All live entries in install order (oldest first) — the order

@@ -1,7 +1,8 @@
 //! Property tests: match semantics, flow-table lookup vs a naive
 //! model, the key walk against the frame walk, message-codec
-//! round-trips, and the in-place encoders' wire identity with
-//! `codec::encode`.
+//! round-trips, the in-place encoders' wire identity with
+//! `codec::encode`, and the switch channel's in-place receive path
+//! against `codec::decode_all`.
 
 use livesec_net::packet::{arp_frame, icmp_frame, lldp_frame};
 use livesec_net::{
@@ -13,7 +14,7 @@ use livesec_openflow::{
     apply_actions_owned, apply_actions_to_key, codec, lookup_key, Action, FlowEntry,
     FlowModCommand, FlowRemovedReason, FlowStats, FlowTable, ForwardingAttestation, HeaderClass,
     Match, OfMessage, OutPort, PacketInReason, PortStats, PortStatusReason, StatsBody,
-    StatsRequestKind, VlanMatch,
+    StatsRequestKind, SwitchChannel, VlanMatch,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -315,6 +316,22 @@ fn arb_lookup_frame() -> impl Strategy<Value = Packet> {
     })
 }
 
+/// What a fresh switch channel (dpid 7, 4 ports) answers to `bytes`,
+/// and what it surfaces, rebuilt as owned messages.
+fn receive(bytes: &[u8]) -> (Vec<Vec<u8>>, Result<Vec<OfMessage>, codec::CodecError>) {
+    let mut replies = Vec::new();
+    let up = SwitchChannel::new(7, 4)
+        .receive_all(bytes, &mut |r| replies.push(r))
+        .map(|mut batch| {
+            let (mut up, mut actions) = (Vec::new(), Vec::new());
+            while let Some(frame) = batch.next_frame(&mut actions) {
+                up.push(frame.into_message(actions.clone()));
+            }
+            up
+        });
+    (replies, up)
+}
+
 proptest! {
     /// The key walk is the frame walk seen through `lookup_key`: at
     /// every output, in list order, `apply_actions_to_key` emits the
@@ -396,6 +413,68 @@ proptest! {
         codec::encode_packet_out_into(in_port, actions, &pkt, xid, &mut buf);
         prop_assert_eq!(&buf[..prefix.len()], &prefix[..]);
         prop_assert_eq!(&buf[prefix.len()..], &codec::encode(&owned, xid)[..]);
+    }
+
+    /// The switch's packet-in writes the bytes of its owned message:
+    /// `encode_packet_in` equals `encode` of the `PacketIn` carrying
+    /// `wire::serialize(pkt)`, in a buffer of exactly that size.
+    #[test]
+    fn the_in_place_packet_in_writes_the_bytes_of_its_owned_message(
+        in_port in any::<u32>(),
+        action in any::<bool>(),
+        pkt in arb_packet(),
+        xid in any::<u32>(),
+    ) {
+        let reason = if action { PacketInReason::Action } else { PacketInReason::NoMatch };
+        let frame = codec::encode_packet_in(in_port, reason, &pkt, xid);
+        let owned = OfMessage::PacketIn { in_port, reason, data: wire::serialize(&pkt) };
+        prop_assert_eq!(frame.capacity(), frame.len());
+        prop_assert_eq!(frame, codec::encode(&owned, xid));
+    }
+
+    /// The switch's in-place receive path reads what `decode_all`
+    /// reads: each chore is answered as its decoded message asks, and
+    /// every other message is surfaced with the fields and actions
+    /// `decode` gives it, both in arrival order. With one byte changed,
+    /// the channel refuses the batch exactly when `decode_all` does,
+    /// and then answers nothing.
+    #[test]
+    fn the_channel_reads_what_decode_reads(
+        msgs in vec(arb_message(), 1..12),
+        at in any::<usize>(),
+        flip in 1u8..=255,
+    ) {
+        let mut payload = Vec::new();
+        for (xid, m) in (0..).zip(&msgs) {
+            codec::encode_into(m, xid, &mut payload);
+        }
+        let (mut want_replies, mut want_up) = (Vec::new(), Vec::new());
+        for (msg, xid) in codec::decode_all(&payload).unwrap() {
+            let answer = match msg {
+                OfMessage::EchoRequest(v) => OfMessage::EchoReply(v),
+                OfMessage::FeaturesRequest => {
+                    OfMessage::FeaturesReply { datapath_id: 7, n_ports: 4 }
+                }
+                OfMessage::BarrierRequest => OfMessage::BarrierReply,
+                OfMessage::Hello | OfMessage::EchoReply(_) => continue,
+                other => {
+                    want_up.push(other);
+                    continue;
+                }
+            };
+            want_replies.push(codec::encode(&answer, xid));
+        }
+        let (replies, up) = receive(&payload);
+        prop_assert_eq!(replies, want_replies);
+        prop_assert_eq!(up, Ok(want_up));
+
+        let mut bad = payload.clone();
+        bad[at % payload.len()] ^= flip;
+        let (replies, up) = receive(&bad);
+        prop_assert_eq!(up.is_ok(), codec::decode_all(&bad).is_ok());
+        if up.is_err() {
+            prop_assert!(replies.is_empty());
+        }
     }
 
     /// If `a` subsumes `b`, everything `b` matches, `a` matches.

@@ -3,7 +3,7 @@
 use livesec_net::{wire, FlowKey, HashSet, MacAddr, Packet, PacketBuilder};
 use livesec_openflow::{
     apply_actions_owned, attestation_tag, lookup_key, packet_tag, Action, FlowEntry,
-    FlowModCommand, FlowStats, ForwardingAttestation, OfMessage, OutPort, PacketInReason,
+    FlowModCommand, FlowStats, ForwardingAttestation, Frame, OfMessage, OutPort, PacketInReason,
     PortStats, PortStatusReason, RemovedEntry, StatsBody, StatsRequestKind, SwitchChannel,
 };
 use livesec_sim::{Ctx, Node, NodeId, PortId, SimDuration};
@@ -60,7 +60,9 @@ pub struct AsSwitch {
     next_hello_tick: u64,
     /// The matched entry's action list, copied out for the length of
     /// one forward: the entry borrows the table, emitting borrows the
-    /// whole switch. Reused, so a table hit allocates nothing.
+    /// whole switch. Also where a received flow-mod's or packet-out's
+    /// actions are read. Reused, so neither a table hit nor a
+    /// packet-out allocates a list.
     action_buf: Vec<Action>,
     /// Forwarding-attestation sampling divisor: 0 disables attestation
     /// entirely; `n` samples packets whose stitching tag is divisible
@@ -243,12 +245,10 @@ impl AsSwitch {
 
     fn packet_in(&mut self, ctx: &mut Ctx<'_>, in_port: u32, reason: PacketInReason, pkt: &Packet) {
         self.packet_ins += 1;
-        let msg = OfMessage::PacketIn {
-            in_port,
-            reason,
-            data: wire::serialize(pkt),
-        };
-        self.send_to_controller(ctx, &msg);
+        if let Some(c) = self.controller {
+            let bytes = self.channel.packet_in(in_port, reason, pkt);
+            ctx.send_control(c, bytes);
+        }
     }
 
     /// Sends `pkt` to `dest`. A lent packet (an `Output` with more of
@@ -282,44 +282,6 @@ impl AsSwitch {
             }
             OutPort::Controller => {
                 self.packet_in(ctx, in_port.unwrap_or(0), PacketInReason::Action, &pkt);
-            }
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)] // mirrors the flow-mod message fields
-    fn apply_flow_mod(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        command: FlowModCommand,
-        matcher: livesec_openflow::Match,
-        priority: u16,
-        actions: Vec<livesec_openflow::Action>,
-        idle_timeout: Option<u64>,
-        hard_timeout: Option<u64>,
-        cookie: u64,
-        notify_removed: bool,
-    ) {
-        let now = ctx.now().as_nanos();
-        match command {
-            FlowModCommand::Add => {
-                let mut entry = FlowEntry::new(matcher, actions, priority).with_cookie(cookie);
-                entry.idle_timeout = idle_timeout;
-                entry.hard_timeout = hard_timeout;
-                entry.notify_removed = notify_removed;
-                self.table.insert_at(entry, now);
-            }
-            FlowModCommand::Modify => {
-                self.table.modify_actions(&matcher, false, &actions);
-            }
-            FlowModCommand::ModifyStrict => {
-                self.table.modify_actions(&matcher, true, &actions);
-            }
-            FlowModCommand::Delete | FlowModCommand::DeleteStrict => {
-                let strict = command == FlowModCommand::DeleteStrict;
-                let removed = self
-                    .table
-                    .remove(&matcher, strict, strict.then_some(priority));
-                self.report_removed(ctx, removed);
             }
         }
     }
@@ -501,19 +463,21 @@ impl Node for AsSwitch {
             self.reconnect_backoff = BACKOFF_START_TICKS;
         }
         // The controller may batch several messages into one payload
-        // (flow-mod batches end with a barrier). The channel decodes
+        // (flow-mod batches end with a barrier). The channel checks
         // the whole batch before it answers any of it, and every entry
         // is applied in this dispatch, before the barrier reply can
         // arrive.
-        let Ok(up) = self
+        let Ok(mut batch) = self
             .channel
             .receive_all(bytes, &mut |reply| ctx.send_control(peer, reply))
         else {
             return; // malformed control traffic is dropped
         };
-        for msg in up {
-            self.handle_controller_message(ctx, msg);
+        let mut actions = std::mem::take(&mut self.action_buf);
+        while let Some(frame) = batch.next_frame(&mut actions) {
+            self.apply(ctx, frame, &actions);
         }
+        self.action_buf = actions;
     }
 
     fn on_crash_restart(&mut self, ctx: &mut Ctx<'_>) {
@@ -629,41 +593,47 @@ impl Node for AsSwitch {
 
 impl AsSwitch {
     /// Applies one controller message that the secure channel surfaced
-    /// (everything the channel doesn't answer by itself).
-    fn handle_controller_message(&mut self, ctx: &mut Ctx<'_>, msg: OfMessage) {
-        match msg {
-            OfMessage::FlowMod {
+    /// (everything the channel doesn't answer by itself), whose actions
+    /// are `actions`.
+    fn apply(&mut self, ctx: &mut Ctx<'_>, frame: Frame<'_>, actions: &[Action]) {
+        match frame {
+            Frame::FlowMod {
                 command,
                 matcher,
                 priority,
-                actions,
                 idle_timeout,
                 hard_timeout,
                 cookie,
                 notify_removed,
-            } => self.apply_flow_mod(
-                ctx,
-                command,
-                matcher,
-                priority,
-                actions,
-                idle_timeout,
-                hard_timeout,
-                cookie,
-                notify_removed,
-            ),
-            OfMessage::PacketOut {
-                in_port,
-                actions,
-                data,
-            } => {
-                if let Ok(pkt) = wire::parse(&data) {
-                    apply_actions_owned(pkt, &actions, |dest, out_pkt| {
+            } => match command {
+                FlowModCommand::Add => {
+                    let mut entry =
+                        FlowEntry::new(matcher, actions.to_vec(), priority).with_cookie(cookie);
+                    entry.idle_timeout = idle_timeout;
+                    entry.hard_timeout = hard_timeout;
+                    entry.notify_removed = notify_removed;
+                    self.table.insert_at(entry, ctx.now().as_nanos());
+                }
+                FlowModCommand::Modify | FlowModCommand::ModifyStrict => {
+                    let strict = command == FlowModCommand::ModifyStrict;
+                    self.table.modify_actions(&matcher, strict, actions);
+                }
+                FlowModCommand::Delete | FlowModCommand::DeleteStrict => {
+                    let strict = command == FlowModCommand::DeleteStrict;
+                    let removed = self
+                        .table
+                        .remove(&matcher, strict, strict.then_some(priority));
+                    self.report_removed(ctx, removed);
+                }
+            },
+            Frame::PacketOut { in_port, data } => {
+                if let Ok(pkt) = wire::parse(data) {
+                    apply_actions_owned(pkt, actions, |dest, out_pkt| {
                         self.emit(ctx, dest, in_port, out_pkt)
                     });
                 }
             }
-            OfMessage::StatsRequest(kind) => self.answer_stats(ctx, kind),
+            Frame::Other(OfMessage::StatsRequest(kind)) => self.answer_stats(ctx, kind),
             _ => {}
         }
     }
@@ -877,6 +847,43 @@ mod tests {
             assert_eq!(world.node::<AsSwitch>(sw).table().len(), entries);
             let c = world.node::<StubController>(ctrl);
             assert_eq!(c.barrier_replies, barrier_replies);
+        }
+    }
+
+    #[test]
+    fn a_batch_whose_last_frame_is_corrupt_is_dropped_whole() {
+        let key = FlowKey::of(&test_packet()).unwrap();
+        let out = vec![Action::Output(OutPort::Physical(3))];
+        let frames = [
+            OfMessage::add_flow(Match::exact(2, &key), out.clone(), 10),
+            OfMessage::PacketOut {
+                in_port: None,
+                actions: out,
+                data: wire::serialize(&test_packet()),
+            },
+            OfMessage::BarrierRequest,
+        ];
+        let good: Vec<u8> = (1..)
+            .zip(&frames)
+            .flat_map(|(xid, m)| codec::encode(m, xid))
+            .collect();
+        let mut corrupt = codec::encode(&OfMessage::EchoRequest(9), 4);
+        // A type no peer sends; the length still frames it.
+        corrupt[1] = 200;
+        // The same batch without the corrupt tail is the control: the
+        // entry lands, the barrier is answered, and the sink gets the
+        // released packet and then the host's, forwarded by the entry.
+        let cases = [(corrupt, 0, 0, 0), (vec![], 1, 1, 2)];
+        for (tail, entries, barrier_replies, delivered) in cases {
+            let (mut world, ctrl, sw, _src, dst) = run(vec![]);
+            world.node_mut::<StubController>(ctrl).payloads = vec![[good.clone(), tail].concat()];
+            world.run_for(SimDuration::from_millis(10));
+            assert_eq!(world.node::<AsSwitch>(sw).table().len(), entries);
+            assert_eq!(
+                world.node::<StubController>(ctrl).barrier_replies,
+                barrier_replies
+            );
+            assert_eq!(world.node::<Sink>(dst).got.len(), delivered);
         }
     }
 

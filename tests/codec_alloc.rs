@@ -4,6 +4,12 @@
 //! writer, the borrowed flow-mod and the in-place packet-out alike.
 //! The controller's outbox appends every frame of a dispatch to one
 //! retained buffer, so these are its per-frame costs.
+//!
+//! On the switch side: a warm flow table files and replaces exact
+//! entries without allocating, a packet-in is one allocation of its
+//! frame's size, a received batch of N adds and a barrier costs the N
+//! entries' action lists plus the barrier reply, and a packet-out
+//! costs only the packet it emits.
 
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
@@ -16,7 +22,14 @@ use livesec_openflow::message::{
     FlowModCommand, FlowRemovedReason, FlowStats, ForwardingAttestation, PacketInReason, PortStats,
     PortStatusReason, StatsBody, StatsRequestKind,
 };
-use livesec_openflow::{Action, Match, OfMessage, OutPort};
+use livesec_openflow::{
+    Action, FlowEntry, FlowTable, InsertOutcome, Match, OfMessage, OutPort, RemovedEntry,
+    SwitchChannel,
+};
+use livesec_sim::{Ctx, LinkSpec, Node, NodeId, PortId, SimDuration, SimTime, World};
+use livesec_switch::AsSwitch;
+use std::any::Any;
+use std::mem::size_of;
 use std::net::Ipv4Addr;
 
 fn ip(s: &str) -> Ipv4Addr {
@@ -204,5 +217,254 @@ fn the_borrowed_set_up_encoders_allocate_nothing_on_a_warm_buffer() {
             codec::encode_packet_out_into(Some(2), &actions, pkt, 7, buf);
         });
         assert_eq!(got.calls, 0, "{pkt:?}");
+    }
+}
+
+// ---- the switch side: the table, the packet-in, the received batch ----
+
+fn exact_entry(tp_src: u16, port: u32) -> FlowEntry {
+    prioritized(tp_src, port, 10)
+}
+
+fn prioritized(tp_src: u16, port: u32, priority: u16) -> FlowEntry {
+    let key = FlowKey { tp_src, ..flow() };
+    FlowEntry::new(
+        Match::exact(2, &key),
+        vec![Action::Output(OutPort::Physical(port))],
+        priority,
+    )
+}
+
+#[test]
+fn a_warm_table_files_exact_entries_without_allocating() {
+    let mut table = FlowTable::new();
+    for round in 0..2 {
+        for i in 0..16 {
+            table.insert(exact_entry(i, 3));
+        }
+        let removed = table.remove(&Match::any(), false, None);
+        assert_eq!(removed.len(), 16, "round {round}");
+    }
+    // Fresh, then the same key again (replace), then a second key and
+    // one that shares the first's `FlowKey` at another priority, so a
+    // chain holds two slots.
+    for (entry, outcome) in [
+        (exact_entry(1, 3), InsertOutcome::Added),
+        (exact_entry(1, 4), InsertOutcome::Replaced),
+        (exact_entry(2, 3), InsertOutcome::Added),
+        (prioritized(1, 5, 20), InsertOutcome::Added),
+    ] {
+        let mut got = None;
+        let a = measure("FlowTable::insert", || got = Some(table.insert(entry)));
+        assert_eq!(got, Some(outcome));
+        assert_eq!(a.calls, 0, "{outcome:?}");
+    }
+    // Removing an exact entry allocates only the list it returns, sized
+    // for the one entry.
+    for priority in [10, 20] {
+        let m = exact_entry(1, 3).matcher;
+        let mut removed = Vec::new();
+        let a = measure("FlowTable::remove", || {
+            removed = table.remove(&m, true, Some(priority))
+        });
+        assert_eq!(removed.len(), 1);
+        assert_eq!(
+            a,
+            Allocated {
+                calls: 1,
+                bytes: size_of::<RemovedEntry>()
+            }
+        );
+    }
+    assert_eq!(table.len(), 1);
+}
+
+#[test]
+fn a_packet_in_allocates_once_at_the_frames_exact_size() {
+    let mut channel = SwitchChannel::new(7, 4);
+    let packets = [
+        full_segment(),
+        arp_frame(ArpPacket::request(
+            MacAddr::from_u64(9),
+            ip("10.0.0.9"),
+            ip("10.0.0.1"),
+        )),
+        lldp_frame(MacAddr::from_u64(77), LldpFrame::new(0xabcdef, 12)),
+    ];
+    for pkt in &packets {
+        let mut frame = Vec::new();
+        let got = measure("SwitchChannel::packet_in", || {
+            frame = channel.packet_in(2, PacketInReason::NoMatch, pkt)
+        });
+        assert_eq!(
+            got,
+            Allocated {
+                calls: 1,
+                bytes: frame.len()
+            }
+        );
+        assert_eq!(frame.capacity(), frame.len());
+    }
+}
+
+/// A controller stand-in that pushes one prepared payload per timer
+/// (its token indexes `payloads`) and counts what comes back. Neither
+/// allocates: the payload moves out, the reply is only counted.
+struct Pusher {
+    switch: Option<NodeId>,
+    payloads: Vec<Vec<u8>>,
+    replies: usize,
+}
+
+impl Node for Pusher {
+    fn on_frame(&mut self, _ctx: &mut Ctx<'_>, _port: PortId, _pkt: Packet) {}
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+        let payload = std::mem::take(&mut self.payloads[token as usize]);
+        ctx.send_control(self.switch.unwrap(), payload);
+    }
+    fn on_control(&mut self, _ctx: &mut Ctx<'_>, _peer: NodeId, _bytes: &[u8]) {
+        self.replies += 1;
+    }
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+/// Absorbs frames.
+struct Drain;
+
+impl Node for Drain {
+    fn on_frame(&mut self, _ctx: &mut Ctx<'_>, _port: PortId, _pkt: Packet) {}
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+/// A switch that receives `payloads` one every 10 ms from a [`Pusher`]
+/// over a 1 ms control channel, with a [`Drain`] on port 3. Returns
+/// what the switch's handling of each payload allocated and the
+/// replies it drew.
+fn switch_receives(payloads: Vec<Vec<u8>>) -> (Vec<Allocated>, usize) {
+    let ms = SimDuration::from_millis;
+    let mut world = World::new(1);
+    world.set_control_latency(ms(1));
+    let n = payloads.len();
+    let ctrl = world.add_node(Pusher {
+        switch: None,
+        payloads,
+        replies: 0,
+    });
+    let sw = world.add_node(AsSwitch::new(7, 4).with_controller(ctrl));
+    let drain = world.add_node(Drain);
+    world.connect(drain, PortId(1), sw, PortId(3), LinkSpec::gigabit());
+    world.node_mut::<Pusher>(ctrl).switch = Some(sw);
+    let mut got = Vec::new();
+    for k in 0..n {
+        // Sent at 10 ms steps, so it is in flight at +0.5 ms, handled
+        // at +1 ms and its reply lands at +2 ms: the measured window
+        // holds the switch's dispatch alone. The switch's first
+        // housekeeping tick is at 100 ms.
+        let sent = SimTime::ZERO + ms(10 * (k as u64 + 1));
+        world.schedule_timer_at(ctrl, sent, k as u64);
+        world.run_until(sent + SimDuration::from_micros(500));
+        got.push(measure("AsSwitch::on_control", || {
+            world.run_until(sent + SimDuration::from_micros(1500));
+        }));
+    }
+    world.run_for(ms(5));
+    (got, world.node::<Pusher>(ctrl).replies)
+}
+
+fn batch(msgs: &[OfMessage]) -> Vec<u8> {
+    let mut payload = Vec::new();
+    for (xid, m) in (1..).zip(msgs) {
+        codec::encode_into(m, xid, &mut payload);
+    }
+    payload
+}
+
+#[test]
+fn a_batch_of_adds_costs_one_allocation_per_entry_and_one_for_the_barrier_reply() {
+    const N: u16 = 6;
+    let adds = |from: u16, actions: usize| -> Vec<OfMessage> {
+        (from..from + N)
+            .map(|i| {
+                let e = exact_entry(i, 3);
+                let out = vec![Action::Output(OutPort::Physical(3)); actions];
+                OfMessage::add_flow(e.matcher, out, e.priority)
+            })
+            .chain([OfMessage::BarrierRequest])
+            .collect()
+    };
+    let deletes: Vec<OfMessage> = (0..N)
+        .map(|i| OfMessage::FlowMod {
+            command: FlowModCommand::DeleteStrict,
+            matcher: exact_entry(i, 3).matcher,
+            priority: 10,
+            actions: vec![],
+            idle_timeout: None,
+            hard_timeout: None,
+            cookie: 0,
+            notify_removed: false,
+        })
+        .collect();
+    // Warm the table (and the switch's action buffer), empty it, then
+    // fill it with other keys; then replace those.
+    let (got, replies) = switch_receives(vec![
+        batch(&adds(0, 3)),
+        batch(&deletes),
+        batch(&adds(N, 1)),
+        batch(&adds(N, 3)),
+    ]);
+    assert_eq!(
+        replies,
+        1 + 3,
+        "the hello, then a barrier reply per add batch"
+    );
+    for (round, actions) in [(2, 1), (3, 3)] {
+        let entry_lists = usize::from(N) * actions * size_of::<Action>();
+        let barrier_reply = codec::encode(&OfMessage::BarrierReply, 1).len();
+        assert_eq!(
+            got[round],
+            Allocated {
+                calls: usize::from(N) + 1,
+                bytes: entry_lists + barrier_reply
+            },
+            "round {round}"
+        );
+    }
+}
+
+#[test]
+fn a_packet_out_allocates_only_the_packet_it_emits() {
+    let out = vec![Action::Output(OutPort::Physical(3))];
+    let packet_out = |pkt: &Packet| OfMessage::PacketOut {
+        in_port: None,
+        actions: out.clone(),
+        data: wire::serialize(pkt),
+    };
+    let segment = full_segment();
+    let arp = arp_frame(ArpPacket::request(
+        MacAddr::from_u64(9),
+        ip("10.0.0.9"),
+        ip("10.0.0.1"),
+    ));
+    let (got, _) = switch_receives(vec![
+        batch(&[packet_out(&segment)]),
+        batch(&[packet_out(&segment)]),
+        batch(&[packet_out(&arp)]),
+    ]);
+    for (round, pkt) in [(1, &segment), (2, &arp)] {
+        let bytes = wire::serialize(pkt);
+        let parsed = measure("wire::parse", || {
+            wire::parse(&bytes).unwrap();
+        });
+        assert_eq!(got[round], parsed, "round {round}");
     }
 }

@@ -27,7 +27,7 @@ use livesec_openflow::message::{
     FlowRemovedReason, FlowStats, ForwardingAttestation, PacketInReason, PortStats, StatsBody,
     StatsRequestKind,
 };
-use livesec_openflow::{Action, Match, OfMessage, OutPort};
+use livesec_openflow::{Action, Match, OfMessage, OutPort, SwitchChannel};
 use livesec_services::msg::{SeMessage, ServiceType, Verdict};
 use std::net::Ipv4Addr;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -423,6 +423,35 @@ fn codec_decode_all_survives_mutation() {
     assert_fuzz("openflow::codec::decode_all", &batches, bound, |b| {
         let _ = decode_all(b);
     });
+}
+
+#[test]
+fn switch_channel_receive_survives_mutation() {
+    let frames = of_frames();
+    let batches: Vec<Vec<u8>> = frames
+        .windows(3)
+        .map(|w| w.concat())
+        .chain([Vec::new()])
+        .collect();
+    // The check pass reads what `decode` reads (a stats reply's lists
+    // and strings too), and so does the apply pass. A chore's reply is
+    // at most 22 bytes for a request of at least 10.
+    let bound = Bound {
+        per_byte: 2 * codec_bound().per_byte + 3,
+        fixed: 64,
+    };
+    assert_fuzz(
+        "openflow::SwitchChannel::receive_all",
+        &batches,
+        bound,
+        |b| {
+            let mut channel = SwitchChannel::new(7, 4);
+            let mut actions = Vec::new();
+            if let Ok(mut batch) = channel.receive_all(b, &mut drop) {
+                while batch.next_frame(&mut actions).is_some() {}
+            }
+        },
+    );
 }
 
 #[test]
