@@ -566,7 +566,7 @@ mod tests {
                 .map(|(dpid, in_port, out_port)| SwitchEntry {
                     dpid: *dpid,
                     matcher: Match::exact(*in_port, &key()),
-                    actions: vec![Action::Output(OutPort::Physical(*out_port))],
+                    actions: vec![Action::Output(OutPort::Physical(*out_port))].into(),
                     priority: 100,
                 })
                 .collect(),

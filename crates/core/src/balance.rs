@@ -93,24 +93,21 @@ impl HashDispatch {
         HashDispatch
     }
 
-    fn fnv1a(bytes: &[u8]) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-        h
-    }
-
-    /// The stable hash of a flow key used for dispatch.
+    /// The stable hash of a flow key used for dispatch: FNV-1a over its
+    /// 13 bytes `nw_src`, `nw_dst`, `nw_proto`, `tp_src`, `tp_dst`
+    /// (network order).
     pub fn hash_flow(flow: &FlowKey) -> u64 {
-        let mut buf = Vec::with_capacity(32);
-        buf.extend_from_slice(&flow.nw_src.octets());
-        buf.extend_from_slice(&flow.nw_dst.octets());
-        buf.push(flow.nw_proto);
-        buf.extend_from_slice(&flow.tp_src.to_be_bytes());
-        buf.extend_from_slice(&flow.tp_dst.to_be_bytes());
-        Self::fnv1a(&buf)
+        let bytes = flow
+            .nw_src
+            .octets()
+            .into_iter()
+            .chain(flow.nw_dst.octets())
+            .chain([flow.nw_proto])
+            .chain(flow.tp_src.to_be_bytes())
+            .chain(flow.tp_dst.to_be_bytes());
+        bytes.fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+        })
     }
 }
 
@@ -295,14 +292,12 @@ impl SeRegistry {
 
     /// Online elements of the given service type, in deterministic
     /// (MAC) order.
-    pub fn online_of(&self, service: ServiceType) -> Vec<SeView> {
+    pub fn online_of(&self, service: ServiceType) -> impl Iterator<Item = &SeView> {
         // The map is keyed by MAC, so `values()` is already in
         // deterministic MAC order.
         self.elements
             .values()
-            .filter(|e| e.online && e.service == service)
-            .copied()
-            .collect()
+            .filter(move |e| e.online && e.service == service)
     }
 
     /// Adjusts the outstanding-flow count for an element. Positive
@@ -343,6 +338,8 @@ pub struct LoadBalancer {
     dispatcher: Box<dyn Dispatcher>,
     grain: Grain,
     sticky: HashMap<(MacAddr, ServiceType), MacAddr>,
+    /// The current pick's candidates, refilled by every pick.
+    candidates: Vec<SeView>,
 }
 
 impl LoadBalancer {
@@ -352,6 +349,7 @@ impl LoadBalancer {
             dispatcher: Box::new(dispatcher),
             grain,
             sticky: HashMap::default(),
+            candidates: Vec::new(),
         }
     }
 
@@ -379,7 +377,9 @@ impl LoadBalancer {
         service: ServiceType,
         flow: &FlowKey,
     ) -> Option<MacAddr> {
-        let candidates = registry.online_of(service);
+        let candidates = &mut self.candidates;
+        candidates.clear();
+        candidates.extend(registry.online_of(service).copied());
         if candidates.is_empty() {
             return None;
         }
@@ -393,7 +393,7 @@ impl LoadBalancer {
                 self.sticky.remove(&(user, service));
             }
         }
-        let idx = self.dispatcher.pick(flow, user, &candidates);
+        let idx = self.dispatcher.pick(flow, user, candidates);
         let mac = candidates.get(idx)?.mac;
         if self.grain == Grain::User {
             self.sticky.insert((user, service), mac);
@@ -485,6 +485,25 @@ mod tests {
     }
 
     #[test]
+    fn hash_flow_is_pinned() {
+        // Values of the byte-buffer FNV-1a this fold replaced: a changed
+        // hash would move every hash-dispatched flow to another replica.
+        assert_eq!(
+            HashDispatch::hash_flow(&flow(1234, 1)),
+            0x168b_d1cc_986d_3fe4
+        );
+        let dns = FlowKey {
+            nw_src: "192.168.7.42".parse().unwrap(),
+            nw_dst: "10.1.2.3".parse().unwrap(),
+            nw_proto: 17,
+            tp_src: 53_000,
+            tp_dst: 53,
+            ..flow(0, 2)
+        };
+        assert_eq!(HashDispatch::hash_flow(&dns), 0x8040_aefa_bb84_a451);
+    }
+
+    #[test]
     fn least_queue_prefers_emptier() {
         let mut d = LeastQueue::new();
         let mut a = online(1, 0);
@@ -527,15 +546,15 @@ mod tests {
             !r.heartbeat(MacAddr::from_u64(1), &msg, SimTime::ZERO),
             "not new"
         );
-        assert_eq!(r.online_of(ServiceType::IntrusionDetection).len(), 1);
-        assert_eq!(r.online_of(ServiceType::Firewall).len(), 0);
+        assert_eq!(r.online_of(ServiceType::IntrusionDetection).count(), 1);
+        assert_eq!(r.online_of(ServiceType::Firewall).count(), 0);
 
         let dead = r.expire(
             SimTime::from_nanos(10_000_000_000),
             SimDuration::from_secs(1),
         );
         assert_eq!(dead, vec![MacAddr::from_u64(1)]);
-        assert!(r.online_of(ServiceType::IntrusionDetection).is_empty());
+        assert_eq!(r.online_of(ServiceType::IntrusionDetection).next(), None);
         // Heartbeat brings it back (counts as new).
         assert!(r.heartbeat(
             MacAddr::from_u64(1),

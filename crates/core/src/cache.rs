@@ -98,12 +98,17 @@ impl DecisionCache {
     }
 
     /// The MACs an entry must be indexed under.
-    fn macs_of(key: &FlowKey, decision: &CachedDecision) -> Vec<MacAddr> {
-        let mut macs = vec![key.dl_src, key.dl_dst];
-        if let CachedDecision::Steer { elements, .. } = decision {
-            macs.extend_from_slice(elements);
-        }
-        macs
+    fn macs_of<'a>(
+        key: &FlowKey,
+        decision: &'a CachedDecision,
+    ) -> impl Iterator<Item = MacAddr> + 'a {
+        let elements = match decision {
+            CachedDecision::Steer { elements, .. } => elements.as_slice(),
+            CachedDecision::Deny { .. } => &[],
+        };
+        [key.dl_src, key.dl_dst]
+            .into_iter()
+            .chain(elements.iter().copied())
     }
 
     /// Looks up the cached decision for `key` entering at `ingress`.

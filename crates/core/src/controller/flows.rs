@@ -479,18 +479,15 @@ impl Controller {
                 self.block_flow(now, &flow, format!("attack:{attack}"));
             }
             Verdict::Application { app } => {
+                let blocked = (self.policy.app_action(&app) == Some(AppAction::Block))
+                    .then(|| format!("app-policy:{app}"));
                 if let Some(rec) = self.active.get_mut(&flow) {
                     rec.app = Some(app.clone());
                 }
-                self.monitor.record(
-                    now,
-                    EventKind::AppIdentified {
-                        flow,
-                        app: app.clone(),
-                    },
-                );
-                if self.policy.app_action(&app) == Some(AppAction::Block) {
-                    self.block_flow(now, &flow, format!("app-policy:{app}"));
+                self.monitor
+                    .record(now, EventKind::AppIdentified { flow, app });
+                if let Some(reason) = blocked {
+                    self.block_flow(now, &flow, reason);
                 }
             }
             Verdict::PolicyViolation { policy } => {

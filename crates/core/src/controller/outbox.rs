@@ -365,7 +365,7 @@ pub(super) mod tests {
         let fm = |priority| delete_strict(&m, priority).to_message();
         let packet_out = OfMessage::PacketOut {
             in_port: Some(3),
-            actions: out.to_vec(),
+            actions: out.as_slice().into(),
             data: wire::serialize(&pkt),
         };
         let want = [

@@ -159,9 +159,8 @@ pub fn compile<S: StateStore + ?Sized>(
     let Ok(forward) = compile_path(key, &hops, uplink, priority) else {
         return EngineDecision::Unroutable;
     };
-    let mut rev_hops = hops.clone();
-    rev_hops.reverse();
-    let Ok(reverse) = compile_path(&key.reversed(), &rev_hops, uplink, priority) else {
+    hops.reverse();
+    let Ok(reverse) = compile_path(&key.reversed(), &hops, uplink, priority) else {
         return EngineDecision::Unroutable;
     };
     EngineDecision::Steer {

@@ -12,7 +12,7 @@
 //! program (§IV-A) to arbitrary chain lengths.
 
 use livesec_net::{FlowKey, MacAddr};
-use livesec_openflow::{Action, Match, OutPort};
+use livesec_openflow::{Action, ActionList, Match, OutPort};
 use std::fmt;
 
 /// One hop of a flow's path: a periphery attachment point.
@@ -34,7 +34,7 @@ pub struct SwitchEntry {
     /// The match.
     pub matcher: Match,
     /// The actions.
-    pub actions: Vec<Action>,
+    pub actions: ActionList,
     /// The priority.
     pub priority: u16,
 }
@@ -121,6 +121,10 @@ impl std::error::Error for RoutingError {}
 /// learning flaps between ports and blackholes the flow. With it,
 /// every MAC is only ever sourced from one attachment point.
 ///
+/// The program is one allocation, its entry list, sized once for the
+/// segments' entries and relays; each entry's actions fit inline in its
+/// [`ActionList`].
+///
 /// # Errors
 ///
 /// Returns [`RoutingError`] if fewer than two hops are given or a
@@ -135,7 +139,10 @@ pub fn compile_path(
         return Err(RoutingError::TooFewHops);
     }
     let last = hops.len() - 1;
-    let mut program = SteeringProgram::default();
+    // At most an entry and a relay per segment.
+    let mut program = SteeringProgram {
+        entries: Vec::with_capacity(2 * last),
+    };
     for (i, (cur, next)) in hops.iter().zip(hops.iter().skip(1)).enumerate() {
         // The frame as it enters hop i's switch. The source emits the
         // original headers; a service element re-emits exactly the
@@ -159,7 +166,7 @@ pub fn compile_path(
             cur.mac
         };
 
-        let mut actions = Vec::with_capacity(3);
+        let mut actions = ActionList::new();
         if entering.dl_src != seg_src {
             actions.push(Action::SetDlSrc(seg_src));
         }
@@ -186,7 +193,7 @@ pub fn compile_path(
             seg.dl_src = seg_src;
             seg.dl_dst = next.mac;
             let in_up = uplink(next.dpid).ok_or(RoutingError::MissingUplink { dpid: next.dpid })?;
-            let mut relay_actions = Vec::with_capacity(2);
+            let mut relay_actions = ActionList::new();
             if i + 1 == last && seg.dl_src != key.dl_src {
                 // Egress: restore the original source MAC.
                 relay_actions.push(Action::SetDlSrc(key.dl_src));

@@ -143,7 +143,7 @@ fn users_and_ses_register_with_events() {
     assert_eq!(
         c.registry()
             .online_of(ServiceType::IntrusionDetection)
-            .len(),
+            .count(),
         1
     );
 }
@@ -407,7 +407,7 @@ fn certification_rejects_unauthorized_elements() {
     assert_eq!(
         c.registry()
             .online_of(ServiceType::IntrusionDetection)
-            .len(),
+            .count(),
         1,
         "only the certified element is online"
     );

@@ -6,7 +6,10 @@ use std::fmt;
 use std::net::Ipv4Addr;
 
 /// Where an [`Action::Output`] sends the packet.
+// A leading one-byte tag leaves the bytes after it for the other
+// actions' fields, so an `Action` is 8 bytes, not 12.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+#[repr(u8)]
 pub enum OutPort {
     /// A physical port number.
     Physical(u32),
@@ -67,6 +70,191 @@ impl fmt::Display for Action {
             Action::SetVlan(v) => write!(f, "set_vlan:{v}"),
             Action::StripVlan => write!(f, "strip_vlan"),
         }
+    }
+}
+
+/// How many actions an [`ActionList`] holds without allocating: the
+/// longest list `compile_path` emits, `SetDlSrc`, `SetDlDst`, `Output`.
+pub const INLINE_ACTIONS: usize = 3;
+
+/// An entry's action list: up to [`INLINE_ACTIONS`] actions inside the
+/// list itself, a longer one in one boxed slice.
+///
+/// It reads as the `[Action]` it holds (`Deref`, [`as_slice`]), and two
+/// lists are equal when their actions are, however each is stored. A
+/// flow set-up's entries thus carry their actions without a heap
+/// allocation each, from `compile_path` through the wire to the switch's
+/// table.
+///
+/// [`as_slice`]: ActionList::as_slice
+#[derive(Clone)]
+pub struct ActionList(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    /// The first `len` of `slots`; the rest hold [`PAD`].
+    Inline {
+        len: u8,
+        slots: [Action; INLINE_ACTIONS],
+    },
+    /// A list too long to fit inline, or one handed over boxed.
+    Spilled(Box<[Action]>),
+}
+
+/// What an inline list's unused slots hold; never read.
+const PAD: Action = Action::StripVlan;
+
+impl ActionList {
+    /// The empty list (*drop*).
+    pub const fn new() -> Self {
+        ActionList(Repr::Inline {
+            len: 0,
+            slots: [PAD; INLINE_ACTIONS],
+        })
+    }
+
+    /// The actions, in order.
+    pub fn as_slice(&self) -> &[Action] {
+        match &self.0 {
+            Repr::Inline { len, slots } => &slots[..usize::from(*len)],
+            Repr::Spilled(actions) => actions,
+        }
+    }
+
+    /// Whether the actions live in a heap allocation of their own.
+    pub fn is_spilled(&self) -> bool {
+        matches!(self.0, Repr::Spilled(_))
+    }
+
+    /// Appends `action`. A push past the inline capacity moves the list
+    /// to a new boxed slice, so it allocates every time: building a long
+    /// list, collect it or convert a `Vec` instead.
+    pub fn push(&mut self, action: Action) {
+        match &mut self.0 {
+            Repr::Inline { len, slots } if usize::from(*len) < INLINE_ACTIONS => {
+                slots[usize::from(*len)] = action;
+                *len += 1;
+            }
+            _ => {
+                let mut spilled = Vec::with_capacity(self.len() + 1);
+                spilled.extend_from_slice(self);
+                spilled.push(action);
+                self.0 = Repr::Spilled(spilled.into_boxed_slice());
+            }
+        }
+    }
+
+    /// The list of the `n` actions `next` returns in turn, or its first
+    /// error. Allocates once if `n` exceeds [`INLINE_ACTIONS`], else
+    /// never.
+    pub(crate) fn try_from_fn<E>(
+        n: usize,
+        mut next: impl FnMut() -> Result<Action, E>,
+    ) -> Result<Self, E> {
+        if n > INLINE_ACTIONS {
+            let mut spilled = Vec::with_capacity(n);
+            for _ in 0..n {
+                spilled.push(next()?);
+            }
+            return Ok(ActionList(Repr::Spilled(spilled.into_boxed_slice())));
+        }
+        let mut list = ActionList::new();
+        for _ in 0..n {
+            list.push(next()?);
+        }
+        Ok(list)
+    }
+}
+
+impl Default for ActionList {
+    fn default() -> Self {
+        ActionList::new()
+    }
+}
+
+impl std::ops::Deref for ActionList {
+    type Target = [Action];
+    fn deref(&self) -> &[Action] {
+        self.as_slice()
+    }
+}
+
+impl fmt::Debug for ActionList {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.as_slice().fmt(f)
+    }
+}
+
+impl PartialEq for ActionList {
+    fn eq(&self, other: &ActionList) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for ActionList {}
+
+impl PartialEq<Vec<Action>> for ActionList {
+    fn eq(&self, other: &Vec<Action>) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl From<&[Action]> for ActionList {
+    /// Copies the actions; allocates once if they do not fit inline.
+    fn from(actions: &[Action]) -> Self {
+        if actions.len() > INLINE_ACTIONS {
+            return ActionList(Repr::Spilled(actions.into()));
+        }
+        let mut list = ActionList::new();
+        for &action in actions {
+            list.push(action);
+        }
+        list
+    }
+}
+
+impl From<Vec<Action>> for ActionList {
+    /// A short list moves inline; a long one keeps the `Vec`'s
+    /// allocation (shrunk to fit).
+    fn from(actions: Vec<Action>) -> Self {
+        if actions.len() <= INLINE_ACTIONS {
+            ActionList::from(actions.as_slice())
+        } else {
+            ActionList(Repr::Spilled(actions.into_boxed_slice()))
+        }
+    }
+}
+
+impl From<Box<[Action]>> for ActionList {
+    /// Keeps the allocation, whatever the list's length.
+    fn from(actions: Box<[Action]>) -> Self {
+        ActionList(Repr::Spilled(actions))
+    }
+}
+
+impl FromIterator<Action> for ActionList {
+    /// Inline while the actions fit, else one boxed slice.
+    fn from_iter<I: IntoIterator<Item = Action>>(iter: I) -> Self {
+        let mut iter = iter.into_iter();
+        let mut list = ActionList::new();
+        iter.by_ref()
+            .take(INLINE_ACTIONS)
+            .for_each(|action| list.push(action));
+        let Some(more) = iter.next() else {
+            return list;
+        };
+        let mut spilled = list.to_vec();
+        spilled.push(more);
+        spilled.extend(iter);
+        ActionList::from(spilled)
+    }
+}
+
+impl<'a> IntoIterator for &'a ActionList {
+    type Item = &'a Action;
+    type IntoIter = std::slice::Iter<'a, Action>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.as_slice().iter()
     }
 }
 
@@ -331,6 +519,12 @@ mod tests {
             &[Action::StripVlan, Action::Output(OutPort::Physical(1))],
         );
         assert_eq!(out2.outputs[0].1.eth.vlan, None);
+    }
+
+    #[test]
+    fn an_entry_list_of_three_actions_fits_in_32_bytes() {
+        assert_eq!(std::mem::size_of::<Action>(), 8);
+        assert_eq!(std::mem::size_of::<ActionList>(), 32);
     }
 
     #[test]

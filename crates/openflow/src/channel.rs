@@ -162,6 +162,7 @@ impl<'a> Batch<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::action::ActionList;
     use crate::codec::decode;
     use crate::flow_match::Match;
 
@@ -174,7 +175,7 @@ mod tests {
         let mut batch = ch.receive_all(bytes, &mut |r| replies.push(r))?;
         let (mut up, mut actions) = (Vec::new(), Vec::new());
         while let Some(frame) = batch.next_frame(&mut actions) {
-            up.push(frame.into_message(actions.clone()));
+            up.push(frame.into_message(ActionList::from(actions.as_slice())));
         }
         Ok((replies, up))
     }

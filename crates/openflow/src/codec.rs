@@ -14,14 +14,14 @@
 //! packet straight into its frame.
 //!
 //! One reader takes every frame apart, generic over where a frame's
-//! actions go: a `Vec<Action>` ([`decode`], and the switch's reused
-//! action buffer), or nowhere, when a batch is only being checked. It
+//! actions go: an [`ActionList`] ([`decode`]), the switch's reused
+//! action buffer, or nowhere, when a batch is only being checked. It
 //! returns a [`Frame`], which borrows a packet-out's packet from the
 //! frame instead of copying it.
 
 #![warn(clippy::indexing_slicing)]
 
-use crate::action::{Action, OutPort};
+use crate::action::{Action, ActionList, OutPort};
 use crate::flow_match::{Match, VlanMatch};
 use crate::message::{
     FlowModCommand, FlowRemovedReason, FlowStats, ForwardingAttestation, OfMessage, PacketInReason,
@@ -383,20 +383,42 @@ fn put_actions(w: &mut impl Sink, actions: &[Action]) {
     }
 }
 
-/// Where the one reader puts a frame's actions: a list it appends to,
-/// or nowhere ([`Check`]), when a batch is only being checked.
+/// Where the one reader puts a frame's actions: an [`ActionList`]
+/// ([`decode`]), a reused `Vec` (the switch's action buffer), or nowhere
+/// ([`Check`]), when a batch is only being checked.
 pub(crate) trait ActionSink {
-    /// Makes room for `n` more actions.
-    fn reserve(&mut self, _n: usize) {}
-    fn push(&mut self, a: Action);
+    /// Replaces what the sink holds with a frame's `n` actions, each
+    /// read by `next`; stops at `next`'s first error.
+    fn fill(
+        &mut self,
+        n: usize,
+        next: impl FnMut() -> Result<Action, CodecError>,
+    ) -> Result<(), CodecError>;
+}
+
+impl ActionSink for ActionList {
+    fn fill(
+        &mut self,
+        n: usize,
+        next: impl FnMut() -> Result<Action, CodecError>,
+    ) -> Result<(), CodecError> {
+        *self = ActionList::try_from_fn(n, next)?;
+        Ok(())
+    }
 }
 
 impl ActionSink for Vec<Action> {
-    fn reserve(&mut self, n: usize) {
+    fn fill(
+        &mut self,
+        n: usize,
+        mut next: impl FnMut() -> Result<Action, CodecError>,
+    ) -> Result<(), CodecError> {
+        self.clear();
         self.reserve_exact(n);
-    }
-    fn push(&mut self, a: Action) {
-        Vec::push(self, a);
+        for _ in 0..n {
+            self.push(next()?);
+        }
+        Ok(())
     }
 }
 
@@ -404,7 +426,16 @@ impl ActionSink for Vec<Action> {
 pub(crate) struct Check;
 
 impl ActionSink for Check {
-    fn push(&mut self, _: Action) {}
+    fn fill(
+        &mut self,
+        n: usize,
+        mut next: impl FnMut() -> Result<Action, CodecError>,
+    ) -> Result<(), CodecError> {
+        for _ in 0..n {
+            next()?;
+        }
+        Ok(())
+    }
 }
 
 fn get_actions(r: &mut Cursor<'_>, out: &mut impl ActionSink) -> Result<(), CodecError> {
@@ -415,9 +446,8 @@ fn get_actions(r: &mut Cursor<'_>, out: &mut impl ActionSink) -> Result<(), Code
     if n > r.remaining() {
         return Err(CodecError::BadField("action count"));
     }
-    out.reserve(n);
-    for _ in 0..n {
-        out.push(match r.u8()? {
+    out.fill(n, || {
+        Ok(match r.u8()? {
             0 => Action::Output(get_out_port(r)?),
             1 => Action::SetDlSrc(r.mac()?),
             2 => Action::SetDlDst(r.mac()?),
@@ -428,9 +458,8 @@ fn get_actions(r: &mut Cursor<'_>, out: &mut impl ActionSink) -> Result<(), Code
             7 => Action::SetVlan(r.u16()?),
             8 => Action::StripVlan,
             _ => return Err(CodecError::BadField("action tag")),
-        });
-    }
-    Ok(())
+        })
+    })
 }
 
 /// A flow-mod whose match and actions stay with their owner: it
@@ -472,7 +501,7 @@ impl FlowModRef<'_> {
             command: self.command,
             matcher: *self.matcher,
             priority: self.priority,
-            actions: self.actions.to_vec(),
+            actions: ActionList::from(self.actions),
             idle_timeout: self.idle_timeout,
             hard_timeout: self.hard_timeout,
             cookie: self.cookie,
@@ -792,7 +821,7 @@ pub enum Frame<'a> {
 
 impl Frame<'_> {
     /// The owned message, given the actions the reader put in its sink.
-    pub fn into_message(self, actions: Vec<Action>) -> OfMessage {
+    pub fn into_message(self, actions: ActionList) -> OfMessage {
         match self {
             Frame::FlowMod {
                 command,
@@ -829,7 +858,7 @@ impl Frame<'_> {
 /// Returns [`CodecError`] for truncated buffers, unknown versions or
 /// types, and invalid field values.
 pub fn decode(bytes: &[u8]) -> Result<(OfMessage, u32), CodecError> {
-    let mut actions = Vec::new();
+    let mut actions = ActionList::new();
     let (frame, xid) = read_frame(bytes, &mut actions)?;
     Ok((frame.into_message(actions), xid))
 }
@@ -1103,12 +1132,13 @@ mod tests {
             actions: vec![
                 Action::SetDlDst(MacAddr::from_u64(9)),
                 Action::Output(OutPort::Flood),
-            ],
+            ]
+            .into(),
             data: vec![9; 100],
         });
         roundtrip(OfMessage::PacketOut {
             in_port: None,
-            actions: vec![],
+            actions: ActionList::new(),
             data: vec![],
         });
     }
@@ -1138,7 +1168,8 @@ mod tests {
                     Action::Output(OutPort::Physical(7)),
                     Action::Output(OutPort::InPort),
                     Action::Output(OutPort::Controller),
-                ],
+                ]
+                .into(),
                 idle_timeout: Some(5_000_000_000),
                 hard_timeout: None,
                 cookie: 77,
@@ -1282,7 +1313,7 @@ mod tests {
             ),
             OfMessage::PacketOut {
                 in_port: Some(2),
-                actions: vec![Action::Output(OutPort::Physical(3))],
+                actions: vec![Action::Output(OutPort::Physical(3))].into(),
                 data: vec![1, 2, 3],
             },
             OfMessage::BarrierRequest,
@@ -1332,7 +1363,7 @@ mod tests {
         // bytes 11..15 (header 10 + 1-byte `None` flag).
         let msg = OfMessage::PacketOut {
             in_port: None,
-            actions: vec![],
+            actions: ActionList::new(),
             data: vec![],
         };
         let mut bytes = encode(&msg, 1);
@@ -1357,7 +1388,7 @@ mod tests {
         // bounds check; `Cursor::take` checks `n > remaining`.
         let msg = OfMessage::PacketOut {
             in_port: None,
-            actions: vec![],
+            actions: ActionList::new(),
             data: vec![],
         };
         let mut bytes = encode(&msg, 1);
@@ -1375,7 +1406,7 @@ mod tests {
             },
             OfMessage::PacketOut {
                 in_port: Some(2),
-                actions: vec![Action::Output(OutPort::Flood)],
+                actions: vec![Action::Output(OutPort::Flood)].into(),
                 data: vec![9; 16],
             },
             OfMessage::add_flow(sample_match(), vec![Action::StripVlan], 9),

@@ -13,7 +13,8 @@
 //!   wildcards and CIDR masks on the IP addresses.
 //! * [`Action`] — output and header-rewrite actions. Destination-MAC
 //!   rewriting ([`Action::SetDlDst`]) is the mechanism LiveSec uses to
-//!   steer flows through off-path service elements.
+//!   steer flows through off-path service elements. An entry holds its
+//!   actions in an [`ActionList`], inline up to [`INLINE_ACTIONS`].
 //! * [`FlowTable`] — a priority-ordered flow table with idle/hard
 //!   timeouts and per-entry counters, with a hash fast-path for
 //!   fully-exact entries. [`winner`], [`apply_actions_to_key`] and
@@ -65,7 +66,8 @@ pub mod message;
 pub mod table;
 
 pub use action::{
-    apply_actions, apply_actions_owned, apply_actions_to_key, Action, ActionOutcome, OutPort,
+    apply_actions, apply_actions_owned, apply_actions_to_key, Action, ActionList, ActionOutcome,
+    OutPort, INLINE_ACTIONS,
 };
 pub use channel::{Batch, SwitchChannel};
 pub use codec::{decode, encode, CodecError, Frame};
@@ -81,7 +83,8 @@ pub use table::{outranks, winner, FlowEntry, FlowTable, InsertOutcome, RemovedEn
 /// Convenient glob-import surface: `use livesec_openflow::prelude::*;`.
 pub mod prelude {
     pub use crate::action::{
-        apply_actions, apply_actions_owned, apply_actions_to_key, Action, ActionOutcome, OutPort,
+        apply_actions, apply_actions_owned, apply_actions_to_key, Action, ActionList,
+        ActionOutcome, OutPort,
     };
     pub use crate::channel::SwitchChannel;
     pub use crate::codec::{decode, encode, CodecError};

@@ -1,6 +1,6 @@
 //! The controller ↔ switch message set.
 
-use crate::action::Action;
+use crate::action::ActionList;
 use crate::flow_match::Match;
 use crate::table::Nanos;
 use livesec_net::FlowKey;
@@ -224,7 +224,7 @@ pub enum OfMessage {
         /// Nominal ingress port (for `Output:InPort`/`Flood` semantics).
         in_port: Option<u32>,
         /// Actions to apply (typically a single output).
-        actions: Vec<Action>,
+        actions: ActionList,
         /// The frame bytes.
         data: Vec<u8>,
     },
@@ -237,7 +237,7 @@ pub enum OfMessage {
         /// Priority (for adds and strict ops).
         priority: u16,
         /// Actions (for add/modify).
-        actions: Vec<Action>,
+        actions: ActionList,
         /// Idle timeout in nanoseconds.
         idle_timeout: Option<Nanos>,
         /// Hard timeout in nanoseconds.
@@ -283,12 +283,12 @@ pub enum OfMessage {
 
 impl OfMessage {
     /// Convenience constructor for an add flow-mod with no timeouts.
-    pub fn add_flow(matcher: Match, actions: Vec<Action>, priority: u16) -> Self {
+    pub fn add_flow(matcher: Match, actions: impl Into<ActionList>, priority: u16) -> Self {
         OfMessage::FlowMod {
             command: FlowModCommand::Add,
             matcher,
             priority,
-            actions,
+            actions: actions.into(),
             idle_timeout: None,
             hard_timeout: None,
             cookie: 0,
@@ -302,7 +302,7 @@ impl OfMessage {
             command: FlowModCommand::Delete,
             matcher,
             priority: 0,
-            actions: Vec::new(),
+            actions: ActionList::new(),
             idle_timeout: None,
             hard_timeout: None,
             cookie: 0,

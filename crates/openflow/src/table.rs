@@ -1,5 +1,6 @@
 //! The flow table: priority lookup, timeouts, counters.
 
+use crate::action::ActionList;
 use crate::flow_match::Match;
 use crate::message::FlowRemovedReason;
 use livesec_net::{FlowKey, HashMap};
@@ -17,7 +18,7 @@ pub struct FlowEntry {
     /// The match.
     pub matcher: Match,
     /// Action list (empty = drop).
-    pub actions: Vec<crate::action::Action>,
+    pub actions: ActionList,
     /// Priority; higher wins. Ties break to the earlier-installed entry.
     pub priority: u16,
     /// Evict if unused for this long.
@@ -41,10 +42,10 @@ pub struct FlowEntry {
 
 impl FlowEntry {
     /// Creates a permanent entry with zeroed counters.
-    pub fn new(matcher: Match, actions: Vec<crate::action::Action>, priority: u16) -> Self {
+    pub fn new(matcher: Match, actions: impl Into<ActionList>, priority: u16) -> Self {
         FlowEntry {
             matcher,
-            actions,
+            actions: actions.into(),
             priority,
             idle_timeout: None,
             hard_timeout: None,
@@ -468,7 +469,7 @@ impl FlowTable {
     ) -> usize {
         let mut changed = 0;
         self.for_selected(matcher, strict, None, |t, i| {
-            t.slots[i].entry.as_mut().expect("live index").actions = actions.to_vec();
+            t.slots[i].entry.as_mut().expect("live index").actions = ActionList::from(actions);
             changed += 1;
         });
         changed

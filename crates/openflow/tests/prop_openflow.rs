@@ -1,8 +1,9 @@
 //! Property tests: match semantics, flow-table lookup vs a naive
-//! model, the key walk against the frame walk, message-codec
-//! round-trips, the in-place encoders' wire identity with
-//! `codec::encode`, and the switch channel's in-place receive path
-//! against `codec::decode_all`.
+//! model, the key walk against the frame walk, `ActionList` against
+//! the `Vec<Action>` it replaces, message-codec round-trips (with
+//! action lists inline and spilled), the in-place encoders' wire
+//! identity with `codec::encode`, and the switch channel's in-place
+//! receive path against `codec::decode_all`.
 
 use livesec_net::packet::{arp_frame, icmp_frame, lldp_frame};
 use livesec_net::{
@@ -11,10 +12,10 @@ use livesec_net::{
 };
 use livesec_openflow::codec::FlowModRef;
 use livesec_openflow::{
-    apply_actions_owned, apply_actions_to_key, codec, lookup_key, Action, FlowEntry,
+    apply_actions_owned, apply_actions_to_key, codec, lookup_key, Action, ActionList, FlowEntry,
     FlowModCommand, FlowRemovedReason, FlowStats, FlowTable, ForwardingAttestation, HeaderClass,
     Match, OfMessage, OutPort, PacketInReason, PortStats, PortStatusReason, StatsBody,
-    StatsRequestKind, SwitchChannel, VlanMatch,
+    StatsRequestKind, SwitchChannel, VlanMatch, INLINE_ACTIONS,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -91,6 +92,19 @@ fn arb_action() -> impl Strategy<Value = Action> {
     ]
 }
 
+/// A list of 0–8 actions, on both sides of [`INLINE_ACTIONS`], stored
+/// inline or boxed: a boxed list keeps its allocation whatever its
+/// length.
+fn arb_action_list() -> impl Strategy<Value = ActionList> {
+    (vec(arb_action(), 0..=8), any::<bool>()).prop_map(|(actions, boxed)| {
+        if boxed {
+            ActionList::from(actions.into_boxed_slice())
+        } else {
+            ActionList::from(actions)
+        }
+    })
+}
+
 fn arb_command() -> impl Strategy<Value = FlowModCommand> {
     prop_oneof![
         Just(FlowModCommand::Add),
@@ -110,7 +124,7 @@ prop_compose! {
         command in arb_command(),
         matcher in arb_match(),
         priority in any::<u16>(),
-        actions in vec(arb_action(), 0..6),
+        actions in arb_action_list(),
         idle_timeout in proptest::option::of(any::<u64>()),
         hard_timeout in proptest::option::of(any::<u64>()),
         cookie in any::<u64>(),
@@ -222,7 +236,7 @@ fn arb_message() -> impl Strategy<Value = OfMessage> {
         }),
         (
             proptest::option::of(any::<u32>()),
-            vec(arb_action(), 0..6),
+            arb_action_list(),
             bytes()
         )
             .prop_map(|(in_port, actions, data)| OfMessage::PacketOut {
@@ -325,7 +339,7 @@ fn receive(bytes: &[u8]) -> (Vec<Vec<u8>>, Result<Vec<OfMessage>, codec::CodecEr
         .map(|mut batch| {
             let (mut up, mut actions) = (Vec::new(), Vec::new());
             while let Some(frame) = batch.next_frame(&mut actions) {
-                up.push(frame.into_message(actions.clone()));
+                up.push(frame.into_message(ActionList::from(actions.as_slice())));
             }
             up
         });
@@ -349,6 +363,66 @@ proptest! {
             let mut keys = Vec::new();
             apply_actions_to_key(key, &actions, |dest, out| keys.push((dest, Some(out))));
             prop_assert_eq!(frames, keys, "{actions:?}");
+        }
+    }
+
+    /// An `ActionList` behaves as the `Vec<Action>` of its actions, on
+    /// both sides of `INLINE_ACTIONS`, however it is stored: built from
+    /// a slice (inline while it fits), boxed, collected or pushed, the
+    /// lists compare equal to each other and to the `Vec`; a
+    /// flow-mod carrying one encodes to the same bytes, and decodes to
+    /// an equal list that re-encodes byte for byte; and both action
+    /// walks emit what they emit over the `Vec`.
+    #[test]
+    fn an_action_list_behaves_like_its_vec(
+        actions in vec(arb_action(), 0..=8),
+        pkt in arb_lookup_frame(),
+        xid in any::<u32>(),
+    ) {
+        let long = actions.len() > INLINE_ACTIONS;
+        let copied = ActionList::from(actions.as_slice());
+        let boxed = ActionList::from(actions.clone().into_boxed_slice());
+        let collected: ActionList = actions.iter().copied().collect();
+        let mut pushed = ActionList::new();
+        for a in &actions {
+            pushed.push(*a);
+        }
+        prop_assert_eq!(copied.is_spilled(), long);
+        prop_assert_eq!(collected.is_spilled(), long);
+        prop_assert!(boxed.is_spilled());
+        for list in [&copied, &boxed, &collected, &pushed] {
+            prop_assert_eq!(list, &actions);
+            prop_assert_eq!(list, &copied);
+            prop_assert_eq!(list.as_slice(), actions.as_slice());
+        }
+
+        let frame = codec::encode(&OfMessage::add_flow(Match::any(), copied.clone(), 9), xid);
+        prop_assert_eq!(
+            &codec::encode(&OfMessage::add_flow(Match::any(), boxed.clone(), 9), xid),
+            &frame
+        );
+        let (back, _) = codec::decode(&frame).unwrap();
+        let OfMessage::FlowMod { actions: decoded, .. } = &back else {
+            unreachable!("a flow-mod decodes to a flow-mod")
+        };
+        prop_assert_eq!(decoded, &actions);
+        prop_assert_eq!(decoded.is_spilled(), long);
+        prop_assert_eq!(codec::encode(&back, xid), frame);
+
+        let frames = |list: &[Action]| {
+            let mut out = Vec::new();
+            apply_actions_owned(pkt.clone(), list, |dest, p| out.push((dest, p.into_owned())));
+            out
+        };
+        let key = lookup_key(&pkt).expect("IPv4 and ARP frames are looked up");
+        let keys = |list: &[Action]| {
+            let mut out = Vec::new();
+            apply_actions_to_key(key, list, |dest, k| out.push((dest, k)));
+            out
+        };
+        for list in [&copied, &boxed] {
+            prop_assert_eq!(frames(list), frames(&actions));
+            prop_assert_eq!(keys(list), keys(&actions));
         }
     }
 
@@ -556,7 +630,7 @@ proptest! {
     #[test]
     fn codec_roundtrip_flow_mod(
         m in arb_match(),
-        actions in proptest::collection::vec(arb_action(), 0..6),
+        actions in arb_action_list(),
         prio in any::<u16>(),
         idle in proptest::option::of(any::<u64>()),
         hard in proptest::option::of(any::<u64>()),

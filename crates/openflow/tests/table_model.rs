@@ -105,7 +105,7 @@ type View = (
 fn view(e: &FlowEntry) -> View {
     (
         e.matcher,
-        e.actions.clone(),
+        e.actions.to_vec(),
         e.priority,
         e.idle_timeout,
         e.hard_timeout,
@@ -224,7 +224,7 @@ fn run_sequence(ops: Vec<(Op, Nanos, (u32, FlowKey))>) -> Result<(), TestCaseErr
                     .iter_mut()
                     .filter(|e| Model::selects(&m, strict, None, e))
                 {
-                    e.actions = out(port);
+                    e.actions = out(port).into();
                     expected += 1;
                 }
                 prop_assert_eq!(

@@ -2,7 +2,7 @@
 
 use livesec_net::{wire, FlowKey, HashSet, MacAddr, Packet, PacketBuilder};
 use livesec_openflow::{
-    apply_actions_owned, attestation_tag, lookup_key, packet_tag, Action, FlowEntry,
+    apply_actions_owned, attestation_tag, lookup_key, packet_tag, Action, ActionList, FlowEntry,
     FlowModCommand, FlowStats, ForwardingAttestation, Frame, OfMessage, OutPort, PacketInReason,
     PortStats, PortStatusReason, RemovedEntry, StatsBody, StatsRequestKind, SwitchChannel,
 };
@@ -62,7 +62,9 @@ pub struct AsSwitch {
     /// one forward: the entry borrows the table, emitting borrows the
     /// whole switch. Also where a received flow-mod's or packet-out's
     /// actions are read. Reused, so neither a table hit nor a
-    /// packet-out allocates a list.
+    /// packet-out allocates a list; an `Add` copies it into its entry's
+    /// `ActionList`, which allocates only for a list too long to hold
+    /// inline.
     action_buf: Vec<Action>,
     /// Forwarding-attestation sampling divisor: 0 disables attestation
     /// entirely; `n` samples packets whose stitching tag is divisible
@@ -532,7 +534,7 @@ impl Node for AsSwitch {
         let matcher = victim.matcher;
         let priority = victim.priority;
         let skew = 1 + (salt >> 32) as u32 % (self.n_ports - 1).max(1);
-        let actions: Vec<Action> = victim
+        let actions: ActionList = victim
             .actions
             .iter()
             .map(|a| match *a {
@@ -607,8 +609,7 @@ impl AsSwitch {
                 notify_removed,
             } => match command {
                 FlowModCommand::Add => {
-                    let mut entry =
-                        FlowEntry::new(matcher, actions.to_vec(), priority).with_cookie(cookie);
+                    let mut entry = FlowEntry::new(matcher, actions, priority).with_cookie(cookie);
                     entry.idle_timeout = idle_timeout;
                     entry.hard_timeout = hard_timeout;
                     entry.notify_removed = notify_removed;
@@ -858,7 +859,7 @@ mod tests {
             OfMessage::add_flow(Match::exact(2, &key), out.clone(), 10),
             OfMessage::PacketOut {
                 in_port: None,
-                actions: out,
+                actions: out.into(),
                 data: wire::serialize(&test_packet()),
             },
             OfMessage::BarrierRequest,
@@ -976,7 +977,7 @@ mod tests {
             command: FlowModCommand::Add,
             matcher: Match::exact(2, &key),
             priority: 10,
-            actions: vec![Action::Output(OutPort::Physical(3))],
+            actions: vec![Action::Output(OutPort::Physical(3))].into(),
             idle_timeout: Some(u64::MAX),
             hard_timeout: Some(u64::MAX),
             cookie: 0,
@@ -1014,7 +1015,7 @@ mod tests {
     fn packet_out_emits() {
         let (mut world, _ctrl, _sw, _src, dst) = run(vec![OfMessage::PacketOut {
             in_port: None,
-            actions: vec![Action::Output(OutPort::Physical(3))],
+            actions: vec![Action::Output(OutPort::Physical(3))].into(),
             data: wire::serialize(&test_packet()),
         }]);
         world.run_for(SimDuration::from_millis(10));

@@ -33,6 +33,15 @@ run cargo build --release
 # - tests/decoder_fuzz (DESIGN.md §13): every wire decoder over seeded
 #   mutations of valid encodings — a typed error or Ok, no panic, and
 #   allocation within a bound linear in the input length.
+# - tests/codec_alloc (DESIGN.md §4c, §13): the allocation floor of the
+#   control channel and of a flow set-up, counted exactly. `encode` is
+#   one allocation per frame, `encode_into` none on a warm buffer. On
+#   the switch: a warm table files exact entries without allocating, a
+#   packet-in is one allocation, a batch of adds costs only its barrier
+#   reply while every list fits inline (plus one per spilled list), a
+#   packet-out only the packet it emits. On the controller:
+#   `compile_path` is one allocation, a one-service chained
+#   `engine::decide` on a warm store eight.
 # - tests/chaos, tests/reconciliation: the campus under scheduled
 #   partitions, crashes and frame corruption over fixed seeds — zero
 #   panics, clean health-stat invariants, byte-identical same-seed

@@ -7,14 +7,23 @@
 //!
 //! On the switch side: a warm flow table files and replaces exact
 //! entries without allocating, a packet-in is one allocation of its
-//! frame's size, a received batch of N adds and a barrier costs the N
-//! entries' action lists plus the barrier reply, and a packet-out
+//! frame's size, a received batch of adds and a barrier costs only the
+//! barrier reply while every list fits inline in its `ActionList` (and
+//! one allocation more per entry whose list spills), and a packet-out
 //! costs only the packet it emits.
+//!
+//! On the controller side, a flow set-up allocates per flow, not per
+//! entry: `compile_path` is one allocation, its entry list, and
+//! `engine::decide` of a one-service chained flow is eight.
 
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
 
 use counting_alloc::{measure, Allocated};
+use livesec::engine::{self, EngineDecision};
+use livesec::policy::PolicyRule;
+use livesec::routing::{compile_path, Hop, SteeringProgram, SwitchEntry};
+use livesec::store::NetworkState;
 use livesec_net::packet::{arp_frame, lldp_frame};
 use livesec_net::{wire, ArpPacket, FlowKey, LldpFrame, MacAddr, Packet, PacketBuilder};
 use livesec_openflow::codec::{self, FlowModRef};
@@ -23,9 +32,10 @@ use livesec_openflow::message::{
     PortStatusReason, StatsBody, StatsRequestKind,
 };
 use livesec_openflow::{
-    Action, FlowEntry, FlowTable, InsertOutcome, Match, OfMessage, OutPort, RemovedEntry,
-    SwitchChannel,
+    Action, ActionList, FlowEntry, FlowTable, InsertOutcome, Match, OfMessage, OutPort,
+    RemovedEntry, SwitchChannel, INLINE_ACTIONS,
 };
+use livesec_services::{SeMessage, ServiceType};
 use livesec_sim::{Ctx, LinkSpec, Node, NodeId, PortId, SimDuration, SimTime, World};
 use livesec_switch::AsSwitch;
 use std::any::Any;
@@ -115,7 +125,7 @@ fn messages() -> Vec<OfMessage> {
         },
         OfMessage::PacketOut {
             in_port: Some(2),
-            actions: actions(),
+            actions: actions().into(),
             data: wire::serialize(&full_segment()),
         },
         OfMessage::add_flow(m, actions(), 100),
@@ -390,8 +400,9 @@ fn batch(msgs: &[OfMessage]) -> Vec<u8> {
 }
 
 #[test]
-fn a_batch_of_adds_costs_one_allocation_per_entry_and_one_for_the_barrier_reply() {
+fn a_batch_of_adds_costs_the_barrier_reply_and_one_allocation_per_spilled_list() {
     const N: u16 = 6;
+    let spilled = INLINE_ACTIONS + 1;
     let adds = |from: u16, actions: usize| -> Vec<OfMessage> {
         (from..from + N)
             .map(|i| {
@@ -407,38 +418,156 @@ fn a_batch_of_adds_costs_one_allocation_per_entry_and_one_for_the_barrier_reply(
             command: FlowModCommand::DeleteStrict,
             matcher: exact_entry(i, 3).matcher,
             priority: 10,
-            actions: vec![],
+            actions: ActionList::new(),
             idle_timeout: None,
             hard_timeout: None,
             cookie: 0,
             notify_removed: false,
         })
         .collect();
-    // Warm the table (and the switch's action buffer), empty it, then
-    // fill it with other keys; then replace those.
+    // Warm the table (and the switch's action buffer, to the longest
+    // list), empty it, then fill it with other keys; then replace
+    // those, twice.
     let (got, replies) = switch_receives(vec![
-        batch(&adds(0, 3)),
+        batch(&adds(0, spilled)),
         batch(&deletes),
         batch(&adds(N, 1)),
-        batch(&adds(N, 3)),
+        batch(&adds(N, INLINE_ACTIONS)),
+        batch(&adds(N, spilled)),
     ]);
     assert_eq!(
         replies,
-        1 + 3,
+        1 + 4,
         "the hello, then a barrier reply per add batch"
     );
-    for (round, actions) in [(2, 1), (3, 3)] {
-        let entry_lists = usize::from(N) * actions * size_of::<Action>();
-        let barrier_reply = codec::encode(&OfMessage::BarrierReply, 1).len();
+    let barrier_reply = codec::encode(&OfMessage::BarrierReply, 1).len();
+    // Lists that fit inline live in their entries: the reply is all.
+    for round in [2, 3] {
         assert_eq!(
             got[round],
             Allocated {
-                calls: usize::from(N) + 1,
-                bytes: entry_lists + barrier_reply
+                calls: 1,
+                bytes: barrier_reply
             },
             "round {round}"
         );
     }
+    // A longer list is one boxed slice per entry, of its exact size.
+    assert_eq!(
+        got[4],
+        Allocated {
+            calls: usize::from(N) + 1,
+            bytes: usize::from(N) * spilled * size_of::<Action>() + barrier_reply
+        }
+    );
+}
+
+// ---- the controller side: a flow set-up's decision and programs ----
+
+fn hop(mac: u64, dpid: u64, port: u32) -> Hop {
+    Hop {
+        mac: MacAddr::from_u64(mac),
+        dpid,
+        port,
+    }
+}
+
+#[test]
+fn compile_path_allocates_once_for_any_path() {
+    let key = FlowKey {
+        dl_src: MacAddr::from_u64(0xa1),
+        dl_dst: MacAddr::from_u64(0xb1),
+        ..flow()
+    };
+    // Source and destination on switches 1 and 2, with up to four
+    // elements between them, alternating between the two switches, so
+    // the path has both same-switch and cross-fabric segments.
+    for elements in 0..=4u64 {
+        let mut hops = vec![hop(0xa1, 1, 2)];
+        hops.extend((0..elements).map(|i| hop(0xe1 + i, 1 + i % 2, 30 + i as u32)));
+        hops.push(hop(0xb1, 2, 3));
+        let mut program = None;
+        let got = measure("compile_path", || {
+            program = Some(compile_path(&key, &hops, |_| Some(40), 100).unwrap());
+        });
+        let program = program.unwrap();
+        // The entry list, sized once for an entry and a relay per
+        // segment; every entry's actions fit inline.
+        assert_eq!(
+            got,
+            Allocated {
+                calls: 1,
+                bytes: 2 * (hops.len() - 1) * size_of::<SwitchEntry>()
+            },
+            "{} hops",
+            hops.len()
+        );
+        assert!(program.entries.iter().all(|e| !e.actions.is_spilled()));
+    }
+}
+
+#[test]
+fn a_chained_decision_on_a_warm_store_allocates_eight_times() {
+    const IDS: ServiceType = ServiceType::IntrusionDetection;
+    let mut store = NetworkState::new();
+    store.locate(MacAddr::from_u64(0xa1), 1, 2);
+    store.locate(MacAddr::from_u64(0xb1), 2, 3);
+    store.set_uplink(1, 40);
+    store.set_uplink(2, 40);
+    store.policy.push(
+        PolicyRule::named("web-ids")
+            .proto(6)
+            .dst_port(80)
+            .chain(vec![IDS]),
+    );
+    for (mac, port) in [(0xe1, 30), (0xe2, 31)] {
+        let online = SeMessage::Online {
+            service: IDS,
+            cert: 0,
+            cpu: 10,
+            mem: 0,
+            pps: 0,
+            bps: 0,
+            total_pkts: 0,
+        };
+        store
+            .registry
+            .heartbeat(MacAddr::from_u64(mac), &online, SimTime::ZERO);
+        store.locate(MacAddr::from_u64(mac), 1, port);
+    }
+    let key = FlowKey {
+        dl_src: MacAddr::from_u64(0xa1),
+        dl_dst: MacAddr::from_u64(0xb1),
+        vlan: None,
+        ..flow()
+    };
+    // The first decision warms the balancer's candidate buffer.
+    engine::decide(&mut store, &key);
+    let mut decision = None;
+    let got = measure("engine::decide", || {
+        decision = Some(engine::decide(&mut store, &key))
+    });
+    assert!(matches!(decision, Some(EngineDecision::Steer { .. })));
+    // 1. the policy's chain, cloned: the decision's `services`;
+    // 2. the matched rule's name, owned and then dropped (a steer
+    //    decision does not carry it);
+    // 3. the picked `elements`;
+    // 4. the hop list, reversed in place for the reverse program;
+    // 5.–6. the forward and the reverse program's entry lists;
+    // 7.–8. the `Rc` of each program.
+    let rc = 2 * size_of::<usize>() + size_of::<SteeringProgram>();
+    assert_eq!(
+        got,
+        Allocated {
+            calls: 8,
+            bytes: size_of::<ServiceType>()
+                + "web-ids".len()
+                + size_of::<MacAddr>()
+                + 3 * size_of::<Hop>()
+                + 2 * (4 * size_of::<SwitchEntry>())
+                + 2 * rc
+        }
+    );
 }
 
 #[test]
@@ -446,7 +575,7 @@ fn a_packet_out_allocates_only_the_packet_it_emits() {
     let out = vec![Action::Output(OutPort::Physical(3))];
     let packet_out = |pkt: &Packet| OfMessage::PacketOut {
         in_port: None,
-        actions: out.clone(),
+        actions: out.clone().into(),
         data: wire::serialize(pkt),
     };
     let segment = full_segment();

@@ -218,9 +218,11 @@ fn of_messages() -> Vec<OfMessage> {
         },
         OfMessage::PacketOut {
             in_port: Some(2),
-            actions: vec![Action::SetDlDst(mac(9)), Action::Output(OutPort::Flood)],
+            actions: vec![Action::SetDlDst(mac(9)), Action::Output(OutPort::Flood)].into(),
             data: vec![9; 8],
         },
+        // One action more than an `ActionList` holds inline: `decode`
+        // spills it to the heap, within the same bound.
         OfMessage::add_flow(
             m,
             vec![

@@ -72,13 +72,13 @@ fn fit_building_scale_deployment_runs_end_to_end() {
     assert_eq!(
         c.registry()
             .online_of(ServiceType::IntrusionDetection)
-            .len(),
+            .count(),
         10
     );
     assert_eq!(
         c.registry()
             .online_of(ServiceType::ProtocolIdentification)
-            .len(),
+            .count(),
         10
     );
 

@@ -147,7 +147,7 @@ fn controller_survives_fuzzed_control_and_rogue_se_traffic() {
     assert!(
         c.registry()
             .online_of(ServiceType::IntrusionDetection)
-            .len()
+            .count()
             == 1,
         "real element still registered"
     );
@@ -222,7 +222,7 @@ fn se_crash_mid_burst_invalidates_and_resteers() {
     assert_eq!(
         c.registry()
             .online_of(ServiceType::IntrusionDetection)
-            .len(),
+            .count(),
         1,
         "dead element still considered online"
     );
