@@ -168,40 +168,3 @@ pub fn control_latency_setup(seed: u64) -> Vec<ControlLatencySetup> {
         })
         .collect()
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn longer_chains_cost_more() {
-        let rows = chain_length_latency(31);
-        assert_eq!(rows.len(), 4);
-        assert!(
-            rows[3].rtt > rows[0].rtt,
-            "3-element chain slower than direct: {rows:?}"
-        );
-        assert!(
-            rows[1].rtt >= rows[0].rtt,
-            "1-element chain at least as slow as direct: {rows:?}"
-        );
-    }
-
-    #[test]
-    fn control_latency_hits_first_packet_hardest() {
-        let rows = control_latency_setup(33);
-        let near = rows[0];
-        let far = rows[3];
-        assert!(
-            far.first_rtt > near.first_rtt,
-            "farther controller, slower setup: {rows:?}"
-        );
-        // Steady-state forwarding never touches the controller.
-        let steady_delta =
-            (far.steady_rtt.as_nanos() as f64 - near.steady_rtt.as_nanos() as f64).abs();
-        assert!(
-            steady_delta < near.steady_rtt.as_nanos() as f64 * 0.2,
-            "steady state unaffected: {rows:?}"
-        );
-    }
-}

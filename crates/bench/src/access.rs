@@ -60,28 +60,3 @@ pub fn run(access: Access, seed: u64, window: SimDuration) -> AccessResult {
         link_bps,
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn wired_user_approaches_100mbps() {
-        let r = run(Access::WiredOvs, 1, SimDuration::from_millis(500));
-        assert!(
-            r.goodput_bps > 90_000_000.0 && r.goodput_bps <= 102_000_000.0,
-            "goodput {}",
-            r.goodput_bps
-        );
-    }
-
-    #[test]
-    fn wireless_user_approaches_43mbps() {
-        let r = run(Access::PantouWifi, 1, SimDuration::from_millis(500));
-        assert!(
-            r.goodput_bps > 38_000_000.0 && r.goodput_bps <= 44_000_000.0,
-            "goodput {}",
-            r.goodput_bps
-        );
-    }
-}

@@ -193,39 +193,4 @@ mod tests {
         assert!((max_dev - 0.5).abs() < 1e-9);
         assert_eq!(deviation_stats(&[0, 0]), (0.0, 0.0));
     }
-
-    #[test]
-    fn min_load_balances_within_paper_bound() {
-        let r = run(
-            Algo::MinLoad,
-            Grain::Flow,
-            4,
-            12,
-            11,
-            SimDuration::from_secs(3),
-        );
-        assert!(
-            r.per_element.iter().all(|&p| p > 0),
-            "all elements used: {:?}",
-            r.per_element
-        );
-        assert!(
-            r.max_deviation < 0.15,
-            "min-load deviation {} ({:?})",
-            r.max_deviation,
-            r.per_element
-        );
-    }
-
-    #[test]
-    fn all_algorithms_spread_load_somewhat() {
-        for algo in Algo::ALL {
-            let r = run(algo, Grain::Flow, 3, 9, 13, SimDuration::from_secs(2));
-            assert!(
-                r.per_element.iter().filter(|&&p| p > 0).count() >= 2,
-                "{algo:?} used at least two elements: {:?}",
-                r.per_element
-            );
-        }
-    }
 }

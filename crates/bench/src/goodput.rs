@@ -16,8 +16,9 @@
 //! balancer steers every web flow through one element of the measured
 //! service. IDS elements run at the paper's measured 421 Mbps per VM,
 //! protocol identification at 100 Mbps (L7-filter's regex matching is
-//! far heavier per byte than Snort's compiled string sets; this makes
-//! 20 elements ≈ 2 Gbps, the paper's aggregate). Each flow pins to one
+//! far heavier per byte than Snort's compiled string sets). Twenty such
+//! elements measure 1.92 Gbps, short of the paper's "at least 2 Gbps":
+//! `tests/paper_bounds.rs` lists it as a known miss. Each flow pins to one
 //! element, so two pairs more than elements saturate every element.
 //! Goodput is what the clients receive over the window after a 1.8 s
 //! warm-up.
@@ -161,50 +162,4 @@ fn element<I: Inspector>(engine: I, bps: u64) -> ServiceElement<I> {
         .with_capacity_bps(bps)
         .with_per_packet_overhead(SimDuration::ZERO)
         .with_max_backlog(SimDuration::from_millis(400))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn one_element_near_421mbps() {
-        let bps = Scrub::one_host(1).goodput(3, SimDuration::from_millis(400));
-        assert!(bps > 330_000_000.0 && bps < 460_000_000.0, "goodput {bps}");
-    }
-
-    #[test]
-    fn two_elements_roughly_double() {
-        let one = Scrub::one_host(1).goodput(3, SimDuration::from_millis(400));
-        let two = Scrub::one_host(2).goodput(3, SimDuration::from_millis(400));
-        assert!(
-            two > one * 1.7,
-            "two elements should nearly double: {one} -> {two}"
-        );
-    }
-
-    /// A scaled-down aggregate check (2 switches × 2 elements) so the
-    /// test stays fast; the full 10×2 configuration runs in the
-    /// `exp_aggregate_capacity` binary.
-    #[test]
-    fn small_ids_aggregate_scales() {
-        let bps = Scrub::deployment(ServiceType::IntrusionDetection, 2, 2)
-            .goodput(5, SimDuration::from_millis(300));
-        // 4 elements × 421 Mbps ≈ 1.7 Gbps; allow generous slack.
-        assert!(bps > 1_200_000_000.0, "goodput {bps}");
-    }
-
-    #[test]
-    fn traditional_flattens_while_livesec_scales() {
-        let window = SimDuration::from_millis(300);
-        let trad = Scrub::baseline(false, 4).goodput(5, window);
-        let live = Scrub::baseline(true, 4).goodput(5, window);
-        // One box caps near its 421 Mbps capacity.
-        assert!(trad < 500_000_000.0, "traditional capped: {trad}");
-        // Four distributed elements serve ~4x that.
-        assert!(
-            live > trad * 2.5,
-            "LiveSec scales past the single box: {live} vs {trad}"
-        );
-    }
 }

@@ -135,35 +135,3 @@ pub fn run(seed: u64, pings: u32) -> LatencyResult {
 pub fn run_unsteered(seed: u64, pings: u32) -> LatencyResult {
     compare(seed, pings, false)
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn overhead_is_modest() {
-        let r = run(17, 50);
-        assert!(
-            r.baseline_rtt > SimDuration::from_micros(400),
-            "WAN dominates: {}",
-            r.baseline_rtt
-        );
-        assert!(r.overhead > 0.0, "LiveSec adds something: {:?}", r);
-        assert!(
-            r.overhead < 0.35,
-            "overhead stays modest (paper ≈10%): {:?}",
-            r
-        );
-        assert!(r.livesec_loss < 0.05, "packet-out avoids loss: {:?}", r);
-    }
-
-    #[test]
-    fn unsteered_cheaper_than_steered() {
-        let steered = run(17, 30);
-        let unsteered = run_unsteered(17, 30);
-        assert!(
-            unsteered.livesec_rtt <= steered.livesec_rtt,
-            "SE detour costs extra: {unsteered:?} vs {steered:?}"
-        );
-    }
-}

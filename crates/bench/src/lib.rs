@@ -17,14 +17,17 @@
 //! | E5 | [`latency`] | §V-B.3 latency overhead (≈ +10%) |
 //! | E6/E7 | [`viz`] | Figures 7–8 WebUI frames and event replay |
 //! | E8 | [`policy_demo`] | Figure 3 interactive policy enforcement |
+//! | E9 | [`balance_exp`] (2 hosts, 2 elements) | Figure 4 load-balancing schematic |
 //! | E10 | [`ablation`] | design-choice ablations (ours) |
 //! | E11 | [`Scrub::baseline`](goodput::Scrub::baseline) | traditional gateway middlebox vs LiveSec (Fig. 1 vs Fig. 2) |
 //!
-//! Each module returns plain results; the `src/bin/exp_*.rs`
-//! binaries print the paper-style
-//! tables, and each module's unit tests run a reduced version. The
-//! simulator's wall-clock cost is the end-to-end benchmark's
-//! `sim_speed` (EXPERIMENTS.md E25).
+//! Each module returns plain results. The one binary, `src/bin/exp.rs`,
+//! runs every experiment at its recorded seed and prints one
+//! `E<id>.<name> <value>` line per reported number; its output is
+//! committed as `BENCH_paper.txt`, which `scripts/check.sh` diffs and
+//! `tests/paper_bounds.rs` holds to the paper's bounds. The simulator's
+//! wall-clock cost is the end-to-end benchmark's `sim_speed`
+//! (EXPERIMENTS.md E25).
 
 pub mod ablation;
 pub mod access;
@@ -33,16 +36,3 @@ pub mod goodput;
 pub mod latency;
 pub mod policy_demo;
 pub mod viz;
-
-use livesec_sim::format_bps;
-
-/// Prints a two-column result row, `label` then a bit rate.
-pub fn print_rate_row(label: &str, bps: f64) {
-    println!("{label:<44} {:>14}", format_bps(bps));
-}
-
-/// Prints a section header for an experiment table.
-pub fn print_header(exp: &str, title: &str) {
-    println!();
-    println!("=== {exp}: {title} ===");
-}

@@ -105,25 +105,3 @@ pub fn run(seed: u64) -> PolicyDemoResult {
         .sum();
     result
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn enforcement_loop_completes_quickly() {
-        let r = run(23);
-        assert!(r.flow_started.is_some());
-        assert!(r.attack_detected.is_some());
-        assert!(r.flow_blocked.is_some());
-        let reaction = r.reaction.expect("block after detection");
-        assert!(
-            reaction < SimDuration::from_millis(5),
-            "reaction {reaction}"
-        );
-        assert!(
-            r.victim_received < r.attacker_sent / 2,
-            "most attack traffic never reached the victim: {r:?}"
-        );
-    }
-}

@@ -47,7 +47,7 @@ pub mod world;
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use ids::{NodeId, PortId};
 pub use link::LinkSpec;
-pub use metrics::{format_bps, LatencySummary};
+pub use metrics::LatencySummary;
 pub use node::{Ctx, Node};
 pub use tap::Tap;
 pub use time::{SimDuration, SimTime};
@@ -58,7 +58,7 @@ pub mod prelude {
     pub use crate::fault::{FaultEvent, FaultKind, FaultPlan};
     pub use crate::ids::{NodeId, PortId};
     pub use crate::link::LinkSpec;
-    pub use crate::metrics::{format_bps, LatencySummary};
+    pub use crate::metrics::LatencySummary;
     pub use crate::node::{Ctx, Node};
     pub use crate::tap::Tap;
     pub use crate::time::{SimDuration, SimTime};

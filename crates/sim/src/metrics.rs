@@ -1,4 +1,4 @@
-//! Measurement helpers: latency summaries and bit-rate formatting.
+//! Measurement helpers: latency summaries.
 
 use crate::time::SimDuration;
 
@@ -74,19 +74,6 @@ impl LatencySummary {
     }
 }
 
-/// Formats a bit rate human-readably (e.g. `827.3 Mbps`).
-pub fn format_bps(bps: f64) -> String {
-    if bps >= 1e9 {
-        format!("{:.2} Gbps", bps / 1e9)
-    } else if bps >= 1e6 {
-        format!("{:.1} Mbps", bps / 1e6)
-    } else if bps >= 1e3 {
-        format!("{:.1} Kbps", bps / 1e3)
-    } else {
-        format!("{bps:.0} bps")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,13 +107,5 @@ mod tests {
         let mut s = LatencySummary::new();
         s.record(SimDuration::from_millis(1));
         let _ = s.percentile(101.0);
-    }
-
-    #[test]
-    fn format_bps_units() {
-        assert_eq!(format_bps(8.27e8), "827.0 Mbps");
-        assert_eq!(format_bps(8.0e9), "8.00 Gbps");
-        assert_eq!(format_bps(43_000.0), "43.0 Kbps");
-        assert_eq!(format_bps(12.0), "12 bps");
     }
 }

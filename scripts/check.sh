@@ -4,10 +4,11 @@
 #   ./scripts/check.sh
 #
 # Runs the release build, every suite in the workspace once, the
-# end-to-end benchmark's suite and smoke, every bench body once, the
-# examples, clippy and rustdoc with warnings denied, and the formatting
-# check, stopping at the first failure; prints its own wall time at the
-# end. It rewrites no tracked file.
+# end-to-end benchmark's suite and smoke, the paper's evaluation against
+# its record, every bench body once, the examples, clippy and rustdoc
+# with warnings denied, and the formatting check, stopping at the first
+# failure; prints its own wall time at the end. It rewrites no tracked
+# file.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -23,6 +24,10 @@ run cargo build --release
 # integration tests and each crate's own unit, property and model
 # tests (the tier-1 `cargo test -q` runs only the former). Why each is
 # in the gate:
+# - tests/paper_bounds (EXPERIMENTS.md E1–E11): the paper's §V bounds,
+#   each beside the paper's words, on the recorded evaluation
+#   BENCH_paper.txt (which the `exp` step below checks is current), and
+#   E3's proto-id "at least 2 Gbps" as a known miss that must still miss.
 # - tests/verify_audit (DESIGN.md §8): the header-space verifier proves
 #   the dataplane invariants on the baseline and service-chain
 #   campuses' emitted flow tables, and refutes a broken snapshot of
@@ -93,6 +98,17 @@ run cargo test -q --offline --manifest-path e2e/Cargo.toml
 # DESIGN.md §13); wall-clock metrics are printed beside the recorded
 # ones, never asserted.
 run ./scripts/e2e_smoke.sh
+# The paper's evaluation, E1–E11 (EXPERIMENTS.md): every number §V
+# reports is asserted exactly. `exp` prints one `E<id>.<name> <value>`
+# line per number, deterministic in release, and a fresh run must equal
+# the recorded BENCH_paper.txt byte for byte, so a change that moves a
+# paper number fails here naming the moved lines. The paper's own
+# bounds on those numbers (≥ 8 Gbps IDS, min-load ≤ 5 %, ≈ +10 % RTT,
+# …) live in tests/paper_bounds.rs, which reads the same file. To
+# re-record after a deliberate change:
+#   cargo run --release -p livesec-bench --bin exp > BENCH_paper.txt
+echo "==> cargo run --release -p livesec-bench --bin exp | diff BENCH_paper.txt -"
+cargo run -q --release -p livesec-bench --bin exp | diff -u BENCH_paper.txt -
 # Every bench body, one untimed iteration each (the criterion stub's
 # test mode), so a bench that no longer builds or panics fails here.
 run cargo test -q --workspace --bench '*'
