@@ -33,7 +33,6 @@ pub fn build_snapshot(switches: u64) -> Snapshot {
         blocks: Vec::new(),
         flows: Vec::new(),
         fastpasses: Vec::new(),
-        epochs: (0, 0),
         shards: Vec::new(),
         quarantined: Vec::new(),
     };

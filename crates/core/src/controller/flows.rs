@@ -21,8 +21,7 @@ impl Controller {
     /// classes the deltas actually touch and invalidates only those:
     /// decision-cache entries inside a touched cube are dropped (on
     /// every shard), fast-passes and established-connection reports
-    /// whose flow falls in a cube are torn down, and
-    /// everything else is re-stamped to the new policy epoch and
+    /// whose flow falls in a cube are torn down, and everything else
     /// survives warm. Active flow records are left alone either way —
     /// their entries idle out and the next packet-in re-decides, just
     /// as after a wholesale edit.
@@ -65,38 +64,20 @@ impl Controller {
                 *n += 1;
             }
         }
-        // Scoped epoch advance: the policy epoch moves (fast-pass
-        // records and established reports are epoch-stamped) but the
-        // caches' own epochs do not — only entries inside a touched
-        // cube are dropped.
-        self.policy_epoch += 1;
-        let pe = self.policy_epoch;
+        // Scoped invalidation: the caches' epochs do not move — only
+        // entries inside a touched cube are dropped, and only the
+        // fast-passes and establishment reports of flows overlapping
+        // one go.
         for &cube in &cubes {
             self.invalidate_class(cube);
         }
-        let touched = |cubes: &[Match], key: &FlowKey| {
+        let touched = |key: &FlowKey| {
             let fwd = Match::exact_any_port(key);
             let rev = Match::exact_any_port(&key.reversed());
             cubes.iter().any(|c| c.overlaps(&fwd) || c.overlaps(&rev))
         };
-        let fastpass_keys: Vec<FlowKey> = self.fastpasses.keys().copied().collect();
-        for key in fastpass_keys {
-            if touched(&cubes, &key) {
-                self.remove_fastpass(&key);
-            } else if let Some(rec) = self.fastpasses.get_mut(&key) {
-                // An untouched fast-pass stays valid under the new
-                // epoch; without the re-stamp the housekeeping sweep
-                // would tear it down as stale.
-                rec.policy_epoch = pe;
-            }
-        }
-        self.established_conns.retain(|key, epoch| {
-            if touched(&cubes, key) {
-                return false;
-            }
-            *epoch = pe;
-            true
-        });
+        self.invalidate_fastpasses(touched);
+        self.established_conns.retain(|key| !touched(key));
         self.monitor.record(
             now,
             EventKind::PolicyDeltaApplied {
@@ -289,22 +270,21 @@ impl Controller {
         // re-reports an establishment it already reported).
         if let Some(k) = self.remembered_established(key) {
             match self.fastpasses.get(&k).cloned() {
-                Some(fp) if (fp.policy_epoch, fp.topo_epoch) == self.epochs() => {
+                Some(fp) => {
                     self.put_programs(now, &k, &fp.forward, &fp.reverse, ProofSource::FastPass);
                 }
-                Some(_) => {} // stale record; the tick sweep owns it
                 None => self.install_fastpass(now, k),
             }
         }
     }
 
     /// The direction of `key` under which a firewall element reported
-    /// the connection established, if the report is from the current
-    /// policy epoch (a policy change voids that memory).
+    /// the connection established, if no policy change has voided the
+    /// report since.
     fn remembered_established(&self, key: &FlowKey) -> Option<FlowKey> {
         [*key, key.reversed()]
             .into_iter()
-            .find(|k| self.established_conns.get(k) == Some(&self.policy_epoch))
+            .find(|k| self.established_conns.contains(k))
     }
 
     /// An ingress entry idled out or was deleted. A fast-pass entry
@@ -385,12 +365,7 @@ impl Controller {
         else {
             return; // an end unlocated or an uplink undiscovered
         };
-        let rec = FastPassRecord {
-            forward,
-            reverse,
-            policy_epoch: self.policy_epoch,
-            topo_epoch: self.topo_epoch,
-        };
+        let rec = FastPassRecord { forward, reverse };
         self.put_programs(now, &key, &rec.forward, &rec.reverse, ProofSource::FastPass);
         self.fastpasses.insert(key, rec);
         self.conntrack.fastpass_installed += 1;
@@ -411,32 +386,16 @@ impl Controller {
         self.conntrack.fastpass_removed += 1;
     }
 
-    /// Tears down, in key order, every fast-pass `stale` picks; each
-    /// counts as invalidated. The flow falls back to its steering
-    /// program; a fresh establishment report or a repeat packet-in
-    /// reinstalls it.
-    pub(super) fn invalidate_fastpasses(&mut self, stale: impl Fn(&FastPassRecord) -> bool) {
-        let keys: Vec<FlowKey> = self
-            .fastpasses
-            .iter()
-            .filter(|(_, r)| stale(r))
-            .map(|(k, _)| *k)
-            .collect();
+    /// Tears down, in key order, the fast-pass of every flow `stale`
+    /// picks; each counts as invalidated. The flow falls back to its
+    /// steering program; a fresh establishment report or a repeat
+    /// packet-in reinstalls it.
+    pub(super) fn invalidate_fastpasses(&mut self, stale: impl Fn(&FlowKey) -> bool) {
+        let keys: Vec<FlowKey> = self.fastpasses.keys().copied().filter(stale).collect();
         for key in keys {
             self.conntrack.fastpass_invalidated += 1;
             self.remove_fastpass(&key);
         }
-    }
-
-    /// The tick's fast-pass sweep: records compiled under an older
-    /// policy or topology epoch are torn down, and establishment
-    /// memory from before a policy change is void — the connection
-    /// must be re-verdicted under the new policy.
-    pub(super) fn sweep_fastpasses(&mut self) {
-        let epochs = self.epochs();
-        self.invalidate_fastpasses(|r| (r.policy_epoch, r.topo_epoch) != epochs);
-        let pe = self.policy_epoch;
-        self.established_conns.retain(|_, e| *e == pe);
     }
 
     /// Acts on a service element's verdict about a flow. The element
@@ -497,7 +456,7 @@ impl Controller {
                 self.conntrack.established += 1;
                 self.monitor
                     .record(now, EventKind::ConnEstablished { flow });
-                self.established_conns.insert(flow, self.policy_epoch);
+                self.established_conns.insert(flow);
                 self.install_fastpass(now, flow);
             }
             Verdict::ConnClosed => {

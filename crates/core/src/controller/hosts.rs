@@ -163,7 +163,7 @@ impl Controller {
     /// the hosts `evicted` from it depart, in MAC order (the location
     /// table is a BTreeMap), so the event order is run-stable. Compiled
     /// programs may have routed through it, so the topology epoch
-    /// advances; packets in flight through it died honestly (a
+    /// advances and every fast-pass goes; packets in flight through it died honestly (a
     /// deregistration also truncates attestation chains), so the
     /// accountability drop sweep goes quiet for a window. A departed
     /// host's cached decisions drop, and one that was a service element

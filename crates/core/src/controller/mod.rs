@@ -122,16 +122,13 @@ impl FlowRecord {
 }
 
 /// Book-keeping for one installed established-flow fast-pass: the
-/// compiled direct-path programs plus the policy/topology epochs they
-/// were compiled under. A record whose epochs fall behind the
-/// controller's is *stale* — the housekeeping tick tears it down and
-/// the reconciliation audit stops defending its entries.
+/// compiled direct-path programs. A policy or topology change that
+/// could stale one tears it down where the change is made, so a
+/// standing record is always current.
 #[derive(Clone, Debug)]
 struct FastPassRecord {
     forward: Rc<SteeringProgram>,
     reverse: Rc<SteeringProgram>,
-    policy_epoch: u64,
-    topo_epoch: u64,
 }
 
 impl FastPassRecord {
@@ -245,22 +242,16 @@ pub struct Controller {
     /// original direction. Ordered: iteration order reaches flow-mod
     /// batches and the reconciliation audit (DESIGN.md §6).
     fastpasses: BTreeMap<FlowKey, FastPassRecord>,
-    /// Flows a firewall element has reported established, with the
-    /// policy epoch of the report. Survives the fast-pass itself so a
-    /// flow whose entries were wiped by a switch restart gets its
-    /// fast-pass reinstalled on the next packet-in (the element only
-    /// reports each connection's establishment once).
-    established_conns: BTreeMap<FlowKey, u64>,
+    /// Flows a firewall element has reported established since the
+    /// last policy change that covers them. Survives the fast-pass
+    /// itself so a flow whose entries were wiped by a switch restart
+    /// gets its fast-pass reinstalled on the next packet-in (the
+    /// element only reports each connection's establishment once).
+    established_conns: BTreeSet<FlowKey>,
     /// Whether established-flow fast-passes are installed at all.
     fastpass_enabled: bool,
     /// Idle timeout of fast-pass entries.
     fastpass_idle: SimDuration,
-    /// Advances whenever the policy table may have changed; fast-pass
-    /// records compiled under an older epoch are stale.
-    policy_epoch: u64,
-    /// Advances whenever the topology may have changed (mirrors the
-    /// decision cache's topology epoch).
-    topo_epoch: u64,
     /// Connection-tracking counters surfaced by `conntrack_stats`.
     conntrack: ConnTrackStats,
 
@@ -332,11 +323,9 @@ impl Controller {
             auditing: HashSet::default(),
             health: HealthStats::default(),
             fastpasses: BTreeMap::new(),
-            established_conns: BTreeMap::new(),
+            established_conns: BTreeSet::new(),
             fastpass_enabled: true,
             fastpass_idle: SimDuration::from_secs(5),
-            policy_epoch: 0,
-            topo_epoch: 0,
             conntrack: ConnTrackStats::default(),
             detector: AccountabilityDetector::new(),
             quarantined: BTreeSet::new(),
@@ -390,25 +379,29 @@ impl Controller {
     }
 
     /// Records that the policy table may have changed *wholesale*:
-    /// advances every decision cache's policy epoch and stales every
-    /// fast-pass (a connection admitted under the old policy may no
-    /// longer be allowed to bypass its chain). Scoped edits go
-    /// through [`Controller::apply_policy_delta`] instead.
+    /// advances every decision cache's policy epoch, tears down every
+    /// fast-pass and forgets every establishment report (a connection
+    /// admitted under the old policy may no longer be allowed to
+    /// bypass its chain). Scoped edits go through
+    /// [`Controller::apply_policy_delta`] instead.
     fn bump_policy_epoch(&mut self) {
-        self.policy_epoch += 1;
         for c in self.caches.iter_mut().flatten() {
             c.note_policy_change();
         }
+        self.invalidate_fastpasses(|_| true);
+        self.established_conns.clear();
     }
 
     /// Records that the topology may have changed: advances every
-    /// decision cache's topology epoch and stales every fast-pass
-    /// (its direct path was compiled through the old topology).
+    /// decision cache's topology epoch and tears down every fast-pass
+    /// (its direct path was compiled through the old topology). The
+    /// establishment reports stand, so a repair or a repeat packet-in
+    /// reinstalls the fast-pass over the new topology.
     fn bump_topology_epoch(&mut self) {
-        self.topo_epoch += 1;
         for c in self.caches.iter_mut().flatten() {
             c.note_topology_change();
         }
+        self.invalidate_fastpasses(|_| true);
     }
 
     /// Drops every cached decision touching `mac`, on every shard.
@@ -586,13 +579,6 @@ impl Controller {
         self.active.get(key).map(|r| r.chain.as_slice())
     }
 
-    /// The current `(policy_epoch, topology_epoch)` pair. Fast-pass
-    /// entries compiled under older epochs are stale and must be gone
-    /// (or on their way out) — the verifier's invariant 5.
-    pub fn epochs(&self) -> (u64, u64) {
-        (self.policy_epoch, self.topo_epoch)
-    }
-
     /// The standing block registry as `(dpid, matcher)` pairs, sorted
     /// by dpid with per-switch insertion order preserved — the drop
     /// state the verifier proves unreachable-from-every-ingress.
@@ -603,13 +589,11 @@ impl Controller {
             .collect()
     }
 
-    /// Every installed fast-pass: the flow key plus the policy and
-    /// topology epochs its direct path was compiled under.
-    pub fn fastpass_records(&self) -> Vec<(FlowKey, u64, u64)> {
-        self.fastpasses
-            .iter()
-            .map(|(k, r)| (*k, r.policy_epoch, r.topo_epoch))
-            .collect()
+    /// The flow key of every standing fast-pass, in its original
+    /// direction — the records the verifier's invariant 5 holds every
+    /// fast-pass-priority entry to.
+    pub fn fastpass_records(&self) -> Vec<FlowKey> {
+        self.fastpasses.keys().copied().collect()
     }
 
     /// Every active flow record: key, service chain, and whether an

@@ -153,8 +153,8 @@ impl Controller {
     }
 
     /// One housekeeping tick at `now`: discovery, keepalives, the
-    /// liveness sweep, audits, stats polling, expiry, the fast-pass
-    /// sweep and the accountability deadline sweep.
+    /// liveness sweep, audits, stats polling, expiry and the
+    /// accountability deadline sweep.
     pub(super) fn tick(&mut self, now: SimTime) {
         self.tick_count += 1;
         if self.tick_count % LLDP_EVERY_TICKS == 1 {
@@ -189,7 +189,6 @@ impl Controller {
             self.send_to_all(&OfMessage::StatsRequest(StatsRequestKind::Port(None)));
         }
         self.expire_hosts(now);
-        self.sweep_fastpasses();
         // Accountability deadline sweep: sampled packets whose
         // attestation chain stalled mid-path past the deadline are
         // dropped packets; the sweep names the first unattested hop.
@@ -359,20 +358,16 @@ impl Controller {
     }
 
     /// The desired flow-table state of one switch: the entries every
-    /// active flow record and every *current* fast-pass record puts
-    /// there, then its standing blocks.
+    /// active flow record and every fast-pass record puts there, then
+    /// its standing blocks.
     fn desired_for(&self, dpid: u64) -> impl Iterator<Item = Entry<'_>> {
         let flows = self
             .active
             .values()
             .flat_map(|rec| rec.entries(self.flow_idle_timeout));
-        // A fast-pass record whose epochs fell behind is about to be
-        // torn down by the housekeeping tick; defending its entries
-        // here would race that teardown.
         let fastpasses = self
             .fastpasses
             .values()
-            .filter(|rec| (rec.policy_epoch, rec.topo_epoch) == self.epochs())
             .flat_map(|rec| rec.entries(self.fastpass_idle));
         // Blocks come from the standing registry, not the records: a
         // blocked flow's record retires once its (shadowed) steering

@@ -680,9 +680,9 @@ pub struct ConnTrackStats {
     pub fastpass_installed: u64,
     /// Fast-pass entry pairs currently standing.
     pub fastpass_active: u64,
-    /// Fast-passes torn down (conn close, expiry, or epoch sweep).
+    /// Fast-passes torn down (conn close, expiry, or invalidation).
     pub fastpass_removed: u64,
-    /// Fast-passes invalidated by a policy/topology epoch change.
+    /// Fast-passes invalidated by a policy or topology change.
     pub fastpass_invalidated: u64,
     /// Bytes that traversed fast-pass entries instead of the SE
     /// hairpin (from FlowRemoved counters as the entries retire).

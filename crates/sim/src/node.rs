@@ -153,11 +153,4 @@ impl Ctx<'_> {
     pub fn port_counters(&self, port: PortId) -> crate::world::PortCounters {
         self.kernel.port_counters(self.node, port)
     }
-
-    /// Records `n` into the named scalar metric (see
-    /// [`crate::World::metric`]). Useful for cross-node counters that
-    /// don't warrant a dedicated field.
-    pub fn count(&mut self, metric: &'static str, n: u64) {
-        *self.kernel.metrics.entry(metric).or_insert(0) += n;
-    }
 }

@@ -179,7 +179,7 @@ pub struct Kernel {
     pub(crate) rng: StdRng,
     control_latency: SimDuration,
     ports: PortSlots,
-    pub(crate) metrics: BTreeMap<&'static str, u64>,
+    metrics: BTreeMap<&'static str, u64>,
     events_processed: u64,
     /// Nodes whose control channel is currently cut: messages to or
     /// from them vanish (counted in the `fault_control_dropped` metric).
@@ -701,8 +701,8 @@ impl World {
             .collect()
     }
 
-    /// Value of a named scalar metric recorded via
-    /// [`crate::node::Ctx::count`].
+    /// Value of a named fault counter the kernel keeps (such as
+    /// `fault_frames_blocked`); 0 for a name never counted.
     pub fn metric(&self, name: &str) -> u64 {
         self.kernel.metrics.get(name).copied().unwrap_or(0)
     }
@@ -972,6 +972,7 @@ mod tests {
         world.run_until(us(3_500));
         assert_eq!(world.kernel().port_counters(a, PortId(2)).drops, 3);
         assert_eq!(world.metric("fault_frames_blocked"), 3);
+        assert_eq!(world.metric("missing"), 0);
     }
 
     #[test]
@@ -1160,29 +1161,6 @@ mod tests {
         world.run_for(SimDuration::from_millis(1));
         assert_eq!(world.node::<CtlEcho>(e).inbox, vec![b"hello".to_vec()]);
         assert!(world.node::<CtlSender>(s).acked);
-    }
-
-    #[test]
-    fn metrics_accumulate() {
-        struct M;
-        impl Node for M {
-            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-                ctx.count("things", 2);
-                ctx.count("things", 3);
-            }
-            fn on_frame(&mut self, _ctx: &mut Ctx<'_>, _port: PortId, _pkt: Packet) {}
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
-            }
-        }
-        let mut world = World::new(1);
-        world.add_node(M);
-        world.run_for(SimDuration::from_millis(1));
-        assert_eq!(world.metric("things"), 5);
-        assert_eq!(world.metric("missing"), 0);
     }
 
     /// Records tamper-family fault hooks in invocation order.

@@ -93,17 +93,12 @@ pub enum Violation {
         /// The packet.
         witness: Witness,
     },
-    /// Invariant 5: a fast-pass entry whose record is missing or was
-    /// compiled under superseded policy/topology epochs.
+    /// Invariant 5: a fast-pass entry no standing record backs.
     StaleFastPass {
         /// Switch holding the entry.
         dpid: u64,
         /// The entry's matcher.
         matcher: Match,
-        /// The record's epochs, when a record exists at all.
-        record_epochs: Option<(u64, u64)>,
-        /// The controller's current epochs.
-        current_epochs: (u64, u64),
         /// A packet the stale entry would capture.
         witness: Witness,
     },
@@ -220,13 +215,11 @@ impl fmt::Display for Violation {
             Violation::StaleFastPass {
                 dpid,
                 matcher,
-                record_epochs,
-                current_epochs,
                 witness,
             } => write!(
                 f,
-                "[stale-fastpass] entry ({matcher}) at dpid {dpid} has record epochs \
-                     {record_epochs:?} vs current {current_epochs:?}; witness {witness}"
+                "[stale-fastpass] entry ({matcher}) at dpid {dpid} has no standing record; \
+                     witness {witness}"
             ),
             Violation::ShadowedRule {
                 dpid,
@@ -425,9 +418,10 @@ fn check_shadowed_rules(snap: &Snapshot, scoped: &[(usize, usize)], out: &mut Ve
 }
 
 /// Invariant 5: every entry at fast-pass priority must be backed by a
-/// fast-pass record compiled under the *current* policy and topology
-/// epochs. An entry with no record, or with a record whose epochs
-/// fell behind, forwards established traffic under superseded policy.
+/// standing fast-pass record, under either direction's key. A policy
+/// or topology change tears down the records it stales, so an entry
+/// with no record forwards established traffic under superseded
+/// policy.
 fn check_stale_fastpass(snap: &Snapshot, scoped: &[(usize, usize)], out: &mut Vec<Violation>) {
     for &(si, j) in scoped {
         let Some(sw) = snap.switches.get(si) else {
@@ -439,13 +433,12 @@ fn check_stale_fastpass(snap: &Snapshot, scoped: &[(usize, usize)], out: &mut Ve
         if e.priority != FASTPASS_PRIORITY {
             continue;
         }
-        let record = e.matcher.exact_key().and_then(|k| {
+        let backed = e.matcher.exact_key().is_some_and(|k| {
             snap.fastpasses
                 .iter()
-                .find(|(fk, _, _)| *fk == k || fk.reversed() == k)
+                .any(|fk| *fk == k || fk.reversed() == k)
         });
-        let record_epochs = record.map(|(_, pe, te)| (*pe, *te));
-        if record_epochs == Some(snap.epochs) {
+        if backed {
             continue;
         }
         let Some((in_port, key)) = HeaderClass::of(e.matcher).witness() else {
@@ -454,8 +447,6 @@ fn check_stale_fastpass(snap: &Snapshot, scoped: &[(usize, usize)], out: &mut Ve
         out.push(Violation::StaleFastPass {
             dpid: sw.dpid,
             matcher: e.matcher,
-            record_epochs,
-            current_epochs: snap.epochs,
             witness: Witness {
                 dpid: sw.dpid,
                 in_port,
@@ -540,8 +531,8 @@ fn flow_is_blocked_on_ingress(snap: &Snapshot, dpid: u64, in_port: u32, key: &Fl
 /// Invariants 3 and 4, one trace per direction of each active flow:
 /// an admitted flow must reach its destination (no blackhole), and a
 /// chained flow must traverse an element of each required type in
-/// order before egress (waypoint enforcement) — unless a
-/// current-epoch fast-pass sanctions the bypass.
+/// order before egress (waypoint enforcement) — unless a standing
+/// fast-pass sanctions the bypass.
 fn check_flows(snap: &Snapshot, scoped: &[usize], out: &mut Vec<Violation>) {
     for &fi in scoped {
         let Some(flow) = snap.flows.get(fi) else {
@@ -550,10 +541,7 @@ fn check_flows(snap: &Snapshot, scoped: &[usize], out: &mut Vec<Violation>) {
         if flow.blocked {
             continue; // invariant 1 owns blocked flows
         }
-        let fastpassed = snap
-            .fastpasses
-            .iter()
-            .any(|(k, pe, te)| *k == flow.key && (*pe, *te) == snap.epochs);
+        let fastpassed = snap.fastpasses.contains(&flow.key);
         let directions = [
             (flow.key, flow.chain.clone()),
             (

@@ -7,16 +7,16 @@
 //!
 //! LiveSec's security guarantees live entirely in the flow tables the
 //! controller installs: a drop rule at the wrong priority, a steering
-//! entry lost to a partition, or a fast-pass that outlives its policy
-//! epoch silently voids the paper's "interactive policy enforcement"
+//! entry lost to a partition, or a fast-pass entry that outlives its
+//! record silently voids the paper's "interactive policy enforcement"
 //! (§III). This crate closes that gap with static analysis over the
 //! *emitted* forwarding state: take a [`Snapshot`] of every switch's
-//! flow table plus the controller's policy/topology/block state,
-//! symbolically carve the header space into equivalence classes
-//! (wildcard-aware, on `livesec_openflow`'s match algebra), extract a
-//! concrete witness packet per class, and replay each witness through
-//! the tables — with the switch's own lookup and action code — to prove
-//! or refute eight invariants:
+//! flow table plus the controller's hosts, flows, blocks and
+//! fast-pass records, symbolically carve the header space into
+//! equivalence classes (wildcard-aware, on `livesec_openflow`'s match
+//! algebra), extract a concrete witness packet per class, and replay
+//! each witness through the tables — with the switch's own lookup and
+//! action code — to prove or refute eight invariants:
 //!
 //! 1. **Blocked unreachable** — traffic covered by a standing block
 //!    is not delivered (or fanned out) to any endpoint from any
@@ -30,11 +30,11 @@
 //!    in the fabric or a fan-out is.
 //! 4. **Waypoint enforcement** — a flow whose policy names a service
 //!    chain traverses an element of each required type, in order,
-//!    before egress, unless a current-epoch fast-pass sanctions the
+//!    before egress, unless a standing fast-pass sanctions the
 //!    bypass.
-//! 5. **Fast-pass freshness** — established-flow fast-pass entries
-//!    are backed by records compiled under the current policy and
-//!    topology epochs.
+//! 5. **Fast-pass freshness** — every fast-pass-priority entry is
+//!    backed by a standing record (a policy or topology change tears
+//!    down the records it stales).
 //! 6. **No silent shadowing** — equal-priority overlapping entries
 //!    with different actions are reported with the masked rule
 //!    (equal-action overlaps are benign).

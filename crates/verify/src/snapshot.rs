@@ -79,11 +79,9 @@ pub struct Snapshot {
     pub blocks: Vec<(u64, Match)>,
     /// Active flow records.
     pub flows: Vec<FlowView>,
-    /// Installed fast-passes: key plus the epochs they were compiled
-    /// under.
-    pub fastpasses: Vec<(FlowKey, u64, u64)>,
-    /// The controller's current `(policy_epoch, topology_epoch)`.
-    pub epochs: (u64, u64),
+    /// The flow key of every standing fast-pass record, in the
+    /// flow's original direction.
+    pub fastpasses: Vec<FlowKey>,
     /// On a sharded campus, the per-shard views this merged snapshot
     /// was assembled from (the shared NIB means the switch tables,
     /// hosts and flows above are already the union). Empty when the
@@ -164,7 +162,6 @@ impl Snapshot {
             blocks: ctl.standing_blocks(),
             flows,
             fastpasses: ctl.fastpass_records(),
-            epochs: ctl.epochs(),
             shards,
             quarantined: ctl.quarantined(),
         }

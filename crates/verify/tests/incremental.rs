@@ -11,6 +11,7 @@
 //!   structural violation, which scoping never skips — appears in
 //!   the scoped audit.
 
+use livesec::controller::{FASTPASS_PRIORITY, INGRESS_COOKIE};
 use livesec_net::Ipv4Net;
 use livesec_openflow::Match;
 use livesec_sim::SimDuration;
@@ -20,10 +21,10 @@ use proptest::prelude::*;
 use std::net::Ipv4Addr;
 use std::sync::OnceLock;
 
-/// Three snapshots: a clean converged campus, one whose epochs were
-/// advanced out from under its fast-passes (stale-fastpass
-/// violations), and one with a forged block covering traffic the
-/// dataplane still delivers (blocked-reachable violations).
+/// Three snapshots: a clean converged campus, one with a fast-pass
+/// entry no record backs (a stale-fastpass violation), and one with a
+/// forged block covering traffic the dataplane still delivers
+/// (blocked-reachable violations).
 fn snapshots() -> &'static Vec<Snapshot> {
     static SNAPS: OnceLock<Vec<Snapshot>> = OnceLock::new();
     SNAPS.get_or_init(|| {
@@ -31,8 +32,17 @@ fn snapshots() -> &'static Vec<Snapshot> {
         s.campus.world.run_for(SimDuration::from_secs(3));
         let clean = Snapshot::of_campus(&s.campus);
 
+        // Copy one flow's ingress entry up to fast-pass priority with
+        // no record behind it: a bypass outliving its teardown.
         let mut stale = clean.clone();
-        stale.epochs.0 += 1;
+        let orphan = stale.switches.iter_mut().find_map(|sw| {
+            let e = sw.entries.iter().find(|e| e.cookie == INGRESS_COOKIE)?;
+            let mut e = e.clone();
+            e.priority = FASTPASS_PRIORITY;
+            sw.entries.push(e);
+            Some(())
+        });
+        assert!(orphan.is_some(), "the campus installed an ingress entry");
 
         // Forge a block over a flow whose path is installed and
         // delivering: the dataplane now provably violates it.
@@ -129,13 +139,18 @@ proptest! {
 }
 
 /// The corrupted snapshots really do produce violations — otherwise
-/// the equivalence property above would be vacuous on findings.
+/// the equivalence property above would be vacuous on findings — and
+/// the clean one produces none, so the findings are the corruptions'.
 #[test]
 fn corrupted_snapshots_have_findings() {
     let snaps = snapshots();
     assert!(
-        !audit(&snaps[1]).is_empty() || snaps[1].fastpasses.is_empty(),
-        "stale-epoch snapshot should violate fast-pass freshness"
+        audit(&snaps[0]).is_empty(),
+        "the clean snapshot audits clean"
+    );
+    assert!(
+        !audit(&snaps[1]).is_empty(),
+        "orphan-fast-pass snapshot should violate fast-pass freshness"
     );
     assert!(
         !audit(&snaps[2]).is_empty(),

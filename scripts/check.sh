@@ -33,8 +33,16 @@ run cargo build --release
 #   campuses' emitted flow tables, and refutes a broken snapshot of
 #   each invariant with a witness packet — including a block leaked by
 #   an entry's second output, an ICMP path a transport rewrite the
-#   switch does not apply would divert, and a loop only of EtherTypes
-#   the switch punts (no loop).
+#   switch does not apply would divert, a loop only of EtherTypes the
+#   switch punts (no loop), and a fast-pass entry no record backs; a
+#   record keyed by the original direction backs both directions'
+#   fast-pass entries.
+# - tests/conntrack_fastpass (DESIGN.md §7): the fast-pass's lifecycle
+#   under policy, topology and delta changes — each tears down the
+#   fast-passes it stales where it is made, a delta only those it
+#   touches — which no e2e workload exercises (none runs a firewall);
+#   plus the bypass itself, its determinism, SYN-flood blocking and a
+#   switch restart.
 # - tests/decoder_fuzz (DESIGN.md §13): every wire decoder over seeded
 #   mutations of valid encodings — a typed error or Ok, no panic, and
 #   allocation within a bound linear in the input length.
@@ -65,7 +73,9 @@ run cargo build --release
 #   every forged attestation is caught.
 # - tests/policy_delta: applying compiled deltas mid-traffic equals the
 #   wholesale recompile byte for byte, spares untouched warm cache
-#   classes, and passes the scoped incremental audit. livesec-bench's
+#   classes, and passes the scoped incremental audit. Its scenario runs
+#   no firewall, so a delta's fast-pass teardown is
+#   tests/conntrack_fastpass's. livesec-bench's
 #   tests/policy: a one-rule edit is one converging delta, and the
 #   1 000-switch snapshot audits clean, in full and under each
 #   single-rule delta, which scopes the audit to exactly 1/1600 of it.
@@ -84,7 +94,9 @@ run cargo build --release
 #   kernel's port slots, the scan kernel's differential model test.
 # - livesec-policy, livesec-verify (DESIGN.md §14, §8): parser recovery,
 #   shadow analysis, delta-convergence proptests, incremental-
-#   verification agreement.
+#   verification agreement (the scoped audit equals the full one on
+#   touched classes of a clean snapshot, one with a fast-pass entry no
+#   record backs, and one with a forged block).
 run cargo test --workspace -q
 # The end-to-end benchmark's own suite: on all six workloads a traced
 # rep must dispatch the events and record the history of an untraced

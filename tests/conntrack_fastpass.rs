@@ -210,3 +210,87 @@ fn fastpass_survives_ingress_switch_restart() {
         .completed;
     assert_eq!(done, 40, "every transfer completed across the restart");
 }
+
+/// Whether any AS switch still holds an entry at fast-pass priority.
+fn fastpass_entries_remain(campus: &Campus) -> bool {
+    campus.as_switches.iter().any(|&n| {
+        campus
+            .world
+            .node::<AsSwitch>(n)
+            .table_snapshot()
+            .iter()
+            .any(|e| e.priority == livesec::controller::FASTPASS_PRIORITY)
+    })
+}
+
+/// The fast-pass's lifecycle under change: a policy or topology change
+/// tears down the fast-passes it stales where it is made, not at a
+/// later sweep, and a scoped delta tears down only those whose flow it
+/// touches. One housekeeping tick later the switches hold no stale
+/// bypass.
+#[test]
+fn changes_tear_down_the_fastpasses_they_stale() {
+    // One tick of the controller and the switches, plus the control
+    // round trip that carries a port status up and the deletes down.
+    let tick = SimDuration::from_millis(150);
+    let standing = || {
+        let (mut campus, _, _) = fastpass_campus(7, true, 200, SimDuration::from_millis(100));
+        campus.world.run_for(SimDuration::from_secs(2));
+        assert_eq!(campus.controller().fastpass_records().len(), 1);
+        assert!(fastpass_entries_remain(&campus));
+        campus
+    };
+    let delta = |campus: &mut Campus, rule: PolicyRule| {
+        let now = campus.world.kernel().now();
+        let edit = PolicyDelta::Insert { index: 0, rule };
+        campus.controller_mut().apply_policy_delta(now, &[edit]);
+    };
+
+    // A delta no packet of the connection falls under spares it.
+    let mut campus = standing();
+    delta(
+        &mut campus,
+        PolicyRule::named("udp-9999")
+            .proto(17)
+            .dst_port(9999)
+            .deny(),
+    );
+    let c = campus.controller();
+    assert_eq!(
+        c.fastpass_records().len(),
+        1,
+        "an untouched fast-pass stands"
+    );
+    assert_eq!(c.conntrack_stats().fastpass_invalidated, 0);
+
+    // A delta over the connection's own class tears it down, and the
+    // teardown counts as an invalidation.
+    delta(
+        &mut campus,
+        PolicyRule::named("web")
+            .proto(6)
+            .dst_port(80)
+            .chain(vec![ServiceType::Firewall]),
+    );
+    let c = campus.controller();
+    assert!(c.fastpass_records().is_empty(), "a touched fast-pass goes");
+    assert_eq!(c.conntrack_stats().fastpass_invalidated, 1);
+    campus.world.run_for(tick);
+    assert!(!fastpass_entries_remain(&campus));
+
+    // A wholesale policy change tears down every fast-pass at once.
+    let mut campus = standing();
+    let policy = campus.controller().policy().clone();
+    campus.controller_mut().set_policy(policy);
+    assert!(campus.controller().fastpass_records().is_empty());
+    campus.world.run_for(tick);
+    assert!(!fastpass_entries_remain(&campus));
+
+    // So does a topology change: an unused access port failing.
+    let mut campus = standing();
+    let sw = campus.as_switches[0];
+    campus.world.node_mut::<AsSwitch>(sw).fail_port(30);
+    campus.world.run_for(tick);
+    assert!(campus.controller().fastpass_records().is_empty());
+    assert!(!fastpass_entries_remain(&campus));
+}

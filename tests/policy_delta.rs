@@ -105,7 +105,7 @@ fn delta_run_matches_wholesale_run() {
 }
 
 /// An edit confined to an idle header class leaves every warm cache
-/// entry and fast-pass alone; a follow-up edit on the busy web class
+/// entry alone; a follow-up edit on the busy web class
 /// does invalidate. This is the end-to-end form of the decision
 /// cache's `invalidate_class` unit tests.
 #[test]

@@ -108,7 +108,6 @@ fn tiny_snapshot(entries: Vec<FlowEntry>) -> Snapshot {
         blocks: Vec::new(),
         flows: Vec::new(),
         fastpasses: Vec::new(),
-        epochs: (1, 1),
         shards: Vec::new(),
         quarantined: Vec::new(),
     }
@@ -374,16 +373,8 @@ fn audit_refutes_stale_fastpass() {
     let vs = audit(&snap);
     assert_eq!(vs.len(), 1, "expected exactly one violation: {vs:#?}");
     match &vs[0] {
-        Violation::StaleFastPass {
-            dpid,
-            record_epochs,
-            current_epochs,
-            witness,
-            ..
-        } => {
+        Violation::StaleFastPass { dpid, witness, .. } => {
             assert_eq!(*dpid, 1);
-            assert_eq!(*record_epochs, None, "no record backs the entry");
-            assert_eq!(*current_epochs, (1, 1));
             // The witness is the exact packet the orphan captures.
             assert_eq!(witness.key, key(1, 2));
             assert_eq!(witness.in_port, 1);
@@ -392,26 +383,32 @@ fn audit_refutes_stale_fastpass() {
     }
 }
 
-/// Invariant 5, the other failure mode: a record exists but was
-/// compiled under a superseded policy epoch.
+/// Invariant 5's clean side: one standing record, keyed by the flow's
+/// original direction, backs the fast-pass entries of both directions
+/// (the reverse entry is found under the reversed key), and it
+/// sanctions the chained flow's bypass of its service chain.
 #[test]
-fn audit_refutes_outdated_fastpass_epoch() {
-    let aged = FlowEntry::new(
+fn audit_accepts_backed_fastpass() {
+    let fwd = FlowEntry::new(
         Match::exact(1, &key(1, 2)),
         out(2),
         livesec::controller::FASTPASS_PRIORITY,
     );
-    let mut snap = tiny_snapshot(vec![aged]);
-    snap.fastpasses = vec![(key(1, 2), 0, 1)]; // policy epoch 0 < current 1
+    let rev = FlowEntry::new(
+        Match::exact(2, &key(1, 2).reversed()),
+        out(1),
+        livesec::controller::FASTPASS_PRIORITY,
+    );
+    let mut snap = tiny_snapshot(vec![fwd, rev]);
+    snap.flows = vec![FlowView {
+        key: key(1, 2),
+        chain: vec![ServiceType::IntrusionDetection],
+        blocked: false,
+    }];
+    snap.fastpasses = vec![key(1, 2)];
 
     let vs = audit(&snap);
-    assert_eq!(vs.len(), 1, "expected exactly one violation: {vs:#?}");
-    match &vs[0] {
-        Violation::StaleFastPass { record_epochs, .. } => {
-            assert_eq!(*record_epochs, Some((0, 1)));
-        }
-        v => panic!("expected StaleFastPass, got {v:#?}"),
-    }
+    assert!(vs.is_empty(), "backed fast-pass flagged: {vs:#?}");
 }
 
 /// Invariant 6: a later entry at equal priority overlapping an
