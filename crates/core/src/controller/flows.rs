@@ -16,15 +16,13 @@ impl Controller {
     /// Applies a batch of scoped policy edits — the delta path
     /// (DESIGN.md §14).
     ///
-    /// Unlike [`Controller::set_policy`], which conservatively stales
-    /// every cached decision and fast-pass, this computes the header
-    /// classes the deltas actually touch and invalidates only those:
-    /// decision-cache entries inside a touched cube are dropped (on
-    /// every shard), fast-passes and established-connection reports
-    /// whose flow falls in a cube are torn down, and everything else
-    /// survives warm. Active flow records are left alone either way —
-    /// their entries idle out and the next packet-in re-decides, just
-    /// as after a wholesale edit.
+    /// Unlike [`Controller::set_policy`], which tears down every
+    /// fast-pass, this computes the header classes the deltas actually
+    /// touch: fast-passes and established-connection reports whose
+    /// flow falls in a touched cube are torn down, and every other one
+    /// survives. Active flow records are left alone either way — their
+    /// entries idle out and the next packet-in re-decides, just as
+    /// after a wholesale edit.
     ///
     /// Returns the touched header-space cubes in delta order; callers
     /// hand these to `livesec_verify::audit_delta` to verify the edit
@@ -64,13 +62,8 @@ impl Controller {
                 *n += 1;
             }
         }
-        // Scoped invalidation: the caches' epochs do not move — only
-        // entries inside a touched cube are dropped, and only the
-        // fast-passes and establishment reports of flows overlapping
-        // one go.
-        for &cube in &cubes {
-            self.invalidate_class(cube);
-        }
+        // Scoped invalidation: only the fast-passes and establishment
+        // reports of flows overlapping a touched cube go.
         let touched = |key: &FlowKey| {
             let fwd = Match::exact_any_port(key);
             let rev = Match::exact_any_port(&key.reversed());
@@ -150,7 +143,7 @@ impl Controller {
         }
 
         let ingress = (dpid, in_port);
-        match self.decide_flow(&key, ingress) {
+        match engine::decide(self, &key) {
             EngineDecision::Deny { rule } => self.deny_flow(now, ingress, &key, rule),
             EngineDecision::ChainUnavailable { rule } => {
                 self.deny_flow(now, ingress, &key, Some(rule));
@@ -206,37 +199,6 @@ impl Controller {
                 }
             }
         }
-    }
-
-    /// One decision per set-up, through the active shard's cache. A
-    /// hit is revalidated by the engine — the cache is transparent:
-    /// every balancer call a cold set-up would make is made on a hit
-    /// too, only the policy lookup and the two compile_path runs are
-    /// skipped — and a memo the picks moved away from is replaced by
-    /// the decision that took its place.
-    pub(super) fn decide_flow(&mut self, key: &FlowKey, ingress: (u64, u32)) -> EngineDecision {
-        let shard = self.active_shard;
-        let hit = self
-            .caches
-            .get_mut(shard)
-            .and_then(Option::as_mut)
-            .and_then(|c| c.lookup(key, ingress));
-        let was_hit = hit.is_some();
-        let (decision, memo_stands) = match hit {
-            Some(cached) => engine::revalidate(self, key, cached),
-            None => (engine::decide(self, key), false),
-        };
-        if !memo_stands {
-            if let Some(c) = self.caches.get_mut(shard).and_then(Option::as_mut) {
-                if was_hit {
-                    c.remove(key);
-                }
-                if let Some(memo) = decision.memo() {
-                    c.insert(*key, ingress, memo);
-                }
-            }
-        }
-        decision
     }
 
     /// Installs a drop entry for a policy-denied flow and records the

@@ -46,9 +46,6 @@ impl Controller {
         match self.locations.learn(arp.sha, arp.spa, dpid, in_port, now) {
             LearnOutcome::New => self.host_joined(now, arp.sha, arp.spa, (dpid, in_port)),
             LearnOutcome::Moved { from } => {
-                // Steering programs bake in the host's old attachment
-                // point: drop every cached decision touching it.
-                self.invalidate_mac(arp.sha);
                 self.monitor.record(
                     now,
                     EventKind::UserMoved {
@@ -150,7 +147,6 @@ impl Controller {
     /// offline with their steering state.
     pub(super) fn expire_hosts(&mut self, now: SimTime) {
         for mac in self.locations.expire(now, self.arp_timeout) {
-            self.invalidate_mac(mac);
             self.monitor.record(now, EventKind::UserLeave { mac });
         }
         for mac in self.registry.expire(now, self.se_timeout) {
@@ -162,17 +158,15 @@ impl Controller {
     /// An attachment point is gone — a dead port or a dead switch — and
     /// the hosts `evicted` from it depart, in MAC order (the location
     /// table is a BTreeMap), so the event order is run-stable. Compiled
-    /// programs may have routed through it, so the topology epoch
-    /// advances and every fast-pass goes; packets in flight through it died honestly (a
-    /// deregistration also truncates attestation chains), so the
-    /// accountability drop sweep goes quiet for a window. A departed
-    /// host's cached decisions drop, and one that was a service element
-    /// goes offline with its steering state.
+    /// programs may have routed through it, so every fast-pass goes;
+    /// packets in flight through it died honestly (a deregistration
+    /// also truncates attestation chains), so the accountability drop
+    /// sweep goes quiet for a window. A departed host that was a
+    /// service element goes offline with its steering state.
     pub(super) fn detach(&mut self, now: SimTime, evicted: Vec<MacAddr>) {
         self.detector.note_turbulence(now);
-        self.bump_topology_epoch();
+        self.topology_changed();
         for mac in evicted {
-            self.invalidate_mac(mac);
             self.monitor.record(now, EventKind::UserLeave { mac });
             if self.registry.force_offline(mac) {
                 self.monitor.record(now, EventKind::SeOffline { mac });
@@ -185,7 +179,6 @@ impl Controller {
     /// entries everywhere, the ingress entries of flows using it (so
     /// their next packet re-balances), and the active-flow records.
     fn cleanup_se(&mut self, se_mac: MacAddr) {
-        self.invalidate_mac(se_mac);
         self.send_to_all(&OfMessage::delete_flows(Match::any().with_dl_dst(se_mac)));
         let affected: Vec<FlowKey> = self
             .active

@@ -36,7 +36,6 @@ use crate::accountability::{
     flow_sig, AccountabilityDetector, AccountabilityStats, Deviation, PathProof, ProofSource,
 };
 use crate::balance::{LoadBalancer, SeRegistry};
-use crate::cache::DecisionCache;
 use crate::directory::DirectoryProxy;
 use crate::engine::{self, EngineDecision};
 use crate::location::{LearnOutcome, LocationTable};
@@ -184,7 +183,7 @@ pub struct NibSnapshot {
 ///
 /// Construct with [`Controller::new`], add to the
 /// [`livesec_sim::World`], and point every [`livesec_switch::AsSwitch`]
-/// at it ([`crate::deploy::CampusBuilder`] does all three). Eleven
+/// at it ([`crate::deploy::CampusBuilder`] does all three). Ten
 /// values are settable, each through one `set_*` method that documents
 /// its default; everything else that paces the controller is a
 /// constant of its modules. The [`crate::controller`] module docs
@@ -202,17 +201,6 @@ pub struct Controller {
     // (DESIGN.md §6).
     active: BTreeMap<FlowKey, FlowRecord>,
     required_certs: Option<BTreeSet<u64>>,
-    /// The flow-setup decision caches, one slot per controller shard
-    /// (DESIGN.md §9): a plain controller is the one-shard case, and a
-    /// dead shard or a disabled cache is an empty slot. Whatever can
-    /// stale a memoized decision is applied to every slot where it
-    /// happens — `bump_policy_epoch`, `bump_topology_epoch`,
-    /// `invalidate_mac`, `invalidate_class`, `set_balancer` — and flow
-    /// set-up reads and fills only `caches[active_shard]`.
-    caches: Vec<Option<DecisionCache>>,
-    /// The slot flow set-up consults; the sharded plane selects it
-    /// before each dispatch.
-    active_shard: usize,
     /// `(key, ingress dpid, egress dpid)` of the most recent flow
     /// admission — taken by the sharded plane to count flows whose
     /// ingress and egress land on different shards (handoffs).
@@ -313,8 +301,6 @@ impl Controller {
             directory: None,
             active: BTreeMap::new(),
             required_certs: None,
-            caches: vec![Some(DecisionCache::new())],
-            active_shard: 0,
             last_setup: None,
             tx: Outbox::new(),
             switch_liveness: BTreeMap::new(),
@@ -371,83 +357,30 @@ impl Controller {
         &self.policy
     }
 
-    /// Replaces the policy table (default: allow everything).
-    /// Invalidates every cached flow-setup decision.
+    /// Replaces the policy table (default: allow everything). The
+    /// next packet-in is decided under the new table; every fast-pass
+    /// goes with the old one.
     pub fn set_policy(&mut self, policy: PolicyTable) {
-        self.bump_policy_epoch();
+        self.policy_changed();
         self.policy = policy;
     }
 
     /// Records that the policy table may have changed *wholesale*:
-    /// advances every decision cache's policy epoch, tears down every
-    /// fast-pass and forgets every establishment report (a connection
-    /// admitted under the old policy may no longer be allowed to
-    /// bypass its chain). Scoped edits go through
+    /// tears down every fast-pass and forgets every establishment
+    /// report (a connection admitted under the old policy may no
+    /// longer be allowed to bypass its chain). Scoped edits go through
     /// [`Controller::apply_policy_delta`] instead.
-    fn bump_policy_epoch(&mut self) {
-        for c in self.caches.iter_mut().flatten() {
-            c.note_policy_change();
-        }
+    fn policy_changed(&mut self) {
         self.invalidate_fastpasses(|_| true);
         self.established_conns.clear();
     }
 
-    /// Records that the topology may have changed: advances every
-    /// decision cache's topology epoch and tears down every fast-pass
-    /// (its direct path was compiled through the old topology). The
-    /// establishment reports stand, so a repair or a repeat packet-in
-    /// reinstalls the fast-pass over the new topology.
-    fn bump_topology_epoch(&mut self) {
-        for c in self.caches.iter_mut().flatten() {
-            c.note_topology_change();
-        }
+    /// Records that the topology may have changed: tears down every
+    /// fast-pass (its direct path was compiled through the old
+    /// topology). The establishment reports stand, so a repair or a
+    /// repeat packet-in reinstalls the fast-pass over the new topology.
+    fn topology_changed(&mut self) {
         self.invalidate_fastpasses(|_| true);
-    }
-
-    /// Drops every cached decision touching `mac`, on every shard.
-    fn invalidate_mac(&mut self, mac: MacAddr) {
-        for c in self.caches.iter_mut().flatten() {
-            c.invalidate_mac(mac);
-        }
-    }
-
-    /// Drops every cached decision inside the header-space `cube`, on
-    /// every shard.
-    fn invalidate_class(&mut self, cube: Match) {
-        for c in self.caches.iter_mut().flatten() {
-            c.invalidate_class(&cube);
-        }
-    }
-
-    /// Re-cuts the decision cache into `n` fresh per-shard slots
-    /// (empty ones if caching is disabled) — the sharded plane, once,
-    /// when it wraps the controller.
-    pub(crate) fn split_caches(&mut self, n: usize) {
-        let enabled = self.decision_cache_enabled();
-        self.caches = (0..n).map(|_| enabled.then(DecisionCache::new)).collect();
-    }
-
-    /// Makes `shard` the one whose cache flow set-up consults and whose
-    /// id the monitor stamps on events.
-    pub(crate) fn select_shard(&mut self, shard: u32) {
-        self.active_shard = shard as usize;
-        self.monitor.set_shard(shard);
-    }
-
-    /// A dead shard's cache dies with it; no dispatch selects the
-    /// shard again.
-    pub(crate) fn drop_shard_cache(&mut self, shard: u32) {
-        if let Some(slot) = self.caches.get_mut(shard as usize) {
-            *slot = None;
-        }
-    }
-
-    /// Each shard's decision-cache counters, in shard order (`None`
-    /// for an empty slot).
-    pub(crate) fn shard_cache_stats(&self) -> impl Iterator<Item = Option<FastPathStats>> + '_ {
-        self.caches
-            .iter()
-            .map(|slot| slot.as_ref().map(DecisionCache::stats))
     }
 
     /// The dpid a controller-side peer registered with, if it finished
@@ -468,31 +401,9 @@ impl Controller {
     }
 
     /// Replaces the load balancer (default: minimum-load at flow
-    /// grain). Drops every decision cache's contents: cached picks
-    /// came from the old algorithm.
+    /// grain). The next chained set-up picks through it.
     pub fn set_balancer(&mut self, balancer: LoadBalancer) {
-        for c in self.caches.iter_mut().flatten() {
-            c.clear();
-        }
         self.balancer = balancer;
-    }
-
-    /// Enables or disables the flow-setup decision cache (default:
-    /// enabled), on every shard. The cache is transparent — disabling
-    /// it changes throughput, never behaviour. Disabling drops all
-    /// cached decisions (a re-enabled cache starts its counters at
-    /// zero).
-    pub fn set_decision_cache(&mut self, enabled: bool) {
-        if enabled != self.decision_cache_enabled() {
-            for slot in &mut self.caches {
-                *slot = enabled.then(DecisionCache::new);
-            }
-        }
-    }
-
-    /// Whether the flow-setup decision cache is enabled.
-    pub fn decision_cache_enabled(&self) -> bool {
-        self.caches.iter().any(Option::is_some)
     }
 
     /// Requires SE control messages to carry one of these certificate
@@ -648,18 +559,10 @@ impl Controller {
         serde_json::to_string_pretty(&self.nib_snapshot(now)).unwrap_or_default()
     }
 
-    /// Counters of the flow-setup fast path: cache hits, misses,
-    /// invalidations (summed over the shards' caches), and the batching
+    /// Counters of the flow-setup path: set-ups and the batching
     /// figures.
     pub fn fast_path_stats(&self) -> FastPathStats {
         let mut s = self.tx.stats;
-        for c in self.shard_cache_stats().flatten() {
-            s.hits += c.hits;
-            s.misses += c.misses;
-            s.invalidations += c.invalidations;
-            s.insertions += c.insertions;
-            s.entries += c.entries;
-        }
         s.flow_setups = self.flows_installed;
         s
     }

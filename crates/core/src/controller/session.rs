@@ -134,7 +134,7 @@ impl Controller {
         self.known_nodes.insert(peer, dpid);
         self.switch_liveness.insert(dpid, now);
         if was_new {
-            self.bump_topology_epoch();
+            self.topology_changed();
             if !rejoined {
                 self.monitor.record(now, EventKind::SwitchJoin { dpid });
             }
@@ -210,7 +210,7 @@ impl Controller {
         let uplink_before = self.topo.uplink_of(dpid);
         let new_link = self.topo.observe_lldp(from, to);
         if new_link || self.topo.uplink_of(dpid) != uplink_before {
-            self.bump_topology_epoch();
+            self.topology_changed();
         }
         if new_link {
             self.monitor
@@ -294,8 +294,7 @@ impl Controller {
     /// Declares a switch dead after its liveness timeout: its hosts
     /// depart (like SE expiry and port failure), flows entering there
     /// are dropped from the books, its topology state is removed, and
-    /// the cache's topology epoch advances so no decision compiled
-    /// through it is ever replayed across the outage.
+    /// every fast-pass goes with it (`detach`).
     fn mark_switch_down(&mut self, now: SimTime, dpid: u64) {
         self.health.switch_downs += 1;
         self.monitor.record(now, EventKind::SwitchDown { dpid });
@@ -438,9 +437,9 @@ impl Controller {
     /// switch: its flow table is flushed (a fail-secure switch with an
     /// empty table forwards nothing), it is deregistered through the
     /// dead-switch path — hosts evicted, orphan flows dropped, mid-path
-    /// entries cleaned up, topology epoch bumped so no cached decision
-    /// routes through it — and every further control message from it is
-    /// dropped at the door so it cannot re-register until released.
+    /// entries cleaned up, every fast-pass torn down — and every
+    /// further control message from it is dropped at the door so it
+    /// cannot re-register until released.
     fn punish(&mut self, now: SimTime, dev: Deviation) {
         self.monitor.record(
             now,

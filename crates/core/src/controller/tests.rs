@@ -6,10 +6,8 @@ use super::outbox::tests::drain;
 use super::*;
 use crate::balance::{Grain, RoundRobin};
 use crate::policy::PolicyRule;
-use proptest::prelude::*;
 
 const IDS: ServiceType = ServiceType::IntrusionDetection;
-const N_SHARDS: usize = 4;
 const N_HOSTS: u64 = 4;
 
 fn host(i: u64) -> MacAddr {
@@ -30,29 +28,18 @@ fn key(src: u64, dst: u64, tp_dst: u16) -> FlowKey {
     }
 }
 
-/// Allow-all, with web traffic chained through the IDS and
-/// `denied` destination ports refused ahead of it.
-fn policy(denied: &[u16]) -> PolicyTable {
+/// Allow-all, with web traffic chained through the IDS.
+fn policy() -> PolicyTable {
     let mut table = PolicyTable::allow_all();
-    for port in denied {
-        table.push(
-            PolicyRule::named(&format!("deny-{port}"))
-                .dst_port(*port)
-                .deny(),
-        );
-    }
     table.push(PolicyRule::named("web-ids").dst_port(80).chain(vec![IDS]));
     table
 }
 
 /// Three switches, four hosts (host `i` at switch `1 + i % 3`,
-/// port `10 + i`), two IDS replicas; `shards` decision caches
-/// (none when `cached` is off).
-fn campus(shards: usize, cached: bool) -> Controller {
+/// port `10 + i`), two IDS replicas.
+fn campus() -> Controller {
     let mut c = Controller::new();
-    c.set_decision_cache(cached);
-    c.split_caches(shards);
-    c.set_policy(policy(&[]));
+    c.set_policy(policy());
     c.set_balancer(LoadBalancer::new(RoundRobin::new(), Grain::Flow));
     for dpid in 1..=3 {
         c.topo
@@ -85,99 +72,6 @@ fn campus(shards: usize, cached: bool) -> Controller {
         );
     }
     c
-}
-
-proptest! {
-    /// N-shard coherence: whatever changes, and whichever shard a
-    /// set-up lands on afterwards, a decision served through that
-    /// shard's cache equals a from-scratch [`crate::engine::decide`]
-    /// — the same operations applied to a cacheless twin. Every
-    /// change goes through the controller's own choke point, so one
-    /// that forgot a shard would serve that shard's stale memo here.
-    #[test]
-    fn no_shard_serves_a_stale_decision(
-        ops in proptest::collection::vec((0u8..12, any::<u8>()), 1..240)
-    ) {
-        let now = SimTime::ZERO;
-        let mut warm = campus(N_SHARDS, true);
-        let mut cold = campus(1, false);
-        let mut live: Vec<u32> = (0..N_SHARDS as u32).collect();
-        let (mut denied, mut scoped) = (Vec::new(), false);
-        for (op, arg) in ops {
-            let arg64 = u64::from(arg);
-            match op {
-                // Wholesale policy edit: toggle a denied port.
-                6 => {
-                    let port = 80 + u16::from(arg % 2);
-                    match denied.iter().position(|p| *p == port) {
-                        Some(i) => drop(denied.remove(i)),
-                        None => denied.push(port),
-                    }
-                    scoped = false;
-                    for ctl in [&mut warm, &mut cold] {
-                        ctl.set_policy(policy(&denied));
-                    }
-                }
-                // Scoped delta: toggle a denial of port 82.
-                7 => {
-                    let delta = if scoped {
-                        PolicyDelta::Remove { name: "deny-82".into() }
-                    } else {
-                        let rule = PolicyRule::named("deny-82").dst_port(82).deny();
-                        PolicyDelta::Insert { index: 0, rule }
-                    };
-                    scoped = !scoped;
-                    for ctl in [&mut warm, &mut cold] {
-                        ctl.apply_policy_delta(now, std::slice::from_ref(&delta));
-                    }
-                }
-                // Topology change: a switch's uplink moves.
-                8 => {
-                    for ctl in [&mut warm, &mut cold] {
-                        ctl.topo.observe_lldp((0, 0), (1 + arg64 % 3, 40 + u32::from(arg % 4)));
-                        ctl.bump_topology_epoch();
-                    }
-                }
-                // A host moves (the ARP path's `Moved` arm).
-                9 => {
-                    let (mac, ip) = (host(arg64), key(arg64, 0, 0).nw_src);
-                    let to = (1 + (arg64 / 4) % 3, 10 + u32::from(arg % 8));
-                    for ctl in [&mut warm, &mut cold] {
-                        ctl.locations.learn(mac, ip, to.0, to.1, now);
-                        ctl.invalidate_mac(mac);
-                    }
-                }
-                // Balancer swap: every live shard's cache empties.
-                10 => {
-                    for ctl in [&mut warm, &mut cold] {
-                        ctl.set_balancer(LoadBalancer::new(RoundRobin::new(), Grain::Flow));
-                    }
-                    prop_assert_eq!(warm.fast_path_stats().entries, 0);
-                }
-                // A shard dies (never the last one).
-                11 => {
-                    if live.len() > 1 {
-                        warm.drop_shard_cache(live.remove(arg as usize % live.len()));
-                    }
-                }
-                // The same flow set up on every live shard in turn.
-                _ => {
-                    let src = arg64 % N_HOSTS;
-                    let k = key(src, src + 1, 80 + u16::from(arg >> 2) % 3);
-                    let Some(at) = warm.locations.lookup(k.dl_src) else { continue };
-                    let ingress = (at.dpid, at.port);
-                    for &shard in &live {
-                        warm.select_shard(shard);
-                        let served = warm.decide_flow(&k, ingress);
-                        let fresh = cold.decide_flow(&k, ingress);
-                        prop_assert_eq!(format!("{served:?}"), format!("{fresh:?}"));
-                    }
-                }
-            }
-        }
-        let dead = warm.shard_cache_stats().filter(Option::is_none).count();
-        prop_assert_eq!(dead, N_SHARDS - live.len());
-    }
 }
 
 fn ms(n: u64) -> SimTime {
@@ -215,7 +109,7 @@ fn adds(out: &[(NodeId, OfMessage)]) -> Vec<(Match, u16, u64)> {
 /// first removal.
 #[test]
 fn a_session_ends_once_both_ingress_entries_have_reported() {
-    let mut c = campus(1, true);
+    let mut c = campus();
     let k = key(0, 1, 80);
     c.handle_flow(ms(0), 1, 10, &packet(&k));
     assert_eq!(c.active_flow_count(), 1);
@@ -259,7 +153,7 @@ fn a_session_ends_once_both_ingress_entries_have_reported() {
 /// guard.
 #[test]
 fn a_booked_session_is_repaired_only_past_the_guard() {
-    let mut c = campus(1, true);
+    let mut c = campus();
     let (k, ids) = (key(0, 1, 80), MacAddr::from_u64(0xf1));
     let pkt = packet(&k);
     c.handle_flow(ms(0), 1, 10, &pkt);
@@ -302,7 +196,7 @@ fn a_booked_session_is_repaired_only_past_the_guard() {
 /// skipping `block_source`.
 #[test]
 fn a_syn_flood_verdict_blocks_the_whole_source() {
-    let mut c = campus(1, true);
+    let mut c = campus();
     let (k, ids) = (key(0, 1, 80), MacAddr::from_u64(0xf1));
     let flood = Verdict::Malicious {
         attack: "syn-flood".into(),

@@ -108,8 +108,8 @@ impl Campus {
     }
 
     /// Mutably borrows the controller (e.g. to change policy mid-run).
-    /// Works on both plain and sharded campuses; on a sharded one the
-    /// edit propagates to every shard through the epoch tags.
+    /// Works on both plain and sharded campuses; the shards share the
+    /// one controller, so an edit reaches every shard.
     pub fn controller_mut(&mut self) -> &mut Controller {
         // Two lookups to satisfy the borrow checker: probe, then borrow.
         if self.world.try_node::<Controller>(self.controller).is_some() {

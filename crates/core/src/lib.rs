@@ -66,7 +66,6 @@ pub use accountability::{
     ProofSource,
 };
 pub use balance::{Dispatcher, Grain, LoadBalancer, SeRegistry, SeView};
-pub use cache::{CachedDecision, DecisionCache};
 pub use controller::{Controller, NibSnapshot, TrafficTally};
 pub use deploy::{Campus, CampusBuilder, NullApp, SeHandle, UserHandle};
 pub use directory::DirectoryProxy;
@@ -90,7 +89,6 @@ pub mod prelude {
         ProofHop, ProofSource,
     };
     pub use crate::balance::{Dispatcher, Grain, LoadBalancer, SeRegistry, SeView};
-    pub use crate::cache::{CachedDecision, DecisionCache};
     pub use crate::controller::{Controller, NibSnapshot, TrafficTally};
     pub use crate::deploy::{Campus, CampusBuilder, NullApp, SeHandle, UserHandle};
     pub use crate::directory::DirectoryProxy;

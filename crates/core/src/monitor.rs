@@ -271,7 +271,7 @@ pub enum EventKind {
     },
     /// The controller applied a batch of scoped policy deltas
     /// (DESIGN.md §14): counts of the edits and of the header classes
-    /// whose caches/fast-passes were invalidated.
+    /// whose fast-passes were invalidated.
     PolicyDeltaApplied {
         /// Rules inserted.
         adds: u64,
@@ -601,24 +601,19 @@ impl Monitor {
     }
 }
 
-/// Counters of the flow-setup fast path (decision cache + batched
-/// flow-mod emission) — kept beside the event feed so the
-/// optimisation's effect is observable without changing the event log
-/// itself (the golden-trace determinism tests require the event
-/// history to be byte-identical with the cache on and off).
+/// Counters of the flow-setup path (set-ups and batched flow-mod
+/// emission), kept beside the event feed so they are observable
+/// without changing the event log itself.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FastPathStats {
-    /// Cache lookups that replayed a memoized decision.
+    /// Always 0: the controller keeps no decision cache. Kept because
+    /// the end-to-end benchmark reads it as `core.cache.hits`.
     pub hits: u64,
-    /// Cache lookups that fell through to the cold path.
+    /// Always 0; kept because the end-to-end benchmark reads it as
+    /// `core.cache.misses`.
     pub misses: u64,
-    /// Entries dropped because something they depended on changed
-    /// (policy edit, topology change, migration, SE failure, or a
-    /// balancer pick that no longer matches).
-    pub invalidations: u64,
-    /// Decisions memoized.
-    pub insertions: u64,
-    /// Entries currently cached.
+    /// Always 0; kept because the end-to-end benchmark reads it as
+    /// `core.cache.entries`.
     pub entries: u64,
     /// Flow setups completed (steering programs installed).
     pub flow_setups: u64,

@@ -4,18 +4,16 @@
 //! The plane is a drop-in [`Node`] replacing a single [`Controller`].
 //! A deterministic consistent-hash ring ([`crate::ring::HashRing`])
 //! maps each switch (and each user MAC) to a shard; every control
-//! message is routed to its switch's owner, which handles it with its
-//! own flow-setup decision cache. The NIB itself is replicated — in
-//! this in-process model, shared — so policy, topology and location
-//! state are identical on every shard. The per-shard caches live in
-//! the controller, which applies every change that can stale a cached
-//! decision to all of them where the change is made; the plane only
-//! routes, counts and fails over.
+//! message is routed to its switch's owner. The NIB itself is
+//! replicated — in this in-process model, shared — so policy, topology
+//! and location state are identical on every shard, and every shard
+//! decides a flow the same way. The plane routes, counts and fails
+//! over; what it changes in the controller is the shard tag the
+//! monitor stamps on events.
 //!
-//! Because the decision cache is observably transparent (DESIGN.md
-//! §7), which shard handles a message can never change behaviour:
-//! event histories are byte-identical across shard counts (modulo the
-//! shard tags on events), and a 1-shard plane is byte-identical to the
+//! So which shard handles a message can never change behaviour: event
+//! histories are byte-identical across shard counts (modulo the shard
+//! tags on events), and a 1-shard plane is byte-identical to the
 //! unsharded controller. That invariant is what `tests/determinism.rs`
 //! pins.
 //!
@@ -61,28 +59,24 @@ pub struct ShardStats {
     pub handoffs_out: u64,
     /// Registered switches this shard currently owns (empty if dead).
     pub owned: Vec<u64>,
-    /// The shard's decision-cache counters (`None` if caching is off
-    /// or the shard died).
+    /// Always `None`: shards keep no decision cache. Kept because the
+    /// end-to-end benchmark sums it into `core.cache.*`.
     pub cache: Option<FastPathStats>,
 }
 
 /// The sharded control plane node. See the module docs.
 #[derive(Debug)]
 pub struct ShardedControlPlane {
-    /// The shared decision engine + replicated NIB, holding one
-    /// decision cache per shard.
+    /// The shared decision engine + replicated NIB.
     inner: Controller,
     shards: Vec<ShardEngine>,
     ring: HashRing,
 }
 
 impl ShardedControlPlane {
-    /// Wraps `inner` into an `n`-shard plane (n ≥ 1). The controller's
-    /// own decision cache is retired; each shard gets a fresh one
-    /// (none, if the controller had caching disabled).
-    pub fn new(mut inner: Controller, n: u32) -> Self {
+    /// Wraps `inner` into an `n`-shard plane (n ≥ 1).
+    pub fn new(inner: Controller, n: u32) -> Self {
         assert!(n >= 1, "a control plane needs at least one shard");
-        inner.split_caches(n as usize);
         let shards = (0..n)
             .map(|_| ShardEngine {
                 alive: true,
@@ -105,7 +99,7 @@ impl ShardedControlPlane {
     }
 
     /// Mutable access to the shared controller (runtime policy edits,
-    /// balancer swaps, the cache switch — each reaches every shard).
+    /// balancer swaps — each reaches every shard).
     pub fn controller_mut(&mut self) -> &mut Controller {
         &mut self.inner
     }
@@ -145,9 +139,8 @@ impl ShardedControlPlane {
     pub fn shard_stats(&self) -> Vec<ShardStats> {
         self.shards
             .iter()
-            .zip(self.inner.shard_cache_stats())
             .zip(0u32..)
-            .map(|((s, cache), id)| ShardStats {
+            .map(|(s, id)| ShardStats {
                 id,
                 alive: s.alive,
                 messages: s.messages,
@@ -158,9 +151,7 @@ impl ShardedControlPlane {
                 } else {
                     Vec::new()
                 },
-                // A cache switched back on after the shard died fills
-                // the dead slot too; it is nobody's cache.
-                cache: cache.filter(|_| s.alive),
+                cache: None,
             })
             .collect()
     }
@@ -192,8 +183,7 @@ impl Node for ShardedControlPlane {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        // Housekeeping is global (liveness, expiry, audits): what it
-        // invalidates, it invalidates on every shard.
+        // Housekeeping is global (liveness, expiry, audits).
         Node::on_timer(&mut self.inner, ctx, token);
     }
 
@@ -203,7 +193,7 @@ impl Node for ShardedControlPlane {
 
     fn on_control(&mut self, ctx: &mut Ctx<'_>, peer: NodeId, bytes: &[u8]) {
         let shard = self.route(peer);
-        self.inner.select_shard(shard);
+        self.inner.monitor_mut().set_shard(shard);
         let packet_ins_before = self.inner.packet_ins;
         Node::on_control(&mut self.inner, ctx, peer, bytes);
         // Book the dispatch, then hand the controller back to
@@ -225,7 +215,7 @@ impl Node for ShardedControlPlane {
             s.handoffs_out += u64::from(handoff);
         }
         let idle = self.lowest_live();
-        self.inner.select_shard(idle);
+        self.inner.monitor_mut().set_shard(idle);
     }
 
     fn on_crash_restart(&mut self, ctx: &mut Ctx<'_>) {
@@ -243,10 +233,9 @@ impl Node for ShardedControlPlane {
         };
         s.alive = false;
         let now = ctx.now();
-        self.inner.drop_shard_cache(shard);
         self.ring.remove_shard(shard);
         let idle = self.lowest_live();
-        self.inner.select_shard(idle);
+        self.inner.monitor_mut().set_shard(idle);
         self.inner
             .monitor_mut()
             .record(now, EventKind::ShardDown { shard });
@@ -284,27 +273,7 @@ mod tests {
         assert_eq!(plane.handoffs(), 0);
         let stats = plane.shard_stats();
         assert_eq!(stats.len(), 4);
-        assert!(stats.iter().all(|s| s.alive && s.cache.is_some()));
-        // The caches are the controller's: its totals are the shards'.
-        assert!(plane.controller().decision_cache_enabled());
-        assert_eq!(
-            plane.controller().fast_path_stats(),
-            FastPathStats::default()
-        );
-    }
-
-    #[test]
-    fn caching_disabled_propagates_to_shards() {
-        let mut inner = Controller::new();
-        inner.set_decision_cache(false);
-        let mut plane = ShardedControlPlane::new(inner, 2);
-        assert!(plane.shard_stats().iter().all(|s| s.cache.is_none()));
-        // The switch works after wrapping too, on every shard.
-        plane.controller_mut().set_decision_cache(true);
-        assert!(plane.shard_stats().iter().all(|s| s.cache.is_some()));
-        plane.controller_mut().set_decision_cache(false);
-        assert!(plane.shard_stats().iter().all(|s| s.cache.is_none()));
-        assert!(!plane.controller().decision_cache_enabled());
+        assert!(stats.iter().all(|s| s.alive));
     }
 
     #[test]

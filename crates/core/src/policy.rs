@@ -40,7 +40,7 @@ pub struct PolicyRule {
     /// Administrator-facing rule name (shows up in monitor events).
     pub name: String,
     /// The flows the rule governs: the header-space cube that scoped
-    /// cache invalidation and incremental verification key on. The
+    /// fast-pass teardown and incremental verification key on. The
     /// ingress port stays wildcarded; a policy decides per flow.
     pub matcher: Match,
     /// The decision when the selector matches.

@@ -41,8 +41,8 @@
 //! - [`diff`] turns `(old_table, new_table)` into a minimal edit
 //!   script of [`PolicyDelta`]s that
 //!   `Controller::apply_policy_delta` applies with class-scoped
-//!   cache invalidation — a one-rule edit no longer flushes every
-//!   warm decision on campus.
+//!   fast-pass teardown — a one-rule edit tears down only the
+//!   fast-passes of flows its classes touch.
 
 pub mod ast;
 pub mod builder;

@@ -8,6 +8,7 @@
 
 use crate::ids::{NodeId, PortId};
 use crate::time::SimTime;
+use std::fmt;
 
 /// A single scheduled fault.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -153,28 +154,69 @@ impl FaultPlan {
     /// [`FaultKind::PartitionControl`] for the same node scheduled at
     /// or before it — a heal with nothing to heal is almost certainly
     /// a typo'd node id, and silently ignoring it would hide the bug.
-    /// [`crate::World::install_fault_plan`] calls this and panics on
-    /// `Err`.
-    pub fn validate(&self) -> Result<(), String> {
+    /// [`crate::World::install_fault_plan`] calls this and refuses the
+    /// plan on `Err`.
+    ///
+    /// # Errors
+    ///
+    /// [`FaultPlanError::UnmatchedHeal`] for the first heal in plan
+    /// order with no matching partition.
+    pub fn validate(&self) -> Result<(), FaultPlanError> {
         for heal in &self.events {
             let FaultKind::HealControl { node } = heal.kind else {
                 continue;
             };
-            let matched = self.events.iter().any(|e| {
-                e.kind == FaultKind::PartitionControl { node }
-                    && e.at.as_nanos() <= heal.at.as_nanos()
-            });
+            let matched = self
+                .events
+                .iter()
+                .any(|e| e.kind == FaultKind::PartitionControl { node } && e.at <= heal.at);
             if !matched {
-                return Err(format!(
-                    "HealControl for node {} at {:?} has no matching \
-                     PartitionControl scheduled at or before it",
-                    node.0, heal.at
-                ));
+                return Err(FaultPlanError::UnmatchedHeal { node, at: heal.at });
             }
         }
         Ok(())
     }
 }
+
+/// Why a [`FaultPlan`] was refused.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FaultPlanError {
+    /// A [`FaultKind::HealControl`] with no
+    /// [`FaultKind::PartitionControl`] for the same node scheduled at or
+    /// before it.
+    UnmatchedHeal {
+        /// The node the heal names.
+        node: NodeId,
+        /// When the heal is scheduled.
+        at: SimTime,
+    },
+    /// A fault scheduled before the world's clock: installing it would
+    /// set the clock back.
+    BeforeClock {
+        /// When the fault is scheduled.
+        at: SimTime,
+        /// The world's clock at installation.
+        now: SimTime,
+    },
+}
+
+impl fmt::Display for FaultPlanError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            FaultPlanError::UnmatchedHeal { node, at } => write!(
+                f,
+                "HealControl for node {} at {at} has no matching \
+                 PartitionControl scheduled at or before it",
+                node.0
+            ),
+            FaultPlanError::BeforeClock { at, now } => {
+                write!(f, "fault at {at} is before the clock ({now})")
+            }
+        }
+    }
+}
+
+impl std::error::Error for FaultPlanError {}
 
 #[cfg(test)]
 mod tests {
@@ -226,7 +268,17 @@ mod tests {
             FaultKind::HealControl { node: NodeId(3) },
         );
         let err = plan.validate().unwrap_err();
-        assert!(err.contains("no matching PartitionControl"), "{err}");
+        assert_eq!(
+            err,
+            FaultPlanError::UnmatchedHeal {
+                node: NodeId(3),
+                at: SimTime::from_nanos(9)
+            }
+        );
+        assert!(
+            err.to_string().contains("no matching PartitionControl"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub mod tap;
 pub mod time;
 pub mod world;
 
-pub use fault::{FaultEvent, FaultKind, FaultPlan};
+pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultPlanError};
 pub use ids::{NodeId, PortId};
 pub use link::LinkSpec;
 pub use metrics::LatencySummary;
@@ -55,7 +55,7 @@ pub use world::{Kernel, PortCounters, RunStats, World};
 
 /// Convenient glob-import surface: `use livesec_sim::prelude::*;`.
 pub mod prelude {
-    pub use crate::fault::{FaultEvent, FaultKind, FaultPlan};
+    pub use crate::fault::{FaultEvent, FaultKind, FaultPlan, FaultPlanError};
     pub use crate::ids::{NodeId, PortId};
     pub use crate::link::LinkSpec;
     pub use crate::metrics::LatencySummary;

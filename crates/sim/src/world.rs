@@ -1,6 +1,6 @@
 //! The [`World`]: nodes, links, the event queue, and the run loop.
 
-use crate::fault::{FaultKind, FaultPlan};
+use crate::fault::{FaultKind, FaultPlan, FaultPlanError};
 use crate::ids::{NodeId, PortId};
 use crate::link::{LinkDir, LinkSpec, Offer};
 use crate::node::{Ctx, Node};
@@ -515,28 +515,25 @@ impl World {
 
     /// Installs a [`FaultPlan`]: every scheduled fault becomes an
     /// ordinary event in the queue, and the plan's seed (re)seeds the
-    /// dedicated corruption RNG.
+    /// dedicated corruption RNG. A refused plan leaves the world as it
+    /// was.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if [`FaultPlan::validate`] rejects the plan (e.g. a
-    /// `HealControl` with no matching partition), or if a fault is
-    /// scheduled before the current simulated time.
-    pub fn install_fault_plan(&mut self, plan: &FaultPlan) {
-        if let Err(e) = plan.validate() {
-            panic!("invalid fault plan: {e}");
-        }
+    /// Whatever [`FaultPlan::validate`] rejects (a `HealControl` with no
+    /// matching partition), and [`FaultPlanError::BeforeClock`] for the
+    /// first fault scheduled before the current simulated time.
+    pub fn install_fault_plan(&mut self, plan: &FaultPlan) -> Result<(), FaultPlanError> {
+        plan.validate()?;
         let now = self.kernel.now;
         if let Some(ev) = plan.events.iter().find(|ev| ev.at < now) {
-            panic!(
-                "invalid fault plan: {:?} at {} is before the clock ({now})",
-                ev.kind, ev.at
-            );
+            return Err(FaultPlanError::BeforeClock { at: ev.at, now });
         }
         self.kernel.fault_rng = StdRng::seed_from_u64(plan.seed);
         for ev in &plan.events {
             self.kernel.push(ev.at, EventKind::Fault { kind: ev.kind });
         }
+        Ok(())
     }
 
     fn apply_fault(&mut self, kind: FaultKind) {
@@ -896,7 +893,7 @@ mod tests {
             let plan = FaultPlan::new(1)
                 .at(us(10_500), FaultKind::LinkDown { node, port })
                 .at(us(20_500), FaultKind::LinkUp { node, port });
-            world.install_fault_plan(&plan);
+            world.install_fault_plan(&plan).expect("valid fault plan");
             world.run_until(us(30_500));
             // 30 sends a side: ten before the flap, ten into it, ten after.
             let k = world.kernel();
@@ -948,7 +945,7 @@ mod tests {
                     port: PortId(4),
                 },
             );
-        world.install_fault_plan(&plan);
+        world.install_fault_plan(&plan).expect("valid fault plan");
         world.run_until(us(20_500));
         // Down from 5.5 to 15.5 ms: the first LinkUp leaves b's flap in place.
         let sent = world.kernel().port_counters(a, PortId(1));
@@ -968,7 +965,7 @@ mod tests {
                 port: PortId(2),
             },
         );
-        world.install_fault_plan(&plan);
+        world.install_fault_plan(&plan).expect("valid fault plan");
         world.run_until(us(3_500));
         assert_eq!(world.kernel().port_counters(a, PortId(2)).drops, 3);
         assert_eq!(world.metric("fault_frames_blocked"), 3);
@@ -1032,7 +1029,7 @@ mod tests {
                 port: far,
             },
         );
-        world.install_fault_plan(&plan);
+        world.install_fault_plan(&plan).expect("valid fault plan");
         world.run_until(us(5_000));
         assert_eq!(
             world.kernel().port_counters(ghost, PortId(1)),
@@ -1197,7 +1194,7 @@ mod tests {
             let mut world = World::new(1);
             let n = world.add_node(FaultProbe { hooks: vec![] });
             let plan = FaultPlan::new(7).at(t, first(n)).at(t, second(n));
-            world.install_fault_plan(&plan);
+            world.install_fault_plan(&plan).expect("valid fault plan");
             world.run_for(SimDuration::from_millis(2));
             let log: Vec<FaultKind> = world
                 .fault_log()
@@ -1237,7 +1234,7 @@ mod tests {
                 FaultKind::SilentMisforward { node: n },
             )
             .at(SimTime::from_nanos(30), FaultKind::PacketInject { node: n });
-        world.install_fault_plan(&plan);
+        world.install_fault_plan(&plan).expect("valid fault plan");
         world.run_for(SimDuration::from_millis(1));
         assert_eq!(
             world.node::<FaultProbe>(n).hooks,
@@ -1249,13 +1246,21 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "invalid fault plan")]
-    fn installing_unmatched_heal_panics() {
+    fn installing_unmatched_heal_is_refused() {
         let mut world = World::new(1);
         let n = world.add_node(FaultProbe { hooks: vec![] });
-        let plan =
-            FaultPlan::new(1).at(SimTime::from_nanos(10), FaultKind::HealControl { node: n });
-        world.install_fault_plan(&plan);
+        let queued = world.kernel.queue.keys.len();
+        let plan = FaultPlan::new(1)
+            .at(SimTime::from_nanos(5), FaultKind::CrashRestart { node: n })
+            .at(SimTime::from_nanos(10), FaultKind::HealControl { node: n });
+        assert_eq!(
+            world.install_fault_plan(&plan),
+            Err(FaultPlanError::UnmatchedHeal {
+                node: n,
+                at: SimTime::from_nanos(10)
+            })
+        );
+        assert_eq!(world.kernel.queue.keys.len(), queued, "nothing queued");
     }
 
     // The two absolute-time entry points refuse a time the clock has
@@ -1263,16 +1268,27 @@ mod tests {
     // a release build would pop the event and set the clock back.
 
     #[test]
-    #[should_panic(
-        expected = "invalid fault plan: CrashRestart { node: NodeId(0) } at t=0.001000s is before the clock (t=0.010000s)"
-    )]
     fn a_fault_plan_cannot_turn_the_clock_back() {
         let mut world = World::new(1);
         let n = world.add_node(FaultProbe { hooks: vec![] });
         world.run_for(SimDuration::from_millis(10));
-        world.install_fault_plan(
-            &FaultPlan::new(1).at(us(1_000), FaultKind::CrashRestart { node: n }),
+        let queued = world.kernel.queue.keys.len();
+        let plan = FaultPlan::new(1)
+            .at(us(20_000), FaultKind::CrashRestart { node: n })
+            .at(us(1_000), FaultKind::CrashRestart { node: n });
+        let err = world.install_fault_plan(&plan).unwrap_err();
+        assert_eq!(
+            err,
+            FaultPlanError::BeforeClock {
+                at: us(1_000),
+                now: us(10_000)
+            }
         );
+        assert_eq!(
+            err.to_string(),
+            "fault at t=0.001000s is before the clock (t=0.010000s)"
+        );
+        assert_eq!(world.kernel.queue.keys.len(), queued, "nothing queued");
     }
 
     #[test]

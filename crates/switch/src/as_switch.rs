@@ -1156,10 +1156,12 @@ mod tests {
             vec![Action::Output(OutPort::Physical(3))],
             10,
         )]);
-        world.install_fault_plan(&livesec_sim::FaultPlan::new(1).at(
-            livesec_sim::SimTime::from_nanos(5_000_000),
-            livesec_sim::FaultKind::CrashRestart { node: sw },
-        ));
+        world
+            .install_fault_plan(&livesec_sim::FaultPlan::new(1).at(
+                livesec_sim::SimTime::from_nanos(5_000_000),
+                livesec_sim::FaultKind::CrashRestart { node: sw },
+            ))
+            .expect("valid fault plan");
         world.run_for(SimDuration::from_millis(10));
         let s = world.node::<AsSwitch>(sw);
         assert_eq!(s.crash_restarts, 1);
@@ -1215,10 +1217,12 @@ mod tests {
             10,
         )]);
         world.node_mut::<AsSwitch>(sw).set_attest_every(1);
-        world.install_fault_plan(&livesec_sim::FaultPlan::new(5).at(
-            livesec_sim::SimTime::from_nanos(500_000),
-            livesec_sim::FaultKind::SilentMisforward { node: sw },
-        ));
+        world
+            .install_fault_plan(&livesec_sim::FaultPlan::new(5).at(
+                livesec_sim::SimTime::from_nanos(500_000),
+                livesec_sim::FaultKind::SilentMisforward { node: sw },
+            ))
+            .expect("valid fault plan");
         world.run_for(SimDuration::from_millis(10));
         let s = world.node::<AsSwitch>(sw);
         assert_eq!(s.misforwarded_frames, 1);
@@ -1251,10 +1255,12 @@ mod tests {
             *notify_removed = true;
         }
         let (mut world, ctrl, sw, _src, dst) = run(vec![fm]);
-        world.install_fault_plan(&livesec_sim::FaultPlan::new(5).at(
-            livesec_sim::SimTime::from_nanos(500_000),
-            livesec_sim::FaultKind::RuleTamper { node: sw },
-        ));
+        world
+            .install_fault_plan(&livesec_sim::FaultPlan::new(5).at(
+                livesec_sim::SimTime::from_nanos(500_000),
+                livesec_sim::FaultKind::RuleTamper { node: sw },
+            ))
+            .expect("valid fault plan");
         world.run_for(SimDuration::from_millis(10));
         let s = world.node::<AsSwitch>(sw);
         assert_eq!(s.rules_tampered, 1);
@@ -1283,17 +1289,19 @@ mod tests {
         }
         let (mut world, _ctrl, sw, _src, _dst) = run(vec![fm]);
         // The frame leaves at 1 ms, between the two compromises.
-        world.install_fault_plan(
-            &livesec_sim::FaultPlan::new(5)
-                .at(
-                    livesec_sim::SimTime::from_nanos(500_000),
-                    livesec_sim::FaultKind::SilentMisforward { node: sw },
-                )
-                .at(
-                    livesec_sim::SimTime::from_nanos(5_000_000),
-                    livesec_sim::FaultKind::RuleTamper { node: sw },
-                ),
-        );
+        world
+            .install_fault_plan(
+                &livesec_sim::FaultPlan::new(5)
+                    .at(
+                        livesec_sim::SimTime::from_nanos(500_000),
+                        livesec_sim::FaultKind::SilentMisforward { node: sw },
+                    )
+                    .at(
+                        livesec_sim::SimTime::from_nanos(5_000_000),
+                        livesec_sim::FaultKind::RuleTamper { node: sw },
+                    ),
+            )
+            .expect("valid fault plan");
         world.run_for(SimDuration::from_millis(10));
         let s = world.node::<AsSwitch>(sw);
         assert_eq!(s.misforwarded_frames, 1);
@@ -1312,10 +1320,12 @@ mod tests {
         let up = world.add_node(Sink { got: vec![] });
         world.connect(up, PortId(1), sw, PortId(1), LinkSpec::gigabit());
         world.node_mut::<AsSwitch>(sw).set_attest_every(1);
-        world.install_fault_plan(&livesec_sim::FaultPlan::new(5).at(
-            livesec_sim::SimTime::from_nanos(500_000),
-            livesec_sim::FaultKind::PacketInject { node: sw },
-        ));
+        world
+            .install_fault_plan(&livesec_sim::FaultPlan::new(5).at(
+                livesec_sim::SimTime::from_nanos(500_000),
+                livesec_sim::FaultKind::PacketInject { node: sw },
+            ))
+            .expect("valid fault plan");
         world.run_for(SimDuration::from_millis(10));
         assert_eq!(world.node::<AsSwitch>(sw).injected_packets, 1);
         assert_eq!(world.node::<Sink>(up).got.len(), 1, "frame hit the fabric");

@@ -122,7 +122,10 @@ fn run_tamper_quarantine(seed: u64) -> Vec<Violation> {
     let victim = scn.campus.as_switches[1];
     let tamper_at = scn.campus.world.kernel().now() + SimDuration::from_millis(500);
     let plan = FaultPlan::new(seed ^ 0x7a3f).at(tamper_at, FaultKind::RuleTamper { node: victim });
-    scn.campus.world.install_fault_plan(&plan);
+    scn.campus
+        .world
+        .install_fault_plan(&plan)
+        .expect("the tamper is scheduled ahead of the clock");
 
     // Run well past detection + quarantine + re-steering.
     scn.campus.world.run_for(SimDuration::from_secs(4));

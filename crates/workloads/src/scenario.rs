@@ -170,13 +170,8 @@ pub struct ScenarioConfig {
     /// visibly within the run.
     pub arp_timeout: SimDuration,
     /// Switch-entry idle timeout. Shorter than a client's think time
-    /// makes every request a fresh flow setup of the same key — the
-    /// regime the decision cache exists for.
+    /// makes every request a fresh flow setup of the same key.
     pub flow_idle: SimDuration,
-    /// Whether the controller memoizes flow-setup decisions. The cache
-    /// is observably transparent — runs with it on and off produce the
-    /// same event history — so this exists for A/B tests and benches.
-    pub decision_cache: bool,
     /// Scheduled control-plane faults (`None` = fault-free run).
     pub chaos: Option<ChaosConfig>,
     /// Controller shards. `0` (the default) runs the plain unsharded
@@ -203,7 +198,6 @@ impl Default for ScenarioConfig {
             attack_after_requests: 50,
             arp_timeout: SimDuration::from_secs(3),
             flow_idle: SimDuration::from_secs(1),
-            decision_cache: true,
             chaos: None,
             shards: 0,
             attest_every: 0,
@@ -269,7 +263,6 @@ impl CampusScenario {
 
         let arp_timeout = cfg.arp_timeout;
         let flow_idle = cfg.flow_idle;
-        let decision_cache = cfg.decision_cache;
         let mut b = CampusBuilder::new(cfg.seed, cfg.n_ovs)
             .with_policy(policy)
             .configure_controller(move |c| {
@@ -278,7 +271,6 @@ impl CampusScenario {
                 c.set_arp_timeout(arp_timeout);
                 // Link-load sampling for the Figure-8 utilization view.
                 c.set_stats_polling(10);
-                c.set_decision_cache(decision_cache);
             });
         if cfg.shards > 0 {
             b = b.with_shards(cfg.shards);
@@ -393,7 +385,12 @@ impl CampusScenario {
                     );
                 }
             }
-            campus.world.install_fault_plan(&plan);
+            // Built in code from `ChaosConfig`: every heal follows its
+            // partition, and nothing is scheduled before t = 0.
+            campus
+                .world
+                .install_fault_plan(&plan)
+                .expect("a chaos plan is valid by construction");
         }
 
         CampusScenario {

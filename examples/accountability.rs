@@ -30,7 +30,10 @@ fn main() {
     let victim = s.campus.as_switches[1];
     let at = s.campus.world.kernel().now() + SimDuration::from_millis(500);
     let plan = FaultPlan::new(0xacc7).at(at, FaultKind::RuleTamper { node: victim });
-    s.campus.world.install_fault_plan(&plan);
+    s.campus
+        .world
+        .install_fault_plan(&plan)
+        .expect("valid fault plan");
     println!("t=3.5s: a fault silently rewrites a flow entry on switch 2\n");
 
     s.campus.world.run_for(SimDuration::from_secs(4));

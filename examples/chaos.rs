@@ -35,7 +35,10 @@ fn main() {
         SimTime::from_nanos(2_500_000_000),
         FaultKind::CrashRestart { node: ingress },
     );
-    campus.world.install_fault_plan(&plan);
+    campus
+        .world
+        .install_fault_plan(&plan)
+        .expect("valid fault plan");
 
     campus.world.run_for(SimDuration::from_secs(2));
     let drops_before = block_entries(&campus);

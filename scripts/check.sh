@@ -60,11 +60,13 @@ run cargo build --release
 #   panics, clean health-stat invariants, byte-identical same-seed
 #   histories.
 # - tests/determinism, shard_ring, shard_handoff, shard_failover: the
-#   sharded control plane (DESIGN.md §9) — a 1-shard plane
-#   byte-identical to the plain controller, shards 1/2/4 identical
-#   modulo shard tags, ring properties and the 4-shard scale-out floor
-#   (no shard owns more than 333 of 1 000 switches), cross-shard
-#   handoff, mid-attack shard failover with a clean merged audit.
+#   sharded control plane (DESIGN.md §9) — same-seed histories
+#   byte-identical, a 1-shard plane byte-identical to the plain
+#   controller, shards 1/2/4 identical modulo shard tags, ring
+#   properties and the 4-shard scale-out floor (no shard owns more than
+#   333 of 1 000 switches), cross-shard handoff paths that audit clean
+#   in full and under a mid-run policy delta, mid-attack shard failover
+#   with a clean merged audit.
 # - tests/accountability (DESIGN.md §11): each dataplane fault kind is
 #   detected, localized to exactly the compromised switch, quarantined
 #   and re-steered around, at 1 and 4 shards, honest switches never
@@ -72,17 +74,19 @@ run cargo build --release
 #   honest replay verifies every chain and leaves none pending, and
 #   every forged attestation is caught.
 # - tests/policy_delta: applying compiled deltas mid-traffic equals the
-#   wholesale recompile byte for byte, spares untouched warm cache
-#   classes, and passes the scoped incremental audit. Its scenario runs
+#   wholesale recompile byte for byte and passes the scoped incremental
+#   audit. Its scenario runs
 #   no firewall, so a delta's fast-pass teardown is
 #   tests/conntrack_fastpass's. livesec-bench's
 #   tests/policy: a one-rule edit is one converging delta, and the
 #   1 000-switch snapshot audits clean, in full and under each
 #   single-rule delta, which scopes the audit to exactly 1/1600 of it.
-# - livesec (core): the engine stages and `revalidate` against a fresh
-#   `decide`, N-shard cache coherence and the features-reply handshake
-#   without a campus, `prop_core`, `end_to_end`; livesec-net: the
-#   wire/packet codecs.
+# - livesec (core): the engine's decisions and the controller's
+#   handlers (flow-removed accounting, the repair guard, the SYN-flood
+#   block, the features-reply handshake) without a campus; `prop_core`
+#   (steering programs against an abstract fabric, balancer and policy
+#   semantics, the decision-cache module's round trip); `end_to_end`;
+#   livesec-net: the wire/packet codecs.
 # - livesec-openflow, livesec-switch: the flow-mod write path — the
 #   table's differential model test (whose every step also checks
 #   `winner` over the table's install order against its hash lookup)

@@ -47,7 +47,10 @@ fn run_faulted(
     let victim = s.campus.as_switches[1];
     let at = s.campus.world.kernel().now() + SimDuration::from_millis(200);
     let plan = FaultPlan::new(seed ^ 0xfa11).at(at, fault(victim));
-    s.campus.world.install_fault_plan(&plan);
+    s.campus
+        .world
+        .install_fault_plan(&plan)
+        .expect("valid fault plan");
     s.campus.world.run_for(SimDuration::from_secs(4));
     s
 }

@@ -167,7 +167,10 @@ fn converged_switch_reconnects_within_the_keepalive_bound() {
                 count: 2,
             },
         );
-    campus.world.install_fault_plan(&plan);
+    campus
+        .world
+        .install_fault_plan(&plan)
+        .expect("valid fault plan");
     campus.world.run_for(until_cut);
     assert!(campus.controller().topology().is_full_mesh());
     campus.world.run_for(SimDuration::from_secs(4 + 7));

@@ -183,7 +183,10 @@ fn fastpass_survives_ingress_switch_restart() {
         SimTime::from_nanos(2_500_000_000),
         FaultKind::CrashRestart { node: ingress },
     );
-    campus.world.install_fault_plan(&plan);
+    campus
+        .world
+        .install_fault_plan(&plan)
+        .expect("valid fault plan");
     campus.world.run_for(SimDuration::from_secs(8));
 
     let c = campus.controller();

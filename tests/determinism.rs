@@ -1,19 +1,16 @@
 //! Integration: whole-system determinism. Two runs of the full campus
 //! scenario from the same seed must produce byte-identical event
 //! histories — the property that makes every experiment in this
-//! repository reproducible — and the flow-setup decision cache must be
-//! invisible in that history (golden-trace transparency).
+//! repository reproducible.
 
 use livesec_suite::prelude::*;
 use livesec_workloads::{CampusScenario, ScenarioConfig};
 
-fn run_history(seed: u64, decision_cache: bool) -> (String, FastPathStats) {
+fn run_history(seed: u64) -> (String, FastPathStats) {
     let mut s = CampusScenario::build(ScenarioConfig {
         seed,
-        decision_cache,
         // Entries idle out between requests (clients think for
-        // 400 ms), so recurring flows re-enter setup — the regime
-        // where the decision cache actually gets exercised.
+        // 400 ms), so recurring flows re-enter setup.
         flow_idle: SimDuration::from_millis(300),
         ..ScenarioConfig::default()
     });
@@ -24,37 +21,23 @@ fn run_history(seed: u64, decision_cache: bool) -> (String, FastPathStats) {
 
 #[test]
 fn identical_seeds_reproduce_identical_histories() {
-    let (a, _) = run_history(42, true);
-    let (b, _) = run_history(42, true);
+    let ((a, _), (b, _)) = (run_history(42), run_history(42));
     assert_eq!(a, b, "same seed, same history, byte for byte");
 }
 
+/// The controller keeps no decision cache: every flow setup is decided
+/// cold, and a same-seed rerun sets up the same flows and reports the
+/// same (cache-free) fast-path counters, not just the same history.
 #[test]
 fn identical_seeds_reproduce_identical_histories_without_the_cache() {
-    let (a, _) = run_history(42, false);
-    let (b, _) = run_history(42, false);
+    let ((a, stats_a), (b, stats_b)) = (run_history(42), run_history(42));
     assert_eq!(a, b, "same seed, same history, byte for byte");
-}
-
-/// The golden-trace test: the decision cache memoizes compile work but
-/// must never change behaviour. A run with the cache on and a run with
-/// it off, from the same seed, must emit byte-identical monitor
-/// histories — same events, same order, same timestamps.
-#[test]
-fn decision_cache_is_invisible_in_the_event_history() {
-    let (with_cache, stats_on) = run_history(42, true);
-    let (without_cache, stats_off) = run_history(42, false);
+    assert_eq!(stats_a, stats_b, "same seed, same fast-path counters");
+    assert!(stats_a.flow_setups > 0, "no flow was set up: {stats_a:?}");
     assert_eq!(
-        with_cache, without_cache,
-        "the fast path must be observably transparent"
-    );
-    // The comparison is only meaningful if the cache actually worked.
-    assert!(stats_on.hits > 0, "cache never hit: {stats_on:?}");
-    assert!(stats_on.insertions > 0, "cache never filled: {stats_on:?}");
-    assert_eq!(stats_off.hits, 0, "disabled cache reported hits");
-    assert_eq!(
-        stats_on.flow_setups, stats_off.flow_setups,
-        "both runs must set up the same flows"
+        (stats_a.hits, stats_a.misses, stats_a.entries),
+        (0, 0, 0),
+        "a decision cache reported activity: {stats_a:?}"
     );
 }
 

@@ -71,7 +71,8 @@ fn a_crash_restart_rearms_one_round() {
     let node = campus.as_switches[5];
     campus
         .world
-        .install_fault_plan(&FaultPlan::new(1).at(at, FaultKind::CrashRestart { node }));
+        .install_fault_plan(&FaultPlan::new(1).at(at, FaultKind::CrashRestart { node }))
+        .expect("valid fault plan");
     assert_converges_then_quiet(&mut campus, "crash-restart", round(n));
     assert_eq!(campus.switch(5).crash_restarts, 1);
 }
@@ -107,7 +108,10 @@ fn a_switch_registering_after_convergence_is_discovered_within_one_round() {
     let plan = FaultPlan::new(1)
         .at(SimTime::ZERO, FaultKind::PartitionControl { node: late })
         .at(heal, FaultKind::HealControl { node: late });
-    campus.world.install_fault_plan(&plan);
+    campus
+        .world
+        .install_fault_plan(&plan)
+        .expect("valid fault plan");
     campus.world.run_for(ROUND * 2);
     let c = campus.controller();
     assert_eq!(c.topology().switch_count(), n - 1);

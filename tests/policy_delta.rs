@@ -4,10 +4,7 @@
 //! wholesale `set_policy` path, that
 //!
 //! - the delta run is observably equivalent (same event history, same
-//!   final table),
-//! - warm state in *untouched* header classes survives the edit
-//!   (wholesale flushes everything; that is the delta path's reason
-//!   to exist), and
+//!   final table), and
 //! - the incremental auditor, scoped to exactly the cubes the
 //!   controller reports, passes once the edit settles.
 
@@ -21,17 +18,6 @@ use livesec_workloads::{CampusScenario, ScenarioConfig};
 const BASE: &str = "\
 chain web-chain = [ ids, protoid ]
 chain tcp-chain = [ protoid ]
-rule web-ids-protoid: proto tcp port 80 via web-chain
-rule tcp-protoid: proto tcp via tcp-chain
-default allow
-";
-
-/// `BASE` plus a deny confined to an unused telnet-ish port: the edit
-/// is real but no campus traffic lives in its header class.
-const BASE_PLUS_TELNET_DENY: &str = "\
-chain web-chain = [ ids, protoid ]
-chain tcp-chain = [ protoid ]
-rule telnet-deny: proto tcp port 2323 deny
 rule web-ids-protoid: proto tcp port 80 via web-chain
 rule tcp-protoid: proto tcp via tcp-chain
 default allow
@@ -101,54 +87,6 @@ fn delta_run_matches_wholesale_run() {
         history(&delta.campus),
         history(&wholesale.campus),
         "delta and wholesale edits must be observably equivalent"
-    );
-}
-
-/// An edit confined to an idle header class leaves every warm cache
-/// entry alone; a follow-up edit on the busy web class
-/// does invalidate. This is the end-to-end form of the decision
-/// cache's `invalidate_class` unit tests.
-#[test]
-fn untouched_classes_survive_a_scoped_edit() {
-    let mut s = scenario();
-    s.campus.world.run_for(SimDuration::from_secs(2));
-
-    let warm = s.campus.controller().fast_path_stats();
-    assert!(warm.entries > 0, "scenario should have warmed the cache");
-
-    // Telnet deny: real rules change, empty traffic class.
-    let (deltas, _) = compile_delta(BASE, BASE_PLUS_TELNET_DENY).expect("compiles");
-    let now = s.campus.world.kernel().now();
-    let cubes = s.campus.controller_mut().apply_policy_delta(now, &deltas);
-    assert!(!cubes.is_empty());
-
-    let after = s.campus.controller().fast_path_stats();
-    assert_eq!(
-        after.entries, warm.entries,
-        "a telnet-only delta must not evict warm web entries"
-    );
-    assert_eq!(
-        after.invalidations, warm.invalidations,
-        "a telnet-only delta must not invalidate anything"
-    );
-
-    // The surviving entries stay warm while traffic keeps flowing.
-    s.campus.world.run_for(SimDuration::from_secs(1));
-    let later = s.campus.controller().fast_path_stats();
-    assert!(
-        later.entries >= after.entries,
-        "surviving entries should not decay just because a delta ran"
-    );
-
-    // Now hit the busy class: port-80 cubes evict its entries.
-    let (deltas, _) = compile_delta(BASE_PLUS_TELNET_DENY, BASE_WITH_WEB_DENY).expect("compiles");
-    let now = s.campus.world.kernel().now();
-    let cubes = s.campus.controller_mut().apply_policy_delta(now, &deltas);
-    assert!(!cubes.is_empty());
-    let hit = s.campus.controller().fast_path_stats();
-    assert!(
-        hit.invalidations > later.invalidations,
-        "a web-class delta must invalidate the warm web entries"
     );
 }
 

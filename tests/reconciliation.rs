@@ -109,7 +109,10 @@ fn check_schedule(case: u64, schedule: &Schedule) {
         plan.push(SimTime::from_nanos(at), FaultKind::CrashRestart { node });
         last_ns = last_ns.max(at);
     }
-    s.campus.world.install_fault_plan(&plan);
+    s.campus
+        .world
+        .install_fault_plan(&plan)
+        .expect("valid fault plan");
 
     // Run through the whole schedule plus the worst-case reconnect
     // backoff (capped at 8 s), then give the audit a beat.

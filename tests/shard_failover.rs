@@ -50,7 +50,10 @@ fn surviving_shards_adopt_a_dead_shards_switches() {
 
     let at = s.campus.world.kernel().now() + SimDuration::from_millis(100);
     let plan = FaultPlan::new(0).at(at, FaultKind::ShardDown { node, shard: dead });
-    s.campus.world.install_fault_plan(&plan);
+    s.campus
+        .world
+        .install_fault_plan(&plan)
+        .expect("valid fault plan");
     s.campus.world.run_for(SimDuration::from_secs(1));
 
     assert_eq!(s.campus.world.metric("fault_shard_downs"), 1);
@@ -107,7 +110,10 @@ fn the_last_shard_refuses_to_die() {
     let node = s.campus.controller;
     let at = s.campus.world.kernel().now() + SimDuration::from_millis(100);
     let plan = FaultPlan::new(0).at(at, FaultKind::ShardDown { node, shard: 0 });
-    s.campus.world.install_fault_plan(&plan);
+    s.campus
+        .world
+        .install_fault_plan(&plan)
+        .expect("valid fault plan");
     s.campus.world.run_for(SimDuration::from_secs(1));
 
     let plane = s.campus.shard_plane().expect("campus is sharded");

@@ -6,8 +6,8 @@
 //! cheap and deterministic:
 //!
 //! 1. removing a shard remaps *only* that shard's keys (≈K/N of them)
-//!    — every other key keeps its owner, so surviving shards' caches
-//!    stay warm across a failover;
+//!    — every other key keeps its owner, so a failover re-homes only
+//!    the dead shard's switches;
 //! 2. no key ever resolves to a departed shard, however many shards
 //!    have been removed;
 //! 3. the assignment depends only on the shard *set*, never on the
