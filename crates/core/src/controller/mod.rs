@@ -383,13 +383,8 @@ impl Controller {
         self.invalidate_fastpasses(|_| true);
     }
 
-    /// The dpid a controller-side peer registered with, if it finished
-    /// the features handshake at some point (never pruned).
-    pub(crate) fn dpid_of_peer(&self, peer: NodeId) -> Option<u64> {
-        self.known_nodes.get(&peer).copied()
-    }
-
-    /// Mutable access to the monitor (the plane stamps shard ids).
+    /// Mutable access to the monitor (the plane records shard
+    /// failover).
     pub(crate) fn monitor_mut(&mut self) -> &mut Monitor {
         &mut self.monitor
     }

@@ -406,7 +406,10 @@ impl CampusBuilder {
     /// is divisible by `every` (1 = every packet, 0 = off, the
     /// default) and reports its *actual* forwarding decision to the
     /// controller, where the accountability detector replays it
-    /// against the flow's path proof (DESIGN.md §11).
+    /// against the flow's path proof (DESIGN.md §11). The tag hashes
+    /// only the 5-tuple and the frame length, so a sampled
+    /// (flow, frame length) class is attested on every packet and the
+    /// rest on none: `every` is not a per-packet rate.
     pub fn with_attestation(mut self, every: u64) -> Self {
         self.attest_every = every;
         for &node in &self.as_switches {

@@ -6,6 +6,9 @@
 //! a LAMP stack; here the [`Monitor`] is that data layer — events can
 //! be queried live, serialized to JSON for an external UI, rendered as
 //! text frames, and **replayed** over any historical window.
+//!
+//! An event is a time and a kind, nothing else: the feed a sharded
+//! control plane records is byte for byte the unsharded controller's.
 
 use livesec_net::{FlowKey, MacAddr};
 use livesec_services::ServiceType;
@@ -332,53 +335,12 @@ impl EventKind {
 }
 
 /// One timestamped event.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
 pub struct NetworkEvent {
     /// When it happened.
     pub at: SimTime,
-    /// The controller shard that recorded it. Always 0 on an unsharded
-    /// controller; serialization skips the zero so single-controller
-    /// histories keep their pre-sharding byte layout.
-    pub shard: u32,
     /// What happened.
     pub kind: EventKind,
-}
-
-// Hand-written (the vendored serde_derive has no `skip_serializing_if`):
-// the `shard` key appears only when non-zero, so unsharded histories
-// serialize exactly as they did before sharding existed.
-impl serde::Serialize for NetworkEvent {
-    fn to_value(&self) -> serde::Value {
-        let mut fields = vec![(
-            serde::Value::Str(String::from("at")),
-            serde::Serialize::to_value(&self.at),
-        )];
-        if self.shard != 0 {
-            fields.push((
-                serde::Value::Str(String::from("shard")),
-                serde::Value::U64(u64::from(self.shard)),
-            ));
-        }
-        fields.push((
-            serde::Value::Str(String::from("kind")),
-            serde::Serialize::to_value(&self.kind),
-        ));
-        serde::Value::Map(fields)
-    }
-}
-
-impl serde::Deserialize for NetworkEvent {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let m = serde::expect_map(v, "NetworkEvent")?;
-        Ok(NetworkEvent {
-            at: serde::de_field(m, "at")?,
-            shard: match serde::get_field(m, "shard") {
-                Ok(v) => serde::Deserialize::from_value(v)?,
-                Err(_) => 0,
-            },
-            kind: serde::de_field(m, "kind")?,
-        })
-    }
 }
 
 impl fmt::Display for NetworkEvent {
@@ -405,9 +367,6 @@ impl fmt::Display for NetworkEvent {
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Monitor {
     events: Vec<NetworkEvent>,
-    /// The shard id stamped onto events recorded from now on. Routing
-    /// state of the sharded control plane, not part of the feed.
-    shard: u32,
 }
 
 impl Monitor {
@@ -416,24 +375,13 @@ impl Monitor {
         Self::default()
     }
 
-    /// Sets the shard id stamped onto subsequently recorded events.
-    /// The controller calls this as the sharded control plane selects
-    /// a shard; an unsharded controller leaves it at 0.
-    pub(crate) fn set_shard(&mut self, shard: u32) {
-        self.shard = shard;
-    }
-
     /// Records an event.
     pub fn record(&mut self, at: SimTime, kind: EventKind) {
         debug_assert!(
             self.events.last().map(|e| e.at <= at).unwrap_or(true),
             "events must be recorded in time order"
         );
-        self.events.push(NetworkEvent {
-            at,
-            shard: self.shard,
-            kind,
-        });
+        self.events.push(NetworkEvent { at, kind });
     }
 
     /// All events, in time order.
@@ -478,20 +426,11 @@ impl Monitor {
         serde_json::to_string_pretty(&self.events).unwrap_or_default()
     }
 
-    /// Like [`Monitor::to_json`] but with every shard tag zeroed — the
-    /// "history modulo shard ids" form the sharding determinism tests
-    /// compare across shard counts.
+    /// The same feed as [`Monitor::to_json`]: events carry no shard
+    /// tag to scrub. Kept only because the end-to-end benchmark's
+    /// `history_hash` (`e2e/src/outcome.rs`) calls it.
     pub fn to_json_untagged(&self) -> String {
-        let untagged: Vec<NetworkEvent> = self
-            .events
-            .iter()
-            .map(|e| NetworkEvent {
-                at: e.at,
-                shard: 0,
-                kind: e.kind.clone(),
-            })
-            .collect();
-        serde_json::to_string_pretty(&untagged).unwrap_or_default()
+        self.to_json()
     }
 
     /// Parses a feed previously produced by [`Monitor::to_json`].
@@ -502,7 +441,6 @@ impl Monitor {
     pub fn from_json(s: &str) -> Result<Self, serde_json::Error> {
         Ok(Monitor {
             events: serde_json::from_str(s)?,
-            shard: 0,
         })
     }
 

@@ -3,19 +3,16 @@
 //!
 //! The plane is a drop-in [`Node`] replacing a single [`Controller`].
 //! A deterministic consistent-hash ring ([`crate::ring::HashRing`])
-//! maps each switch (and each user MAC) to a shard; every control
-//! message is routed to its switch's owner. The NIB itself is
-//! replicated — in this in-process model, shared — so policy, topology
-//! and location state are identical on every shard, and every shard
-//! decides a flow the same way. The plane routes, counts and fails
-//! over; what it changes in the controller is the shard tag the
-//! monitor stamps on events.
+//! maps each switch to its owner shard. The NIB itself is replicated —
+//! in this in-process model, shared — so policy, topology and location
+//! state are identical on every shard, and every shard decides a flow
+//! the same way. The plane owns, fails over and counts handoffs; it
+//! changes nothing in the controller.
 //!
-//! So which shard handles a message can never change behaviour: event
-//! histories are byte-identical across shard counts (modulo the shard
-//! tags on events), and a 1-shard plane is byte-identical to the
-//! unsharded controller. That invariant is what `tests/determinism.rs`
-//! pins.
+//! So which shard owns a switch can never change behaviour: event
+//! histories are byte-identical across shard counts, and to the
+//! unsharded controller's. That invariant is what
+//! `tests/determinism.rs` pins.
 //!
 //! Shard failover reuses the PR2 liveness/reconciliation machinery:
 //! killing a shard ([`livesec_sim::FaultKind::ShardDown`]) removes it
@@ -30,33 +27,14 @@ use livesec_net::Packet;
 use livesec_sim::{Ctx, Node, NodeId, PortId};
 use std::any::Any;
 
-/// One shard's liveness and counters; its id is its index.
-#[derive(Debug)]
-struct ShardEngine {
-    alive: bool,
-    /// Control messages this shard handled.
-    messages: u64,
-    /// Packet-ins this shard handled.
-    packet_ins: u64,
-    /// Flows this shard set up whose egress switch belongs to another
-    /// shard (cross-shard handoffs).
-    handoffs_out: u64,
-}
-
-/// A point-in-time export of one shard's counters, for tests, the
-/// verifier's snapshot, and the scale-out bench.
+/// A point-in-time export of one shard's ownership, for tests and the
+/// verifier's snapshot.
 #[derive(Clone, Debug)]
 pub struct ShardStats {
     /// The shard id.
     pub id: u32,
     /// Whether the shard is alive (not failed over).
     pub alive: bool,
-    /// Control messages handled.
-    pub messages: u64,
-    /// Packet-ins handled.
-    pub packet_ins: u64,
-    /// Cross-shard flow handoffs originated.
-    pub handoffs_out: u64,
     /// Registered switches this shard currently owns (empty if dead).
     pub owned: Vec<u64>,
     /// Always `None`: shards keep no decision cache. Kept because the
@@ -69,26 +47,23 @@ pub struct ShardStats {
 pub struct ShardedControlPlane {
     /// The shared decision engine + replicated NIB.
     inner: Controller,
-    shards: Vec<ShardEngine>,
+    /// Shards the plane started with; ids are `0..shards`.
+    shards: u32,
+    /// The live shards: a shard is alive while it is in the ring.
     ring: HashRing,
+    /// Cross-shard flow handoffs.
+    handoffs: u64,
 }
 
 impl ShardedControlPlane {
     /// Wraps `inner` into an `n`-shard plane (n ≥ 1).
     pub fn new(inner: Controller, n: u32) -> Self {
         assert!(n >= 1, "a control plane needs at least one shard");
-        let shards = (0..n)
-            .map(|_| ShardEngine {
-                alive: true,
-                messages: 0,
-                packet_ins: 0,
-                handoffs_out: 0,
-            })
-            .collect();
         ShardedControlPlane {
             inner,
-            shards,
+            shards: n,
             ring: HashRing::new(n),
+            handoffs: 0,
         }
     }
 
@@ -104,14 +79,9 @@ impl ShardedControlPlane {
         &mut self.inner
     }
 
-    /// The consistent-hash ring (live shards only).
-    pub fn ring(&self) -> &HashRing {
-        &self.ring
-    }
-
     /// Shards still alive.
     pub fn live_shard_count(&self) -> usize {
-        self.shards.iter().filter(|s| s.alive).count()
+        self.ring.len()
     }
 
     /// The shard currently owning a switch.
@@ -119,9 +89,10 @@ impl ShardedControlPlane {
         self.ring.shard_of_dpid(dpid)
     }
 
-    /// Total cross-shard flow handoffs across all shards.
+    /// Cross-shard flow handoffs: set-ups whose egress switch belongs
+    /// to another shard than their ingress switch.
     pub fn handoffs(&self) -> u64 {
-        self.shards.iter().map(|s| s.handoffs_out).sum()
+        self.handoffs
     }
 
     /// The registered switches `shard` owns, ascending.
@@ -135,45 +106,17 @@ impl ShardedControlPlane {
             .collect()
     }
 
-    /// Per-shard counters, id-ascending.
+    /// Per-shard ownership, id-ascending.
     pub fn shard_stats(&self) -> Vec<ShardStats> {
-        self.shards
-            .iter()
-            .zip(0u32..)
-            .map(|(s, id)| ShardStats {
+        // The ring maps no switch to a dead shard, so it owns none.
+        (0..self.shards)
+            .map(|id| ShardStats {
                 id,
-                alive: s.alive,
-                messages: s.messages,
-                packet_ins: s.packet_ins,
-                handoffs_out: s.handoffs_out,
-                owned: if s.alive {
-                    self.owned_by(id)
-                } else {
-                    Vec::new()
-                },
+                alive: self.ring.shards().contains(&id),
+                owned: self.owned_by(id),
                 cache: None,
             })
             .collect()
-    }
-
-    /// The shard selected outside any dispatch (housekeeping ticks,
-    /// failover events): the lowest live one. Zero in every fault-free
-    /// run, which keeps 1-shard histories byte-identical to the
-    /// unsharded controller's.
-    fn lowest_live(&self) -> u32 {
-        self.shards.iter().position(|s| s.alive).unwrap_or(0) as u32
-    }
-
-    /// The shard handling a message from `peer`.
-    fn route(&self, peer: NodeId) -> u32 {
-        match self.inner.dpid_of_peer(peer) {
-            Some(dpid) => self.ring.shard_of_dpid(dpid),
-            // Pre-handshake traffic (Hello, the FeaturesReply itself)
-            // routes by the peer's node id — deterministic, and
-            // irrelevant to history: the shared controller behaves
-            // identically on any shard.
-            None => self.ring.shard_of_dpid(peer.index() as u64),
-        }
     }
 }
 
@@ -192,30 +135,15 @@ impl Node for ShardedControlPlane {
     }
 
     fn on_control(&mut self, ctx: &mut Ctx<'_>, peer: NodeId, bytes: &[u8]) {
-        let shard = self.route(peer);
-        self.inner.monitor_mut().set_shard(shard);
-        let packet_ins_before = self.inner.packet_ins;
         Node::on_control(&mut self.inner, ctx, peer, bytes);
-        // Book the dispatch, then hand the controller back to
-        // housekeeping.
         // Cross-shard handoff: the flow's egress switch belongs to
         // another shard. The shared NIB makes the handoff itself free —
         // the ingress owner installs the whole end-to-end program — but
         // the count is the scale-out cost model.
-        let handoff = self
-            .inner
-            .take_last_setup()
-            .is_some_and(|(_key, ingress, egress)| {
-                self.ring.shard_of_dpid(ingress) != self.ring.shard_of_dpid(egress)
-            });
-        if let Some(s) = self.shards.get_mut(shard as usize) {
-            debug_assert!(s.alive, "routed a message to a dead shard");
-            s.messages += 1;
-            s.packet_ins += self.inner.packet_ins - packet_ins_before;
-            s.handoffs_out += u64::from(handoff);
+        if let Some((_key, ingress, egress)) = self.inner.take_last_setup() {
+            let crosses = self.ring.shard_of_dpid(ingress) != self.ring.shard_of_dpid(egress);
+            self.handoffs += u64::from(crosses);
         }
-        let idle = self.lowest_live();
-        self.inner.monitor_mut().set_shard(idle);
     }
 
     fn on_crash_restart(&mut self, ctx: &mut Ctx<'_>) {
@@ -223,19 +151,15 @@ impl Node for ShardedControlPlane {
     }
 
     fn on_shard_down(&mut self, ctx: &mut Ctx<'_>, shard: u32) {
-        if self.ring.len() <= 1 {
-            return; // refuse to kill the last shard
+        // Refuse to kill the last shard; an unknown or already dead
+        // shard has nothing to fail over.
+        if self.ring.len() <= 1 || !self.ring.shards().contains(&shard) {
+            return;
         }
         // The switches the dying shard owns, before the ring changes.
         let owned = self.owned_by(shard);
-        let Some(s) = self.shards.get_mut(shard as usize).filter(|s| s.alive) else {
-            return; // unknown or already dead: nothing to fail over
-        };
-        s.alive = false;
         let now = ctx.now();
         self.ring.remove_shard(shard);
-        let idle = self.lowest_live();
-        self.inner.monitor_mut().set_shard(idle);
         self.inner
             .monitor_mut()
             .record(now, EventKind::ShardDown { shard });

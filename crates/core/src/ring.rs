@@ -1,5 +1,5 @@
-//! Deterministic consistent-hash ring mapping switches and user MACs
-//! to controller shards.
+//! Deterministic consistent-hash ring mapping switches to controller
+//! shards.
 //!
 //! The sharded control plane (DESIGN.md §9) partitions the AS layer
 //! across N shards. Ownership must be a pure function of the key and
@@ -26,10 +26,9 @@ fn splitmix64(mut x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Domain separation tags so a dpid and a MAC with the same integer
-/// value hash to unrelated points.
+/// Domain separation tags so a switch key and a shard's virtual points
+/// hash to unrelated positions even for equal integer inputs.
 const DOMAIN_DPID: u64 = 0x6470_6964; // "dpid"
-const DOMAIN_MAC: u64 = 0x006d_6163; // "mac"
 const DOMAIN_SHARD: u64 = 0x0073_6861_7264; // "shard"
 
 /// A deterministic consistent-hash ring over shard ids.
@@ -56,15 +55,7 @@ pub struct HashRing {
 impl HashRing {
     /// A ring over shards `0..n` (n ≥ 1).
     pub fn new(n: u32) -> Self {
-        assert!(n >= 1, "a ring needs at least one shard");
-        let mut ring = HashRing {
-            points: Vec::new(),
-            shards: Vec::new(),
-        };
-        for shard in 0..n {
-            ring.add_shard(shard);
-        }
-        ring
+        Self::of(&(0..n).collect::<Vec<_>>())
     }
 
     /// A ring over exactly the given shard ids (non-empty). The
@@ -84,7 +75,7 @@ impl HashRing {
     }
 
     /// Adds a shard's virtual points. Idempotent.
-    pub fn add_shard(&mut self, shard: u32) {
+    fn add_shard(&mut self, shard: u32) {
         if self.shards.contains(&shard) {
             return;
         }
@@ -140,11 +131,6 @@ impl HashRing {
     pub fn shard_of_dpid(&self, dpid: u64) -> u32 {
         self.owner_of(splitmix64(splitmix64(DOMAIN_DPID) ^ dpid))
     }
-
-    /// The shard owning a user (by the MAC's integer value).
-    pub fn shard_of_mac(&self, mac: u64) -> u32 {
-        self.owner_of(splitmix64(splitmix64(DOMAIN_MAC) ^ mac))
-    }
 }
 
 #[cfg(test)]
@@ -156,7 +142,6 @@ mod tests {
         let ring = HashRing::new(1);
         for d in 0..100 {
             assert_eq!(ring.shard_of_dpid(d), 0);
-            assert_eq!(ring.shard_of_mac(d), 0);
         }
     }
 
@@ -166,7 +151,6 @@ mod tests {
         let b = HashRing::new(4);
         for d in 0..1000 {
             assert_eq!(a.shard_of_dpid(d), b.shard_of_dpid(d));
-            assert_eq!(a.shard_of_mac(d), b.shard_of_mac(d));
         }
     }
 
@@ -203,7 +187,6 @@ mod tests {
         ring.remove_shard(2);
         for d in 0..5_000 {
             assert_ne!(ring.shard_of_dpid(d), 2);
-            assert_ne!(ring.shard_of_mac(d), 2);
         }
     }
 
@@ -219,15 +202,6 @@ mod tests {
                 assert_eq!(was, is, "key {d} moved although its shard survived");
             }
         }
-    }
-
-    #[test]
-    fn domains_are_separated() {
-        let ring = HashRing::new(8);
-        // If dpid and MAC hashing shared a domain these would be
-        // identical for every value; demand at least one difference.
-        let differs = (0..64u64).any(|v| ring.shard_of_dpid(v) != ring.shard_of_mac(v));
-        assert!(differs, "dpid and mac domains collapsed");
     }
 
     #[test]

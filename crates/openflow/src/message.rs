@@ -38,8 +38,10 @@ pub fn attestation_tag(dpid: u64, in_port: u32, out_port: u32, cookie: u64) -> u
 /// IP 5-tuple and the frame length — every hop of the same packet
 /// computes the same tag, letting the detector stitch per-hop
 /// attestations into one end-to-end chain. Same-flow packets of equal
-/// length collide; that is harmless, because colliding packets follow
-/// the same path proof.
+/// length collide; that is harmless for stitching, because colliding
+/// packets follow the same path proof. It does make sampling by tag
+/// (`AsSwitch::set_attest_every`) pick (flow, frame length) classes,
+/// not packets: nothing per packet enters the tag.
 pub fn packet_tag(flow: &FlowKey, wire_len: u64) -> u64 {
     let ip_pair = (u64::from(u32::from(flow.nw_src)) << 32) | u64::from(u32::from(flow.nw_dst));
     let ports = (u64::from(flow.tp_src) << 32) | (u64::from(flow.tp_dst) << 16);

@@ -136,10 +136,14 @@ impl AsSwitch {
         }
     }
 
-    /// Enables forwarding attestation at a `1/every` sampling rate:
-    /// every table-hit forward whose packet tag divides `every` is
-    /// attested to the controller. 0 (the default) disables
-    /// attestation — existing deployments are byte-identical.
+    /// Enables forwarding attestation: every table-hit forward whose
+    /// packet tag is a multiple of `every` is attested to the
+    /// controller. The
+    /// tag covers only the 5-tuple and the frame length
+    /// ([`livesec_openflow::packet_tag`]), so this samples (flow, frame
+    /// length) classes, about one in `every`, and attests every packet
+    /// of a sampled class — not one packet in `every`. 0 (the default)
+    /// disables attestation — existing deployments are byte-identical.
     pub fn set_attest_every(&mut self, every: u64) {
         self.attest_every = every;
     }

@@ -176,12 +176,15 @@ pub struct ScenarioConfig {
     pub chaos: Option<ChaosConfig>,
     /// Controller shards. `0` (the default) runs the plain unsharded
     /// controller; `n ≥ 1` wraps it into an n-shard
-    /// [`livesec::ShardedControlPlane`] (so `1` exercises the plane
-    /// itself against the single-controller baseline).
+    /// [`livesec::ShardedControlPlane`]. The history is byte-identical
+    /// at every value; only ownership, failover and the handoff count
+    /// depend on it.
     pub shards: u32,
     /// Forwarding-attestation sampling modulus for every AS switch
     /// (`0` = attestations off, the default; `1` = attest every
-    /// packet). Drives the accountability detector.
+    /// packet). Drives the accountability detector. It samples
+    /// (flow, frame length) classes, not packets: a class whose tag is
+    /// a multiple of it is attested on every packet, the rest never.
     pub attest_every: u64,
     /// Declarative policy source (`.lsp`) to compile and install in
     /// place of the built-in Figure-7 table. Compilation errors panic

@@ -61,12 +61,13 @@ run cargo build --release
 #   histories.
 # - tests/determinism, shard_ring, shard_handoff, shard_failover: the
 #   sharded control plane (DESIGN.md §9) — same-seed histories
-#   byte-identical, a 1-shard plane byte-identical to the plain
-#   controller, shards 1/2/4 identical modulo shard tags, ring
-#   properties and the 4-shard scale-out floor (no shard owns more than
-#   333 of 1 000 switches), cross-shard handoff paths that audit clean
-#   in full and under a mid-run policy delta, mid-attack shard failover
-#   with a clean merged audit.
+#   byte-identical, histories at shards 1/2/4 byte-identical to the
+#   plain controller's on the fault-free campus and under the default
+#   chaos plan with attestations on, ring properties and the 4-shard
+#   scale-out floor (no shard owns more than 333 of 1 000 switches),
+#   cross-shard handoff paths that audit clean in full and under a
+#   mid-run policy delta, mid-attack shard failover with a clean merged
+#   audit.
 # - tests/accountability (DESIGN.md §11): each dataplane fault kind is
 #   detected, localized to exactly the compromised switch, quarantined
 #   and re-steered around, at 1 and 4 shards, honest switches never

@@ -4,7 +4,7 @@
 //! repository reproducible.
 
 use livesec_suite::prelude::*;
-use livesec_workloads::{CampusScenario, ScenarioConfig};
+use livesec_workloads::{CampusScenario, ChaosConfig, ScenarioConfig};
 
 fn run_history(seed: u64) -> (String, FastPathStats) {
     let mut s = CampusScenario::build(ScenarioConfig {
@@ -41,59 +41,105 @@ fn identical_seeds_reproduce_identical_histories_without_the_cache() {
     );
 }
 
-/// Runs the scenario under an n-shard control plane (`shards = 0`
-/// means the plain unsharded controller) and returns the monitor
-/// history both as recorded (shard-tagged) and with the tags scrubbed.
-fn sharded_history(seed: u64, shards: u32, secs: u64) -> (String, String) {
-    let mut s = CampusScenario::build(ScenarioConfig {
-        seed,
-        shards,
+/// Runs `cfg` under an n-shard control plane (`shards = 0` means the
+/// plain unsharded controller) for `secs`.
+fn sharded(cfg: ScenarioConfig, shards: u32, secs: u64) -> CampusScenario {
+    let mut s = CampusScenario::build(ScenarioConfig { shards, ..cfg });
+    s.campus.world.run_for(SimDuration::from_secs(secs));
+    s
+}
+
+/// The monitor history of [`sharded`].
+fn sharded_history(cfg: ScenarioConfig, shards: u32, secs: u64) -> String {
+    sharded(cfg, shards, secs)
+        .campus
+        .controller()
+        .monitor()
+        .to_json()
+}
+
+/// The fault-free campus of `run_history`.
+fn calm() -> ScenarioConfig {
+    ScenarioConfig {
+        seed: 42,
         flow_idle: SimDuration::from_millis(300),
         ..ScenarioConfig::default()
-    });
-    s.campus.world.run_for(SimDuration::from_secs(secs));
-    let m = s.campus.controller().monitor();
-    (m.to_json(), m.to_json_untagged())
+    }
 }
 
 /// The sharding golden trace, part 1: a 1-shard plane is the plain
 /// controller. Not just "same events" — the serialized history must be
-/// byte-identical, tags included (a single shard is shard 0, and zero
-/// tags are not serialized), so pre-sharding baselines stay valid.
+/// byte-identical, so pre-sharding baselines stay valid.
 #[test]
 fn one_shard_plane_matches_the_single_controller_baseline() {
-    let (plain, _) = sharded_history(42, 0, 6);
-    let (one_shard, one_shard_untagged) = sharded_history(42, 1, 6);
-    assert_eq!(
-        plain, one_shard,
-        "a 1-shard plane must be byte-identical to the unsharded controller"
-    );
-    assert_eq!(one_shard, one_shard_untagged, "one shard never tags");
+    for secs in [3u64, 6] {
+        assert_eq!(
+            sharded_history(calm(), 0, secs),
+            sharded_history(calm(), 1, secs),
+            "a 1-shard plane must be byte-identical to the unsharded controller ({secs}s)"
+        );
+    }
 }
 
 /// The sharding golden trace, part 2: shard count is invisible. The
 /// baseline (3 s, steady traffic) and service-chain (6 s, torrent
-/// switch + attack verdict landed) scenarios must produce identical
-/// histories at 1, 2 and 4 shards — modulo the shard-id tags, which
-/// are routing bookkeeping, not behaviour.
+/// switch + attack verdict landed) scenarios must produce histories at
+/// 2 and 4 shards that agree with the unsharded controller's. Events
+/// carry no shard tag, so agreeing modulo tags means byte-identical.
 #[test]
 fn histories_agree_across_shard_counts_modulo_tags() {
     for secs in [3u64, 6] {
-        let (plain, _) = sharded_history(42, 0, secs);
-        let mut tagged_somewhere = false;
-        for shards in [1u32, 2, 4] {
-            let (tagged, untagged) = sharded_history(42, shards, secs);
+        let plain = sharded_history(calm(), 0, secs);
+        for shards in [2u32, 4] {
+            let s = sharded(calm(), shards, secs);
             assert_eq!(
-                plain, untagged,
+                plain,
+                s.campus.controller().monitor().to_json(),
                 "{shards}-shard history diverged from the unsharded run ({secs}s scenario)"
             );
-            tagged_somewhere |= tagged != untagged;
+            if shards < 4 {
+                continue;
+            }
+            // The comparison is only meaningful if the switches span
+            // owners and set-ups actually crossed shards.
+            let plane = s.campus.shard_plane().expect("campus is sharded");
+            let owners = plane
+                .shard_stats()
+                .iter()
+                .filter(|st| !st.owned.is_empty())
+                .count();
+            assert!(owners >= 2, "one shard owns every switch ({secs}s)");
+            assert!(plane.handoffs() > 0, "no flow crossed shards ({secs}s)");
         }
-        // The comparison is only meaningful if routing actually spread
-        // events over non-zero shards somewhere.
-        assert!(
-            tagged_somewhere,
-            "no event was ever handled off shard 0 ({secs}s scenario)"
+    }
+}
+
+/// Sharding under faults: the default chaos plan (partitions, corrupted
+/// frames, a power-cycled switch) with attestations on gives histories
+/// at 1, 2 and 4 shards byte-identical to the unsharded one. No
+/// `ShardDown` is scheduled, so the plane may change nothing.
+#[test]
+fn faulted_attested_histories_are_byte_identical_at_every_shard_count() {
+    let chaos = ScenarioConfig {
+        seed: 42,
+        chaos: Some(ChaosConfig::default()),
+        attest_every: 16,
+        ..ScenarioConfig::default()
+    };
+    // Past the plan's last heal (27 s on this campus) and its recovery.
+    let secs = 30;
+    let plain = sharded(chaos, 0, secs);
+    let c = plain.campus.controller();
+    assert!(
+        c.health_stats().switch_downs > 0 && c.accountability_stats().attestations_seen > 0,
+        "the chaos plan took no switch down or no switch attested"
+    );
+    let plain = c.monitor().to_json();
+    for shards in [1u32, 2, 4] {
+        assert_eq!(
+            plain,
+            sharded_history(chaos, shards, secs),
+            "{shards}-shard faulted history diverged from the unsharded run"
         );
     }
 }

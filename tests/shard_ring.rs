@@ -1,6 +1,6 @@
 //! Property tests for the control plane's consistent-hash ring
 //! ([`livesec::HashRing`]): the structure that decides which shard
-//! owns which switch (and which user MAC).
+//! owns which switch.
 //!
 //! The properties pinned here are exactly what makes shard failover
 //! cheap and deterministic:
@@ -16,11 +16,9 @@
 use livesec::HashRing;
 use proptest::prelude::*;
 
-/// A deterministic pile of keys spanning both hash domains.
-fn owners(ring: &HashRing, keys: &[u64]) -> Vec<(u32, u32)> {
-    keys.iter()
-        .map(|&k| (ring.shard_of_dpid(k), ring.shard_of_mac(k)))
-        .collect()
+/// The owner of each switch key.
+fn owners(ring: &HashRing, keys: &[u64]) -> Vec<u32> {
+    keys.iter().map(|&k| ring.shard_of_dpid(k)).collect()
 }
 
 proptest! {
@@ -36,16 +34,10 @@ proptest! {
         let before = owners(&ring, &keys);
         ring.remove_shard(dead);
         let after = owners(&ring, &keys);
-        for (key, (old, new)) in keys.iter().zip(before.iter().zip(after.iter())) {
-            let (old_d, old_m) = *old;
-            let (new_d, new_m) = *new;
-            prop_assert!(new_d != dead, "dpid key {} routed to the dead shard", key);
-            prop_assert!(new_m != dead, "mac key {} routed to the dead shard", key);
-            if old_d != dead {
-                prop_assert_eq!(old_d, new_d, "survivor's dpid key {} was remapped", key);
-            }
-            if old_m != dead {
-                prop_assert_eq!(old_m, new_m, "survivor's mac key {} was remapped", key);
+        for (key, (&old, &new)) in keys.iter().zip(before.iter().zip(after.iter())) {
+            prop_assert!(new != dead, "key {} routed to the dead shard", key);
+            if old != dead {
+                prop_assert_eq!(old, new, "survivor's key {} was remapped", key);
             }
         }
     }
@@ -66,9 +58,8 @@ proptest! {
             }
             let dead = live.remove(pick as usize % live.len());
             ring.remove_shard(dead);
-            for (d, m) in owners(&ring, &keys) {
-                prop_assert!(live.contains(&d), "dpid owner {} is dead", d);
-                prop_assert!(live.contains(&m), "mac owner {} is dead", m);
+            for owner in owners(&ring, &keys) {
+                prop_assert!(live.contains(&owner), "owner {} is dead", owner);
             }
         }
     }
@@ -113,9 +104,10 @@ fn ownership_is_roughly_balanced() {
     }
 }
 
-/// The scale-out floor: packet-ins are routed by ingress switch, so on a
-/// 1000-switch campus 4 shards split the set-up work at least 3× only
-/// if no shard owns more than 333 switches. (The largest owns 266.)
+/// The scale-out floor: a packet-in belongs to its ingress switch's
+/// owner, so on a 1000-switch campus 4 shards split the set-up work at
+/// least 3× only if no shard owns more than 333 switches. (The largest
+/// owns 266.)
 #[test]
 fn four_shards_split_a_thousand_switches_at_least_three_ways() {
     let ring = HashRing::new(4);
