@@ -46,7 +46,7 @@ use crate::topology::TopologyMap;
 use livesec_net::packet::{arp_frame, lldp_frame};
 use livesec_net::{wire, ArpOp, ArpPacket, DhcpMessage, FlowKey, HashMap, HashSet, LldpFrame};
 use livesec_net::{MacAddr, Packet, PacketBuilder};
-use livesec_openflow::codec::{self, FlowModRef};
+use livesec_openflow::codec::{self, Check, FlowModRef, Frame};
 use livesec_openflow::{Action, FlowModCommand, FlowStats, Match, OfMessage};
 use livesec_openflow::{PortStatusReason, StatsBody, StatsRequestKind};
 use livesec_services::{SeMessage, ServiceType, Verdict, SE_CONTROL_PORT};
@@ -618,9 +618,9 @@ impl Default for Controller {
 /// NIB. A standalone [`crate::store::NetworkState`] offers the same
 /// view without a controller (benches, unit tests).
 impl crate::store::StateStore for Controller {
-    fn decide_policy(&self, key: &FlowKey) -> (PolicyDecision, Option<String>) {
+    fn decide_policy(&self, key: &FlowKey) -> (PolicyDecision, Option<&str>) {
         let (decision, rule) = self.policy.decide(key);
-        (decision.clone(), rule.map(str::to_owned))
+        (decision.clone(), rule)
     }
 
     fn pick_element(&mut self, service: ServiceType, key: &FlowKey) -> Option<MacAddr> {
@@ -662,11 +662,15 @@ impl Node for Controller {
     }
 
     fn on_control(&mut self, ctx: &mut Ctx<'_>, peer: NodeId, bytes: &[u8]) {
-        let Ok((msg, xid)) = codec::decode(bytes) else {
+        // Read in place: a packet-in's packet is not copied out of
+        // `bytes`. No switch sends actions, so none are kept.
+        let Ok((frame, xid)) = codec::read_frame(bytes, &mut Check) else {
             return;
         };
-        if let Some(v) = self.on_message(ctx.now(), peer, msg) {
-            ctx.send_control(peer, codec::encode(&OfMessage::EchoReply(v), xid));
+        if let Some(v) = self.on_message(ctx.now(), peer, frame) {
+            let mut reply = ctx.control_buf();
+            codec::encode_into(&OfMessage::EchoReply(v), xid, &mut reply);
+            ctx.send_control(peer, reply);
         }
         // Transmit everything this event queued, one batch per switch.
         self.flush(ctx);

@@ -10,9 +10,9 @@ use super::*;
 /// Each frame is written once, in place, into one arena in send
 /// order; `runs` records which switch's batch each stretch of the
 /// arena belongs to. [`Outbox::flush`] copies each batch into one
-/// payload of exactly its size and clears the arena but keeps its
-/// capacity, so between dispatches the controller holds one buffer,
-/// not one per switch.
+/// payload, a recycled control buffer grown to the batch's size if it
+/// must be, and clears the arena but keeps its capacity, so between
+/// dispatches the controller holds one buffer, not one per switch.
 #[derive(Debug)]
 pub(super) struct Outbox {
     xid: u32,
@@ -24,6 +24,25 @@ pub(super) struct Outbox {
     /// run.
     runs: Vec<(usize, usize, usize)>,
     pub(super) stats: FastPathStats,
+}
+
+/// Where [`Outbox::assemble`] gets each payload's buffer and sends it:
+/// the simulator's control channel, or a test's list.
+pub(super) trait Channel {
+    /// An empty buffer for the next payload.
+    fn buffer(&mut self) -> Vec<u8>;
+    /// Sends `payload` to `node`.
+    fn send(&mut self, node: NodeId, payload: Vec<u8>);
+}
+
+impl Channel for Ctx<'_> {
+    fn buffer(&mut self) -> Vec<u8> {
+        self.control_buf()
+    }
+
+    fn send(&mut self, node: NodeId, payload: Vec<u8>) {
+        self.send_control(node, payload);
+    }
 }
 
 /// What one switch's payload holds so far.
@@ -223,7 +242,7 @@ impl Outbox {
     /// delimits the transaction.
     pub(super) fn flush(&mut self, ctx: &mut Ctx<'_>) {
         self.seal();
-        self.assemble(|node, payload| ctx.send_control(node, payload));
+        self.assemble(ctx);
     }
 
     /// Ends each batch that carries a flow-mod with a barrier request,
@@ -239,21 +258,22 @@ impl Outbox {
         }
     }
 
-    /// Hands each batch's frames, copied into one payload of exactly
-    /// their size, to `send`, in first-use order, and empties the
-    /// outbox.
-    fn assemble(&mut self, mut send: impl FnMut(NodeId, Vec<u8>)) {
+    /// Sends each batch's frames, copied into one of `channel`'s
+    /// buffers (reserved exactly, if it must grow), over `channel`, in
+    /// first-use order, and empties the outbox.
+    fn assemble(&mut self, channel: &mut impl Channel) {
         // Starts are distinct, so the order is total.
         self.runs.sort_unstable();
         let mut runs = self.runs.iter().peekable();
         for (i, batch) in self.batches.iter().enumerate() {
-            let mut payload = Vec::with_capacity(batch.len);
+            let mut payload = channel.buffer();
+            payload.reserve_exact(batch.len);
             while let Some(&(_, start, end)) = runs.next_if(|r| r.0 == i) {
                 payload.extend_from_slice(self.arena.get(start..end).unwrap_or_default());
             }
             self.stats.batches_flushed += 1;
             self.stats.max_batch_len = self.stats.max_batch_len.max(batch.msgs);
-            send(batch.node, payload);
+            channel.send(batch.node, payload);
         }
         self.batches.clear();
         self.runs.clear();
@@ -331,14 +351,27 @@ impl Controller {
 pub(super) mod tests {
     use super::*;
 
+    /// A channel that keeps what is sent, each payload in a new buffer.
+    impl Channel for Vec<(NodeId, Vec<u8>)> {
+        fn buffer(&mut self) -> Vec<u8> {
+            Vec::new()
+        }
+
+        fn send(&mut self, node: NodeId, payload: Vec<u8>) {
+            self.push((node, payload));
+        }
+    }
+
     /// Takes everything the handlers queued since the last flush, as
     /// `(switch node, message)` in send order per switch.
     pub(in crate::controller) fn drain(c: &mut Controller) -> Vec<(NodeId, OfMessage)> {
+        let mut payloads = Vec::new();
+        c.tx.assemble(&mut payloads);
         let mut out = Vec::new();
-        c.tx.assemble(|node, payload| {
+        for (node, payload) in payloads {
             let msgs = codec::decode_all(&payload).expect("the controller's own encoding");
             out.extend(msgs.into_iter().map(|(m, _)| (node, m)));
-        });
+        }
         out
     }
 
@@ -360,7 +393,7 @@ pub(super) mod tests {
         tx.send(b, &OfMessage::EchoRequest(2)); // xid 5
         tx.seal(); // barriers: a gets xid 6, b xid 7
         let mut payloads = Vec::new();
-        tx.assemble(|node, payload| payloads.push((node, payload)));
+        tx.assemble(&mut payloads);
 
         let fm = |priority| delete_strict(&m, priority).to_message();
         let packet_out = OfMessage::PacketOut {
@@ -390,7 +423,11 @@ pub(super) mod tests {
         assert_eq!(payloads.len(), want.len());
         for ((node, payload), (want_node, want_msgs)) in payloads.iter().zip(want) {
             assert_eq!(*node, want_node);
-            assert_eq!(payload.capacity(), payload.len(), "exact size");
+            assert_eq!(
+                payload.capacity(),
+                payload.len(),
+                "a new buffer, exact size"
+            );
             assert_eq!(codec::decode_all(payload).unwrap(), want_msgs);
         }
         assert!(tx.arena.is_empty() && tx.runs.is_empty() && tx.batches.is_empty());

@@ -24,11 +24,17 @@ const SWITCH_TIMEOUT: SimDuration = SimDuration::from_secs(3);
 const AUDIT_EVERY_TICKS: u64 = 50;
 
 impl Controller {
-    /// Handles one decoded control message from `peer` at `now`. Returns
+    /// Handles one control message from `peer` at `now`, read in place:
+    /// a packet-in's packet is borrowed from the received bytes. Returns
     /// the payload of an echo request the caller owes a reply to: the
     /// reply carries the request's xid and travels ahead of this
     /// dispatch's batch.
-    pub(super) fn on_message(&mut self, now: SimTime, peer: NodeId, msg: OfMessage) -> Option<u64> {
+    pub(super) fn on_message(
+        &mut self,
+        now: SimTime,
+        peer: NodeId,
+        frame: Frame<'_>,
+    ) -> Option<u64> {
         // Quarantine gate: nothing a convicted switch says is acted on
         // — in particular not the hello/echo traffic that would
         // otherwise walk it through the reconnect handshake and back
@@ -47,6 +53,19 @@ impl Controller {
         if let Some(dpid) = dpid {
             self.switch_liveness.insert(dpid, now);
         }
+        let msg = match frame {
+            Frame::PacketIn { in_port, data, .. } => {
+                self.packet_ins += 1;
+                // Dropped before the features handshake finished.
+                if let Some(dpid) = dpid {
+                    self.on_packet_in(now, dpid, in_port, data);
+                }
+                return None;
+            }
+            Frame::Other(msg) => msg,
+            // Flow-mods and packet-outs travel only to switches.
+            Frame::FlowMod { .. } | Frame::PacketOut { .. } => return None,
+        };
         match msg {
             OfMessage::Hello => {
                 // A hello from a switch we already know means it lost
@@ -74,13 +93,6 @@ impl Controller {
                 datapath_id,
                 n_ports,
             } => self.handshake(now, peer, datapath_id, n_ports),
-            OfMessage::PacketIn { in_port, data, .. } => {
-                self.packet_ins += 1;
-                // Dropped before the features handshake finished.
-                if let Some(dpid) = dpid {
-                    self.on_packet_in(now, dpid, in_port, &data);
-                }
-            }
             OfMessage::FlowRemoved {
                 matcher,
                 cookie,

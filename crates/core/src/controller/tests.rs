@@ -228,7 +228,7 @@ fn features_reply_cannot_rename_a_channel_or_steal_a_live_id() {
     // switch 2, and then claims to be switch 1.
     let (a, b) = (NodeId::from_index(1), NodeId::from_index(2));
     for (peer, at, claim) in [(a, 1, 1), (b, 1, 2), (a, 10, FLIPPED), (b, 20, 1)] {
-        assert_eq!(c.on_message(ms(at), peer, reply(claim)), None);
+        assert_eq!(c.on_message(ms(at), peer, Frame::Other(reply(claim))), None);
     }
 
     assert_eq!(c.health_stats().switches_known, 2, "a phantom registered");
@@ -249,7 +249,7 @@ fn features_reply_cannot_rename_a_channel_or_steal_a_live_id() {
     // The genuine reply afterwards is a plain re-registration: the
     // switch is audited like any reconnecting one.
     let audits = c.health_stats().audits;
-    c.on_message(ms(40), a, reply(1));
+    c.on_message(ms(40), a, Frame::Other(reply(1)));
     assert_eq!(c.health_stats().audits, audits + 1);
     assert_eq!(c.health_stats().switches_known, 2);
     assert_eq!(c.monitor().events().len(), 4, "two joins, two rejections");

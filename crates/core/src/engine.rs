@@ -66,7 +66,9 @@ fn policy<S: StateStore + ?Sized>(
     key: &FlowKey,
 ) -> Result<Vec<ServiceType>, EngineDecision> {
     match store.decide_policy(key) {
-        (PolicyDecision::Deny, rule) => Err(EngineDecision::Deny { rule }),
+        (PolicyDecision::Deny, rule) => Err(EngineDecision::Deny {
+            rule: rule.map(str::to_owned),
+        }),
         (PolicyDecision::Allow, _) => Ok(Vec::new()),
         (PolicyDecision::Chain(services), _) => Ok(services),
     }

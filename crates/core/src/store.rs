@@ -22,8 +22,9 @@ use std::collections::BTreeMap;
 /// policy decision, then per-service picks, then hop lookups, then
 /// uplink lookups during path compilation.
 pub trait StateStore {
-    /// The policy verdict for a flow, with the matching rule's name.
-    fn decide_policy(&self, key: &FlowKey) -> (PolicyDecision, Option<String>);
+    /// The policy verdict for a flow, with the matching rule's name,
+    /// borrowed: only a denial keeps it.
+    fn decide_policy(&self, key: &FlowKey) -> (PolicyDecision, Option<&str>);
 
     /// Picks a replica of `service` for the flow. Stateful: dispatch
     /// counters and stickiness advance exactly once per call, so the
@@ -87,9 +88,9 @@ impl Default for NetworkState {
 }
 
 impl StateStore for NetworkState {
-    fn decide_policy(&self, key: &FlowKey) -> (PolicyDecision, Option<String>) {
+    fn decide_policy(&self, key: &FlowKey) -> (PolicyDecision, Option<&str>) {
         let (decision, rule) = self.policy.decide(key);
-        (decision.clone(), rule.map(str::to_owned))
+        (decision.clone(), rule)
     }
 
     fn pick_element(&mut self, service: ServiceType, key: &FlowKey) -> Option<MacAddr> {

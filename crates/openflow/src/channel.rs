@@ -8,8 +8,8 @@
 
 use crate::action::Action;
 use crate::codec::{
-    encode, encode_packet_in, read_frame, Check, CodecError, Frame, Frames, T_BARRIER_REQ,
-    T_ECHO_REP, T_ECHO_REQ, T_FEATURES_REQ, T_HELLO,
+    encode_into, encode_packet_in_into, read_frame, Check, CodecError, Frame, Frames,
+    T_BARRIER_REQ, T_ECHO_REP, T_ECHO_REQ, T_FEATURES_REQ, T_HELLO,
 };
 use crate::message::{OfMessage, PacketInReason};
 use livesec_net::Packet;
@@ -40,11 +40,6 @@ impl SwitchChannel {
         self.datapath_id
     }
 
-    /// The initial hello to transmit when the channel connects.
-    pub fn hello(&mut self) -> Vec<u8> {
-        self.send(&OfMessage::Hello)
-    }
-
     /// Resets the session as a crash-restart would: transaction ids
     /// restart from 1 and the keepalive counter zeroes. The switch
     /// identity (datapath id, port count) survives — it is hardware,
@@ -60,18 +55,26 @@ impl SwitchChannel {
         xid
     }
 
-    /// Encodes an outbound message with a fresh transaction id.
-    pub fn send(&mut self, msg: &OfMessage) -> Vec<u8> {
+    /// Appends an outbound message, with a fresh transaction id, to
+    /// `buf`: no allocation if `buf` has room for it, one otherwise.
+    pub fn send(&mut self, msg: &OfMessage, buf: &mut Vec<u8>) {
         let xid = self.next_xid();
-        encode(msg, xid)
+        encode_into(msg, xid, buf);
     }
 
-    /// Encodes the packet-in that carries `pkt`, with a fresh
-    /// transaction id: the packet is serialized straight into its
-    /// frame, one allocation of the frame's size.
-    pub fn packet_in(&mut self, in_port: u32, reason: PacketInReason, pkt: &Packet) -> Vec<u8> {
+    /// Appends the packet-in that carries `pkt`, with a fresh
+    /// transaction id, to `buf`: the packet is serialized straight into
+    /// its frame, with no allocation if `buf` has room for the frame and
+    /// one otherwise.
+    pub fn packet_in(
+        &mut self,
+        in_port: u32,
+        reason: PacketInReason,
+        pkt: &Packet,
+        buf: &mut Vec<u8>,
+    ) {
         let xid = self.next_xid();
-        encode_packet_in(in_port, reason, pkt, xid)
+        encode_packet_in_into(in_port, reason, pkt, xid, buf);
     }
 
     /// Processes inbound bytes, which may carry a whole batch of
@@ -81,11 +84,12 @@ impl SwitchChannel {
     /// A batch is all-or-nothing, and is walked check-then-apply with
     /// nothing staged in between. First every frame is read and
     /// checked, its actions read into nothing. Then the protocol chores
-    /// are answered through `reply`, one encoded frame each, in arrival
-    /// order. What is left needs switch-specific handling: the returned
-    /// [`Batch`] reads it one frame at a time, in arrival order. The
-    /// caller transmits the replies as they come and applies the batch
-    /// after, so the reply to a batch-terminating
+    /// are answered through `reply`, one message and the xid it answers
+    /// each, in arrival order, for the caller to encode into a buffer of
+    /// its choosing. What is left needs switch-specific handling: the
+    /// returned [`Batch`] reads it one frame at a time, in arrival
+    /// order. The caller transmits the replies as they come and applies
+    /// the batch after, so the reply to a batch-terminating
     /// [`OfMessage::BarrierRequest`] leaves before the batch's entries
     /// are applied — the simulated switch applies them synchronously in
     /// the same dispatch, so the barrier still holds.
@@ -97,7 +101,7 @@ impl SwitchChannel {
     pub fn receive_all<'a>(
         &mut self,
         bytes: &'a [u8],
-        reply: &mut dyn FnMut(Vec<u8>),
+        reply: &mut dyn FnMut(&OfMessage, u32),
     ) -> Result<Batch<'a>, CodecError> {
         for frame in Frames::new(bytes) {
             read_frame(frame?.1, &mut Check)?;
@@ -122,7 +126,7 @@ impl SwitchChannel {
                 }
                 _ => continue,
             };
-            reply(encode(&answer, xid));
+            reply(&answer, xid);
         }
         Ok(Batch(Frames::new(bytes)))
     }
@@ -163,7 +167,7 @@ impl<'a> Batch<'a> {
 mod tests {
     use super::*;
     use crate::action::ActionList;
-    use crate::codec::decode;
+    use crate::codec::{decode, encode};
     use crate::flow_match::Match;
 
     /// The replies `bytes` draws and the messages it surfaces.
@@ -172,7 +176,7 @@ mod tests {
         bytes: &[u8],
     ) -> Result<(Vec<Vec<u8>>, Vec<OfMessage>), CodecError> {
         let mut replies = Vec::new();
-        let mut batch = ch.receive_all(bytes, &mut |r| replies.push(r))?;
+        let mut batch = ch.receive_all(bytes, &mut |m, xid| replies.push(encode(m, xid)))?;
         let (mut up, mut actions) = (Vec::new(), Vec::new());
         while let Some(frame) = batch.next_frame(&mut actions) {
             up.push(frame.into_message(ActionList::from(actions.as_slice())));
@@ -246,8 +250,9 @@ mod tests {
     #[test]
     fn outbound_xids_increment() {
         let mut ch = SwitchChannel::new(1, 1);
-        let a = ch.send(&OfMessage::Hello);
-        let b = ch.send(&OfMessage::Hello);
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        ch.send(&OfMessage::Hello, &mut a);
+        ch.send(&OfMessage::Hello, &mut b);
         let (_, xa) = decode(&a).unwrap();
         let (_, xb) = decode(&b).unwrap();
         assert_eq!(xb, xa + 1);
@@ -291,12 +296,13 @@ mod tests {
     fn reset_forgets_session_but_keeps_identity() {
         let mut ch = SwitchChannel::new(0xabc, 24);
         receive(&mut ch, &encode(&OfMessage::EchoReply(1), 1)).unwrap();
-        let _ = ch.send(&OfMessage::Hello);
+        ch.send(&OfMessage::Hello, &mut Vec::new());
         assert_eq!(ch.echo_replies_seen, 1);
         ch.reset();
         assert_eq!(ch.echo_replies_seen, 0, "keepalive count forgotten");
         assert_eq!(ch.datapath_id(), 0xabc, "identity survives");
-        let a = ch.send(&OfMessage::Hello);
+        let mut a = Vec::new();
+        ch.send(&OfMessage::Hello, &mut a);
         let (_, xid) = decode(&a).unwrap();
         assert_eq!(xid, 1, "xids restart");
     }

@@ -5,19 +5,21 @@
 //! are big-endian; variable-length fields carry 4-byte length prefixes.
 //!
 //! One writer produces every frame. [`encode_into`] appends a frame to
-//! a caller's buffer (the controller's per-switch payloads);
-//! [`encode`] runs the same writer over a byte counter first, so its
-//! buffer is allocated once at the frame's exact size. The two set-up
-//! messages also encode from borrowed parts — [`FlowModRef`] and
+//! a caller's buffer (a recycled control payload, the controller's
+//! per-switch batches), reserving the frame's exact size first, so a
+//! buffer too small for it grows once; [`encode`] is the same into a
+//! new buffer, so it allocates once at the frame's exact size. The two
+//! set-up messages also encode from borrowed parts — [`FlowModRef`] and
 //! [`encode_packet_out_into`] — to the same bytes as their owned
-//! [`OfMessage`], and [`encode_packet_in`] serializes the switch's
+//! [`OfMessage`], and [`encode_packet_in_into`] serializes the switch's
 //! packet straight into its frame.
 //!
-//! One reader takes every frame apart, generic over where a frame's
-//! actions go: an [`ActionList`] ([`decode`]), the switch's reused
-//! action buffer, or nowhere, when a batch is only being checked. It
-//! returns a [`Frame`], which borrows a packet-out's packet from the
-//! frame instead of copying it.
+//! One reader, [`read_frame`], takes every frame apart, generic over
+//! where a frame's actions go: an [`ActionList`] ([`decode`]), the
+//! switch's reused action buffer, or nowhere ([`Check`]), when a batch
+//! is only being checked or the frame carries none. It returns a
+//! [`Frame`], which borrows the packet a packet-in or a packet-out
+//! carries from the frame instead of copying it.
 
 #![warn(clippy::indexing_slicing)]
 
@@ -386,7 +388,7 @@ fn put_actions(w: &mut impl Sink, actions: &[Action]) {
 /// Where the one reader puts a frame's actions: an [`ActionList`]
 /// ([`decode`]), a reused `Vec` (the switch's action buffer), or nowhere
 /// ([`Check`]), when a batch is only being checked.
-pub(crate) trait ActionSink {
+pub trait ActionSink {
     /// Replaces what the sink holds with a frame's `n` actions, each
     /// read by `next`; stops at `next`'s first error.
     fn fill(
@@ -423,7 +425,8 @@ impl ActionSink for Vec<Action> {
 }
 
 /// A sink that keeps nothing: reading into it only checks.
-pub(crate) struct Check;
+#[derive(Debug)]
+pub struct Check;
 
 impl ActionSink for Check {
     fn fill(
@@ -512,8 +515,12 @@ impl FlowModRef<'_> {
 
 /// Appends the frame of `msg`, with transaction id `xid`, to `buf`.
 /// The frame's length field counts from the frame's own first byte, so
-/// whatever `buf` already holds is left as it was.
+/// whatever `buf` already holds is left as it was. Room for the whole
+/// frame is reserved first: at most one allocation.
 pub fn encode_into(msg: &OfMessage, xid: u32, buf: &mut Vec<u8>) {
+    let mut len = Len(HEADER_LEN);
+    put_body(&mut len, msg);
+    buf.reserve(len.0);
     let start = begin_frame(buf, msg_type(msg), xid);
     put_body(buf, msg);
     end_frame(buf, start);
@@ -522,11 +529,8 @@ pub fn encode_into(msg: &OfMessage, xid: u32, buf: &mut Vec<u8>) {
 /// Encodes `msg` with transaction id `xid` into a buffer of exactly
 /// the frame's size: one allocation.
 pub fn encode(msg: &OfMessage, xid: u32) -> Vec<u8> {
-    let mut len = Len(HEADER_LEN);
-    put_body(&mut len, msg);
-    let mut buf = Vec::with_capacity(len.0);
+    let mut buf = Vec::new();
     encode_into(msg, xid, &mut buf);
-    debug_assert_eq!(buf.len(), len.0);
     buf
 }
 
@@ -547,21 +551,26 @@ pub fn encode_packet_out_into(
     end_frame(buf, start);
 }
 
-/// Encodes the packet-in that carries `pkt` to the controller,
-/// serializing the packet in place into a buffer of exactly the
-/// frame's size: one allocation, and the bytes equal [`encode`] of the
-/// [`OfMessage::PacketIn`] whose `data` is [`wire::serialize`]`(pkt)`.
-pub fn encode_packet_in(in_port: u32, reason: PacketInReason, pkt: &Packet, xid: u32) -> Vec<u8> {
+/// Appends the frame of the packet-in that carries `pkt` to the
+/// controller, serializing the packet in place: the bytes equal
+/// [`encode`] of the [`OfMessage::PacketIn`] whose `data` is
+/// [`wire::serialize`]`(pkt)`. Like [`encode_into`], it reserves the
+/// whole frame first: at most one allocation.
+pub fn encode_packet_in_into(
+    in_port: u32,
+    reason: PacketInReason,
+    pkt: &Packet,
+    xid: u32,
+    buf: &mut Vec<u8>,
+) {
     let mut len = Len(HEADER_LEN);
     put_packet_in_head(&mut len, in_port, reason);
     len.u32(0);
-    let mut buf = Vec::with_capacity(len.0 + wire::serialized_len(pkt));
-    let start = begin_frame(&mut buf, T_PACKET_IN, xid);
-    put_packet_in_head(&mut buf, in_port, reason);
-    put_serialized(&mut buf, pkt);
-    end_frame(&mut buf, start);
-    debug_assert_eq!(buf.len(), buf.capacity());
-    buf
+    buf.reserve(len.0 + wire::serialized_len(pkt));
+    let start = begin_frame(buf, T_PACKET_IN, xid);
+    put_packet_in_head(buf, in_port, reason);
+    put_serialized(buf, pkt);
+    end_frame(buf, start);
 }
 
 /// Appends `pkt`'s wire bytes with their length prefix.
@@ -786,8 +795,8 @@ fn msg_type(msg: &OfMessage) -> u8 {
 }
 
 /// A frame read in place: its message without the action list, which
-/// the reader put in its sink, and with the packet a packet-out carries
-/// borrowed from the frame.
+/// the reader put in its sink, and with the packet a packet-in or a
+/// packet-out carries borrowed from the frame.
 /// [`Frame::into_message`] puts the two back together.
 #[derive(Debug)]
 pub enum Frame<'a> {
@@ -807,6 +816,15 @@ pub enum Frame<'a> {
         cookie: u64,
         /// Whether the switch reports the entry's removal.
         notify_removed: bool,
+    },
+    /// [`OfMessage::PacketIn`].
+    PacketIn {
+        /// The port the packet arrived on.
+        in_port: u32,
+        /// Why the switch sent it up.
+        reason: PacketInReason,
+        /// The serialized packet.
+        data: &'a [u8],
     },
     /// [`OfMessage::PacketOut`] without its actions.
     PacketOut {
@@ -841,6 +859,15 @@ impl Frame<'_> {
                 cookie,
                 notify_removed,
             },
+            Frame::PacketIn {
+                in_port,
+                reason,
+                data,
+            } => OfMessage::PacketIn {
+                in_port,
+                reason,
+                data: data.to_vec(),
+            },
             Frame::PacketOut { in_port, data } => OfMessage::PacketOut {
                 in_port,
                 actions,
@@ -865,7 +892,11 @@ pub fn decode(bytes: &[u8]) -> Result<(OfMessage, u32), CodecError> {
 
 /// The one reader: the message in `bytes`, which must hold exactly one
 /// frame, with its actions put in `actions` and its transaction id.
-pub(crate) fn read_frame<'a>(
+///
+/// # Errors
+///
+/// Exactly those of [`decode`] on the same bytes.
+pub fn read_frame<'a>(
     bytes: &'a [u8],
     actions: &mut impl ActionSink,
 ) -> Result<(Frame<'a>, u32), CodecError> {
@@ -881,6 +912,15 @@ pub(crate) fn read_frame<'a>(
     }
     let xid = r.u32()?;
     let frame = match ty {
+        T_PACKET_IN => Frame::PacketIn {
+            in_port: r.u32()?,
+            reason: match r.u8()? {
+                0 => PacketInReason::NoMatch,
+                1 => PacketInReason::Action,
+                _ => return Err(CodecError::BadField("packet_in reason")),
+            },
+            data: get_bytes(r)?,
+        },
         T_PACKET_OUT => {
             let in_port = get_opt_u32(r)?;
             get_actions(r, actions)?;
@@ -916,7 +956,8 @@ pub(crate) fn read_frame<'a>(
     Ok((frame, xid))
 }
 
-/// The body of a message of type `ty` that carries no actions.
+/// The body of a message of type `ty` that carries neither actions nor
+/// a packet.
 fn get_message(ty: u8, r: &mut Cursor<'_>) -> Result<OfMessage, CodecError> {
     Ok(match ty {
         T_HELLO => OfMessage::Hello,
@@ -926,15 +967,6 @@ fn get_message(ty: u8, r: &mut Cursor<'_>) -> Result<OfMessage, CodecError> {
         T_FEATURES_REP => OfMessage::FeaturesReply {
             datapath_id: r.u64()?,
             n_ports: r.u32()?,
-        },
-        T_PACKET_IN => OfMessage::PacketIn {
-            in_port: r.u32()?,
-            reason: match r.u8()? {
-                0 => PacketInReason::NoMatch,
-                1 => PacketInReason::Action,
-                _ => return Err(CodecError::BadField("packet_in reason")),
-            },
-            data: get_bytes(r)?.to_vec(),
         },
         T_FLOW_REMOVED => OfMessage::FlowRemoved {
             matcher: get_match(r)?,
@@ -1141,6 +1173,54 @@ mod tests {
             actions: ActionList::new(),
             data: vec![],
         });
+    }
+
+    /// What `read_frame` makes of `bytes`, owned again, or its error.
+    fn read_owned(bytes: &[u8]) -> Result<(OfMessage, u32), CodecError> {
+        let (frame, xid) = read_frame(bytes, &mut Check)?;
+        Ok((frame.into_message(ActionList::new()), xid))
+    }
+
+    #[test]
+    fn the_borrowed_packet_in_read_equals_decode() {
+        for (data, reason) in [
+            (vec![], PacketInReason::NoMatch),
+            (vec![7; 60], PacketInReason::Action),
+            (vec![0x5a; 1414], PacketInReason::NoMatch),
+        ] {
+            let msg = OfMessage::PacketIn {
+                in_port: 3,
+                reason,
+                data: data.clone(),
+            };
+            let bytes = encode(&msg, 11);
+            let (frame, xid) = read_frame(&bytes, &mut Check).unwrap();
+            let Frame::PacketIn { data: borrowed, .. } = frame else {
+                panic!("{frame:?}");
+            };
+            // The packet is the frame's own tail, not a copy.
+            assert_eq!(borrowed.as_ptr_range().end, bytes.as_ptr_range().end);
+            assert_eq!((borrowed, xid), (&data[..], 11));
+            assert_eq!(read_owned(&bytes), decode(&bytes));
+            // Cut anywhere, as received and with the length field
+            // patched to agree, so the body itself runs short.
+            for cut in 0..bytes.len() {
+                let mut short = bytes[..cut].to_vec();
+                assert_eq!(read_owned(&short), decode(&short), "cut at {cut}");
+                if cut >= HEADER_LEN {
+                    patch_u32(&mut short, 2, cut);
+                    assert_eq!(read_owned(&short), decode(&short), "patched at {cut}");
+                }
+            }
+            // Every value of the reason byte, the two good ones included.
+            for reason in 0..=u8::MAX {
+                let mut bad = bytes.clone();
+                bad[HEADER_LEN + 4] = reason;
+                let got = read_owned(&bad);
+                assert_eq!(got, decode(&bad), "reason {reason}");
+                assert_eq!(got.is_ok(), reason < 2);
+            }
+        }
     }
 
     #[test]

@@ -335,7 +335,7 @@ fn arb_lookup_frame() -> impl Strategy<Value = Packet> {
 fn receive(bytes: &[u8]) -> (Vec<Vec<u8>>, Result<Vec<OfMessage>, codec::CodecError>) {
     let mut replies = Vec::new();
     let up = SwitchChannel::new(7, 4)
-        .receive_all(bytes, &mut |r| replies.push(r))
+        .receive_all(bytes, &mut |m, xid| replies.push(codec::encode(m, xid)))
         .map(|mut batch| {
             let (mut up, mut actions) = (Vec::new(), Vec::new());
             while let Some(frame) = batch.next_frame(&mut actions) {
@@ -490,20 +490,26 @@ proptest! {
     }
 
     /// The switch's packet-in writes the bytes of its owned message:
-    /// `encode_packet_in` equals `encode` of the `PacketIn` carrying
-    /// `wire::serialize(pkt)`, in a buffer of exactly that size.
+    /// `encode_packet_in_into` appends what `encode` makes of the
+    /// `PacketIn` carrying `wire::serialize(pkt)`, after a prefix it
+    /// leaves alone, and into an empty buffer at exactly that size.
     #[test]
     fn the_in_place_packet_in_writes_the_bytes_of_its_owned_message(
+        prefix in vec(any::<u8>(), 0..32),
         in_port in any::<u32>(),
         action in any::<bool>(),
         pkt in arb_packet(),
         xid in any::<u32>(),
     ) {
         let reason = if action { PacketInReason::Action } else { PacketInReason::NoMatch };
-        let frame = codec::encode_packet_in(in_port, reason, &pkt, xid);
         let owned = OfMessage::PacketIn { in_port, reason, data: wire::serialize(&pkt) };
+        let mut buf = prefix.clone();
+        codec::encode_packet_in_into(in_port, reason, &pkt, xid, &mut buf);
+        prop_assert_eq!(&buf[..prefix.len()], &prefix[..]);
+        prop_assert_eq!(&buf[prefix.len()..], &codec::encode(&owned, xid)[..]);
+        let mut frame = Vec::new();
+        codec::encode_packet_in_into(in_port, reason, &pkt, xid, &mut frame);
         prop_assert_eq!(frame.capacity(), frame.len());
-        prop_assert_eq!(frame, codec::encode(&owned, xid));
     }
 
     /// The switch's in-place receive path reads what `decode_all`

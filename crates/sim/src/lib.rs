@@ -22,7 +22,10 @@
 //!   load-balance experiments depend on.
 //! * **Out-of-band control channel.** [`Ctx::send_control`] models the
 //!   OpenFlow secure channel between switches and the controller with
-//!   its own latency, independent of the data plane.
+//!   its own latency, independent of the data plane. A delivered
+//!   message's buffer is kept for the next sender
+//!   ([`Ctx::control_buf`]), so a message that fits a recycled buffer
+//!   allocates nothing.
 //!
 //! # Example
 //!

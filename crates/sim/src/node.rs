@@ -138,9 +138,18 @@ impl Ctx<'_> {
     }
 
     /// Sends a control-channel message to `peer`, delivered after the
-    /// world's configured control latency.
+    /// world's configured control latency. Once delivered (or dropped
+    /// by a partition), its buffer goes back to the kernel for the next
+    /// [`Ctx::control_buf`].
     pub fn send_control(&mut self, peer: NodeId, bytes: Vec<u8>) {
         self.kernel.send_control(self.node, peer, bytes);
+    }
+
+    /// An empty buffer to write the next control message into: a
+    /// delivered message's buffer, capacity kept, when the kernel holds
+    /// one, so a message that fits allocates nothing.
+    pub fn control_buf(&mut self) -> Vec<u8> {
+        self.kernel.control_buf()
     }
 
     /// The world's seeded random number generator.

@@ -171,6 +171,16 @@ impl PortSlots {
     }
 }
 
+/// Most emptied control payloads the kernel keeps for reuse. With
+/// [`SPARE_CAP`], chosen by a sweep over the e2e workloads
+/// (EXPERIMENTS.md E38): fewer or smaller buffers save fewer
+/// allocations, more or larger ones cost peak heap.
+const SPARE_BUFS: usize = 256;
+/// A delivered payload with more capacity than this is freed, not kept:
+/// a kept buffer serves any message, so an outsized batch or stats
+/// reply kept would hold its peak for the rest of the run.
+const SPARE_CAP: usize = 1024;
+
 /// Mutable simulation state shared by all nodes: clock, event queue,
 /// links, RNG, counters.
 pub struct Kernel {
@@ -192,6 +202,10 @@ pub struct Kernel {
     /// Every fault applied so far, in application order — the hook a
     /// dataplane auditor uses to re-verify invariants after each heal.
     fault_log: Vec<(SimTime, FaultKind)>,
+    /// Emptied control payloads, most recently freed last: a sender's
+    /// [`Ctx::control_buf`] takes the top one. Sized for [`SPARE_BUFS`]
+    /// up front, so keeping a buffer never allocates.
+    spare: Vec<Vec<u8>>,
 }
 
 impl std::fmt::Debug for Kernel {
@@ -263,6 +277,7 @@ impl Kernel {
     pub(crate) fn send_control(&mut self, from: NodeId, to: NodeId, mut bytes: Vec<u8>) {
         if self.partitioned.contains(&from) || self.partitioned.contains(&to) {
             *self.metrics.entry("fault_control_dropped").or_insert(0) += 1;
+            self.recycle(bytes);
             return;
         }
         if let Some(budget) = self.corrupt_budget.get_mut(&from) {
@@ -281,6 +296,24 @@ impl Kernel {
                 bytes,
             },
         );
+    }
+
+    /// An empty buffer for the next control payload: the most recently
+    /// emptied one, or a new one with no capacity if none is kept.
+    pub(crate) fn control_buf(&mut self) -> Vec<u8> {
+        self.spare.pop().unwrap_or_default()
+    }
+
+    /// Keeps an emptied control payload for [`Kernel::control_buf`],
+    /// unless it is outsized or the spares are full. Out of line, so
+    /// the run loop's frame arm compiles as it would without it.
+    #[inline(never)]
+    fn recycle(&mut self, mut bytes: Vec<u8>) {
+        let cap = bytes.capacity();
+        if cap > 0 && cap <= SPARE_CAP && self.spare.len() < SPARE_BUFS {
+            bytes.clear();
+            self.spare.push(bytes);
+        }
     }
 
     /// Counters for `(node, port)`; zeros if the port never saw traffic.
@@ -364,6 +397,7 @@ impl World {
                 corrupt_budget: BTreeMap::new(),
                 fault_rng: StdRng::seed_from_u64(seed ^ 0xfa_417),
                 fault_log: Vec::new(),
+                spare: Vec::with_capacity(SPARE_BUFS),
             },
             nodes: Vec::new(),
             started: false,
@@ -503,6 +537,7 @@ impl World {
                 }
                 EventKind::Control { node, peer, bytes } => {
                     self.with_node(node, |n, ctx| n.on_control(ctx, peer, &bytes));
+                    self.kernel.recycle(bytes);
                 }
                 EventKind::Fault { kind } => self.apply_fault(kind),
             }
@@ -1158,6 +1193,111 @@ mod tests {
         world.run_for(SimDuration::from_millis(1));
         assert_eq!(world.node::<CtlEcho>(e).inbox, vec![b"hello".to_vec()]);
         assert!(world.node::<CtlSender>(s).acked);
+    }
+
+    /// Sends one payload of each of `sizes` (capacity exactly the size)
+    /// at 0.5 ms, then at 1 ms draws a buffer and notes where it lives:
+    /// (address, capacity, length).
+    struct Burst {
+        peer: NodeId,
+        sizes: Vec<usize>,
+        sent: Vec<usize>,
+        drawn: Option<(usize, usize, usize)>,
+    }
+
+    impl Burst {
+        fn new(peer: NodeId, sizes: Vec<usize>) -> Self {
+            Burst {
+                peer,
+                sizes,
+                sent: Vec::new(),
+                drawn: None,
+            }
+        }
+    }
+
+    impl Node for Burst {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.set_timer(SimDuration::from_micros(500), 0);
+            ctx.set_timer(SimDuration::from_millis(1), 1);
+        }
+        fn on_frame(&mut self, _ctx: &mut Ctx<'_>, _port: PortId, _pkt: Packet) {}
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+            if token == 0 {
+                for &size in &self.sizes {
+                    let mut bytes = Vec::with_capacity(size);
+                    bytes.resize(size, 0x5a);
+                    self.sent.push(bytes.as_ptr() as usize);
+                    ctx.send_control(self.peer, bytes);
+                }
+                return;
+            }
+            let buf = ctx.control_buf();
+            self.drawn = Some((buf.as_ptr() as usize, buf.capacity(), buf.len()));
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// A world of a [`Burst`] sending `sizes` to a silent peer, run
+    /// past the timer; `plan` may cut the channel first.
+    fn burst(sizes: Vec<usize>, plan: Option<FaultPlan>) -> World {
+        let mut world = World::new(1);
+        let sink = world.add_node(TimerOrder { fired: vec![] });
+        world.add_node(Burst::new(sink, sizes));
+        if let Some(plan) = plan {
+            world.install_fault_plan(&plan).unwrap();
+        }
+        world.run_for(SimDuration::from_millis(2));
+        world
+    }
+
+    #[test]
+    fn a_delivered_payload_serves_the_next_send_without_allocating() {
+        let world = burst(vec![64], None);
+        let b = world.node::<Burst>(NodeId(1));
+        // The delivered payload itself, emptied, capacity kept: a
+        // message of up to 64 bytes written into it allocates nothing.
+        assert_eq!(b.drawn, Some((b.sent[0], 64, 0)));
+        assert!(world.kernel.spare.is_empty(), "the one spare was drawn");
+    }
+
+    #[test]
+    fn a_partition_dropped_payload_is_recycled() {
+        let plan = FaultPlan::new(1).at(
+            SimTime::ZERO,
+            FaultKind::PartitionControl { node: NodeId(0) },
+        );
+        let world = burst(vec![64], Some(plan));
+        assert_eq!(world.metric("fault_control_dropped"), 1);
+        let b = world.node::<Burst>(NodeId(1));
+        assert_eq!(b.drawn, Some((b.sent[0], 64, 0)));
+    }
+
+    #[test]
+    fn an_outsized_payload_is_freed_not_kept() {
+        let world = burst(vec![SPARE_CAP + 1], None);
+        let b = world.node::<Burst>(NodeId(1));
+        assert_eq!(b.drawn.map(|(_, cap, _)| cap), Some(0), "a fresh buffer");
+        // One at the bound is kept.
+        let world = burst(vec![SPARE_CAP], None);
+        let b = world.node::<Burst>(NodeId(1));
+        assert_eq!(b.drawn, Some((b.sent[0], SPARE_CAP, 0)));
+    }
+
+    #[test]
+    fn the_spares_never_exceed_their_count_bound() {
+        let world = burst(vec![16; SPARE_BUFS + 10], None);
+        // One drawn by the timer from a full pool; the 10 past the
+        // bound were freed.
+        assert_eq!(world.kernel.spare.len(), SPARE_BUFS - 1);
+        let b = world.node::<Burst>(NodeId(1));
+        // LIFO: the last payload kept is the next drawn.
+        assert_eq!(b.drawn, Some((b.sent[SPARE_BUFS - 1], 16, 0)));
     }
 
     /// Records tamper-family fault hooks in invocation order.

@@ -2,9 +2,10 @@
 
 use livesec_net::{wire, FlowKey, HashSet, MacAddr, Packet, PacketBuilder};
 use livesec_openflow::{
-    apply_actions_owned, attestation_tag, lookup_key, packet_tag, Action, ActionList, FlowEntry,
-    FlowModCommand, FlowStats, ForwardingAttestation, Frame, OfMessage, OutPort, PacketInReason,
-    PortStats, PortStatusReason, RemovedEntry, StatsBody, StatsRequestKind, SwitchChannel,
+    apply_actions_owned, attestation_tag, codec, lookup_key, packet_tag, Action, ActionList,
+    FlowEntry, FlowModCommand, FlowStats, ForwardingAttestation, Frame, OfMessage, OutPort,
+    PacketInReason, PortStats, PortStatusReason, RemovedEntry, StatsBody, StatsRequestKind,
+    SwitchChannel,
 };
 use livesec_sim::{Ctx, Node, NodeId, PortId, SimDuration};
 use std::any::Any;
@@ -208,8 +209,9 @@ impl AsSwitch {
 
     fn send_to_controller(&mut self, ctx: &mut Ctx<'_>, msg: &OfMessage) {
         if let Some(c) = self.controller {
-            let bytes = self.channel.send(msg);
-            ctx.send_control(c, bytes);
+            let mut buf = ctx.control_buf();
+            self.channel.send(msg, &mut buf);
+            ctx.send_control(c, buf);
         }
     }
 
@@ -252,8 +254,9 @@ impl AsSwitch {
     fn packet_in(&mut self, ctx: &mut Ctx<'_>, in_port: u32, reason: PacketInReason, pkt: &Packet) {
         self.packet_ins += 1;
         if let Some(c) = self.controller {
-            let bytes = self.channel.packet_in(in_port, reason, pkt);
-            ctx.send_control(c, bytes);
+            let mut buf = ctx.control_buf();
+            self.channel.packet_in(in_port, reason, pkt, &mut buf);
+            ctx.send_control(c, buf);
         }
     }
 
@@ -361,10 +364,7 @@ impl AsSwitch {
 
 impl Node for AsSwitch {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        if let Some(c) = self.controller {
-            let hello = self.channel.hello();
-            ctx.send_control(c, hello);
-        }
+        self.send_to_controller(ctx, &OfMessage::Hello);
         ctx.set_timer(TICK_PERIOD, TICK);
     }
 
@@ -435,10 +435,7 @@ impl Node for AsSwitch {
             // Reconnect with capped exponential backoff: re-offer the
             // hello until the controller answers anything at all.
             if self.ticks >= self.next_hello_tick {
-                let hello = self.channel.hello();
-                if let Some(c) = self.controller {
-                    ctx.send_control(c, hello);
-                }
+                self.send_to_controller(ctx, &OfMessage::Hello);
                 self.reconnect_hellos += 1;
                 self.next_hello_tick = self.ticks + self.reconnect_backoff;
                 self.reconnect_backoff = (self.reconnect_backoff * 2).min(BACKOFF_CAP_TICKS);
@@ -473,10 +470,11 @@ impl Node for AsSwitch {
         // the whole batch before it answers any of it, and every entry
         // is applied in this dispatch, before the barrier reply can
         // arrive.
-        let Ok(mut batch) = self
-            .channel
-            .receive_all(bytes, &mut |reply| ctx.send_control(peer, reply))
-        else {
+        let Ok(mut batch) = self.channel.receive_all(bytes, &mut |reply, xid| {
+            let mut buf = ctx.control_buf();
+            codec::encode_into(reply, xid, &mut buf);
+            ctx.send_control(peer, buf);
+        }) else {
             return; // malformed control traffic is dropped
         };
         let mut actions = std::mem::take(&mut self.action_buf);
@@ -498,10 +496,7 @@ impl Node for AsSwitch {
         self.degraded = false;
         self.reconnect_backoff = BACKOFF_START_TICKS;
         self.last_ctrl_tick = self.ticks; // boot grace period
-        if let Some(c) = self.controller {
-            let hello = self.channel.hello();
-            ctx.send_control(c, hello);
-        }
+        self.send_to_controller(ctx, &OfMessage::Hello);
     }
 
     fn on_rule_tamper(&mut self, ctx: &mut Ctx<'_>, salt: u64) {

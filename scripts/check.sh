@@ -50,11 +50,12 @@ run cargo build --release
 #   control channel and of a flow set-up, counted exactly. `encode` is
 #   one allocation per frame, `encode_into` none on a warm buffer. On
 #   the switch: a warm table files exact entries without allocating, a
-#   packet-in is one allocation, a batch of adds costs only its barrier
-#   reply while every list fits inline (plus one per spilled list), a
-#   packet-out only the packet it emits. On the controller:
-#   `compile_path` is one allocation, a one-service chained
-#   `engine::decide` on a warm store eight.
+#   packet-in is one allocation into an empty buffer and none into a
+#   warm one, a batch of adds on a warm World costs nothing, its barrier
+#   reply included, while every list fits inline (one per spilled
+#   list), a packet-out only the packet it emits. On the controller: a
+#   packet-in is read without a copy, `compile_path` is one allocation,
+#   a one-service chained `engine::decide` on a warm store seven.
 # - tests/chaos, tests/reconciliation: the campus under scheduled
 #   partitions, crashes and frame corruption over fixed seeds — zero
 #   panics, clean health-stat invariants, byte-identical same-seed

@@ -3,18 +3,23 @@
 //! frame to a buffer that already has room makes none — the owned
 //! writer, the borrowed flow-mod and the in-place packet-out alike.
 //! The controller's outbox appends every frame of a dispatch to one
-//! retained buffer, so these are its per-frame costs.
+//! retained buffer, so these are its per-frame costs. Every control
+//! message travels in a buffer the simulator recycled from a delivered
+//! one, so on a warm `World` a message that fits its buffer allocates
+//! nothing.
 //!
 //! On the switch side: a warm flow table files and replaces exact
 //! entries without allocating, a packet-in is one allocation of its
-//! frame's size, a received batch of adds and a barrier costs only the
-//! barrier reply while every list fits inline in its `ActionList` (and
-//! one allocation more per entry whose list spills), and a packet-out
-//! costs only the packet it emits.
+//! frame's size into an empty buffer and none into a warm one, a
+//! received batch of adds and a barrier costs nothing on a warm world
+//! while every list fits inline in its `ActionList` (and one
+//! allocation per entry whose list spills), and a packet-out costs
+//! only the packet it emits.
 //!
-//! On the controller side, a flow set-up allocates per flow, not per
-//! entry: `compile_path` is one allocation, its entry list, and
-//! `engine::decide` of a one-service chained flow is eight.
+//! On the controller side, a packet-in is read in place, with no copy
+//! of its frame, and a flow set-up allocates per flow, not per entry:
+//! `compile_path` is one allocation, its entry list, and
+//! `engine::decide` of a one-service chained flow is seven.
 
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
@@ -24,6 +29,7 @@ use livesec::engine::{self, EngineDecision};
 use livesec::policy::PolicyRule;
 use livesec::routing::{compile_path, Hop, SteeringProgram, SwitchEntry};
 use livesec::store::NetworkState;
+use livesec::Controller;
 use livesec_net::packet::{arp_frame, lldp_frame};
 use livesec_net::{wire, ArpPacket, FlowKey, LldpFrame, MacAddr, Packet, PacketBuilder};
 use livesec_openflow::codec::{self, FlowModRef};
@@ -289,10 +295,10 @@ fn a_warm_table_files_exact_entries_without_allocating() {
     assert_eq!(table.len(), 1);
 }
 
-#[test]
-fn a_packet_in_allocates_once_at_the_frames_exact_size() {
-    let mut channel = SwitchChannel::new(7, 4);
-    let packets = [
+/// The packets a packet-in carries in the workloads: a full segment,
+/// an ARP request, an LLDP probe.
+fn punted() -> [Packet; 3] {
+    [
         full_segment(),
         arp_frame(ArpPacket::request(
             MacAddr::from_u64(9),
@@ -300,11 +306,16 @@ fn a_packet_in_allocates_once_at_the_frames_exact_size() {
             ip("10.0.0.1"),
         )),
         lldp_frame(MacAddr::from_u64(77), LldpFrame::new(0xabcdef, 12)),
-    ];
-    for pkt in &packets {
+    ]
+}
+
+#[test]
+fn a_packet_in_allocates_once_at_the_frames_exact_size() {
+    let mut channel = SwitchChannel::new(7, 4);
+    for pkt in &punted() {
         let mut frame = Vec::new();
         let got = measure("SwitchChannel::packet_in", || {
-            frame = channel.packet_in(2, PacketInReason::NoMatch, pkt)
+            channel.packet_in(2, PacketInReason::NoMatch, pkt, &mut frame)
         });
         assert_eq!(
             got,
@@ -317,11 +328,32 @@ fn a_packet_in_allocates_once_at_the_frames_exact_size() {
     }
 }
 
-/// A controller stand-in that pushes one prepared payload per timer
-/// (its token indexes `payloads`) and counts what comes back. Neither
+#[test]
+fn a_packet_in_into_a_warm_buffer_allocates_nothing() {
+    let mut channel = SwitchChannel::new(7, 4);
+    // A recycled buffer: emptied, with the capacity of the largest.
+    let mut buf = Vec::new();
+    channel.packet_in(2, PacketInReason::NoMatch, &full_segment(), &mut buf);
+    for pkt in &punted() {
+        buf.clear();
+        let got = measure("SwitchChannel::packet_in", || {
+            channel.packet_in(2, PacketInReason::NoMatch, pkt, &mut buf)
+        });
+        assert_eq!(got.calls, 0, "{pkt:?}");
+        let owned = OfMessage::PacketIn {
+            in_port: 2,
+            reason: PacketInReason::NoMatch,
+            data: wire::serialize(pkt),
+        };
+        assert_eq!(codec::decode(&buf).map(|(m, _)| m), Ok(owned));
+    }
+}
+
+/// A stand-in peer that pushes one prepared payload per timer (its
+/// token indexes `payloads`) and counts what comes back. Neither
 /// allocates: the payload moves out, the reply is only counted.
 struct Pusher {
-    switch: Option<NodeId>,
+    peer: Option<NodeId>,
     payloads: Vec<Vec<u8>>,
     replies: usize,
 }
@@ -330,7 +362,7 @@ impl Node for Pusher {
     fn on_frame(&mut self, _ctx: &mut Ctx<'_>, _port: PortId, _pkt: Packet) {}
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         let payload = std::mem::take(&mut self.payloads[token as usize]);
-        ctx.send_control(self.switch.unwrap(), payload);
+        ctx.send_control(self.peer.unwrap(), payload);
     }
     fn on_control(&mut self, _ctx: &mut Ctx<'_>, _peer: NodeId, _bytes: &[u8]) {
         self.replies += 1;
@@ -361,34 +393,48 @@ impl Node for Drain {
 /// what the switch's handling of each payload allocated and the
 /// replies it drew.
 fn switch_receives(payloads: Vec<Vec<u8>>) -> (Vec<Allocated>, usize) {
+    let (got, replies, ..) = receives(payloads, |ctrl| AsSwitch::new(7, 4).with_controller(ctrl));
+    (got, replies)
+}
+
+/// `node` receiving `payloads` one every 10 ms from a [`Pusher`] over a
+/// 1 ms control channel, with a [`Drain`] on its port 3; `node` is
+/// built knowing the pusher's id. Returns what `node`'s handling of
+/// each payload allocated, the replies it drew, the world and `node`'s
+/// id.
+fn receives<N: Node>(
+    payloads: Vec<Vec<u8>>,
+    node: impl FnOnce(NodeId) -> N,
+) -> (Vec<Allocated>, usize, World, NodeId) {
     let ms = SimDuration::from_millis;
     let mut world = World::new(1);
     world.set_control_latency(ms(1));
     let n = payloads.len();
-    let ctrl = world.add_node(Pusher {
-        switch: None,
+    let pusher = world.add_node(Pusher {
+        peer: None,
         payloads,
         replies: 0,
     });
-    let sw = world.add_node(AsSwitch::new(7, 4).with_controller(ctrl));
+    let id = world.add_node(node(pusher));
     let drain = world.add_node(Drain);
-    world.connect(drain, PortId(1), sw, PortId(3), LinkSpec::gigabit());
-    world.node_mut::<Pusher>(ctrl).switch = Some(sw);
+    world.connect(drain, PortId(1), id, PortId(3), LinkSpec::gigabit());
+    world.node_mut::<Pusher>(pusher).peer = Some(id);
     let mut got = Vec::new();
     for k in 0..n {
         // Sent at 10 ms steps, so it is in flight at +0.5 ms, handled
         // at +1 ms and its reply lands at +2 ms: the measured window
-        // holds the switch's dispatch alone. The switch's first
-        // housekeeping tick is at 100 ms.
+        // holds the node's dispatch alone. The switch's and the
+        // controller's first housekeeping tick is at 100 ms.
         let sent = SimTime::ZERO + ms(10 * (k as u64 + 1));
-        world.schedule_timer_at(ctrl, sent, k as u64);
+        world.schedule_timer_at(pusher, sent, k as u64);
         world.run_until(sent + SimDuration::from_micros(500));
-        got.push(measure("AsSwitch::on_control", || {
+        got.push(measure("Node::on_control", || {
             world.run_until(sent + SimDuration::from_micros(1500));
         }));
     }
     world.run_for(ms(5));
-    (got, world.node::<Pusher>(ctrl).replies)
+    let replies = world.node::<Pusher>(pusher).replies;
+    (got, replies, world, id)
 }
 
 fn batch(msgs: &[OfMessage]) -> Vec<u8> {
@@ -400,7 +446,7 @@ fn batch(msgs: &[OfMessage]) -> Vec<u8> {
 }
 
 #[test]
-fn a_batch_of_adds_costs_the_barrier_reply_and_one_allocation_per_spilled_list() {
+fn a_batch_of_adds_on_a_warm_world_costs_one_allocation_per_spilled_list() {
     const N: u16 = 6;
     let spilled = INLINE_ACTIONS + 1;
     let adds = |from: u16, actions: usize| -> Vec<OfMessage> {
@@ -440,15 +486,12 @@ fn a_batch_of_adds_costs_the_barrier_reply_and_one_allocation_per_spilled_list()
         1 + 4,
         "the hello, then a barrier reply per add batch"
     );
-    let barrier_reply = codec::encode(&OfMessage::BarrierReply, 1).len();
-    // Lists that fit inline live in their entries: the reply is all.
+    // Lists that fit inline live in their entries, and the barrier
+    // reply travels in a delivered payload's buffer: nothing at all.
     for round in [2, 3] {
         assert_eq!(
             got[round],
-            Allocated {
-                calls: 1,
-                bytes: barrier_reply
-            },
+            Allocated { calls: 0, bytes: 0 },
             "round {round}"
         );
     }
@@ -456,13 +499,36 @@ fn a_batch_of_adds_costs_the_barrier_reply_and_one_allocation_per_spilled_list()
     assert_eq!(
         got[4],
         Allocated {
-            calls: usize::from(N) + 1,
-            bytes: usize::from(N) * spilled * size_of::<Action>() + barrier_reply
+            calls: usize::from(N),
+            bytes: usize::from(N) * spilled * size_of::<Action>()
         }
     );
 }
 
-// ---- the controller side: a flow set-up's decision and programs ----
+// ---- the controller side: the packet-in read, a flow set-up's
+// decision and programs ----
+
+#[test]
+fn the_controllers_packet_in_read_copies_nothing() {
+    let frames: Vec<Vec<u8>> = punted()
+        .iter()
+        .map(|pkt| {
+            let mut frame = Vec::new();
+            SwitchChannel::new(7, 4).packet_in(2, PacketInReason::NoMatch, pkt, &mut frame);
+            frame
+        })
+        .collect();
+    let n = frames.len();
+    // From a channel that never finished the features handshake, each
+    // packet-in is read, counted and dropped: the dispatch is the read
+    // alone, and the packet stays in the delivered bytes.
+    let (got, replies, world, ctrl) = receives(frames, |_| Controller::new());
+    assert_eq!(world.node::<Controller>(ctrl).packet_ins, n as u64);
+    assert_eq!(replies, 0);
+    for (k, a) in got.iter().enumerate() {
+        assert_eq!(*a, Allocated { calls: 0, bytes: 0 }, "packet-in {k}");
+    }
+}
 
 fn hop(mac: u64, dpid: u64, port: u32) -> Hop {
     Hop {
@@ -507,7 +573,7 @@ fn compile_path_allocates_once_for_any_path() {
 }
 
 #[test]
-fn a_chained_decision_on_a_warm_store_allocates_eight_times() {
+fn a_chained_decision_on_a_warm_store_allocates_seven_times() {
     const IDS: ServiceType = ServiceType::IntrusionDetection;
     let mut store = NetworkState::new();
     store.locate(MacAddr::from_u64(0xa1), 1, 2);
@@ -549,19 +615,17 @@ fn a_chained_decision_on_a_warm_store_allocates_eight_times() {
     });
     assert!(matches!(decision, Some(EngineDecision::Steer { .. })));
     // 1. the policy's chain, cloned: the decision's `services`;
-    // 2. the matched rule's name, owned and then dropped (a steer
-    //    decision does not carry it);
-    // 3. the picked `elements`;
-    // 4. the hop list, reversed in place for the reverse program;
-    // 5.–6. the forward and the reverse program's entry lists;
-    // 7.–8. the `Rc` of each program.
+    // 2. the picked `elements`;
+    // 3. the hop list, reversed in place for the reverse program;
+    // 4.–5. the forward and the reverse program's entry lists;
+    // 6.–7. the `Rc` of each program.
+    // The matched rule's name stays borrowed: only a denial owns it.
     let rc = 2 * size_of::<usize>() + size_of::<SteeringProgram>();
     assert_eq!(
         got,
         Allocated {
-            calls: 8,
+            calls: 7,
             bytes: size_of::<ServiceType>()
-                + "web-ids".len()
                 + size_of::<MacAddr>()
                 + 3 * size_of::<Hop>()
                 + 2 * (4 * size_of::<SwitchEntry>())

@@ -449,7 +449,8 @@ fn switch_channel_receive_survives_mutation() {
         |b| {
             let mut channel = SwitchChannel::new(7, 4);
             let mut actions = Vec::new();
-            if let Ok(mut batch) = channel.receive_all(b, &mut drop) {
+            let mut reply = |m: &OfMessage, xid| drop(encode(m, xid));
+            if let Ok(mut batch) = channel.receive_all(b, &mut reply) {
                 while batch.next_frame(&mut actions).is_some() {}
             }
         },
