@@ -5,12 +5,30 @@
 #[path = "support/accountability.rs"]
 mod fixtures;
 
-use fixtures::{att, key_of, loaded_detector, replay_packet, REPLAY_AT};
+use fixtures::{att, key_of, loaded_detector, program_of, replay_packet, HOPS, REPLAY_AT};
+use livesec::accountability::{PathProof, ProofSource};
 use livesec_openflow::packet_tag;
-use livesec_sim::SimDuration;
+use livesec_sim::{SimDuration, SimTime};
+use std::rc::Rc;
 
 const FLOWS: u64 = 1_000;
 const PACKETS: u64 = 20_000;
+
+#[test]
+fn the_fixture_programs_prove_the_fixture_hops() {
+    let key = key_of(7);
+    let proof = PathProof::of_program(
+        Rc::new(program_of(&key)),
+        HOPS[0].3,
+        ProofSource::Steering,
+        SimTime::ZERO,
+    );
+    let hops: Vec<_> = proof
+        .hops()
+        .map(|h| (h.dpid, h.in_port, h.out_port, h.cookie))
+        .collect();
+    assert_eq!(hops, HOPS);
+}
 
 #[test]
 fn honest_replay_verifies_every_chain_and_every_forgery_is_caught() {

@@ -2,17 +2,40 @@
 //! (`tests/accountability.rs`): flows with registered 3-hop path
 //! proofs, and the honest attestations a sampled packet leaves on them.
 
-use livesec::accountability::{AccountabilityDetector, PathProof, ProofHop, ProofSource};
+use livesec::accountability::{AccountabilityDetector, PathProof, ProofSource};
 use livesec::flow_sig;
+use livesec::routing::{SteeringProgram, SwitchEntry};
 use livesec_net::{FlowKey, MacAddr};
-use livesec_openflow::{attestation_tag, packet_tag, ForwardingAttestation};
+use livesec_openflow::{
+    attestation_tag, packet_tag, Action, ForwardingAttestation, Match, OutPort,
+};
 use livesec_sim::SimTime;
 use std::net::Ipv4Addr;
+use std::rc::Rc;
 
 /// Proof hops every flow uses: ingress (cookie-tagged), SE relay,
-/// egress — the shape `PathProof::of_program` emits for a steered
-/// flow.
+/// egress — the hops `PathProof::hops` derives from a steered flow's
+/// program ([`program_of`]).
 pub const HOPS: [(u64, u32, u32, u64); 3] = [(1, 5, 1, 1), (2, 1, 7, 0), (3, 1, 9, 0)];
+
+/// The ingress cookie of [`HOPS`].
+const COOKIE: u64 = HOPS[0].3;
+
+/// The program whose proof has the [`HOPS`]: one exact entry per hop,
+/// emitting on the hop's out-port.
+pub fn program_of(key: &FlowKey) -> SteeringProgram {
+    SteeringProgram {
+        entries: HOPS
+            .iter()
+            .map(|&(dpid, in_port, out_port, _)| SwitchEntry {
+                dpid,
+                matcher: Match::exact(in_port, key),
+                actions: vec![Action::Output(OutPort::Physical(out_port))].into(),
+                priority: 100,
+            })
+            .collect(),
+    }
+}
 
 /// When replay observes: well past `PROOF_GRACE` of the t=0
 /// registrations, so a mismatch is a verdict, not a stale-straggler
@@ -52,22 +75,11 @@ pub fn att(key: &FlowKey, pkt_tag: u64, hop: (u64, u32, u32, u64)) -> Forwarding
 pub fn loaded_detector(flows: u64) -> AccountabilityDetector {
     let mut d = AccountabilityDetector::new();
     for i in 0..flows {
-        let hops = HOPS
-            .iter()
-            .map(|&(dpid, in_port, out_port, cookie)| ProofHop {
-                dpid,
-                in_port,
-                out_port,
-                cookie,
-            })
-            .collect();
+        let key = key_of(i);
+        let program = Rc::new(program_of(&key));
         d.register(
-            flow_sig(&key_of(i)),
-            PathProof {
-                source: ProofSource::Steering,
-                hops,
-                registered_at: SimTime::ZERO,
-            },
+            flow_sig(&key),
+            PathProof::of_program(program, COOKIE, ProofSource::Steering, SimTime::ZERO),
         );
     }
     d

@@ -8,9 +8,10 @@
 //! touching its table, drop them outright, or originate frames the
 //! controller never admitted. This module closes the loop:
 //!
-//! * At flow setup the controller derives a **path proof** from each
-//!   compiled steering program — the exact `(dpid, in_port, out_port,
-//!   cookie)` sequence an honest data plane would produce.
+//! * At flow setup the controller files a **path proof** for each
+//!   compiled steering program — the program itself plus its ingress
+//!   cookie, from which the exact `(dpid, in_port, out_port, cookie)`
+//!   sequence an honest data plane would produce is derived.
 //! * Switches emit per-hop **forwarding attestations** (sampled,
 //!   [`livesec_openflow::ForwardingAttestation`]) describing what they
 //!   *actually* did.
@@ -35,6 +36,7 @@ use livesec_sim::{SimDuration, SimTime};
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
+use std::rc::Rc;
 
 /// The rewrite-invariant identity of a flow. Steering rewrites the
 /// destination MAC hop by hop (that is how LiveSec reaches off-path
@@ -76,13 +78,17 @@ pub struct ProofHop {
 }
 
 /// The controller-issued forwarding proof for one direction of one
-/// flow.
-#[derive(Clone, PartialEq, Eq, Debug)]
+/// flow: the compiled program itself, shared with the flow's record,
+/// plus the cookie its ingress entry carries. Its hops are derived on
+/// demand ([`PathProof::hops`]), so a proof copies nothing.
+#[derive(Clone, PartialEq, Debug)]
 pub struct PathProof {
     /// Which program this proof mirrors.
     pub source: ProofSource,
-    /// Expected hops, ingress-first.
-    pub hops: Vec<ProofHop>,
+    /// The program an honest data plane executes.
+    pub program: Rc<SteeringProgram>,
+    /// The cookie on the program's first entry.
+    pub cookie: u64,
     /// When the program was (re)installed. Mismatches within
     /// `PROOF_GRACE` of this are discarded as in-flight stragglers
     /// of the previous program, not deviations.
@@ -90,17 +96,27 @@ pub struct PathProof {
 }
 
 impl PathProof {
-    /// Derives the proof of `program`: one hop per compiled entry,
-    /// with `cookie` on the first entry only — exactly how the
-    /// controller's one entry derivation (`Entry::of_programs`) tags
-    /// the flow-mods.
+    /// The proof of `program`, whose first entry carries `cookie` —
+    /// exactly how the controller's one entry derivation
+    /// (`Entry::of_programs`) tags the flow-mods.
     pub fn of_program(
-        program: &SteeringProgram,
+        program: Rc<SteeringProgram>,
         cookie: u64,
         source: ProofSource,
         now: SimTime,
     ) -> Self {
-        let hops = program
+        PathProof {
+            source,
+            program,
+            cookie,
+            registered_at: now,
+        }
+    }
+
+    /// The expected hops, ingress-first: one per compiled entry, with
+    /// the cookie on the first only.
+    pub fn hops(&self) -> impl Iterator<Item = ProofHop> + '_ {
+        self.program
             .entries
             .iter()
             .enumerate()
@@ -116,14 +132,50 @@ impl PathProof {
                         _ => None,
                     })
                     .unwrap_or(0),
-                cookie: if i == 0 { cookie } else { 0 },
+                cookie: if i == 0 { self.cookie } else { 0 },
             })
-            .collect();
-        PathProof {
-            source,
-            hops,
-            registered_at: now,
+    }
+}
+
+/// The standing proofs of one flow signature, at most one per
+/// [`ProofSource`], oldest registration first and without gaps —
+/// the order replay tries them in.
+#[derive(Debug, Default)]
+struct Proofs([Option<PathProof>; 2]);
+
+impl Proofs {
+    /// Files `proof`, replacing the standing one from its source.
+    fn register(&mut self, proof: PathProof) {
+        self.retire(proof.source);
+        let [first, second] = &mut self.0;
+        let slot = if first.is_none() { first } else { second };
+        *slot = Some(proof);
+    }
+
+    /// Drops the standing proof from `source`, if any.
+    fn retire(&mut self, source: ProofSource) {
+        let [first, second] = &mut self.0;
+        if first.as_ref().is_some_and(|p| p.source == source) {
+            *first = second.take();
+        } else if second.as_ref().is_some_and(|p| p.source == source) {
+            *second = None;
         }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &PathProof> {
+        self.0.iter().flatten()
+    }
+
+    /// The proof, when exactly one stands.
+    fn only(&self) -> Option<&PathProof> {
+        match &self.0 {
+            [Some(p), None] => Some(p),
+            _ => None,
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        matches!(self.0, [None, _])
     }
 }
 
@@ -226,9 +278,8 @@ enum HopCheck {
 /// proofs; see the module docs for the protocol.
 #[derive(Debug, Default)]
 pub struct AccountabilityDetector {
-    /// Standing proofs per flow signature (at most one per
-    /// [`ProofSource`]).
-    proofs: BTreeMap<FlowSig, Vec<PathProof>>,
+    /// Standing proofs per flow signature.
+    proofs: BTreeMap<FlowSig, Proofs>,
     /// Every signature ever admitted — distinguishes "retired flow's
     /// straggler" from "never-admitted injection".
     admitted_ever: BTreeSet<FlowSig>,
@@ -254,9 +305,7 @@ impl AccountabilityDetector {
     pub fn register(&mut self, sig: FlowSig, proof: PathProof) {
         self.stats.proofs_registered += 1;
         self.admitted_ever.insert(sig);
-        let slot = self.proofs.entry(sig).or_default();
-        slot.retain(|p| p.source != proof.source);
-        slot.push(proof);
+        self.proofs.entry(sig).or_default().register(proof);
     }
 
     /// Retires the proof of `sig` from `source` (both when `None`).
@@ -266,8 +315,8 @@ impl AccountabilityDetector {
             return;
         };
         match source {
-            Some(s) => slot.retain(|p| p.source != s),
-            None => slot.clear(),
+            Some(s) => slot.retire(s),
+            None => *slot = Proofs::default(),
         }
         if slot.is_empty() {
             self.proofs.remove(&sig);
@@ -377,8 +426,8 @@ impl AccountabilityDetector {
             };
         };
         let mut best: Option<Candidate> = None;
-        for proof in proofs {
-            for hop in proof.hops.iter().filter(|h| h.dpid == att.dpid) {
+        for proof in proofs.iter() {
+            for hop in proof.hops().filter(|h| h.dpid == att.dpid) {
                 if hop.in_port == att.in_port
                     && hop.out_port == att.out_port
                     && hop.cookie == att.cookie
@@ -415,11 +464,11 @@ impl AccountabilityDetector {
         let Some(proofs) = self.proofs.get(&sig) else {
             return;
         };
-        let [proof] = proofs.as_slice() else {
+        let Some(proof) = proofs.only() else {
             self.chains.remove(&(sig, att.pkt_tag));
             return;
         };
-        let n_hops = proof.hops.len();
+        let n_hops = proof.program.entries.len();
         let chain = match self.chains.entry((sig, att.pkt_tag)) {
             Entry::Occupied(e) => e.into_mut(),
             Entry::Vacant(e) => {
@@ -429,7 +478,7 @@ impl AccountabilityDetector {
                 // no attestation — so its mid-path attestations must not
                 // open a chain the ingress can never join: it would stall
                 // and frame the honest ingress switch as a dropper.
-                let Some(first) = proof.hops.first() else {
+                let Some(first) = proof.hops().next() else {
                     return;
                 };
                 if att.dpid != first.dpid
@@ -454,7 +503,7 @@ impl AccountabilityDetector {
         }
         // Complete chains retire immediately — only stragglers stay
         // behind for the deadline sweep to inspect.
-        let complete = proof.hops.iter().all(|h| {
+        let complete = proof.hops().all(|h| {
             chain
                 .attested
                 .iter()
@@ -482,13 +531,13 @@ impl AccountabilityDetector {
             let Some(proofs) = self.proofs.get(&key.0) else {
                 continue; // flow retired while the packet was in flight
             };
-            let [proof] = proofs.as_slice() else {
+            let Some(proof) = proofs.only() else {
                 continue; // the path moved under the chain
             };
             if proof.registered_at > chain.first_seen {
                 continue; // the path moved under the chain
             }
-            let missing = proof.hops.iter().find(|h| {
+            let missing = proof.hops().find(|h| {
                 !chain.attested.iter().any(|a| {
                     a.3 == h.dpid && a.0 == h.in_port && a.1 == h.out_port && a.2 == h.cookie
                 })
@@ -528,7 +577,7 @@ impl AccountabilityDetector {
     /// The counters, with the standing-proof gauge filled in.
     pub fn stats(&self) -> AccountabilityStats {
         let mut s = self.stats;
-        s.proofs_active = self.proofs.values().map(|v| v.len() as u64).sum();
+        s.proofs_active = self.proofs.values().map(|p| p.iter().count() as u64).sum();
         s
     }
 
@@ -595,7 +644,7 @@ mod tests {
         d.register(
             flow_sig(&key()),
             PathProof::of_program(
-                &program(&[(1, 3, 1), (2, 1, 7)]),
+                Rc::new(program(&[(1, 3, 1), (2, 1, 7)])),
                 1,
                 ProofSource::Steering,
                 ms(0),
@@ -666,7 +715,7 @@ mod tests {
         d.register(
             flow_sig(&key()),
             PathProof::of_program(
-                &program(&[(1, 3, 2), (4, 1, 7)]),
+                Rc::new(program(&[(1, 3, 2), (4, 1, 7)])),
                 1,
                 ProofSource::Steering,
                 ms(99),
@@ -683,7 +732,7 @@ mod tests {
         d.register(
             flow_sig(&key()),
             PathProof::of_program(
-                &program(&[(1, 3, 5), (9, 1, 7)]),
+                Rc::new(program(&[(1, 3, 5), (9, 1, 7)])),
                 5,
                 ProofSource::FastPass,
                 ms(0),
@@ -708,7 +757,12 @@ mod tests {
         };
         d.register(
             flow_sig(&other),
-            PathProof::of_program(&program(&[(2, 1, 7)]), 1, ProofSource::Steering, ms(0)),
+            PathProof::of_program(
+                Rc::new(program(&[(2, 1, 7)])),
+                1,
+                ProofSource::Steering,
+                ms(0),
+            ),
         );
         d.observe(
             ms(700),
@@ -746,7 +800,12 @@ mod tests {
         };
         d.register(
             flow_sig(&other),
-            PathProof::of_program(&program(&[(2, 1, 7)]), 1, ProofSource::Steering, ms(0)),
+            PathProof::of_program(
+                Rc::new(program(&[(2, 1, 7)])),
+                1,
+                ProofSource::Steering,
+                ms(0),
+            ),
         );
         d.observe(
             ms(650),

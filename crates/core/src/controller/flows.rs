@@ -83,12 +83,18 @@ impl Controller {
         cubes
     }
 
-    /// The one flow set-up (DESIGN.md §4c): a packet-in that missed the
-    /// flow table either belongs to a session on the books — repair
-    /// and release it — or gets one [`EngineDecision`], applied in one
-    /// `match`.
-    pub(super) fn handle_flow(&mut self, now: SimTime, dpid: u64, in_port: u32, pkt: &Packet) {
-        let Some(key) = FlowKey::of(pkt) else { return };
+    /// The one flow set-up (DESIGN.md §4c): a packet-in of `key`, whose
+    /// packet is `frame`, missed the flow table. It either belongs to a
+    /// session on the books — repair and release it — or gets one
+    /// [`EngineDecision`], applied in one `match`.
+    pub(super) fn handle_flow(
+        &mut self,
+        now: SimTime,
+        dpid: u64,
+        in_port: u32,
+        key: FlowKey,
+        frame: &[u8],
+    ) {
         let at_uplink = Some(in_port) == self.topo.uplink_of(dpid);
         if !at_uplink {
             // Learn or refresh the sender's location from data traffic
@@ -134,7 +140,7 @@ impl Controller {
             if let (Some(rec), Some(node)) = (release, self.node_of(dpid)) {
                 let program = if k == key { &rec.forward } else { &rec.reverse };
                 self.tx
-                    .packet_out(node, Some(in_port), program.ingress_actions(), pkt);
+                    .release(node, Some(in_port), program.ingress_actions(), frame);
             }
             return;
         }
@@ -162,7 +168,10 @@ impl Controller {
                 // Release the triggering packet along the new path (the
                 // flow-mods were queued first on the same channel, so
                 // they are applied before this packet-out).
-                self.packet_out(dpid, Some(in_port), forward.ingress_actions(), pkt);
+                if let Some(node) = self.node_of(dpid) {
+                    self.tx
+                        .release(node, Some(in_port), forward.ingress_actions(), frame);
+                }
                 for mac in &elements {
                     self.registry.adjust_outstanding(*mac, 1);
                 }
@@ -188,7 +197,7 @@ impl Controller {
                     fwd_done: None,
                     rev_done: None,
                 };
-                self.active.insert(key, rec);
+                self.admit(key, rec);
                 // A connection the firewall already reported established
                 // gets its fast-pass back on this packet-in — the element
                 // reports each establishment only once, so a fast-pass
@@ -431,14 +440,28 @@ impl Controller {
     }
 
     /// Maps an SE-reported flow key (possibly carrying rewritten MACs)
-    /// back to the originally-admitted key by matching the
-    /// MAC-independent fields against the active flows.
-    fn canonical_key(&self, reported: &FlowKey) -> FlowKey {
+    /// back to the originally-admitted key: the least active key with
+    /// the same VLAN and MAC-independent fields, or the key itself if
+    /// it is active or no key matches.
+    pub(super) fn canonical_key(&self, reported: &FlowKey) -> FlowKey {
         if self.active.contains_key(reported) {
             return *reported;
         }
-        let same = |k: &&FlowKey| k.vlan == reported.vlan && flow_sig(k) == flow_sig(reported);
-        self.active.keys().find(same).copied().unwrap_or(*reported)
+        self.by_sig
+            .get(&(reported.vlan, flow_sig(reported)))
+            .map_or(*reported, |(least, _)| *least)
+    }
+
+    /// Puts `key`'s record on the books and in the signature index.
+    fn admit(&mut self, key: FlowKey, rec: FlowRecord) {
+        self.active.insert(key, rec);
+        self.by_sig
+            .entry((key.vlan, flow_sig(&key)))
+            .and_modify(|(least, n)| {
+                *least = (*least).min(key);
+                *n += 1;
+            })
+            .or_insert((key, 1));
     }
 
     /// Installs a standing drop at `dpid` and enters it in the block
@@ -493,8 +516,8 @@ impl Controller {
         &mut self,
         now: SimTime,
         key: &FlowKey,
-        forward: &SteeringProgram,
-        reverse: &SteeringProgram,
+        forward: &Rc<SteeringProgram>,
+        reverse: &Rc<SteeringProgram>,
         source: ProofSource,
     ) {
         let idle = match source {
@@ -505,11 +528,11 @@ impl Controller {
         let (fwd_cookie, rev_cookie) = ingress_cookies(source);
         self.detector.register(
             flow_sig(key),
-            PathProof::of_program(forward, fwd_cookie, source, now),
+            PathProof::of_program(Rc::clone(forward), fwd_cookie, source, now),
         );
         self.detector.register(
             flow_sig(&key.reversed()),
-            PathProof::of_program(reverse, rev_cookie, source, now),
+            PathProof::of_program(Rc::clone(reverse), rev_cookie, source, now),
         );
     }
 
@@ -528,6 +551,19 @@ impl Controller {
         source: Option<ProofSource>,
     ) -> Option<FlowRecord> {
         let rec = self.active.remove(key)?;
+        let index = (key.vlan, flow_sig(key));
+        if let Some((least, n)) = self.by_sig.get_mut(&index) {
+            *n -= 1;
+            if *n == 0 {
+                self.by_sig.remove(&index);
+            } else if least == key {
+                // A tie outlives its least key: the next one takes over.
+                let same = |k: &&FlowKey| k.vlan == key.vlan && flow_sig(k) == index.1;
+                if let Some(next) = self.active.keys().find(same) {
+                    *least = *next;
+                }
+            }
+        }
         self.retire_proofs(key, source);
         for mac in &rec.elements {
             self.registry.adjust_outstanding(*mac, -1);

@@ -5,9 +5,13 @@ use super::*;
 
 impl Controller {
     /// Demultiplexes one packet-in from switch `dpid`: LLDP, ARP, SE
-    /// control, DHCP, or a flow to set up.
+    /// control, DHCP, or a flow to set up. The frame is read in place:
+    /// messages decode from its payload's bytes, and a flow's first
+    /// packet is released as the frame itself.
     pub(super) fn on_packet_in(&mut self, now: SimTime, dpid: u64, in_port: u32, data: &[u8]) {
-        let Ok(pkt) = wire::parse(data) else { return };
+        let Ok((pkt, payload)) = wire::parse_in_place(data) else {
+            return;
+        };
 
         if let Some(lldp) = pkt.lldp() {
             self.observe_lldp(now, (lldp.chassis_id, lldp.port_id), (dpid, in_port));
@@ -19,10 +23,8 @@ impl Controller {
             return;
         }
         if let Some(udp) = pkt.udp() {
-            if udp.dst_port == SE_CONTROL_PORT
-                && SeMessage::is_control_payload(udp.payload.content())
-            {
-                if let Some(msg) = SeMessage::decode(udp.payload.content()) {
+            if udp.dst_port == SE_CONTROL_PORT && SeMessage::is_control_payload(payload) {
+                if let Some(msg) = SeMessage::decode(payload) {
                     self.handle_se_message(now, pkt.eth.src, msg);
                 }
                 // Never install an entry for the control flow: every
@@ -30,12 +32,12 @@ impl Controller {
                 return;
             }
             if udp.dst_port == DhcpMessage::SERVER_PORT {
-                self.handle_dhcp(dpid, in_port, &pkt);
+                self.handle_dhcp(dpid, in_port, payload);
                 return;
             }
         }
-        if pkt.ipv4().is_some() {
-            self.handle_flow(now, dpid, in_port, &pkt);
+        if let Some(key) = FlowKey::of(&pkt) {
+            self.handle_flow(now, dpid, in_port, key, data);
         }
     }
 
@@ -85,12 +87,12 @@ impl Controller {
         }
     }
 
-    fn handle_dhcp(&mut self, dpid: u64, in_port: u32, pkt: &Packet) {
+    /// Answers the DHCP message `payload` for the directory proxy.
+    fn handle_dhcp(&mut self, dpid: u64, in_port: u32, payload: &[u8]) {
         let Some(proxy) = self.directory.as_mut() else {
             return;
         };
-        let Some(udp) = pkt.udp() else { return };
-        let Some(request) = DhcpMessage::decode(udp.payload.content()) else {
+        let Some(request) = DhcpMessage::decode(payload) else {
             return;
         };
         let Some(reply) = proxy.handle(&request) else {

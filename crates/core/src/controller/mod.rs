@@ -33,7 +33,8 @@ mod outbox;
 mod session;
 
 use crate::accountability::{
-    flow_sig, AccountabilityDetector, AccountabilityStats, Deviation, PathProof, ProofSource,
+    flow_sig, AccountabilityDetector, AccountabilityStats, Deviation, FlowSig, PathProof,
+    ProofSource,
 };
 use crate::balance::{LoadBalancer, SeRegistry};
 use crate::directory::DirectoryProxy;
@@ -200,6 +201,10 @@ pub struct Controller {
     // snapshot and reconciliation, so it is part of the spec
     // (DESIGN.md §6).
     active: BTreeMap<FlowKey, FlowRecord>,
+    /// The active keys per `(vlan, signature)`: the least of them and
+    /// how many there are. A verdict's key, whose MACs steering
+    /// rewrote, finds its flow here (`canonical_key`).
+    by_sig: HashMap<(Option<u16>, FlowSig), (FlowKey, u32)>,
     required_certs: Option<BTreeSet<u64>>,
     /// `(key, ingress dpid, egress dpid)` of the most recent flow
     /// admission — taken by the sharded plane to count flows whose
@@ -300,6 +305,7 @@ impl Controller {
             monitor: Monitor::new(),
             directory: None,
             active: BTreeMap::new(),
+            by_sig: HashMap::default(),
             required_certs: None,
             last_setup: None,
             tx: Outbox::new(),

@@ -189,6 +189,20 @@ impl Outbox {
         });
     }
 
+    /// Queues a packet-out that releases the delivered frame `frame`
+    /// from `node` with `actions`, its bytes as they stand.
+    pub(super) fn release(
+        &mut self,
+        node: NodeId,
+        in_port: Option<u32>,
+        actions: &[Action],
+        frame: &[u8],
+    ) {
+        self.queue(node, false, |xid, buf| {
+            codec::encode_frame_out_into(in_port, actions, frame, xid, buf);
+        });
+    }
+
     /// Writes one frame with the next transaction id at the end of the
     /// arena and books it to `node`'s batch.
     fn queue(&mut self, node: NodeId, is_flow_mod: bool, write: impl FnOnce(u32, &mut Vec<u8>)) {
@@ -327,23 +341,12 @@ impl Controller {
         }
     }
 
-    /// Queues a packet-out of `pkt` from switch `dpid`.
-    pub(super) fn packet_out(
-        &mut self,
-        dpid: u64,
-        in_port: Option<u32>,
-        actions: &[Action],
-        pkt: &Packet,
-    ) {
-        if let Some(node) = self.node_of(dpid) {
-            self.tx.packet_out(node, in_port, actions, pkt);
-        }
-    }
-
     /// Emits a controller-made frame out of one port of a switch.
     pub(super) fn emit(&mut self, dpid: u64, port: u32, pkt: &Packet) {
         let out = Action::Output(livesec_openflow::OutPort::Physical(port));
-        self.packet_out(dpid, None, &[out], pkt);
+        if let Some(node) = self.node_of(dpid) {
+            self.tx.packet_out(node, None, &[out], pkt);
+        }
     }
 }
 

@@ -78,12 +78,13 @@ fn ms(n: u64) -> SimTime {
     SimTime::ZERO + SimDuration::from_millis(n)
 }
 
-/// The first packet of `k`, as its sender emits it.
-fn packet(k: &FlowKey) -> Packet {
-    PacketBuilder::tcp(k.dl_src, k.dl_dst)
+/// The frame of `k`'s first packet, as its sender emits it.
+fn frame(k: &FlowKey) -> Vec<u8> {
+    let pkt = PacketBuilder::tcp(k.dl_src, k.dl_dst)
         .ips(k.nw_src, k.nw_dst)
         .ports(k.tp_src, k.tp_dst)
-        .build()
+        .build();
+    wire::serialize(&pkt)
 }
 
 /// The `(matcher, priority, cookie)` of every flow-mod `Add` in `out`.
@@ -111,7 +112,7 @@ fn adds(out: &[(NodeId, OfMessage)]) -> Vec<(Match, u16, u64)> {
 fn a_session_ends_once_both_ingress_entries_have_reported() {
     let mut c = campus();
     let k = key(0, 1, 80);
-    c.handle_flow(ms(0), 1, 10, &packet(&k));
+    c.handle_flow(ms(0), 1, 10, k, &frame(&k));
     assert_eq!(c.active_flow_count(), 1);
     let ends = |c: &Controller| -> Vec<(FlowKey, u64, u64)> {
         c.monitor()
@@ -155,12 +156,12 @@ fn a_session_ends_once_both_ingress_entries_have_reported() {
 fn a_booked_session_is_repaired_only_past_the_guard() {
     let mut c = campus();
     let (k, ids) = (key(0, 1, 80), MacAddr::from_u64(0xf1));
-    let pkt = packet(&k);
-    c.handle_flow(ms(0), 1, 10, &pkt);
+    let pkt = frame(&k);
+    c.handle_flow(ms(0), 1, 10, k, &pkt);
     let programs = adds(&drain(&mut c));
     assert!(!programs.is_empty());
 
-    c.handle_flow(ms(10), 1, 10, &pkt);
+    c.handle_flow(ms(10), 1, 10, k, &pkt);
     let out = drain(&mut c);
     assert!(
         matches!(out.as_slice(), [(_, OfMessage::PacketOut { .. })]),
@@ -179,7 +180,7 @@ fn a_booked_session_is_repaired_only_past_the_guard() {
     );
 
     // A blocked flow's packet is repaired, never released.
-    c.handle_flow(ms(61), 1, 10, &pkt);
+    c.handle_flow(ms(61), 1, 10, k, &pkt);
     let out = drain(&mut c);
     assert_eq!(c.health_stats().flow_repairs, 1);
     let by_key = |v: &mut Vec<(Match, u16, u64)>| v.sort_by_key(|e| (e.1, e.2, e.0.to_string()));
@@ -253,4 +254,47 @@ fn features_reply_cannot_rename_a_channel_or_steal_a_live_id() {
     assert_eq!(c.health_stats().audits, audits + 1);
     assert_eq!(c.health_stats().switches_known, 2);
     assert_eq!(c.monitor().events().len(), 4, "two joins, two rejections");
+}
+
+/// Two sessions share a signature — the same addresses and ports from
+/// different MACs. A verdict whose MACs steering rewrote names the
+/// least of them, the key a scan of the books in key order finds
+/// first, whichever was set up first; once that session ends, the
+/// other; once both have, the verdict's own key. Kills an index that
+/// keeps the first or the latest set-up, or forgets a tie when its
+/// least key leaves.
+#[test]
+fn a_rewritten_verdict_finds_the_least_session_of_its_signature() {
+    let k1 = key(0, 1, 80);
+    let k2 = FlowKey {
+        dl_src: host(2),
+        ..k1
+    };
+    let seen = FlowKey {
+        dl_dst: MacAddr::from_u64(0xf1),
+        ..k1
+    };
+    let scan = |c: &Controller, reported: &FlowKey| {
+        let same = |k: &&FlowKey| k.vlan == reported.vlan && flow_sig(k) == flow_sig(reported);
+        c.active.keys().find(same).copied().unwrap_or(*reported)
+    };
+    for order in [[(k1, 1, 10), (k2, 3, 12)], [(k2, 3, 12), (k1, 1, 10)]] {
+        let mut c = campus();
+        for (t, (k, dpid, port)) in order.into_iter().enumerate() {
+            c.handle_flow(ms(t as u64), dpid, port, k, &frame(&k));
+        }
+        assert_eq!(c.active_flow_count(), 2);
+        assert_eq!(c.canonical_key(&seen), k1.min(k2));
+        assert_eq!(c.canonical_key(&seen), scan(&c, &seen));
+        let tagged = FlowKey {
+            vlan: Some(9),
+            ..seen
+        };
+        assert_eq!(c.canonical_key(&tagged), tagged, "another VLAN's flow");
+        for (ended, left) in [(k1, k2), (k2, seen)] {
+            assert!(c.retire_flow(&ended, None).is_some());
+            assert_eq!(c.canonical_key(&seen), left);
+            assert_eq!(c.canonical_key(&seen), scan(&c, &seen));
+        }
+    }
 }

@@ -246,6 +246,35 @@ fn serialize_lldp(out: &mut Vec<u8>, lldp: &LldpFrame) {
 /// Returns [`ParseError`] for truncated buffers, malformed headers or
 /// checksum failures.
 pub fn parse(bytes: &[u8]) -> Result<Packet, ParseError> {
+    let (mut pkt, content) = parse_in_place(bytes)?;
+    let payload = match &mut pkt.body {
+        Body::Raw(payload) => payload,
+        Body::Ipv4(ip) => match &mut ip.transport {
+            Transport::Tcp(TcpSegment { payload, .. })
+            | Transport::Udp(UdpDatagram { payload, .. })
+            | Transport::Other { payload, .. } => payload,
+            Transport::Icmp(_) => return Ok(pkt),
+        },
+        Body::Arp(_) | Body::Lldp(_) => return Ok(pkt),
+    };
+    if let Payload::Synthetic(_) = payload {
+        *payload = Payload::Data(Bytes::copy_from_slice(content));
+    }
+    Ok(pkt)
+}
+
+/// Parses an on-wire frame in place, copying nothing: the packet's
+/// headers, with its payload standing as a length only
+/// ([`Payload::Synthetic`]; [`Payload::Empty`] for an empty TCP or UDP
+/// payload), and the payload's bytes borrowed from `bytes` (empty for
+/// bodies that carry none). Serializing the packet would write zeros
+/// for the content; a caller that forwards the frame forwards `bytes`.
+/// [`parse`] is this plus a copy of the content.
+///
+/// # Errors
+///
+/// As [`parse`].
+pub fn parse_in_place(bytes: &[u8]) -> Result<(Packet, &[u8]), ParseError> {
     let mut r = Cursor::new(bytes);
     let dst = r.mac()?;
     let src = r.mac()?;
@@ -257,13 +286,33 @@ pub fn parse(bytes: &[u8]) -> Result<Packet, ParseError> {
     }
     let mut eth = EthernetHeader::new(src, dst, ethertype);
     eth.vlan = vlan;
-    let body = match ethertype {
-        EtherType::Arp => Body::Arp(parse_arp(&mut r)?),
-        EtherType::Ipv4 => Body::Ipv4(parse_ipv4(&mut r)?),
-        EtherType::Lldp => Body::Lldp(parse_lldp(&mut r)?),
-        _ => Body::Raw(Payload::Data(Bytes::copy_from_slice(r.rest()))),
+    let (body, content) = match ethertype {
+        EtherType::Arp => (Body::Arp(parse_arp(&mut r)?), &[][..]),
+        EtherType::Ipv4 => {
+            let (ip, content) = parse_ipv4(&mut r)?;
+            (Body::Ipv4(ip), content)
+        }
+        EtherType::Lldp => (Body::Lldp(parse_lldp(&mut r)?), &[][..]),
+        _ => {
+            let rest = r.rest();
+            (Body::Raw(held(rest)), rest)
+        }
     };
-    Ok(Packet::new(eth, body))
+    Ok((Packet::new(eth, body), content))
+}
+
+/// A payload of `content`'s length, its bytes left where they are.
+fn held(content: &[u8]) -> Payload {
+    Payload::Synthetic(content.len() as u32)
+}
+
+/// A TCP or UDP payload of `content`'s length: none when it is empty.
+fn held_or_empty(content: &[u8]) -> Payload {
+    if content.is_empty() {
+        Payload::Empty
+    } else {
+        held(content)
+    }
 }
 
 fn parse_arp(r: &mut Cursor<'_>) -> Result<ArpPacket, ParseError> {
@@ -284,7 +333,8 @@ fn parse_arp(r: &mut Cursor<'_>) -> Result<ArpPacket, ParseError> {
     })
 }
 
-fn parse_ipv4(r: &mut Cursor<'_>) -> Result<Ipv4Packet, ParseError> {
+/// The IPv4 packet at `r` and its transport payload's bytes.
+fn parse_ipv4<'a>(r: &mut Cursor<'a>) -> Result<(Ipv4Packet, &'a [u8]), ParseError> {
     // Trailing bytes past `total_len` (Ethernet padding) are ignored.
     let packet = r.rest();
     let mut h = Cursor::new(packet);
@@ -308,7 +358,7 @@ fn parse_ipv4(r: &mut Cursor<'_>) -> Result<Ipv4Packet, ParseError> {
     }
     let seg = packet.get(ihl..total_len).ok_or(ParseError::Truncated)?;
 
-    let transport = match proto {
+    let (transport, content) = match proto {
         6 => {
             if seg.len() < TcpSegment::HEADER_LEN {
                 return Err(ParseError::Truncated);
@@ -329,19 +379,16 @@ fn parse_ipv4(r: &mut Cursor<'_>) -> Result<Ipv4Packet, ParseError> {
             if offset < TcpSegment::HEADER_LEN {
                 return Err(ParseError::Truncated);
             }
-            let payload = Bytes::copy_from_slice(seg.get(offset..).ok_or(ParseError::Truncated)?);
-            Transport::Tcp(TcpSegment {
+            let content = seg.get(offset..).ok_or(ParseError::Truncated)?;
+            let tcp = TcpSegment {
                 src_port,
                 dst_port,
                 seq,
                 ack,
                 flags,
-                payload: if payload.is_empty() {
-                    Payload::Empty
-                } else {
-                    Payload::Data(payload)
-                },
-            })
+                payload: held_or_empty(content),
+            };
+            (Transport::Tcp(tcp), content)
         }
         17 => {
             if seg.len() < UdpDatagram::HEADER_LEN {
@@ -355,19 +402,11 @@ fn parse_ipv4(r: &mut Cursor<'_>) -> Result<Ipv4Packet, ParseError> {
             let dst_port = u.u16()?;
             let len = usize::from(u.u16()?);
             let _csum = u.u16()?;
-            let payload = seg
+            let content = seg
                 .get(UdpDatagram::HEADER_LEN..len)
                 .ok_or(ParseError::Truncated)?;
-            let payload = Bytes::copy_from_slice(payload);
-            Transport::Udp(UdpDatagram::new(
-                src_port,
-                dst_port,
-                if payload.is_empty() {
-                    Payload::Empty
-                } else {
-                    Payload::Data(payload)
-                },
-            ))
+            let udp = UdpDatagram::new(src_port, dst_port, held_or_empty(content));
+            (Transport::Udp(udp), content)
         }
         1 => {
             if seg.len() < IcmpMessage::HEADER_LEN {
@@ -382,28 +421,33 @@ fn parse_ipv4(r: &mut Cursor<'_>) -> Result<Ipv4Packet, ParseError> {
             let _csum = i.u16()?;
             let ident = i.u16()?;
             let seq = i.u16()?;
-            Transport::Icmp(IcmpMessage {
+            let icmp = IcmpMessage {
                 kind,
                 ident,
                 seq,
                 data_len: (seg.len() - IcmpMessage::HEADER_LEN) as u16,
-            })
+            };
+            (Transport::Icmp(icmp), &[][..])
         }
-        other => Transport::Other {
-            proto: other,
-            payload: Payload::Data(Bytes::copy_from_slice(seg)),
-        },
+        other => {
+            let payload = held(seg);
+            (
+                Transport::Other {
+                    proto: other,
+                    payload,
+                },
+                seg,
+            )
+        }
     };
-    Ok(Ipv4Packet {
-        header: Ipv4Header {
-            src,
-            dst,
-            ttl,
-            dscp,
-            ident,
-        },
-        transport,
-    })
+    let header = Ipv4Header {
+        src,
+        dst,
+        ttl,
+        dscp,
+        ident,
+    };
+    Ok((Ipv4Packet { header, transport }, content))
 }
 
 fn parse_lldp(r: &mut Cursor<'_>) -> Result<LldpFrame, ParseError> {

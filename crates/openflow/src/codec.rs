@@ -9,8 +9,9 @@
 //! per-switch batches), reserving the frame's exact size first, so a
 //! buffer too small for it grows once; [`encode`] is the same into a
 //! new buffer, so it allocates once at the frame's exact size. The two
-//! set-up messages also encode from borrowed parts — [`FlowModRef`] and
-//! [`encode_packet_out_into`] — to the same bytes as their owned
+//! set-up messages also encode from borrowed parts — [`FlowModRef`],
+//! [`encode_packet_out_into`] and, for a delivered frame released as it
+//! stands, [`encode_frame_out_into`] — to the same bytes as their owned
 //! [`OfMessage`], and [`encode_packet_in_into`] serializes the switch's
 //! packet straight into its frame.
 //!
@@ -548,6 +549,23 @@ pub fn encode_packet_out_into(
     let start = begin_frame(buf, T_PACKET_OUT, xid);
     put_packet_out_head(buf, in_port, actions);
     put_serialized(buf, pkt);
+    end_frame(buf, start);
+}
+
+/// Appends the frame of a packet-out that releases the frame `data`,
+/// as it stands, with `actions`: the bytes [`encode`] writes for the
+/// [`OfMessage::PacketOut`] whose `data` is `data`. The controller
+/// releases a packet-in's packet this way, from the delivered bytes.
+pub fn encode_frame_out_into(
+    in_port: Option<u32>,
+    actions: &[Action],
+    data: &[u8],
+    xid: u32,
+    buf: &mut Vec<u8>,
+) {
+    let start = begin_frame(buf, T_PACKET_OUT, xid);
+    put_packet_out_head(buf, in_port, actions);
+    buf.bytes(data);
     end_frame(buf, start);
 }
 

@@ -131,6 +131,13 @@ impl Ctx<'_> {
         self.kernel.transmit(self.node, port, pkt);
     }
 
+    /// Whether local port `port` has no cable attached and no fault
+    /// holding it down: a frame [`Ctx::send`] put there would only be
+    /// counted as dropped.
+    pub fn is_unplugged(&self, port: PortId) -> bool {
+        self.kernel.unplugged(self.node, port)
+    }
+
     /// Arms a one-shot timer; [`Node::on_timer`] fires with `token`
     /// after `delay`.
     pub fn set_timer(&mut self, delay: SimDuration, token: u64) {

@@ -237,6 +237,14 @@ impl Kernel {
         own.blocked || peer.is_some_and(|s| s.blocked)
     }
 
+    /// Whether `(node, port)` has no cable and no fault holding it
+    /// down: a frame sent there would only count a drop.
+    pub(crate) fn unplugged(&self, node: NodeId, port: PortId) -> bool {
+        self.ports
+            .get(node, port)
+            .is_none_or(|s| s.link.is_none() && !s.blocked)
+    }
+
     pub(crate) fn transmit(&mut self, node: NodeId, port: PortId, pkt: Packet) {
         let bytes = pkt.wire_len();
         let flapped = self.flapped(node, port);

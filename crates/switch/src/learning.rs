@@ -88,10 +88,11 @@ impl Node for LearningSwitch {
                 }
             }
         }
-        // Unknown unicast, broadcast or multicast: flood.
+        // Unknown unicast, broadcast or multicast: flood, to the ports
+        // a frame can leave by.
         self.flooded += 1;
         for p in 1..=self.n_ports {
-            if p != in_port && !self.blocked.contains(&p) {
+            if p != in_port && !ctx.is_unplugged(PortId(p)) && !self.blocked.contains(&p) {
                 ctx.send(PortId(p), pkt.clone());
             }
         }
@@ -211,6 +212,32 @@ mod tests {
         assert_eq!(world.node::<Endpoint>(b).got.len(), 1);
         assert_eq!(world.node::<Endpoint>(c).got.len(), 1);
         assert_eq!(world.node::<LearningSwitch>(sw).flooded, 1);
+    }
+
+    #[test]
+    fn a_flood_reaches_only_plugged_ports() {
+        // A legacy switch sized for a campus, with three cables: a
+        // flood sends two frames and counts no drop on the empty ports.
+        let mut world = World::new(1);
+        let sw = world.add_node(LearningSwitch::new(160));
+        let a = world.add_node(Endpoint::new(mac(1)));
+        let b = world.add_node(Endpoint::new(mac(2)));
+        let c = world.add_node(Endpoint::new(mac(3)));
+        world.connect(a, PortId(1), sw, PortId(1), LinkSpec::gigabit());
+        world.connect(b, PortId(1), sw, PortId(80), LinkSpec::gigabit());
+        world.connect(c, PortId(1), sw, PortId(160), LinkSpec::gigabit());
+        world.node_mut::<Endpoint>(a).to_send = vec![(MacAddr::BROADCAST, 10), (mac(9), 10)];
+        world.run_for(SimDuration::from_millis(1));
+        assert_eq!(world.node::<LearningSwitch>(sw).flooded, 2);
+        let (mut sent, mut dropped) = (0, 0);
+        for p in 1..=160 {
+            let counters = world.kernel().port_counters(sw, PortId(p));
+            sent += counters.tx_frames;
+            dropped += counters.drops;
+        }
+        assert_eq!((sent, dropped), (2 * 2, 0));
+        assert_eq!(world.node::<Endpoint>(b).got.len(), 2);
+        assert_eq!(world.node::<Endpoint>(c).got.len(), 2);
     }
 
     #[test]

@@ -16,10 +16,14 @@
 //! allocation per entry whose list spills), and a packet-out costs
 //! only the packet it emits.
 //!
-//! On the controller side, a packet-in is read in place, with no copy
-//! of its frame, and a flow set-up allocates per flow, not per entry:
-//! `compile_path` is one allocation, its entry list, and
-//! `engine::decide` of a one-service chained flow is seven.
+//! On the controller side, a packet-in is read and parsed in place,
+//! with no copy of its frame or its payload, and the packet-out that
+//! releases a flow's first packet carries the delivered bytes, which
+//! are the bytes of the parsed packet re-serialized. A flow set-up
+//! allocates per flow, not per entry: `compile_path` is one
+//! allocation, its entry list, `engine::decide` of a one-service
+//! chained flow is seven, and a whole direct set-up at a warm
+//! controller is only its decision's five.
 
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
@@ -660,4 +664,112 @@ fn a_packet_out_allocates_only_the_packet_it_emits() {
         });
         assert_eq!(got[round], parsed, "round {round}");
     }
+}
+
+#[test]
+fn a_flow_set_ups_packet_in_parse_copies_nothing() {
+    for pkt in &punted() {
+        let frame = wire::serialize(pkt);
+        let mut parsed = None;
+        let got = measure("wire::parse_in_place", || {
+            parsed = Some(wire::parse_in_place(&frame).unwrap());
+        });
+        assert_eq!(got, Allocated { calls: 0, bytes: 0 }, "{pkt:?}");
+        let (headers, content) = parsed.unwrap();
+        assert_eq!(FlowKey::of(&headers), FlowKey::of(pkt));
+        assert_eq!(headers.wire_len(), pkt.wire_len());
+        // The payload is the frame's own bytes, not a copy of them.
+        let owned = wire::parse(&frame).unwrap();
+        let want = owned.tcp().map_or(&[][..], |t| t.payload.content());
+        assert_eq!(content, want);
+        assert!(content.is_empty() || frame.as_ptr_range().contains(&content.as_ptr()));
+    }
+}
+
+#[test]
+fn a_released_frame_is_the_packet_out_of_its_parsed_packet() {
+    let actions = actions();
+    let mut shapes = punted().to_vec();
+    shapes.push(
+        PacketBuilder::udp(MacAddr::from_u64(3), MacAddr::from_u64(4))
+            .ips(ip("10.1.0.1"), ip("10.1.0.2"))
+            .ports(5353, 53)
+            .vlan(100)
+            .payload_len(512)
+            .build(),
+    );
+    for pkt in &shapes {
+        let frame = wire::serialize(pkt);
+        let (mut released, mut reserialized) = (Vec::new(), Vec::new());
+        codec::encode_frame_out_into(Some(2), &actions, &frame, 7, &mut released);
+        let parsed = wire::parse(&frame).unwrap();
+        codec::encode_packet_out_into(Some(2), &actions, &parsed, 7, &mut reserialized);
+        assert_eq!(released, reserialized, "{pkt:?}");
+    }
+}
+
+/// A controller that has shaken hands with one switch (dpid 7, the
+/// [`Pusher`]) and located two hosts on its ports 2 and 3, then set up
+/// `first_packets.len()` flows from the first host to the second, one
+/// per packet. Returns what each set-up allocated.
+fn set_ups(first_packets: &[Packet]) -> Vec<Allocated> {
+    let a = (MacAddr::from_u64(0xa1), ip("10.0.0.1"));
+    let b = (MacAddr::from_u64(0xb1), ip("10.0.0.2"));
+    let packet_in = |port: u32, pkt: &Packet| {
+        let mut frame = Vec::new();
+        SwitchChannel::new(7, 8).packet_in(port, PacketInReason::NoMatch, pkt, &mut frame);
+        frame
+    };
+    let features = OfMessage::FeaturesReply {
+        datapath_id: 7,
+        n_ports: 8,
+    };
+    let mut payloads = vec![
+        batch(&[OfMessage::Hello]),
+        batch(&[features]),
+        packet_in(2, &arp_frame(ArpPacket::gratuitous(a.0, a.1))),
+        packet_in(3, &arp_frame(ArpPacket::gratuitous(b.0, b.1))),
+    ];
+    payloads.extend(first_packets.iter().map(|pkt| packet_in(2, pkt)));
+    let (got, _, world, ctrl) = receives(payloads, |_| Controller::new());
+    let n = first_packets.len();
+    assert_eq!(world.node::<Controller>(ctrl).flows_installed, n as u64);
+    got[got.len() - n..].to_vec()
+}
+
+#[test]
+fn a_steered_set_up_at_a_warm_controller_allocates_only_its_programs() {
+    let first = |tp_src: u16, payload: usize| {
+        PacketBuilder::tcp(MacAddr::from_u64(0xa1), MacAddr::from_u64(0xb1))
+            .ips(ip("10.0.0.1"), ip("10.0.0.2"))
+            .ports(tp_src, 80)
+            .payload_bytes(vec![0x5a; payload])
+            .build()
+    };
+    // Two set-ups, one of a full segment, warm the outbox's arena, the
+    // recycled control buffers and the books; the third is measured.
+    let third = |payload| set_ups(&[first(1000, 1400), first(1001, 0), first(1002, payload)])[2];
+    // A direct flow between two ports of one switch, decided cold:
+    // 1. the hop list, reversed in place for the reverse program;
+    // 2.–3. the forward and the reverse program's entry lists, an
+    //    entry and a relay each;
+    // 4.–5. the `Rc` of each program, which the flow record and both
+    //    path proofs share.
+    // Nothing else: the packet-in is read in place and released as
+    // delivered, the flow-mods and the packet-out are written into the
+    // outbox's arena and leave in a recycled buffer, and the books and
+    // the detector have room for a third flow.
+    let rc = 2 * size_of::<usize>() + size_of::<SteeringProgram>();
+    let programs = Allocated {
+        calls: 5,
+        bytes: 2 * size_of::<Hop>() + 2 * (2 * size_of::<SwitchEntry>()) + 2 * rc,
+    };
+    assert_eq!(third(0), programs, "an empty first packet");
+    // A full segment is not copied either; only its packet-out makes
+    // the batch outgrow a recycled buffer (they are kept up to 1 KiB),
+    // which grows once to the batch's size.
+    let full = third(1400);
+    assert_eq!(full.calls, programs.calls + 1, "a full segment: {full:?}");
+    let batch = full.bytes - programs.bytes;
+    assert!((1400..2048).contains(&batch), "a full segment: {full:?}");
 }
