@@ -468,8 +468,10 @@ impl Controller {
     /// registry, so audits reinstall it after crashes and partitions.
     fn block(&mut self, dpid: u64, matcher: Match) {
         self.install([Entry::drop(dpid, matcher, BLOCK_COOKIE, None)]);
-        let standing = self.blocks.entry(dpid).or_default();
-        if !standing.contains(&matcher) {
+        // Hosts are located only at registered switches, so `dpid` has a
+        // record.
+        let standing = self.datapaths.get_mut(&dpid).map(|rec| &mut rec.blocks);
+        if let Some(standing) = standing.filter(|ms| !ms.contains(&matcher)) {
             standing.push(matcher);
         }
     }

@@ -26,6 +26,12 @@
 //! * `flows` — set-up, repair, flow-removed accounting, fast-passes,
 //!   verdicts, blocks, path proofs, policy deltas;
 //! * `outbox` — flow entries and per-switch batches.
+//!
+//! A switch has one record per lifetime: its
+//! [`crate::topology::SwitchInfo`] (liveness stamp, audit in flight,
+//! uplink) lasts one registration and goes in `mark_switch_down`'s one
+//! call; its `Datapath` (quarantine, standing blocks, port-stats
+//! baseline) lasts for good.
 
 mod flows;
 mod hosts;
@@ -90,6 +96,20 @@ pub const STEER_PRIORITY: u16 = 100;
 pub const FASTPASS_PRIORITY: u16 = 150;
 /// Priority of drop entries (wins over steering).
 pub const BLOCK_PRIORITY: u16 = 200;
+
+/// What outlives a switch's sessions, from its id's first registration
+/// on; one session's facts are its [`crate::topology::SwitchInfo`].
+#[derive(Debug, Default)]
+struct Datapath {
+    /// Convicted of a forwarding deviation: all its channel says,
+    /// hellos included, is dropped at the door until it is released.
+    quarantined: bool,
+    /// Standing attack-block drops (insertion order, deduplicated):
+    /// security state that outlives flows, crashes and partitions.
+    blocks: Vec<Match>,
+    /// Each port's last `(tx, rx)` bytes, its next `LinkLoad`'s base.
+    port_stats: HashMap<u32, (u64, u64)>,
+}
 
 /// Book-keeping for one admitted flow.
 #[derive(Clone, Debug)]
@@ -214,20 +234,8 @@ pub struct Controller {
     /// and the batching counters of `fast_path_stats`.
     tx: Outbox,
 
-    /// Last control message seen per registered switch (liveness).
-    switch_liveness: BTreeMap<u64, SimTime>,
-    /// Every controller-side peer node ever registered, with its dpid.
-    /// Never pruned: `topo.dpid_of_node` forgets deregistered switches,
-    /// and a reconnecting peer must still be recognized. Its values are
-    /// every datapath id ever registered.
-    known_nodes: HashMap<NodeId, u64>,
-    /// Standing attack-block drop entries per dpid (insertion order,
-    /// deduplicated). Unlike flow records these never expire: a block
-    /// outlives the flow it stopped and is reinstalled by audits after
-    /// crashes and partitions.
-    blocks: BTreeMap<u64, Vec<Match>>,
-    /// Switches with a flow-table audit in flight.
-    auditing: HashSet<u64>,
+    /// Every datapath id ever registered. Never pruned.
+    datapaths: BTreeMap<u64, Datapath>,
     /// Fault-tolerance counters surfaced by `health_stats`.
     health: HealthStats,
 
@@ -251,11 +259,6 @@ pub struct Controller {
     /// Replays forwarding attestations against controller-issued path
     /// proofs and names deviating switches (DESIGN.md §11).
     detector: AccountabilityDetector,
-    /// Switches quarantined for a confirmed forwarding deviation.
-    /// Every control message from a quarantined switch is dropped at
-    /// the door — including the hello/echo traffic that would
-    /// otherwise re-register it — until an operator releases it.
-    quarantined: BTreeSet<u64>,
     /// Control messages dropped at the quarantine gate.
     quarantine_drops: u64,
 
@@ -265,7 +268,6 @@ pub struct Controller {
     se_timeout: SimDuration,
     flow_idle_timeout: SimDuration,
     tick_count: u64,
-    last_port_stats: HashMap<(u64, u32), (u64, u64)>,
     app_traffic: BTreeMap<String, TrafficTally>,
     user_traffic: BTreeMap<MacAddr, TrafficTally>,
 
@@ -285,7 +287,7 @@ impl std::fmt::Debug for Controller {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Controller")
             .field("active_flows", &self.active.len())
-            .field("known_nodes", &self.known_nodes.len())
+            .field("datapaths", &self.datapaths.len())
             .field("packet_ins", &self.packet_ins)
             .field("flows_installed", &self.flows_installed)
             .finish_non_exhaustive()
@@ -309,10 +311,7 @@ impl Controller {
             required_certs: None,
             last_setup: None,
             tx: Outbox::new(),
-            switch_liveness: BTreeMap::new(),
-            known_nodes: HashMap::default(),
-            blocks: BTreeMap::new(),
-            auditing: HashSet::default(),
+            datapaths: BTreeMap::new(),
             health: HealthStats::default(),
             fastpasses: BTreeMap::new(),
             established_conns: BTreeSet::new(),
@@ -320,14 +319,12 @@ impl Controller {
             fastpass_idle: SimDuration::from_secs(5),
             conntrack: ConnTrackStats::default(),
             detector: AccountabilityDetector::new(),
-            quarantined: BTreeSet::new(),
             quarantine_drops: 0,
             stats_every_ticks: 0,
             arp_timeout: SimDuration::from_secs(60),
             se_timeout: SimDuration::from_millis(500),
             flow_idle_timeout: SimDuration::from_secs(2),
             tick_count: 0,
-            last_port_stats: HashMap::default(),
             app_traffic: BTreeMap::new(),
             user_traffic: BTreeMap::new(),
             packet_ins: 0,
@@ -495,9 +492,9 @@ impl Controller {
     /// by dpid with per-switch insertion order preserved — the drop
     /// state the verifier proves unreachable-from-every-ingress.
     pub fn standing_blocks(&self) -> Vec<(u64, Match)> {
-        self.blocks
+        self.datapaths
             .iter()
-            .flat_map(|(d, ms)| ms.iter().map(|m| (*d, *m)))
+            .flat_map(|(d, rec)| rec.blocks.iter().map(|m| (*d, *m)))
             .collect()
     }
 
@@ -574,8 +571,7 @@ impl Controller {
     pub fn health_stats(&self) -> HealthStats {
         let mut h = self.health;
         h.switches_online = self.topo.switch_count() as u64;
-        let known: BTreeSet<u64> = self.known_nodes.values().copied().collect();
-        h.switches_known = known.len() as u64;
+        h.switches_known = self.datapaths.len() as u64;
         h
     }
 
@@ -592,7 +588,7 @@ impl Controller {
     /// confirmed, and quarantines performed (DESIGN.md §11).
     pub fn accountability_stats(&self) -> AccountabilityStats {
         let mut s = self.detector.stats();
-        s.quarantined_now = self.quarantined.len() as u64;
+        s.quarantined_now = self.datapaths.values().filter(|r| r.quarantined).count() as u64;
         s.quarantine_gate_drops = self.quarantine_drops;
         s
     }
@@ -600,7 +596,14 @@ impl Controller {
     /// Switches currently quarantined for forwarding deviations,
     /// ascending.
     pub fn quarantined(&self) -> Vec<u64> {
-        self.quarantined.iter().copied().collect()
+        self.datapaths
+            .iter()
+            .filter_map(|(d, rec)| rec.quarantined.then_some(*d))
+            .collect()
+    }
+
+    fn is_quarantined(&self, dpid: u64) -> bool {
+        self.datapaths.get(&dpid).is_some_and(|rec| rec.quarantined)
     }
 
     /// Lifts a switch's quarantine — the operator decided the switch
@@ -609,7 +612,9 @@ impl Controller {
     /// a full reconciliation audit on the way in. Returns whether the
     /// switch was quarantined.
     pub fn release_quarantine(&mut self, dpid: u64) -> bool {
-        self.quarantined.remove(&dpid)
+        self.datapaths
+            .get_mut(&dpid)
+            .is_some_and(|rec| std::mem::take(&mut rec.quarantined))
     }
 }
 

@@ -15,7 +15,7 @@ const LLDP_EVERY_TICKS: u64 = 5;
 const ECHO_EVERY_TICKS: u64 = 5;
 /// How long a switch's secure channel may stay silent before the
 /// controller declares it dead and evicts its state.
-const SWITCH_TIMEOUT: SimDuration = SimDuration::from_secs(3);
+pub(super) const SWITCH_TIMEOUT: SimDuration = SimDuration::from_secs(3);
 /// Audit every online switch's flow table every this many ticks (5 s).
 /// Reconnect audits cover faults the liveness timeout noticed; this
 /// background sweep bounds how long flow-mods eaten by a *shorter*
@@ -35,23 +35,21 @@ impl Controller {
         peer: NodeId,
         frame: Frame<'_>,
     ) -> Option<u64> {
+        // The datapath id the channel is bound to, registered or not.
+        let known = self.topo.bound_dpid(peer);
         // Quarantine gate: nothing a convicted switch says is acted on
         // — in particular not the hello/echo traffic that would
         // otherwise walk it through the reconnect handshake and back
         // into the topology.
-        if self
-            .known_nodes
-            .get(&peer)
-            .is_some_and(|d| self.quarantined.contains(d))
-        {
+        if known.is_some_and(|d| self.is_quarantined(d)) {
             self.quarantine_drops += 1;
             return None;
         }
         // Any decodable message from a registered switch proves its
         // secure channel is alive.
         let dpid = self.topo.dpid_of_node(peer);
-        if let Some(dpid) = dpid {
-            self.switch_liveness.insert(dpid, now);
+        if let Some(sw) = dpid.and_then(|d| self.topo.switch_mut(d)) {
+            sw.last_heard = now;
         }
         let msg = match frame {
             Frame::PacketIn { in_port, data, .. } => {
@@ -70,7 +68,7 @@ impl Controller {
             OfMessage::Hello => {
                 // A hello from a switch we already know means it lost
                 // the session (crash or degraded-mode reconnect).
-                if let Some(&dpid) = self.known_nodes.get(&peer) {
+                if let Some(dpid) = known {
                     self.health.degraded_reports += 1;
                     self.monitor.record(now, EventKind::DegradedMode { dpid });
                 }
@@ -81,7 +79,7 @@ impl Controller {
                 // A keepalive from a switch we deregistered (it never
                 // noticed the outage): kick a re-handshake so it
                 // re-registers and gets audited.
-                if dpid.is_none() && self.known_nodes.contains_key(&peer) {
+                if dpid.is_none() && known.is_some() {
                     self.tx.send(peer, &OfMessage::FeaturesRequest);
                 }
                 return Some(v);
@@ -126,14 +124,16 @@ impl Controller {
     /// re-registers it after an outage.
     fn handshake(&mut self, now: SimTime, peer: NodeId, dpid: u64, n_ports: u32) {
         // A peer's self-reported identity is not taken on faith: a
-        // datapath id is bound to the channel that first registered it.
-        // A reply naming another id (its bytes flipped in flight would
-        // register a switch that does not exist) or a live peer's id
-        // (which would steal that switch's channel) registers nothing;
-        // the real switch re-handshakes off its next echo.
-        let bound = self.known_nodes.get(&peer).copied();
-        let holder = self.topo.switch(dpid).map(|s| s.node);
-        if bound.is_some_and(|b| b != dpid) || holder.is_some_and(|n| n != peer) {
+        // datapath id is bound to the channel that first registered it,
+        // for good. A bound channel may register only its own id (its
+        // bytes flipped in flight would register a switch that does not
+        // exist), and an unbound one only an id never registered (which
+        // would steal that switch's channel, live or down); anything
+        // else registers nothing, and the real switch re-handshakes off
+        // its next echo.
+        let bound = self.topo.bound_dpid(peer);
+        let rejoined = self.datapaths.contains_key(&dpid);
+        if bound.map_or(rejoined, |b| b != dpid) {
             let claimed = dpid;
             self.monitor
                 .record(now, EventKind::HandshakeRejected { claimed, bound });
@@ -141,10 +141,8 @@ impl Controller {
         }
         // A known dpid missing from the topology was marked down:
         // `mark_switch_down` is the only deregistration.
-        let rejoined = self.known_nodes.values().any(|&d| d == dpid);
-        let was_new = self.topo.add_switch(dpid, peer, n_ports);
-        self.known_nodes.insert(peer, dpid);
-        self.switch_liveness.insert(dpid, now);
+        let was_new = self.topo.add_switch(dpid, peer, n_ports, now);
+        self.datapaths.entry(dpid).or_default();
         if was_new {
             self.topology_changed();
             if !rejoined {
@@ -177,14 +175,14 @@ impl Controller {
             self.send_to_all(&OfMessage::EchoRequest(self.tick_count));
         }
         // Liveness sweep: a registered switch silent past the timeout
-        // is dead. switch_liveness is a BTreeMap, so the
+        // is dead. The switches iterate in dpid order, so the
         // SwitchDown/UserLeave event order is dpid-ascending and
         // run-stable by construction.
         let dead: Vec<u64> = self
-            .switch_liveness
-            .iter()
-            .filter(|(_, last)| now.saturating_since(**last) > SWITCH_TIMEOUT)
-            .map(|(dpid, _)| *dpid)
+            .topo
+            .switches()
+            .filter(|s| now.saturating_since(s.last_heard) > SWITCH_TIMEOUT)
+            .map(|s| s.dpid)
             .collect();
         for dpid in dead {
             self.mark_switch_down(now, dpid);
@@ -278,10 +276,13 @@ impl Controller {
     fn handle_stats(&mut self, now: SimTime, dpid: u64, body: StatsBody) {
         match body {
             StatsBody::Port(stats) => {
+                let Some(rec) = self.datapaths.get_mut(&dpid) else {
+                    return;
+                };
                 for s in stats {
-                    let prev = self
-                        .last_port_stats
-                        .insert((dpid, s.port_no), (s.tx_bytes, s.rx_bytes))
+                    let prev = rec
+                        .port_stats
+                        .insert(s.port_no, (s.tx_bytes, s.rx_bytes))
                         .unwrap_or((0, 0));
                     self.monitor.record(
                         now,
@@ -295,7 +296,8 @@ impl Controller {
                 }
             }
             StatsBody::Flow(stats) => {
-                if self.auditing.remove(&dpid) {
+                let sw = self.topo.switch_mut(dpid);
+                if sw.is_some_and(|sw| std::mem::take(&mut sw.auditing)) {
                     self.reconcile(now, dpid, &stats);
                 }
             }
@@ -334,8 +336,6 @@ impl Controller {
             }
         }
         self.topo.remove_switch(dpid);
-        self.switch_liveness.remove(&dpid);
-        self.auditing.remove(&dpid);
     }
 
     /// Starts a flow-table audit of a switch: one full flow-stats
@@ -346,7 +346,8 @@ impl Controller {
     /// meant to repair, and a stuck `auditing` flag must never block
     /// the switch from ever being audited again.
     pub(crate) fn audit_switch(&mut self, dpid: u64) {
-        if self.auditing.insert(dpid) {
+        let sw = self.topo.switch_mut(dpid);
+        if sw.is_some_and(|sw| !std::mem::replace(&mut sw.auditing, true)) {
             self.health.audits += 1;
         }
         self.send_to_dpid(
@@ -384,7 +385,11 @@ impl Controller {
         // blocked flow's record retires once its (shadowed) steering
         // entries idle out, but the drop rule is security state that
         // must survive that — and survive switch restarts.
-        let blocks = self.blocks.get(&dpid).into_iter().flatten();
+        let blocks = self
+            .datapaths
+            .get(&dpid)
+            .into_iter()
+            .flat_map(|rec| &rec.blocks);
         flows
             .chain(fastpasses)
             .filter(move |e| e.dpid == dpid)
@@ -463,21 +468,22 @@ impl Controller {
                 observed: dev.observed,
             },
         );
-        if self.quarantined.contains(&dev.dpid) {
+        if self.is_quarantined(dev.dpid) {
             return;
         }
         let (dpid, deviation) = (dev.dpid, dev.kind);
         self.monitor
             .record(now, EventKind::SwitchDeviating { dpid, deviation });
-        if self.topo.switch(dpid).is_none() {
-            return;
+        let registered = self.topo.switch(dpid).is_some();
+        match self.datapaths.get_mut(&dpid) {
+            Some(rec) if registered => rec.quarantined = true,
+            _ => return,
         }
         self.detector.note_quarantine();
         // Queue the flush while the dpid still resolves to a channel;
         // the batch is transmitted by the dispatch-level flush after
         // deregistration below.
         self.send_to_dpid(dpid, &OfMessage::delete_flows(Match::any()));
-        self.quarantined.insert(dpid);
         self.mark_switch_down(now, dpid);
     }
 }

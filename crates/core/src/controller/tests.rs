@@ -3,9 +3,11 @@
 //! books, its monitor and its outbox.
 
 use super::outbox::tests::drain;
+use super::session::SWITCH_TIMEOUT;
 use super::*;
 use crate::balance::{Grain, RoundRobin};
 use crate::policy::PolicyRule;
+use livesec_openflow::{attestation_tag, ForwardingAttestation};
 
 const IDS: ServiceType = ServiceType::IntrusionDetection;
 const N_HOSTS: u64 = 4;
@@ -35,15 +37,28 @@ fn policy() -> PolicyTable {
     table
 }
 
-/// Three switches, four hosts (host `i` at switch `1 + i % 3`,
-/// port `10 + i`), two IDS replicas.
+/// The channel of switch `dpid`.
+fn node(dpid: u64) -> NodeId {
+    NodeId::from_index(dpid as usize)
+}
+
+/// Switch `dpid`'s features reply, as its channel delivers it.
+fn features(dpid: u64) -> Frame<'static> {
+    Frame::Other(OfMessage::FeaturesReply {
+        datapath_id: dpid,
+        n_ports: 48,
+    })
+}
+
+/// Three switches registered through their handshakes at time zero,
+/// four hosts (host `i` at switch `1 + i % 3`, port `10 + i`), two
+/// IDS replicas; nothing queued.
 fn campus() -> Controller {
     let mut c = Controller::new();
     c.set_policy(policy());
     c.set_balancer(LoadBalancer::new(RoundRobin::new(), Grain::Flow));
     for dpid in 1..=3 {
-        c.topo
-            .add_switch(dpid, NodeId::from_index(dpid as usize), 48);
+        c.on_message(SimTime::ZERO, node(dpid), features(dpid));
         c.topo.observe_lldp((0, 0), (dpid, 40));
     }
     for i in 0..N_HOSTS {
@@ -71,6 +86,7 @@ fn campus() -> Controller {
             SimTime::ZERO,
         );
     }
+    drain(&mut c);
     c
 }
 
@@ -297,4 +313,172 @@ fn a_rewritten_verdict_finds_the_least_session_of_its_signature() {
             assert_eq!(c.canonical_key(&seen), scan(&c, &seen));
         }
     }
+}
+
+/// The `dpid` of every event `pick` matches, in history order.
+fn dpids_of(c: &Controller, pick: impl Fn(&EventKind) -> Option<u64>) -> Vec<u64> {
+    c.monitor()
+        .events()
+        .iter()
+        .filter_map(|e| pick(&e.kind))
+        .collect()
+}
+
+/// A dead switch's id stays bound to its first channel. A channel that
+/// never registered and claims a dead switch's id would get that
+/// switch's audit and every flow-mod addressed to it, and lock the real
+/// switch out for good; it is refused, and the real switch rejoins.
+/// Kills binding the id to its live holder only.
+#[test]
+fn a_dead_switchs_id_stays_bound_to_its_first_channel() {
+    let (a, impostor) = (node(1), node(9));
+    let mut c = Controller::new();
+    c.on_message(ms(0), a, features(1));
+    c.tick(ms(0) + SWITCH_TIMEOUT + SimDuration::from_millis(1));
+    assert_eq!(c.topology().switch(1), None, "declared dead");
+
+    c.on_message(ms(3500), impostor, features(1));
+    let rejected: Vec<_> = c
+        .monitor()
+        .events()
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::HandshakeRejected { claimed, bound } => Some((claimed, bound)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(rejected, [(1, None)]);
+    assert_eq!(c.topology().switch(1), None, "the impostor registered");
+    assert_eq!(c.topology().dpid_of_node(impostor), None);
+
+    c.on_message(ms(3600), a, features(1));
+    assert_eq!(c.topology().switch(1).map(|s| s.node), Some(a));
+    let ups = dpids_of(&c, |k| match k {
+        EventKind::SwitchUp { dpid } => Some(*dpid),
+        _ => None,
+    });
+    assert_eq!(ups, [1]);
+    let h = c.health_stats();
+    assert_eq!((h.switch_ups, h.audits, h.switches_known), (1, 1, 1));
+}
+
+/// An audit in flight lasts one registration. A live switch's repeat
+/// handshake audits it; another one before the reply asks again but
+/// counts no second audit; the reply ends it. Declared dead, the
+/// switch loses its audit with its registration, so its rejoin counts
+/// a fresh one. Kills a re-registration that resets the flag and a
+/// flag that survives deregistration.
+#[test]
+fn an_audit_in_flight_lasts_one_registration() {
+    let a = node(1);
+    let mut c = Controller::new();
+    let audited = |c: &mut Controller| {
+        let sweeps = drain(c)
+            .iter()
+            .filter(|(_, m)| matches!(m, OfMessage::StatsRequest(StatsRequestKind::Flow(_))))
+            .count();
+        (c.health_stats().audits, sweeps)
+    };
+    c.on_message(ms(0), a, features(1));
+    assert_eq!(audited(&mut c), (0, 0), "a first join is not audited");
+    for at in [10, 20] {
+        c.on_message(ms(at), a, features(1));
+        assert_eq!(audited(&mut c), (1, 1), "handshake at {at} ms");
+    }
+    let table = OfMessage::StatsReply(StatsBody::Flow(Vec::new()));
+    c.on_message(ms(30), a, Frame::Other(table));
+    c.on_message(ms(40), a, features(1));
+    assert_eq!(audited(&mut c), (2, 1), "the reply ended the first audit");
+
+    // Silent past the timeout with the second audit in flight.
+    c.tick(ms(40) + SWITCH_TIMEOUT + SimDuration::from_millis(1));
+    assert_eq!(c.health_stats().switch_downs, 1);
+    c.on_message(ms(3500), a, features(1));
+    assert_eq!(audited(&mut c), (3, 1), "the rejoin is audited afresh");
+}
+
+/// The liveness sweep declares silent switches dead in dpid order,
+/// whatever order they registered in; their ids stay known.
+#[test]
+fn silent_switches_go_down_in_dpid_order() {
+    let mut c = Controller::new();
+    for dpid in [3, 1, 2] {
+        c.on_message(ms(0), node(dpid), features(dpid));
+    }
+    c.tick(ms(0) + SWITCH_TIMEOUT + SimDuration::from_millis(1));
+    let downs = dpids_of(&c, |k| match k {
+        EventKind::SwitchDown { dpid } => Some(*dpid),
+        _ => None,
+    });
+    assert_eq!(downs, [1, 2, 3]);
+    let h = c.health_stats();
+    assert_eq!((h.switches_online, h.switches_known), (0, 3));
+}
+
+/// A quarantine outlives the session it convicted, and standing blocks
+/// outlive the quarantine. A forged-tag attestation quarantines switch
+/// 1; its hello and echo are then dropped at the door and counted, and
+/// it stays known though no longer online. Its blocks stay in its
+/// desired state through the quarantine, the release and the rejoin.
+#[test]
+fn a_quarantine_outlives_its_session_and_blocks_outlive_the_quarantine() {
+    let mut c = campus();
+    let (k, ids) = (key(0, 1, 80), MacAddr::from_u64(0xf1));
+    let flood = Verdict::Malicious {
+        attack: "syn-flood".into(),
+        severity: 9,
+    };
+    c.dispatch_verdict(ms(0), ids, k, flood);
+    let blocks = c.standing_blocks();
+    assert_eq!(blocks.len(), 2);
+    let blocks_held = |c: &Controller| {
+        let desired = c.desired_entries(1);
+        let want = blocks
+            .iter()
+            .map(|(_, m)| (*m, BLOCK_PRIORITY, BLOCK_COOKIE));
+        want.clone().all(|e| desired.contains(&e)) && c.standing_blocks() == blocks
+    };
+    assert!(blocks_held(&c));
+
+    let forged = ForwardingAttestation {
+        dpid: 1,
+        in_port: 10,
+        out_port: 40,
+        cookie: INGRESS_COOKIE,
+        flow: k,
+        pkt_tag: 0,
+        tag: attestation_tag(1, 10, 40, INGRESS_COOKIE) ^ 1,
+    };
+    c.on_message(
+        ms(10),
+        node(1),
+        Frame::Other(OfMessage::Attestation(forged)),
+    );
+    assert_eq!(c.quarantined(), [1]);
+    drain(&mut c);
+
+    let hello = Frame::Other(OfMessage::Hello);
+    assert_eq!(c.on_message(ms(20), node(1), hello), None);
+    let echo = Frame::Other(OfMessage::EchoRequest(7));
+    assert_eq!(c.on_message(ms(30), node(1), echo), None, "echo answered");
+    assert!(drain(&mut c).is_empty());
+    let acct = c.accountability_stats();
+    assert_eq!((acct.quarantined_now, acct.quarantine_gate_drops), (1, 2));
+    let h = c.health_stats();
+    assert_eq!((h.switches_known, h.switches_online), (3, 2));
+    assert!(blocks_held(&c), "during the quarantine");
+
+    assert!(c.release_quarantine(1));
+    assert!(!c.release_quarantine(1), "released twice");
+    assert!(blocks_held(&c), "after the release");
+    c.on_message(ms(40), node(1), Frame::Other(OfMessage::Hello));
+    c.on_message(ms(50), node(1), features(1));
+    assert_eq!(c.topology().dpid_of_node(node(1)), Some(1));
+    let h = c.health_stats();
+    assert_eq!(
+        (h.switch_ups, h.switches_known, h.switches_online),
+        (1, 3, 3)
+    );
+    assert_eq!(c.accountability_stats().quarantined_now, 0);
+    assert!(blocks_held(&c), "after the rejoin");
 }

@@ -9,8 +9,13 @@
 //! AS switches, discovery converges on a full-mesh logical topology,
 //! and any end-to-end delivery needs only abstract two-hop routing
 //! (ingress switch → egress switch).
+//!
+//! A switch's [`SwitchInfo`] lasts one registration and goes with
+//! [`TopologyMap::remove_switch`]; the channel it registered over stays
+//! bound to its datapath id for good.
 
-use livesec_sim::NodeId;
+use livesec_net::HashMap;
+use livesec_sim::{NodeId, SimTime};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A directed logical link: probe origin → probe receiver.
@@ -22,7 +27,7 @@ pub struct LogicalLink {
     pub to: (u64, u32),
 }
 
-/// Per-switch state the controller keeps.
+/// What the controller knows about a switch while it is registered.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct SwitchInfo {
     /// Datapath id.
@@ -34,13 +39,19 @@ pub struct SwitchInfo {
     /// The port that faces the legacy fabric (learned from LLDP
     /// arrivals); `None` until discovery converges.
     pub uplink: Option<u32>,
+    /// When the switch's channel last carried a decodable message.
+    pub last_heard: SimTime,
+    /// Whether a flow-table audit of the switch is in flight.
+    pub auditing: bool,
 }
 
-/// The topology map: switch registry plus the logical link set.
+/// The topology map: switch registry, channel bindings and the logical
+/// link set.
 #[derive(Debug, Default)]
 pub struct TopologyMap {
     switches: BTreeMap<u64, SwitchInfo>,
-    by_node: BTreeMap<NodeId, u64>,
+    /// Every channel that ever registered, to its dpid. Never pruned.
+    nodes: HashMap<NodeId, u64>,
     links: BTreeSet<LogicalLink>,
 }
 
@@ -50,37 +61,36 @@ impl TopologyMap {
         Self::default()
     }
 
-    /// Registers a switch after its features reply. Returns `true` if
-    /// it was new. Re-registering a switch that is still registered (a
-    /// reconnect the controller never noticed: a crash or partition
-    /// shorter than the liveness timeout) keeps its discovered uplink,
-    /// since the cabling did not change just because the session did.
-    /// A switch declared dead was dropped by [`Self::remove_switch`],
-    /// uplink included, and relearns it from LLDP.
-    pub fn add_switch(&mut self, dpid: u64, node: NodeId, n_ports: u32) -> bool {
-        self.by_node.insert(node, dpid);
-        let uplink = self.switches.get(&dpid).and_then(|s| s.uplink);
-        self.switches
-            .insert(
-                dpid,
-                SwitchInfo {
-                    dpid,
-                    node,
-                    n_ports,
-                    uplink,
-                },
-            )
-            .is_none()
+    /// Registers a switch after its features reply at `now`. Returns
+    /// `true` if it was new. Re-registering a switch that is still
+    /// registered (a reconnect the controller never noticed: a crash or
+    /// partition shorter than the liveness timeout) keeps its
+    /// discovered uplink, since the cabling did not change just because
+    /// the session did, and its audit in flight. A switch declared dead
+    /// was dropped by [`Self::remove_switch`], uplink included, and
+    /// relearns it from LLDP.
+    pub fn add_switch(&mut self, dpid: u64, node: NodeId, n_ports: u32, now: SimTime) -> bool {
+        self.nodes.insert(node, dpid);
+        let kept = self.switches.get(&dpid);
+        let info = SwitchInfo {
+            dpid,
+            node,
+            n_ports,
+            uplink: kept.and_then(|s| s.uplink),
+            last_heard: now,
+            auditing: kept.is_some_and(|s| s.auditing),
+        };
+        self.switches.insert(dpid, info).is_none()
     }
 
     /// Deregisters a dead switch: its info and every logical link that
     /// touches it are dropped. Returns `false` if the dpid was unknown.
-    /// The switch may re-register later via a fresh features reply.
+    /// The switch may re-register later via a fresh features reply; its
+    /// channel stays bound to it.
     pub fn remove_switch(&mut self, dpid: u64) -> bool {
-        let Some(info) = self.switches.remove(&dpid) else {
+        if self.switches.remove(&dpid).is_none() {
             return false;
-        };
-        self.by_node.remove(&info.node);
+        }
         self.links.retain(|l| l.from.0 != dpid && l.to.0 != dpid);
         true
     }
@@ -123,9 +133,22 @@ impl TopologyMap {
         self.switches.get(&dpid)
     }
 
-    /// The datapath id served by a controller-side peer node.
+    /// Mutable access to a registered switch's info.
+    pub(crate) fn switch_mut(&mut self, dpid: u64) -> Option<&mut SwitchInfo> {
+        self.switches.get_mut(&dpid)
+    }
+
+    /// The datapath id served by a controller-side peer node, while
+    /// that switch is registered.
     pub fn dpid_of_node(&self, node: NodeId) -> Option<u64> {
-        self.by_node.get(&node).copied()
+        let dpid = self.bound_dpid(node)?;
+        self.switch(dpid).filter(|s| s.node == node).map(|s| s.dpid)
+    }
+
+    /// The datapath id `node` registered as, whether or not that switch
+    /// is registered now.
+    pub(crate) fn bound_dpid(&self, node: NodeId) -> Option<u64> {
+        self.nodes.get(&node).copied()
     }
 
     /// The uplink port of a switch (the port facing the legacy layer).
@@ -169,8 +192,11 @@ mod tests {
     #[test]
     fn switch_registration() {
         let mut t = TopologyMap::new();
-        assert!(t.add_switch(1, node(10), 4));
-        assert!(!t.add_switch(1, node(10), 4), "re-add is not new");
+        assert!(t.add_switch(1, node(10), 4, SimTime::ZERO));
+        assert!(
+            !t.add_switch(1, node(10), 4, SimTime::ZERO),
+            "re-add is not new"
+        );
         assert_eq!(t.switch_count(), 1);
         assert_eq!(t.dpid_of_node(node(10)), Some(1));
         assert_eq!(t.switch(1).unwrap().n_ports, 4);
@@ -180,8 +206,8 @@ mod tests {
     #[test]
     fn lldp_learns_links_and_uplinks() {
         let mut t = TopologyMap::new();
-        t.add_switch(1, node(10), 4);
-        t.add_switch(2, node(11), 4);
+        t.add_switch(1, node(10), 4, SimTime::ZERO);
+        t.add_switch(2, node(11), 4, SimTime::ZERO);
         assert!(t.observe_lldp((1, 1), (2, 1)));
         assert!(!t.observe_lldp((1, 1), (2, 1)), "duplicate");
         assert_eq!(t.uplink_of(2), Some(1));
@@ -195,7 +221,7 @@ mod tests {
     fn heard_by_counts_receivers_not_links() {
         let mut t = TopologyMap::new();
         for dpid in 1..=3 {
-            t.add_switch(dpid, node(dpid as usize), 4);
+            t.add_switch(dpid, node(dpid as usize), 4, SimTime::ZERO);
         }
         assert_eq!(t.heard_by(1), 0);
         // Before its uplink is known switch 1 sweeps every port; two
@@ -211,8 +237,8 @@ mod tests {
     #[test]
     fn remove_switch_drops_info_and_links() {
         let mut t = TopologyMap::new();
-        t.add_switch(1, node(10), 4);
-        t.add_switch(2, node(11), 4);
+        t.add_switch(1, node(10), 4, SimTime::ZERO);
+        t.add_switch(2, node(11), 4, SimTime::ZERO);
         t.observe_lldp((1, 1), (2, 1));
         t.observe_lldp((2, 1), (1, 1));
         assert!(t.remove_switch(2));
@@ -221,21 +247,24 @@ mod tests {
         assert_eq!(t.dpid_of_node(node(11)), None);
         assert_eq!(t.links().count(), 0, "links touching it dropped");
         // Re-registration works and is reported as new again.
-        assert!(t.add_switch(2, node(11), 4));
+        assert!(t.add_switch(2, node(11), 4, SimTime::ZERO));
     }
 
     #[test]
     fn readd_preserves_uplink() {
         let mut t = TopologyMap::new();
-        t.add_switch(1, node(10), 4);
-        t.add_switch(2, node(11), 4);
+        t.add_switch(1, node(10), 4, SimTime::ZERO);
+        t.add_switch(2, node(11), 4, SimTime::ZERO);
         t.observe_lldp((2, 1), (1, 3));
         assert_eq!(t.uplink_of(1), Some(3));
-        assert!(!t.add_switch(1, node(10), 4), "reconnect, not new");
+        assert!(
+            !t.add_switch(1, node(10), 4, SimTime::ZERO),
+            "reconnect, not new"
+        );
         assert_eq!(t.uplink_of(1), Some(3), "uplink survives the session");
         // Declared dead and back: the uplink went with the switch.
         assert!(t.remove_switch(1));
-        assert!(t.add_switch(1, node(10), 4), "rejoin is new");
+        assert!(t.add_switch(1, node(10), 4, SimTime::ZERO), "rejoin is new");
         assert_eq!(t.uplink_of(1), None, "relearned from LLDP");
     }
 
@@ -243,7 +272,7 @@ mod tests {
     fn full_mesh_detection() {
         let mut t = TopologyMap::new();
         for (i, dpid) in [1u64, 2, 3].iter().enumerate() {
-            t.add_switch(*dpid, node(i), 4);
+            t.add_switch(*dpid, node(i), 4, SimTime::ZERO);
         }
         assert!(!t.is_full_mesh());
         for &a in &[1u64, 2, 3] {
@@ -260,7 +289,7 @@ mod tests {
     fn trivial_topologies_are_full_mesh() {
         let mut t = TopologyMap::new();
         assert!(t.is_full_mesh(), "empty");
-        t.add_switch(1, node(0), 4);
+        t.add_switch(1, node(0), 4, SimTime::ZERO);
         assert!(t.is_full_mesh(), "single switch");
     }
 }

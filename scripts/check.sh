@@ -85,7 +85,10 @@ run cargo build --release
 #   single-rule delta, which scopes the audit to exactly 1/1600 of it.
 # - livesec (core): the engine's decisions and the controller's
 #   handlers (flow-removed accounting, the repair guard, the SYN-flood
-#   block, the features-reply handshake) without a campus; `prop_core`
+#   block, the features-reply handshake, a dead switch's id bound to
+#   its first channel, an audit in flight lasting one registration,
+#   the dpid-ordered liveness sweep, a quarantine and its blocks
+#   outliving the session) without a campus; `prop_core`
 #   (steering programs against an abstract fabric, balancer and policy
 #   semantics, the decision-cache module's round trip); `end_to_end`;
 #   livesec-net: the wire/packet codecs.

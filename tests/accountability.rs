@@ -13,6 +13,9 @@
 //! including the quarantine-isolation invariant. All of it at one and
 //! four control-plane shards, and byte-for-byte deterministic.
 
+#[path = "support/switch_book.rs"]
+mod switch_book;
+
 use livesec_suite::prelude::*;
 use livesec_verify::audit_settled;
 use proptest::strategy::{Strategy, TestRng};
@@ -146,6 +149,7 @@ fn assert_detected_and_contained(
         violations.is_empty(),
         "post-quarantine audit found violations: {violations:#?}"
     );
+    switch_book::assert_switch_book(s.campus.controller());
 }
 
 #[test]

@@ -6,6 +6,9 @@
 //! way back — switches re-register, tables reconcile, flows re-steer —
 //! and the whole faulty run must stay byte-for-byte deterministic.
 
+#[path = "support/switch_book.rs"]
+mod switch_book;
+
 use livesec_suite::prelude::*;
 use livesec_verify::{audit_delta, audit_settled, RuleDelta, Snapshot};
 use livesec_workloads::{CampusScenario, ChaosConfig, ScenarioConfig};
@@ -62,6 +65,7 @@ fn assert_recovered(s: &CampusScenario) {
         c.topology().is_full_mesh(),
         "the logical full mesh was rediscovered after the heals"
     );
+    switch_book::assert_switch_book(c);
 }
 
 /// The issue's acceptance scenario: default chaos plan, default
