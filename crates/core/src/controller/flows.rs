@@ -96,18 +96,6 @@ impl Controller {
         frame: &[u8],
     ) {
         let at_uplink = Some(in_port) == self.topo.uplink_of(dpid);
-        if !at_uplink {
-            // Learn or refresh the sender's location from data traffic
-            // too. Data traffic only adds a host; a move is ARP's.
-            if self.locations.lookup(key.dl_src).is_none() {
-                self.locations
-                    .learn(key.dl_src, key.nw_src, dpid, in_port, now);
-                self.host_joined(now, key.dl_src, key.nw_src, (dpid, in_port));
-            } else {
-                self.locations.touch(key.dl_src, now);
-            }
-        }
-
         // A session is on the books under the key of its first packet,
         // and its record holds both directions' programs: a reply is a
         // packet of that session wherever it surfaces, never a new flow

@@ -1,25 +1,36 @@
-//! Hosts: the packet-in demux, ARP, DHCP, location learning,
-//! service-element messages and departures.
+//! Hosts: the packet-in demux, the location rule, the ARP and DHCP
+//! proxies, service-element messages and departures.
 
 use super::*;
 
 impl Controller {
-    /// Demultiplexes one packet-in from switch `dpid`: LLDP, ARP, SE
-    /// control, DHCP, or a flow to set up. The frame is read in place:
-    /// messages decode from its payload's bytes, and a flow's first
-    /// packet is released as the frame itself.
+    /// Locates the sender of one packet-in from switch `dpid`, then
+    /// demultiplexes it: LLDP, ARP, SE control, DHCP, or a flow to set
+    /// up. The frame is read in place: messages decode from its
+    /// payload's bytes, and a flow's first packet is released as the
+    /// frame itself.
     pub(super) fn on_packet_in(&mut self, now: SimTime, dpid: u64, in_port: u32, data: &[u8]) {
         let Ok((pkt, payload)) = wire::parse_in_place(data) else {
             return;
         };
+        // What arrives on the uplink was sent elsewhere and echoed
+        // through the legacy fabric: it locates nobody.
+        let at_access = Some(in_port) != self.topo.uplink_of(dpid);
+        if at_access {
+            self.locate(now, &pkt, (dpid, in_port));
+        }
 
         if let Some(lldp) = pkt.lldp() {
             self.observe_lldp(now, (lldp.chassis_id, lldp.port_id), (dpid, in_port));
             return;
         }
         if let Some(arp) = pkt.arp() {
-            let arp = *arp;
-            self.handle_arp(now, dpid, in_port, arp);
+            // Directory proxy: answer centrally instead of flooding.
+            let asked = at_access && arp.op == ArpOp::Request && !arp.is_gratuitous();
+            if let Some((mac, _)) = self.locations.lookup_ip(arp.tpa).filter(|_| asked) {
+                self.arp_replies += 1;
+                self.emit(dpid, in_port, &arp_frame(ArpPacket::reply_to(arp, mac)));
+            }
             return;
         }
         if let Some(udp) = pkt.udp() {
@@ -41,39 +52,26 @@ impl Controller {
         }
     }
 
-    fn handle_arp(&mut self, now: SimTime, dpid: u64, in_port: u32, arp: ArpPacket) {
-        if Some(in_port) == self.topo.uplink_of(dpid) {
-            return; // an announcement echoed through the legacy fabric
+    /// The location rule (paper §III-C.2), the one place a MAC is
+    /// located: the sender of a packet-in at access port `at` is there.
+    /// A first sighting joins it, only an ARP may move it, and anything
+    /// else refreshes it. A sender with no address yet (a DHCP client
+    /// before its lease) is placed nowhere.
+    fn locate(&mut self, now: SimTime, pkt: &Packet, at: (u64, u32)) {
+        let (mac, ip, may_move) = match (pkt.arp(), pkt.ipv4()) {
+            (Some(arp), _) => (arp.sha, arp.spa, true),
+            (None, Some(v4)) => (pkt.eth.src, v4.header.src, false),
+            (None, None) => return,
+        };
+        if ip.is_unspecified() {
+            return;
         }
-        match self.locations.learn(arp.sha, arp.spa, dpid, in_port, now) {
-            LearnOutcome::New => self.host_joined(now, arp.sha, arp.spa, (dpid, in_port)),
-            LearnOutcome::Moved { from } => {
-                self.monitor.record(
-                    now,
-                    EventKind::UserMoved {
-                        mac: arp.sha,
-                        from,
-                        to: (dpid, in_port),
-                    },
-                );
-                self.announce_location(dpid, arp.sha, arp.spa);
-            }
-            LearnOutcome::Refreshed => {}
-        }
-        if arp.op == ArpOp::Request && !arp.is_gratuitous() {
-            // Directory proxy: answer centrally instead of flooding.
-            if let Some((mac, _)) = self.locations.lookup_ip(arp.tpa) {
-                self.arp_replies += 1;
-                self.emit(dpid, in_port, &arp_frame(ArpPacket::reply_to(&arp, mac)));
-            }
-        }
-    }
-
-    /// Records a host learned for the first time, at `at` — by ARP or
-    /// by the data path — and announces it to the legacy fabric.
-    pub(super) fn host_joined(&mut self, now: SimTime, mac: MacAddr, ip: Ipv4Addr, at: (u64, u32)) {
-        self.monitor
-            .record(now, EventKind::UserJoin { mac, ip, at });
+        let kind = match self.locations.learn(mac, ip, at, now, may_move) {
+            LearnOutcome::New => EventKind::UserJoin { mac, ip, at },
+            LearnOutcome::Moved { from } => EventKind::UserMoved { mac, from, to: at },
+            LearnOutcome::Refreshed => return,
+        };
+        self.monitor.record(now, kind);
         self.announce_location(at.0, mac, ip);
     }
 
@@ -122,7 +120,6 @@ impl Controller {
             return;
         }
         self.se_msgs += 1;
-        self.locations.touch(mac, now);
         match msg {
             SeMessage::Online {
                 service,
@@ -145,42 +142,49 @@ impl Controller {
     }
 
     /// The tick's expiry sweep: hosts silent past the ARP timeout
-    /// leave, and elements silent past the heartbeat timeout go
+    /// depart, and elements silent past the heartbeat timeout go
     /// offline with their steering state.
     pub(super) fn expire_hosts(&mut self, now: SimTime) {
         for mac in self.locations.expire(now, self.arp_timeout) {
-            self.monitor.record(now, EventKind::UserLeave { mac });
+            self.depart(now, mac);
         }
         for mac in self.registry.expire(now, self.se_timeout) {
-            self.monitor.record(now, EventKind::SeOffline { mac });
-            self.cleanup_se(mac);
+            self.se_offline(now, mac);
         }
     }
 
-    /// An attachment point is gone — a dead port or a dead switch — and
-    /// the hosts `evicted` from it depart, in MAC order (the location
-    /// table is a BTreeMap), so the event order is run-stable. Compiled
-    /// programs may have routed through it, so every fast-pass goes;
-    /// packets in flight through it died honestly (a deregistration
-    /// also truncates attestation chains), so the accountability drop
-    /// sweep goes quiet for a window. A departed host that was a
-    /// service element goes offline with its steering state.
-    pub(super) fn detach(&mut self, now: SimTime, evicted: Vec<MacAddr>) {
+    /// An attachment point is gone — `port` of switch `dpid`, or with
+    /// no port the whole switch — and the hosts there depart, in MAC
+    /// order (the location table is a BTreeMap), so the event order is
+    /// run-stable. Compiled programs may have routed through it, so
+    /// every fast-pass goes; packets in flight through it died honestly
+    /// (a deregistration also truncates attestation chains), so the
+    /// accountability drop sweep goes quiet for a window.
+    pub(super) fn detach(&mut self, now: SimTime, dpid: u64, port: Option<u32>) {
         self.detector.note_turbulence(now);
         self.topology_changed();
-        for mac in evicted {
-            self.monitor.record(now, EventKind::UserLeave { mac });
-            if self.registry.force_offline(mac) {
-                self.monitor.record(now, EventKind::SeOffline { mac });
-                self.cleanup_se(mac);
-            }
+        for mac in self.locations.evict(dpid, port) {
+            self.depart(now, mac);
         }
     }
 
-    /// Removes a dead service element's steering state: its relay
-    /// entries everywhere, the ingress entries of flows using it (so
-    /// their next packet re-balances), and the active-flow records.
-    fn cleanup_se(&mut self, se_mac: MacAddr) {
+    /// The one way out of the location table, whatever removed `mac`
+    /// from it: the host leaves, and a service element goes offline
+    /// with it — an element is online only while it is located.
+    fn depart(&mut self, now: SimTime, mac: MacAddr) {
+        self.monitor.record(now, EventKind::UserLeave { mac });
+        if self.registry.force_offline(mac) {
+            self.se_offline(now, mac);
+        }
+    }
+
+    /// Records that an element went offline and removes its steering
+    /// state: its relay entries everywhere, the ingress entries of flows
+    /// using it (so their next packet re-balances), and the active-flow
+    /// records.
+    fn se_offline(&mut self, now: SimTime, se_mac: MacAddr) {
+        self.monitor
+            .record(now, EventKind::SeOffline { mac: se_mac });
         self.send_to_all(&OfMessage::delete_flows(Match::any().with_dl_dst(se_mac)));
         let affected: Vec<FlowKey> = self
             .active

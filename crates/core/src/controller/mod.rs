@@ -21,8 +21,8 @@
 //!
 //! * `session` — the message dispatch, handshake, liveness and tick,
 //!   audit and reconcile, port status, LLDP probing, quarantine;
-//! * `hosts` — the packet-in demux, ARP, DHCP, location learning, SE
-//!   messages, departures;
+//! * `hosts` — the packet-in demux, the location rule, the ARP and
+//!   DHCP proxies, SE messages, departures;
 //! * `flows` — set-up, repair, flow-removed accounting, fast-passes,
 //!   verdicts, blocks, path proofs, policy deltas;
 //! * `outbox` — flow entries and per-switch batches.
@@ -32,6 +32,11 @@
 //! uplink) lasts one registration and goes in `mark_switch_down`'s one
 //! call; its `Datapath` (quarantine, standing blocks, port-stats
 //! baseline) lasts for good.
+//!
+//! A MAC has one way into the location table, `locate` (every
+//! access-port packet-in locates its sender, an element's heartbeat
+//! too), and one way out, `depart`, which takes a departed element
+//! offline: no element is online and nowhere.
 
 mod flows;
 mod hosts;

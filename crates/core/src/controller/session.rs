@@ -268,8 +268,7 @@ impl Controller {
         // port is what re-learns it.
         self.probe_round(true);
         if !up {
-            let evicted = self.locations.evict_port(dpid, port);
-            self.detach(now, evicted);
+            self.detach(now, dpid, Some(port));
         }
     }
 
@@ -312,8 +311,7 @@ impl Controller {
     fn mark_switch_down(&mut self, now: SimTime, dpid: u64) {
         self.health.switch_downs += 1;
         self.monitor.record(now, EventKind::SwitchDown { dpid });
-        let evicted = self.locations.evict_dpid(dpid);
-        self.detach(now, evicted);
+        self.detach(now, dpid, None);
         // Flows that entered at the dead switch lost their ingress; no
         // FlowEnd — their counters died with the switch.
         let orphans: Vec<_> = self

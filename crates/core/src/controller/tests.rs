@@ -7,7 +7,9 @@ use super::session::SWITCH_TIMEOUT;
 use super::*;
 use crate::balance::{Grain, RoundRobin};
 use crate::policy::PolicyRule;
+use crate::store::StateStore;
 use livesec_openflow::{attestation_tag, ForwardingAttestation};
+use livesec_services::SE_CONTROL_MAC;
 
 const IDS: ServiceType = ServiceType::IntrusionDetection;
 const N_HOSTS: u64 = 4;
@@ -50,6 +52,17 @@ fn features(dpid: u64) -> Frame<'static> {
     })
 }
 
+/// An IDS replica's heartbeat.
+const ONLINE: SeMessage = SeMessage::Online {
+    service: IDS,
+    cert: 0,
+    cpu: 10,
+    mem: 0,
+    pps: 0,
+    bps: 0,
+    total_pkts: 0,
+};
+
 /// Three switches registered through their handshakes at time zero,
 /// four hosts (host `i` at switch `1 + i % 3`, port `10 + i`), two
 /// IDS replicas; nothing queued.
@@ -63,28 +76,15 @@ fn campus() -> Controller {
     }
     for i in 0..N_HOSTS {
         let ip = Ipv4Addr::new(10, 0, 0, 1 + i as u8);
-        c.locations
-            .learn(host(i), ip, 1 + i % 3, 10 + i as u32, SimTime::ZERO);
+        let at = (1 + i % 3, 10 + i as u32);
+        c.locations.learn(host(i), ip, at, SimTime::ZERO, true);
     }
     for (i, se) in [0xf1u64, 0xf2].into_iter().enumerate() {
-        let online = SeMessage::Online {
-            service: IDS,
-            cert: 0,
-            cpu: 10,
-            mem: 0,
-            pps: 0,
-            bps: 0,
-            total_pkts: 0,
-        };
         let mac = MacAddr::from_u64(se);
-        c.registry.heartbeat(mac, &online, SimTime::ZERO);
-        c.locations.learn(
-            mac,
-            Ipv4Addr::new(10, 0, 1, se as u8),
-            1,
-            30 + i as u32,
-            SimTime::ZERO,
-        );
+        c.registry.heartbeat(mac, &ONLINE, SimTime::ZERO);
+        let ip = Ipv4Addr::new(10, 0, 1, se as u8);
+        c.locations
+            .learn(mac, ip, (1, 30 + i as u32), SimTime::ZERO, true);
     }
     drain(&mut c);
     c
@@ -481,4 +481,32 @@ fn a_quarantine_outlives_its_session_and_blocks_outlive_the_quarantine() {
     );
     assert_eq!(c.accountability_stats().quarantined_now, 0);
     assert!(blocks_held(&c), "after the rejoin");
+}
+
+/// An element evicted with its port is located again by the heartbeat
+/// that brings it back online: the location rule covers an element's
+/// own control packets, so it is never online and nowhere, and its
+/// chained flows have a hop to steer through. Kills a heartbeat that
+/// only refreshes a location still on the books.
+#[test]
+fn a_heartbeat_locates_the_element_it_brings_back_online() {
+    let mut c = campus();
+    let ids = MacAddr::from_u64(0xf1);
+    let down = OfMessage::PortStatus {
+        reason: PortStatusReason::Delete,
+        port_no: 30,
+    };
+    c.on_message(ms(10), node(1), Frame::Other(down));
+    assert!(!c.registry().get(ids).is_some_and(|se| se.online));
+    assert_eq!(c.hop_of(ids), None, "evicted with its port");
+
+    let heartbeat = PacketBuilder::udp(ids, SE_CONTROL_MAC)
+        .ips(Ipv4Addr::new(10, 0, 1, 0xf1), Ipv4Addr::BROADCAST)
+        .ports(SE_CONTROL_PORT, SE_CONTROL_PORT)
+        .payload_bytes(ONLINE.encode())
+        .build();
+    c.on_packet_in(ms(20), 1, 30, &wire::serialize(&heartbeat));
+    assert!(c.registry().get(ids).is_some_and(|se| se.online));
+    let hop = c.hop_of(ids).map(|h| (h.dpid, h.port));
+    assert_eq!(hop, Some((1, 30)), "online but located nowhere");
 }

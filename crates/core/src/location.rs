@@ -1,11 +1,12 @@
 //! Host location discovery (paper §III-C.2).
 //!
-//! The controller learns where every host lives from the first ARP
-//! packet seen at an Access-Switching ingress port: the routing table
-//! maps MAC → (switch, port, IP). Entries age out when a host is
-//! silent past the ARP timeout — that is how user departure is
-//! detected — and a host re-appearing elsewhere updates its entry
-//! (user/VM mobility).
+//! The controller learns where every host lives from the packets it
+//! sends at an Access-Switching ingress port: the routing table maps
+//! MAC → (switch, port, IP). The first sighting places a host, any
+//! later one refreshes it, and only an ARP moves it (user/VM
+//! mobility). Entries age out when a host is silent past the ARP
+//! timeout — that is how user departure is detected — and go when
+//! their port or switch does.
 
 use livesec_net::MacAddr;
 use livesec_sim::{SimDuration, SimTime};
@@ -53,14 +54,16 @@ impl LocationTable {
         Self::default()
     }
 
-    /// Learns (or refreshes) a host's location from an ARP sighting.
+    /// Learns a host's location from a sighting at `(dpid, port)`. A
+    /// known host is only marked seen, unless the sighting `may_move`
+    /// it (an ARP): then it also takes the new place and address.
     pub fn learn(
         &mut self,
         mac: MacAddr,
         ip: Ipv4Addr,
-        dpid: u64,
-        port: u32,
+        (dpid, port): (u64, u32),
         now: SimTime,
+        may_move: bool,
     ) -> LearnOutcome {
         match self.by_mac.get_mut(&mac) {
             None => {
@@ -75,6 +78,10 @@ impl LocationTable {
                 );
                 self.by_ip.insert(ip, mac);
                 LearnOutcome::New
+            }
+            Some(loc) if !may_move => {
+                loc.last_seen = now;
+                LearnOutcome::Refreshed
             }
             Some(loc) => {
                 let before = (loc.dpid, loc.port);
@@ -96,14 +103,6 @@ impl LocationTable {
         }
     }
 
-    /// Refreshes the liveness timestamp of a known host (any traffic
-    /// counts, not just ARP).
-    pub fn touch(&mut self, mac: MacAddr, now: SimTime) {
-        if let Some(loc) = self.by_mac.get_mut(&mac) {
-            loc.last_seen = now;
-        }
-    }
-
     /// Looks up a host by MAC.
     pub fn lookup(&self, mac: MacAddr) -> Option<&Location> {
         self.by_mac.get(&mac)
@@ -121,16 +120,11 @@ impl LocationTable {
         self.remove_where(|loc| now.saturating_since(loc.last_seen) > timeout)
     }
 
-    /// Removes every host attached to `(dpid, port)` (port failure);
+    /// Removes every host attached to `port` of `dpid` (port failure),
+    /// or to any of its ports when `port` is `None` (a dead switch);
     /// returns them.
-    pub fn evict_port(&mut self, dpid: u64, port: u32) -> Vec<MacAddr> {
-        self.remove_where(|loc| loc.dpid == dpid && loc.port == port)
-    }
-
-    /// Removes every host attached to any port of `dpid` (dead-switch
-    /// handling); returns them.
-    pub fn evict_dpid(&mut self, dpid: u64) -> Vec<MacAddr> {
-        self.remove_where(|loc| loc.dpid == dpid)
+    pub fn evict(&mut self, dpid: u64, port: Option<u32>) -> Vec<MacAddr> {
+        self.remove_where(|loc| loc.dpid == dpid && port.is_none_or(|p| p == loc.port))
     }
 
     /// Removes every host whose location satisfies `gone`; returns them
@@ -193,10 +187,16 @@ mod tests {
     #[test]
     fn learn_new_refresh_move() {
         let mut lt = LocationTable::new();
-        assert_eq!(lt.learn(mac(1), ip(1), 1, 2, t(0)), LearnOutcome::New);
-        assert_eq!(lt.learn(mac(1), ip(1), 1, 2, t(5)), LearnOutcome::Refreshed);
         assert_eq!(
-            lt.learn(mac(1), ip(1), 2, 3, t(10)),
+            lt.learn(mac(1), ip(1), (1, 2), t(0), true),
+            LearnOutcome::New
+        );
+        assert_eq!(
+            lt.learn(mac(1), ip(1), (1, 2), t(5), true),
+            LearnOutcome::Refreshed
+        );
+        assert_eq!(
+            lt.learn(mac(1), ip(1), (2, 3), t(10), true),
             LearnOutcome::Moved { from: (1, 2) }
         );
         let loc = lt.lookup(mac(1)).unwrap();
@@ -207,10 +207,10 @@ mod tests {
     #[test]
     fn ip_index_follows_changes() {
         let mut lt = LocationTable::new();
-        lt.learn(mac(1), ip(1), 1, 2, t(0));
+        lt.learn(mac(1), ip(1), (1, 2), t(0), true);
         assert_eq!(lt.lookup_ip(ip(1)).unwrap().0, mac(1));
         // DHCP renumbering: same MAC, new IP.
-        lt.learn(mac(1), ip(9), 1, 2, t(1));
+        lt.learn(mac(1), ip(9), (1, 2), t(1), true);
         assert!(lt.lookup_ip(ip(1)).is_none());
         assert_eq!(lt.lookup_ip(ip(9)).unwrap().0, mac(1));
     }
@@ -218,8 +218,8 @@ mod tests {
     #[test]
     fn departure_keeps_a_taken_over_ip() {
         let mut lt = LocationTable::new();
-        lt.learn(mac(1), ip(7), 1, 2, t(0));
-        lt.learn(mac(2), ip(7), 1, 3, t(900));
+        lt.learn(mac(1), ip(7), (1, 2), t(0), true);
+        lt.learn(mac(2), ip(7), (1, 3), t(900), true);
         assert_eq!(
             lt.expire(t(1000), SimDuration::from_millis(500)),
             vec![mac(1)]
@@ -230,9 +230,9 @@ mod tests {
     #[test]
     fn renumbering_keeps_a_taken_over_ip() {
         let mut lt = LocationTable::new();
-        lt.learn(mac(1), ip(7), 1, 2, t(0));
-        lt.learn(mac(2), ip(7), 1, 3, t(1));
-        lt.learn(mac(1), ip(9), 1, 2, t(2));
+        lt.learn(mac(1), ip(7), (1, 2), t(0), true);
+        lt.learn(mac(2), ip(7), (1, 3), t(1), true);
+        lt.learn(mac(1), ip(9), (1, 2), t(2), true);
         assert_eq!(lt.lookup_ip(ip(7)).unwrap().0, mac(2));
         assert_eq!(lt.lookup_ip(ip(9)).unwrap().0, mac(1));
     }
@@ -240,9 +240,9 @@ mod tests {
     #[test]
     fn expiry_detects_departure() {
         let mut lt = LocationTable::new();
-        lt.learn(mac(1), ip(1), 1, 2, t(0));
-        lt.learn(mac(2), ip(2), 1, 3, t(0));
-        lt.touch(mac(2), t(900));
+        lt.learn(mac(1), ip(1), (1, 2), t(0), true);
+        lt.learn(mac(2), ip(2), (1, 3), t(0), true);
+        lt.learn(mac(2), ip(2), (1, 3), t(900), false);
         let gone = lt.expire(t(1000), SimDuration::from_millis(500));
         assert_eq!(gone, vec![mac(1)]);
         assert_eq!(lt.len(), 1);
@@ -251,30 +251,42 @@ mod tests {
     }
 
     #[test]
-    fn touch_only_updates_known() {
+    fn only_a_sighting_that_may_move_moves() {
         let mut lt = LocationTable::new();
-        lt.touch(mac(5), t(1)); // no-op
-        assert!(lt.is_empty());
+        assert_eq!(
+            lt.learn(mac(5), ip(5), (1, 2), t(0), false),
+            LearnOutcome::New
+        );
+        assert_eq!(
+            lt.learn(mac(5), ip(6), (2, 3), t(1), false),
+            LearnOutcome::Refreshed
+        );
+        let loc = lt.lookup(mac(5)).unwrap();
+        assert_eq!(
+            (loc.dpid, loc.port, loc.ip, loc.last_seen),
+            (1, 2, ip(5), t(1))
+        );
+        assert!(lt.lookup_ip(ip(6)).is_none());
     }
 
     #[test]
-    fn evict_port_removes_attached_hosts() {
+    fn evicting_a_port_removes_its_hosts() {
         let mut lt = LocationTable::new();
-        lt.learn(mac(1), ip(1), 1, 2, t(0));
-        lt.learn(mac(2), ip(2), 1, 3, t(0));
-        lt.learn(mac(3), ip(3), 2, 2, t(0));
-        let gone = lt.evict_port(1, 2);
+        lt.learn(mac(1), ip(1), (1, 2), t(0), true);
+        lt.learn(mac(2), ip(2), (1, 3), t(0), true);
+        lt.learn(mac(3), ip(3), (2, 2), t(0), true);
+        let gone = lt.evict(1, Some(2));
         assert_eq!(gone, vec![mac(1)]);
         assert_eq!(lt.len(), 2);
     }
 
     #[test]
-    fn evict_dpid_removes_all_attached_hosts() {
+    fn evicting_a_switch_removes_all_its_hosts() {
         let mut lt = LocationTable::new();
-        lt.learn(mac(1), ip(1), 1, 2, t(0));
-        lt.learn(mac(2), ip(2), 1, 3, t(0));
-        lt.learn(mac(3), ip(3), 2, 2, t(0));
-        let gone = lt.evict_dpid(1);
+        lt.learn(mac(1), ip(1), (1, 2), t(0), true);
+        lt.learn(mac(2), ip(2), (1, 3), t(0), true);
+        lt.learn(mac(3), ip(3), (2, 2), t(0), true);
+        let gone = lt.evict(1, None);
         assert_eq!(gone, vec![mac(1), mac(2)]);
         assert_eq!(lt.len(), 1);
         assert!(lt.lookup_ip(ip(2)).is_none(), "ip index cleaned");
@@ -283,8 +295,8 @@ mod tests {
     #[test]
     fn iteration_is_mac_ordered() {
         let mut lt = LocationTable::new();
-        lt.learn(mac(3), ip(3), 1, 1, t(0));
-        lt.learn(mac(1), ip(1), 1, 2, t(0));
+        lt.learn(mac(3), ip(3), (1, 1), t(0), true);
+        lt.learn(mac(1), ip(1), (1, 2), t(0), true);
         let order: Vec<MacAddr> = lt.iter().map(|(m, _)| *m).collect();
         assert_eq!(order, vec![mac(1), mac(3)]);
     }

@@ -59,7 +59,10 @@ run cargo build --release
 # - tests/chaos, tests/reconciliation: the campus under scheduled
 #   partitions, crashes and frame corruption over fixed seeds — zero
 #   panics, clean health-stat invariants, byte-identical same-seed
-#   histories.
+#   histories. Both end their fault runs with the NIB checks of
+#   tests/support/switch_book.rs (as do accountability, shard_failover
+#   and mobility): every online service element is located, and every
+#   located host sits on a registered, unquarantined switch.
 # - tests/determinism, shard_ring, shard_handoff, shard_failover: the
 #   sharded control plane (DESIGN.md §9) — same-seed histories
 #   byte-identical, histories at shards 1/2/4 byte-identical to the
@@ -88,7 +91,8 @@ run cargo build --release
 #   block, the features-reply handshake, a dead switch's id bound to
 #   its first channel, an audit in flight lasting one registration,
 #   the dpid-ordered liveness sweep, a quarantine and its blocks
-#   outliving the session) without a campus; `prop_core`
+#   outliving the session, a heartbeat locating the element it brings
+#   back online) without a campus; `prop_core`
 #   (steering programs against an abstract fabric, balancer and policy
 #   semantics, the decision-cache module's round trip); `end_to_end`;
 #   livesec-net: the wire/packet codecs.

@@ -2,6 +2,9 @@
 //! of VMs without changing their IP address" and §III-D.1 dynamic
 //! migration of service elements).
 
+#[path = "support/switch_book.rs"]
+mod switch_book;
+
 use livesec_suite::prelude::*;
 
 #[test]
@@ -55,6 +58,7 @@ fn user_migrates_between_switches_without_changing_addresses() {
     let moved = summary.get("user_moved").copied().unwrap_or(0)
         + summary.get("user_leave").copied().unwrap_or(0);
     assert!(moved >= 1, "mobility visible in events: {summary:?}");
+    switch_book::assert_switch_book(c);
 }
 
 #[test]
@@ -118,4 +122,5 @@ fn service_element_migrates_and_keeps_serving() {
         .app()
         .completed;
     assert!(done > 20, "user kept browsing throughout: {done}");
+    switch_book::assert_switch_book(campus.controller());
 }

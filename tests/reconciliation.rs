@@ -12,6 +12,9 @@
 //! simulations, so this test drives the same strategy machinery
 //! through a small set of deterministic case seeds instead.
 
+#[path = "support/switch_book.rs"]
+mod switch_book;
+
 use livesec_suite::prelude::*;
 use livesec_switch::AsSwitch;
 use livesec_workloads::{CampusScenario, ScenarioConfig};
@@ -150,6 +153,7 @@ fn check_schedule(case: u64, schedule: &Schedule) {
         c.monitor().of_tag("flow_start").count() > 0,
         "case {case}: the run carried no traffic at all"
     );
+    switch_book::assert_switch_book(c);
 }
 
 #[test]

@@ -5,6 +5,9 @@
 //! adoption, and the header-space audit must pass on the merged
 //! post-failover snapshot.
 
+#[path = "support/switch_book.rs"]
+mod switch_book;
+
 use livesec_suite::prelude::*;
 use livesec_verify::audit_settled;
 use livesec_workloads::{CampusScenario, ScenarioConfig};
@@ -100,6 +103,7 @@ fn surviving_shards_adopt_a_dead_shards_switches() {
     // coverage exactly-one).
     let violations = audit_settled(&mut s.campus, 30, SimDuration::from_millis(100));
     assert!(violations.is_empty(), "audit found: {violations:#?}");
+    switch_book::assert_switch_book(s.campus.controller());
 }
 
 /// Killing the last live shard would leave nobody to run the network;
@@ -134,4 +138,5 @@ fn the_last_shard_refuses_to_die() {
         s.campus.controller().packet_ins > packet_ins_before,
         "the lone shard keeps working"
     );
+    switch_book::assert_switch_book(s.campus.controller());
 }

@@ -1,14 +1,35 @@
-//! The controller's switch book, checked from its public readers: the
-//! suites that take switches down and bring them back (`chaos`,
-//! `accountability`) end every run with [`assert_switch_book`].
+//! The controller's switch and host books, checked from its public
+//! readers: the suites that take switches, ports or shards down and
+//! bring them back (`chaos`, `accountability`, `reconciliation`,
+//! `shard_failover`, `mobility`) end every run with
+//! [`assert_switch_book`].
 
 use livesec::Controller;
+use livesec_sim::SimTime;
 
-/// Asserts the switch book agrees with itself: no quarantined switch
-/// is registered, every registered switch's channel resolves to its
-/// own id, and no more switches are online than were ever known.
+/// Asserts the books agree with themselves: no quarantined switch is
+/// registered, every registered switch's channel resolves to its own
+/// id, no more switches are online than were ever known, every online
+/// service element is located, and every located host sits on a
+/// registered, unquarantined switch.
 pub fn assert_switch_book(c: &Controller) {
     let topo = c.topology();
+    let located = c.locations();
+    for se in c.nib_snapshot(SimTime::ZERO).elements {
+        assert!(
+            !se.online || located.lookup(se.mac).is_some(),
+            "element {} is online but located nowhere",
+            se.mac
+        );
+    }
+    let quarantined = c.quarantined();
+    for (mac, loc) in located.iter() {
+        assert!(
+            topo.switch(loc.dpid).is_some() && !quarantined.contains(&loc.dpid),
+            "host {mac} is located on switch {}, which is down or quarantined",
+            loc.dpid
+        );
+    }
     for dpid in c.quarantined() {
         assert!(
             topo.switch(dpid).is_none(),
