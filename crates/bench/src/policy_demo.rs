@@ -5,6 +5,7 @@
 //! steering program), the element reports an attack, and the
 //! controller blocks the flow at its ingress switch.
 
+use livesec::controller::GUARD_COOKIE;
 use livesec::deploy::CampusBuilder;
 use livesec::monitor::EventKind;
 use livesec::policy::{PolicyRule, PolicyTable};
@@ -92,15 +93,13 @@ pub fn run(seed: u64) -> PolicyDemoResult {
         .node::<Host<AttackClient>>(attacker.node)
         .app()
         .sent;
+    // Each switch's uplink guard is standing state, not the flow's.
     result.steering_entries = campus
         .as_switches
         .iter()
         .map(|&sw| {
-            campus
-                .world
-                .node::<livesec_switch::AsSwitch>(sw)
-                .table()
-                .len()
+            let table = campus.world.node::<livesec_switch::AsSwitch>(sw).table();
+            table.iter().filter(|e| e.cookie != GUARD_COOKIE).count()
         })
         .sum();
     result

@@ -14,7 +14,9 @@ impl Controller {
             return;
         };
         // What arrives on the uplink was sent elsewhere and echoed
-        // through the legacy fabric: it locates nobody.
+        // through the legacy fabric: it locates nobody. An echoed
+        // location announcement gets here only until the switch holds
+        // its uplink guard, which drops ARP on the uplink.
         let at_access = Some(in_port) != self.topo.uplink_of(dpid);
         if at_access {
             self.locate(now, &pkt, (dpid, in_port));

@@ -30,8 +30,8 @@
 //! A switch has one record per lifetime: its
 //! [`crate::topology::SwitchInfo`] (liveness stamp, audit in flight,
 //! uplink) lasts one registration and goes in `mark_switch_down`'s one
-//! call; its `Datapath` (quarantine, standing blocks, port-stats
-//! baseline) lasts for good.
+//! call; its `Datapath` (quarantine, standing blocks, uplink guard,
+//! port-stats baseline) lasts for good.
 //!
 //! A MAC has one way into the location table, `locate` (every
 //! access-port packet-in locates its sender, an element's heartbeat
@@ -56,9 +56,9 @@ use crate::policy::{AppAction, PolicyDecision, PolicyDelta, PolicyTable};
 use crate::routing::{Hop, SteeringProgram};
 use crate::topology::TopologyMap;
 use livesec_net::packet::{arp_frame, lldp_frame};
-use livesec_net::{wire, ArpOp, ArpPacket, DhcpMessage, FlowKey, HashMap, HashSet, LldpFrame};
-use livesec_net::{MacAddr, Packet, PacketBuilder};
-use livesec_openflow::codec::{self, Check, FlowModRef, Frame};
+use livesec_net::{wire, ArpOp, ArpPacket, DhcpMessage, EtherType, FlowKey, HashMap};
+use livesec_net::{LldpFrame, MacAddr, Packet, PacketBuilder};
+use livesec_openflow::codec::{self, Check, FlowModRef, FlowStatsRef, Frame};
 use livesec_openflow::{Action, FlowModCommand, FlowStats, Match, OfMessage};
 use livesec_openflow::{PortStatusReason, StatsBody, StatsRequestKind};
 use livesec_services::{SeMessage, ServiceType, Verdict, SE_CONTROL_PORT};
@@ -92,6 +92,10 @@ pub const DENY_COOKIE: u64 = 4;
 pub const FASTPASS_COOKIE: u64 = 5;
 /// Cookie tagging the reverse ingress entry of a fast-pass.
 pub const FASTPASS_REV_COOKIE: u64 = 6;
+/// Cookie tagging a switch's uplink guard, the standing entry that
+/// drops ARP arriving on its uplink; part of the desired state the
+/// reconciliation audit restores.
+pub const GUARD_COOKIE: u64 = 7;
 
 /// Priority of steering/forwarding entries.
 pub const STEER_PRIORITY: u16 = 100;
@@ -101,6 +105,10 @@ pub const STEER_PRIORITY: u16 = 100;
 pub const FASTPASS_PRIORITY: u16 = 150;
 /// Priority of drop entries (wins over steering).
 pub const BLOCK_PRIORITY: u16 = 200;
+/// Priority of the uplink guard: below every steering, fast-pass,
+/// relay and drop entry, so each of them still wins.
+pub const GUARD_PRIORITY: u16 = 50;
+const _: () = assert!(GUARD_PRIORITY < STEER_PRIORITY);
 
 /// What outlives a switch's sessions, from its id's first registration
 /// on; one session's facts are its [`crate::topology::SwitchInfo`].
@@ -112,6 +120,10 @@ struct Datapath {
     /// Standing attack-block drops (insertion order, deduplicated):
     /// security state that outlives flows, crashes and partitions.
     blocks: Vec<Match>,
+    /// The uplink port its guard drops ARP on, once LLDP has named it.
+    /// Kept across sessions, so a rejoin audit reinstalls the guard a
+    /// crash wiped before LLDP has re-learned the uplink.
+    guard: Option<u32>,
     /// Each port's last `(tx, rx)` bytes, its next `LinkLoad`'s base.
     port_stats: HashMap<u32, (u64, u64)>,
 }
@@ -241,6 +253,10 @@ pub struct Controller {
 
     /// Every datapath id ever registered. Never pruned.
     datapaths: BTreeMap<u64, Datapath>,
+    /// The audited table's `(matcher, priority)` keys, each marked
+    /// once the desired state names it: `reconcile`'s one working set,
+    /// cleared and refilled per audit, its capacity kept.
+    audit_keys: HashMap<(Match, u16), bool>,
     /// Fault-tolerance counters surfaced by `health_stats`.
     health: HealthStats,
 
@@ -317,6 +333,7 @@ impl Controller {
             last_setup: None,
             tx: Outbox::new(),
             datapaths: BTreeMap::new(),
+            audit_keys: HashMap::default(),
             health: HealthStats::default(),
             fastpasses: BTreeMap::new(),
             established_conns: BTreeSet::new(),

@@ -112,6 +112,25 @@ impl<'a> Entry<'a> {
         }
     }
 
+    /// Switch `dpid`'s uplink guard ([`super::GUARD_COOKIE`], never
+    /// expires): drops ARP arriving on `uplink`. The legacy fabric
+    /// floods each location announcement to every uplink, and these
+    /// echoes locate nobody, so they die at the switch instead of
+    /// becoming packet-ins. Every other entry outranks it.
+    pub(super) fn guard(dpid: u64, uplink: u32) -> Self {
+        Entry {
+            dpid,
+            matcher: Match::any()
+                .with_in_port(uplink)
+                .with_dl_type(EtherType::Arp.as_u16()),
+            priority: GUARD_PRIORITY,
+            actions: &[],
+            cookie: GUARD_COOKIE,
+            notify_removed: false,
+            idle: None,
+        }
+    }
+
     /// The flow-mod that installs (or replaces) this entry.
     pub(super) fn add(&self) -> FlowModRef<'_> {
         FlowModRef {

@@ -60,6 +60,12 @@ impl Controller {
                 }
                 return None;
             }
+            Frame::FlowStats(stats) => {
+                if let Some(dpid) = dpid {
+                    self.handle_flow_stats(now, dpid, stats);
+                }
+                return None;
+            }
             Frame::Other(msg) => msg,
             // Flow-mods and packet-outs travel only to switches.
             Frame::FlowMod { .. } | Frame::PacketOut { .. } => return None,
@@ -219,13 +225,31 @@ impl Controller {
         // than trusting its return value alone.
         let uplink_before = self.topo.uplink_of(dpid);
         let new_link = self.topo.observe_lldp(from, to);
-        if new_link || self.topo.uplink_of(dpid) != uplink_before {
+        let uplink = self.topo.uplink_of(dpid);
+        if new_link || uplink != uplink_before {
             self.topology_changed();
+        }
+        if let Some(port) = uplink {
+            self.guard_uplink(dpid, port);
         }
         if new_link {
             self.monitor
                 .record(now, EventKind::LinkDiscovered { from, to });
         }
+    }
+
+    /// Points switch `dpid`'s uplink guard at `uplink`: the first
+    /// uplink LLDP names gets the guard, and a move deletes the old
+    /// port's guard and installs the new one. A guard already on
+    /// `uplink` sends nothing: every probe of a known uplink, and the
+    /// uplink re-learned after a rejoin, whose audit restored it.
+    fn guard_uplink(&mut self, dpid: u64, uplink: u32) {
+        let old = match self.datapaths.get_mut(&dpid) {
+            Some(rec) if rec.guard != Some(uplink) => rec.guard.replace(uplink),
+            _ => return,
+        };
+        self.uninstall(old.map(|port| Entry::guard(dpid, port)));
+        self.install([Entry::guard(dpid, uplink)]);
     }
 
     fn probe_switch(&mut self, dpid: u64) {
@@ -294,13 +318,16 @@ impl Controller {
                     );
                 }
             }
-            StatsBody::Flow(stats) => {
-                let sw = self.topo.switch_mut(dpid);
-                if sw.is_some_and(|sw| std::mem::take(&mut sw.auditing)) {
-                    self.reconcile(now, dpid, &stats);
-                }
-            }
-            StatsBody::Description { .. } => {}
+            // Flow statistics arrive read in place (`Frame::FlowStats`).
+            StatsBody::Flow(_) | StatsBody::Description { .. } => {}
+        }
+    }
+
+    /// A flow-stats reply, reconciled if it answers an audit in flight.
+    fn handle_flow_stats(&mut self, now: SimTime, dpid: u64, stats: FlowStatsRef<'_>) {
+        let sw = self.topo.switch_mut(dpid);
+        if sw.is_some_and(|sw| std::mem::take(&mut sw.auditing)) {
+            self.reconcile(now, dpid, stats.iter());
         }
     }
 
@@ -369,7 +396,7 @@ impl Controller {
 
     /// The desired flow-table state of one switch: the entries every
     /// active flow record and every fast-pass record puts there, then
-    /// its standing blocks.
+    /// its standing blocks and its uplink guard.
     fn desired_for(&self, dpid: u64) -> impl Iterator<Item = Entry<'_>> {
         let flows = self
             .active
@@ -383,15 +410,17 @@ impl Controller {
         // blocked flow's record retires once its (shadowed) steering
         // entries idle out, but the drop rule is security state that
         // must survive that — and survive switch restarts.
-        let blocks = self
-            .datapaths
-            .get(&dpid)
-            .into_iter()
-            .flat_map(|rec| &rec.blocks);
+        // So does the guard, from the same record: it stands for the
+        // uplink LLDP last named, even before a rejoined switch's
+        // uplink is re-learned.
+        let rec = self.datapaths.get(&dpid);
+        let blocks = rec.into_iter().flat_map(|rec| &rec.blocks);
+        let guard = rec.and_then(|rec| rec.guard);
         flows
             .chain(fastpasses)
             .filter(move |e| e.dpid == dpid)
             .chain(blocks.map(move |m| Entry::drop(dpid, *m, BLOCK_COOKIE, None)))
+            .chain(guard.map(|port| Entry::guard(dpid, port)))
     }
 
     /// Compares a switch's reported flow table against the desired
@@ -400,25 +429,33 @@ impl Controller {
     /// (desired state wiped by a crash) are reinstalled. Deny entries
     /// are skipped — the controller keeps no record of them and they
     /// self-expire.
-    fn reconcile(&mut self, now: SimTime, dpid: u64, reported: &[FlowStats]) {
-        let have: HashSet<(Match, u16)> = reported
-            .iter()
-            .filter(|s| s.cookie != DENY_COOKIE)
-            .map(|s| (s.matcher, s.priority))
-            .collect();
-        let mut want: HashSet<(Match, u16)> = HashSet::default();
+    fn reconcile(&mut self, now: SimTime, dpid: u64, reported: impl Iterator<Item = FlowStats>) {
+        // The reported keys, each marked once the desired state names
+        // it, in a map kept between audits: an audit allocates for it
+        // only when a table outgrows every table audited before.
+        let mut have = std::mem::take(&mut self.audit_keys);
+        have.clear();
+        have.extend(
+            reported
+                .filter(|s| s.cookie != DENY_COOKIE)
+                .map(|s| ((s.matcher, s.priority), false)),
+        );
         let mut missing: Vec<(Match, u16, OfMessage)> = Vec::new();
         for e in self.desired_for(dpid) {
-            want.insert((e.matcher, e.priority));
-            if !have.contains(&(e.matcher, e.priority)) {
-                missing.push((e.matcher, e.priority, e.add().to_message()));
+            match have.get_mut(&(e.matcher, e.priority)) {
+                Some(wanted) => *wanted = true,
+                None => missing.push((e.matcher, e.priority, e.add().to_message())),
             }
         }
         // Both sides come out of hash containers; sort the fix lists so
         // the flow-mod order (and any FlowRemoved notifications they
         // trigger) is identical across same-seed runs.
-        let mut stale: Vec<(Match, u16)> =
-            have.iter().filter(|k| !want.contains(k)).copied().collect();
+        let mut stale: Vec<(Match, u16)> = have
+            .iter()
+            .filter(|(_, wanted)| !**wanted)
+            .map(|(k, _)| *k)
+            .collect();
+        self.audit_keys = have;
         stale.sort_by_key(|(m, p)| (*p, m.to_string()));
         missing.sort_by_key(|(m, p, _)| (*p, m.to_string()));
         let (removed, reinstalled) = (stale.len() as u64, missing.len() as u64);

@@ -90,6 +90,38 @@ fn campus() -> Controller {
     c
 }
 
+/// Delivers switch `dpid`'s flow-stats reply reporting `stats`, read
+/// in place as its channel delivers it.
+fn reply_stats(c: &mut Controller, at: SimTime, dpid: u64, stats: Vec<FlowStats>) {
+    let bytes = codec::encode(&OfMessage::StatsReply(StatsBody::Flow(stats)), 1);
+    let (frame, _) = codec::read_frame(&bytes, &mut Check).expect("the switch's own encoding");
+    c.on_message(at, node(dpid), frame);
+}
+
+/// Switch 1's uplink guard on `port`, as `desired_entries` lists it.
+fn guard_on(port: u32) -> (Match, u16, u64) {
+    let arp = EtherType::Arp.as_u16();
+    let matcher = Match::any().with_in_port(port).with_dl_type(arp);
+    (matcher, GUARD_PRIORITY, GUARD_COOKIE)
+}
+
+/// The flow-mod that installs switch 1's uplink guard on `port`: a
+/// drop that never expires and reports nothing.
+fn guard_add(port: u32) -> (NodeId, OfMessage) {
+    let (matcher, priority, cookie) = guard_on(port);
+    let add = OfMessage::FlowMod {
+        command: FlowModCommand::Add,
+        matcher,
+        priority,
+        actions: Vec::new().into(),
+        idle_timeout: None,
+        hard_timeout: None,
+        cookie,
+        notify_removed: false,
+    };
+    (node(1), add)
+}
+
 fn ms(n: u64) -> SimTime {
     SimTime::ZERO + SimDuration::from_millis(n)
 }
@@ -385,8 +417,7 @@ fn an_audit_in_flight_lasts_one_registration() {
         c.on_message(ms(at), a, features(1));
         assert_eq!(audited(&mut c), (1, 1), "handshake at {at} ms");
     }
-    let table = OfMessage::StatsReply(StatsBody::Flow(Vec::new()));
-    c.on_message(ms(30), a, Frame::Other(table));
+    reply_stats(&mut c, ms(30), 1, Vec::new());
     c.on_message(ms(40), a, features(1));
     assert_eq!(audited(&mut c), (2, 1), "the reply ended the first audit");
 
@@ -509,4 +540,65 @@ fn a_heartbeat_locates_the_element_it_brings_back_online() {
     assert!(c.registry().get(ids).is_some_and(|se| se.online));
     let hop = c.hop_of(ids).map(|h| (h.dpid, h.port));
     assert_eq!(hop, Some((1, 30)), "online but located nowhere");
+}
+
+/// The first LLDP probe that names a switch's uplink queues its guard,
+/// a drop of ARP arriving there below every steering entry, and one
+/// that names the same uplink again queues nothing. Kills a guard that
+/// waits for the audit, and one re-sent on every probe.
+#[test]
+fn lldp_naming_an_uplink_queues_its_guard() {
+    let mut c = Controller::new();
+    c.on_message(ms(0), node(1), features(1));
+    drain(&mut c);
+    c.observe_lldp(ms(10), (2, 40), (1, 40));
+    assert_eq!(drain(&mut c), [guard_add(40)]);
+    c.observe_lldp(ms(20), (3, 40), (1, 40));
+    assert!(drain(&mut c).is_empty(), "the uplink did not move");
+}
+
+/// LLDP that moves a switch's uplink strictly deletes the old port's
+/// guard, then installs the new one. Kills a move that leaves the old
+/// guard dropping ARP on what is now an access port.
+#[test]
+fn an_uplink_move_moves_its_guard() {
+    let mut c = Controller::new();
+    c.on_message(ms(0), node(1), features(1));
+    c.observe_lldp(ms(10), (2, 40), (1, 40));
+    drain(&mut c);
+    c.observe_lldp(ms(20), (2, 40), (1, 41));
+    let (old, priority, _) = guard_on(40);
+    let delete = (node(1), delete_strict(&old, priority).to_message());
+    assert_eq!(drain(&mut c), [delete, guard_add(41)]);
+    assert_eq!(c.desired_entries(1), [guard_on(41)]);
+}
+
+/// The guard is desired state: it outlives the session, so the rejoin
+/// audit of a switch declared dead, whose crash wiped its table,
+/// reinstalls it before LLDP has re-learned the uplink, and the
+/// re-learning then queues nothing. Kills a guard read from the
+/// session's uplink, which the audit would find missing from its
+/// desired state.
+#[test]
+fn the_rejoin_audit_reinstalls_the_guard() {
+    let mut c = Controller::new();
+    c.on_message(ms(0), node(1), features(1));
+    c.observe_lldp(ms(10), (2, 40), (1, 40));
+    assert_eq!(c.desired_entries(1), [guard_on(40)]);
+    c.tick(ms(10) + SWITCH_TIMEOUT + SimDuration::from_millis(1));
+    assert_eq!(c.health_stats().switch_downs, 1);
+    c.on_message(ms(3500), node(1), features(1));
+    assert_eq!(c.topology().uplink_of(1), None, "not yet re-learned");
+    assert_eq!(c.desired_entries(1), [guard_on(40)]);
+    drain(&mut c);
+
+    reply_stats(&mut c, ms(3510), 1, Vec::new());
+    let reinstalled: Vec<_> = drain(&mut c)
+        .into_iter()
+        .filter(|(_, m)| matches!(m, OfMessage::FlowMod { .. }))
+        .collect();
+    assert_eq!(reinstalled, [guard_add(40)]);
+    assert_eq!(c.health_stats().flows_reinstalled, 1);
+    c.observe_lldp(ms(3520), (2, 40), (1, 40));
+    assert!(drain(&mut c).is_empty(), "the guard already stands");
 }

@@ -8,10 +8,10 @@
 
 use crate::action::Action;
 use crate::codec::{
-    encode_into, encode_packet_in_into, read_frame, Check, CodecError, Frame, Frames,
-    T_BARRIER_REQ, T_ECHO_REP, T_ECHO_REQ, T_FEATURES_REQ, T_HELLO,
+    encode_flow_stats_into, encode_into, encode_packet_in_into, read_frame, Check, CodecError,
+    Frame, Frames, T_BARRIER_REQ, T_ECHO_REP, T_ECHO_REQ, T_FEATURES_REQ, T_HELLO,
 };
-use crate::message::{OfMessage, PacketInReason};
+use crate::message::{FlowStats, OfMessage, PacketInReason};
 use livesec_net::Packet;
 
 /// The switch side of an OpenFlow secure channel.
@@ -75,6 +75,18 @@ impl SwitchChannel {
     ) {
         let xid = self.next_xid();
         encode_packet_in_into(in_port, reason, pkt, xid, buf);
+    }
+
+    /// Appends the flow-stats reply that reports `stats`, with a fresh
+    /// transaction id, to `buf`, written from the entries as `stats`
+    /// yields them: no list is built.
+    pub fn flow_stats(
+        &mut self,
+        stats: impl Iterator<Item = FlowStats> + Clone,
+        buf: &mut Vec<u8>,
+    ) {
+        let xid = self.next_xid();
+        encode_flow_stats_into(stats, xid, buf);
     }
 
     /// Processes inbound bytes, which may carry a whole batch of

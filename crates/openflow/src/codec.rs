@@ -12,15 +12,17 @@
 //! set-up messages also encode from borrowed parts — [`FlowModRef`],
 //! [`encode_packet_out_into`] and, for a delivered frame released as it
 //! stands, [`encode_frame_out_into`] — to the same bytes as their owned
-//! [`OfMessage`], and [`encode_packet_in_into`] serializes the switch's
-//! packet straight into its frame.
+//! [`OfMessage`], [`encode_packet_in_into`] serializes the switch's
+//! packet straight into its frame, and [`encode_flow_stats_into`]
+//! writes a flow-stats reply straight from the switch's table.
 //!
 //! One reader, [`read_frame`], takes every frame apart, generic over
 //! where a frame's actions go: an [`ActionList`] ([`decode`]), the
 //! switch's reused action buffer, or nowhere ([`Check`]), when a batch
 //! is only being checked or the frame carries none. It returns a
 //! [`Frame`], which borrows the packet a packet-in or a packet-out
-//! carries from the frame instead of copying it.
+//! carries, and a flow-stats reply's entries, from the frame instead
+//! of copying them.
 
 #![warn(clippy::indexing_slicing)]
 
@@ -591,6 +593,39 @@ pub fn encode_packet_in_into(
     end_frame(buf, start);
 }
 
+/// Appends the frame of the flow-stats reply that reports `stats`:
+/// the bytes [`encode`] writes for the [`OfMessage::StatsReply`] of the
+/// same list, which is never built. `stats` is walked three times, to
+/// count, to size the frame and to write it; like [`encode_into`], at
+/// most one allocation.
+pub fn encode_flow_stats_into(
+    stats: impl Iterator<Item = FlowStats> + Clone,
+    xid: u32,
+    buf: &mut Vec<u8>,
+) {
+    let n = stats.clone().count();
+    let mut len = Len(HEADER_LEN);
+    put_flow_stats(&mut len, n, stats.clone());
+    buf.reserve(len.0);
+    let start = begin_frame(buf, T_STATS_REP, xid);
+    put_flow_stats(buf, n, stats);
+    end_frame(buf, start);
+}
+
+/// A flow-stats body: its kind, the count `n`, then each of `stats`.
+fn put_flow_stats(w: &mut impl Sink, n: usize, stats: impl Iterator<Item = FlowStats>) {
+    w.u8(0);
+    w.u32(n as u32);
+    for s in stats {
+        put_match(w, &s.matcher);
+        w.u16(s.priority);
+        w.u64(s.cookie);
+        w.u64(s.packet_count);
+        w.u64(s.byte_count);
+        w.u64(s.duration);
+    }
+}
+
 /// Appends `pkt`'s wire bytes with their length prefix.
 fn put_serialized(buf: &mut Vec<u8>, pkt: &Packet) {
     let data_len_at = buf.len();
@@ -745,18 +780,7 @@ fn put_body(w: &mut impl Sink, msg: &OfMessage) {
             StatsRequestKind::Description => w.u8(2),
         },
         OfMessage::StatsReply(body) => match body {
-            StatsBody::Flow(stats) => {
-                w.u8(0);
-                w.u32(stats.len() as u32);
-                for s in stats {
-                    put_match(w, &s.matcher);
-                    w.u16(s.priority);
-                    w.u64(s.cookie);
-                    w.u64(s.packet_count);
-                    w.u64(s.byte_count);
-                    w.u64(s.duration);
-                }
-            }
+            StatsBody::Flow(stats) => put_flow_stats(w, stats.len(), stats.iter().cloned()),
             StatsBody::Port(stats) => {
                 w.u8(1);
                 w.u32(stats.len() as u32);
@@ -851,8 +875,28 @@ pub enum Frame<'a> {
         /// The serialized packet.
         data: &'a [u8],
     },
+    /// [`OfMessage::StatsReply`] of flow statistics, read in place.
+    FlowStats(FlowStatsRef<'a>),
     /// Any other message: none carries actions.
     Other(OfMessage),
+}
+
+/// The entries of a flow-stats reply, left in the frame: the reader
+/// checks every entry once, and [`FlowStatsRef::iter`] decodes each
+/// again as it is read, so no list is built.
+#[derive(Debug, Clone, Copy)]
+pub struct FlowStatsRef<'a> {
+    n: usize,
+    bytes: &'a [u8],
+}
+
+impl<'a> FlowStatsRef<'a> {
+    /// The reported entries, in the order the switch wrote them.
+    pub fn iter(&self) -> impl Iterator<Item = FlowStats> + 'a {
+        let mut r = Cursor::new(self.bytes);
+        // Every entry was checked when the frame was read.
+        (0..self.n).map_while(move |_| get_flow_stat(&mut r).ok())
+    }
 }
 
 impl Frame<'_> {
@@ -891,6 +935,11 @@ impl Frame<'_> {
                 actions,
                 data: data.to_vec(),
             },
+            Frame::FlowStats(stats) => {
+                let mut v = Vec::with_capacity(stats.n);
+                v.extend(stats.iter());
+                OfMessage::StatsReply(StatsBody::Flow(v))
+            }
             Frame::Other(msg) => msg,
         }
     }
@@ -969,9 +1018,41 @@ pub fn read_frame<'a>(
                 notify_removed: get_bool(r)?,
             }
         }
+        T_STATS_REP if bytes.get(HEADER_LEN) == Some(&0) => {
+            r.u8()?;
+            Frame::FlowStats(get_flow_stats(r)?)
+        }
         ty => Frame::Other(get_message(ty, r)?),
     };
     Ok((frame, xid))
+}
+
+/// A flow-stats body after its kind: the count, then every entry,
+/// checked and kept as bytes.
+fn get_flow_stats<'a>(r: &mut Cursor<'a>) -> Result<FlowStatsRef<'a>, CodecError> {
+    let n = r.u32()? as usize;
+    // A flow-stats entry is tens of bytes; a count past the remaining
+    // frame bytes cannot be honest.
+    if n > r.remaining() {
+        return Err(CodecError::BadField("flow stats count"));
+    }
+    let mut entries = r.clone();
+    for _ in 0..n {
+        get_flow_stat(r)?;
+    }
+    let bytes = entries.take(entries.remaining() - r.remaining())?;
+    Ok(FlowStatsRef { n, bytes })
+}
+
+fn get_flow_stat(r: &mut Cursor<'_>) -> Result<FlowStats, CodecError> {
+    Ok(FlowStats {
+        matcher: get_match(r)?,
+        priority: r.u16()?,
+        cookie: r.u64()?,
+        packet_count: r.u64()?,
+        byte_count: r.u64()?,
+        duration: r.u64()?,
+    })
 }
 
 /// The body of a message of type `ty` that carries neither actions nor
@@ -1014,30 +1095,12 @@ fn get_message(ty: u8, r: &mut Cursor<'_>) -> Result<OfMessage, CodecError> {
             2 => StatsRequestKind::Description,
             _ => return Err(CodecError::BadField("stats kind")),
         }),
+        // Flow statistics (kind 0) are read in place by `read_frame`.
         T_STATS_REP => OfMessage::StatsReply(match r.u8()? {
-            0 => {
-                let n = r.u32()? as usize;
-                // A flow-stats entry is tens of bytes; a count past
-                // the remaining frame bytes cannot be honest.
-                if n > r.remaining() {
-                    return Err(CodecError::BadField("flow stats count"));
-                }
-                let mut v = Vec::with_capacity(n);
-                for _ in 0..n {
-                    v.push(FlowStats {
-                        matcher: get_match(r)?,
-                        priority: r.u16()?,
-                        cookie: r.u64()?,
-                        packet_count: r.u64()?,
-                        byte_count: r.u64()?,
-                        duration: r.u64()?,
-                    });
-                }
-                StatsBody::Flow(v)
-            }
             1 => {
                 let n = r.u32()? as usize;
-                // Same bound: each port-stats entry is 44 bytes.
+                // Each port-stats entry is 44 bytes: a count past the
+                // remaining frame bytes cannot be honest.
                 if n > r.remaining() {
                     return Err(CodecError::BadField("port stats count"));
                 }

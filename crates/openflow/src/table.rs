@@ -204,6 +204,11 @@ impl FlowTable {
         let idx = match self.free.pop() {
             Some(i) => i,
             None => {
+                // A slot is 184 bytes, so grow by half, not double: at
+                // most a third of a table's slots sit idle, not half.
+                if self.slots.len() == self.slots.capacity() {
+                    self.slots.reserve_exact((self.slots.len() / 2).max(4));
+                }
                 self.slots.push(Slot::default());
                 self.slots.len() - 1
             }
@@ -476,7 +481,7 @@ impl FlowTable {
     }
 
     /// Iterates over all live entries (arbitrary order).
-    pub fn iter(&self) -> impl Iterator<Item = &FlowEntry> {
+    pub fn iter(&self) -> impl Iterator<Item = &FlowEntry> + Clone {
         self.slots.iter().filter_map(|s| s.entry.as_ref())
     }
 
@@ -692,6 +697,19 @@ mod tests {
         let removed = t.remove(&Match::any(), false, None);
         assert_eq!(removed.len(), 2);
         assert!(t.is_empty());
+    }
+
+    #[test]
+    fn slots_grow_by_half() {
+        let mut t = FlowTable::new();
+        let mut caps = Vec::new();
+        for i in 0..20u16 {
+            t.insert(FlowEntry::new(Match::exact(1, &key(i)), out(2), 1));
+            if caps.last() != Some(&t.slots.capacity()) {
+                caps.push(t.slots.capacity());
+            }
+        }
+        assert_eq!(caps, [4, 8, 12, 18, 27]);
     }
 
     #[test]

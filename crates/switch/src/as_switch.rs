@@ -316,8 +316,10 @@ impl AsSwitch {
     fn answer_stats(&mut self, ctx: &mut Ctx<'_>, kind: StatsRequestKind) {
         let now = ctx.now().as_nanos();
         let body = match kind {
-            StatsRequestKind::Flow(matcher) => StatsBody::Flow(
-                self.table
+            StatsRequestKind::Flow(matcher) => {
+                // Written straight from the table: no list is built.
+                let stats = self
+                    .table
                     .iter()
                     .filter(|e| matcher.subsumes(&e.matcher))
                     .map(|e| FlowStats {
@@ -327,9 +329,14 @@ impl AsSwitch {
                         packet_count: e.packet_count,
                         byte_count: e.byte_count,
                         duration: now.saturating_sub(e.created_at),
-                    })
-                    .collect(),
-            ),
+                    });
+                if let Some(c) = self.controller {
+                    let mut buf = ctx.control_buf();
+                    self.channel.flow_stats(stats, &mut buf);
+                    ctx.send_control(c, buf);
+                }
+                return;
+            }
             StatsRequestKind::Port(which) => {
                 let ports: Vec<u32> = match which {
                     Some(p) => vec![p],
@@ -1333,6 +1340,37 @@ mod tests {
         let a = &c.attestations[0];
         assert_eq!(a.in_port, 0, "locally originated");
         assert_eq!(a.cookie, 0, "no admitted flow backs it");
+    }
+
+    /// A switch holding an uplink guard (a drop of ARP arriving on its
+    /// uplink, port 1, below every steering entry) drops a gratuitous
+    /// ARP echoed in on the uplink without a packet-in, while the same
+    /// ARP at an access port still reaches the controller.
+    #[test]
+    fn the_uplink_guard_drops_echoed_arp_without_a_packet_in() {
+        let arp = livesec_net::packet::arp_frame(livesec_net::ArpPacket::gratuitous(
+            MacAddr::from_u64(5),
+            "10.0.0.5".parse().unwrap(),
+        ));
+        let arp_type = livesec_net::EtherType::Arp.as_u16();
+        let guard = Match::any().with_in_port(1).with_dl_type(arp_type);
+        let mut world = World::new(1);
+        let ctrl = world.add_node(StubController::new());
+        let sw = world.add_node(AsSwitch::new(7, 4).with_controller(ctrl));
+        for port in [1, 2] {
+            let src = world.add_node(OneShot {
+                pkt: Some(arp.clone()),
+            });
+            world.connect(src, PortId(1), sw, PortId(port), LinkSpec::gigabit());
+        }
+        let c = world.node_mut::<StubController>(ctrl);
+        c.switch = Some(sw);
+        c.outbox = vec![OfMessage::add_flow(guard, vec![], 50)];
+        world.run_for(SimDuration::from_millis(10));
+        let c = world.node::<StubController>(ctrl);
+        let ports: Vec<u32> = c.packet_ins.iter().map(|(p, _)| *p).collect();
+        assert_eq!(ports, [2], "only the access port's ARP is punted");
+        assert_eq!(world.node::<AsSwitch>(sw).fast_path_frames, 1);
     }
 
     #[test]

@@ -55,7 +55,17 @@ run cargo build --release
 #   reply included, while every list fits inline (one per spilled
 #   list), a packet-out only the packet it emits. On the controller: a
 #   packet-in is read without a copy, `compile_path` is one allocation,
-#   a one-service chained `engine::decide` on a warm store seven.
+#   a one-service chained `engine::decide` on a warm store seven. An
+#   audit's flow-stats reply is written from the table and read in
+#   place with no allocation on either side.
+# - tests/discovery (DESIGN.md §4b): discovery's packet-ins as
+#   deterministic counts. A campus converges on its full mesh within
+#   two LLDP rounds and then probes nothing; a crash-restart, an uplink
+#   going down or up, or a late switch re-arms one round. A campus
+#   with users brings up within discovery's budget plus one packet-in
+#   per host: each switch's uplink guard drops the legacy fabric's
+#   echoes of the controller's location announcements, which used to
+#   cost hosts × switches.
 # - tests/chaos, tests/reconciliation: the campus under scheduled
 #   partitions, crashes and frame corruption over fixed seeds — zero
 #   panics, clean health-stat invariants, byte-identical same-seed
@@ -92,7 +102,8 @@ run cargo build --release
 #   its first channel, an audit in flight lasting one registration,
 #   the dpid-ordered liveness sweep, a quarantine and its blocks
 #   outliving the session, a heartbeat locating the element it brings
-#   back online) without a campus; `prop_core`
+#   back online, the uplink guard sent when LLDP names the uplink,
+#   moved with it and reinstalled by a rejoin audit) without a campus; `prop_core`
 #   (steering programs against an abstract fabric, balancer and policy
 #   semantics, the decision-cache module's round trip); `end_to_end`;
 #   livesec-net: the wire/packet codecs.

@@ -62,6 +62,46 @@ fn discovery_converges_within_two_rounds_then_stops() {
     }
 }
 
+/// Each host's gratuitous ARP is one access-port packet-in. The
+/// controller re-emits it through the host's switch's uplink (the
+/// location announcement), and the legacy fabric floods that copy to
+/// every other uplink, where each switch's uplink guard drops it: the
+/// announcements add one packet-in per host to discovery's budget, not
+/// one per host per peer switch.
+const PACKET_INS_PER_HOST: u64 = 1;
+
+#[test]
+fn bring_up_with_users_costs_linear_in_hosts() {
+    for (n, per_switch) in [(8u64, 4u64), (32, 4)] {
+        let mut b = CampusBuilder::with_legacy_tiers(7, n as usize, n as usize / 8);
+        for sw in 0..n as usize {
+            for _ in 0..per_switch {
+                b.add_user(sw, NullApp);
+            }
+        }
+        let mut campus = b.finish();
+        let hosts = n * per_switch;
+        let warm_up = packet_ins_over(&mut campus, ROUND * 2);
+        let c = campus.controller();
+        assert!(c.topology().is_full_mesh(), "N = {n}: mesh in 2 rounds");
+        assert_eq!(
+            c.locations().len() as u64,
+            hosts,
+            "N = {n}: every host located"
+        );
+        let budget = 2 * round(n) + n + PACKET_INS_PER_HOST * hosts;
+        assert!(
+            warm_up <= budget,
+            "N = {n}, {hosts} hosts: {warm_up} warm-up packet-ins for a budget of {budget}"
+        );
+        assert_eq!(
+            packet_ins_over(&mut campus, QUIET),
+            0,
+            "N = {n}: a converged campus with idle users is quiet"
+        );
+    }
+}
+
 #[test]
 fn a_crash_restart_rearms_one_round() {
     let n = 32;
