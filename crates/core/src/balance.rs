@@ -5,12 +5,14 @@
 //! the replicas of each service type. The paper names four dispatching
 //! algorithms — polling, hash, queuing, and minimum-load — and two
 //! granularities — per-flow and per-user; all are implemented here.
+//! The element views themselves live in the location table beside
+//! their elements' locations ([`crate::location::LocationTable`]),
+//! which hands the balancer each pick's candidates.
 
 use livesec_net::{FlowKey, HashMap, MacAddr};
-use livesec_services::{SeMessage, ServiceType};
+use livesec_services::ServiceType;
 use livesec_sim::SimTime;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// The controller's view of one service element.
@@ -41,7 +43,8 @@ pub struct SeView {
     pub recent_assignments: u32,
     /// When the last heartbeat arrived.
     pub last_seen: SimTime,
-    /// Whether the element is considered alive.
+    /// Whether the last heartbeat is fresh (within the controller's
+    /// heartbeat timeout).
     pub online: bool,
 }
 
@@ -205,124 +208,6 @@ pub enum Grain {
     User,
 }
 
-/// The registry of service elements known to the controller, fed by
-/// heartbeat messages.
-#[derive(Debug, Default)]
-pub struct SeRegistry {
-    // Ordered: expiry sweeps and roster exports iterate this map, and
-    // the resulting SeOffline/cleanup order is observable in history
-    // (DESIGN.md §6).
-    elements: BTreeMap<MacAddr, SeView>,
-}
-
-impl SeRegistry {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Ingests an `Online` heartbeat from `mac` at time `now`.
-    /// Returns `true` if this is a newly-seen (or returning) element.
-    pub fn heartbeat(&mut self, mac: MacAddr, msg: &SeMessage, now: SimTime) -> bool {
-        let SeMessage::Online {
-            service,
-            cpu,
-            mem,
-            pps,
-            bps,
-            total_pkts,
-            ..
-        } = msg
-        else {
-            return false;
-        };
-        let entry = self.elements.entry(mac).or_insert(SeView {
-            mac,
-            service: *service,
-            cpu: 0,
-            mem: 0,
-            pps: 0,
-            total_pkts: 0,
-            bps: 0,
-            outstanding_flows: 0,
-            recent_assignments: 0,
-            last_seen: now,
-            online: false,
-        });
-        let was_new = !entry.online;
-        entry.service = *service;
-        entry.cpu = *cpu;
-        entry.mem = *mem;
-        entry.pps = *pps;
-        entry.total_pkts = *total_pkts;
-        entry.bps = *bps;
-        entry.last_seen = now;
-        entry.online = true;
-        entry.recent_assignments = 0; // fresh load figures
-        was_new
-    }
-
-    /// Marks elements that missed heartbeats for `timeout` as offline;
-    /// returns the MACs that just went offline.
-    pub fn expire(&mut self, now: SimTime, timeout: livesec_sim::SimDuration) -> Vec<MacAddr> {
-        // `elements` is a BTreeMap: when several elements expire in
-        // the same sweep (e.g. their switch was partitioned), the
-        // offline events and cleanups that follow come out in MAC
-        // order, run-stable by construction.
-        let mut dead = Vec::new();
-        for v in self.elements.values_mut() {
-            if v.online && now.saturating_since(v.last_seen) > timeout {
-                v.online = false;
-                dead.push(v.mac);
-            }
-        }
-        dead
-    }
-
-    /// Forces an element offline (e.g. its port went down).
-    pub fn force_offline(&mut self, mac: MacAddr) -> bool {
-        match self.elements.get_mut(&mac) {
-            Some(v) if v.online => {
-                v.online = false;
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Online elements of the given service type, in deterministic
-    /// (MAC) order.
-    pub fn online_of(&self, service: ServiceType) -> impl Iterator<Item = &SeView> {
-        // The map is keyed by MAC, so `values()` is already in
-        // deterministic MAC order.
-        self.elements
-            .values()
-            .filter(move |e| e.online && e.service == service)
-    }
-
-    /// Adjusts the outstanding-flow count for an element. Positive
-    /// deltas also count toward the element's since-last-report
-    /// assignment pressure.
-    pub fn adjust_outstanding(&mut self, mac: MacAddr, delta: i32) {
-        if let Some(v) = self.elements.get_mut(&mac) {
-            v.outstanding_flows = v.outstanding_flows.saturating_add_signed(delta);
-            if delta > 0 {
-                v.recent_assignments = v.recent_assignments.saturating_add(delta as u32);
-            }
-        }
-    }
-
-    /// The view of one element.
-    pub fn get(&self, mac: MacAddr) -> Option<&SeView> {
-        self.elements.get(&mac)
-    }
-
-    /// All known elements in deterministic order.
-    pub fn all(&self) -> Vec<SeView> {
-        self.elements.values().copied().collect()
-    }
-}
-
 /// The complete balancer: a dispatcher, a granularity, and user
 /// stickiness state.
 ///
@@ -368,18 +253,18 @@ impl LoadBalancer {
         self.grain
     }
 
-    /// Picks an online element of `service` for `flow`, honoring user
-    /// stickiness at user grain. Returns `None` if no replica is
-    /// online.
-    pub fn pick(
+    /// Picks one of `online`, the online elements of `service`, for
+    /// `flow`, honoring user stickiness at user grain. Returns `None` if
+    /// there are none.
+    pub fn pick<'a>(
         &mut self,
-        registry: &SeRegistry,
+        online: impl IntoIterator<Item = &'a SeView>,
         service: ServiceType,
         flow: &FlowKey,
     ) -> Option<MacAddr> {
         let candidates = &mut self.candidates;
         candidates.clear();
-        candidates.extend(registry.online_of(service).copied());
+        candidates.extend(online.into_iter().copied());
         if candidates.is_empty() {
             return None;
         }
@@ -405,7 +290,6 @@ impl LoadBalancer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use livesec_sim::SimDuration;
 
     fn flow(tp_src: u16, user: u64) -> FlowKey {
         FlowKey {
@@ -435,26 +319,6 @@ mod tests {
             last_seen: SimTime::ZERO,
             online: true,
         }
-    }
-
-    fn registry_with(views: Vec<SeView>) -> SeRegistry {
-        let mut r = SeRegistry::new();
-        for v in views {
-            let msg = SeMessage::Online {
-                service: v.service,
-                cert: 0,
-                cpu: v.cpu,
-                mem: v.mem,
-                pps: v.pps,
-                bps: v.bps,
-                total_pkts: v.total_pkts,
-            };
-            r.heartbeat(v.mac, &msg, SimTime::ZERO);
-            for _ in 0..v.outstanding_flows {
-                r.adjust_outstanding(v.mac, 1);
-            }
-        }
-        r
     }
 
     #[test]
@@ -530,105 +394,58 @@ mod tests {
     }
 
     #[test]
-    fn registry_heartbeat_and_expiry() {
-        let mut r = SeRegistry::new();
-        let msg = SeMessage::Online {
-            service: ServiceType::IntrusionDetection,
-            cert: 0,
-            cpu: 10,
-            mem: 20,
-            pps: 30,
-            bps: 40,
-            total_pkts: 30,
-        };
-        assert!(r.heartbeat(MacAddr::from_u64(1), &msg, SimTime::ZERO));
-        assert!(
-            !r.heartbeat(MacAddr::from_u64(1), &msg, SimTime::ZERO),
-            "not new"
-        );
-        assert_eq!(r.online_of(ServiceType::IntrusionDetection).count(), 1);
-        assert_eq!(r.online_of(ServiceType::Firewall).count(), 0);
-
-        let dead = r.expire(
-            SimTime::from_nanos(10_000_000_000),
-            SimDuration::from_secs(1),
-        );
-        assert_eq!(dead, vec![MacAddr::from_u64(1)]);
-        assert_eq!(r.online_of(ServiceType::IntrusionDetection).next(), None);
-        // Heartbeat brings it back (counts as new).
-        assert!(r.heartbeat(
-            MacAddr::from_u64(1),
-            &msg,
-            SimTime::from_nanos(11_000_000_000)
-        ));
-    }
-
-    #[test]
-    fn registry_ignores_event_messages() {
-        let mut r = SeRegistry::new();
-        let msg = SeMessage::Event {
-            cert: 0,
-            flow: flow(1, 1),
-            verdict: livesec_services::Verdict::Application { app: "x".into() },
-        };
-        assert!(!r.heartbeat(MacAddr::from_u64(1), &msg, SimTime::ZERO));
-        assert!(r.all().is_empty());
-    }
-
-    #[test]
     fn balancer_user_grain_sticks() {
-        let registry = registry_with(vec![online(1, 0), online(2, 0), online(3, 0)]);
+        let replicas = [online(1, 0), online(2, 0), online(3, 0)];
         let mut lb = LoadBalancer::new(RoundRobin::new(), Grain::User);
         let first = lb
-            .pick(&registry, ServiceType::IntrusionDetection, &flow(1, 7))
+            .pick(&replicas, ServiceType::IntrusionDetection, &flow(1, 7))
             .unwrap();
         for p in 2..10 {
             assert_eq!(
-                lb.pick(&registry, ServiceType::IntrusionDetection, &flow(p, 7)),
+                lb.pick(&replicas, ServiceType::IntrusionDetection, &flow(p, 7)),
                 Some(first),
                 "same user sticks"
             );
         }
         // A different user advances the round-robin.
         let second = lb
-            .pick(&registry, ServiceType::IntrusionDetection, &flow(1, 8))
+            .pick(&replicas, ServiceType::IntrusionDetection, &flow(1, 8))
             .unwrap();
         assert_ne!(first, second);
     }
 
     #[test]
     fn balancer_flow_grain_distributes_one_user() {
-        let registry = registry_with(vec![online(1, 0), online(2, 0)]);
+        let replicas = [online(1, 0), online(2, 0)];
         let mut lb = LoadBalancer::new(RoundRobin::new(), Grain::Flow);
         let a = lb
-            .pick(&registry, ServiceType::IntrusionDetection, &flow(1, 7))
+            .pick(&replicas, ServiceType::IntrusionDetection, &flow(1, 7))
             .unwrap();
         let b = lb
-            .pick(&registry, ServiceType::IntrusionDetection, &flow(2, 7))
+            .pick(&replicas, ServiceType::IntrusionDetection, &flow(2, 7))
             .unwrap();
         assert_ne!(a, b, "flow grain spreads a single user's flows");
     }
 
     #[test]
     fn balancer_repicks_when_sticky_target_dies() {
-        let mut registry = registry_with(vec![online(1, 0), online(2, 0)]);
+        let mut replicas = vec![online(1, 0), online(2, 0)];
         let mut lb = LoadBalancer::new(RoundRobin::new(), Grain::User);
         let first = lb
-            .pick(&registry, ServiceType::IntrusionDetection, &flow(1, 7))
+            .pick(&replicas, ServiceType::IntrusionDetection, &flow(1, 7))
             .unwrap();
-        registry.force_offline(first);
+        replicas.retain(|v| v.mac != first);
         let second = lb
-            .pick(&registry, ServiceType::IntrusionDetection, &flow(2, 7))
+            .pick(&replicas, ServiceType::IntrusionDetection, &flow(2, 7))
             .unwrap();
         assert_ne!(first, second);
     }
 
     #[test]
     fn balancer_none_when_no_replicas() {
-        let registry = SeRegistry::new();
         let mut lb = LoadBalancer::min_load();
         assert_eq!(
-            lb.pick(&registry, ServiceType::IntrusionDetection, &flow(1, 1)),
+            lb.pick(&[], ServiceType::IntrusionDetection, &flow(1, 1)),
             None
         );
     }

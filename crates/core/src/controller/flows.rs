@@ -161,7 +161,7 @@ impl Controller {
                         .release(node, Some(in_port), forward.ingress_actions(), frame);
                 }
                 for mac in &elements {
-                    self.registry.adjust_outstanding(*mac, 1);
+                    self.locations.adjust_outstanding(*mac, 1);
                 }
                 self.flows_installed += 1;
                 self.last_setup = Some((key, dpid, egress_dpid));
@@ -556,7 +556,7 @@ impl Controller {
         }
         self.retire_proofs(key, source);
         for mac in &rec.elements {
-            self.registry.adjust_outstanding(*mac, -1);
+            self.locations.adjust_outstanding(*mac, -1);
         }
         Some(rec)
     }

@@ -58,10 +58,13 @@ impl Controller {
     /// located: the sender of a packet-in at access port `at` is there.
     /// A first sighting joins it, only an ARP may move it, and anything
     /// else refreshes it. A sender with no address yet (a DHCP client
-    /// before its lease) is placed nowhere.
+    /// before its lease) is placed nowhere, and so is an ARP claiming a
+    /// sender MAC not its frame's source, which would move that host to
+    /// the claimant's port.
     fn locate(&mut self, now: SimTime, pkt: &Packet, at: (u64, u32)) {
         let (mac, ip, may_move) = match (pkt.arp(), pkt.ipv4()) {
-            (Some(arp), _) => (arp.sha, arp.spa, true),
+            (Some(arp), _) if arp.sha == pkt.eth.src => (arp.sha, arp.spa, true),
+            (Some(_), _) => return,
             (None, Some(v4)) => (pkt.eth.src, v4.header.src, false),
             (None, None) => return,
         };
@@ -130,7 +133,7 @@ impl Controller {
                 bps,
                 ..
             } => {
-                if self.registry.heartbeat(mac, &msg, now) {
+                if self.locations.heartbeat(mac, &msg, now) {
                     self.monitor
                         .record(now, EventKind::SeOnline { mac, service });
                 }
@@ -144,13 +147,16 @@ impl Controller {
     }
 
     /// The tick's expiry sweep: hosts silent past the ARP timeout
-    /// depart, and elements silent past the heartbeat timeout go
+    /// depart, then elements silent past the heartbeat timeout go
     /// offline with their steering state.
     pub(super) fn expire_hosts(&mut self, now: SimTime) {
-        for mac in self.locations.expire(now, self.arp_timeout) {
+        let (departed, offline) = self
+            .locations
+            .expire(now, self.arp_timeout, self.se_timeout);
+        for mac in departed {
             self.depart(now, mac);
         }
-        for mac in self.registry.expire(now, self.se_timeout) {
+        for mac in offline {
             self.se_offline(now, mac);
         }
     }
@@ -165,17 +171,19 @@ impl Controller {
     pub(super) fn detach(&mut self, now: SimTime, dpid: u64, port: Option<u32>) {
         self.detector.note_turbulence(now);
         self.topology_changed();
-        for mac in self.locations.evict(dpid, port) {
+        for mac in self.locations.attached(dpid, port) {
             self.depart(now, mac);
         }
     }
 
-    /// The one way out of the location table, whatever removed `mac`
-    /// from it: the host leaves, and a service element goes offline
-    /// with it — an element is online only while it is located.
+    /// The one way out of the location table, whatever the cause:
+    /// `mac`'s location and any element view go together, the host
+    /// leaves, and an online element goes offline with its steering
+    /// state.
     fn depart(&mut self, now: SimTime, mac: MacAddr) {
+        let was_online = self.locations.remove(mac);
         self.monitor.record(now, EventKind::UserLeave { mac });
-        if self.registry.force_offline(mac) {
+        if was_online {
             self.se_offline(now, mac);
         }
     }

@@ -33,10 +33,12 @@
 //! call; its `Datapath` (quarantine, standing blocks, uplink guard,
 //! port-stats baseline) lasts for good.
 //!
-//! A MAC has one way into the location table, `locate` (every
-//! access-port packet-in locates its sender, an element's heartbeat
-//! too), and one way out, `depart`, which takes a departed element
-//! offline: no element is online and nowhere.
+//! A MAC has one record, in the location table: its location, its IP
+//! index entry and, for a service element, its view. It has one way
+//! in, `locate` (every access-port packet-in locates its sender, an
+//! element's heartbeat too, which then registers the element), and one
+//! way out, `depart`, which removes all of it and takes an online
+//! element offline: no element is known and nowhere.
 
 mod flows;
 mod hosts;
@@ -47,7 +49,7 @@ use crate::accountability::{
     flow_sig, AccountabilityDetector, AccountabilityStats, Deviation, FlowSig, PathProof,
     ProofSource,
 };
-use crate::balance::{LoadBalancer, SeRegistry};
+use crate::balance::LoadBalancer;
 use crate::directory::DirectoryProxy;
 use crate::engine::{self, EngineDecision};
 use crate::location::{LearnOutcome, LocationTable};
@@ -229,7 +231,6 @@ pub struct NibSnapshot {
 pub struct Controller {
     topo: TopologyMap,
     locations: LocationTable,
-    registry: SeRegistry,
     policy: PolicyTable,
     balancer: LoadBalancer,
     monitor: Monitor,
@@ -322,7 +323,6 @@ impl Controller {
         Controller {
             topo: TopologyMap::new(),
             locations: LocationTable::new(),
-            registry: SeRegistry::new(),
             policy: PolicyTable::allow_all(),
             balancer: LoadBalancer::min_load(),
             monitor: Monitor::new(),
@@ -362,7 +362,8 @@ impl Controller {
         &self.monitor
     }
 
-    /// The host routing table.
+    /// The routing table: every located MAC's location and, for a
+    /// service element, its view.
     pub fn locations(&self) -> &LocationTable {
         &self.locations
     }
@@ -372,9 +373,10 @@ impl Controller {
         &self.topo
     }
 
-    /// The service-element registry.
-    pub fn registry(&self) -> &SeRegistry {
-        &self.registry
+    /// The location table under its former name, the element registry:
+    /// an alias of [`Controller::locations`].
+    pub fn registry(&self) -> &LocationTable {
+        &self.locations
     }
 
     /// The policy table.
@@ -563,7 +565,7 @@ impl Controller {
                 .iter()
                 .map(|(mac, loc)| (*mac, loc.ip, loc.dpid, loc.port))
                 .collect(),
-            elements: self.registry.all(),
+            elements: self.locations.elements().copied().collect(),
             active_flows: self
                 .active
                 .iter()
@@ -657,16 +659,12 @@ impl crate::store::StateStore for Controller {
     }
 
     fn pick_element(&mut self, service: ServiceType, key: &FlowKey) -> Option<MacAddr> {
-        self.balancer.pick(&self.registry, service, key)
+        self.balancer
+            .pick(self.locations.online_of(service), service, key)
     }
 
     fn hop_of(&self, mac: MacAddr) -> Option<Hop> {
-        let loc = self.locations.lookup(mac)?;
-        Some(Hop {
-            mac,
-            dpid: loc.dpid,
-            port: loc.port,
-        })
+        self.locations.hop(mac)
     }
 
     fn uplink_of(&self, dpid: u64) -> Option<u32> {

@@ -81,10 +81,10 @@ fn campus() -> Controller {
     }
     for (i, se) in [0xf1u64, 0xf2].into_iter().enumerate() {
         let mac = MacAddr::from_u64(se);
-        c.registry.heartbeat(mac, &ONLINE, SimTime::ZERO);
         let ip = Ipv4Addr::new(10, 0, 1, se as u8);
         c.locations
             .learn(mac, ip, (1, 30 + i as u32), SimTime::ZERO, true);
+        c.locations.heartbeat(mac, &ONLINE, SimTime::ZERO);
     }
     drain(&mut c);
     c
@@ -514,6 +514,25 @@ fn a_quarantine_outlives_its_session_and_blocks_outlive_the_quarantine() {
     assert!(blocks_held(&c), "after the rejoin");
 }
 
+/// An IDS heartbeat frame from `mac`, at IDS `0xf1`'s address.
+fn heartbeat(mac: MacAddr) -> Vec<u8> {
+    let pkt = PacketBuilder::udp(mac, SE_CONTROL_MAC)
+        .ips(Ipv4Addr::new(10, 0, 1, 0xf1), Ipv4Addr::BROADCAST)
+        .ports(SE_CONTROL_PORT, SE_CONTROL_PORT)
+        .payload_bytes(ONLINE.encode())
+        .build();
+    wire::serialize(&pkt)
+}
+
+/// Takes port `port_no` of switch 1 down at `at`.
+fn port_down(c: &mut Controller, at: SimTime, port_no: u32) {
+    let down = OfMessage::PortStatus {
+        reason: PortStatusReason::Delete,
+        port_no,
+    };
+    c.on_message(at, node(1), Frame::Other(down));
+}
+
 /// An element evicted with its port is located again by the heartbeat
 /// that brings it back online: the location rule covers an element's
 /// own control packets, so it is never online and nowhere, and its
@@ -523,23 +542,74 @@ fn a_quarantine_outlives_its_session_and_blocks_outlive_the_quarantine() {
 fn a_heartbeat_locates_the_element_it_brings_back_online() {
     let mut c = campus();
     let ids = MacAddr::from_u64(0xf1);
-    let down = OfMessage::PortStatus {
-        reason: PortStatusReason::Delete,
-        port_no: 30,
-    };
-    c.on_message(ms(10), node(1), Frame::Other(down));
-    assert!(!c.registry().get(ids).is_some_and(|se| se.online));
+    port_down(&mut c, ms(10), 30);
+    assert!(!c.locations().get(ids).is_some_and(|se| se.online));
     assert_eq!(c.hop_of(ids), None, "evicted with its port");
 
-    let heartbeat = PacketBuilder::udp(ids, SE_CONTROL_MAC)
-        .ips(Ipv4Addr::new(10, 0, 1, 0xf1), Ipv4Addr::BROADCAST)
-        .ports(SE_CONTROL_PORT, SE_CONTROL_PORT)
-        .payload_bytes(ONLINE.encode())
-        .build();
-    c.on_packet_in(ms(20), 1, 30, &wire::serialize(&heartbeat));
-    assert!(c.registry().get(ids).is_some_and(|se| se.online));
+    c.on_packet_in(ms(20), 1, 30, &heartbeat(ids));
+    assert!(c.locations().get(ids).is_some_and(|se| se.online));
     let hop = c.hop_of(ids).map(|h| (h.dpid, h.port));
     assert_eq!(hop, Some((1, 30)), "online but located nowhere");
+}
+
+/// A port-down removes an element's view with its location: the
+/// element leaves, then goes offline, and nothing of it stays behind.
+/// Kills a departure that keeps an offline view of the element.
+#[test]
+fn a_departed_element_leaves_no_view() {
+    let mut c = campus();
+    let ids = MacAddr::from_u64(0xf1);
+    port_down(&mut c, ms(10), 30);
+    assert_eq!(c.locations().get(ids), None);
+    let events = c.monitor().events();
+    let last: Vec<&EventKind> = events.iter().rev().take(2).rev().map(|e| &e.kind).collect();
+    let (leave, offline) = (
+        EventKind::UserLeave { mac: ids },
+        EventKind::SeOffline { mac: ids },
+    );
+    assert_eq!(last, [&leave, &offline]);
+}
+
+/// An element that departs with a flow and comes back is picked as one
+/// that never left: its departure retired the flow, so the view its
+/// heartbeat rebuilds equals the one that stayed. Kills a departure
+/// that keeps the element's view, and one whose flow count outlives
+/// its flows.
+#[test]
+fn a_returning_element_is_picked_as_if_it_never_left() {
+    let ids = MacAddr::from_u64(0xf1);
+    let (mut gone, mut stayed) = (campus(), campus());
+    gone.set_balancer(LoadBalancer::min_load());
+    stayed.set_balancer(LoadBalancer::min_load());
+    let k = key(0, 1, 80);
+    gone.handle_flow(ms(5), 1, 10, k, &frame(&k));
+    let outstanding = |c: &Controller| c.locations().get(ids).map(|se| se.outstanding_flows);
+    assert_eq!(outstanding(&gone), Some(1), "the flow went through it");
+    port_down(&mut gone, ms(10), 30);
+    assert_eq!(outstanding(&gone), None, "gone with its port");
+
+    for c in [&mut gone, &mut stayed] {
+        c.on_packet_in(ms(20), 1, 30, &heartbeat(ids));
+    }
+    assert_eq!(gone.locations().get(ids), stayed.locations().get(ids));
+    for user in 0..N_HOSTS {
+        let k = key(user, user + 1, 80);
+        assert_eq!(gone.pick_element(IDS, &k), stayed.pick_element(IDS, &k));
+    }
+}
+
+/// An ARP speaks only for its frame's sender: host 1, at switch 2 port
+/// 11, claiming host 0's MAC in a gratuitous ARP moves nobody. Kills a
+/// location rule that takes the ARP's sender field on trust.
+#[test]
+fn an_arp_claiming_another_mac_moves_nobody() {
+    let mut c = campus();
+    let mut forged = arp_frame(ArpPacket::gratuitous(host(0), Ipv4Addr::new(10, 0, 0, 1)));
+    forged.eth.src = host(1);
+    c.on_packet_in(ms(10), 2, 11, &wire::serialize(&forged));
+    let at = c.locations().lookup(host(0)).map(|l| (l.dpid, l.port));
+    assert_eq!(at, Some((1, 10)), "host 0 hijacked");
+    assert!(drain(&mut c).is_empty(), "nothing announced");
 }
 
 /// The first LLDP probe that names a switch's uplink queues its guard,

@@ -164,6 +164,7 @@ mod tests {
     use crate::store::NetworkState;
     use livesec_services::SeMessage;
     use livesec_sim::SimTime;
+    use std::net::Ipv4Addr;
 
     const IDS: ServiceType = ServiceType::IntrusionDetection;
 
@@ -183,8 +184,10 @@ mod tests {
 
     fn store_with_hosts() -> NetworkState {
         let mut s = NetworkState::new();
-        s.locate(MacAddr::from_u64(0xa1), 1, 2);
-        s.locate(MacAddr::from_u64(0xb1), 2, 3);
+        for (mac, ip, at) in [(0xa1, [10, 0, 0, 1], (1, 2)), (0xb1, [10, 0, 0, 2], (2, 3))] {
+            let (mac, ip) = (MacAddr::from_u64(mac), Ipv4Addr::from(ip));
+            s.locations.learn(mac, ip, at, SimTime::ZERO, true);
+        }
         s.set_uplink(1, 40);
         s.set_uplink(2, 40);
         s
@@ -213,8 +216,9 @@ mod tests {
             bps: 0,
             total_pkts: 0,
         };
-        s.registry.heartbeat(se, &online, SimTime::ZERO);
-        s.locate(se, 1, port);
+        let ip = Ipv4Addr::new(10, 0, 1, mac as u8);
+        s.locations.learn(se, ip, (1, port), SimTime::ZERO, true);
+        s.locations.heartbeat(se, &online, SimTime::ZERO);
     }
 
     /// The web→IDS store with `replicas` round-robin replicas.

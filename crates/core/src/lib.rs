@@ -65,7 +65,7 @@ pub use accountability::{
     flow_sig, AccountabilityDetector, AccountabilityStats, Deviation, FlowSig, PathProof, ProofHop,
     ProofSource,
 };
-pub use balance::{Dispatcher, Grain, LoadBalancer, SeRegistry, SeView};
+pub use balance::{Dispatcher, Grain, LoadBalancer, SeView};
 pub use controller::{Controller, NibSnapshot, TrafficTally};
 pub use deploy::{Campus, CampusBuilder, NullApp, SeHandle, UserHandle};
 pub use directory::DirectoryProxy;
@@ -88,7 +88,7 @@ pub mod prelude {
         flow_sig, AccountabilityDetector, AccountabilityStats, Deviation, FlowSig, PathProof,
         ProofHop, ProofSource,
     };
-    pub use crate::balance::{Dispatcher, Grain, LoadBalancer, SeRegistry, SeView};
+    pub use crate::balance::{Dispatcher, Grain, LoadBalancer, SeView};
     pub use crate::controller::{Controller, NibSnapshot, TrafficTally};
     pub use crate::deploy::{Campus, CampusBuilder, NullApp, SeHandle, UserHandle};
     pub use crate::directory::DirectoryProxy;

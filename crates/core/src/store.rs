@@ -8,7 +8,8 @@
 //! is an implementation detail. The controller itself implements
 //! `StateStore` directly over its NIB, so sharding never copies state.
 
-use crate::balance::{LoadBalancer, SeRegistry};
+use crate::balance::LoadBalancer;
+use crate::location::LocationTable;
 use crate::policy::{PolicyDecision, PolicyTable};
 use crate::routing::Hop;
 use livesec_net::{FlowKey, MacAddr};
@@ -38,21 +39,20 @@ pub trait StateStore {
     fn uplink_of(&self, dpid: u64) -> Option<u32>;
 }
 
-/// A self-contained [`StateStore`]: policy, registry, balancer and a
-/// static location/topology map, with no controller or simulation
-/// around them. This is what the engine unit tests drive — a
+/// A self-contained [`StateStore`]: policy, balancer, a location table
+/// and a static uplink map, with no controller or simulation around
+/// them. This is what the engine unit tests drive — a
 /// synthetic 100k-host campus fits in one of these with no per-host
 /// simulation cost.
 #[derive(Debug)]
 pub struct NetworkState {
     /// The policy table consulted by `decide_policy`.
     pub policy: PolicyTable,
-    /// The service-element registry the balancer picks from.
-    pub registry: SeRegistry,
     /// The (stateful) load balancer.
     pub balancer: LoadBalancer,
-    /// MAC → (dpid, port) attachment points. Ordered for determinism.
-    pub locations: BTreeMap<MacAddr, (u64, u32)>,
+    /// Where each MAC is attached, and the element views the balancer
+    /// picks from — the controller's own table type.
+    pub locations: LocationTable,
     /// dpid → uplink port. Ordered for determinism.
     pub uplinks: BTreeMap<u64, u32>,
 }
@@ -63,16 +63,10 @@ impl NetworkState {
     pub fn new() -> Self {
         NetworkState {
             policy: PolicyTable::allow_all(),
-            registry: SeRegistry::new(),
             balancer: LoadBalancer::min_load(),
-            locations: BTreeMap::new(),
+            locations: LocationTable::new(),
             uplinks: BTreeMap::new(),
         }
-    }
-
-    /// Attaches `mac` at `(dpid, port)`.
-    pub fn locate(&mut self, mac: MacAddr, dpid: u64, port: u32) {
-        self.locations.insert(mac, (dpid, port));
     }
 
     /// Declares `port` the uplink of `dpid`.
@@ -94,12 +88,12 @@ impl StateStore for NetworkState {
     }
 
     fn pick_element(&mut self, service: ServiceType, key: &FlowKey) -> Option<MacAddr> {
-        self.balancer.pick(&self.registry, service, key)
+        self.balancer
+            .pick(self.locations.online_of(service), service, key)
     }
 
     fn hop_of(&self, mac: MacAddr) -> Option<Hop> {
-        let (dpid, port) = *self.locations.get(&mac)?;
-        Some(Hop { mac, dpid, port })
+        self.locations.hop(mac)
     }
 
     fn uplink_of(&self, dpid: u64) -> Option<u32> {
@@ -110,13 +104,15 @@ impl StateStore for NetworkState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use livesec_sim::SimTime;
 
     #[test]
     fn standalone_store_answers_like_its_maps() {
         let mut s = NetworkState::new();
         let mac = MacAddr::from_u64(0xa1);
         assert!(s.hop_of(mac).is_none());
-        s.locate(mac, 7, 3);
+        let ip = "10.0.0.1".parse().unwrap();
+        s.locations.learn(mac, ip, (7, 3), SimTime::ZERO, true);
         s.set_uplink(7, 40);
         let hop = s.hop_of(mac).expect("located");
         assert_eq!((hop.dpid, hop.port), (7, 3));

@@ -141,7 +141,7 @@ fn users_and_ses_register_with_events() {
     assert!(summary.get("user_join").copied().unwrap_or(0) >= 2);
     assert_eq!(summary.get("se_online").copied(), Some(1));
     assert_eq!(
-        c.registry()
+        c.locations()
             .online_of(ServiceType::IntrusionDetection)
             .count(),
         1
@@ -275,9 +275,8 @@ fn se_failure_reroutes_future_flows() {
     // Fail the switch port of whichever SE currently serves the flow.
     let serving: Vec<livesec_net::MacAddr> = {
         let c = campus.controller();
-        c.registry()
-            .all()
-            .iter()
+        c.locations()
+            .elements()
             .filter(|v| v.online)
             .map(|v| v.mac)
             .collect()
@@ -401,11 +400,11 @@ fn certification_rejects_unauthorized_elements() {
     let c = campus.controller();
     assert!(c.rejected_se_msgs > 0, "rogue heartbeats rejected");
     assert!(
-        c.registry().get(rogue_mac).is_none(),
+        c.locations().get(rogue_mac).is_none(),
         "rogue never registered"
     );
     assert_eq!(
-        c.registry()
+        c.locations()
             .online_of(ServiceType::IntrusionDetection)
             .count(),
         1,

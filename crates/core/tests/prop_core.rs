@@ -3,15 +3,14 @@
 //! semantics, and the decision-cache module's round trip.
 
 use livesec::balance::{
-    Dispatcher, Grain, HashDispatch, LeastQueue, LoadBalancer, MinLoad, RoundRobin, SeRegistry,
-    SeView,
+    Dispatcher, Grain, HashDispatch, LeastQueue, LoadBalancer, MinLoad, RoundRobin, SeView,
 };
 use livesec::cache::{CachedDecision, DecisionCache};
 use livesec::policy::{PolicyDecision, PolicyRule, PolicyTable};
 use livesec::routing::{compile_path, Hop, SwitchEntry};
 use livesec_net::{FlowKey, HashMap, MacAddr};
 use livesec_openflow::{Action, OutPort};
-use livesec_services::{SeMessage, ServiceType};
+use livesec_services::ServiceType;
 use livesec_sim::SimTime;
 use proptest::prelude::*;
 use std::rc::Rc;
@@ -27,6 +26,23 @@ fn base_key(dst_mac: MacAddr) -> FlowKey {
         nw_proto: 6,
         tp_src: 1111,
         tp_dst: 80,
+    }
+}
+
+/// An online, idle IDS replica's view.
+fn ids_view(mac: MacAddr) -> SeView {
+    SeView {
+        mac,
+        service: ServiceType::IntrusionDetection,
+        cpu: 0,
+        mem: 0,
+        pps: 0,
+        total_pkts: 0,
+        bps: 0,
+        outstanding_flows: 0,
+        recent_assignments: 0,
+        last_seen: SimTime::ZERO,
+        online: true,
     }
 }
 
@@ -167,29 +183,18 @@ proptest! {
     /// and round-robin assigns within ±1 of perfectly even.
     #[test]
     fn balancer_invariants(n_se in 1usize..8, n_flows in 1usize..64) {
-        let mut registry = SeRegistry::new();
-        for i in 0..n_se {
-            let msg = SeMessage::Online {
-                service: ServiceType::IntrusionDetection,
-                cert: 0,
-                cpu: 0,
-                mem: 0,
-                pps: 0,
-                bps: 0,
-                total_pkts: 0,
-            };
-            registry.heartbeat(MacAddr::from_u64(0x100 + i as u64), &msg, SimTime::ZERO);
-        }
+        let replicas: Vec<SeView> = (0..n_se)
+            .map(|i| ids_view(MacAddr::from_u64(0x100 + i as u64)))
+            .collect();
         let mut lb = LoadBalancer::new(RoundRobin::new(), Grain::Flow);
         let mut counts: HashMap<MacAddr, u32> = HashMap::default();
         for f in 0..n_flows {
             let mut key = base_key(MacAddr::from_u64(0xffff));
             key.tp_src = f as u16;
             let mac = lb
-                .pick(&registry, ServiceType::IntrusionDetection, &key)
+                .pick(&replicas, ServiceType::IntrusionDetection, &key)
                 .expect("candidates online");
-            prop_assert!(registry.get(mac).unwrap().online);
-            prop_assert!(registry.get(mac).unwrap().service == ServiceType::IntrusionDetection);
+            prop_assert!(replicas.iter().any(|v| v.mac == mac));
             *counts.entry(mac).or_insert(0) += 1;
         }
         let max = counts.values().copied().max().unwrap_or(0);

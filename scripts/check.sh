@@ -71,8 +71,9 @@ run cargo build --release
 #   panics, clean health-stat invariants, byte-identical same-seed
 #   histories. Both end their fault runs with the NIB checks of
 #   tests/support/switch_book.rs (as do accountability, shard_failover
-#   and mobility): every online service element is located, and every
-#   located host sits on a registered, unquarantined switch.
+#   and mobility): every service element the controller knows of,
+#   online or not, is located, and every located host sits on a
+#   registered, unquarantined switch.
 # - tests/determinism, shard_ring, shard_handoff, shard_failover: the
 #   sharded control plane (DESIGN.md §9) — same-seed histories
 #   byte-identical, histories at shards 1/2/4 byte-identical to the

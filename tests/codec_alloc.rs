@@ -623,8 +623,12 @@ fn compile_path_allocates_once_for_any_path() {
 fn a_chained_decision_on_a_warm_store_allocates_seven_times() {
     const IDS: ServiceType = ServiceType::IntrusionDetection;
     let mut store = NetworkState::new();
-    store.locate(MacAddr::from_u64(0xa1), 1, 2);
-    store.locate(MacAddr::from_u64(0xb1), 2, 3);
+    for (mac, addr, at) in [(0xa1, "10.0.0.1", (1, 2)), (0xb1, "10.0.0.2", (2, 3))] {
+        let mac = MacAddr::from_u64(mac);
+        store
+            .locations
+            .learn(mac, ip(addr), at, SimTime::ZERO, true);
+    }
     store.set_uplink(1, 40);
     store.set_uplink(2, 40);
     store.policy.push(
@@ -643,10 +647,11 @@ fn a_chained_decision_on_a_warm_store_allocates_seven_times() {
             bps: 0,
             total_pkts: 0,
         };
+        let (se, addr) = (MacAddr::from_u64(mac), Ipv4Addr::new(10, 0, 1, mac as u8));
         store
-            .registry
-            .heartbeat(MacAddr::from_u64(mac), &online, SimTime::ZERO);
-        store.locate(MacAddr::from_u64(mac), 1, port);
+            .locations
+            .learn(se, addr, (1, port), SimTime::ZERO, true);
+        store.locations.heartbeat(se, &online, SimTime::ZERO);
     }
     let key = FlowKey {
         dl_src: MacAddr::from_u64(0xa1),

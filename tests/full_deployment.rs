@@ -70,13 +70,13 @@ fn fit_building_scale_deployment_runs_end_to_end() {
 
     // All 20 elements online and balanced over.
     assert_eq!(
-        c.registry()
+        c.locations()
             .online_of(ServiceType::IntrusionDetection)
             .count(),
         10
     );
     assert_eq!(
-        c.registry()
+        c.locations()
             .online_of(ServiceType::ProtocolIdentification)
             .count(),
         10

@@ -164,7 +164,7 @@ fn se_load_reports_reflect_utilization() {
         "element visibly loaded: {max_cpu}%"
     );
     // The registry mirrors the latest heartbeat.
-    let view = c.registry().get(se.mac).expect("registered");
+    let view = c.locations().get(se.mac).expect("registered");
     assert!(view.online);
     assert!(
         view.total_pkts > 1000,

@@ -145,7 +145,7 @@ fn controller_survives_fuzzed_control_and_rogue_se_traffic() {
     let c = campus.controller();
     assert!(c.topology().is_full_mesh(), "discovery unharmed");
     assert!(
-        c.registry()
+        c.locations()
             .online_of(ServiceType::IntrusionDetection)
             .count()
             == 1,
@@ -209,7 +209,7 @@ fn se_crash_mid_burst_invalidates_and_resteers() {
     campus.world.run_for(SimDuration::from_secs(3));
     let c = campus.controller();
     assert_eq!(
-        c.registry()
+        c.locations()
             .online_of(ServiceType::IntrusionDetection)
             .count(),
         1,

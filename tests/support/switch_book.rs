@@ -9,16 +9,16 @@ use livesec_sim::SimTime;
 
 /// Asserts the books agree with themselves: no quarantined switch is
 /// registered, every registered switch's channel resolves to its own
-/// id, no more switches are online than were ever known, every online
-/// service element is located, and every located host sits on a
-/// registered, unquarantined switch.
+/// id, no more switches are online than were ever known, every service
+/// element the controller knows of, online or not, is located, and
+/// every located host sits on a registered, unquarantined switch.
 pub fn assert_switch_book(c: &Controller) {
     let topo = c.topology();
     let located = c.locations();
     for se in c.nib_snapshot(SimTime::ZERO).elements {
         assert!(
-            !se.online || located.lookup(se.mac).is_some(),
-            "element {} is online but located nowhere",
+            located.lookup(se.mac).is_some(),
+            "element {} is known but located nowhere",
             se.mac
         );
     }
