@@ -53,16 +53,22 @@ impl SimDuration {
     }
 
     /// The time to transmit `bytes` at `rate_bps` bits per second,
-    /// rounded up to the next nanosecond.
+    /// rounded up to the next nanosecond, and saturating at the longest
+    /// duration. In `u64` for every frame: only a size past ~2.3 GB
+    /// takes the `u128` path.
     ///
     /// # Panics
     ///
     /// Panics if `rate_bps` is zero.
     pub fn transmission(bytes: usize, rate_bps: u64) -> Self {
+        const BIT_NANOS: u64 = 8 * 1_000_000_000;
         assert!(rate_bps > 0, "link rate must be positive");
-        let bits = bytes as u128 * 8;
-        let nanos = (bits * 1_000_000_000).div_ceil(rate_bps as u128);
-        SimDuration(nanos as u64)
+        let nanos = match (bytes as u64).checked_mul(BIT_NANOS) {
+            Some(bit_nanos) => bit_nanos.div_ceil(rate_bps),
+            None => u64::try_from((bytes as u128 * BIT_NANOS as u128).div_ceil(rate_bps as u128))
+                .unwrap_or(u64::MAX),
+        };
+        SimDuration(nanos)
     }
 
     /// Saturating subtraction.
@@ -207,6 +213,54 @@ mod tests {
         // 1 byte at 3 bps = 8/3 s, must round up.
         let t = SimDuration::transmission(1, 3);
         assert_eq!(t.as_nanos(), 2_666_666_667);
+    }
+
+    /// The formula `transmission` replaced: all in `u128`, truncated.
+    fn transmission_u128(bytes: usize, rate_bps: u64) -> u64 {
+        let bits = bytes as u128 * 8;
+        (bits * 1_000_000_000).div_ceil(rate_bps as u128) as u64
+    }
+
+    #[test]
+    fn transmission_in_u64_equals_the_u128_formula() {
+        let rates = [1, 3, 43_000_000, 100_000_000, 1_000_000_000, 10_000_000_000];
+        for rate in rates {
+            for bytes in 0..=9_018 {
+                assert_eq!(
+                    SimDuration::transmission(bytes, rate).as_nanos(),
+                    transmission_u128(bytes, rate),
+                    "{bytes} B at {rate} bit/s"
+                );
+            }
+            // The largest size whose bit-nanoseconds fit a u64, and the
+            // first that takes the u128 path.
+            let last = (u64::MAX / 8_000_000_000) as usize;
+            for bytes in [last - 1, last, last + 1, last + 2] {
+                let want = u64::try_from((bytes as u128 * 8_000_000_000).div_ceil(rate as u128))
+                    .unwrap_or(u64::MAX);
+                let got = SimDuration::transmission(bytes, rate).as_nanos();
+                assert_eq!(got, want, "{bytes} B at {rate} bit/s");
+                if rate >= 3 {
+                    assert_eq!(
+                        got,
+                        transmission_u128(bytes, rate),
+                        "{bytes} B at {rate} bit/s"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn transmission_saturates_where_the_u128_formula_wrapped() {
+        // 2.4 GB at 1 bit/s is ~1.9e19 ns, past u64::MAX.
+        let bytes = 2_400_000_000;
+        assert!(u128::from(transmission_u128(bytes, 1)) < bytes as u128 * 8_000_000_000);
+        assert_eq!(SimDuration::transmission(bytes, 1).as_nanos(), u64::MAX);
+        assert_eq!(
+            SimDuration::transmission(usize::MAX, 1).as_nanos(),
+            u64::MAX
+        );
     }
 
     #[test]

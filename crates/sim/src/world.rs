@@ -10,6 +10,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::mem::ManuallyDrop;
 
 /// What happens when an event fires.
 #[derive(Debug)]
@@ -45,15 +46,29 @@ struct Key {
 /// queue stays near a hundred events.
 const CHUNK: usize = 128;
 
-/// One payload slot: a pending event, or a link of the free list.
+/// Slab slots the queue keeps whatever it holds (16 chunks, ~176 KiB):
+/// at or below it the queue never compacts, so the data-plane
+/// workloads' one to four chunks, and a burst that drains and comes
+/// back, keep their chunks.
+const FLOOR: usize = 16 * CHUNK;
+// Above the floor a quarter of the slots is less than all but the last
+// chunk, so compaction keeps only full chunks.
+const _: () = assert!(FLOOR >= CHUNK);
+
+/// One payload slot: a pending event, or a link of the free list. A
+/// payload leaves its slot only by [`Queue::pop`], compaction or the
+/// queue's drop, so a freed chunk is one deallocation that reads none
+/// of its slots.
 enum Slot {
     Vacant(Option<u32>),
-    Full(EventKind),
+    Full(ManuallyDrop<EventKind>),
 }
 
 /// The pending events: a min-heap of 24-byte [`Key`]s over a slab of
-/// payloads in [`CHUNK`]-slot chunks that never move. Vacated slots are
-/// reused first, so a chunk is added only past every earlier peak.
+/// payloads in [`CHUNK`]-slot chunks. Vacated slots are reused first,
+/// so a chunk is added only when every slot is full; a pop that leaves
+/// fewer events than a quarter of the slots (above [`FLOOR`]) compacts
+/// the slab and the keys down to what is pending.
 #[derive(Default)]
 struct Queue {
     keys: BinaryHeap<Reverse<Key>>,
@@ -61,6 +76,9 @@ struct Queue {
     /// Head of the vacant-slot list.
     free: Option<u32>,
     next_seq: u64,
+    /// A pop that leaves fewer pending events than this compacts: a
+    /// quarter of the slots above [`FLOOR`], else 0.
+    shrink_below: usize,
 }
 
 impl Queue {
@@ -69,11 +87,21 @@ impl Queue {
         &mut self.chunks[i / CHUNK][i % CHUNK]
     }
 
+    /// Payload slots the slab holds, vacant or full.
+    fn slots(&self) -> usize {
+        self.chunks.len() * CHUNK
+    }
+
+    fn resized(&mut self) {
+        let slots = self.slots();
+        self.shrink_below = if slots > FLOOR { slots / 4 } else { 0 };
+    }
+
     fn push(&mut self, at: SimTime, kind: EventKind) {
         let slot = match self.free {
             Some(slot) => {
-                let Slot::Vacant(next) = std::mem::replace(self.slot_mut(slot), Slot::Full(kind))
-                else {
+                let full = Slot::Full(ManuallyDrop::new(kind));
+                let Slot::Vacant(next) = std::mem::replace(self.slot_mut(slot), full) else {
                     unreachable!("the free list holds only vacant slots");
                 };
                 self.free = next;
@@ -81,12 +109,13 @@ impl Queue {
             }
             None => {
                 if self.chunks.last().is_none_or(|c| c.len() == CHUNK) {
-                    // Only when live events exceed every earlier peak:
-                    // vacated slots are reused first.
+                    // Only when every slot is full: vacated slots are
+                    // reused first.
                     self.chunks.push(Vec::with_capacity(CHUNK));
+                    self.resized();
                 }
                 let n = self.chunks.len() - 1;
-                self.chunks[n].push(Slot::Full(kind));
+                self.chunks[n].push(Slot::Full(ManuallyDrop::new(kind)));
                 (n * CHUNK + self.chunks[n].len() - 1) as u32
             }
         };
@@ -102,9 +131,65 @@ impl Queue {
     fn pop(&mut self) -> Option<(SimTime, EventKind)> {
         let Reverse(Key { at, slot, .. }) = self.keys.pop()?;
         let next = self.free.replace(slot);
-        match std::mem::replace(self.slot_mut(slot), Slot::Vacant(next)) {
-            Slot::Full(kind) => Some((at, kind)),
-            Slot::Vacant(_) => unreachable!("a queued key names a vacant slot"),
+        let Slot::Full(kind) = std::mem::replace(self.slot_mut(slot), Slot::Vacant(next)) else {
+            unreachable!("a queued key names a vacant slot");
+        };
+        if self.keys.len() < self.shrink_below {
+            self.compact();
+        }
+        Some((at, ManuallyDrop::into_inner(kind)))
+    }
+
+    /// Moves every pending payload into the slab's first
+    /// `⌈pending / CHUNK⌉` chunks, frees the rest, and rebuilds the key
+    /// heap over the new slots in storage sized for them. Firing order
+    /// is `(at, seq)`, which no slot decides, so it cannot change. Costs
+    /// O(slots), and runs only once pending events fall below a quarter
+    /// of the slots, so compactions shrink geometrically.
+    #[cold]
+    #[inline(never)]
+    fn compact(&mut self) {
+        let keep = self.keys.len().div_ceil(CHUNK);
+        let end = (keep * CHUNK) as u32;
+        let mut keys = std::mem::take(&mut self.keys).into_vec();
+        // Each payload beyond the kept chunks moves to the next vacant
+        // kept slot: there is one for each, and the kept chunks are
+        // full-length.
+        let mut hole = 0;
+        for Reverse(key) in keys.iter_mut().filter(|Reverse(key)| key.slot >= end) {
+            while matches!(self.slot_mut(hole), Slot::Full(_)) {
+                hole += 1;
+            }
+            let full = std::mem::replace(self.slot_mut(key.slot), Slot::Vacant(None));
+            *self.slot_mut(hole) = full;
+            key.slot = hole;
+        }
+        self.chunks.truncate(keep);
+        self.chunks.shrink_to_fit();
+        // Holes were filled in slot order, so every vacant slot is at
+        // or past the last one filled.
+        let mut free = None;
+        for slot in (hole..end).rev() {
+            if let Slot::Vacant(next) = self.slot_mut(slot) {
+                *next = free;
+                free = Some(slot);
+            }
+        }
+        self.free = free;
+        keys.shrink_to(self.slots());
+        self.keys = BinaryHeap::from(keys);
+        self.resized();
+    }
+}
+
+impl Drop for Queue {
+    /// Drops the payloads still pending: a slot does not drop its own.
+    fn drop(&mut self) {
+        for Reverse(key) in std::mem::take(&mut self.keys) {
+            if let Slot::Full(kind) = std::mem::replace(self.slot_mut(key.slot), Slot::Vacant(None))
+            {
+                drop(ManuallyDrop::into_inner(kind));
+            }
         }
     }
 }
@@ -459,19 +544,19 @@ impl World {
     ) {
         assert!(a.index() < self.nodes.len(), "unknown node {a}");
         assert!(b.index() < self.nodes.len(), "unknown node {b}");
-        let fwd = self.kernel.ports.slot(a, port_a).link.replace(LinkDir {
-            to_node: b,
-            to_port: port_b,
-            spec,
-            busy_until: SimTime::ZERO,
-        });
+        let fwd = self
+            .kernel
+            .ports
+            .slot(a, port_a)
+            .link
+            .replace(LinkDir::new(b, port_b, spec));
         assert!(fwd.is_none(), "port {a}.{port_a} already connected");
-        let rev = self.kernel.ports.slot(b, port_b).link.replace(LinkDir {
-            to_node: a,
-            to_port: port_a,
-            spec,
-            busy_until: SimTime::ZERO,
-        });
+        let rev = self
+            .kernel
+            .ports
+            .slot(b, port_b)
+            .link
+            .replace(LinkDir::new(a, port_a, spec));
         assert!(rev.is_none(), "port {b}.{port_b} already connected");
     }
 
@@ -750,6 +835,13 @@ impl World {
     /// Number of nodes in the world.
     pub fn node_count(&self) -> usize {
         self.nodes.len()
+    }
+
+    /// The event queue's `(pending events, payload slots)`: what is
+    /// queued, and what the queue holds room for (DESIGN.md §4's memory
+    /// bound).
+    pub fn queue_footprint(&self) -> (usize, usize) {
+        (self.kernel.queue.keys.len(), self.kernel.queue.slots())
     }
 }
 
@@ -1456,6 +1548,8 @@ mod tests {
         /// Push this many events over the next 5 ns, most of them tied.
         Burst(u64),
         Pop,
+        /// Pop this many events, or until empty.
+        PopMany(usize),
         /// Pop until empty.
         Drain,
     }
@@ -1469,6 +1563,10 @@ mod tests {
             Just(QueueOp::Pop),
             Just(QueueOp::Pop),
             Just(QueueOp::Drain),
+            // A flood past the floor, and a partial drain that leaves
+            // the queue to compact at any depth.
+            (500u64..4_000).prop_map(QueueOp::Burst),
+            (1usize..4_000).prop_map(QueueOp::PopMany),
         ]
     }
 
@@ -1479,25 +1577,43 @@ mod tests {
         }
     }
 
+    /// The memory bound DESIGN.md §4 states, checked after every push
+    /// and pop: the slab holds at most four slots per pending event
+    /// plus one chunk, or the floor, and the heap two keys per slot.
+    fn check_bound(queue: &Queue, op: &QueueOp) -> Result<(), TestCaseError> {
+        let (pending, slots) = (queue.keys.len(), queue.slots());
+        prop_assert!(
+            slots <= (4 * pending + CHUNK).max(FLOOR),
+            "{slots} slots for {pending} pending after {op:?}"
+        );
+        // The heap doubles only past every slot, and compaction sizes
+        // it to the slots.
+        prop_assert!(queue.keys.capacity() <= 2 * slots, "keys after {op:?}");
+        Ok(())
+    }
+
     /// Drives a [`Queue`] and a `BinaryHeap` of `(at, payload id)` in
     /// lock-step. Ids are handed out in push order, so the reference
     /// breaks ties FIFO, as the kernel must.
     fn run_queue_sequence(ops: Vec<QueueOp>) -> Result<(), TestCaseError> {
         let mut queue = Queue::default();
         let mut model: BinaryHeap<Reverse<(SimTime, u64)>> = BinaryHeap::new();
-        let (mut now, mut next_id, mut peak) = (SimTime::ZERO, 0, 0);
+        let (mut now, mut next_id) = (SimTime::ZERO, 0);
         for op in ops {
             let (dts, pops) = match op {
                 QueueOp::Push(dt) => (vec![dt], 0),
                 QueueOp::Burst(n) => ((0..n).map(|i| i * 7 % 5).collect(), 0),
                 QueueOp::Pop => (vec![], 1),
+                QueueOp::PopMany(n) => (vec![], n.min(model.len())),
                 QueueOp::Drain => (vec![], model.len()),
             };
+            let before = queue.slots();
             for dt in dts {
                 let at = now + SimDuration::from_nanos(dt);
                 queue.push(at, timer(next_id));
                 model.push(Reverse((at, next_id)));
                 next_id += 1;
+                check_bound(&queue, &op)?;
             }
             for _ in 0..pops {
                 let want = model.pop().map(|Reverse(e)| e);
@@ -1510,15 +1626,14 @@ mod tests {
                 });
                 prop_assert_eq!(got, want, "{op:?}");
                 now = want.map_or(now, |(at, _)| at);
+                check_bound(&queue, &op)?;
             }
-            peak = peak.max(model.len());
             prop_assert_eq!(queue.keys.len(), model.len(), "len after {op:?}");
-            // Vacated slots are reused before a chunk is added.
-            prop_assert_eq!(
-                queue.chunks.len(),
-                peak.div_ceil(CHUNK),
-                "chunks after {op:?}"
-            );
+            // At or below the floor no chunk is given back, so a burst
+            // that drains and comes back reuses its chunks.
+            if before <= FLOOR {
+                prop_assert!(queue.slots() >= before, "chunks freed below the floor");
+            }
         }
         Ok(())
     }
@@ -1550,6 +1665,7 @@ mod tests {
             while queue.pop().is_some() {}
         }
         assert!(queue.chunks.iter().all(|c| c.capacity() == CHUNK));
+        assert_eq!(queue.keys.capacity(), 1024, "the heap's doubling of 1000");
         // The memory bound DESIGN.md §4 states: a key per queued event,
         // a payload slot no larger than the payload itself.
         assert_eq!(std::mem::size_of::<Key>(), 24);
@@ -1557,5 +1673,38 @@ mod tests {
             std::mem::size_of::<Slot>(),
             std::mem::size_of::<EventKind>()
         );
+    }
+
+    #[test]
+    fn a_drained_flood_gives_back_its_chunks_and_keys() {
+        const N: u64 = 20_000;
+        let mut queue = Queue::default();
+        for id in 0..N {
+            queue.push(SimTime::from_nanos(id % 3), timer(id));
+        }
+        assert_eq!(queue.slots(), 157 * CHUNK, "ceil(20000 / 128) chunks");
+        // Compactions at 5 023 and 1 279 pending: 40 chunks, then 10.
+        let mut fired = Vec::new();
+        while let Some((at, kind)) = queue.pop() {
+            let EventKind::Timer { token, .. } = kind else {
+                unreachable!("only timers are pushed");
+            };
+            fired.push((at, token));
+        }
+        let want: Vec<_> = (0..3)
+            .flat_map(|r| {
+                (r..N)
+                    .step_by(3)
+                    .map(move |id| (SimTime::from_nanos(r), id))
+            })
+            .collect();
+        assert_eq!(fired, want, "(at, push order), as if never compacted");
+        assert_eq!(queue.slots(), 10 * CHUNK);
+        assert!(queue.keys.capacity() <= 10 * CHUNK);
+        // The next flood fills the kept slots before it adds a chunk.
+        for id in 0..N {
+            queue.push(SimTime::from_nanos(id % 3), timer(id));
+        }
+        assert_eq!(queue.slots(), 157 * CHUNK);
     }
 }

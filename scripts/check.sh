@@ -8,7 +8,8 @@
 # its record, every bench body once, the examples, clippy and rustdoc
 # with warnings denied, and the formatting check, stopping at the first
 # failure; prints its own wall time at the end. It rewrites no tracked
-# file.
+# file. The e2e smoke also holds each workload's `peak_heap_mib` to its
+# recorded value as a ceiling (EXPERIMENTS.md E42).
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -65,7 +66,8 @@ run cargo build --release
 #   with users brings up within discovery's budget plus one packet-in
 #   per host: each switch's uplink guard drops the legacy fabric's
 #   echoes of the controller's location announcements, which used to
-#   cost hosts × switches.
+#   cost hosts × switches. Once converged, the event queue holds at
+#   most four slots per pending event plus its floor.
 # - tests/chaos, tests/reconciliation: the campus under scheduled
 #   partitions, crashes and frame corruption over fixed seeds — zero
 #   panics, clean health-stat invariants, byte-identical same-seed
@@ -116,7 +118,10 @@ run cargo build --release
 #   `apply_actions_owned` emits.
 # - livesec-conntrack, livesec-sim, livesec-services: the per-frame data
 #   path (EXPERIMENTS.md E17/E18) — bounded conntrack indexes, the
-#   kernel's port slots, the scan kernel's differential model test.
+#   kernel's port slots, the event queue's model test (firing order,
+#   and its memory bound after every push and pop, compaction
+#   included), link arithmetic against its u128 formula, the scan
+#   kernel's differential model test.
 # - livesec-policy, livesec-verify (DESIGN.md §14, §8): parser recovery,
 #   shadow analysis, delta-convergence proptests, incremental-
 #   verification agreement (the scoped audit equals the full one on
@@ -132,8 +137,9 @@ run cargo test -q --offline --manifest-path e2e/Cargo.toml
 # 1 must score the operations and compute the simulated-clock metrics
 # BENCH_e2e.json records, exactly, and at `--trace 1` every count and
 # the run's heap allocations and bytes (the hot-path allocation gate,
-# DESIGN.md §13); wall-clock metrics are printed beside the recorded
-# ones, never asserted.
+# DESIGN.md §13). `peak_heap_mib`, deterministic per seed and binary,
+# must not exceed its recorded value; the other wall-clock metrics are
+# printed beside the recorded ones, never asserted.
 run ./scripts/e2e_smoke.sh
 # The paper's evaluation, E1–E11 (EXPERIMENTS.md): every number §V
 # reports is asserted exactly. `exp` prints one `E<id>.<name> <value>`

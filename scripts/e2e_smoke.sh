@@ -9,10 +9,14 @@
 # `correct`, operations attempted and failed, `txn_p50_us`,
 # `txn_p99_us`, `goodput_mbps`, `mitigation_ms` — exactly, as printed,
 # against the committed BENCH_e2e.json: a change that moves one of them
-# changed behaviour, whatever it did to speed. The host-clock metrics
-# (`sim_speed`, `setup_s`, `allocs_per_sim_s`, `peak_heap_mib`) are
-# printed beside the recorded ones and never asserted; judging those is
-# the ten-pair procedure of e2e/README.md, not a one-second run's job.
+# changed behaviour, whatever it did to speed. `peak_heap_mib` is a
+# ceiling: a run fails when it peaks above the recorded value. The peak
+# is deterministic per seed and binary (EXPERIMENTS.md E17), so a rise
+# is a change's doing; `--record` accepts one, which CHANGES.md must
+# name. The host-clock metrics (`sim_speed`, `setup_s`,
+# `allocs_per_sim_s`) are printed beside the recorded ones and never
+# asserted; judging those is the ten-pair procedure of e2e/README.md,
+# not a one-second run's job.
 #
 # Then runs each workload again at `--trace 1` and compares every metric
 # whose unit is `count` exactly, plus `host.alloc_bytes`: events,
@@ -67,6 +71,7 @@ count_lines=
     echo '{'
     echo '  "command": "e2e --workload W --seed 1 --seconds 1 --trace 0",'
     echo "  \"asserted\": \"${ASSERTED[*]}\","
+    echo '  "ceiling": "peak_heap_mib",'
     echo '  "workloads": {'
 } >"$out"
 for i in "${!WORKLOADS[@]}"; do
@@ -94,6 +99,12 @@ for i in "${!WORKLOADS[@]}"; do
             status=1
         fi
     done
+    want=$(field "$base" peak_heap_mib)
+    got=$(field "$run" peak_heap_mib)
+    if awk -v got="$got" -v want="$want" 'BEGIN { exit !(got > want) }'; then
+        echo "e2e smoke: $w peak_heap_mib rose: $BASELINE has $want, this tree peaks at $got" >&2
+        status=1
+    fi
     want_counts=$(sed -n '/"trace_counts": {/,/^  }/p' "$BASELINE" |
         sed -nE "s/^    \"$w\": \{(.*)\},?$/\1/p")
     if [ "$want_counts" != "$got_counts" ]; then
@@ -119,6 +130,6 @@ if $record; then
     cp "$out" "$BASELINE"
     echo "e2e smoke: recorded $BASELINE"
 elif [ "$status" -eq 0 ]; then
-    echo "e2e smoke: the deterministic surface matches $BASELINE (host-clock metrics above: recorded -> now, not asserted)"
+    echo "e2e smoke: the deterministic surface matches $BASELINE, peak heap within its ceiling (host-clock metrics above: recorded -> now, only peak_heap_mib asserted)"
 fi
 exit "$status"
