@@ -78,11 +78,7 @@ impl LinkSpec {
 pub(crate) struct LinkDir {
     pub to_node: NodeId,
     pub to_port: PortId,
-    rate_bps: u64,
-    delay: SimDuration,
-    /// The spec's [`LinkSpec::max_queue_delay`], computed once at
-    /// connect; it takes the place of the buffer size.
-    max_queue_delay: SimDuration,
+    pub spec: LinkSpec,
     pub busy_until: SimTime,
 }
 
@@ -96,28 +92,16 @@ pub(crate) enum Offer {
 }
 
 impl LinkDir {
-    /// An idle direction toward `(to_node, to_port)`.
-    pub fn new(to_node: NodeId, to_port: PortId, spec: LinkSpec) -> Self {
-        LinkDir {
-            to_node,
-            to_port,
-            rate_bps: spec.rate_bps,
-            delay: spec.delay,
-            max_queue_delay: spec.max_queue_delay(),
-            busy_until: SimTime::ZERO,
-        }
-    }
-
     /// Offers a frame of `bytes` at time `now`; updates `busy_until`.
     pub fn offer(&mut self, now: SimTime, bytes: usize) -> Offer {
         let backlog = self.busy_until.saturating_since(now);
-        if backlog > self.max_queue_delay {
+        if backlog > self.spec.max_queue_delay() {
             return Offer::Drop;
         }
         let start = self.busy_until.max(now);
-        let tx = SimDuration::transmission(bytes, self.rate_bps);
+        let tx = SimDuration::transmission(bytes, self.spec.rate_bps);
         self.busy_until = start + tx;
-        Offer::Deliver(self.busy_until + self.delay)
+        Offer::Deliver(self.busy_until + self.spec.delay)
     }
 }
 
@@ -126,7 +110,12 @@ mod tests {
     use super::*;
 
     fn dir(spec: LinkSpec) -> LinkDir {
-        LinkDir::new(NodeId(1), PortId(1), spec)
+        LinkDir {
+            to_node: NodeId(1),
+            to_port: PortId(1),
+            spec,
+            busy_until: SimTime::ZERO,
+        }
     }
 
     #[test]
@@ -174,16 +163,6 @@ mod tests {
         // After the backlog drains, frames are accepted again.
         let later = SimTime::from_nanos(1_000_000);
         assert_ne!(d.offer(later, 1250), Offer::Drop);
-    }
-
-    #[test]
-    fn the_cached_delay_takes_the_buffer_sizes_place() {
-        // Every port slot holds an `Option<LinkDir>`: caching the delay
-        // must not grow it.
-        assert_eq!(std::mem::size_of::<LinkDir>(), 40);
-        for spec in [LinkSpec::pantou_wifi(), LinkSpec::ten_gigabit()] {
-            assert_eq!(dir(spec).max_queue_delay, spec.max_queue_delay());
-        }
     }
 
     #[test]

@@ -53,21 +53,18 @@ impl SimDuration {
     }
 
     /// The time to transmit `bytes` at `rate_bps` bits per second,
-    /// rounded up to the next nanosecond, and saturating at the longest
-    /// duration. In `u64` for every frame: only a size past ~2.3 GB
-    /// takes the `u128` path.
+    /// rounded up to the next nanosecond. Past ~2.3 GB, where the
+    /// bit-nanoseconds overflow a `u64`, it saturates at the longest
+    /// duration.
     ///
     /// # Panics
     ///
     /// Panics if `rate_bps` is zero.
     pub fn transmission(bytes: usize, rate_bps: u64) -> Self {
-        const BIT_NANOS: u64 = 8 * 1_000_000_000;
         assert!(rate_bps > 0, "link rate must be positive");
-        let nanos = match (bytes as u64).checked_mul(BIT_NANOS) {
-            Some(bit_nanos) => bit_nanos.div_ceil(rate_bps),
-            None => u64::try_from((bytes as u128 * BIT_NANOS as u128).div_ceil(rate_bps as u128))
-                .unwrap_or(u64::MAX),
-        };
+        let nanos = (bytes as u64)
+            .checked_mul(8 * 1_000_000_000)
+            .map_or(u64::MAX, |bit_nanos| bit_nanos.div_ceil(rate_bps));
         SimDuration(nanos)
     }
 
@@ -224,43 +221,23 @@ mod tests {
     #[test]
     fn transmission_in_u64_equals_the_u128_formula() {
         let rates = [1, 3, 43_000_000, 100_000_000, 1_000_000_000, 10_000_000_000];
+        // The largest size whose bit-nanoseconds fit a u64.
+        let last = (u64::MAX / 8_000_000_000) as usize;
         for rate in rates {
-            for bytes in 0..=9_018 {
+            for bytes in (0..=9_018).chain([last - 1, last]) {
                 assert_eq!(
                     SimDuration::transmission(bytes, rate).as_nanos(),
                     transmission_u128(bytes, rate),
                     "{bytes} B at {rate} bit/s"
                 );
             }
-            // The largest size whose bit-nanoseconds fit a u64, and the
-            // first that takes the u128 path.
-            let last = (u64::MAX / 8_000_000_000) as usize;
-            for bytes in [last - 1, last, last + 1, last + 2] {
-                let want = u64::try_from((bytes as u128 * 8_000_000_000).div_ceil(rate as u128))
-                    .unwrap_or(u64::MAX);
+            // Past it, the longest duration. The old formula wrapped
+            // there at 1 bit/s; no frame comes near that size.
+            for bytes in [last + 1, last + 2, usize::MAX] {
                 let got = SimDuration::transmission(bytes, rate).as_nanos();
-                assert_eq!(got, want, "{bytes} B at {rate} bit/s");
-                if rate >= 3 {
-                    assert_eq!(
-                        got,
-                        transmission_u128(bytes, rate),
-                        "{bytes} B at {rate} bit/s"
-                    );
-                }
+                assert_eq!(got, u64::MAX, "{bytes} B at {rate} bit/s");
             }
         }
-    }
-
-    #[test]
-    fn transmission_saturates_where_the_u128_formula_wrapped() {
-        // 2.4 GB at 1 bit/s is ~1.9e19 ns, past u64::MAX.
-        let bytes = 2_400_000_000;
-        assert!(u128::from(transmission_u128(bytes, 1)) < bytes as u128 * 8_000_000_000);
-        assert_eq!(SimDuration::transmission(bytes, 1).as_nanos(), u64::MAX);
-        assert_eq!(
-            SimDuration::transmission(usize::MAX, 1).as_nanos(),
-            u64::MAX
-        );
     }
 
     #[test]

@@ -66,9 +66,10 @@ enum Slot {
 
 /// The pending events: a min-heap of 24-byte [`Key`]s over a slab of
 /// payloads in [`CHUNK`]-slot chunks. Vacated slots are reused first,
-/// so a chunk is added only when every slot is full; a pop that leaves
-/// fewer events than a quarter of the slots (above [`FLOOR`]) compacts
-/// the slab and the keys down to what is pending.
+/// so a chunk is added only when every slot is full. When a `run_until`
+/// returns, [`Queue::trim`] compacts the slab and the keys down to what
+/// is pending if fewer events than a quarter of the slots (above
+/// [`FLOOR`]) remain.
 #[derive(Default)]
 struct Queue {
     keys: BinaryHeap<Reverse<Key>>,
@@ -76,9 +77,6 @@ struct Queue {
     /// Head of the vacant-slot list.
     free: Option<u32>,
     next_seq: u64,
-    /// A pop that leaves fewer pending events than this compacts: a
-    /// quarter of the slots above [`FLOOR`], else 0.
-    shrink_below: usize,
 }
 
 impl Queue {
@@ -92,9 +90,11 @@ impl Queue {
         self.chunks.len() * CHUNK
     }
 
-    fn resized(&mut self) {
-        let slots = self.slots();
-        self.shrink_below = if slots > FLOOR { slots / 4 } else { 0 };
+    /// Whether the slab holds at most four slots per pending event plus
+    /// a chunk, or the floor: DESIGN.md §4's memory bound, which holds
+    /// after every [`Queue::trim`].
+    fn within_bound(&self) -> bool {
+        self.slots() <= (4 * self.keys.len() + CHUNK).max(FLOOR)
     }
 
     fn push(&mut self, at: SimTime, kind: EventKind) {
@@ -112,7 +112,6 @@ impl Queue {
                     // Only when every slot is full: vacated slots are
                     // reused first.
                     self.chunks.push(Vec::with_capacity(CHUNK));
-                    self.resized();
                 }
                 let n = self.chunks.len() - 1;
                 self.chunks[n].push(Slot::Full(ManuallyDrop::new(kind)));
@@ -131,13 +130,21 @@ impl Queue {
     fn pop(&mut self) -> Option<(SimTime, EventKind)> {
         let Reverse(Key { at, slot, .. }) = self.keys.pop()?;
         let next = self.free.replace(slot);
-        let Slot::Full(kind) = std::mem::replace(self.slot_mut(slot), Slot::Vacant(next)) else {
-            unreachable!("a queued key names a vacant slot");
-        };
-        if self.keys.len() < self.shrink_below {
+        match std::mem::replace(self.slot_mut(slot), Slot::Vacant(next)) {
+            Slot::Full(kind) => Some((at, ManuallyDrop::into_inner(kind))),
+            Slot::Vacant(_) => unreachable!("a queued key names a vacant slot"),
+        }
+    }
+
+    /// Compacts once fewer events are pending than a quarter of the
+    /// slots, above [`FLOOR`]. Checked once per `run_until`, off the
+    /// per-event path, so a burst that drains and refills within one
+    /// run keeps its chunks.
+    fn trim(&mut self) {
+        let slots = self.slots();
+        if slots > FLOOR && self.keys.len() < slots / 4 {
             self.compact();
         }
-        Some((at, ManuallyDrop::into_inner(kind)))
     }
 
     /// Moves every pending payload into the slab's first
@@ -147,7 +154,6 @@ impl Queue {
     /// O(slots), and runs only once pending events fall below a quarter
     /// of the slots, so compactions shrink geometrically.
     #[cold]
-    #[inline(never)]
     fn compact(&mut self) {
         let keep = self.keys.len().div_ceil(CHUNK);
         let end = (keep * CHUNK) as u32;
@@ -178,7 +184,6 @@ impl Queue {
         self.free = free;
         keys.shrink_to(self.slots());
         self.keys = BinaryHeap::from(keys);
-        self.resized();
     }
 }
 
@@ -544,19 +549,19 @@ impl World {
     ) {
         assert!(a.index() < self.nodes.len(), "unknown node {a}");
         assert!(b.index() < self.nodes.len(), "unknown node {b}");
-        let fwd = self
-            .kernel
-            .ports
-            .slot(a, port_a)
-            .link
-            .replace(LinkDir::new(b, port_b, spec));
+        let fwd = self.kernel.ports.slot(a, port_a).link.replace(LinkDir {
+            to_node: b,
+            to_port: port_b,
+            spec,
+            busy_until: SimTime::ZERO,
+        });
         assert!(fwd.is_none(), "port {a}.{port_a} already connected");
-        let rev = self
-            .kernel
-            .ports
-            .slot(b, port_b)
-            .link
-            .replace(LinkDir::new(a, port_a, spec));
+        let rev = self.kernel.ports.slot(b, port_b).link.replace(LinkDir {
+            to_node: a,
+            to_port: port_a,
+            spec,
+            busy_until: SimTime::ZERO,
+        });
         assert!(rev.is_none(), "port {b}.{port_b} already connected");
     }
 
@@ -635,6 +640,7 @@ impl World {
                 EventKind::Fault { kind } => self.apply_fault(kind),
             }
         }
+        self.kernel.queue.trim();
         RunStats {
             events: self.kernel.events_processed,
             end: self.kernel.now,
@@ -842,6 +848,13 @@ impl World {
     /// bound).
     pub fn queue_footprint(&self) -> (usize, usize) {
         (self.kernel.queue.keys.len(), self.kernel.queue.slots())
+    }
+
+    /// Whether the event queue keeps DESIGN.md §4's memory bound: at
+    /// most four payload slots per pending event plus one chunk of 128,
+    /// or a floor of 16 chunks. It holds whenever `run_until` returns.
+    pub fn queue_within_bound(&self) -> bool {
+        self.kernel.queue.within_bound()
     }
 }
 
@@ -1577,18 +1590,15 @@ mod tests {
         }
     }
 
-    /// The memory bound DESIGN.md §4 states, checked after every push
-    /// and pop: the slab holds at most four slots per pending event
-    /// plus one chunk, or the floor, and the heap two keys per slot.
-    fn check_bound(queue: &Queue, op: &QueueOp) -> Result<(), TestCaseError> {
-        let (pending, slots) = (queue.keys.len(), queue.slots());
+    /// The heap doubles only past every slot, and compaction sizes it
+    /// to the slots: at most two keys per slot, after every push and pop.
+    fn check_keys(queue: &Queue, op: &QueueOp) -> Result<(), TestCaseError> {
         prop_assert!(
-            slots <= (4 * pending + CHUNK).max(FLOOR),
-            "{slots} slots for {pending} pending after {op:?}"
+            queue.keys.capacity() <= 2 * queue.slots(),
+            "{} keys for {} slots after {op:?}",
+            queue.keys.capacity(),
+            queue.slots()
         );
-        // The heap doubles only past every slot, and compaction sizes
-        // it to the slots.
-        prop_assert!(queue.keys.capacity() <= 2 * slots, "keys after {op:?}");
         Ok(())
     }
 
@@ -1613,7 +1623,7 @@ mod tests {
                 queue.push(at, timer(next_id));
                 model.push(Reverse((at, next_id)));
                 next_id += 1;
-                check_bound(&queue, &op)?;
+                check_keys(&queue, &op)?;
             }
             for _ in 0..pops {
                 let want = model.pop().map(|Reverse(e)| e);
@@ -1626,9 +1636,18 @@ mod tests {
                 });
                 prop_assert_eq!(got, want, "{op:?}");
                 now = want.map_or(now, |(at, _)| at);
-                check_bound(&queue, &op)?;
+                check_keys(&queue, &op)?;
             }
             prop_assert_eq!(queue.keys.len(), model.len(), "len after {op:?}");
+            // What `run_until` does as it returns; the memory bound
+            // DESIGN.md §4 states holds from then on.
+            queue.trim();
+            prop_assert!(
+                queue.within_bound(),
+                "{} slots for {} pending after {op:?}",
+                queue.slots(),
+                queue.keys.len()
+            );
             // At or below the floor no chunk is given back, so a burst
             // that drains and comes back reuses its chunks.
             if before <= FLOOR {
@@ -1663,9 +1682,12 @@ mod tests {
             }
             assert_eq!(queue.chunks.len(), 8, "round {round}: ceil(1000 / 128)");
             while queue.pop().is_some() {}
+            // Under the floor, so a trim keeps every chunk.
+            queue.trim();
         }
         assert!(queue.chunks.iter().all(|c| c.capacity() == CHUNK));
-        assert_eq!(queue.keys.capacity(), 1024, "the heap's doubling of 1000");
+        let keys = queue.keys.capacity();
+        assert!((1_000..=2 * queue.slots()).contains(&keys), "{keys} keys");
         // The memory bound DESIGN.md §4 states: a key per queued event,
         // a payload slot no larger than the payload itself.
         assert_eq!(std::mem::size_of::<Key>(), 24);
@@ -1683,14 +1705,25 @@ mod tests {
             queue.push(SimTime::from_nanos(id % 3), timer(id));
         }
         assert_eq!(queue.slots(), 157 * CHUNK, "ceil(20000 / 128) chunks");
-        // Compactions at 5 023 and 1 279 pending: 40 chunks, then 10.
         let mut fired = Vec::new();
-        while let Some((at, kind)) = queue.pop() {
+        let mut pop = |queue: &mut Queue| {
+            let (at, kind) = queue.pop()?;
             let EventKind::Timer { token, .. } = kind else {
                 unreachable!("only timers are pushed");
             };
             fired.push((at, token));
+            Some(())
+        };
+        for _ in 0..N - 1_000 {
+            pop(&mut queue);
         }
+        // Pops alone never compact: only a trim does.
+        assert_eq!(queue.slots(), 157 * CHUNK);
+        queue.trim();
+        assert_eq!(queue.slots(), 8 * CHUNK, "ceil(1000 / 128) chunks");
+        assert!(queue.keys.capacity() <= queue.slots());
+        while pop(&mut queue).is_some() {}
+        queue.trim();
         let want: Vec<_> = (0..3)
             .flat_map(|r| {
                 (r..N)
@@ -1699,8 +1732,8 @@ mod tests {
             })
             .collect();
         assert_eq!(fired, want, "(at, push order), as if never compacted");
-        assert_eq!(queue.slots(), 10 * CHUNK);
-        assert!(queue.keys.capacity() <= 10 * CHUNK);
+        // At the floor or under it, nothing more is given back.
+        assert_eq!(queue.slots(), 8 * CHUNK);
         // The next flood fills the kept slots before it adds a chunk.
         for id in 0..N {
             queue.push(SimTime::from_nanos(id % 3), timer(id));

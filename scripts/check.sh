@@ -119,8 +119,8 @@ run cargo build --release
 # - livesec-conntrack, livesec-sim, livesec-services: the per-frame data
 #   path (EXPERIMENTS.md E17/E18) — bounded conntrack indexes, the
 #   kernel's port slots, the event queue's model test (firing order,
-#   and its memory bound after every push and pop, compaction
-#   included), link arithmetic against its u128 formula, the scan
+#   and its memory bound after every step, compaction included),
+#   link arithmetic against its u128 formula, the scan
 #   kernel's differential model test.
 # - livesec-policy, livesec-verify (DESIGN.md §14, §8): parser recovery,
 #   shadow analysis, delta-convergence proptests, incremental-

@@ -13,9 +13,6 @@ use livesec_switch::AsSwitch;
 const ROUND: SimDuration = SimDuration::from_millis(500);
 /// How long a converged campus is watched for stray packet-ins.
 const QUIET: SimDuration = SimDuration::from_secs(5);
-/// Event slots the simulator's queue keeps however few are pending (16
-/// chunks of 128).
-const QUEUE_FLOOR: usize = 2_048;
 
 /// `n` AS switches over `n / 8` legacy edges, no users: every
 /// packet-in the controller sees is an LLDP probe.
@@ -100,7 +97,7 @@ fn bring_up_with_users_costs_linear_in_hosts() {
         // The bring-up flood's event slots are given back once it drains.
         let (pending, slots) = campus.world.queue_footprint();
         assert!(
-            slots <= 4 * pending + QUEUE_FLOOR,
+            campus.world.queue_within_bound(),
             "N = {n}: {slots} queue slots held for {pending} pending events"
         );
         assert_eq!(
